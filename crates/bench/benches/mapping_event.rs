@@ -9,7 +9,7 @@ use std::hint::black_box;
 use taskprune_bench::chainbench::{
     probe_task, wide_pet_matrix, wide_queue, CHAIN_DEPTHS, CHAIN_SUPPORTS,
 };
-use taskprune_heuristics::{EfficientMinMin, MM, MMU, MSD};
+use taskprune_heuristics::{MM, MMU, MSD};
 use taskprune_model::{Cluster, SimTime, Task, TaskTypeId};
 use taskprune_sim::queue_testing::make_queues;
 use taskprune_sim::{BatchMapper, SystemView};
@@ -37,7 +37,6 @@ fn bench_mapping(c: &mut Criterion) {
         let cands = candidates(n);
         for (name, mut mapper) in [
             ("MM", Box::new(MM::new()) as Box<dyn BatchMapper>),
-            ("MM-fast", Box::new(EfficientMinMin::new())),
             ("MSD", Box::new(MSD::new())),
             ("MMU", Box::new(MMU::new())),
         ] {

@@ -16,8 +16,22 @@
 //! or the unmapped queue is exhausted, maintaining a *virtual* ready-time
 //! per machine so later picks see earlier ones — the "virtual queue"
 //! structure the paper describes.
+//!
+//! Phase 1 depends only on a task's *type*, so it runs once per present
+//! type, not once per task. Committing a task to machine *j* only raises
+//! *j*'s ready time (or fills *j*), so a type's best machine can change
+//! only if it was *j* — the invalidation of Ezzatti et al.'s efficient
+//! Min-Min (the paper's ref. [22]). Phase 2 still scans the unassigned
+//! tasks in order, so the output is identical to recomputing phase 1
+//! for every task.
+//!
+//! Ties: MM and MMU break equal scores by task id. MSD has no id
+//! tie-break on purpose: among equal deadlines and completions the
+//! first task in scan order wins, and the scan order is the candidate
+//! order perturbed by `swap_remove`. That order dependence is part of
+//! MSD's pinned behaviour.
 
-use taskprune_model::{MachineId, Task};
+use taskprune_model::{MachineId, Task, TaskTypeId};
 use taskprune_sim::{Assignment, BatchMapper, SystemView};
 
 /// The phase-2 selection rule distinguishing MM / MSD / MMU.
@@ -32,19 +46,27 @@ pub enum Phase2 {
 }
 
 /// A generic two-phase batch heuristic; [`MM`], [`MSD`] and [`MMU`] are
-/// thin constructors over this.
+/// thin constructors over this. The vectors are scratch reused across
+/// calls; no state survives a call.
 #[derive(Debug)]
 pub struct TwoPhase {
     name: &'static str,
     phase2: Phase2,
-    /// Reused virtual ready-time per machine (scratch; cleared per
-    /// call).
+    /// Virtual ready-time per machine.
     ready: Vec<f64>,
-    /// Reused virtual free-slot count per machine (scratch).
+    /// Virtual free-slot count per machine.
     slots: Vec<usize>,
-    /// Reused unassigned set as indices into the candidate slice
-    /// (scratch).
+    /// Unassigned set as indices into the candidate slice.
     unassigned: Vec<usize>,
+    /// The task types present among the candidates.
+    kinds: Vec<TaskTypeId>,
+    /// Per candidate: the index of its type in `kinds`.
+    kind_of: Vec<usize>,
+    /// Expected execution ticks, one row of machines per present type.
+    exec: Vec<f64>,
+    /// Per present type: its phase-1 best (machine, completion), or
+    /// `None` until phase 2 next needs it.
+    best: Vec<Option<(usize, f64)>>,
 }
 
 impl TwoPhase {
@@ -56,8 +78,33 @@ impl TwoPhase {
             ready: Vec::new(),
             slots: Vec::new(),
             unassigned: Vec::new(),
+            kinds: Vec::new(),
+            kind_of: Vec::new(),
+            exec: Vec::new(),
+            best: Vec::new(),
         }
     }
+}
+
+/// Phase 1 for one task type with execution row `exec`: the machine
+/// with minimum expected completion among those with a free virtual
+/// slot, the lowest index winning ties; `None` when every slot is full.
+fn best_machine(
+    exec: &[f64],
+    ready: &[f64],
+    slots: &[usize],
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (m, (&r, &s)) in ready.iter().zip(slots).enumerate() {
+        if s == 0 {
+            continue;
+        }
+        let completion = r + exec[m];
+        if best.is_none_or(|(_, c)| completion < c) {
+            best = Some((m, completion));
+        }
+    }
+    best
 }
 
 /// MinCompletion–MinCompletion (Min-Min).
@@ -148,27 +195,44 @@ impl BatchMapper for TwoPhase {
         );
         self.unassigned.clear();
         self.unassigned.extend(0..candidates.len());
+        // Group the candidates by task type, reading each present
+        // type's execution row once.
+        self.kinds.clear();
+        self.kind_of.clear();
+        self.exec.clear();
+        for task in candidates {
+            let k = match self.kinds.iter().position(|&t| t == task.type_id) {
+                Some(k) => k,
+                None => {
+                    self.kinds.push(task.type_id);
+                    self.exec.extend((0..n_machines).map(|m| {
+                        view.expected_exec_ticks(
+                            MachineId(m as u16),
+                            task.type_id,
+                        )
+                    }));
+                    self.kinds.len() - 1
+                }
+            };
+            self.kind_of.push(k);
+        }
+        self.best.clear();
+        self.best.resize(self.kinds.len(), None);
 
         while !self.unassigned.is_empty() && self.slots.iter().any(|&s| s > 0) {
-            // Phase 1: best machine (min expected completion) per task,
-            // among machines with a free virtual slot.
-            // Phase 2: pick the winning pair by the heuristic's rule.
-            let mut winner: Option<(usize, MachineId, f64)> = None; // (idx, machine, completion)
+            // Phase 2: the winning (unassigned index, machine,
+            // completion) by the heuristic's rule.
+            let mut winner: Option<(usize, usize, f64)> = None;
             for (idx, &ti) in self.unassigned.iter().enumerate() {
                 let task = &candidates[ti];
-                let mut best: Option<(MachineId, f64)> = None;
-                for m in 0..n_machines {
-                    if self.slots[m] == 0 {
-                        continue;
-                    }
-                    let mid = MachineId(m as u16);
-                    let completion = self.ready[m]
-                        + view.expected_exec_ticks(mid, task.type_id);
-                    if best.is_none_or(|(_, c)| completion < c) {
-                        best = Some((mid, completion));
-                    }
+                // Phase 1: best machine (min expected completion) for
+                // the task's type, among machines with a free slot.
+                let k = self.kind_of[ti];
+                if self.best[k].is_none() {
+                    let row = &self.exec[k * n_machines..];
+                    self.best[k] = best_machine(row, &self.ready, &self.slots);
                 }
-                let Some((machine, completion)) = best else {
+                let Some((machine, completion)) = self.best[k] else {
                     break;
                 };
                 let better = match (winner, self.phase2) {
@@ -197,17 +261,24 @@ impl BatchMapper for TwoPhase {
                     winner = Some((idx, machine, completion));
                 }
             }
-            let Some((idx, machine, _)) = winner else {
+            let Some((idx, m, _)) = winner else {
                 break;
             };
-            let task = &candidates[self.unassigned.swap_remove(idx)];
-            let m = machine.0 as usize;
-            self.ready[m] += view.expected_exec_ticks(machine, task.type_id);
+            let ti = self.unassigned.swap_remove(idx);
+            self.ready[m] += self.exec[self.kind_of[ti] * n_machines + m];
             self.slots[m] -= 1;
             out.push(Assignment {
-                task: task.id,
-                machine,
+                task: candidates[ti].id,
+                machine: MachineId(m as u16),
             });
+            // Only the types whose best machine was just filled can
+            // have a new best (every other machine is unchanged); phase
+            // 2 recomputes those when it next meets one.
+            for best in &mut self.best {
+                if best.is_some_and(|(b, _)| b == m) {
+                    *best = None;
+                }
+            }
         }
     }
 }
@@ -215,8 +286,9 @@ impl BatchMapper for TwoPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use taskprune_model::{
-        BinSpec, Cluster, PetMatrix, SimTime, TaskId, TaskTypeId,
+        BinSpec, Cluster, Machine, MachineTypeId, PetMatrix, SimTime, TaskId,
     };
     use taskprune_prob::Pmf;
     use taskprune_sim::queue_testing::make_queues;
@@ -353,5 +425,156 @@ mod tests {
             assignments_of(&mut a, &cands),
             assignments_of(&mut b, &cands)
         );
+    }
+
+    /// The textbook two-phase loop: phase 1 recomputed for every
+    /// unassigned task at every step. The reference the per-type phase
+    /// 1 must reproduce exactly.
+    fn naive_select(
+        phase2: Phase2,
+        view: &SystemView<'_>,
+        candidates: &[Task],
+    ) -> Vec<Assignment> {
+        let n_machines = view.n_machines();
+        let mut ready: Vec<f64> = (0..n_machines)
+            .map(|m| view.expected_ready_ticks(MachineId(m as u16)))
+            .collect();
+        let mut slots: Vec<usize> = (0..n_machines)
+            .map(|m| view.free_slots(MachineId(m as u16)))
+            .collect();
+        let mut unassigned: Vec<usize> = (0..candidates.len()).collect();
+        let mut out = Vec::new();
+        while !unassigned.is_empty() && slots.iter().any(|&s| s > 0) {
+            let mut winner: Option<(usize, MachineId, f64)> = None;
+            for (idx, &ti) in unassigned.iter().enumerate() {
+                let task = &candidates[ti];
+                let mut best: Option<(MachineId, f64)> = None;
+                for m in 0..n_machines {
+                    if slots[m] == 0 {
+                        continue;
+                    }
+                    let mid = MachineId(m as u16);
+                    let completion =
+                        ready[m] + view.expected_exec_ticks(mid, task.type_id);
+                    if best.is_none_or(|(_, c)| completion < c) {
+                        best = Some((mid, completion));
+                    }
+                }
+                let Some((machine, completion)) = best else {
+                    break;
+                };
+                let better = match (winner, phase2) {
+                    (None, _) => true,
+                    (Some((widx, _, wcomp)), Phase2::MinCompletion) => {
+                        completion < wcomp
+                            || (completion == wcomp
+                                && task.id < candidates[unassigned[widx]].id)
+                    }
+                    (Some((widx, _, wcomp)), Phase2::SoonestDeadline) => {
+                        let w = &candidates[unassigned[widx]];
+                        task.deadline < w.deadline
+                            || (task.deadline == w.deadline
+                                && completion < wcomp)
+                    }
+                    (Some((widx, _, wcomp)), Phase2::MaxUrgency) => {
+                        let w = &candidates[unassigned[widx]];
+                        let u_t =
+                            urgency(task.deadline.ticks() as f64, completion);
+                        let u_w = urgency(w.deadline.ticks() as f64, wcomp);
+                        u_t > u_w || (u_t == u_w && task.id < w.id)
+                    }
+                };
+                if better {
+                    winner = Some((idx, machine, completion));
+                }
+            }
+            let Some((idx, machine, _)) = winner else {
+                break;
+            };
+            let task = &candidates[unassigned.swap_remove(idx)];
+            let m = machine.0 as usize;
+            ready[m] += view.expected_exec_ticks(machine, task.type_id);
+            slots[m] -= 1;
+            out.push(Assignment {
+                task: task.id,
+                machine,
+            });
+        }
+        out
+    }
+
+    /// Tie-heavy inputs: PET point masses from three bins (so equal
+    /// completions are common), machines 0/2 and 1/3 of the same type
+    /// (so equal completions across machines are common), four task
+    /// types, three deadlines, non-monotone ids, and queues pre-loaded
+    /// to uneven depths.
+    #[allow(clippy::type_complexity)]
+    fn arb_tie_heavy(
+    ) -> impl Strategy<Value = (Vec<u64>, Vec<(u16, u64)>, Vec<usize>)> {
+        let pet_bins = prop::collection::vec(1u64..4, 2 * 4);
+        let tasks = prop::collection::vec((0u16..4, 1u64..4), 0..40);
+        let backlog = prop::collection::vec(0usize..4, 4);
+        (pet_bins, tasks, backlog)
+    }
+
+    proptest! {
+        #[test]
+        fn per_type_phase_one_matches_the_naive_loop(
+            (bins, raw, backlog) in arb_tie_heavy()
+        ) {
+            let pet = PetMatrix::new(
+                BinSpec::new(100),
+                2,
+                4,
+                bins.into_iter().map(Pmf::point_mass).collect(),
+            );
+            let cluster = Cluster::new(
+                (0..4).map(|m| Machine::new(m, MachineTypeId(m % 2))).collect(),
+            );
+            let mut queues = make_queues(&cluster, 3, 256);
+            let mut id = 1_000u64;
+            for (m, &depth) in backlog.iter().enumerate() {
+                for _ in 0..depth.min(3) {
+                    queues[m].admit(Task::new(
+                        id,
+                        TaskTypeId((id % 4) as u16),
+                        SimTime(0),
+                        SimTime(1_000_000),
+                    ));
+                    id += 1;
+                }
+            }
+            let tasks: Vec<Task> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(type_id, d))| {
+                    Task::new(
+                        (i as u64 * 37) % 101,
+                        TaskTypeId(type_id),
+                        SimTime(0),
+                        SimTime(d * 500),
+                    )
+                })
+                .collect();
+            let view = SystemView::new(SimTime(0), &queues, &pet);
+            for phase2 in [
+                Phase2::MinCompletion,
+                Phase2::SoonestDeadline,
+                Phase2::MaxUrgency,
+            ] {
+                let mut mapper = TwoPhase::new("under-test", phase2);
+                // A first call on a different candidate set must leave
+                // nothing behind in the reused scratch.
+                let half = &tasks[tasks.len() / 2..];
+                prop_assert_eq!(
+                    mapper.select(&view, half),
+                    naive_select(phase2, &view, half)
+                );
+                prop_assert_eq!(
+                    mapper.select(&view, &tasks),
+                    naive_select(phase2, &view, &tasks)
+                );
+            }
+        }
     }
 }

@@ -18,7 +18,6 @@
 pub mod batch;
 pub mod homogeneous;
 pub mod immediate;
-pub mod minmin_fast;
 pub mod probe;
 pub mod registry;
 
@@ -30,7 +29,6 @@ pub use immediate::{
     KPercentBest, MinimumCompletionTime, MinimumExecutionTime,
     OpportunisticLoadBalancing, RoundRobin, SwitchingAlgorithm,
 };
-pub use minmin_fast::EfficientMinMin;
 pub use probe::{
     best_admission_chance, best_expected_completion, BestChanceRoute,
 };

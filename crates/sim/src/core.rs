@@ -33,11 +33,10 @@
 //!
 //! A steady-state mapping event performs no heap allocation in the
 //! core: the reactive-drop list, the candidate list, the proposal list,
-//! the deferred-id set, the drop work-lists, the event report and the
-//! decision/start buffers are all reused arenas, and [`SystemView`]
-//! construction is three borrows on the stack. (The estimator side has
-//! been allocation-free since the convolution arena; see
-//! [`crate::queue`].)
+//! the drop work-lists, the event report and the decision/start buffers
+//! are all reused arenas, and [`SystemView`] construction is three
+//! borrows on the stack. (The estimator side has been allocation-free
+//! since the convolution arena; see [`crate::queue`].)
 
 use crate::config::{AllocationMode, SimConfig};
 use crate::queue::MachineQueue;
@@ -49,7 +48,6 @@ use crate::trace::{QueueSnapshot, TraceEvent};
 use crate::traits::{Assignment, EventReport, MappingStrategy, Pruner};
 use crate::view::SystemView;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashSet;
 use taskprune_model::{
     Machine, MachineId, PetMatrix, SimTime, Task, TaskId, TaskOutcome,
 };
@@ -159,12 +157,10 @@ pub struct SchedulerCore<'a, S: Sink = NullSink> {
     starts_spare: Vec<Start>,
     /// Reused per-event report fed to the pruner (Accounting input).
     report: EventReport,
-    /// Reused per-round buffer for the batch mapping loop's candidates.
+    /// Reused per-event candidate list of the batch mapping loop.
     candidate_buf: Vec<Task>,
     /// Reused per-round buffer for the heuristic's proposals.
     proposal_buf: Vec<Assignment>,
-    /// Reused per-event set of task ids the pruner deferred.
-    deferred_buf: HashSet<TaskId>,
     /// Reused per-event buffer for the pruner's proactive drops.
     drop_buf: Vec<(MachineId, TaskId)>,
     /// Reused per-machine id list sliced out of `drop_buf`.
@@ -216,7 +212,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             report: EventReport::default(),
             candidate_buf: Vec::new(),
             proposal_buf: Vec::new(),
-            deferred_buf: HashSet::new(),
             drop_buf: Vec::new(),
             drop_ids_buf: Vec::new(),
             reuse: ReuseLedger::new(),
@@ -244,7 +239,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             report: self.report,
             candidate_buf: self.candidate_buf,
             proposal_buf: self.proposal_buf,
-            deferred_buf: self.deferred_buf,
             drop_buf: self.drop_buf,
             drop_ids_buf: self.drop_ids_buf,
             reuse: self.reuse,
@@ -995,6 +989,12 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
 
     /// The Step 7 while-loop: heuristic proposes, pruner vetoes,
     /// survivors dispatch, repeat until no progress is possible.
+    ///
+    /// `candidates` is built once per event and shrinks as proposals are
+    /// decided, so at every round start it equals the arrival queue
+    /// minus this event's deferrals, in arrival order. A proposal whose
+    /// task is missing from it — deferred already, or no longer pending
+    /// — is skipped.
     fn batch_mapping_loop(&mut self) {
         let mapper = match &mut self.strategy {
             MappingStrategy::Batch(m) => m,
@@ -1002,50 +1002,31 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                 panic!("batch mode requires a batch-mode mapper")
             }
         };
-        let mut deferred = std::mem::take(&mut self.deferred_buf);
-        deferred.clear();
         let mut candidates = std::mem::take(&mut self.candidate_buf);
+        candidates.clear();
+        candidates.extend_from_slice(&self.arrival_queue);
         let mut proposals = std::mem::take(&mut self.proposal_buf);
-        loop {
-            if self.queues.iter().all(|q| q.free_slots() == 0) {
-                break;
-            }
-            candidates.clear();
-            candidates.extend(
-                self.arrival_queue
-                    .iter()
-                    .filter(|t| !deferred.contains(&t.id))
-                    .copied(),
-            );
-            if candidates.is_empty() {
-                break;
-            }
+        while !candidates.is_empty()
+            && self.queues.iter().any(|q| q.free_slots() > 0)
+        {
             proposals.clear();
             {
                 let view = SystemView::new(self.now, &self.queues, self.pet);
                 mapper.select_into(&view, &candidates, &mut proposals);
             }
-            if proposals.is_empty() {
-                break;
-            }
-            let mut progressed = false;
+            let undecided = candidates.len();
             for pi in 0..proposals.len() {
                 let assignment = proposals[pi];
-                if deferred.contains(&assignment.task) {
-                    continue;
-                }
                 let machine_idx = assignment.machine.0 as usize;
                 if self.queues[machine_idx].free_slots() == 0 {
                     continue; // stale proposal for a queue filled earlier
                 }
-                let Some(pos) = self
-                    .arrival_queue
-                    .iter()
-                    .position(|t| t.id == assignment.task)
+                let Some(ci) =
+                    candidates.iter().position(|t| t.id == assignment.task)
                 else {
                     continue;
                 };
-                let task = self.arrival_queue[pos];
+                let task = candidates.remove(ci);
                 let chance = {
                     let view =
                         SystemView::new(self.now, &self.queues, self.pet);
@@ -1070,7 +1051,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                     None => chance,
                 };
                 if self.pruner.should_defer(&task, chance) {
-                    deferred.insert(task.id);
                     self.stats.deferrals += 1;
                     self.decisions
                         .push(Decision::DeferToBatch { task: task.id });
@@ -1078,8 +1058,12 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                         self.now,
                         TraceEvent::Deferred { task: task.id },
                     );
-                    progressed = true; // candidate set shrank
                 } else {
+                    let pos = self
+                        .arrival_queue
+                        .iter()
+                        .position(|t| t.id == task.id)
+                        .expect("every candidate is pending");
                     self.arrival_queue.remove(pos);
                     self.queues[machine_idx].admit(task);
                     self.decisions.push(Decision::Assign {
@@ -1093,14 +1077,12 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                             machine: assignment.machine,
                         },
                     );
-                    progressed = true;
                 }
             }
-            if !progressed {
-                break;
+            if candidates.len() == undecided {
+                break; // no proposal could be decided
             }
         }
-        self.deferred_buf = deferred;
         self.candidate_buf = candidates;
         self.proposal_buf = proposals;
     }

@@ -48,6 +48,22 @@
 //! far in the future can never contribute to an on-time completion, so
 //! success queries stay exact (see `taskprune-prob`'s tail-mass
 //! semantics).
+//!
+//! # The Eq. 2 pricing memo
+//!
+//! Eq. 2 for a task appended now is Σₓ pet(x)·G(d − x), where
+//! G(r) = Σₐ base(a)·chain_cdf(r − a) depends on the queue and the
+//! now-bin but not on the task, and the batch deferral loop prices many
+//! proposals against one unchanged queue. So
+//! [`MachineQueue::chance_if_appended`] keeps the base and a lazily
+//! filled table of G keyed by the now-bin, and sums the PET against it
+//! with [`chance_of_success`]'s own outer loop: every chance is
+//! bit-identical to the direct sum. Below the table G is 0; above it
+//! every term is the chain's window mass, so G reads the top entry.
+//! **Invariant:** every `&mut self` method that changes the running task
+//! or the waiting list forgets the memo in O(1) (table entries carry a
+//! fill stamp and are never cleared), so the memo always describes the
+//! queue as it is. Like the chains, it assumes one PET matrix per queue.
 
 use crate::snapshot::{Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize, Value};
@@ -99,8 +115,54 @@ struct ChainCache {
     /// Guards the walk buffers: a nested `plan_drops` on the same queue
     /// would silently corrupt them, so it fails loudly instead.
     walk_active: bool,
-    /// Buffer for the base (machine-ready-time) distribution.
+    /// The base (machine-ready-time) distribution the memo describes.
     base: Pmf,
+    /// The Eq. 2 pricing memo over `base` and the tail chain.
+    memo: ReadyMemo,
+}
+
+/// The lazily filled table of G(r) for r ∈ [`lo`, `lo + len − 1`]
+/// (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct ReadyMemo {
+    /// The now-bin the base and table describe; `None` once the queue
+    /// has mutated since.
+    now_bin: Option<Bin>,
+    /// An entry is filled iff its stamp equals this; bumped per re-key.
+    stamp: u64,
+    /// First table bin (the base's first bin) and live table length.
+    lo: Bin,
+    len: usize,
+    /// (fill stamp, G) per bin from `lo`; may be longer than `len`.
+    table: Vec<(u64, f64)>,
+}
+
+impl ReadyMemo {
+    /// Starts a fresh table for `now_bin` over `base` and `chain_cdf`.
+    fn rekey(&mut self, now_bin: Bin, base: &Pmf, chain_cdf: &Cdf) {
+        self.now_bin = Some(now_bin);
+        self.stamp += 1;
+        self.lo = base.min_bin();
+        self.len =
+            (base.max_bin() - self.lo + chain_cdf.max_bin() + 2) as usize;
+        if self.table.len() < self.len {
+            self.table.resize(self.len, (0, 0.0));
+        }
+    }
+
+    /// G(`rem`), computed on first use.
+    fn g(&mut self, rem: Bin, base: &Pmf, chain_cdf: &Cdf) -> f64 {
+        if rem < self.lo {
+            return 0.0;
+        }
+        let i = ((rem - self.lo) as usize).min(self.len - 1);
+        let (stamp, g) = &mut self.table[i];
+        if *stamp != self.stamp {
+            *g = ready_mass(base, chain_cdf, self.lo + i as Bin);
+            *stamp = self.stamp;
+        }
+        *g
+    }
 }
 
 impl ChainCache {
@@ -118,13 +180,21 @@ impl ChainCache {
             walk_base: zero.clone(),
             walk_active: false,
             base: zero,
+            memo: ReadyMemo::default(),
         }
+    }
+
+    /// Forgets the pricing memo: the running task or the waiting list
+    /// changed.
+    fn touch(&mut self) {
+        self.memo.now_bin = None;
     }
 
     /// Records that the waiting task at `first_changed` (and everything
     /// behind it) no longer matches the cached chain.
     fn invalidate_from(&mut self, first_changed: usize) {
         self.valid = self.valid.min(first_changed + 1);
+        self.touch();
     }
 
     /// Repairs the chain up to the current queue length, re-convolving
@@ -236,6 +306,7 @@ impl MachineQueue {
     pub fn admit(&mut self, task: Task) {
         assert!(self.free_slots() > 0, "admit into a full machine queue");
         self.waiting.push_back(task);
+        self.chain.get_mut().touch();
     }
 
     /// Removes the head waiting task so the engine can start it.
@@ -260,11 +331,13 @@ impl MachineQueue {
         assert!(self.running.is_none(), "machine already busy");
         self.generation += 1;
         self.running = Some(RunningTask { task, start });
+        self.chain.get_mut().touch();
         self.generation
     }
 
     /// Completes the running task, returning it.
     pub fn complete_running(&mut self) -> RunningTask {
+        self.chain.get_mut().touch();
         self.running.take().expect("completion on an idle machine")
     }
 
@@ -274,6 +347,7 @@ impl MachineQueue {
     pub fn cancel_running(&mut self) -> RunningTask {
         let rt = self.running.take().expect("cancel on an idle machine");
         self.generation += 1;
+        self.chain.get_mut().touch();
         rt
     }
 
@@ -386,15 +460,17 @@ impl MachineQueue {
             self.horizon_bins,
         );
         let cache = &mut *chain;
-        self.write_base(bin_spec, pet_matrix, now, &mut cache.base);
         let chain_cdf = &cache.cdfs[self.waiting.len()];
+        let now_bin = bin_spec.bin_of(now);
+        if cache.memo.now_bin != Some(now_bin) {
+            self.write_base(bin_spec, pet_matrix, now, &mut cache.base);
+            cache.memo.rekey(now_bin, &cache.base, chain_cdf);
+        }
         let pet = pet_matrix.pet(self.machine.type_id, task.type_id);
-        chance_of_success(
-            &cache.base,
-            chain_cdf,
-            pet,
-            bin_spec.deadline_bin(task.deadline),
-        )
+        let (base, memo) = (&cache.base, &mut cache.memo);
+        eq2(pet, bin_spec.deadline_bin(task.deadline), |rem| {
+            memo.g(rem, base, chain_cdf)
+        })
     }
 
     /// Walks the waiting queue head-to-tail computing each task's chance
@@ -517,7 +593,7 @@ impl MachineQueue {
         let mut out: Vec<Task> =
             self.running.take().map(|rt| rt.task).into_iter().collect();
         out.extend(self.waiting.drain(..));
-        self.chain.get_mut().valid = 1;
+        self.chain.get_mut().invalidate_from(0);
         out
     }
 
@@ -526,7 +602,7 @@ impl MachineQueue {
     /// as the from-scratch baseline for benches and the fuzz reference.
     pub fn force_full_rebuild(&mut self, pet_matrix: &PetMatrix) {
         let chain = self.chain.get_mut();
-        chain.valid = 1;
+        chain.invalidate_from(0);
         chain.repair(
             &self.waiting,
             self.machine.type_id,
@@ -587,9 +663,10 @@ impl MachineQueue {
         self.running = running.map(|(task, start)| RunningTask { task, start });
         self.waiting = waiting;
         // The chain cache is rebuilt lazily from the restored waiting
-        // list; slot 0 (δ(0)) is constant, so "valid = 1" discards
-        // everything else while keeping the arena allocations.
-        self.chain.get_mut().valid = 1;
+        // list; slot 0 (δ(0)) is constant, so invalidating from the
+        // head discards everything else while keeping the arena
+        // allocations.
+        self.chain.get_mut().invalidate_from(0);
         Ok(())
     }
 
@@ -624,25 +701,35 @@ pub fn chance_of_success(
     pet: &Pmf,
     deadline_bin: Bin,
 ) -> f64 {
+    eq2(pet, deadline_bin, |rem| ready_mass(base, chain_cdf, rem))
+}
+
+/// Eq. 2's outer sum Σₓ pet(x) · ready(deadline − x), clamped.
+fn eq2(pet: &Pmf, deadline_bin: Bin, mut ready: impl FnMut(Bin) -> f64) -> f64 {
     let mut total = 0.0;
     for (x, px) in pet.iter() {
         if px == 0.0 || x > deadline_bin {
             continue;
         }
-        let rem = deadline_bin - x;
-        let mut inner = 0.0;
-        for (a, pa) in base.iter() {
-            if a > rem {
-                break; // base bins ascend; later terms are all zero
-            }
-            if pa == 0.0 {
-                continue;
-            }
-            inner += pa * chain_cdf.at(rem - a);
-        }
-        total += px * inner;
+        total += px * ready(deadline_bin - x);
     }
     total.clamp(0.0, 1.0)
+}
+
+/// Eq. 2's inner sum Σₐ base(a) · chain_cdf(rem − a): the chance that
+/// the queue ahead of an appended task is done by bin `rem`.
+fn ready_mass(base: &Pmf, chain_cdf: &Cdf, rem: Bin) -> f64 {
+    let mut inner = 0.0;
+    for (a, pa) in base.iter() {
+        if a > rem {
+            break; // base bins ascend; later terms are all zero
+        }
+        if pa == 0.0 {
+            continue;
+        }
+        inner += pa * chain_cdf.at(rem - a);
+    }
+    inner
 }
 
 #[cfg(test)]

@@ -9,13 +9,20 @@
 //! with identical contents — the chains **bit-for-bit**, because the
 //! incremental repair performs the exact same convolve-then-truncate
 //! operations a from-scratch rebuild does.
+//!
+//! The Eq. 2 pricing memo is covered the same way: clock moves that
+//! leave the queue alone (within a bin and across bins), cancellations,
+//! and probes whose deadlines fall below the memo's table, inside it and
+//! past its saturation point must all price bit-for-bit like a rebuilt
+//! queue and like the direct `chance_of_success` sum.
 
 use proptest::prelude::*;
 use taskprune_model::{
-    BinSpec, Cluster, MachineId, PetMatrix, SimTime, Task, TaskId, TaskTypeId,
+    BinSpec, Cluster, MachineId, MachineTypeId, PetMatrix, SimTime, Task,
+    TaskId, TaskTypeId,
 };
 use taskprune_prob::Pmf;
-use taskprune_sim::queue::MachineQueue;
+use taskprune_sim::queue::{chance_of_success, MachineQueue};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -28,6 +35,13 @@ enum Op {
     /// sorted-id lookup and the first-changed-position invalidation).
     DropBatch(u8),
     ReactiveDrops(u64),
+    /// Moves the clock without touching the queue.
+    Advance(u64),
+    /// Cancels the running task, if any (the late-cancellation policy).
+    CancelRunning,
+    /// Starts a task that never waited here on an idle machine: a
+    /// start without a pop, so nothing but the start itself changes.
+    StartDirect(u16),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -38,6 +52,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..6).prop_map(Op::DropByIndex),
         any::<u8>().prop_map(Op::DropBatch),
         (0u64..20_000).prop_map(Op::ReactiveDrops),
+        // Mostly within one 100-tick bin.
+        (1u64..40).prop_map(Op::Advance),
+        // Always across at least one bin boundary.
+        (100u64..900).prop_map(Op::Advance),
+        Just(Op::CancelRunning),
+        (0u16..3).prop_map(Op::StartDirect),
     ]
 }
 
@@ -125,7 +145,46 @@ fn apply_op(
             *now = SimTime(now.ticks() + advance);
             q.drop_missed_deadlines(*now);
         }
+        Op::Advance(ticks) => *now = SimTime(now.ticks() + ticks),
+        Op::CancelRunning => {
+            if q.is_busy() {
+                q.cancel_running();
+            }
+        }
+        Op::StartDirect(type_id) => {
+            if !q.is_busy() {
+                let deadline = SimTime(now.ticks() + 3_000);
+                let task =
+                    Task::new(*next_id, TaskTypeId(type_id), *now, deadline);
+                *next_id += 1;
+                q.set_running(task, *now);
+            }
+        }
     }
+}
+
+/// Deadline bins around the pricing memo's table for the queue's state
+/// at `now`: below the base window (where the table reads 0), inside
+/// the window, at the table's top, and past the point where every term
+/// saturates at the chain's window mass.
+fn probe_deadline_bins(
+    q: &MachineQueue,
+    pet: &PetMatrix,
+    now: SimTime,
+) -> Vec<u64> {
+    let base = q.base_pmf(pet.bin_spec(), pet, now);
+    let (_, cdfs) = q.chain_snapshot(pet);
+    let top = base.max_bin() + cdfs[q.waiting_len()].max_bin() + 1;
+    vec![
+        0,
+        base.min_bin().saturating_sub(1),
+        base.min_bin() + 2,
+        (base.min_bin() + top) / 2,
+        top,
+        top + 9, // the widest PET reaches 9 bins past the top
+        top + 60,
+        pet.bin_spec().deadline_bin(SimTime(now.ticks() + 2_500)),
+    ]
 }
 
 proptest! {
@@ -166,21 +225,40 @@ proptest! {
                 .abs()
                     < 1e-9
             );
-            for type_id in 0..3u16 {
-                let probe = Task::new(
-                    u64::MAX,
-                    TaskTypeId(type_id),
-                    now,
-                    SimTime(now.ticks() + 2_500),
-                );
-                let a =
-                    q.chance_if_appended(spec, &pet, now, &probe);
-                let b = reference
-                    .chance_if_appended(spec, &pet, now, &probe);
-                prop_assert_eq!(
-                    a.to_bits(), b.to_bits(),
-                    "chance diverged: {} vs {}", a, b
-                );
+            // Every probe, in this order, against a rebuilt queue and
+            // against the direct Eq. 2 sum: later probes hit memo
+            // entries earlier ones filled, and the next op's mutation
+            // (or clock move) must not leave any of them stale.
+            let base = q.base_pmf(spec, &pet, now);
+            let (_, cdfs) = q.chain_snapshot(&pet);
+            let chain_cdf = &cdfs[q.waiting_len()];
+            for deadline_bin in probe_deadline_bins(&q, &pet, now) {
+                for type_id in 0..3u16 {
+                    let probe = Task::new(
+                        u64::MAX,
+                        TaskTypeId(type_id),
+                        now,
+                        SimTime((deadline_bin + 1) * 100),
+                    );
+                    let a = q.chance_if_appended(spec, &pet, now, &probe);
+                    let b = reference
+                        .chance_if_appended(spec, &pet, now, &probe);
+                    let direct = chance_of_success(
+                        &base,
+                        chain_cdf,
+                        pet.pet(MachineTypeId(0), TaskTypeId(type_id)),
+                        deadline_bin,
+                    );
+                    prop_assert_eq!(
+                        a.to_bits(), b.to_bits(),
+                        "chance diverged from a rebuilt queue: {} vs {}", a, b
+                    );
+                    prop_assert_eq!(
+                        a.to_bits(), direct.to_bits(),
+                        "chance diverged from the direct sum: {} vs {}",
+                        a, direct
+                    );
+                }
             }
             // The drop-planning scan (with no drops decided) must report
             // the same chances as a rebuilt queue's scan.

@@ -83,3 +83,73 @@ fn pruned_mm_outcomes_are_pinned() {
 // golden_pin` whenever behaviour changes intentionally.
 const GOLDEN_MM_BARE: (usize, usize, usize) = (446, 126, 152);
 const GOLDEN_MM_PRUNED: (usize, usize, u64) = (636, 36, 2_872);
+
+/// FNV-1a over the timestamped decision stream, in order. Each entry is
+/// folded as the time's ticks, a variant tag, the task id and (for an
+/// assignment) the machine id, all little-endian.
+fn decision_stream_hash(entries: &[(SimTime, taskprune_sim::Decision)]) -> u64 {
+    use taskprune_sim::Decision;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (at, d) in entries {
+        fold(&at.ticks().to_le_bytes());
+        let (tag, machine) = match *d {
+            Decision::Assign { machine, .. } => (0u8, machine.0),
+            Decision::DeferToBatch { .. } => (1, 0),
+            Decision::DropReactive { .. } => (2, 0),
+            Decision::DropProbabilistic { .. } => (3, 0),
+            Decision::Reject { .. } => (4, 0),
+            Decision::CancelRunning { .. } => (5, 0),
+        };
+        fold(&[tag]);
+        fold(&d.task().0.to_le_bytes());
+        fold(&machine.to_le_bytes());
+    }
+    h
+}
+
+/// The pruned fixture's whole decision stream — every assignment,
+/// deferral and drop, with its time and order — under each batch
+/// heuristic. The outcome counts above would not notice a reordering
+/// that keeps the totals; these hashes do.
+#[test]
+fn pruned_decision_streams_are_pinned() {
+    let (cluster, pet, trial) = fixture();
+    for (kind, expected) in [
+        (HeuristicKind::Mm, GOLDEN_STREAM_MM),
+        (HeuristicKind::Msd, GOLDEN_STREAM_MSD),
+        (HeuristicKind::Mmu, GOLDEN_STREAM_MMU),
+    ] {
+        let mut log = taskprune_sim::DecisionLog::default();
+        taskprune_sim::SchedulerBuilder::new(&cluster, &pet)
+            .config(SimConfig::batch(9))
+            .strategy(kind.make())
+            .pruner(PruningMechanism::new(
+                PruningConfig::paper_default(),
+                pet.n_task_types(),
+            ))
+            .decisions(&mut log)
+            .build()
+            .expect("valid golden configuration")
+            .run_stream(trial.tasks.iter().copied());
+        assert!(!log.entries.is_empty());
+        assert_eq!(
+            decision_stream_hash(&log.entries),
+            expected,
+            "{kind:?} pruned decision stream moved ({} decisions)",
+            log.entries.len()
+        );
+    }
+}
+
+// Hashes of the pruned decision streams, recorded before the deferral
+// loop's mapper, estimator and candidate list were optimised; they must
+// not move with any optimisation that keeps every decision.
+const GOLDEN_STREAM_MM: u64 = 3_355_520_884_256_623_010;
+const GOLDEN_STREAM_MSD: u64 = 8_364_599_220_186_489_687;
+const GOLDEN_STREAM_MMU: u64 = 740_984_753_468_499_731;
