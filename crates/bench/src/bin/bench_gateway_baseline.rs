@@ -70,7 +70,10 @@
 //! `robustness_under_faults_pct` = the same scenario supervised under
 //! a fixed seeded `FaultPlan` storm with a zero retry budget (the
 //! worst-case degraded mode) — so the series tracks fault-*tolerance*
-//! regressions commit over commit alongside throughput.
+//! regressions commit over commit alongside throughput. Only the
+//! `gateway_ingest_*` family records it: supervised runs use the
+//! serial driver, so a `gateway_parallel_t*` row would repeat
+//! `gateway_ingest_4`'s figure, and those rows write `None`.
 //!
 //! Flags: `--smoke` (single repeat for CI — the workload stays the
 //! standard one so the smoke run's (scenario, depth, support) triples
@@ -234,42 +237,28 @@ fn measure(
     }
 }
 
-/// Paper-trim robustness of the same scenario **supervised under the
-/// fixed seeded fault storm with a zero retry budget** — worst-case
-/// degraded mode: lost deliveries stay lost, the crashed shard is
-/// quarantined and its backlog re-routed to the survivors. Not timed
-/// (one run, quality only); the gap to the fault-free
-/// `robustness_pct` is the tracked fault-tolerance signal.
+/// Paper-trim robustness of the same scenario **supervised (serial
+/// driver) under the fixed seeded fault storm with a zero retry
+/// budget** — worst-case degraded mode: lost deliveries stay lost, the
+/// crashed shard is quarantined and its backlog re-routed to the
+/// survivors. Not timed (one run, quality only); the gap to the
+/// fault-free `robustness_pct` is the tracked fault-tolerance signal.
 fn measure_under_faults(
     cluster: &Cluster,
     pet: &PetMatrix,
     tasks: &[Task],
     shards: usize,
-    threads: Option<usize>,
 ) -> f64 {
     let plan = FaultPlan::generate(
         FAULT_PLAN_SEED,
         &FaultSpec::storm(shards, (tasks.len() / shards.max(1)) as u64),
     );
-    let builder = build_engine(cluster, pet, shards, ReusePolicy::Off, false);
-    let stats = match threads {
-        None => {
-            let engine = builder.build().expect("valid configuration");
-            let mut sup = Supervisor::new(engine, RecoveryPolicy::no_retries());
-            sup.arm(plan);
-            sup.run_stream(tasks.iter().copied())
-        }
-        Some(t) => {
-            let engine = builder
-                .threads(t)
-                .build_parallel()
-                .expect("valid configuration");
-            let mut sup =
-                ParallelSupervisor::new(engine, RecoveryPolicy::no_retries());
-            sup.arm(&plan);
-            sup.run_stream(tasks.iter().copied())
-        }
-    };
+    let engine = build_engine(cluster, pet, shards, ReusePolicy::Off, false)
+        .build()
+        .expect("valid configuration");
+    let mut sup = Supervisor::new(engine, RecoveryPolicy::no_retries());
+    sup.arm(plan);
+    let stats = sup.run_stream(tasks.iter().copied());
     assert_eq!(
         stats.unreported(),
         0,
@@ -393,8 +382,7 @@ fn main() {
             ReusePolicy::Off,
             false,
         );
-        let faulted =
-            measure_under_faults(&cluster, &pet, &tasks, shards, None);
+        let faulted = measure_under_faults(&cluster, &pet, &tasks, shards);
         let ns = m.ns_per_arrival;
         if shards == 1 {
             yardstick = ns;
@@ -455,13 +443,6 @@ fn main() {
             ReusePolicy::Off,
             false,
         );
-        let faulted = measure_under_faults(
-            &cluster,
-            &pet,
-            &tasks,
-            PARALLEL_SHARDS,
-            Some(threads),
-        );
         let ns = m.ns_per_arrival;
         if threads == 1 {
             thread_yardstick = ns;
@@ -494,7 +475,9 @@ fn main() {
             scratch_ns: thread_yardstick,
             speedup,
             robustness_pct: Some(m.robustness_pct),
-            robustness_under_faults_pct: Some(faulted),
+            // Supervised runs use the serial driver; the 4-shard
+            // fault-storm figure is `gateway_ingest_4`'s.
+            robustness_under_faults_pct: None,
             gate: (threads == 4 && thread_gate_skipped)
                 .then(|| "skipped(cores<4)".to_string()),
             reuse_hit_pct: None,
@@ -733,9 +716,10 @@ fn main() {
          runs from different hosts stay comparable), robustness_pct = \
          the run's paper-trim robustness (throughput shifts are read \
          against scheduling quality), robustness_under_faults_pct = \
-         the same scenario supervised under the fixed 0xFA01 FaultPlan \
-         storm with a zero retry budget (worst-case degraded mode; the \
-         gap to robustness_pct is the tracked fault-tolerance signal). \
+         the same scenario supervised (serial driver, so \
+         gateway_ingest_* only) under the fixed 0xFA01 FaultPlan storm \
+         with a zero retry budget (worst-case degraded mode; the gap to \
+         robustness_pct is the tracked fault-tolerance signal). \
          The gateway_reuse_{off,exact}_d{0,10,30} family runs the same \
          workload with content-keyed duplicates injected at 0/10/30 % \
          (seed 0xD0B1) through a 4-shard serial federation with the \

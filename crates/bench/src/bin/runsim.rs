@@ -8,10 +8,34 @@
 //!
 //! With `--trace`, the full execution trace (task lifecycle events +
 //! queue-occupancy snapshots) is written to FILE as JSON.
+//!
+//! Bad input (an unknown flag or heuristic, a flag without a valid
+//! value, an unreadable or malformed trial, an unwritable trace path)
+//! prints one line to stderr and exits with code 2.
 
 use taskprune::experiment::PET_MATRIX_SEED;
 use taskprune::prelude::*;
 use taskprune_workload::WorkloadTrial;
+
+/// Reports an input error on one stderr line and exits with code 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed; a missing or malformed value
+/// is an input error.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    let Some(raw) = args.next() else {
+        fail(&format!("{flag} needs a value ({what})"));
+    };
+    raw.parse()
+        .unwrap_or_else(|_| fail(&format!("{flag}: '{raw}' is not {what}")))
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -32,41 +56,28 @@ fn main() {
         match flag.as_str() {
             "--prune" => prune = true,
             "--heuristic" => {
-                let name = args.next().expect("--heuristic NAME");
+                let name: String = value(&mut args, "--heuristic", "a name");
                 heuristic =
                     HeuristicKind::from_name(&name).unwrap_or_else(|| {
-                        eprintln!("unknown heuristic '{name}'");
-                        std::process::exit(2);
+                        fail(&format!("unknown heuristic '{name}'"))
                     });
             }
             "--threshold" => {
-                threshold = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threshold F");
+                threshold = value(&mut args, "--threshold", "a number");
             }
             "--capacity" => {
-                capacity = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--capacity N");
+                capacity = value(&mut args, "--capacity", "a count");
             }
-            "--seed" => {
-                seed =
-                    args.next().and_then(|v| v.parse().ok()).expect("--seed S");
-            }
+            "--seed" => seed = value(&mut args, "--seed", "a seed"),
             "--trace" => {
-                trace_path = Some(args.next().expect("--trace FILE"));
+                trace_path = Some(value(&mut args, "--trace", "a file"));
             }
-            other => {
-                eprintln!("unknown flag '{other}'");
-                std::process::exit(2);
-            }
+            other => fail(&format!("unknown flag '{other}'")),
         }
     }
 
     let trial = WorkloadTrial::load_json(std::path::Path::new(&path))
-        .expect("readable trial JSON");
+        .unwrap_or_else(|e| fail(&format!("cannot load trial '{path}': {e}")));
     let pet = PetGenConfig::paper_heterogeneous(PET_MATRIX_SEED).generate();
     let cluster = taskprune_workload::machines::heterogeneous_cluster();
     let mut sim = if heuristic.is_immediate() {
@@ -97,7 +108,9 @@ fn main() {
     if let Some(path) = &trace_path {
         let trace = stats.trace.as_ref().expect("tracing was enabled");
         let json = serde_json::to_string(trace).expect("serialisable");
-        std::fs::write(path, json).expect("writable trace path");
+        if let Err(e) = std::fs::write(path, json) {
+            fail(&format!("cannot write trace '{path}': {e}"));
+        }
         println!(
             "trace: {} events, {} snapshots -> {path}",
             trace.len(),

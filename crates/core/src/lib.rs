@@ -81,9 +81,9 @@ pub mod prelude {
     pub use taskprune_sim::{
         Admission, Consistency, FaultKind, FaultPlan, FaultSpec,
         FederationStats, GatewayBuilder, LeastQueuedRoute,
-        ParallelFederatedEngine, ParallelSupervisor, RecoveryLog,
-        RecoveryPolicy, ReuseMode, ReusePolicy, ReuseStats, RoundRobinRoute,
-        RoutePolicy, RunError, SimConfig, SimStats, StealStats, Supervisor,
+        ParallelFederatedEngine, RecoveryLog, RecoveryPolicy, ReuseMode,
+        ReusePolicy, ReuseStats, RoundRobinRoute, RoutePolicy, RunError,
+        SimConfig, SimStats, StealStats, Supervisor,
     };
     pub use taskprune_workload::{
         ArrivalPattern, PetGenConfig, WorkloadConfig,

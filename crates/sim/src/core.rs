@@ -607,10 +607,10 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// Closes the book on a task this shard will never run. A drained
     /// (stolen) batch-queue task keeps its arrival record here but is
     /// no longer in any queue, so [`SchedulerCore::finish`] would miss
-    /// it and leave the shard with `unreported() > 0`. The supervisor
-    /// calls this per stolen task; the re-routed instance on the
-    /// receiving shard carries the live outcome (and, being the later
-    /// arrival record, shadows this one in federation-level lookups).
+    /// it and leave the shard with `unreported() > 0`. The steal pass
+    /// and the quarantine re-route call this per moved task; the
+    /// instance on the receiving shard carries the live outcome, and
+    /// the task's federation-level arrival record is re-pointed to it.
     pub(crate) fn record_unfinished(&mut self, task: &Task) {
         self.stats.record_outcome(task, TaskOutcome::Unfinished);
         self.fan_out_failure(task.id, TaskOutcome::Unfinished);

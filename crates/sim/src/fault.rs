@@ -1,15 +1,17 @@
-//! Deterministic fault injection for the federation drivers.
+//! Deterministic fault injection for the serial federated driver.
 //!
-//! A [`FaultPlan`] is a *schedule* of typed faults pinned to
-//! driver-independent coordinates: "the 3rd completion delivered to
-//! shard 1 is lost", "shard 0 crashes after ingesting its 40th routed
-//! arrival", "shard 2's next checkpoint attempt fails transiently".
-//! Coordinates count **per-shard operations**, which both the serial
-//! [`crate::FederatedEngine`] and the parallel
-//! [`crate::ParallelFederatedEngine`] replay in the same per-shard
-//! order (the bit-identity contract pinned by
-//! `tests/parallel_equivalence.rs`) — so one plan injects the same
-//! faults into either driver.
+//! A [`FaultPlan`] is a *schedule* of typed faults pinned to per-shard
+//! coordinates: "the 3rd completion delivered to shard 1 is lost",
+//! "shard 0 crashes after ingesting its 40th routed arrival", "shard
+//! 2's next checkpoint attempt fails transiently".
+//! Coordinates count **per-shard operations** of the serial
+//! [`crate::FederatedEngine`], the one driver plans are armed on
+//! ([`crate::FederatedEngine::arm_faults`], usually through
+//! [`crate::Supervisor::arm`]). The parallel
+//! [`crate::ParallelFederatedEngine`] replays the same per-shard
+//! operation order (the bit-identity contract pinned by
+//! `tests/parallel_equivalence.rs`) but runs unsupervised, so a healed
+//! run is compared against its fault-free bytes, not armed itself.
 //!
 //! Plans are built explicitly ([`FaultPlan::new`]) or generated from a
 //! seed ([`FaultPlan::generate`]) on a dedicated
@@ -222,16 +224,6 @@ impl FaultPlan {
     /// Whether the plan schedules nothing.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// The sub-plan targeting one shard (the parallel driver hands
-    /// each lane its own slice).
-    pub(crate) fn for_shard(&self, shard: usize) -> Vec<FaultEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.shard == shard)
-            .copied()
-            .collect()
     }
 }
 

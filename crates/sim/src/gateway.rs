@@ -623,12 +623,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
             .map(|t| (t.policy().lanes(), t.counters().to_vec()))
     }
 
-    /// Total arrivals admitted past the tenant table so far (= the
-    /// global arrival ordinal; shed tasks never count).
-    pub(crate) fn arrivals_admitted(&self) -> u64 {
-        self.arrival_order.len() as u64
-    }
-
     /// Admits one arriving task (carrying its *external* id): consults
     /// the tenant admission table (quotas, SLA classes, ladder — when
     /// tenancy is on), then the reuse gate, then either routes it —
@@ -759,6 +753,29 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// (the parallel driver delivers it through a mailbox instead of
     /// inline).
     pub(crate) fn route_only(&mut self, task: Task) -> (usize, Task) {
+        let shard = self.pick_shard(&task);
+        let internal = self.compact.assign(shard, task.id);
+        self.latest.insert(task.id.0, (shard as u32, internal));
+        if self.stealing {
+            self.arrival_idx
+                .insert((shard as u32, internal.0), self.arrival_order.len());
+        }
+        self.arrival_order.push(FedArrival {
+            shard: shard as u32,
+            internal,
+            external: task.id,
+        });
+        let mut relabelled = task;
+        relabelled.id = internal;
+        (shard, relabelled)
+    }
+
+    /// The routing decision alone: asks the policy for a shard (on live
+    /// or stale views, per the consistency contract) and remaps a
+    /// quarantined pick to the next healthy shard. Advances the
+    /// policy's own state (e.g. the round-robin cursor) and nothing
+    /// else.
+    fn pick_shard(&mut self, task: &Task) -> usize {
         // A single shard needs no routing decision at all — the
         // bit-identity-critical 1-shard path skips the policy (and its
         // view materialisation) entirely. Stateless policies skip only
@@ -766,7 +783,7 @@ impl<'a, S: Sink> Gateway<'a, S> {
         let shard = if self.shards.len() == 1 {
             0
         } else if self.policy.is_stateless() {
-            self.policy.route_stateless(self.shards.len(), &task)
+            self.policy.route_stateless(self.shards.len(), task)
         } else if self.uses_stale_views() {
             // Bounded staleness: route on the last published table —
             // no shard reads at all, which is what lets the parallel
@@ -796,7 +813,7 @@ impl<'a, S: Sink> Gateway<'a, S> {
                     )
                 })
                 .collect();
-            self.policy.route(&views, &task)
+            self.policy.route(&views, task)
         } else {
             // The views borrow the shards, so they cannot live in a
             // reused arena on `self`; one small shard-count-sized
@@ -810,7 +827,7 @@ impl<'a, S: Sink> Gateway<'a, S> {
                     ShardView::new(i, s.view(), s.pending_batch_len())
                 })
                 .collect();
-            self.policy.route(&views, &task)
+            self.policy.route(&views, task)
         };
         assert!(
             shard < self.shards.len(),
@@ -823,28 +840,67 @@ impl<'a, S: Sink> Gateway<'a, S> {
         // degraded run stays replayable from the same seed and fault
         // plan. If every shard is quarantined the original pick
         // stands — the work is stranded either way.
-        let shard = if self.quarantined[shard] {
+        if self.quarantined[shard] {
             (1..self.shards.len())
                 .map(|k| (shard + k) % self.shards.len())
                 .find(|&s| !self.quarantined[s])
                 .unwrap_or(shard)
         } else {
             shard
-        };
-        let internal = self.compact.assign(shard, task.id);
-        self.latest.insert(task.id.0, (shard as u32, internal));
-        if self.stealing {
-            self.arrival_idx
-                .insert((shard as u32, internal.0), self.arrival_order.len());
         }
-        self.arrival_order.push(FedArrival {
-            shard: shard as u32,
-            internal,
-            external: task.id,
-        });
-        let mut relabelled = task;
-        relabelled.id = internal;
-        (shard, relabelled)
+    }
+
+    /// Re-routes the batch backlog salvaged from quarantined shard
+    /// `from` (tasks still carrying their `from`-internal ids). Each
+    /// task closes its book on `from` (`Unfinished`), is routed by the
+    /// same policy call a fresh arrival would get, takes a fresh dense
+    /// id on its target and runs that shard's mapping event. Like the
+    /// steal pass, it then re-points the task's existing
+    /// [`FedArrival`] instead of appending one: a re-route is not an
+    /// arrival, so the task counts once, under its live instance, and
+    /// no sync ordinal moves. Returns each target with the relabelled
+    /// task, in salvage order, for the driver's journal.
+    pub(crate) fn reroute_salvaged(
+        &mut self,
+        from: usize,
+        tasks: Vec<Task>,
+    ) -> Vec<(usize, Task)> {
+        let mut entry_of: HashMap<u64, usize> = self
+            .arrival_order
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.shard as usize == from)
+            .map(|(gi, a)| (a.internal.0, gi))
+            .collect();
+        let mut rerouted = Vec::with_capacity(tasks.len());
+        for task in tasks {
+            self.shards[from].record_unfinished(&task);
+            let external = self
+                .compact
+                .external(from, task.id)
+                .expect("a queued task was assigned an internal id");
+            let mut relabelled = task;
+            relabelled.id = external;
+            let shard = self.pick_shard(&relabelled);
+            let internal = self.compact.assign(shard, external);
+            relabelled.id = internal;
+            let gi = entry_of
+                .remove(&task.id.0)
+                .expect("a queued task has an arrival record");
+            let entry = &mut self.arrival_order[gi];
+            entry.shard = shard as u32;
+            entry.internal = internal;
+            if self.stealing {
+                self.arrival_idx.remove(&(from as u32, task.id.0));
+                self.arrival_idx.insert((shard as u32, internal.0), gi);
+            }
+            if self.latest.get(&external.0) == Some(&(from as u32, task.id)) {
+                self.latest.insert(external.0, (shard as u32, internal));
+            }
+            self.shards[shard].push_arrival(relabelled);
+            rerouted.push((shard, relabelled));
+        }
+        rerouted
     }
 
     /// Reports that `machine` on `shard` finished the task with the
@@ -1548,7 +1604,8 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
     /// 1 runs every shard inline on the caller). Default: the
     /// `TASKPRUNE_THREADS` environment variable, else all hardware
     /// threads. Ignored by the single-threaded [`GatewayBuilder::build`]
-    /// driver.
+    /// driver — and so by supervised runs: [`crate::Supervisor`] wraps
+    /// the serial driver only.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -2361,10 +2418,11 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
 
     /// Degrades the federation: takes `shard` out of rotation, salvages
     /// its still-unmapped batch-queue backlog, and re-routes those
-    /// tasks (under their external ids) to healthy shards. Returns how
-    /// many tasks were re-routed. In-flight events for the shard are
-    /// discarded from the heap as they surface; future arrivals remap
-    /// deterministically around it. Crate-internal: the
+    /// tasks to healthy shards, each keeping its one arrival record
+    /// (see [`Gateway::reroute_salvaged`]). Returns how many tasks were
+    /// re-routed. In-flight events for the shard are discarded from the
+    /// heap as they surface; future arrivals remap deterministically
+    /// around it. Crate-internal: the
     /// [`crate::Supervisor`] quarantines only after exhausting a
     /// shard's recovery budget.
     pub(crate) fn quarantine_shard(
@@ -2375,34 +2433,20 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         let stranded = self.gateway.shards_mut()[shard].drain_batch_queue();
         self.gateway.set_quarantined(shard);
         let now = self.gateway.now();
-        let mut rerouted = 0u64;
-        for task in stranded {
-            // Close the donor shard's record first: the stolen instance
-            // never runs here, and `finish()` only sweeps tasks still
-            // sitting in a queue.
-            self.gateway.shards_mut()[shard].record_unfinished(&task);
-            let external = self
-                .gateway
-                .compact
-                .external(shard, task.id)
-                .expect("a queued task was assigned an internal id");
-            let mut relabel = task;
-            relabel.id = external;
-            // Not an external-stream arrival: `arrivals_ingested` and
-            // the injector's coordinates must not move — the re-route
-            // is the supervisor's doing, not the workload's.
-            let (target, relabelled) = self.gateway.route_only(relabel);
+        // Not an external-stream arrival: `arrivals_ingested` and the
+        // injector's coordinates must not move — the re-route is the
+        // supervisor's doing, not the workload's.
+        let rerouted = self.gateway.reroute_salvaged(shard, stranded);
+        for &(target, relabelled) in &rerouted {
             if let Some(journals) = &mut self.journals {
                 journals[target].record(now, JournalOp::Arrival(relabelled));
             }
             self.applied_since_ckpt[target] += 1;
-            self.gateway.shards_mut()[target].push_arrival(relabelled);
-            rerouted += 1;
         }
         self.dispatch_starts();
         self.gateway.discard_decisions();
         self.maybe_schedule_wakeups(more_arrivals);
-        rerouted
+        rerouted.len() as u64
     }
 
     /// Tightens the pruning threshold on every healthy shard — the

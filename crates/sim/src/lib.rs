@@ -48,6 +48,7 @@
 //!   worker per shard on a work-stealing pool, routing serialized on
 //!   the coordinator. Bit-identical to [`FederatedEngine`] at every
 //!   thread count; parallelism is purely a wall-clock change.
+//!   Unsupervised: supervised runs use the serial driver.
 //! * [`Snapshot`] / [`ShardJournal`] — the elasticity layer: versioned,
 //!   hash-sealed state capture for cores, queues and whole gateways,
 //!   plus per-shard replayable operation logs. Together they give
@@ -69,12 +70,13 @@
 //!   byte-identical at every `k` (`tests/relaxed_equivalence.rs`), and
 //!   `BoundedStale { k: 0 }` is bit-for-bit `Lockstep`.
 //! * [`FaultPlan`] / [`Supervisor`] — the robustness layer: seeded,
-//!   replayable fault schedules injected into either federated driver,
-//!   and a self-healing supervisor that auto-checkpoints, detects
-//!   faults, retries within a bounded budget (deterministic sim-time
-//!   backoff), and degrades gracefully — quarantine plus pruning-based
-//!   load shedding — when the budget runs out. Every action lands in a
-//!   deterministic [`RecoveryLog`].
+//!   replayable fault schedules injected into the serial
+//!   [`FederatedEngine`], and a self-healing supervisor over it that
+//!   auto-checkpoints, detects faults, retries within a bounded budget
+//!   (deterministic sim-time backoff), and degrades gracefully —
+//!   quarantine, backlog re-route and pruning-based load shedding —
+//!   when the budget runs out. Every action lands in a deterministic
+//!   [`RecoveryLog`].
 
 #![warn(missing_docs)]
 
@@ -141,8 +143,7 @@ pub use sink::{NullSink, Sink};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use stats::{SimStats, StatsError, StealStats, TenancyStats, TenantSlice};
 pub use supervisor::{
-    ParallelSupervisor, RecoveryAction, RecoveryActionKind, RecoveryLog,
-    RecoveryPolicy, Supervisor,
+    RecoveryAction, RecoveryActionKind, RecoveryLog, RecoveryPolicy, Supervisor,
 };
 pub use tenant::{
     LadderConfig, RateLimit, ShedReason, SlaClass, TenancyPolicy,

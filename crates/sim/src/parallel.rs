@@ -21,37 +21,41 @@
 //!   coordinator merges results in fixed shard order after every lane
 //!   has drained.
 //!
-//! # Three schedules, one ordering
+//! The driver is unsupervised. Supervised runs use the serial driver
+//! under [`crate::Supervisor`]; a run it heals serializes identically
+//! to this driver's fault-free run at any thread count
+//! (`tests/self_healing.rs`).
 //!
-//! With a policy that declares [`crate::RoutePolicy::is_stateless`]
-//! (round-robin), routing needs no shard state at all: the coordinator
-//! routes the *entire* stream into per-shard mailboxes up front, and
-//! every lane then replays its private merge of mailbox arrivals and
-//! heap events from start to finish with **zero cross-shard barriers**
-//! — embarrassingly parallel wall-clock scaling.
+//! # Two schedules, one ordering
 //!
-//! With a state-dependent policy (least-queued, best-chance), routing
-//! arrival *i* must observe every shard exactly as the serial driver
-//! would have: all events before `tᵢ` (and completions at `tᵢ`)
-//! applied. The driver runs in **lockstep epochs**: before each
-//! arrival, all lanes advance in parallel up to that arrival's
-//! watermark, then the coordinator routes on fresh views and runs the
-//! routed shard's mapping event. The arrival chain is inherently
-//! serial under such a policy (each routing decision depends on the
-//! previous arrival's mapping), so only the completion processing
-//! between arrivals parallelises — which is exactly the available
-//! parallelism, no more.
+//! **Mailbox.** When routing needs no shard state beyond what the
+//! last sync point published — a policy that declares
+//! [`crate::RoutePolicy::is_stateless`] (round-robin), a single shard,
+//! or any federation with sync points (a stateful policy reading the
+//! gateway's epoch-stamped stale view table under
+//! [`crate::Consistency::BoundedStale`], or federation stealing) — the
+//! coordinator routes arrivals into per-shard mailboxes, and every
+//! lane replays its private merge of mailbox arrivals and heap events
+//! on its own. The only barriers are the *sync points* every `k + 1`
+//! arrivals (every arrival under `Lockstep`), where all mailboxes
+//! drain, the steal pass rebalances batch-queue tails, and the view
+//! table is republished. Without sync points the whole stream routes
+//! up front and the lanes run start to finish with **zero cross-shard
+//! barriers**. The serial driver runs the identical sync schedule at
+//! the identical arrival ordinals, so both cases stay byte-identical
+//! at every thread count (`tests/relaxed_equivalence.rs`).
 //!
-//! [`crate::Consistency::BoundedStale`] (and federation stealing)
-//! unlocks a third, **relaxed** schedule between those two: stateful
-//! policies route on the gateway's epoch-stamped stale view table, so
-//! arrivals flow into mailboxes barrier-free like the stateless
-//! schedule, and the lanes only synchronise at the *sync points* every
-//! `k + 1` arrivals — where all mailboxes drain, the steal pass
-//! rebalances batch-queue tails, and the view table is republished.
-//! The serial driver runs the identical sync schedule at the identical
-//! arrival ordinals, so the relaxed runs are still byte-identical at
-//! every thread count (`tests/relaxed_equivalence.rs`).
+//! **Lockstep.** A state-dependent policy (least-queued, best-chance)
+//! on live views must observe every shard exactly as the serial driver
+//! would have when it routes arrival *i*: all events before `tᵢ` (and
+//! completions at `tᵢ`) applied. Before each arrival, all lanes
+//! advance in parallel up to that arrival's watermark, then the
+//! coordinator routes on fresh views and runs the routed shard's
+//! mapping event. The arrival chain is inherently serial under such a
+//! policy (each routing decision depends on the previous arrival's
+//! mapping), so only the completion processing between arrivals
+//! parallelises — which is exactly the available parallelism, no
+//! more.
 //!
 //! # Bit-identity argument (the headline guarantee)
 //!
@@ -83,18 +87,13 @@
 //! [`FederationStats`] — traces included — is bit-identical.
 
 use crate::event::{Event, EventKind, EventQueue};
-use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultSite};
 use crate::gateway::{FederationStats, Gateway};
-use crate::journal::{JournalOp, ShardJournal};
 use crate::reuse::Admit;
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::Snapshot;
-use crate::supervisor::{
-    backoff_at, RecoveryActionKind, RecoveryLog, RecoveryPolicy,
-};
 use crate::SchedulerCore;
 use std::collections::VecDeque;
-use taskprune_model::{MachineId, PetMatrix, SimTime, Task, TaskId};
+use taskprune_model::{PetMatrix, SimTime, Task, TaskId};
 use taskprune_prob::rng::Xoshiro256PlusPlus;
 
 /// One routed arrival in a shard's mailbox.
@@ -112,303 +111,26 @@ struct Mail {
     reuse: Option<(TaskId, bool)>,
 }
 
-/// The lane-local half of the self-healing supervisor (see
-/// [`crate::ParallelSupervisor`]): each lane carries its own journal,
-/// checkpoint, retry budget, fault schedule and recovery log, so every
-/// fault is detected and healed *on the worker thread that owns the
-/// shard* — no cross-lane coordination, no barriers, no locks.
-///
-/// Semantics mirror the serial [`crate::Supervisor`] per shard:
-///
-/// * completions are journaled before the fault consult, so a lost or
-///   delayed delivery can be redelivered from the durable record at
-///   the fault instant (exact heal — zero trace in simulation state);
-/// * a crash wipes the core, then bounded retries rebuild it from the
-///   lane checkpoint plus journal replay;
-/// * an exhausted budget fail-stops the lane: one free salvage restore
-///   (a read of durable storage, not a retry) rebuilds the pre-crash
-///   history so nothing already completed is lost, then the lane is
-///   quarantined — subsequent deliveries are recorded but never
-///   started, heap events vanish with the hardware, and everything
-///   still pending surfaces as `Unfinished` at the drain.
-///
-/// The one structural difference from the serial supervisor: there is
-/// no cross-shard backlog re-route (lanes cannot reach each other
-/// mid-run) and no watermark health checks (lanes never pause); the
-/// coordinator remaps *future* arrivals around a quarantined lane on
-/// the lockstep path, and auto-checkpoints run on a per-lane arrival
-/// cadence instead of a global watermark.
-struct LaneGuard {
-    policy: RecoveryPolicy,
-    shard: usize,
-    /// The durable restore point — refreshed on the checkpoint cadence.
-    checkpoint: Snapshot,
-    /// Operations applied since `checkpoint` (cleared when it moves).
-    journal: ShardJournal,
-    /// This shard's slice of the armed [`FaultPlan`].
-    faults: Vec<FaultEvent>,
-    retries_left: u32,
-    arrivals_seen: u64,
-    completions_seen: u64,
-    checkpoints_seen: u64,
-    recoveries_seen: u64,
-    quarantined: bool,
-    log: RecoveryLog,
-}
-
-impl LaneGuard {
-    fn new(policy: RecoveryPolicy, shard: usize, checkpoint: Snapshot) -> Self {
-        Self {
-            policy,
-            shard,
-            checkpoint,
-            journal: ShardJournal::new(),
-            faults: Vec::new(),
-            retries_left: policy.retry_budget,
-            arrivals_seen: 0,
-            completions_seen: 0,
-            checkpoints_seen: 0,
-            recoveries_seen: 0,
-            quarantined: false,
-            log: RecoveryLog::default(),
-        }
-    }
-
-    /// The armed fault striking the `nth` operation at `site`, if any.
-    fn fault_at(&self, site: FaultSite, nth: u64) -> Option<FaultKind> {
-        self.faults
-            .iter()
-            .find(|e| e.kind.site() == site && e.nth == nth)
-            .map(|e| e.kind)
-    }
-
-    /// Journals one completion delivery and consults the fault
-    /// schedule. Returns whether the completion should be applied to
-    /// the core (`false` = the delivery is lost; the journal record
-    /// keeps it recoverable by a later replay, and the stuck task
-    /// surfaces as `Unfinished` if the budget never allows one).
-    fn on_completion(
-        &mut self,
-        time: SimTime,
-        machine: MachineId,
-        task: TaskId,
-    ) -> bool {
-        // Journal before the fault consult, exactly like the serial
-        // driver: the transport loses the delivery *after* the durable
-        // record exists, which is what makes redelivery possible.
-        self.journal
-            .record(time, JournalOp::Completion { machine, task });
-        self.completions_seen += 1;
-        match self.fault_at(FaultSite::Completion, self.completions_seen) {
-            Some(
-                kind @ (FaultKind::LostCompletion
-                | FaultKind::DelayedCompletion),
-            ) => {
-                self.log.push(
-                    time,
-                    self.shard,
-                    RecoveryActionKind::FaultDetected { fault: kind },
-                );
-                if self.retries_left == 0 {
-                    return false; // stays lost: budget exhausted
-                }
-                self.retries_left -= 1;
-                let backoff = backoff_at(self.policy.backoff_base, 1);
-                self.log.push(
-                    time,
-                    self.shard,
-                    RecoveryActionKind::RetryScheduled {
-                        attempt: 1,
-                        backoff,
-                        at: SimTime(time.ticks().saturating_add(backoff)),
-                    },
-                );
-                self.log.push(
-                    time,
-                    self.shard,
-                    RecoveryActionKind::Redelivered,
-                );
-                true // redelivered from the journal record, same instant
-            }
-            Some(FaultKind::DuplicateCompletion) => {
-                // The duplicated copy is rejected by the staleness
-                // dedupe; the first copy applies and nothing needs
-                // healing — log the suppression only.
-                self.log.push(
-                    time,
-                    self.shard,
-                    RecoveryActionKind::DuplicateSuppressed,
-                );
-                true
-            }
-            _ => true,
-        }
-    }
-
-    /// Journals one routed arrival; returns whether the shard crashes
-    /// right after its mapping round commits.
-    fn on_arrival(&mut self, time: SimTime, task: Task) -> bool {
-        self.journal.record(time, JournalOp::Arrival(task));
-        self.arrivals_seen += 1;
-        self.fault_at(FaultSite::Arrival, self.arrivals_seen)
-            .is_some()
-    }
-
-    /// Journals one absorbed arrival (reuse piggyback); returns whether
-    /// the shard crashes right after the absorption commits. Counts
-    /// against the same arrival-site fault coordinates as a routed
-    /// arrival — the serial driver consults its injector once per
-    /// delivered arrival either way.
-    fn on_piggyback(
-        &mut self,
-        time: SimTime,
-        primary: TaskId,
-        task: Task,
-        merged: bool,
-    ) -> bool {
-        self.journal.record(
-            time,
-            JournalOp::Piggyback {
+impl Mail {
+    /// The gateway's admission verdict as mail for the shard it names.
+    fn routed(admit: Admit, target: SimTime) -> (usize, Self) {
+        let (shard, task, reuse) = match admit {
+            Admit::Fresh { shard, task } => (shard, task, None),
+            Admit::Absorb {
+                shard,
                 primary,
                 task,
                 merged,
+            } => (shard, task, Some((primary, merged))),
+        };
+        (
+            shard,
+            Self {
+                task,
+                target,
+                reuse,
             },
-        );
-        self.arrivals_seen += 1;
-        self.fault_at(FaultSite::Arrival, self.arrivals_seen)
-            .is_some()
-    }
-
-    /// The crash path: wipe, then bounded retries of checkpoint +
-    /// journal replay; on an exhausted budget, one free salvage
-    /// restore and fail-stop (quarantine).
-    fn settle_crash<S: Sink>(
-        &mut self,
-        core: &mut SchedulerCore<'_, S>,
-        now: SimTime,
-    ) {
-        self.log.push(
-            now,
-            self.shard,
-            RecoveryActionKind::FaultDetected {
-                fault: FaultKind::ShardCrash,
-            },
-        );
-        core.wipe();
-        let mut attempt = 0u32;
-        while self.retries_left > 0 {
-            attempt += 1;
-            self.retries_left -= 1;
-            let backoff = backoff_at(self.policy.backoff_base, attempt);
-            self.log.push(
-                now,
-                self.shard,
-                RecoveryActionKind::RetryScheduled {
-                    attempt,
-                    backoff,
-                    at: SimTime(now.ticks().saturating_add(backoff)),
-                },
-            );
-            self.recoveries_seen += 1;
-            if self
-                .fault_at(FaultSite::Recovery, self.recoveries_seen)
-                .is_some()
-            {
-                self.log.push(
-                    now,
-                    self.shard,
-                    RecoveryActionKind::RecoveryFailed { attempt },
-                );
-                continue;
-            }
-            if self.restore(core, now) {
-                self.log.push(
-                    now,
-                    self.shard,
-                    RecoveryActionKind::RecoveryReplayed {
-                        journal_ops: self.journal.len() as u64,
-                    },
-                );
-                return;
-            }
-            self.log.push(
-                now,
-                self.shard,
-                RecoveryActionKind::RecoveryFailed { attempt },
-            );
-        }
-        // Budget exhausted: the shard stays down. Rebuild its state
-        // once from durable storage — not to revive it, but so the
-        // history up to the crash (completed tasks, outcome records)
-        // survives into the final stats — then fail-stop. No backlog
-        // re-route: lanes cannot reach each other mid-run, so the
-        // still-queued work lands as `Unfinished` instead.
-        let _ = self.restore(core, now);
-        self.quarantined = true;
-        self.log.push(
-            now,
-            self.shard,
-            RecoveryActionKind::Quarantined { rerouted: 0 },
-        );
-    }
-
-    /// Checkpoint restore + journal replay + clock re-advance. Returns
-    /// whether the core was rebuilt.
-    fn restore<S: Sink>(
-        &self,
-        core: &mut SchedulerCore<'_, S>,
-        now: SimTime,
-    ) -> bool {
-        if core.restore(&self.checkpoint).is_err() {
-            return false;
-        }
-        self.journal.replay(core);
-        if now > core.now() {
-            core.advance_to(now);
-        }
-        true
-    }
-
-    /// Auto-checkpoint on the per-lane arrival cadence, retrying
-    /// transient storage faults within the budget. Skipping on
-    /// exhaustion is safe: the journal keeps growing, so recovery
-    /// stays possible from the previous checkpoint.
-    fn maybe_checkpoint<S: Sink>(&mut self, core: &SchedulerCore<'_, S>) {
-        let interval = self.policy.checkpoint_interval.max(1);
-        if !self.arrivals_seen.is_multiple_of(interval) {
-            return;
-        }
-        let now = core.now();
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            self.checkpoints_seen += 1;
-            if self
-                .fault_at(FaultSite::Checkpoint, self.checkpoints_seen)
-                .is_some()
-            {
-                self.log.push(
-                    now,
-                    self.shard,
-                    RecoveryActionKind::CheckpointFailed { attempt },
-                );
-                if self.retries_left > 0 {
-                    self.retries_left -= 1;
-                    continue;
-                }
-                return;
-            }
-            self.checkpoint = core.snapshot();
-            self.journal.clear();
-            self.log.push(
-                now,
-                self.shard,
-                RecoveryActionKind::CheckpointTaken {
-                    watermark: self.arrivals_seen,
-                },
-            );
-            return;
-        }
+        )
     }
 }
 
@@ -426,12 +148,8 @@ struct ShardLane {
     /// again" condition.
     pending: usize,
     wakeup_pending: bool,
-    /// Routed arrivals awaiting delivery (stateless-policy schedule).
+    /// Routed arrivals awaiting delivery (mailbox schedule).
     mailbox: VecDeque<Mail>,
-    /// Lane-local supervision, when the engine is wrapped in a
-    /// [`crate::ParallelSupervisor`]. `None` costs nothing on the
-    /// unsupervised hot path.
-    guard: Option<LaneGuard>,
 }
 
 impl ShardLane {
@@ -442,21 +160,7 @@ impl ShardLane {
             pending: 0,
             wakeup_pending: false,
             mailbox: VecDeque::new(),
-            guard: None,
         }
-    }
-
-    /// Whether this lane has fail-stopped (budget-exhausted crash).
-    fn is_quarantined(&self) -> bool {
-        self.guard.as_ref().is_some_and(|g| g.quarantined)
-    }
-
-    /// Drops every pending heap event — a quarantined lane's hardware
-    /// is gone, so in-flight completions and wakeups vanish unseen.
-    fn discard_events(&mut self) {
-        self.events = EventQueue::new();
-        self.pending = 0;
-        self.wakeup_pending = false;
     }
 
     /// Turns the shard's pending starts into completion events,
@@ -507,29 +211,14 @@ impl ShardLane {
         cutoff: SimTime,
         target: SimTime,
     ) {
-        if self.is_quarantined() {
-            while self.has_due(cutoff) {
-                self.events.pop();
-                self.pending -= 1;
-            }
-            if target > core.now() {
-                core.advance_to(target);
-            }
-            return;
-        }
         while self.has_due(cutoff) {
             let event = self.events.pop().expect("has_due peeked");
             self.pending -= 1;
             core.advance_to(event.time);
             match event.kind {
                 EventKind::Completion { machine, task } => {
-                    let apply = match self.guard.as_mut() {
-                        Some(g) => g.on_completion(event.time, machine, task),
-                        None => true,
-                    };
-                    if !apply || !core.complete(machine, task) {
-                        continue; // lost delivery, or stale after a
-                                  // cancellation
+                    if !core.complete(machine, task) {
+                        continue; // stale after a cancellation
                     }
                 }
                 // Wakeups are only ever scheduled once the arrival
@@ -544,42 +233,14 @@ impl ShardLane {
         }
     }
 
-    /// Delivers one mailbox arrival: due completions first, then the
-    /// shard's mapping event at the arrival's serial instant. When a
-    /// [`LaneGuard`] is installed this is also the fault frontier:
-    /// the arrival is journaled, the crash schedule consulted after
-    /// the mapping round commits, and the auto-checkpoint cadence
-    /// advanced.
-    fn deliver<S: Sink>(
+    /// Runs the shard's mapping event for one routed arrival at the
+    /// shard's current clock (or absorbs it onto its primary).
+    fn map_arrival<S: Sink>(
         &mut self,
         core: &mut SchedulerCore<'_, S>,
         truth: &PetMatrix,
         mail: Mail,
     ) {
-        self.advance_events(core, truth, mail.task.arrival, mail.target);
-        if self.is_quarantined() {
-            // Fail-stopped shard: record the arrival so its outcome is
-            // accounted (`Unfinished` at the drain — no machine will
-            // ever start it), but dispatch nothing.
-            match mail.reuse {
-                Some((primary, merged)) => {
-                    core.apply_piggyback(primary, mail.task, merged);
-                }
-                None => core.push_arrival(mail.task),
-            }
-            let _ = core.drain_starts();
-            core.drain_decisions();
-            return;
-        }
-        let crashed = match self.guard.as_mut() {
-            Some(g) => match mail.reuse {
-                Some((primary, merged)) => {
-                    g.on_piggyback(mail.target, primary, mail.task, merged)
-                }
-                None => g.on_arrival(mail.target, mail.task),
-            },
-            None => false,
-        };
         match mail.reuse {
             Some((primary, merged)) => {
                 core.apply_piggyback(primary, mail.task, merged);
@@ -588,22 +249,18 @@ impl ShardLane {
         }
         self.dispatch_starts(core, truth);
         core.drain_decisions();
-        if crashed {
-            // The crash strikes after the arrival's mapping round fully
-            // committed: the surviving heap already holds the round's
-            // consequences, which is exactly the failure model the
-            // checkpoint + journal replay rebuilds against.
-            let now = core.now();
-            let g = self.guard.as_mut().expect("crash implies a guard");
-            g.settle_crash(core, now);
-            if g.quarantined {
-                self.discard_events();
-                return;
-            }
-        }
-        if let Some(g) = self.guard.as_mut() {
-            g.maybe_checkpoint(core);
-        }
+    }
+
+    /// Delivers one mailbox arrival: due completions first, then the
+    /// shard's mapping event at the arrival's serial instant.
+    fn deliver<S: Sink>(
+        &mut self,
+        core: &mut SchedulerCore<'_, S>,
+        truth: &PetMatrix,
+        mail: Mail,
+    ) {
+        self.advance_events(core, truth, mail.task.arrival, mail.target);
+        self.map_arrival(core, truth, mail);
     }
 
     /// The serial driver's per-shard wakeup safety net: when no event
@@ -640,32 +297,17 @@ impl ShardLane {
         truth: &PetMatrix,
         t_last: SimTime,
     ) {
-        if self.is_quarantined() {
-            // Heap events die with the hardware; whatever the batch
-            // and machine queues still hold surfaces as `Unfinished`
-            // when the core finishes.
-            self.discard_events();
-            return;
-        }
         self.maybe_schedule_wakeup(core, t_last);
         while let Some(event) = self.events.pop() {
             self.pending -= 1;
             core.advance_to(event.time);
             match event.kind {
                 EventKind::Completion { machine, task } => {
-                    let apply = match self.guard.as_mut() {
-                        Some(g) => g.on_completion(event.time, machine, task),
-                        None => true,
-                    };
-                    if !apply || !core.complete(machine, task) {
-                        continue; // lost delivery, or stale after a
-                                  // cancellation
+                    if !core.complete(machine, task) {
+                        continue; // stale after a cancellation
                     }
                 }
                 EventKind::Wakeup => {
-                    if let Some(g) = self.guard.as_mut() {
-                        g.journal.record(event.time, JournalOp::Wakeup);
-                    }
                     self.wakeup_pending = false;
                     core.wakeup();
                 }
@@ -679,9 +321,9 @@ impl ShardLane {
         }
     }
 
-    /// The whole-shard schedule of the stateless-routing path: replay
-    /// the private mailbox/heap merge from start to finish, then
-    /// drain. Runs as one pool job — no barriers.
+    /// The whole-shard finale: replay the private mailbox/heap merge
+    /// to the end of the stream, then drain. Runs as one pool job — no
+    /// barriers.
     fn run_shard<S: Sink>(
         &mut self,
         core: &mut SchedulerCore<'_, S>,
@@ -707,7 +349,7 @@ impl ShardLane {
 /// for [`crate::FederatedEngine::run_stream`] — same inputs, same
 /// deterministic [`FederationStats`], bit-identical at every thread
 /// count — with wall-clock scaling across shards. See the [module
-/// docs](self) for the schedule and the bit-identity argument.
+/// docs](self) for the schedules and the bit-identity argument.
 pub struct ParallelFederatedEngine<'a, S: Sink = NullSink> {
     gateway: Gateway<'a, S>,
     truth: &'a PetMatrix,
@@ -790,14 +432,13 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         I: IntoIterator<Item = Task>,
     {
         self.ingest(arrivals);
-        if self.stateless_schedule() || self.gateway.sync_enabled() {
-            // The mailbox schedules (stateless and relaxed) normally
-            // defer shard work to the finale or the next sync point;
-            // deliver the routed prefix now so the pause point observes
-            // shards advanced to the watermark. The per-shard operation
-            // sequence is exactly the one `run_shard` (or the next
-            // barrier) would have replayed, so a later `finish_stream`
-            // stays bit-identical.
+        if !self.lockstep() {
+            // The mailbox schedule normally defers shard work to the
+            // finale or the next sync point; deliver the routed prefix
+            // now so the pause point observes shards advanced to the
+            // watermark. The per-shard operation sequence is exactly
+            // the one `run_shard` (or the next barrier) would have
+            // replayed, so a later `finish_stream` stays bit-identical.
             self.deliver_mailboxes();
         }
     }
@@ -814,8 +455,8 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         self.ingest(arrivals);
         let t_last = self.watermark;
         // Parallel finale: every lane runs/drains independently. On
-        // the stateless path this is the *entire* remaining simulation;
-        // on the lockstep path only the post-arrival drain remains.
+        // the mailbox schedule this is the rest of the simulation; on
+        // the lockstep schedule only the post-arrival drain remains.
         {
             let truth = self.truth;
             let lanes = &mut self.lanes;
@@ -826,7 +467,6 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                 }
             });
         }
-        self.sync_quarantine_flags();
         self.finish()
     }
 
@@ -851,187 +491,104 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         self.gateway.snapshot()
     }
 
-    /// Installs a [`LaneGuard`] on every lane: journaling on, an
-    /// initial checkpoint captured, the retry budget charged. Called by
-    /// [`crate::ParallelSupervisor::new`]; arm faults afterwards so the
-    /// bootstrap captures are not themselves fault targets.
-    pub(crate) fn supervise(&mut self, policy: RecoveryPolicy) {
-        for (i, (lane, core)) in self
-            .lanes
-            .iter_mut()
-            .zip(self.gateway.shards().iter())
-            .enumerate()
-        {
-            lane.guard = Some(LaneGuard::new(policy, i, core.snapshot()));
-        }
-    }
-
-    /// Arms deterministic fault injection lane-locally: each guard
-    /// receives its own shard's slice of the plan. Requires
-    /// [`ParallelFederatedEngine::supervise`] first (guards hold the
-    /// schedules); slices for unsupervised lanes are dropped.
-    pub(crate) fn arm_lane_faults(&mut self, plan: &FaultPlan) {
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            if let Some(g) = lane.guard.as_mut() {
-                g.faults = plan.for_shard(i);
-            }
-        }
-    }
-
-    /// Whether the gateway carries an overload ladder (tenancy with a
-    /// [`crate::LadderConfig`]).
-    pub(crate) fn ladder_enabled(&self) -> bool {
-        self.gateway.ladder_enabled()
-    }
-
-    /// Arrivals admitted past the tenant table so far — the ladder's
-    /// sensing watermark (shed tasks never count).
-    pub(crate) fn arrivals_admitted(&self) -> u64 {
-        self.gateway.arrivals_admitted()
-    }
-
-    /// Summed batch-queue depth across healthy shards — the same
-    /// pressure signal the serial driver senses, read at a quiescent
-    /// ingest pause where every lane is current.
-    pub(crate) fn overload_pressure(&self) -> usize {
-        self.gateway
-            .shards()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.gateway.is_quarantined(*i))
-            .map(|(_, s)| s.pending_batch_len())
-            .sum()
-    }
-
-    /// Feeds one pressure sample to the overload ladder; mirrors
-    /// [`crate::FederatedEngine::overload_tick`] — on a transition the
-    /// new rung reaches every healthy shard's pruner bias and each
-    /// supervised lane's journal, stamped at the ingest watermark (the
-    /// serial driver's clock at the same ordinal).
-    pub(crate) fn overload_tick(
-        &mut self,
-        pressure: usize,
-    ) -> Option<(u8, u8)> {
-        let (from, to) = self.gateway.overload_tick(pressure)?;
-        let time = self.watermark.unwrap_or(SimTime::ZERO);
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            if self.gateway.is_quarantined(i) {
-                continue;
-            }
-            if let Some(g) = lane.guard.as_mut() {
-                g.journal.record(time, JournalOp::SlaRung { rung: to });
-            }
-        }
-        for i in 0..self.gateway.n_shards() {
-            if self.gateway.is_quarantined(i) {
-                continue;
-            }
-            self.gateway.shards_mut()[i].set_sla_rung(to);
-        }
-        Some((from, to))
-    }
-
-    /// The serial processing instant of the latest ingested arrival
-    /// (the supervisor's timestamp for quiescent-pause actions).
-    pub(crate) fn watermark_time(&self) -> SimTime {
-        self.watermark.unwrap_or(SimTime::ZERO)
-    }
-
-    /// Records a supervisor action against `shard`'s lane log (merged
-    /// into [`FederationStats::recovery_log`] at the drain). No-op on
-    /// unsupervised lanes.
-    pub(crate) fn push_recovery_action(
-        &mut self,
-        time: SimTime,
-        shard: usize,
-        kind: RecoveryActionKind,
-    ) {
-        if let Some(g) = self.lanes[shard].guard.as_mut() {
-            g.log.push(time, shard, kind);
-        }
-    }
-
-    /// Publishes lane fail-stops into the gateway's routing layer so
-    /// subsequent ingests remap new arrivals around dead shards.
-    fn sync_quarantine_flags(&mut self) {
-        for i in 0..self.lanes.len() {
-            if self.lanes[i].is_quarantined() {
-                self.gateway.set_quarantined(i);
-            }
-        }
-    }
-
-    /// Whether the zero-barrier mailbox schedule applies. Stealing
-    /// disqualifies it: steal points need every lane current, so the
-    /// relaxed schedule (periodic barriers) runs instead.
-    fn stateless_schedule(&self) -> bool {
-        (self.gateway.policy_is_stateless() || self.gateway.n_shards() == 1)
+    /// Whether the lockstep schedule applies: a stateful policy over
+    /// more than one shard, with no sync points (routing reads live
+    /// shard state). Everything else runs the mailbox schedule.
+    fn lockstep(&self) -> bool {
+        !self.gateway.policy_is_stateless()
+            && self.gateway.n_shards() > 1
             && !self.gateway.sync_enabled()
     }
 
-    /// Routes a batch of arrivals under whichever schedule the policy
-    /// admits, updating the watermark and the arrival log.
+    /// Routes a batch of arrivals under whichever schedule applies,
+    /// updating the watermark and the arrival log.
     fn ingest<I>(&mut self, arrivals: I)
     where
         I: IntoIterator<Item = Task>,
     {
-        if self.stateless_schedule() {
-            self.route_ingest(arrivals);
-        } else if self.gateway.sync_enabled() {
-            self.relaxed_ingest(arrivals);
-        } else {
+        if self.lockstep() {
             self.lockstep_ingest(arrivals);
+        } else {
+            self.mailbox_ingest(arrivals);
         }
     }
 
-    /// Stateless-policy schedule: route the stream into per-shard
-    /// mailboxes on the coordinator (identical routing bookkeeping to
-    /// the serial driver); shard execution is deferred.
-    fn route_ingest<I>(&mut self, arrivals: I)
+    /// The per-arrival prologue both schedules share. Tenant admission
+    /// precedes every coordinate update (watermark, arrival log, sync
+    /// ordinal, mailboxes): a shed task is invisible, exactly as in the
+    /// serial driver — same verdict from the same arrival-visible data
+    /// in the same global order. Returns the admitted arrival's serial
+    /// processing instant, or `None` when it was shed.
+    fn admit_arrival(&mut self, task: &mut Task) -> Option<SimTime> {
+        if self.gateway.pre_admit(task).is_some() {
+            return None;
+        }
+        let target =
+            self.watermark.map_or(task.arrival, |w| w.max(task.arrival));
+        self.watermark = Some(target);
+        if let Some(log) = self.arrival_log.as_mut() {
+            log.push(*task);
+        }
+        Some(target)
+    }
+
+    /// Mailbox schedule: route each arrival into its shard's mailbox on
+    /// the coordinator (identical routing bookkeeping to the serial
+    /// driver); shard execution is deferred. Under relaxed consistency
+    /// ([`crate::Consistency`]) or stealing, stateful policies read the
+    /// gateway's stale view table instead of live shards, and every
+    /// `k + 1` arrivals a **sync point** runs first: all lanes drain
+    /// their mailboxes and come fully current before the coordinator
+    /// runs the steal pass and republishes the view table. At a sync
+    /// point both drivers expose byte-identical shard state at the same
+    /// arrival ordinal (every completion due before the sync instant
+    /// applied, clocks at the arrival's serial processing time) — the
+    /// relaxed equivalence contract `tests/relaxed_equivalence.rs`
+    /// pins.
+    fn mailbox_ingest<I>(&mut self, arrivals: I)
     where
         I: IntoIterator<Item = Task>,
     {
         for mut task in arrivals {
-            // Tenant admission precedes every coordinate update
-            // (watermark, arrival log, mailboxes): a shed task is
-            // invisible, exactly as in the serial driver — same
-            // verdict from the same arrival-visible data in the same
-            // global order.
-            if self.gateway.pre_admit(&mut task).is_some() {
+            // A shed task must not trigger (or delay) a sync point, or
+            // the steal schedule would observe another tenant's burst.
+            let Some(target) = self.admit_arrival(&mut task) else {
                 continue;
+            };
+            if self.gateway.sync_due() {
+                self.sync_lanes(task.arrival, target);
+                self.run_sync_point();
             }
-            let target =
-                self.watermark.map_or(task.arrival, |w| w.max(task.arrival));
-            self.watermark = Some(target);
-            if let Some(log) = self.arrival_log.as_mut() {
-                log.push(task);
-            }
-            match self.gateway.admit_route(task) {
-                Admit::Fresh { shard, task } => {
-                    self.lanes[shard].mailbox.push_back(Mail {
-                        task,
-                        target,
-                        reuse: None,
-                    });
-                }
-                Admit::Absorb {
-                    shard,
-                    primary,
-                    task,
-                    merged,
-                } => {
-                    self.lanes[shard].mailbox.push_back(Mail {
-                        task,
-                        target,
-                        reuse: Some((primary, merged)),
-                    });
-                }
-            }
+            let (shard, mail) =
+                Mail::routed(self.gateway.admit_route(task), target);
+            self.lanes[shard].mailbox.push_back(mail);
+        }
+    }
+
+    /// Lockstep schedule: one epoch per arrival. All lanes advance in
+    /// parallel to the arrival's watermark, then the coordinator routes
+    /// on views every bit as fresh as the serial driver's and runs the
+    /// routed shard's mapping event inline (that chain is serial by
+    /// data dependency — each routing decision observes the previous
+    /// arrival's mapping).
+    fn lockstep_ingest<I>(&mut self, arrivals: I)
+    where
+        I: IntoIterator<Item = Task>,
+    {
+        for mut task in arrivals {
+            let Some(target) = self.admit_arrival(&mut task) else {
+                continue;
+            };
+            self.sync_lanes(task.arrival, target);
+            let (shard, mail) =
+                Mail::routed(self.gateway.admit_route(task), target);
+            let core = &mut self.gateway.shards_mut()[shard];
+            self.lanes[shard].map_arrival(core, self.truth, mail);
         }
     }
 
     /// Drains every shard's mailbox in parallel — the delivery half of
-    /// the stateless schedule, pulled forward by `ingest_prefix`.
+    /// the mailbox schedule, pulled forward by `ingest_prefix`.
     fn deliver_mailboxes(&mut self) {
         let truth = self.truth;
         let lanes = &mut self.lanes;
@@ -1047,76 +604,19 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                 }
             }
         });
-        self.sync_quarantine_flags();
     }
 
-    /// Relaxed-consistency schedule ([`crate::Consistency`] /
-    /// stealing): arrivals route into mailboxes exactly like the
-    /// stateless schedule — stateful policies read the gateway's
-    /// epoch-stamped stale view table instead of live shards — and the
-    /// only barriers are the **sync points** every `k + 1` arrivals,
-    /// where all lanes drain their mailboxes and come fully current
-    /// before the coordinator runs the steal pass and republishes the
-    /// view table. Between sync points there are zero cross-shard
-    /// barriers; at a sync point both drivers expose byte-identical
-    /// shard state at the same arrival ordinal (every completion due
-    /// before the sync instant applied, clocks at the arrival's serial
-    /// processing time), which is the relaxed equivalence contract
-    /// `tests/relaxed_equivalence.rs` pins.
-    fn relaxed_ingest<I>(&mut self, arrivals: I)
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        for mut task in arrivals {
-            // Shed before any coordinate moves — in particular before
-            // the sync-ordinal check: a shed task must not trigger (or
-            // delay) a sync point, or the steal schedule would observe
-            // another tenant's burst.
-            if self.gateway.pre_admit(&mut task).is_some() {
-                continue;
-            }
-            let cutoff = task.arrival;
-            let target = self.watermark.map_or(cutoff, |w| w.max(cutoff));
-            self.watermark = Some(target);
-            if let Some(log) = self.arrival_log.as_mut() {
-                log.push(task);
-            }
-            if self.gateway.sync_due() {
-                self.sync_lanes(cutoff, target);
-                self.run_sync_point(target);
-            }
-            match self.gateway.admit_route(task) {
-                Admit::Fresh { shard, task } => {
-                    self.lanes[shard].mailbox.push_back(Mail {
-                        task,
-                        target,
-                        reuse: None,
-                    });
-                }
-                Admit::Absorb {
-                    shard,
-                    primary,
-                    task,
-                    merged,
-                } => {
-                    self.lanes[shard].mailbox.push_back(Mail {
-                        task,
-                        target,
-                        reuse: Some((primary, merged)),
-                    });
-                }
-            }
-        }
-    }
-
-    /// The sync-point barrier: every lane drains its mailbox and
-    /// processes all completions due before `cutoff`, finishing with
-    /// its clock at `target` — the exact state the serial driver holds
-    /// when it reaches the same arrival ordinal.
+    /// The barrier: every lane drains its mailbox and processes all
+    /// completions due before `cutoff`, finishing with its clock at
+    /// `target` — the exact state the serial driver holds when it
+    /// reaches the same arrival ordinal.
     fn sync_lanes(&mut self, cutoff: SimTime, target: SimTime) {
         let truth = self.truth;
         let lanes = &mut self.lanes;
         let shards = self.gateway.shards_mut();
+        // A same-instant burst usually has nothing due between its
+        // arrivals; don't pay for a scope (allocation + completion
+        // latch) when no lane will spawn.
         if lanes
             .iter()
             .any(|l| !l.mailbox.is_empty() || l.has_due(cutoff))
@@ -1131,6 +631,8 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                             lane.advance_events(core, truth, cutoff, target);
                         });
                     } else if target > core.now() {
+                        // No shard work this epoch: the clock tick is
+                        // too cheap to ship out.
                         core.advance_to(target);
                     }
                 }
@@ -1142,35 +644,13 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                 }
             }
         }
-        self.sync_quarantine_flags();
     }
 
     /// Runs the coordinator half of a sync point — steal pass plus view
-    /// refresh — then journals the transfers into the lane guards and
-    /// dispatches the thieves' freshly mapped starts. Steals are
-    /// coordinator-side operations: they advance **no** lane fault
-    /// coordinate (arrival/completion counts), so a fault plan strikes
-    /// the same operations with or without stealing.
-    fn run_sync_point(&mut self, target: SimTime) {
-        let records = self.gateway.sync_point();
-        if records.is_empty() {
+    /// refresh — then dispatches the thieves' freshly mapped starts.
+    fn run_sync_point(&mut self) {
+        if self.gateway.sync_point().is_empty() {
             return;
-        }
-        for record in &records {
-            for &(donor_internal, adopted) in &record.moved {
-                if let Some(g) = self.lanes[record.from].guard.as_mut() {
-                    g.journal.record(
-                        target,
-                        JournalOp::Steal {
-                            task: donor_internal,
-                        },
-                    );
-                }
-                if let Some(g) = self.lanes[record.to].guard.as_mut() {
-                    g.journal
-                        .record(target, JournalOp::Adopt { task: adopted });
-                }
-            }
         }
         let truth = self.truth;
         let lanes = &mut self.lanes;
@@ -1181,140 +661,10 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         }
     }
 
-    /// State-dependent-policy schedule: one epoch per arrival. All
-    /// lanes advance in parallel to the arrival's watermark, then the
-    /// coordinator routes on views every bit as fresh as the serial
-    /// driver's and runs the routed shard's mapping event inline (that
-    /// chain is serial by data dependency — each routing decision
-    /// observes the previous arrival's mapping).
-    fn lockstep_ingest<I>(&mut self, arrivals: I)
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        let truth = self.truth;
-        for mut task in arrivals {
-            if self.gateway.pre_admit(&mut task).is_some() {
-                continue;
-            }
-            let cutoff = task.arrival;
-            let target = self.watermark.map_or(cutoff, |w| w.max(cutoff));
-            self.watermark = Some(target);
-            if let Some(log) = self.arrival_log.as_mut() {
-                log.push(task);
-            }
-            {
-                let lanes = &mut self.lanes;
-                let shards = self.gateway.shards_mut();
-                // A same-instant burst usually has nothing due between
-                // its arrivals; don't pay for a scope (allocation +
-                // completion latch) when no lane will spawn.
-                if lanes.iter().any(|lane| lane.has_due(cutoff)) {
-                    self.pool.scope(|s| {
-                        for (lane, core) in
-                            lanes.iter_mut().zip(shards.iter_mut())
-                        {
-                            if lane.has_due(cutoff) {
-                                s.spawn(move || {
-                                    lane.advance_events(
-                                        core, truth, cutoff, target,
-                                    );
-                                });
-                            } else if target > core.now() {
-                                // No shard work this epoch: the clock
-                                // tick is too cheap to ship out.
-                                core.advance_to(target);
-                            }
-                        }
-                    });
-                } else {
-                    for core in shards.iter_mut() {
-                        if target > core.now() {
-                            core.advance_to(target);
-                        }
-                    }
-                }
-            }
-            // The routing + mapping chain is the serial driver's,
-            // split so the lane guard (when installed) can journal the
-            // relabelled arrival and consult the crash schedule after
-            // the mapping round commits — the same fault frontier the
-            // mailbox path uses.
-            let (shard, reuse, relabelled) =
-                match self.gateway.admit_route(task) {
-                    Admit::Fresh { shard, task } => (shard, None, task),
-                    Admit::Absorb {
-                        shard,
-                        primary,
-                        task,
-                        merged,
-                    } => (shard, Some((primary, merged)), task),
-                };
-            if self.lanes[shard].is_quarantined() {
-                // Only reachable when *every* shard is quarantined
-                // (route_only remaps around dead shards otherwise):
-                // record the arrival, start nothing.
-                let core = &mut self.gateway.shards_mut()[shard];
-                match reuse {
-                    Some((primary, merged)) => {
-                        core.apply_piggyback(primary, relabelled, merged);
-                    }
-                    None => core.push_arrival(relabelled),
-                }
-                let _ = core.drain_starts();
-                core.drain_decisions();
-                continue;
-            }
-            let crashed = match self.lanes[shard].guard.as_mut() {
-                Some(g) => match reuse {
-                    Some((primary, merged)) => {
-                        g.on_piggyback(target, primary, relabelled, merged)
-                    }
-                    None => g.on_arrival(target, relabelled),
-                },
-                None => false,
-            };
-            {
-                let core = &mut self.gateway.shards_mut()[shard];
-                match reuse {
-                    Some((primary, merged)) => {
-                        core.apply_piggyback(primary, relabelled, merged);
-                    }
-                    None => core.push_arrival(relabelled),
-                }
-                self.lanes[shard].dispatch_starts(core, truth);
-                core.drain_decisions();
-            }
-            if crashed {
-                let core = &mut self.gateway.shards_mut()[shard];
-                let now = core.now();
-                let g = self.lanes[shard]
-                    .guard
-                    .as_mut()
-                    .expect("crash implies a guard");
-                g.settle_crash(core, now);
-                if g.quarantined {
-                    self.lanes[shard].discard_events();
-                    self.gateway.set_quarantined(shard);
-                    continue;
-                }
-            }
-            if let Some(g) = self.lanes[shard].guard.as_mut() {
-                g.maybe_checkpoint(&self.gateway.shards()[shard]);
-            }
-        }
-    }
-
     /// Deterministic fan-in: advance every shard to the federation-wide
     /// end time (the serial driver's shared final clock) and collect
-    /// the outcome record in fixed shard order — with the lane guards'
-    /// recovery logs merged (shard-index order) into the stats.
+    /// the outcome record in fixed shard order.
     fn finish(mut self) -> FederationStats {
-        let mut recovery = RecoveryLog::default();
-        for lane in &mut self.lanes {
-            if let Some(g) = lane.guard.as_mut() {
-                recovery.extend(std::mem::take(&mut g.log));
-            }
-        }
         let t_end = self
             .gateway
             .shards()
@@ -1327,9 +677,7 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                 core.advance_to(t_end);
             }
         }
-        let mut stats = self.gateway.finish();
-        stats.recovery = recovery;
-        stats
+        self.gateway.finish()
     }
 }
 

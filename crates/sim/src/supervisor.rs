@@ -1,16 +1,21 @@
 //! The self-healing supervisor: auto-checkpoints, fault detection,
 //! bounded retries, and graceful degradation for federated runs.
 //!
-//! A [`Supervisor`] wraps a [`FederatedEngine`] (and a
-//! [`ParallelSupervisor`] its parallel sibling) and pumps its event
-//! loop in watermark-sized slices. At every watermark it takes
+//! A [`Supervisor`] wraps the serial [`FederatedEngine`] and pumps its
+//! event loop in watermark-sized slices. At every watermark it takes
 //! per-shard checkpoints and runs health checks (journal-gap,
 //! watermark-lag); when an injected fault surfaces it applies a typed
 //! [`RecoveryPolicy`]: bounded retries with deterministic sim-time
 //! backoff, checkpoint + journal replay for crashes, and — once a
 //! shard's budget is exhausted — quarantine with load shedding: the
 //! shard's still-unmapped backlog re-routes to healthy shards, whose
-//! pruning thresholds tighten to absorb it.
+//! pruning thresholds tighten to absorb it. That salvage-and-re-route
+//! is the one degradation rule.
+//!
+//! Supervised runs always use the serial driver; the parallel
+//! [`crate::ParallelFederatedEngine`] runs unsupervised. Nothing is
+//! lost by that: a run the supervisor heals serializes identically to
+//! the parallel driver's fault-free run at any thread count.
 //!
 //! Two invariants make the supervisor testable to the bit:
 //!
@@ -21,7 +26,8 @@
 //!   and replay mirrors the fault-free delivery order exactly. With a
 //!   retry budget covering every injected fault, a supervised run's
 //!   serialized [`FederationStats`] is bit-identical to the fault-free
-//!   run's — `tests/self_healing.rs` pins this for both drivers.
+//!   run's (and so to the parallel driver's fault-free run) —
+//!   `tests/self_healing.rs` pins both comparisons.
 //! * **Every action is logged.** The [`RecoveryLog`] records each
 //!   checkpoint, detection, retry, replay and quarantine with its
 //!   sim-time instant, deterministically: two runs of the same
@@ -39,7 +45,7 @@
 //!
 //! Batch-queue stealing composes the same way. Steals are a
 //! synchronous coordinator-side action at sync ordinals (never a
-//! lane-local race), quarantined shards are skipped as both thief and
+//! per-shard race), quarantined shards are skipped as both thief and
 //! victim, and each transfer is journaled as
 //! [`crate::JournalOp::Steal`]/[`crate::JournalOp::Adopt`] before any
 //! stolen work executes — so checkpoint + journal replay reproduces a
@@ -53,7 +59,6 @@
 use crate::config::RunError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::gateway::{DriveSignal, FederatedEngine, FederationStats};
-use crate::parallel::ParallelFederatedEngine;
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::Snapshot;
 use serde::{Deserialize, Serialize};
@@ -243,10 +248,6 @@ impl RecoveryLog {
     ) {
         self.actions.push(RecoveryAction { time, shard, kind });
     }
-
-    pub(crate) fn extend(&mut self, other: RecoveryLog) {
-        self.actions.extend(other.actions);
-    }
 }
 
 /// Deterministic exponential backoff for attempt `k` (1-based):
@@ -258,8 +259,10 @@ pub(crate) fn backoff_at(base: u64, attempt: u32) -> u64 {
 
 /// The self-healing wrapper around the serial [`FederatedEngine`]:
 /// auto-checkpoints, detects faults, retries within a budget, and
-/// degrades gracefully (quarantine + load shed) when the budget runs
-/// out. See the module docs for the two invariants it upholds.
+/// degrades gracefully (quarantine + backlog re-route + load shed) when
+/// the budget runs out. See the module docs for the two invariants it
+/// upholds. It is the only supervisor: supervised runs use the serial
+/// driver, whatever [`crate::GatewayBuilder::threads`] says.
 ///
 /// Construction enables journaling and captures an initial checkpoint
 /// of every shard; arm a [`FaultPlan`] afterwards via
@@ -540,8 +543,8 @@ impl<'a, S: Sink> Supervisor<'a, S> {
         // pause captures already carry the stepped rung (a recovered
         // shard replays the threshold history exactly). The pressure
         // read and the transition are pure functions of shard state at
-        // this quiescent admitted-arrival ordinal, so serial and
-        // parallel supervision step identically.
+        // this quiescent admitted-arrival ordinal, so a healed run
+        // steps exactly like its fault-free twin.
         if self.engine.gateway_ref().ladder_enabled() {
             let pressure = self.engine.overload_pressure();
             if let Some((from, to)) = self.engine.overload_tick(pressure) {
@@ -622,101 +625,6 @@ impl<S: Sink> std::fmt::Debug for Supervisor<'_, S> {
             .field("policy", &self.policy)
             .field("retries_left", &self.retries_left)
             .field("actions", &self.log.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// The self-healing wrapper around the
-/// [`ParallelFederatedEngine`]: the same [`RecoveryPolicy`] semantics,
-/// applied lane-locally on the worker threads (each lane carries its
-/// own journal, checkpoint and retry budget — see the lane-guard notes
-/// in [`crate::parallel`]). The one semantic difference from the
-/// serial [`Supervisor`]: a lane that exhausts its budget degrades by
-/// dropping its own backlog (quarantine without the cross-shard
-/// re-route — lanes cannot reach each other mid-run); the coordinator
-/// still remaps *future* arrivals around it at the next ingest epoch.
-pub struct ParallelSupervisor<'a, S: Sink = NullSink> {
-    engine: ParallelFederatedEngine<'a, S>,
-    policy: RecoveryPolicy,
-}
-
-impl<'a, S: Sink> ParallelSupervisor<'a, S> {
-    /// Wraps `engine`, installing lane guards with `policy`.
-    pub fn new(
-        mut engine: ParallelFederatedEngine<'a, S>,
-        policy: RecoveryPolicy,
-    ) -> Self {
-        engine.supervise(policy);
-        Self { engine, policy }
-    }
-
-    /// Arms deterministic fault injection: each lane receives its
-    /// shard's slice of the plan.
-    pub fn arm(&mut self, plan: &FaultPlan) {
-        self.engine.arm_lane_faults(plan);
-    }
-
-    /// Supervised parallel run: consumes the whole arrival stream,
-    /// healing faults lane-locally, and returns the outcome record
-    /// with the merged (shard-index-ordered) [`RecoveryLog`]
-    /// attached.
-    ///
-    /// When the gateway carries an overload ladder, the stream is
-    /// ingested in checkpoint-interval slices of **admitted** arrivals
-    /// and the ladder sensed at each quiescent pause — the same
-    /// coordinates the serial [`Supervisor`] senses at, so the two
-    /// drivers step (and recover) rung for rung.
-    pub fn run_stream<I>(mut self, arrivals: I) -> FederationStats
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        let mut iter = arrivals.into_iter();
-        if !self.engine.ladder_enabled() {
-            return self.engine.run_stream(iter);
-        }
-        let interval = self.policy.checkpoint_interval.max(1);
-        let mut next = self.engine.arrivals_admitted() + interval;
-        loop {
-            // Sheds don't advance the admitted watermark, so keep
-            // topping the slice up until the pause ordinal is reached
-            // (or the stream runs dry).
-            let want = next.saturating_sub(self.engine.arrivals_admitted());
-            let chunk: Vec<Task> =
-                iter.by_ref().take((want as usize).max(1)).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            self.engine.ingest_prefix(chunk);
-            if self.engine.arrivals_admitted() >= next {
-                self.ladder_tick();
-                next += interval;
-            }
-        }
-        self.engine.finish_stream(std::iter::empty())
-    }
-
-    /// One quiescent-pause ladder sense, mirroring the serial
-    /// supervisor's `maintain` step: read pressure, step at most one
-    /// rung, and record the transition in the recovery log (via lane
-    /// 0's guard — the ladder is a federation-wide coordinate).
-    fn ladder_tick(&mut self) {
-        let pressure = self.engine.overload_pressure();
-        if let Some((from, to)) = self.engine.overload_tick(pressure) {
-            let kind = if to > from {
-                RecoveryActionKind::OverloadStepUp { rung: to }
-            } else {
-                RecoveryActionKind::OverloadStepDown { rung: to }
-            };
-            let time = self.engine.watermark_time();
-            self.engine.push_recovery_action(time, 0, kind);
-        }
-    }
-}
-
-impl<S: Sink> std::fmt::Debug for ParallelSupervisor<'_, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelSupervisor")
-            .field("engine", &self.engine)
             .finish_non_exhaustive()
     }
 }

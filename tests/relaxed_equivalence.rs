@@ -282,56 +282,50 @@ fn bounded_stale_zero_is_lockstep_bit_for_bit() {
     }
 }
 
-/// The CI steal-matrix leg: `TASKPRUNE_CONSISTENCY` names a
-/// consistency mode (`lockstep` or `bounded-stale-<k>`), and that mode
-/// — with stealing on — must keep serial ≡ parallel at the ambient
-/// thread default (`TASKPRUNE_THREADS`, which the matrix pins to 1 and
-/// the runner's core count). Defaults to `bounded-stale-4` so the test
-/// is never vacuous locally.
+/// Both consistency modes — with stealing on — keep serial ≡ parallel
+/// at the ambient thread default (`TASKPRUNE_THREADS`, which the CI
+/// threads matrix pins to 1 and the runner's core count). The name
+/// predates the fold: the mode used to come from an environment
+/// variable, one mode per CI leg.
 #[test]
 fn env_selected_consistency_stays_driver_agnostic() {
-    let raw = std::env::var("TASKPRUNE_CONSISTENCY")
-        .unwrap_or_else(|_| "bounded-stale-4".to_string());
-    let consistency = if raw == "lockstep" {
-        Consistency::Lockstep
-    } else if let Some(k) = raw.strip_prefix("bounded-stale-") {
-        Consistency::BoundedStale {
-            k: k.parse().expect("TASKPRUNE_CONSISTENCY staleness bound"),
-        }
-    } else {
-        panic!("unrecognised TASKPRUNE_CONSISTENCY {raw:?}");
-    };
     let scale = common::test_scale();
     let (cluster, pet, tasks) = fixture(2024, scale);
-    let serial = relaxed_stats(
-        &cluster,
-        &pet,
-        55,
-        4,
-        None,
-        0,
-        consistency,
-        true,
-        &tasks,
-    );
-    assert_eq!(serial.unreported(), 0);
-    // `threads(0)` resolves to the ambient TASKPRUNE_THREADS default.
-    let parallel = relaxed_stats(
-        &cluster,
-        &pet,
-        55,
-        4,
-        Some(0),
-        0,
-        consistency,
-        true,
-        &tasks,
-    );
-    assert_eq!(
-        json(&serial),
-        json(&parallel),
-        "{raw}: drivers diverged at the ambient thread default"
-    );
+    for consistency in
+        [Consistency::Lockstep, Consistency::BoundedStale { k: 4 }]
+    {
+        let serial = relaxed_stats(
+            &cluster,
+            &pet,
+            55,
+            4,
+            None,
+            0,
+            consistency,
+            true,
+            &tasks,
+        );
+        assert_eq!(serial.unreported(), 0);
+        // `threads(0)` resolves to the ambient TASKPRUNE_THREADS
+        // default.
+        let parallel = relaxed_stats(
+            &cluster,
+            &pet,
+            55,
+            4,
+            Some(0),
+            0,
+            consistency,
+            true,
+            &tasks,
+        );
+        assert_eq!(
+            json(&serial),
+            json(&parallel),
+            "{consistency:?}: drivers diverged at the ambient thread \
+             default"
+        );
+    }
 }
 
 /// Steal/staleness counters land in the stats accessor but stay off

@@ -1,21 +1,24 @@
-//! The self-healing supervisor's two headline guarantees (ISSUE pins):
+//! The self-healing supervisor's two headline guarantees. There is one
+//! supervisor, `Supervisor` over the serial `FederatedEngine`, and one
+//! degradation rule, salvage-and-re-route.
 //!
 //! 1. **Recovery is exact.** With a retry budget covering every
 //!    injected fault, a supervised run's serialized `FederationStats`
-//!    is bit-identical to the fault-free run's — for the serial
-//!    `Supervisor` and the parallel `ParallelSupervisor` alike, and
-//!    across explicitly generated fault storms (crashes, lost /
-//!    duplicated / delayed completions, transient checkpoint and
-//!    recovery failures).
+//!    is bit-identical to the fault-free run's — the serial driver's
+//!    and the parallel driver's at any thread count — across
+//!    explicitly generated fault storms (crashes, lost / duplicated /
+//!    delayed completions, transient checkpoint and recovery
+//!    failures).
 //! 2. **Degradation is graceful and deterministic.** With a zero
 //!    retry budget, a permanent shard crash quarantines the shard:
-//!    the run still completes, every arrival is accounted for
-//!    (`unreported() == 0`), the stranded batch backlog is re-routed
-//!    to healthy shards (serial driver), and the `RecoveryLog` is
-//!    identical across repeated runs.
+//!    the run still completes, every arrival is accounted for exactly
+//!    once (`unreported() == 0`, `n_tasks()` equal to the stream
+//!    length), the stranded batch backlog is re-routed to healthy
+//!    shards, and the `RecoveryLog` is identical across repeated runs.
 //!
 //! Plus the supporting contracts: supervision itself never perturbs a
-//! fault-free run, `recover_shard` without a journal is the typed
+//! fault-free run, each single fault leaves a pinned sequence of
+//! recovery actions, `recover_shard` without a journal is the typed
 //! `RunError::RecoveryUnavailable`, and the facade's
 //! `try_run_federated_supervised` survives a mid-run coordinator
 //! restart bit-identically.
@@ -94,8 +97,8 @@ fn healing_policy() -> RecoveryPolicy {
 // ---------------------------------------------------------------------
 
 /// A supervised run with no fault plan equals the unsupervised run,
-/// byte for byte: checkpoints, journaling, and health checks are pure
-/// observation.
+/// byte for byte, under either driver: checkpoints, journaling, and
+/// health checks are pure observation.
 #[test]
 fn supervision_without_faults_is_invisible() {
     let (cluster, pet, tasks) = fixture(common::test_scale());
@@ -121,18 +124,16 @@ fn supervision_without_faults_is_invisible() {
         "a fault-free run logs only checkpoints: {log:?}"
     );
 
-    let engine = builder(&cluster, &pet, 3)
+    let parallel = builder(&cluster, &pet, 3)
         .threads(2)
         .build_parallel()
-        .expect("valid configuration");
-    let supervised_par =
-        ParallelSupervisor::new(engine, RecoveryPolicy::default())
-            .run_stream(tasks.iter().copied());
-    assert_eq!(json(&reference), json(&supervised_par));
+        .expect("valid configuration")
+        .run_stream(tasks.iter().copied());
+    assert_eq!(json(&parallel), json(&supervised));
 }
 
 // ---------------------------------------------------------------------
-// Guarantee 1: full-budget healing is bit-exact — both drivers.
+// Guarantee 1: full-budget healing is bit-exact.
 // ---------------------------------------------------------------------
 
 /// Serial headline: for each fixed plan seed, the supervised run under
@@ -177,40 +178,46 @@ fn healed_storm_matches_fault_free_serial() {
     }
 }
 
-/// Parallel headline: the same storms, healed lane-locally, still
-/// serialize identically to the fault-free run — at 1 worker thread
-/// and at several.
+/// Parallel headline: the same storms, healed by the one supervisor,
+/// serialize identically to the *parallel driver's* fault-free run —
+/// at 1 worker thread and at several. A healed run is the run the
+/// parallel driver would have made, so supervision needs no second
+/// driver.
 #[test]
 fn healed_storm_matches_fault_free_parallel() {
     let (cluster, pet, tasks) = fixture(common::test_scale());
-    let reference = builder(&cluster, &pet, 3)
-        .build()
-        .expect("valid configuration")
-        .run_stream(tasks.iter().copied());
-    let reference_json = json(&reference);
-
-    for seed in PLAN_SEEDS {
-        let plan = storm_plan(seed, 3, tasks.len());
-        for threads in [1usize, 4] {
-            let engine = builder(&cluster, &pet, 3)
+    let parallel: Vec<(usize, String)> = [1usize, 4]
+        .into_iter()
+        .map(|threads| {
+            let stats = builder(&cluster, &pet, 3)
                 .threads(threads)
                 .build_parallel()
-                .expect("valid configuration");
-            let mut sup = ParallelSupervisor::new(engine, healing_policy());
-            sup.arm(&plan);
-            let healed = sup.run_stream(tasks.iter().copied());
+                .expect("valid configuration")
+                .run_stream(tasks.iter().copied());
+            (threads, json(&stats))
+        })
+        .collect();
+
+    for seed in PLAN_SEEDS {
+        let engine = builder(&cluster, &pet, 3)
+            .build()
+            .expect("valid configuration");
+        let mut sup = Supervisor::new(engine, healing_policy());
+        sup.arm(storm_plan(seed, 3, tasks.len()));
+        let healed = sup.run_stream(tasks.iter().copied());
+        assert!(
+            healed.recovery_log().count(|k| matches!(
+                k,
+                RecoveryActionKind::FaultDetected { .. }
+            )) > 0,
+            "plan seed {seed:#x}: no fault ever fired"
+        );
+        let healed_json = json(&healed);
+        for (threads, reference_json) in &parallel {
             assert_eq!(
-                reference_json,
-                json(&healed),
-                "plan seed {seed:#x}, {threads} threads: lane-local \
-                 healing diverged from fault-free"
-            );
-            assert!(
-                healed.recovery_log().count(|k| matches!(
-                    k,
-                    RecoveryActionKind::FaultDetected { .. }
-                )) > 0,
-                "plan seed {seed:#x}: no fault fired in the lanes"
+                reference_json, &healed_json,
+                "plan seed {seed:#x}: the healed run diverged from the \
+                 {threads}-thread parallel fault-free run"
             );
         }
     }
@@ -251,8 +258,8 @@ fn permanent_crash(shard: usize, nth: u64) -> FaultPlan {
 
 /// Serial: budget 0 + permanent crash ⇒ the shard is quarantined, its
 /// batch backlog re-routes to the survivors, every arrival is
-/// accounted for, and two runs produce the same stats and the same
-/// log.
+/// accounted for exactly once, and two runs produce the same stats and
+/// the same log.
 #[test]
 fn budget_zero_crash_quarantines_and_reroutes_serial() {
     let (cluster, pet, tasks) = oversubscribed_fixture(common::test_scale());
@@ -273,6 +280,18 @@ fn budget_zero_crash_quarantines_and_reroutes_serial() {
         stats.unreported(),
         0,
         "a degraded run must still account for every arrival"
+    );
+    // A re-route is not an arrival: each salvaged task keeps its one
+    // arrival record, re-pointed to its new shard.
+    assert_eq!(stats.n_tasks(), tasks.len());
+    let mut externals: Vec<u64> =
+        stats.arrivals().iter().map(|a| a.external.0).collect();
+    externals.sort_unstable();
+    externals.dedup();
+    assert_eq!(
+        externals.len(),
+        tasks.len(),
+        "an external id appears twice in the arrival record"
     );
     let log = stats.recovery_log();
     assert_eq!(
@@ -307,10 +326,13 @@ fn budget_zero_crash_quarantines_and_reroutes_serial() {
     assert_eq!(log, again.recovery_log());
 }
 
-/// Parallel: budget 0 + permanent crash ⇒ the lane fail-stops
-/// (quarantine without the cross-shard re-route — `rerouted == 0` by
-/// design), the run completes with every arrival accounted for, and
-/// the log is deterministic.
+/// The settled degradation rule, whichever driver a run would
+/// otherwise use. The name is historical: parallel lanes used to
+/// fail-stop (`Quarantined { rerouted: 0 }`, the backlog lost as
+/// `Unfinished`); now the one supervisor salvages the backlog instead.
+/// Budget 0 + permanent crash ⇒ one quarantine that re-routes work,
+/// every arrival accounted for, no arrival after the crash routed to
+/// the dead shard, and a deterministic run.
 #[test]
 fn budget_zero_crash_fail_stops_parallel() {
     let (cluster, pet, tasks) = oversubscribed_fixture(common::test_scale());
@@ -318,12 +340,10 @@ fn budget_zero_crash_fail_stops_parallel() {
     let nth = (tasks.len() / 6).max(2) as u64;
     let run = || {
         let engine = builder(&cluster, &pet, 3)
-            .threads(2)
-            .build_parallel()
+            .build()
             .expect("valid configuration");
-        let mut sup =
-            ParallelSupervisor::new(engine, RecoveryPolicy::no_retries());
-        sup.arm(&permanent_crash(crash_shard, nth));
+        let mut sup = Supervisor::new(engine, RecoveryPolicy::no_retries());
+        sup.arm(permanent_crash(crash_shard, nth));
         sup.run_stream(tasks.iter().copied())
     };
 
@@ -331,22 +351,299 @@ fn budget_zero_crash_fail_stops_parallel() {
     assert_eq!(
         stats.unreported(),
         0,
-        "a fail-stopped lane must still account for every arrival"
+        "a degraded run must still account for every arrival"
     );
     let log = stats.recovery_log();
     assert_eq!(
+        log.count(|k| matches!(k, RecoveryActionKind::Quarantined { .. })),
+        1,
+        "exactly one quarantine: {log:?}"
+    );
+    assert_eq!(
         log.count(|k| matches!(
             k,
-            RecoveryActionKind::Quarantined { rerouted: 0 }
+            RecoveryActionKind::Quarantined { rerouted } if *rerouted > 0
         )),
         1,
-        "one lane-local quarantine, no cross-shard re-route: {log:?}"
+        "the quarantine salvages and re-routes the backlog: {log:?}"
     );
-    assert!(stats.count(TaskOutcome::Unfinished) > 0);
+
+    // Routing is identical up to the crash, so the fault-free run
+    // locates the crash arrival: the crash shard's nth.
+    let reference = builder(&cluster, &pet, 3)
+        .build()
+        .expect("valid configuration")
+        .run_stream(tasks.iter().copied());
+    let crash_at = reference
+        .arrivals()
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.shard as usize == crash_shard)
+        .nth(nth as usize - 1)
+        .map(|(gi, _)| gi)
+        .expect("the crash arrival exists");
+    assert!(
+        stats.arrivals()[crash_at + 1..]
+            .iter()
+            .all(|a| a.shard as usize != crash_shard),
+        "an arrival after the crash still names the quarantined shard"
+    );
 
     let again = run();
     assert_eq!(json(&stats), json(&again));
     assert_eq!(log, again.recovery_log());
+}
+
+// ---------------------------------------------------------------------
+// The one supervisor's per-fault recovery log.
+// ---------------------------------------------------------------------
+
+/// What a single-fault run must end as.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    /// Serializes identically to the fault-free run.
+    FaultFree,
+    /// A delivery stayed lost: every task still has an outcome, some
+    /// of them `Unfinished`.
+    Stranded,
+    /// The shard was quarantined: the bytes differ, nothing is lost.
+    Degraded,
+}
+
+/// One row of the recovery table: the faults armed on shard 1, the
+/// retry budget, and shard 1's expected actions other than
+/// `CheckpointTaken`, in order.
+struct Row {
+    faults: &'static [(FaultKind, u64)],
+    budget: u32,
+    actions: &'static [&'static str],
+    /// Whether shard 1 still takes its checkpoint at the watermark of
+    /// the first action (pinned for checkpoint faults only).
+    checkpoint_at_fault: Option<bool>,
+    outcome: Outcome,
+}
+
+/// A recovery action reduced to what the table pins: its kind plus the
+/// attempt, backoff and gap fields. Instants are checked separately;
+/// counts that depend on the run's length (journal ops, re-routed
+/// tasks) are left out.
+fn pinned(kind: &RecoveryActionKind) -> String {
+    match *kind {
+        RecoveryActionKind::FaultDetected { fault } => {
+            format!("FaultDetected({fault:?})")
+        }
+        RecoveryActionKind::RetryScheduled {
+            attempt, backoff, ..
+        } => format!("RetryScheduled{{{attempt}, {backoff}}}"),
+        RecoveryActionKind::CheckpointFailed { attempt } => {
+            format!("CheckpointFailed{{{attempt}}}")
+        }
+        RecoveryActionKind::RecoveryFailed { attempt } => {
+            format!("RecoveryFailed{{{attempt}}}")
+        }
+        RecoveryActionKind::JournalGapDetected { gap } => {
+            format!("JournalGapDetected{{{gap}}}")
+        }
+        RecoveryActionKind::RecoveryReplayed { .. } => {
+            "RecoveryReplayed".to_owned()
+        }
+        RecoveryActionKind::Quarantined { .. } => "Quarantined".to_owned(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Each single fault on shard 1 leaves exactly the pinned sequence of
+/// recovery actions — attempts and backoffs included — and the pinned
+/// outcome.
+#[test]
+fn each_fault_leaves_its_pinned_recovery_log() {
+    use FaultKind::*;
+    const COMPLETION: u64 = 20;
+    const ARRIVAL: u64 = 20;
+    let rows = [
+        Row {
+            faults: &[(LostCompletion, COMPLETION)],
+            budget: 1,
+            actions: &[
+                "FaultDetected(LostCompletion)",
+                "RetryScheduled{1, 64}",
+                "Redelivered",
+            ],
+            checkpoint_at_fault: None,
+            outcome: Outcome::FaultFree,
+        },
+        Row {
+            faults: &[(DelayedCompletion, COMPLETION)],
+            budget: 1,
+            actions: &[
+                "FaultDetected(DelayedCompletion)",
+                "RetryScheduled{1, 64}",
+                "Redelivered",
+            ],
+            checkpoint_at_fault: None,
+            outcome: Outcome::FaultFree,
+        },
+        Row {
+            faults: &[(LostCompletion, COMPLETION)],
+            budget: 0,
+            actions: &[
+                "FaultDetected(LostCompletion)",
+                "JournalGapDetected{1}",
+            ],
+            checkpoint_at_fault: None,
+            outcome: Outcome::Stranded,
+        },
+        Row {
+            faults: &[(DuplicateCompletion, COMPLETION)],
+            budget: 0,
+            actions: &["DuplicateSuppressed"],
+            checkpoint_at_fault: None,
+            outcome: Outcome::FaultFree,
+        },
+        Row {
+            faults: &[(DuplicateCompletion, COMPLETION)],
+            budget: 1,
+            actions: &["DuplicateSuppressed"],
+            checkpoint_at_fault: None,
+            outcome: Outcome::FaultFree,
+        },
+        Row {
+            faults: &[(CheckpointFailure, 1)],
+            budget: 1,
+            actions: &["CheckpointFailed{1}"],
+            checkpoint_at_fault: Some(true),
+            outcome: Outcome::FaultFree,
+        },
+        Row {
+            faults: &[(CheckpointFailure, 1)],
+            budget: 0,
+            actions: &["CheckpointFailed{1}"],
+            checkpoint_at_fault: Some(false),
+            outcome: Outcome::FaultFree,
+        },
+        Row {
+            faults: &[(ShardCrash, ARRIVAL)],
+            budget: 1,
+            actions: &[
+                "FaultDetected(ShardCrash)",
+                "RetryScheduled{1, 64}",
+                "RecoveryReplayed",
+            ],
+            checkpoint_at_fault: None,
+            outcome: Outcome::FaultFree,
+        },
+        Row {
+            faults: &[(ShardCrash, ARRIVAL), (RecoveryFailure, 1)],
+            budget: 2,
+            actions: &[
+                "FaultDetected(ShardCrash)",
+                "RetryScheduled{1, 64}",
+                "RecoveryFailed{1}",
+                "RetryScheduled{2, 128}",
+                "RecoveryReplayed",
+            ],
+            checkpoint_at_fault: None,
+            outcome: Outcome::FaultFree,
+        },
+        Row {
+            faults: &[(ShardCrash, ARRIVAL)],
+            budget: 0,
+            actions: &["FaultDetected(ShardCrash)", "Quarantined"],
+            checkpoint_at_fault: None,
+            outcome: Outcome::Degraded,
+        },
+    ];
+
+    let (cluster, pet, tasks) = fixture(common::test_scale());
+    let reference = json(
+        &builder(&cluster, &pet, 3)
+            .build()
+            .expect("valid configuration")
+            .run_stream(tasks.iter().copied()),
+    );
+    for row in &rows {
+        let plan = FaultPlan::new(
+            row.faults
+                .iter()
+                .map(|&(kind, nth)| FaultEvent {
+                    shard: 1,
+                    kind,
+                    nth,
+                    delay: if kind == DelayedCompletion { 100 } else { 0 },
+                })
+                .collect(),
+        );
+        let engine = builder(&cluster, &pet, 3)
+            .build()
+            .expect("valid configuration");
+        let mut sup = Supervisor::new(
+            engine,
+            RecoveryPolicy {
+                retry_budget: row.budget,
+                ..RecoveryPolicy::default()
+            },
+        );
+        sup.arm(plan);
+        let stats = sup.run_stream(tasks.iter().copied());
+        let case = format!("{:?} at budget {}", row.faults, row.budget);
+
+        let shard1: Vec<_> = stats
+            .recovery_log()
+            .actions()
+            .iter()
+            .filter(|a| a.shard == 1)
+            .collect();
+        let acted: Vec<_> = shard1
+            .iter()
+            .filter(|a| {
+                !matches!(a.kind, RecoveryActionKind::CheckpointTaken { .. })
+            })
+            .collect();
+        let labels: Vec<String> =
+            acted.iter().map(|a| pinned(&a.kind)).collect();
+        assert_eq!(labels, row.actions, "{case}: shard 1's actions");
+        let first = acted[0].time;
+        match row.outcome {
+            // The lost delivery surfaces again at the next watermark.
+            Outcome::Stranded => assert!(acted[1].time > first, "{case}"),
+            _ => assert!(
+                acted.iter().all(|a| a.time == first),
+                "{case}: recovery must act at the fault instant"
+            ),
+        }
+        if let Some(taken) = row.checkpoint_at_fault {
+            assert_eq!(
+                shard1.iter().any(|a| a.time == first
+                    && matches!(
+                        a.kind,
+                        RecoveryActionKind::CheckpointTaken { .. }
+                    )),
+                taken,
+                "{case}: checkpoint at the failed watermark"
+            );
+        }
+        assert!(
+            stats.recovery_log().actions().iter().all(|a| a.shard == 1
+                || matches!(
+                    a.kind,
+                    RecoveryActionKind::CheckpointTaken { .. }
+                )),
+            "{case}: only shard 1 was faulted"
+        );
+
+        assert_eq!(stats.unreported(), 0, "{case}");
+        match row.outcome {
+            Outcome::FaultFree => {
+                assert_eq!(reference, json(&stats), "{case}: bytes moved");
+            }
+            Outcome::Stranded => {
+                assert!(stats.count(TaskOutcome::Unfinished) > 0, "{case}");
+            }
+            Outcome::Degraded => {
+                assert_ne!(reference, json(&stats), "{case}: not degraded");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -470,22 +767,11 @@ fn full_scale_healed_storms_match_fault_free() {
             .build()
             .expect("valid configuration");
         let mut sup = Supervisor::new(engine, healing_policy());
-        sup.arm(plan.clone());
+        sup.arm(plan);
         assert_eq!(
             reference_json,
             json(&sup.run_stream(tasks.iter().copied())),
             "serial, plan seed {seed:#x}"
-        );
-        let engine = builder(&cluster, &pet, 4)
-            .threads(4)
-            .build_parallel()
-            .expect("valid configuration");
-        let mut sup = ParallelSupervisor::new(engine, healing_policy());
-        sup.arm(&plan);
-        assert_eq!(
-            reference_json,
-            json(&sup.run_stream(tasks.iter().copied())),
-            "parallel, plan seed {seed:#x}"
         );
     }
 }

@@ -5,10 +5,12 @@
 //!    other tenants' serialized per-tenant slices are bit-identical to
 //!    the burst-free run — in both drivers, at every (shards, threads)
 //!    point.
-//! 2. **Driver agnosticism.** Quotas + the overload degradation
-//!    ladder keep serial `Supervisor` ≡ parallel `ParallelSupervisor`
-//!    byte-identical on the full serialized `FederationStats` *and*
-//!    on the per-tenant slices, at every thread count.
+//! 2. **Driver agnosticism.** Quotas keep the supervised serial run ≡
+//!    the unsupervised parallel driver byte-identical on the full
+//!    serialized `FederationStats` *and* on the per-tenant slices, at
+//!    every thread count. The overload ladder is sensed by the
+//!    supervisor, and supervised runs use the serial driver, so the
+//!    ladder leg is serial-only: it must trip and stay deterministic.
 //! 3. **Replay exactness.** Ladder transitions are journaled
 //!    (`JournalOp::SlaRung`); a supervised run that heals a fault
 //!    storm — crashes recovered from checkpoint + journal replay with
@@ -23,9 +25,8 @@
 //!    from (seed, workload) — pinned by proptest over random small
 //!    workloads.
 //!
-//! The CI `tenant-matrix` job runs this suite across
-//! `TASKPRUNE_THREADS` ∈ {1, max} × `TASKPRUNE_LADDER` ∈ {on, off};
-//! `TASKPRUNE_LADDER` scopes the ladder legs of the matrix tests.
+//! The CI `threads-matrix` job runs this suite at `TASKPRUNE_THREADS`
+//! ∈ {1, max}.
 
 mod common;
 
@@ -117,16 +118,6 @@ fn run(
             .build_parallel()
             .expect("valid configuration")
             .run_stream(tasks.iter().copied()),
-    }
-}
-
-/// The ladder legs the CI matrix selects via `TASKPRUNE_LADDER`:
-/// `on` / `off` pin one leg, unset runs both.
-fn ladder_legs() -> Vec<bool> {
-    match std::env::var("TASKPRUNE_LADDER").as_deref() {
-        Ok("on") => vec![true],
-        Ok("off") => vec![false],
-        _ => vec![true, false],
     }
 }
 
@@ -236,22 +227,29 @@ fn zero_quota_burst_degrades_only_its_own_tenant() {
 // Guarantee 2: quotas + ladder stay driver-agnostic.
 // ---------------------------------------------------------------------
 
-/// Supervised runs under real quotas — with and without the overload
-/// ladder, as scoped by `TASKPRUNE_LADDER` — serialize identically
-/// across the serial and parallel supervisors at every thread count,
-/// on the full stats wire *and* on the per-tenant slices.
+/// Supervised runs under real quotas serialize identically to the
+/// unsupervised parallel driver at every thread count, on the full
+/// stats wire *and* on the per-tenant slices. With the overload ladder
+/// on, the run is serial-only (the ladder is supervisor-driven and
+/// supervised runs use the serial driver): it must trip the ladder and
+/// repeat byte for byte.
 #[test]
 fn quotas_and_ladder_stay_driver_agnostic() {
     let (cluster, pet, tasks) = pressure_fixture(7011);
-    for ladder in ladder_legs() {
-        let serial = Supervisor::new(
-            builder(&cluster, &pet, 3, Some(degraded_policy(ladder)))
-                .build()
-                .expect("valid configuration"),
-            RecoveryPolicy::default(),
-        )
-        .run_stream(tasks.iter().copied());
+    for ladder in [true, false] {
+        let supervised = || {
+            Supervisor::new(
+                builder(&cluster, &pet, 3, Some(degraded_policy(ladder)))
+                    .build()
+                    .expect("valid configuration"),
+                RecoveryPolicy::default(),
+            )
+            .run_stream(tasks.iter().copied())
+        };
+        let serial = supervised();
         assert_eq!(serial.unreported(), 0);
+        let serial_json = json(&serial);
+        let serial_slices = json(&serial.tenant_slices().expect("tenancy"));
         if ladder {
             assert!(
                 serial.recovery_log().count(|k| matches!(
@@ -260,28 +258,26 @@ fn quotas_and_ladder_stay_driver_agnostic() {
                 )) > 0,
                 "the oversubscribed fixture must actually trip the ladder"
             );
+            let again = supervised();
+            assert_eq!(serial_json, json(&again), "ladder run diverged");
+            assert_eq!(serial.recovery_log(), again.recovery_log());
+            continue;
         }
-        let serial_json = json(&serial);
-        let serial_slices = json(&serial.tenant_slices().expect("tenancy"));
         for threads in [1usize, 2, 8] {
-            let parallel = ParallelSupervisor::new(
-                builder(&cluster, &pet, 3, Some(degraded_policy(ladder)))
-                    .threads(threads)
-                    .build_parallel()
-                    .expect("valid configuration"),
-                RecoveryPolicy::default(),
-            )
-            .run_stream(tasks.iter().copied());
+            let parallel = run(
+                builder(&cluster, &pet, 3, Some(degraded_policy(false))),
+                Some(threads),
+                &tasks,
+            );
             assert_eq!(
                 serial_json,
                 json(&parallel),
-                "ladder={ladder} threads={threads}: drivers diverged"
+                "threads={threads}: drivers diverged under quotas"
             );
             assert_eq!(
                 serial_slices,
                 json(&parallel.tenant_slices().expect("tenancy")),
-                "ladder={ladder} threads={threads}: per-tenant slices \
-                 diverged"
+                "threads={threads}: per-tenant slices diverged"
             );
         }
     }
@@ -294,7 +290,7 @@ fn quotas_and_ladder_stay_driver_agnostic() {
 /// A supervised run with quotas + ladder that heals a generated fault
 /// storm — shard crashes rebuilt from checkpoint + journal replay,
 /// with `SlaRung` transitions inside the replay window — serializes
-/// identically to the fault-free supervised run, in both drivers.
+/// identically to the fault-free supervised run.
 #[test]
 fn ladder_transitions_replay_exactly_across_crash_recovery() {
     let (cluster, pet, tasks) = pressure_fixture(7012);
@@ -329,7 +325,7 @@ fn ladder_transitions_replay_exactly_across_crash_recovery() {
             .expect("valid configuration"),
         healing,
     );
-    sup.arm(plan.clone());
+    sup.arm(plan);
     let healed = sup.run_stream(tasks.iter().copied());
     assert!(
         healed
@@ -348,24 +344,6 @@ fn ladder_transitions_replay_exactly_across_crash_recovery() {
         json(&healed.tenant_slices().expect("tenancy")),
         "serial healing perturbed the per-tenant slices"
     );
-
-    for threads in [1usize, 2] {
-        let mut sup = ParallelSupervisor::new(
-            builder(&cluster, &pet, 3, Some(degraded_policy(true)))
-                .threads(threads)
-                .build_parallel()
-                .expect("valid configuration"),
-            healing,
-        );
-        sup.arm(&plan);
-        let healed = sup.run_stream(tasks.iter().copied());
-        assert_eq!(
-            reference_json,
-            json(&healed),
-            "{threads} threads: lane-local healing diverged under the \
-             ladder"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
