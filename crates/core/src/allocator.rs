@@ -69,7 +69,8 @@ impl<'a> ResourceAllocator<'a> {
 
     /// Separates ground truth from the scheduler's belief: estimates use
     /// the matrix given to [`ResourceAllocator::new`] while actual
-    /// durations are sampled from `truth` (see `Engine::with_truth`).
+    /// durations are sampled from `truth` (see
+    /// [`taskprune_sim::SchedulerBuilder::truth`]).
     pub fn truth_pet(mut self, truth: &'a PetMatrix) -> Self {
         self.truth = Some(truth);
         self
@@ -267,7 +268,7 @@ impl<'a> ResourceAllocator<'a> {
     /// With `restart` set to `(watermark, policy_after)`, the run
     /// additionally exercises a **cold coordinator restart**: the
     /// supervisor pauses once `watermark` arrivals are ingested,
-    /// captures the whole coordinator (event heap, truth-RNG streams,
+    /// captures the whole coordinator (event lanes, truth-RNG streams,
     /// journals, fault-injector cursor) as a sealed
     /// [`Snapshot`], encodes it to the wire format and back (the
     /// durable-storage round-trip), tears the federation down, and

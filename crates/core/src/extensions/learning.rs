@@ -5,9 +5,9 @@
 //! so its early estimates are noisy. This module builds such learned
 //! matrices — histograms over `k` observations per (machine type, task
 //! type) cell, exactly the estimator a platform would bootstrap — plus a
-//! systematically miscalibrated variant, and the engine's
-//! belief-vs-truth split (`Engine::with_truth`) measures what the error
-//! costs. The `model_error` bench bin sweeps `k`.
+//! systematically miscalibrated variant, and the builder's
+//! belief-vs-truth split (`SchedulerBuilder::truth`) measures what the
+//! error costs. The `model_error` bench bin sweeps `k`.
 
 use taskprune_model::{MachineTypeId, PetMatrix, TaskTypeId};
 use taskprune_prob::rng::{derive_seed, Xoshiro256PlusPlus};

@@ -21,7 +21,7 @@
 //! type, not once per task. Committing a task to machine *j* only raises
 //! *j*'s ready time (or fills *j*), so a type's best machine can change
 //! only if it was *j* — the invalidation of Ezzatti et al.'s efficient
-//! Min-Min (the paper's ref. [22]). Phase 2 still scans the unassigned
+//! Min-Min (the paper's ref. \[22\]). Phase 2 still scans the unassigned
 //! tasks in order, so the output is identical to recomputing phase 1
 //! for every task.
 //!

@@ -1,8 +1,7 @@
 //! Fluent, validated construction of scheduler cores and engines.
 //!
-//! [`SchedulerBuilder`] replaces the former positional
-//! `Engine::new(..)` + `with_trace`/`with_truth` chain: every knob is a
-//! named method, invalid configurations surface as typed
+//! [`SchedulerBuilder`] is the one way to construct them: every knob is
+//! a named method, invalid configurations surface as typed
 //! [`ConfigError`]s at build time (instead of panics mid-run), and the
 //! same builder produces either a bare [`SchedulerCore`] for streaming
 //! callers or a full discrete-event [`Engine`].

@@ -219,33 +219,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         }
     }
 
-    /// Replaces the sink, preserving all scheduling state. Used by the
-    /// builder to switch the observability type parameter.
-    pub(crate) fn with_sink<T: Sink>(self, sink: T) -> SchedulerCore<'a, T> {
-        SchedulerCore {
-            cfg: self.cfg,
-            pet: self.pet,
-            strategy: self.strategy,
-            pruner: self.pruner,
-            queues: self.queues,
-            arrival_queue: self.arrival_queue,
-            now: self.now,
-            stats: self.stats,
-            sink,
-            decisions: self.decisions,
-            decisions_spare: self.decisions_spare,
-            starts: self.starts,
-            starts_spare: self.starts_spare,
-            report: self.report,
-            candidate_buf: self.candidate_buf,
-            proposal_buf: self.proposal_buf,
-            drop_buf: self.drop_buf,
-            drop_ids_buf: self.drop_ids_buf,
-            reuse: self.reuse,
-            sla_rung: self.sla_rung,
-        }
-    }
-
     // ------------------------------------------------------------------
     // The streaming API.
     // ------------------------------------------------------------------

@@ -1,11 +1,19 @@
 //! The discrete-event driver over the streaming scheduler core.
 //!
 //! [`Engine`] owns what a *simulation* adds on top of scheduling: the
-//! event queue, the ground-truth execution-time matrix, and the RNG
-//! that samples actual durations. All mapping decisions live in
-//! [`SchedulerCore`] — the engine merely advances the clock, feeds
-//! arrivals and completions into the core, and turns the core's
-//! [`Start`](crate::core::Start) records into future completion events.
+//! ground-truth execution-time matrix and one shard's event loop. All
+//! mapping decisions live in [`SchedulerCore`] — the engine merely
+//! advances the clock, feeds arrivals and completions into the core,
+//! and turns the core's [`Start`](crate::core::Start) records into
+//! future completion events.
+//!
+//! The event loop is a `Lane`: one shard's completion/wakeup heap,
+//! ground-truth RNG stream and wakeup flag, plus the rules that advance
+//! them. All three drivers run their shards on lanes — [`Engine`]
+//! drives one, [`crate::FederatedEngine`] steps N of them in global
+//! event order, and [`crate::ParallelFederatedEngine`] runs them on its
+//! pool — so duration sampling, the wakeup safety net and the
+//! completion/wakeup step each exist once.
 //!
 //! Two entry points drive the same code path:
 //!
@@ -18,21 +26,173 @@
 //! `run` is a thin shim over `run_stream`, so the two are bit-identical
 //! by construction — the root determinism suite pins this.
 
-use crate::config::SimConfig;
 use crate::core::SchedulerCore;
 use crate::decisions::{Decisions, NullDecisions};
 use crate::event::{Event, EventKind, EventQueue};
+use crate::journal::JournalOp;
 use crate::sink::{NullSink, Sink};
 use crate::stats::{SimStats, StatsError};
-use crate::trace::TraceLog;
-use crate::traits::{MappingStrategy, Pruner};
-use taskprune_model::{Cluster, PetMatrix, SimTime, Task};
+use taskprune_model::{PetMatrix, SimTime, Task};
 use taskprune_prob::rng::Xoshiro256PlusPlus;
 
-/// A single-run simulation: a [`SchedulerCore`] plus the event loop
-/// driving it. Construct via [`crate::SchedulerBuilder::build`] (or the
-/// legacy [`Engine::new`]), then call [`Engine::run`] or
-/// [`Engine::run_stream`].
+/// One shard's event loop: its pending completions and wakeups, the
+/// ground-truth RNG stream its durations are sampled from, and the
+/// wakeup flag, with the rules that advance them. See the [module
+/// docs](self).
+pub(crate) struct Lane {
+    /// Pending completions and wakeups, in `(time, class, id)` order.
+    pub(crate) events: EventQueue,
+    /// Ground-truth duration sampling stream.
+    pub(crate) rng: Xoshiro256PlusPlus,
+    /// Whether a wakeup is scheduled and has not fired yet.
+    pub(crate) wakeup_pending: bool,
+}
+
+impl Lane {
+    /// An empty lane sampling durations from `seed`'s stream.
+    pub(crate) fn new(seed: u64) -> Self {
+        Self {
+            events: EventQueue::new(),
+            rng: Xoshiro256PlusPlus::new(seed),
+            wakeup_pending: false,
+        }
+    }
+
+    /// Removes the next event and returns its instant with the
+    /// operation it applies ([`JournalOp::Completion`] or
+    /// [`JournalOp::Wakeup`]). Popping a wakeup clears the flag.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, JournalOp)> {
+        let event = self.events.pop()?;
+        let op = match event.kind {
+            EventKind::Completion { machine, task } => {
+                JournalOp::Completion { machine, task }
+            }
+            EventKind::Wakeup => {
+                self.wakeup_pending = false;
+                JournalOp::Wakeup
+            }
+        };
+        Some((event.time, op))
+    }
+
+    /// Whether an event fires before an arrival at `cutoff`: anything
+    /// earlier, and a completion at the cutoff itself (free capacity
+    /// before new demand at the same instant).
+    #[inline]
+    pub(crate) fn has_due(&self, cutoff: SimTime) -> bool {
+        self.events.peek().is_some_and(|e| {
+            e.time < cutoff
+                || (e.time == cutoff
+                    && matches!(e.kind, EventKind::Completion { .. }))
+        })
+    }
+
+    /// Turns the core's new starts into completion events, sampling
+    /// each actual duration from `truth` on this lane's stream, then
+    /// hands the core's decisions to `decisions` (the federated drivers
+    /// pass [`NullDecisions`], which keeps the buffer bounded at no
+    /// cost).
+    pub(crate) fn settle<S: Sink, D: Decisions>(
+        &mut self,
+        core: &mut SchedulerCore<'_, S>,
+        truth: &PetMatrix,
+        decisions: &mut D,
+    ) {
+        let now = core.now();
+        for start in core.drain_starts() {
+            let duration = truth.sample_duration(
+                start.machine.type_id,
+                start.task.type_id,
+                &mut self.rng,
+            );
+            self.events.push(Event {
+                time: now + duration,
+                kind: EventKind::Completion {
+                    machine: start.machine.id,
+                    task: start.task.id,
+                },
+            });
+        }
+        for decision in core.drain_decisions() {
+            decisions.on_decision(now, *decision);
+        }
+    }
+
+    /// Fires every event due before an arrival at `cutoff`, then moves
+    /// the clock to `target`, the instant that arrival is processed (a
+    /// task delivered out of order arrives at the running maximum of
+    /// arrival times: the clock never rewinds).
+    pub(crate) fn advance_events<S: Sink, D: Decisions>(
+        &mut self,
+        core: &mut SchedulerCore<'_, S>,
+        truth: &PetMatrix,
+        decisions: &mut D,
+        cutoff: SimTime,
+        target: SimTime,
+    ) {
+        while self.has_due(cutoff) {
+            let (time, op) = self.pop().expect("has_due peeked");
+            core.advance_to(time);
+            if op.apply(core) {
+                self.settle(core, truth, decisions);
+            }
+        }
+        if target > core.now() {
+            core.advance_to(target);
+        }
+    }
+
+    /// The wakeup safety net: when no event will ever fire again but
+    /// the batch queue still holds work (every machine idle, every
+    /// remaining task deferred), schedule a synthetic mapping event
+    /// just past the earliest pending deadline and after `now`, where
+    /// the task is either retried or reactively dropped. Does nothing
+    /// while a wakeup or any other event is pending.
+    pub(crate) fn maybe_schedule_wakeup<S: Sink>(
+        &mut self,
+        core: &SchedulerCore<'_, S>,
+        now: SimTime,
+    ) {
+        if self.wakeup_pending || !self.events.is_empty() {
+            return;
+        }
+        let Some(earliest) = core.earliest_pending_deadline() else {
+            return;
+        };
+        self.events.push(Event {
+            time: SimTime(earliest.ticks().max(now.ticks()) + 1),
+            kind: EventKind::Wakeup,
+        });
+        self.wakeup_pending = true;
+    }
+
+    /// Runs the shard to completion after the last arrival, processed
+    /// at `t_last`: completions through `t_last` fire as they would
+    /// before an arrival, then the drain begins at `t_last` with a
+    /// wakeup check after each mapping event.
+    pub(crate) fn finish<S: Sink, D: Decisions>(
+        &mut self,
+        core: &mut SchedulerCore<'_, S>,
+        truth: &PetMatrix,
+        decisions: &mut D,
+        t_last: SimTime,
+    ) {
+        self.advance_events(core, truth, decisions, t_last, t_last);
+        self.maybe_schedule_wakeup(core, t_last);
+        while let Some((time, op)) = self.pop() {
+            core.advance_to(time);
+            if op.apply(core) {
+                self.settle(core, truth, decisions);
+                self.maybe_schedule_wakeup(core, time);
+            }
+        }
+    }
+}
+
+/// A single-run simulation: a [`SchedulerCore`] plus the one-lane event
+/// loop driving it. Construct via [`crate::SchedulerBuilder::build`],
+/// then call [`Engine::run`] or [`Engine::run_stream`].
 ///
 /// `D` is the [`Decisions`] consumer the driver feeds the core's typed
 /// decision stream into after every event; the default
@@ -44,36 +204,8 @@ pub struct Engine<'a, S: Sink = NullSink, D: Decisions = NullDecisions> {
     /// Identical to the core's belief matrix unless the builder's
     /// `truth` separated them to study estimator error.
     truth: &'a PetMatrix,
-    events: EventQueue,
-    rng: Xoshiro256PlusPlus,
-    wakeup_pending: bool,
+    lane: Lane,
     decisions: D,
-}
-
-impl<'a> Engine<'a, NullSink> {
-    /// Creates an engine for one simulation run.
-    ///
-    /// Legacy positional constructor kept as a compatibility shim over
-    /// [`crate::SchedulerBuilder`]; prefer the builder for anything
-    /// new.
-    ///
-    /// # Panics
-    /// On any configuration the builder would reject (empty cluster,
-    /// zero capacity, degenerate horizon, mode/heuristic mismatch).
-    pub fn new(
-        cfg: SimConfig,
-        cluster: &'a Cluster,
-        pet: &'a PetMatrix,
-        strategy: MappingStrategy,
-        pruner: Box<dyn Pruner>,
-    ) -> Self {
-        crate::build::SchedulerBuilder::new(cluster, pet)
-            .config(cfg)
-            .strategy(strategy)
-            .pruner_boxed(pruner)
-            .build()
-            .unwrap_or_else(|e| panic!("invalid scheduler configuration: {e}"))
-    }
 }
 
 impl<'a, S: Sink, D: Decisions> Engine<'a, S, D> {
@@ -88,54 +220,9 @@ impl<'a, S: Sink, D: Decisions> Engine<'a, S, D> {
         Self {
             core,
             truth,
-            events: EventQueue::new(),
-            rng: Xoshiro256PlusPlus::new(seed),
-            wakeup_pending: false,
+            lane: Lane::new(seed),
             decisions,
         }
-    }
-
-    /// Enables execution tracing; the log is returned inside
-    /// [`SimStats::trace`] after the run.
-    ///
-    /// Legacy shim over [`crate::SchedulerBuilder::sink`]; note the
-    /// engine's sink type changes to [`TraceLog`].
-    pub fn with_trace(self, log: TraceLog) -> Engine<'a, TraceLog, D> {
-        Engine {
-            core: self.core.with_sink(log),
-            truth: self.truth,
-            events: self.events,
-            rng: self.rng,
-            wakeup_pending: self.wakeup_pending,
-            decisions: self.decisions,
-        }
-    }
-
-    /// Separates the scheduler's *belief* from ground truth (see
-    /// [`crate::SchedulerBuilder::truth`]).
-    ///
-    /// # Panics
-    /// If the two matrices disagree on shape or bin width — estimates
-    /// would not even index correctly.
-    pub fn with_truth(mut self, truth: &'a PetMatrix) -> Self {
-        let belief = self.core.pet();
-        assert_eq!(
-            belief.n_machine_types(),
-            truth.n_machine_types(),
-            "belief/truth machine-type mismatch"
-        );
-        assert_eq!(
-            belief.n_task_types(),
-            truth.n_task_types(),
-            "belief/truth task-type mismatch"
-        );
-        assert_eq!(
-            belief.bin_spec(),
-            truth.bin_spec(),
-            "belief/truth bin-width mismatch"
-        );
-        self.truth = truth;
-        self
     }
 
     /// Runs the full workload to completion (the system drains after the
@@ -189,102 +276,32 @@ impl<'a, S: Sink, D: Decisions> Engine<'a, S, D> {
     where
         I: IntoIterator<Item = Task>,
     {
-        let mut source = arrivals.into_iter().peekable();
-        loop {
-            // Merge the event heap with the arrival stream, preserving
-            // the historical order: time, then completions before
-            // arrivals before wakeups, then stable ids.
-            let event_first = match (self.events.peek(), source.peek()) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(event), Some(task)) => {
-                    event.time < task.arrival
-                        || (event.time == task.arrival
-                            && matches!(
-                                event.kind,
-                                EventKind::Completion { .. }
-                            ))
-                }
-            };
-            if event_first {
-                let event = self.events.pop().expect("peeked above");
-                self.core.advance_to(event.time);
-                match event.kind {
-                    EventKind::Completion { machine, task } => {
-                        if !self.core.complete(machine, task) {
-                            continue; // stale event from a cancelled start
-                        }
-                    }
-                    EventKind::Wakeup => {
-                        self.wakeup_pending = false;
-                        self.core.wakeup();
-                    }
-                    EventKind::Arrival { .. } => unreachable!(
-                        "arrivals are fed from the stream, never enqueued"
-                    ),
-                }
-            } else {
-                let task = source.next().expect("peeked above");
-                // A task delivered out of order (arrival before the
-                // clock) arrives *now* — the same late-delivery
-                // semantics a live front-end has. The clock never
-                // rewinds.
-                self.core.advance_to(task.arrival.max(self.core.now()));
-                self.core.try_push_arrival(task)?;
-            }
-            self.dispatch_starts();
-            // The driver consumes the decision stream so the buffer
-            // stays bounded, delivering each decision to the consumer
-            // (the default NullDecisions compiles this loop away).
-            let now = self.core.now();
-            for decision in self.core.drain_decisions() {
-                self.decisions.on_decision(now, *decision);
-            }
-            self.maybe_schedule_wakeup(source.peek().is_some());
+        let mut t_last: Option<SimTime> = None;
+        for task in arrivals {
+            // The running maximum of arrival times: a task delivered
+            // out of order arrives *now*, like at a live front-end.
+            let at = t_last.map_or(task.arrival, |t| t.max(task.arrival));
+            self.lane.advance_events(
+                &mut self.core,
+                self.truth,
+                &mut self.decisions,
+                task.arrival,
+                at,
+            );
+            self.core.try_push_arrival(task)?;
+            self.lane
+                .settle(&mut self.core, self.truth, &mut self.decisions);
+            t_last = Some(at);
+        }
+        if let Some(t_last) = t_last {
+            self.lane.finish(
+                &mut self.core,
+                self.truth,
+                &mut self.decisions,
+                t_last,
+            );
         }
         Ok(self.core.finish())
-    }
-
-    /// Turns the core's pending starts into completion events, sampling
-    /// each actual duration from the ground-truth matrix.
-    fn dispatch_starts(&mut self) {
-        let now = self.core.now();
-        // Field borrows are disjoint: the starts slice borrows the core,
-        // sampling borrows the rng, scheduling borrows the event queue.
-        for start in self.core.drain_starts() {
-            let duration = self.truth.sample_duration(
-                start.machine.type_id,
-                start.task.type_id,
-                &mut self.rng,
-            );
-            self.events.push(Event {
-                time: now + duration,
-                kind: EventKind::Completion {
-                    machine: start.machine.id,
-                    task: start.task.id,
-                },
-            });
-        }
-    }
-
-    /// Guarantees forward progress when work remains in the batch queue
-    /// but no event will ever fire again (all machines idle, no future
-    /// arrival, every remaining task deferred): schedule a synthetic
-    /// mapping event at the earliest pending deadline, where the task
-    /// is either retried or reactively dropped.
-    fn maybe_schedule_wakeup(&mut self, more_arrivals: bool) {
-        if self.wakeup_pending || more_arrivals || !self.events.is_empty() {
-            return;
-        }
-        let Some(earliest) = self.core.earliest_pending_deadline() else {
-            return;
-        };
-        self.events.push(Event {
-            time: SimTime(earliest.ticks().max(self.core.now().ticks()) + 1),
-            kind: EventKind::Wakeup,
-        });
-        self.wakeup_pending = true;
     }
 }
 
@@ -292,8 +309,8 @@ impl<S: Sink, D: Decisions> std::fmt::Debug for Engine<'_, S, D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("core", &self.core)
-            .field("pending_events", &self.events.len())
-            .field("wakeup_pending", &self.wakeup_pending)
+            .field("pending_events", &self.lane.events.len())
+            .field("wakeup_pending", &self.lane.wakeup_pending)
             .finish_non_exhaustive()
     }
 }
@@ -301,14 +318,33 @@ impl<S: Sink, D: Decisions> std::fmt::Debug for Engine<'_, S, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::SchedulerBuilder;
+    use crate::config::SimConfig;
     use crate::traits::{
-        Assignment, BatchMapper, EventReport, ImmediateMapper, NoPruning,
+        Assignment, BatchMapper, EventReport, ImmediateMapper, MappingStrategy,
+        NoPruning, Pruner,
     };
     use crate::view::SystemView;
     use taskprune_model::{
-        BinSpec, MachineId, TaskId, TaskOutcome, TaskTypeId,
+        BinSpec, Cluster, MachineId, TaskId, TaskOutcome, TaskTypeId,
     };
     use taskprune_prob::Pmf;
+
+    /// The builder-made engine the tests drive.
+    fn build<'a>(
+        cfg: SimConfig,
+        cluster: &Cluster,
+        pet: &'a PetMatrix,
+        strategy: MappingStrategy,
+        pruner: impl Pruner + 'static,
+    ) -> Engine<'a> {
+        SchedulerBuilder::new(cluster, pet)
+            .config(cfg)
+            .strategy(strategy)
+            .pruner(pruner)
+            .build()
+            .expect("valid configuration")
+    }
 
     /// Deterministic PET: every task takes exactly 2 bins (200 ticks).
     fn det_pet(n_machines: usize) -> PetMatrix {
@@ -376,12 +412,12 @@ mod tests {
         let cluster = Cluster::one_per_type(1);
         // Gap 300 > duration ≈ 200..300: machine keeps up; slack huge.
         let tasks = tasks_every(20, 300, 10_000);
-        let engine = Engine::new(
+        let engine = build(
             SimConfig::batch(1),
             &cluster,
             &pet,
             MappingStrategy::Batch(Box::new(ToZero)),
-            Box::new(NoPruning),
+            NoPruning,
         );
         let stats = engine.run(&tasks);
         assert_eq!(stats.count(TaskOutcome::CompletedOnTime), 20);
@@ -397,12 +433,12 @@ mod tests {
         // machine; most must be dropped reactively (never mapped or
         // mapped but expired in queue).
         let tasks = tasks_every(30, 0, 800);
-        let engine = Engine::new(
+        let engine = build(
             SimConfig::batch(2),
             &cluster,
             &pet,
             MappingStrategy::Batch(Box::new(ToZero)),
-            Box::new(NoPruning),
+            NoPruning,
         );
         let stats = engine.run(&tasks);
         let on_time = stats.count(TaskOutcome::CompletedOnTime);
@@ -417,14 +453,14 @@ mod tests {
         let pet = det_pet(2);
         let cluster = Cluster::one_per_type(2);
         let tasks = tasks_every(10, 50, 5_000);
-        let engine = Engine::new(
+        let engine = build(
             SimConfig::immediate(7),
             &cluster,
             &pet,
             MappingStrategy::Immediate(Box::new(RoundRobinImmediate {
                 next: 0,
             })),
-            Box::new(NoPruning),
+            NoPruning,
         );
         let stats = engine.run(&tasks);
         assert_eq!(stats.unreported(), 0);
@@ -452,12 +488,12 @@ mod tests {
         let cluster = Cluster::one_per_type(2);
         let tasks = tasks_every(50, 40, 900);
         let run = || {
-            Engine::new(
+            build(
                 SimConfig::batch(99),
                 &cluster,
                 &pet,
                 MappingStrategy::Batch(Box::new(ToZero)),
-                Box::new(NoPruning),
+                NoPruning,
             )
             .run(&tasks)
         };
@@ -473,12 +509,12 @@ mod tests {
     fn empty_workload_is_fine() {
         let pet = det_pet(1);
         let cluster = Cluster::one_per_type(1);
-        let engine = Engine::new(
+        let engine = build(
             SimConfig::batch(1),
             &cluster,
             &pet,
             MappingStrategy::Batch(Box::new(ToZero)),
-            Box::new(NoPruning),
+            NoPruning,
         );
         let stats = engine.run(&[]);
         assert_eq!(stats.n_tasks(), 0);
@@ -509,12 +545,12 @@ mod tests {
         let pet = det_pet(1);
         let cluster = Cluster::one_per_type(1);
         let tasks = tasks_every(5, 10, 500);
-        let engine = Engine::new(
+        let engine = build(
             SimConfig::batch(3),
             &cluster,
             &pet,
             MappingStrategy::Batch(Box::new(ToZero)),
-            Box::new(DeferAll),
+            DeferAll,
         );
         let stats = engine.run(&tasks);
         // Nothing may ever run; everything must be reactively dropped at
@@ -537,12 +573,12 @@ mod tests {
         ];
         let mut cfg = SimConfig::batch(5);
         cfg.cancel_running_late = true;
-        let engine = Engine::new(
+        let engine = build(
             cfg,
             &cluster,
             &pet,
             MappingStrategy::Batch(Box::new(ToZero)),
-            Box::new(NoPruning),
+            NoPruning,
         );
         let stats = engine.run(&tasks);
         assert_eq!(
@@ -567,12 +603,12 @@ mod tests {
             Task::new(0, TaskTypeId(0), SimTime(200), SimTime(100_000)),
             Task::new(1, TaskTypeId(0), SimTime(100), SimTime(100_000)),
         ];
-        let stats = Engine::new(
+        let stats = build(
             SimConfig::batch(1),
             &cluster,
             &pet,
             MappingStrategy::Batch(Box::new(ToZero)),
-            Box::new(NoPruning),
+            NoPruning,
         )
         .run_stream(tasks.iter().copied());
         assert_eq!(stats.count(TaskOutcome::CompletedOnTime), 2);
@@ -587,7 +623,7 @@ mod tests {
         let cluster = Cluster::one_per_type(1);
         let tasks = tasks_every(12, 100, 10_000);
         let mut counter = DecisionCounter::default();
-        let stats = crate::build::SchedulerBuilder::new(&cluster, &pet)
+        let stats = SchedulerBuilder::new(&cluster, &pet)
             .config(SimConfig::batch(3))
             .strategy(MappingStrategy::Batch(Box::new(ToZero)))
             .decisions(&mut counter)
@@ -616,12 +652,12 @@ mod tests {
             SimTime(0),
             SimTime(1_000),
         )];
-        let err = Engine::new(
+        let err = build(
             SimConfig::batch(1),
             &cluster,
             &pet,
             MappingStrategy::Batch(Box::new(ToZero)),
-            Box::new(NoPruning),
+            NoPruning,
         )
         .try_run_stream(bad)
         .expect_err("sparse id must surface, not panic");
@@ -634,12 +670,12 @@ mod tests {
         let cluster = Cluster::one_per_type(2);
         let tasks = tasks_every(60, 30, 700);
         let make = || {
-            Engine::new(
+            build(
                 SimConfig::batch(42),
                 &cluster,
                 &pet,
                 MappingStrategy::Batch(Box::new(ToZero)),
-                Box::new(NoPruning),
+                NoPruning,
             )
         };
         let batch = make().run(&tasks);

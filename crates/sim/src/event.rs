@@ -1,10 +1,14 @@
 //! The event queue driving the simulation.
 //!
-//! Two event kinds exist — task arrivals and machine completions — and
-//! both trigger a mapping event (§II: "a mapping event occurs when a task
-//! completes its execution or when a new task arrives"). Ordering is
-//! fully deterministic: by time, then completions before arrivals (free
-//! capacity before new demand at the same instant), then by stable ids.
+//! A mapping event fires on every arrival and every completion (§II: "a
+//! mapping event occurs when a task completes its execution or when a
+//! new task arrives"). Only completions and deadline wakeups are
+//! queued: arrivals come from the arrival stream, and a completion due
+//! at an arrival's instant fires before the arrival (free capacity
+//! before new demand). That rule lives in one place, `Lane::has_due` in
+//! [`crate::engine`]. Within the queue the order is fully
+//! deterministic: by time, then completions before wakeups, then by
+//! stable ids.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -24,15 +28,6 @@ pub enum EventKind {
         /// The task whose start this event belongs to.
         task: TaskId,
     },
-    /// A task arrives into the resource allocator. [`crate::Engine`]
-    /// feeds arrivals from the stream directly and never enqueues this
-    /// kind; it remains part of the event vocabulary for custom drivers
-    /// and pins the ordering contract (completions before arrivals at
-    /// equal times).
-    Arrival {
-        /// Index into the trial's task list.
-        task: TaskId,
-    },
     /// A synthetic mapping event: scheduled when tasks remain in the
     /// batch queue but no arrival or completion will ever fire again
     /// (every machine idle, all remaining work deferred). Guarantees the
@@ -43,19 +38,17 @@ pub enum EventKind {
 
 impl EventKind {
     /// Sort class: completions first at equal times.
-    fn class(&self) -> u8 {
+    pub(crate) fn class(&self) -> u8 {
         match self {
             EventKind::Completion { .. } => 0,
-            EventKind::Arrival { .. } => 1,
-            EventKind::Wakeup => 2,
+            EventKind::Wakeup => 1,
         }
     }
 
     /// Stable id used as the final tie-breaker.
-    fn stable_id(&self) -> u64 {
+    pub(crate) fn stable_id(&self) -> u64 {
         match self {
             EventKind::Completion { machine, .. } => machine.0 as u64,
-            EventKind::Arrival { task } => task.0,
             EventKind::Wakeup => 0,
         }
     }
@@ -112,6 +105,11 @@ impl EventQueue {
         self.heap.peek().map(|r| &r.0)
     }
 
+    /// Every pending event, in unspecified order (snapshot capture).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
+        self.heap.iter().map(|r| &r.0)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -127,10 +125,10 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    fn arrival(t: u64, id: u64) -> Event {
+    fn wakeup(t: u64) -> Event {
         Event {
             time: SimTime(t),
-            kind: EventKind::Arrival { task: TaskId(id) },
+            kind: EventKind::Wakeup,
         }
     }
 
@@ -147,9 +145,9 @@ mod tests {
     #[test]
     fn orders_by_time() {
         let mut q = EventQueue::new();
-        q.push(arrival(30, 0));
-        q.push(arrival(10, 1));
-        q.push(arrival(20, 2));
+        q.push(completion(30, 0));
+        q.push(wakeup(10));
+        q.push(completion(20, 2));
         assert_eq!(q.pop().unwrap().time, SimTime(10));
         assert_eq!(q.pop().unwrap().time, SimTime(20));
         assert_eq!(q.pop().unwrap().time, SimTime(30));
@@ -157,9 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn completions_precede_arrivals_at_same_time() {
+    fn completions_precede_wakeups_at_same_time() {
         let mut q = EventQueue::new();
-        q.push(arrival(10, 0));
+        q.push(wakeup(10));
         q.push(completion(10, 3));
         let first = q.pop().unwrap();
         assert!(matches!(first.kind, EventKind::Completion { .. }));
@@ -168,22 +166,22 @@ mod tests {
     #[test]
     fn stable_ids_break_remaining_ties() {
         let mut q = EventQueue::new();
-        q.push(arrival(10, 5));
-        q.push(arrival(10, 2));
+        q.push(wakeup(10));
         q.push(completion(10, 7));
         q.push(completion(10, 1));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.kind.stable_id())
+        q.push(completion(10, 4));
+        let order: Vec<(u8, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.kind.class(), e.kind.stable_id()))
             .collect();
-        assert_eq!(order, vec![1, 7, 2, 5]);
+        assert_eq!(order, vec![(0, 1), (0, 4), (0, 7), (1, 0)]);
     }
 
     #[test]
     fn len_and_peek() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.push(arrival(5, 0));
-        q.push(arrival(1, 1));
+        q.push(wakeup(5));
+        q.push(completion(1, 1));
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek().unwrap().time, SimTime(1));
         assert_eq!(q.len(), 2);

@@ -31,7 +31,9 @@
 
 use crate::config::{ConfigError, RunError, SimConfig};
 use crate::core::{Decision, SchedulerCore, Start};
-use crate::event::EventKind;
+use crate::decisions::NullDecisions;
+use crate::engine::Lane;
+use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::journal::{JournalOp, ShardJournal};
 use crate::queue::MachineQueue;
@@ -48,7 +50,7 @@ use crate::traits::{MappingStrategy, Pruner};
 use crate::view::SystemView;
 use serde::{Deserialize, Error, Serialize, Value};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::iter::Peekable;
 use taskprune_model::{
     Cluster, Machine, MachineId, PetMatrix, SimTime, Task, TaskId, TaskOutcome,
@@ -968,16 +970,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
         &self.decisions
     }
 
-    /// Drains and discards every shard's decision stream without
-    /// building or relabelling anything — the zero-cost path for
-    /// drivers that only need the buffers kept bounded (the federated
-    /// analogue of the engine's `NullDecisions`).
-    pub fn discard_decisions(&mut self) {
-        for shard in &mut self.shards {
-            shard.drain_decisions();
-        }
-    }
-
     /// Drains every shard's pending execution starts (shard-index
     /// order). Each owes the gateway a [`Gateway::complete`].
     pub fn drain_starts(&mut self) -> &[FedStart] {
@@ -1781,31 +1773,28 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
         ))
     }
 
-    /// Builds the federated discrete-event driver (the gateway plus a
-    /// global event loop sampling ground-truth durations per shard).
+    /// Builds the federated discrete-event driver (the gateway plus one
+    /// event lane per shard, each sampling ground-truth durations from
+    /// the shard's own stream).
     pub fn build(self) -> Result<FederatedEngine<'a, S>, ConfigError> {
-        let truth = self.truth;
-        let pet = self.pet;
+        let truth = self.truth.unwrap_or(self.pet);
         let gateway = self.build_gateway()?;
-        let rngs = gateway
+        let lanes = gateway
             .shards()
             .iter()
-            .map(|s| Xoshiro256PlusPlus::new(s.config().seed))
+            .map(|s| Lane::new(s.config().seed))
             .collect();
         let n = gateway.n_shards();
         Ok(FederatedEngine {
             gateway,
-            truth: truth.unwrap_or(pet),
-            events: BinaryHeap::new(),
-            rngs,
-            pending: vec![0; n],
-            wakeup_pending: vec![false; n],
+            truth,
+            lanes,
             journals: None,
             arrival_log: None,
             arrivals_ingested: 0,
             injector: None,
             notices: Vec::new(),
-            applied_since_ckpt: vec![0; n],
+            undelivered: vec![0; n],
         })
     }
 
@@ -1833,7 +1822,8 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
 // The federated discrete-event driver.
 // ---------------------------------------------------------------------
 
-/// One scheduled event of the federated timeline.
+/// One pending event of the federated timeline, as the coordinator
+/// snapshot records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct FedEvent {
     time: SimTime,
@@ -1841,46 +1831,10 @@ struct FedEvent {
     kind: EventKind,
 }
 
-impl FedEvent {
-    /// Sort class matching [`crate::event`]'s contract: completions
-    /// before arrivals before wakeups at equal times.
-    fn class(&self) -> u8 {
-        match self.kind {
-            EventKind::Completion { .. } => 0,
-            EventKind::Arrival { .. } => 1,
-            EventKind::Wakeup => 2,
-        }
-    }
-
-    fn stable_id(&self) -> u64 {
-        match self.kind {
-            EventKind::Completion { machine, .. } => machine.0 as u64,
-            EventKind::Arrival { task } => task.0,
-            EventKind::Wakeup => 0,
-        }
-    }
-}
-
-impl Ord for FedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .cmp(&other.time)
-            .then_with(|| self.class().cmp(&other.class()))
-            .then_with(|| self.shard.cmp(&other.shard))
-            .then_with(|| self.stable_id().cmp(&other.stable_id()))
-    }
-}
-
-impl PartialOrd for FedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Why [`FederatedEngine::drive`] returned control to its caller.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum DriveSignal {
-    /// Stream and heap are both empty: the run is over.
+    /// Stream and lanes are both empty: the run is over.
     Exhausted,
     /// The requested arrival watermark was reached (non-destructive
     /// pause).
@@ -1909,19 +1863,14 @@ pub(crate) struct FaultReport {
 }
 
 /// The federation's bundled simulation driver: merges one arrival
-/// stream with a global completion/wakeup heap across all shards,
-/// sampling each shard's ground-truth durations from its own
-/// decorrelated RNG stream. With one shard this replays
+/// stream with one event lane per shard, stepping the lanes in global
+/// event order and sampling each shard's ground-truth durations from
+/// its own decorrelated RNG stream. With one shard this replays
 /// [`crate::Engine::run_stream`] event for event.
 pub struct FederatedEngine<'a, S: Sink = NullSink> {
     gateway: Gateway<'a, S>,
     truth: &'a PetMatrix,
-    events: BinaryHeap<Reverse<FedEvent>>,
-    rngs: Vec<Xoshiro256PlusPlus>,
-    /// Pending heap events per shard (the per-shard analogue of the
-    /// engine's `events.is_empty()` wakeup guard).
-    pending: Vec<usize>,
-    wakeup_pending: Vec<bool>,
+    lanes: Vec<Lane>,
     /// Per-shard operation journals since the last checkpoint
     /// (crash-failover; opt-in via
     /// [`FederatedEngine::enable_journal`]).
@@ -1939,11 +1888,11 @@ pub struct FederatedEngine<'a, S: Sink = NullSink> {
     /// deliveries suppressed by the staleness dedupe); the supervisor
     /// drains these into its [`RecoveryLog`].
     notices: Vec<FaultReport>,
-    /// Journal entries applied (delivered, not just recorded) per
-    /// shard since its last checkpoint. `journal.len() − applied` is
-    /// the journal gap — a positive gap at a quiescent watermark means
-    /// a recorded operation never reached the shard (a lost delivery).
-    applied_since_ckpt: Vec<u64>,
+    /// Journaled completions per shard that a lost or delayed delivery
+    /// kept from the shard since its last checkpoint or recovery — the
+    /// journal gap. Positive at a quiescent watermark means a recorded
+    /// operation never reached the shard.
+    undelivered: Vec<u64>,
 }
 
 impl<'a, S: Sink> FederatedEngine<'a, S> {
@@ -1967,7 +1916,7 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
 
     /// Drives the event loop until `watermark` arrivals (total, since
     /// construction) have been ingested, then pauses. Pausing is
-    /// non-destructive: the engine holds its heap, clocks and RNG
+    /// non-destructive: the engine holds its lanes, clocks and RNG
     /// streams, so continuing with
     /// [`FederatedEngine::finish_stream`] on the *same* source
     /// replays exactly the call sequence an uninterrupted
@@ -2020,7 +1969,7 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     }
 
     /// The event loop shared by all drivers: interleaves the arrival
-    /// stream with the completion/wakeup heap, optionally pausing once
+    /// stream with the shard lanes' events, optionally pausing once
     /// `pause_after` arrivals have been ingested, and surfacing
     /// injected faults to the caller at the exact instant they fire.
     pub(crate) fn drive<I>(
@@ -2035,102 +1984,65 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             if pause_after.is_some_and(|w| self.arrivals_ingested >= w) {
                 return DriveSignal::Watermark;
             }
-            let event_first = match (self.events.peek(), source.peek()) {
+            let next = self.next_lane();
+            let due = match (next, source.peek()) {
                 (None, None) => return DriveSignal::Exhausted,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(Reverse(event)), Some(task)) => {
-                    event.time < task.arrival
-                        || (event.time == task.arrival
-                            && matches!(
-                                event.kind,
-                                EventKind::Completion { .. }
-                            ))
+                (Some(shard), None) => Some(shard),
+                (None, Some(_)) => None,
+                (Some(shard), Some(task)) => {
+                    self.lanes[shard].has_due(task.arrival).then_some(shard)
                 }
             };
             let mut crashed: Option<usize> = None;
-            if event_first {
-                let Reverse(event) = self.events.pop().expect("peeked above");
-                self.pending[event.shard] -= 1;
-                if self.gateway.is_quarantined(event.shard) {
+            if let Some(shard) = due {
+                let (time, op) = self.lanes[shard].pop().expect("peeked above");
+                if self.gateway.is_quarantined(shard) {
                     // A quarantined shard's hardware is gone: in-flight
                     // completions and wakeups for it vanish unseen.
                     continue;
                 }
-                self.gateway.advance_to(event.time);
-                match event.kind {
-                    EventKind::Completion { machine, task } => {
-                        // Journal before the staleness check: a stale
-                        // completion is rejected deterministically on
-                        // replay too, so recording it keeps the replay
-                        // an exact re-run. It also lands *before* the
-                        // injector — a lost delivery is lost by the
-                        // transport after the coordinator durably
-                        // recorded it, which is exactly what lets
-                        // recovery redeliver it.
-                        if let Some(journals) = &mut self.journals {
-                            journals[event.shard].record(
-                                event.time,
-                                JournalOp::Completion { machine, task },
-                            );
+                self.gateway.advance_to(time);
+                // Journal before the staleness check: a stale
+                // completion is rejected deterministically on replay
+                // too, so recording it keeps the replay an exact
+                // re-run. It also lands *before* the injector — a lost
+                // delivery is lost by the transport after the
+                // coordinator durably recorded it, which is exactly
+                // what lets recovery redeliver it.
+                self.record(shard, time, op);
+                if let JournalOp::Completion { machine, task } = op {
+                    let report = |kind| FaultReport {
+                        shard,
+                        kind,
+                        time,
+                        op: Some((machine, task)),
+                    };
+                    match self
+                        .injector
+                        .as_mut()
+                        .and_then(|i| i.on_completion_delivery(shard))
+                        .map(|f| f.kind)
+                    {
+                        Some(
+                            kind @ (FaultKind::LostCompletion
+                            | FaultKind::DelayedCompletion),
+                        ) => {
+                            self.undelivered[shard] += 1;
+                            return DriveSignal::Fault(report(kind));
                         }
-                        let fault = self
-                            .injector
-                            .as_mut()
-                            .and_then(|i| i.on_completion_delivery(event.shard))
-                            .map(|f| f.kind);
-                        match fault {
-                            Some(
-                                kind @ (FaultKind::LostCompletion
-                                | FaultKind::DelayedCompletion),
-                            ) => {
-                                return DriveSignal::Fault(FaultReport {
-                                    shard: event.shard,
-                                    kind,
-                                    time: event.time,
-                                    op: Some((machine, task)),
-                                });
-                            }
-                            other => {
-                                if other == Some(FaultKind::DuplicateCompletion)
-                                {
-                                    // The duplicated copy is rejected
-                                    // by the staleness dedupe (a task
-                                    // executes at most once per
-                                    // internal id), so the first copy
-                                    // applies below and nothing needs
-                                    // healing — but the supervisor
-                                    // logs the suppression.
-                                    self.notices.push(FaultReport {
-                                        shard: event.shard,
-                                        kind: FaultKind::DuplicateCompletion,
-                                        time: event.time,
-                                        op: Some((machine, task)),
-                                    });
-                                }
-                                self.applied_since_ckpt[event.shard] += 1;
-                                if !self.gateway.complete(
-                                    event.shard,
-                                    machine,
-                                    task,
-                                ) {
-                                    continue; // stale after a cancellation
-                                }
-                            }
+                        // The duplicated copy is rejected by the
+                        // staleness dedupe (a task executes at most
+                        // once per internal id), so the first copy
+                        // applies below and nothing needs healing —
+                        // but the supervisor logs the suppression.
+                        Some(kind @ FaultKind::DuplicateCompletion) => {
+                            self.notices.push(report(kind));
                         }
+                        _ => {}
                     }
-                    EventKind::Wakeup => {
-                        if let Some(journals) = &mut self.journals {
-                            journals[event.shard]
-                                .record(event.time, JournalOp::Wakeup);
-                        }
-                        self.applied_since_ckpt[event.shard] += 1;
-                        self.wakeup_pending[event.shard] = false;
-                        self.gateway.wakeup(event.shard);
-                    }
-                    EventKind::Arrival { .. } => unreachable!(
-                        "arrivals are fed from the stream, never enqueued"
-                    ),
+                }
+                if !op.apply(&mut self.gateway.shards_mut()[shard]) {
+                    continue; // stale after a cancellation
                 }
             } else {
                 let mut task = source.next().expect("peeked above");
@@ -2145,71 +2057,38 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
                 if self.gateway.pre_admit(&mut task).is_some() {
                     continue;
                 }
-                let now = self.gateway.now();
-                let at = task.arrival.max(now);
+                let at = task.arrival.max(self.gateway.now());
                 self.gateway.advance_to(at);
                 // Sync point: by this instant every event due before
-                // the arrival has been processed (the `event_first`
+                // the arrival has been processed (the `has_due`
                 // ordering above), so the steal pass and view refresh
                 // read exactly the state the parallel driver's sync
                 // barrier exposes at the same ordinal.
                 if self.gateway.sync_due() {
                     for record in self.gateway.sync_point() {
-                        let Some(journals) = &mut self.journals else {
-                            break;
-                        };
-                        for &(donor_internal, adopted) in &record.moved {
-                            journals[record.from].record(
+                        for &(donor, adopted) in &record.moved {
+                            self.record(
+                                record.from,
                                 at,
-                                JournalOp::Steal {
-                                    task: donor_internal,
-                                },
+                                JournalOp::Steal { task: donor },
                             );
-                            self.applied_since_ckpt[record.from] += 1;
-                            journals[record.to]
-                                .record(at, JournalOp::Adopt { task: adopted });
-                            self.applied_since_ckpt[record.to] += 1;
+                            self.record(
+                                record.to,
+                                at,
+                                JournalOp::Adopt { task: adopted },
+                            );
                         }
                     }
                 }
                 if let Some(log) = &mut self.arrival_log {
                     log.push(task);
                 }
-                let shard = match self.gateway.admit_route(task) {
-                    Admit::Fresh { shard, task } => {
-                        if let Some(journals) = &mut self.journals {
-                            journals[shard]
-                                .record(at, JournalOp::Arrival(task));
-                        }
-                        self.applied_since_ckpt[shard] += 1;
-                        self.gateway.shards_mut()[shard].push_arrival(task);
-                        shard
-                    }
-                    Admit::Absorb {
-                        shard,
-                        primary,
-                        task,
-                        merged,
-                    } => {
-                        // Journal before delivery, like completions: a
-                        // recovered shard replays the absorption and
-                        // rebuilds its follower ledger exactly.
-                        if let Some(journals) = &mut self.journals {
-                            journals[shard].record(
-                                at,
-                                JournalOp::Piggyback {
-                                    primary,
-                                    task,
-                                    merged,
-                                },
-                            );
-                        }
-                        self.applied_since_ckpt[shard] += 1;
-                        self.gateway.shards_mut()[shard]
-                            .apply_piggyback(primary, task, merged);
-                        shard
-                    }
-                };
+                // Journal before delivery, like completions: a
+                // recovered shard replays an absorption too, rebuilding
+                // its follower ledger exactly.
+                let (shard, op) = self.gateway.admit_route(task).into_op();
+                self.record(shard, at, op);
+                op.apply(&mut self.gateway.shards_mut()[shard]);
                 self.arrivals_ingested += 1;
                 if self
                     .injector
@@ -2219,16 +2098,12 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
                     crashed = Some(shard);
                 }
             }
-            self.dispatch_starts();
-            // Keep the per-shard decision buffers bounded without
-            // paying for relabelling; streaming callers drive the
-            // gateway directly when they want the decisions.
-            self.gateway.discard_decisions();
+            self.settle();
             self.maybe_schedule_wakeups(source.peek().is_some());
             if let Some(shard) = crashed {
                 // The crash strikes after the arrival's mapping round
                 // fully committed (starts dispatched, wakeups
-                // scheduled): the surviving heap already holds the
+                // scheduled): the surviving lanes already hold the
                 // round's consequences, which is exactly the failure
                 // model `recover_shard` replays against.
                 let time = self.gateway.now();
@@ -2304,11 +2179,9 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             if self.gateway.is_quarantined(shard) {
                 continue;
             }
-            if let Some(journals) = &mut self.journals {
-                journals[shard].record(time, JournalOp::SlaRung { rung: to });
-            }
-            self.applied_since_ckpt[shard] += 1;
-            self.gateway.shards_mut()[shard].set_sla_rung(to);
+            let op = JournalOp::SlaRung { rung: to };
+            self.record(shard, time, op);
+            op.apply(&mut self.gateway.shards_mut()[shard]);
         }
         Some((from, to))
     }
@@ -2331,17 +2204,17 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         if let Some(journals) = &mut self.journals {
             journals[shard].clear();
         }
-        self.applied_since_ckpt[shard] = 0;
+        self.undelivered[shard] = 0;
         snap
     }
 
     /// Crash-failover: rebuilds shard `shard` from its last
     /// [`FederatedEngine::checkpoint`] plus the journal recorded since
     /// — modelling a shard whose in-memory state died while the
-    /// coordinator (event heap, RNG streams, the other shards)
+    /// coordinator (event lanes, RNG streams, the other shards)
     /// survived. The journal replay re-applies every operation the
     /// shard saw since the checkpoint; the starts it re-emits are
-    /// discarded because the surviving heap already holds their
+    /// discarded because the surviving lane already holds their
     /// completions. Requires [`FederatedEngine::enable_journal`].
     ///
     /// # Errors
@@ -2369,7 +2242,7 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             core.advance_to(now);
         }
         // Replay delivered every journaled op to the shard: gap zero.
-        self.applied_since_ckpt[shard] = journals[shard].len() as u64;
+        self.undelivered[shard] = 0;
         Ok(())
     }
 
@@ -2408,10 +2281,10 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         let Some((machine, task)) = report.op else {
             return;
         };
-        self.applied_since_ckpt[report.shard] += 1;
-        if self.gateway.complete(report.shard, machine, task) {
-            self.dispatch_starts();
-            self.gateway.discard_decisions();
+        self.undelivered[report.shard] -= 1;
+        let op = JournalOp::Completion { machine, task };
+        if op.apply(&mut self.gateway.shards_mut()[report.shard]) {
+            self.settle();
             self.maybe_schedule_wakeups(more_arrivals);
         }
     }
@@ -2420,8 +2293,8 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// its still-unmapped batch-queue backlog, and re-routes those
     /// tasks to healthy shards, each keeping its one arrival record
     /// (see [`Gateway::reroute_salvaged`]). Returns how many tasks were
-    /// re-routed. In-flight events for the shard are discarded from the
-    /// heap as they surface; future arrivals remap deterministically
+    /// re-routed. In-flight events for the shard are discarded from its
+    /// lane as they surface; future arrivals remap deterministically
     /// around it. Crate-internal: the
     /// [`crate::Supervisor`] quarantines only after exhausting a
     /// shard's recovery budget.
@@ -2438,13 +2311,9 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         // supervisor's doing, not the workload's.
         let rerouted = self.gateway.reroute_salvaged(shard, stranded);
         for &(target, relabelled) in &rerouted {
-            if let Some(journals) = &mut self.journals {
-                journals[target].record(now, JournalOp::Arrival(relabelled));
-            }
-            self.applied_since_ckpt[target] += 1;
+            self.record(target, now, JournalOp::Arrival(relabelled));
         }
-        self.dispatch_starts();
-        self.gateway.discard_decisions();
+        self.settle();
         self.maybe_schedule_wakeups(more_arrivals);
         rerouted.len() as u64
     }
@@ -2481,10 +2350,9 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// lost/delayed completion remains unredelivered. Always zero with
     /// journaling off (there is nothing to compare).
     pub(crate) fn journal_gap(&self, shard: usize) -> u64 {
-        self.journals.as_ref().map_or(0, |j| {
-            (j[shard].len() as u64)
-                .saturating_sub(self.applied_since_ckpt[shard])
-        })
+        self.journals
+            .as_ref()
+            .map_or(0, |_| self.undelivered[shard])
     }
 
     /// The federation clock (see [`Gateway::now`]).
@@ -2503,9 +2371,9 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         self.gateway.finish()
     }
 
-    /// Captures the **coordinator** state — the event heap, per-shard
-    /// truth-RNG streams, driver counters, journals, arrival log and
-    /// armed fault plan — together with the full nested
+    /// Captures the **coordinator** state — every lane's pending events,
+    /// truth-RNG stream and wakeup flag, driver counters, journals,
+    /// arrival log and armed fault plan — together with the full nested
     /// [`Gateway::snapshot`], into one sealed [`Snapshot`]. Where
     /// [`FederatedEngine::checkpoint`] protects a shard against its
     /// own crash (the coordinator survives), this protects against
@@ -2514,15 +2382,39 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// [`FederatedEngine::restore_coordinator`] resumes the run from
     /// disk, bit-identically. Take it at a paused watermark.
     pub fn snapshot_coordinator(&self) -> Snapshot {
-        let mut events: Vec<FedEvent> =
-            self.events.iter().map(|r| r.0).collect();
-        // The heap's internal layout is unspecified; sorted order is
-        // the canonical serialization (and rebuilds the same heap).
-        events.sort();
-        let rngs: Vec<Value> = self
-            .rngs
+        let mut events: Vec<FedEvent> = self
+            .lanes
             .iter()
-            .map(|r| r.state().to_vec().to_value())
+            .enumerate()
+            .flat_map(|(shard, lane)| {
+                lane.events.iter().map(move |e| FedEvent {
+                    time: e.time,
+                    shard,
+                    kind: e.kind,
+                })
+            })
+            .collect();
+        // The heaps' internal layout is unspecified; the global firing
+        // order `(time, class, shard, id)` is the canonical form.
+        events.sort_by_key(|e| {
+            (e.time, e.kind.class(), e.shard, e.kind.stable_id())
+        });
+        let lanes = &self.lanes;
+        let rngs: Vec<Value> = lanes
+            .iter()
+            .map(|l| l.rng.state().to_vec().to_value())
+            .collect();
+        let pending: Vec<usize> =
+            lanes.iter().map(|l| l.events.len()).collect();
+        let wakeup_pending: Vec<bool> =
+            lanes.iter().map(|l| l.wakeup_pending).collect();
+        // On the wire the gap travels as the count of journaled
+        // operations the shard did receive.
+        let applied: Vec<u64> = (0..lanes.len())
+            .map(|s| {
+                (self.journal(s).len() as u64)
+                    .saturating_sub(self.undelivered[s])
+            })
             .collect();
         let opt = |v: Option<Value>| v.unwrap_or(Value::Null);
         Snapshot::seal(
@@ -2531,16 +2423,13 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
                 ("gateway".to_owned(), self.gateway.snapshot().to_value()),
                 ("events".to_owned(), events.to_value()),
                 ("rngs".to_owned(), Value::Array(rngs)),
-                ("pending".to_owned(), self.pending.to_value()),
-                ("wakeup_pending".to_owned(), self.wakeup_pending.to_value()),
+                ("pending".to_owned(), pending.to_value()),
+                ("wakeup_pending".to_owned(), wakeup_pending.to_value()),
                 (
                     "arrivals_ingested".to_owned(),
                     self.arrivals_ingested.to_value(),
                 ),
-                (
-                    "applied_since_ckpt".to_owned(),
-                    self.applied_since_ckpt.to_value(),
-                ),
+                ("applied_since_ckpt".to_owned(), applied.to_value()),
                 (
                     "journals".to_owned(),
                     opt(self.journals.as_ref().map(Serialize::to_value)),
@@ -2564,8 +2453,12 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// and plug-in types as the one that took the snapshot.
     ///
     /// # Errors
-    /// Any [`SnapshotError`]; on error the engine's state is
-    /// unspecified and it should be discarded.
+    /// Any [`SnapshotError`] — among them a
+    /// [`SnapshotError::ShapeMismatch`] for an event naming a shard
+    /// this federation does not have or due before the restored
+    /// clock, or a per-shard pending count that disagrees with the
+    /// shard's events. On error the engine's state is unspecified and
+    /// it should be discarded.
     pub fn restore_coordinator(
         &mut self,
         snap: &Snapshot,
@@ -2577,32 +2470,60 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         let events = Vec::<FedEvent>::from_value(payload.get_field("events")?)?;
         let rng_states =
             Vec::<Vec<u64>>::from_value(payload.get_field("rngs")?)?;
-        if rng_states.len() != n {
+        let pending = Vec::<usize>::from_value(payload.get_field("pending")?)?;
+        let wakeup_pending =
+            Vec::<bool>::from_value(payload.get_field("wakeup_pending")?)?;
+        let applied =
+            Vec::<u64>::from_value(payload.get_field("applied_since_ckpt")?)?;
+        if rng_states.len() != n
+            || pending.len() != n
+            || wakeup_pending.len() != n
+            || applied.len() != n
+        {
             return Err(SnapshotError::ShapeMismatch {
-                what: "snapshot RNG-stream count differs from this \
+                what: "per-shard driver state differs from this \
                        federation's shard count",
             });
         }
-        let mut rngs = Vec::with_capacity(n);
-        for state in &rng_states {
+        let mut lanes = Vec::with_capacity(n);
+        for (state, &wakeup_pending) in rng_states.iter().zip(&wakeup_pending) {
             let words: [u64; 4] =
                 state.as_slice().try_into().map_err(|_| {
                     SnapshotError::ShapeMismatch {
                         what: "an RNG stream state is not four words",
                     }
                 })?;
-            rngs.push(Xoshiro256PlusPlus::from_state(words));
+            lanes.push(Lane {
+                events: EventQueue::new(),
+                rng: Xoshiro256PlusPlus::from_state(words),
+                wakeup_pending,
+            });
         }
-        let pending = Vec::<usize>::from_value(payload.get_field("pending")?)?;
-        let wakeup_pending =
-            Vec::<bool>::from_value(payload.get_field("wakeup_pending")?)?;
-        let applied =
-            Vec::<u64>::from_value(payload.get_field("applied_since_ckpt")?)?;
-        if pending.len() != n || wakeup_pending.len() != n || applied.len() != n
+        let now = self.gateway.now();
+        for e in events {
+            let lane =
+                lanes.get_mut(e.shard).ok_or(SnapshotError::ShapeMismatch {
+                    what: "an event names a shard this federation \
+                           does not have",
+                })?;
+            if e.time < now {
+                return Err(SnapshotError::ShapeMismatch {
+                    what: "an event is due before the federation clock",
+                });
+            }
+            lane.events.push(Event {
+                time: e.time,
+                kind: e.kind,
+            });
+        }
+        if lanes
+            .iter()
+            .zip(&pending)
+            .any(|(l, &p)| l.events.len() != p)
         {
             return Err(SnapshotError::ShapeMismatch {
-                what: "per-shard driver state differs from this \
-                       federation's shard count",
+                what: "a shard's pending-event count disagrees with its \
+                       events",
             });
         }
         let arrivals_ingested =
@@ -2625,12 +2546,17 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             Value::Null => None,
             v => Some(FaultInjector::from_value(v)?),
         };
-        self.events = events.into_iter().map(Reverse).collect();
-        self.rngs = rngs;
-        self.pending = pending;
-        self.wakeup_pending = wakeup_pending;
+        self.undelivered = applied
+            .iter()
+            .enumerate()
+            .map(|(s, &a)| {
+                journals
+                    .as_ref()
+                    .map_or(0, |j| (j[s].len() as u64).saturating_sub(a))
+            })
+            .collect();
+        self.lanes = lanes;
         self.arrivals_ingested = arrivals_ingested;
-        self.applied_since_ckpt = applied;
         self.journals = journals;
         self.arrival_log = arrival_log;
         self.injector = injector;
@@ -2646,64 +2572,59 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         self.gateway.snapshot()
     }
 
-    /// Turns every pending start into a completion event, sampling the
-    /// actual duration from the owning shard's ground-truth stream.
-    fn dispatch_starts(&mut self) {
-        let now = self.gateway.now();
-        for fs in self.gateway.drain_starts() {
-            let duration = self.truth.sample_duration(
-                fs.machine.type_id,
-                fs.task.type_id,
-                &mut self.rngs[fs.shard],
-            );
-            self.events.push(Reverse(FedEvent {
-                time: now + duration,
-                shard: fs.shard,
-                kind: EventKind::Completion {
-                    machine: fs.machine.id,
-                    task: fs.internal,
-                },
-            }));
-            self.pending[fs.shard] += 1;
+    /// The lane holding the next event in global order: the smallest
+    /// head by `(time, class, shard)`. Each lane orders its own events
+    /// by `(time, class, id)`, so this is a single merged heap's
+    /// `(time, class, shard, id)` order.
+    fn next_lane(&self) -> Option<usize> {
+        self.lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(shard, lane)| {
+                lane.events.peek().map(|e| (e.time, e.kind.class(), shard))
+            })
+            .min()
+            .map(|(_, _, shard)| shard)
+    }
+
+    /// Journals `op` for `shard` at `time` when journaling is on.
+    fn record(&mut self, shard: usize, time: SimTime, op: JournalOp) {
+        if let Some(journals) = &mut self.journals {
+            journals[shard].record(time, op);
         }
     }
 
-    /// The per-shard wakeup safety net: when no event will ever fire
-    /// again on a shard but its batch queue still holds work, schedule
-    /// a synthetic mapping event just past the earliest pending
-    /// deadline.
+    /// Settles every lane: the shards' new starts become completion
+    /// events, and their decisions are dropped.
+    fn settle(&mut self) {
+        let truth = self.truth;
+        let shards = self.gateway.shards_mut();
+        for (lane, core) in self.lanes.iter_mut().zip(shards) {
+            lane.settle(core, truth, &mut NullDecisions);
+        }
+    }
+
+    /// The per-shard wakeup safety net, checked on every healthy shard
+    /// once the arrival stream is exhausted.
     fn maybe_schedule_wakeups(&mut self, more_arrivals: bool) {
         if more_arrivals {
             return;
         }
         let now = self.gateway.now();
-        for shard in 0..self.gateway.n_shards() {
-            if self.wakeup_pending[shard]
-                || self.pending[shard] > 0
-                || self.gateway.is_quarantined(shard)
-            {
-                continue;
+        for (shard, lane) in self.lanes.iter_mut().enumerate() {
+            if !self.gateway.is_quarantined(shard) {
+                lane.maybe_schedule_wakeup(&self.gateway.shards()[shard], now);
             }
-            let Some(earliest) = self.gateway.earliest_pending_deadline(shard)
-            else {
-                continue;
-            };
-            self.events.push(Reverse(FedEvent {
-                time: SimTime(earliest.ticks().max(now.ticks()) + 1),
-                shard,
-                kind: EventKind::Wakeup,
-            }));
-            self.pending[shard] += 1;
-            self.wakeup_pending[shard] = true;
         }
     }
 }
 
 impl<S: Sink> std::fmt::Debug for FederatedEngine<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pending: usize = self.lanes.iter().map(|l| l.events.len()).sum();
         f.debug_struct("FederatedEngine")
             .field("gateway", &self.gateway)
-            .field("pending_events", &self.events.len())
+            .field("pending_events", &pending)
             .finish_non_exhaustive()
     }
 }

@@ -1,17 +1,23 @@
 //! Per-shard replayable event logs — the crash-failover half of the
 //! elastic federation.
 //!
-//! The federated drivers apply exactly three kinds of operation to a
-//! shard core between checkpoints: an arrival push, a completion, and
-//! a deadline wakeup. A [`ShardJournal`] records that stream as
-//! [`JournalEntry`] records; [`ShardJournal::replay`] re-applies it to
-//! a core restored from the last [`crate::Snapshot`], reproducing the
-//! shard's state bit-identically (the simulator's determinism contract
-//! — `tests/crash_failover.rs` pins it).
+//! Everything a driver does to a shard core between checkpoints is one
+//! of seven [`JournalOp`]s: an arrival push, a completion, a deadline
+//! wakeup, a reuse absorption, the two halves of a steal, and an
+//! overload-ladder step. `JournalOp::apply` is the one place an
+//! operation becomes core calls: every driver's completions and
+//! wakeups, the federated drivers' routed arrivals, and
+//! [`ShardJournal::replay`] all go through it (the single-shard
+//! [`crate::Engine`] pushes its arrivals itself, to keep their typed
+//! [`crate::StatsError`]). A [`ShardJournal`] records the
+//! stream as [`JournalEntry`] records; replay re-applies it to a core
+//! restored from the last [`crate::Snapshot`], reproducing the shard's
+//! state bit-identically (the simulator's determinism contract —
+//! `tests/crash_failover.rs` pins it).
 //!
 //! Replay discards the starts and decisions the core re-emits: the
 //! surviving coordinator already dispatched them the first time, so
-//! its event heap still holds the corresponding completions. Stale
+//! its event lanes still hold the corresponding completions. Stale
 //! completions (for starts the pruner later cancelled) are recorded
 //! and replayed like any other entry — [`crate::SchedulerCore::complete`]
 //! rejects them deterministically both times.
@@ -76,6 +82,34 @@ pub enum JournalOp {
         /// The rung the federation stepped to.
         rung: u8,
     },
+}
+
+impl JournalOp {
+    /// Applies the operation to `core` at its current clock. Returns
+    /// `false` for a stale completion (the core ignored it, so no
+    /// mapping event ran) and `true` otherwise.
+    pub(crate) fn apply<S: Sink>(
+        self,
+        core: &mut SchedulerCore<'_, S>,
+    ) -> bool {
+        match self {
+            JournalOp::Arrival(task) | JournalOp::Adopt { task } => {
+                core.push_arrival(task);
+            }
+            JournalOp::Completion { machine, task } => {
+                return core.complete(machine, task);
+            }
+            JournalOp::Wakeup => core.wakeup(),
+            JournalOp::Piggyback {
+                primary,
+                task,
+                merged,
+            } => core.apply_piggyback(primary, task, merged),
+            JournalOp::Steal { task } => core.apply_steal(task),
+            JournalOp::SlaRung { rung } => core.set_sla_rung(rung),
+        }
+        true
+    }
 }
 
 /// A journal record: when the operation was applied, and what it was.
@@ -143,21 +177,7 @@ impl ShardJournal {
     pub fn replay<S: Sink>(&self, core: &mut SchedulerCore<'_, S>) {
         for entry in &self.entries {
             core.advance_to(entry.time);
-            match entry.op {
-                JournalOp::Arrival(task) => core.push_arrival(task),
-                JournalOp::Completion { machine, task } => {
-                    let _ = core.complete(machine, task);
-                }
-                JournalOp::Wakeup => core.wakeup(),
-                JournalOp::Piggyback {
-                    primary,
-                    task,
-                    merged,
-                } => core.apply_piggyback(primary, task, merged),
-                JournalOp::Steal { task } => core.apply_steal(task),
-                JournalOp::Adopt { task } => core.push_arrival(task),
-                JournalOp::SlaRung { rung } => core.set_sla_rung(rung),
-            }
+            entry.op.apply(core);
             let _ = core.drain_starts();
             let _ = core.drain_decisions();
         }

@@ -27,10 +27,12 @@
 //!   typed [`Decision`]s and [`Start`] records. No event queue, no
 //!   duration sampling: live traffic can drive it directly.
 //! * [`Engine`] — the bundled discrete-event *driver*: merges an
-//!   arrival stream with its completion-event heap, samples
-//!   ground-truth durations, and owns the wakeup safety net. `run`
-//!   (task slice) and `run_stream` (any ordered iterator) are
-//!   bit-identical paths.
+//!   arrival stream with one shard's event lane. The lane (in
+//!   [`engine`]) holds the completion/wakeup heap and the ground-truth
+//!   RNG stream, samples durations, and owns the wakeup safety net;
+//!   every driver below runs its shards on the same lane, so each of
+//!   those rules exists once. `run` (task slice) and `run_stream` (any
+//!   ordered iterator) are bit-identical paths.
 //! * [`Sink`] — pluggable observability, chosen *by type*: the default
 //!   [`NullSink`] compiles to nothing, [`TraceLog`] records the full
 //!   lifecycle trace.
@@ -42,16 +44,19 @@
 //! * [`Gateway`] — the federation layer: N independent cores behind a
 //!   pluggable [`RoutePolicy`], with external-id compaction at the
 //!   boundary and a deterministic [`FederationStats`] fan-in;
-//!   [`FederatedEngine`] is its bundled discrete-event driver. One
-//!   shard is bit-identical to [`Engine`].
-//! * [`ParallelFederatedEngine`] — the same federation driven with one
-//!   worker per shard on a work-stealing pool, routing serialized on
-//!   the coordinator. Bit-identical to [`FederatedEngine`] at every
-//!   thread count; parallelism is purely a wall-clock change.
-//!   Unsupervised: supervised runs use the serial driver.
+//!   [`FederatedEngine`] is its bundled discrete-event driver, which
+//!   steps one lane per shard in global event order. One shard is
+//!   bit-identical to [`Engine`].
+//! * [`ParallelFederatedEngine`] — the same federation and the same
+//!   lanes, each advanced by a worker of a work-stealing pool, routing
+//!   serialized on the coordinator. Bit-identical to
+//!   [`FederatedEngine`] at every thread count; parallelism is purely a
+//!   wall-clock change. Unsupervised: supervised runs use the serial
+//!   driver.
 //! * [`Snapshot`] / [`ShardJournal`] — the elasticity layer: versioned,
 //!   hash-sealed state capture for cores, queues and whole gateways,
-//!   plus per-shard replayable operation logs. Together they give
+//!   plus per-shard replayable logs of [`JournalOp`]s, the operations
+//!   every driver applies to a shard. Together they give
 //!   crash-failover (`replay(snapshot, log)` reproduces a shard
 //!   bit-identically) and live resharding (pause at an arrival
 //!   watermark, snapshot, re-split across K′ shards, resume).

@@ -1,22 +1,21 @@
 //! The parallel federated driver: K shards on K threads,
 //! deterministically.
 //!
-//! [`crate::FederatedEngine`] drives all N shards of a [`Gateway`] on
-//! one thread through a single merged event heap. But the shards are
-//! *independent state machines*: a shard's mapping events depend only
-//! on its own clock, its own completions/wakeups, and the arrivals
-//! routed to it — never on another shard's state. The one federation
-//! point that does need a consistent global view is **routing**.
+//! [`crate::FederatedEngine`] steps all N shards of a [`Gateway`] on
+//! one thread in global event order. But the shards are *independent
+//! state machines*: a shard's mapping events depend only on its own
+//! clock, its own completions/wakeups, and the arrivals routed to it —
+//! never on another shard's state. The one federation point that does
+//! need a consistent global view is **routing**.
 //! [`ParallelFederatedEngine`] exploits exactly that decomposition:
 //!
 //! * the **coordinator** (the calling thread) routes arrivals in
 //!   global arrival order — identical id compaction, `latest` map and
 //!   [`FederationStats`] arrival record as the serial driver;
-//! * each **shard lane** owns the per-shard driver state the serial
-//!   engine kept globally (completion/wakeup heap, ground-truth RNG,
-//!   pending-event and wakeup-pending flags, and a mailbox of routed
-//!   arrivals) and advances on a worker of a hand-rolled work-stealing
-//!   pool (`vendor/rayon`);
+//! * each **shard lane** is the serial driver's own per-shard `Lane`
+//!   (event heap, ground-truth RNG stream, wakeup flag) plus a mailbox
+//!   of routed arrivals, and advances on a worker of a hand-rolled
+//!   work-stealing pool (`vendor/rayon`);
 //! * the deterministic [`FederationStats`] fan-in is unchanged: the
 //!   coordinator merges results in fixed shard order after every lane
 //!   has drained.
@@ -62,10 +61,13 @@
 //! `tests/parallel_equivalence.rs` pins serialized outputs; the
 //! reasoning for *why* it holds at any thread count:
 //!
-//! 1. The serial driver's global event order `(time, class, shard,
-//!    id)` restricted to one shard is `(time, class, id)` — exactly
-//!    each lane's private [`EventQueue`] order merged with its mailbox
-//!    under the same completions-before-arrivals-before-wakeups rule.
+//! 1. Both drivers step the same per-shard `Lane`. The serial driver
+//!    takes the lane head with the smallest `(time, class, shard)`, so
+//!    its order restricted to one shard is that lane's own
+//!    `(time, class, id)` order, and a mailbox arrival fires after
+//!    exactly the events the serial driver's `Lane::has_due` check
+//!    lets through first. This holds by construction: there is one
+//!    event rule, not two kept in step.
 //! 2. Clock advances for *other* shards' events are unobservable: a
 //!    shard's behaviour depends on its clock only at its own events,
 //!    and both drivers advance it to the same instants there. Each
@@ -86,243 +88,61 @@
 //! Parallelism is therefore purely a wall-clock change; the serialized
 //! [`FederationStats`] — traces included — is bit-identical.
 
-use crate::event::{Event, EventKind, EventQueue};
+use crate::decisions::NullDecisions;
+use crate::engine::Lane;
 use crate::gateway::{FederationStats, Gateway};
-use crate::reuse::Admit;
+use crate::journal::JournalOp;
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::Snapshot;
 use crate::SchedulerCore;
 use std::collections::VecDeque;
-use taskprune_model::{PetMatrix, SimTime, Task, TaskId};
-use taskprune_prob::rng::Xoshiro256PlusPlus;
+use taskprune_model::{PetMatrix, SimTime, Task};
 
 /// One routed arrival in a shard's mailbox.
 #[derive(Debug, Clone, Copy)]
 struct Mail {
-    /// The task, already relabelled with its shard-internal id.
-    task: Task,
+    /// What delivers it: the relabelled task's arrival, or its
+    /// absorption onto an in-flight primary.
+    op: JournalOp,
+    /// The task's own arrival time: events due before it fire first.
+    cutoff: SimTime,
     /// The clock value the serial driver would process it at: the
-    /// running maximum of arrival times (equal to `task.arrival` for
-    /// the documented non-decreasing streams, later for stragglers).
+    /// running maximum of arrival times (equal to `cutoff` for the
+    /// documented non-decreasing streams, later for stragglers).
     target: SimTime,
-    /// `Some((primary, merged))` when the coordinator's reuse gate
-    /// absorbed this task onto an in-flight primary: the lane delivers
-    /// it through the piggyback path instead of a mapping event.
-    reuse: Option<(TaskId, bool)>,
 }
 
-impl Mail {
-    /// The gateway's admission verdict as mail for the shard it names.
-    fn routed(admit: Admit, target: SimTime) -> (usize, Self) {
-        let (shard, task, reuse) = match admit {
-            Admit::Fresh { shard, task } => (shard, task, None),
-            Admit::Absorb {
-                shard,
-                primary,
-                task,
-                merged,
-            } => (shard, task, Some((primary, merged))),
-        };
-        (
-            shard,
-            Self {
-                task,
-                target,
-                reuse,
-            },
-        )
-    }
-}
-
-/// The per-shard driver state the serial [`crate::FederatedEngine`]
-/// keeps globally, privatised so a worker thread can advance the shard
-/// without touching anything shared.
+/// One shard's event lane plus its mailbox of routed arrivals awaiting
+/// delivery (mailbox schedule).
 struct ShardLane {
-    /// This shard's pending completions/wakeups, in the serial
-    /// driver's order restricted to the shard.
-    events: EventQueue,
-    /// Ground-truth duration sampling stream (same seed derivation as
-    /// the serial driver: shard 0 keeps the base seed).
-    rng: Xoshiro256PlusPlus,
-    /// Heap-event count — the wakeup guard's "no event will ever fire
-    /// again" condition.
-    pending: usize,
-    wakeup_pending: bool,
-    /// Routed arrivals awaiting delivery (mailbox schedule).
+    lane: Lane,
     mailbox: VecDeque<Mail>,
 }
 
 impl ShardLane {
-    fn new(seed: u64) -> Self {
-        Self {
-            events: EventQueue::new(),
-            rng: Xoshiro256PlusPlus::new(seed),
-            pending: 0,
-            wakeup_pending: false,
-            mailbox: VecDeque::new(),
-        }
-    }
-
-    /// Turns the shard's pending starts into completion events,
-    /// sampling actual durations from this lane's ground-truth stream
-    /// — the per-shard half of the serial driver's `dispatch_starts`.
-    fn dispatch_starts<S: Sink>(
+    /// Delivers every mailbox arrival in order: due completions first,
+    /// then the shard's mapping event at the arrival's serial instant.
+    fn deliver_mail<S: Sink>(
         &mut self,
         core: &mut SchedulerCore<'_, S>,
         truth: &PetMatrix,
     ) {
-        let now = core.now();
-        for start in core.drain_starts() {
-            let duration = truth.sample_duration(
-                start.machine.type_id,
-                start.task.type_id,
-                &mut self.rng,
+        while let Some(mail) = self.mailbox.pop_front() {
+            self.lane.advance_events(
+                core,
+                truth,
+                &mut NullDecisions,
+                mail.cutoff,
+                mail.target,
             );
-            self.events.push(Event {
-                time: now + duration,
-                kind: EventKind::Completion {
-                    machine: start.machine.id,
-                    task: start.task.id,
-                },
-            });
-            self.pending += 1;
-        }
-    }
-
-    /// Whether a heap event is due strictly before an arrival at
-    /// `cutoff` (completions at the cutoff instant fire first, per the
-    /// event-ordering contract).
-    fn has_due(&self, cutoff: SimTime) -> bool {
-        self.events.peek().is_some_and(|e| {
-            e.time < cutoff
-                || (e.time == cutoff
-                    && matches!(e.kind, EventKind::Completion { .. }))
-        })
-    }
-
-    /// Processes every completion due before an arrival at `cutoff`,
-    /// then advances the shard clock to `target` (the arrival's serial
-    /// processing instant) so a subsequent routing view or
-    /// `push_arrival` observes the same `now` the serial driver would.
-    fn advance_events<S: Sink>(
-        &mut self,
-        core: &mut SchedulerCore<'_, S>,
-        truth: &PetMatrix,
-        cutoff: SimTime,
-        target: SimTime,
-    ) {
-        while self.has_due(cutoff) {
-            let event = self.events.pop().expect("has_due peeked");
-            self.pending -= 1;
-            core.advance_to(event.time);
-            match event.kind {
-                EventKind::Completion { machine, task } => {
-                    if !core.complete(machine, task) {
-                        continue; // stale after a cancellation
-                    }
-                }
-                // Wakeups are only ever scheduled once the arrival
-                // stream is exhausted (`drain`), never before.
-                _ => unreachable!("only completions precede the drain"),
-            }
-            self.dispatch_starts(core, truth);
-            core.drain_decisions();
-        }
-        if target > core.now() {
-            core.advance_to(target);
-        }
-    }
-
-    /// Runs the shard's mapping event for one routed arrival at the
-    /// shard's current clock (or absorbs it onto its primary).
-    fn map_arrival<S: Sink>(
-        &mut self,
-        core: &mut SchedulerCore<'_, S>,
-        truth: &PetMatrix,
-        mail: Mail,
-    ) {
-        match mail.reuse {
-            Some((primary, merged)) => {
-                core.apply_piggyback(primary, mail.task, merged);
-            }
-            None => core.push_arrival(mail.task),
-        }
-        self.dispatch_starts(core, truth);
-        core.drain_decisions();
-    }
-
-    /// Delivers one mailbox arrival: due completions first, then the
-    /// shard's mapping event at the arrival's serial instant.
-    fn deliver<S: Sink>(
-        &mut self,
-        core: &mut SchedulerCore<'_, S>,
-        truth: &PetMatrix,
-        mail: Mail,
-    ) {
-        self.advance_events(core, truth, mail.task.arrival, mail.target);
-        self.map_arrival(core, truth, mail);
-    }
-
-    /// The serial driver's per-shard wakeup safety net: when no event
-    /// will ever fire again on this shard but its batch queue still
-    /// holds work, schedule a synthetic mapping event just past the
-    /// earliest pending deadline (clamped to `now`, the serial
-    /// driver's clock at the moment it would run this check).
-    fn maybe_schedule_wakeup<S: Sink>(
-        &mut self,
-        core: &SchedulerCore<'_, S>,
-        now: SimTime,
-    ) {
-        if self.wakeup_pending || self.pending > 0 {
-            return;
-        }
-        let Some(earliest) = core.earliest_pending_deadline() else {
-            return;
-        };
-        self.events.push(Event {
-            time: SimTime(earliest.ticks().max(now.ticks()) + 1),
-            kind: EventKind::Wakeup,
-        });
-        self.pending += 1;
-        self.wakeup_pending = true;
-    }
-
-    /// Runs the shard to completion after the last global arrival
-    /// (processed at `t_last`): the first wakeup check fires at
-    /// `t_last` — the serial driver's stream-exhaustion instant — then
-    /// the remaining events drain with a check after each.
-    fn drain<S: Sink>(
-        &mut self,
-        core: &mut SchedulerCore<'_, S>,
-        truth: &PetMatrix,
-        t_last: SimTime,
-    ) {
-        self.maybe_schedule_wakeup(core, t_last);
-        while let Some(event) = self.events.pop() {
-            self.pending -= 1;
-            core.advance_to(event.time);
-            match event.kind {
-                EventKind::Completion { machine, task } => {
-                    if !core.complete(machine, task) {
-                        continue; // stale after a cancellation
-                    }
-                }
-                EventKind::Wakeup => {
-                    self.wakeup_pending = false;
-                    core.wakeup();
-                }
-                EventKind::Arrival { .. } => {
-                    unreachable!("arrivals are mailbox-fed, never enqueued")
-                }
-            }
-            self.dispatch_starts(core, truth);
-            core.drain_decisions();
-            self.maybe_schedule_wakeup(core, core.now());
+            mail.op.apply(core);
+            self.lane.settle(core, truth, &mut NullDecisions);
         }
     }
 
     /// The whole-shard finale: replay the private mailbox/heap merge
-    /// to the end of the stream, then drain. Runs as one pool job — no
+    /// to the end of the stream, then drain from `t_last`, the serial
+    /// driver's stream-exhaustion instant. Runs as one pool job — no
     /// barriers.
     fn run_shard<S: Sink>(
         &mut self,
@@ -330,17 +150,11 @@ impl ShardLane {
         truth: &PetMatrix,
         t_last: Option<SimTime>,
     ) {
-        while let Some(mail) = self.mailbox.pop_front() {
-            self.deliver(core, truth, mail);
+        self.deliver_mail(core, truth);
+        // No arrivals anywhere: nothing can have happened.
+        if let Some(t_last) = t_last {
+            self.lane.finish(core, truth, &mut NullDecisions, t_last);
         }
-        let Some(t_last) = t_last else {
-            return; // no arrivals anywhere: nothing can have happened
-        };
-        // Remaining completions up to the stream-exhaustion instant
-        // fire under arrival-phase rules (no wakeup checks yet) …
-        self.advance_events(core, truth, t_last, t_last);
-        // … then the drain regime begins, exactly at T_last.
-        self.drain(core, truth, t_last);
     }
 }
 
@@ -378,7 +192,10 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         let lanes = gateway
             .shards()
             .iter()
-            .map(|s| ShardLane::new(s.config().seed))
+            .map(|s| ShardLane {
+                lane: Lane::new(s.config().seed),
+                mailbox: VecDeque::new(),
+            })
             .collect();
         let threads = threads
             .unwrap_or_else(|| rayon::ThreadPool::global().num_threads())
@@ -559,9 +376,12 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                 self.sync_lanes(task.arrival, target);
                 self.run_sync_point();
             }
-            let (shard, mail) =
-                Mail::routed(self.gateway.admit_route(task), target);
-            self.lanes[shard].mailbox.push_back(mail);
+            let (shard, op) = self.gateway.admit_route(task).into_op();
+            self.lanes[shard].mailbox.push_back(Mail {
+                op,
+                cutoff: task.arrival,
+                target,
+            });
         }
     }
 
@@ -580,10 +400,12 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                 continue;
             };
             self.sync_lanes(task.arrival, target);
-            let (shard, mail) =
-                Mail::routed(self.gateway.admit_route(task), target);
+            let (shard, op) = self.gateway.admit_route(task).into_op();
             let core = &mut self.gateway.shards_mut()[shard];
-            self.lanes[shard].map_arrival(core, self.truth, mail);
+            op.apply(core);
+            self.lanes[shard]
+                .lane
+                .settle(core, self.truth, &mut NullDecisions);
         }
     }
 
@@ -596,11 +418,7 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         self.pool.scope(|s| {
             for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
                 if !lane.mailbox.is_empty() {
-                    s.spawn(move || {
-                        while let Some(mail) = lane.mailbox.pop_front() {
-                            lane.deliver(core, truth, mail);
-                        }
-                    });
+                    s.spawn(move || lane.deliver_mail(core, truth));
                 }
             }
         });
@@ -617,18 +435,21 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         // A same-instant burst usually has nothing due between its
         // arrivals; don't pay for a scope (allocation + completion
         // latch) when no lane will spawn.
-        if lanes
-            .iter()
-            .any(|l| !l.mailbox.is_empty() || l.has_due(cutoff))
-        {
+        let busy =
+            |l: &ShardLane| !l.mailbox.is_empty() || l.lane.has_due(cutoff);
+        if lanes.iter().any(busy) {
             self.pool.scope(|s| {
                 for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
-                    if !lane.mailbox.is_empty() || lane.has_due(cutoff) {
+                    if busy(lane) {
                         s.spawn(move || {
-                            while let Some(mail) = lane.mailbox.pop_front() {
-                                lane.deliver(core, truth, mail);
-                            }
-                            lane.advance_events(core, truth, cutoff, target);
+                            lane.deliver_mail(core, truth);
+                            lane.lane.advance_events(
+                                core,
+                                truth,
+                                &mut NullDecisions,
+                                cutoff,
+                                target,
+                            );
                         });
                     } else if target > core.now() {
                         // No shard work this epoch: the clock tick is
@@ -656,8 +477,7 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         let lanes = &mut self.lanes;
         let shards = self.gateway.shards_mut();
         for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
-            lane.dispatch_starts(core, truth);
-            core.drain_decisions();
+            lane.lane.settle(core, truth, &mut NullDecisions);
         }
     }
 

@@ -430,7 +430,7 @@ impl MachineQueue {
         }
     }
 
-    /// The base distribution as an owned PMF (see [`Self::write_base`];
+    /// The base distribution as an owned PMF (see `Self::write_base`;
     /// the query paths use the arena-buffered variant).
     pub fn base_pmf(
         &self,

@@ -27,15 +27,16 @@
 //! re-submitted, which [`crate::IdCompactor`] already disambiguates
 //! instance-wise) and the type names the function applied to it.
 //!
-//! All reuse decisions are taken by the coordinator-side [`ReuseGate`]
+//! All reuse decisions are taken by the coordinator-side `ReuseGate`
 //! in **global arrival order**, using only data visible at admission
 //! (task fields and a running arrival watermark — never shard clocks
 //! or completion knowledge). That makes the decision stream identical
 //! under [`crate::FederatedEngine`] and
 //! [`crate::ParallelFederatedEngine`] at every thread count, and lets
 //! the parallel lanes stay barrier-free. The shard-local follower
-//! ledger ([`ReuseLedger`]) resolves deterministically on each core.
+//! ledger (`ReuseLedger`) resolves deterministically on each core.
 
+use crate::journal::JournalOp;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use taskprune_model::{SimTime, Task, TaskId};
@@ -267,6 +268,30 @@ pub(crate) enum Admit {
         /// Whether this was a window merge (vs an exact duplicate).
         merged: bool,
     },
+}
+
+impl Admit {
+    /// The shard the verdict names and the operation that delivers it
+    /// there: an [`JournalOp::Arrival`] for a fresh task, a
+    /// [`JournalOp::Piggyback`] for an absorbed one.
+    pub(crate) fn into_op(self) -> (usize, JournalOp) {
+        match self {
+            Admit::Fresh { shard, task } => (shard, JournalOp::Arrival(task)),
+            Admit::Absorb {
+                shard,
+                primary,
+                task,
+                merged,
+            } => (
+                shard,
+                JournalOp::Piggyback {
+                    primary,
+                    task,
+                    merged,
+                },
+            ),
+        }
+    }
 }
 
 /// Reuse outcome counters, aggregated per shard and fanned into

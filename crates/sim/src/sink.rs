@@ -7,9 +7,9 @@
 //! when it is off, with no `Option` branch and no virtual dispatch on
 //! the hot mapping-event path.
 //!
-//! [`crate::TraceLog`] implements `Sink`, turning the previous
-//! `Engine::with_trace` special case into one implementation among any
-//! number (metrics exporters, stdout printers, test probes, …).
+//! [`crate::TraceLog`] implements `Sink`, so tracing is one
+//! implementation among any number (metrics exporters, stdout printers,
+//! test probes, …), installed with [`crate::SchedulerBuilder::sink`].
 
 use crate::trace::{QueueSnapshot, TraceEvent, TraceLog};
 use taskprune_model::SimTime;

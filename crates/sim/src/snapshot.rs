@@ -1,10 +1,11 @@
 //! Versioned, hash-sealed state snapshots.
 //!
 //! Every durable piece of federation state — [`crate::SchedulerCore`],
-//! [`crate::MachineQueue`], [`crate::IdCompactor`], [`crate::Gateway`] —
-//! captures itself into a [`Snapshot`]: a wire envelope carrying a
-//! format `version`, a `state_hash` sealed over the payload, an
-//! optional `component` tag, and the payload [`Value`] tree itself.
+//! [`crate::queue::MachineQueue`], [`crate::IdCompactor`],
+//! [`crate::Gateway`] — captures itself into a [`Snapshot`]: a wire
+//! envelope carrying a format `version`, a `state_hash` sealed over the
+//! payload, an optional `component` tag, and the payload [`Value`] tree
+//! itself.
 //!
 //! Three properties make the envelope production-grade:
 //!
@@ -167,9 +168,9 @@ fn hash_value(h: &mut u64, v: &Value) {
 /// A versioned, hash-sealed capture of one component's state.
 ///
 /// Produced by the `snapshot()` methods on [`crate::SchedulerCore`],
-/// [`crate::MachineQueue`], [`crate::IdCompactor`] and the federated
-/// engines; consumed by the matching `restore()` methods, which call
-/// [`Snapshot::verify`] before touching any live state.
+/// [`crate::queue::MachineQueue`], [`crate::IdCompactor`] and the
+/// federated engines; consumed by the matching `restore()` methods,
+/// which call [`Snapshot::verify`] before touching any live state.
 ///
 /// The envelope serializes through the vendored serde like any other
 /// record, so snapshots round-trip through `serde_json` for durable

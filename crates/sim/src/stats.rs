@@ -204,8 +204,8 @@ pub struct SimStats {
     pub deferrals: u64,
     /// Simulated instant at which the run finished draining.
     pub end_time: SimTime,
-    /// Execution trace, present when the engine ran with tracing
-    /// enabled (`Engine::with_trace`).
+    /// Execution trace, present when the run's sink was a
+    /// [`crate::TraceLog`] ([`crate::SchedulerBuilder::sink`]).
     pub trace: Option<crate::trace::TraceLog>,
 }
 

@@ -9,7 +9,7 @@
 //! (`tenant = external_id mod lanes`, the
 //! `TaskStream::with_id_stride` convention), each tenant carries a
 //! [`TenantSpec`] — an [`SlaClass`], a fairness weight, and an
-//! optional [`RateLimit`] token bucket — and the [`TenantTable`]
+//! optional [`RateLimit`] token bucket — and the `TenantTable`
 //! decides, in **global arrival order using arrival-visible data
 //! only** (task fields and per-tenant arrival watermarks, never shard
 //! clocks), whether each arrival is admitted or shed. That discipline

@@ -1,8 +1,8 @@
 //! Execution tracing and system time-series.
 //!
-//! When enabled ([`crate::Engine::with_trace`]), the engine records every
-//! task lifecycle transition plus a periodically sampled snapshot of the
-//! system's queue state. Traces feed debugging, the example binaries'
+//! When installed as the sink ([`crate::SchedulerBuilder::sink`]), the
+//! log records every task lifecycle transition plus a periodically
+//! sampled snapshot of the system's queue state. Traces feed debugging, the example binaries'
 //! surge plots, and post-hoc analysis of *why* a configuration won —
 //! e.g. watching the batch queue drain when the Toggle engages.
 //!

@@ -11,8 +11,8 @@ use taskprune_model::{
 use taskprune_prob::Pmf;
 use taskprune_sim::queue::MachineQueue;
 use taskprune_sim::{
-    Assignment, BatchMapper, Engine, MappingStrategy, NoPruning, SimConfig,
-    SystemView,
+    Assignment, BatchMapper, MappingStrategy, NoPruning, SchedulerBuilder,
+    SimConfig, SystemView,
 };
 
 fn pet_matrix() -> PetMatrix {
@@ -146,14 +146,13 @@ fn engine_survives_mapping_events_on_permanently_empty_queues() {
             )
         })
         .collect();
-    let stats = Engine::new(
-        SimConfig::batch(11),
-        &cluster,
-        &pet,
-        MappingStrategy::Batch(Box::new(MapNothing)),
-        Box::new(NoPruning),
-    )
-    .run(&tasks);
+    let stats = SchedulerBuilder::new(&cluster, &pet)
+        .config(SimConfig::batch(11))
+        .strategy(MappingStrategy::Batch(Box::new(MapNothing)))
+        .pruner(NoPruning)
+        .build()
+        .expect("valid configuration")
+        .run(&tasks);
     // Nothing ever reaches a machine: every task must be reactively
     // dropped at its deadline (via the wakeup safety net), with no task
     // lost and no panic on the all-empty machine queues.

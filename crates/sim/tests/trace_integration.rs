@@ -6,8 +6,8 @@ use taskprune_model::{
 };
 use taskprune_prob::Pmf;
 use taskprune_sim::{
-    Assignment, BatchMapper, Engine, MappingStrategy, NoPruning, SimConfig,
-    SystemView, TraceEvent, TraceLog,
+    Assignment, BatchMapper, MappingStrategy, NoPruning, SchedulerBuilder,
+    SimConfig, SystemView, TraceEvent, TraceLog,
 };
 
 struct ToZero;
@@ -34,15 +34,14 @@ impl BatchMapper for ToZero {
 fn run_traced(tasks: &[Task]) -> taskprune_sim::SimStats {
     let pet = PetMatrix::new(BinSpec::new(100), 1, 1, vec![Pmf::point_mass(2)]);
     let cluster = Cluster::one_per_type(1);
-    Engine::new(
-        SimConfig::batch(1),
-        &cluster,
-        &pet,
-        MappingStrategy::Batch(Box::new(ToZero)),
-        Box::new(NoPruning),
-    )
-    .with_trace(TraceLog::new(10_000, 1))
-    .run(tasks)
+    SchedulerBuilder::new(&cluster, &pet)
+        .config(SimConfig::batch(1))
+        .strategy(MappingStrategy::Batch(Box::new(ToZero)))
+        .pruner(NoPruning)
+        .sink(TraceLog::new(10_000, 1))
+        .build()
+        .expect("valid configuration")
+        .run(tasks)
 }
 
 #[test]
@@ -127,14 +126,13 @@ fn tracing_does_not_change_outcomes() {
 
     let pet = PetMatrix::new(BinSpec::new(100), 1, 1, vec![Pmf::point_mass(2)]);
     let cluster = Cluster::one_per_type(1);
-    let untraced = Engine::new(
-        SimConfig::batch(1),
-        &cluster,
-        &pet,
-        MappingStrategy::Batch(Box::new(ToZero)),
-        Box::new(NoPruning),
-    )
-    .run(&tasks);
+    let untraced = SchedulerBuilder::new(&cluster, &pet)
+        .config(SimConfig::batch(1))
+        .strategy(MappingStrategy::Batch(Box::new(ToZero)))
+        .pruner(NoPruning)
+        .build()
+        .expect("valid configuration")
+        .run(&tasks);
 
     assert_eq!(traced.robustness_pct(0), untraced.robustness_pct(0));
     for i in 0..50 {

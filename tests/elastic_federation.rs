@@ -25,7 +25,7 @@ mod common;
 use proptest::prelude::*;
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
-use taskprune_sim::{Snapshot, SnapshotError, TraceLog};
+use taskprune_sim::{FederatedEngine, Snapshot, SnapshotError, TraceLog};
 
 fn fixture(scale: f64) -> (Cluster, PetMatrix, Vec<Task>) {
     let pet = PetGenConfig::paper_heterogeneous(
@@ -328,6 +328,170 @@ fn tampered_checkpoint_is_rejected_on_recovery() {
         .expect("the genuine checkpoint restores");
     let stats = engine.finish_stream(&mut source);
     assert_eq!(stats.unreported(), 0);
+}
+
+// ---------------------------------------------------------------------
+// Coordinator snapshots: hostile payloads and an earlier build's
+// capture.
+// ---------------------------------------------------------------------
+
+/// The small supervised federation the coordinator-snapshot tests run
+/// (and the one `tests/fixtures/coordinator_legacy.json` was captured
+/// from): 3 least-queued shards of MM, trial 0 of a 120-task workload.
+fn coordinator_setup() -> (Cluster, PetMatrix, Vec<Task>) {
+    let pet = PetGenConfig::paper_heterogeneous(
+        taskprune::experiment::PET_MATRIX_SEED,
+    )
+    .generate();
+    let cluster = taskprune_workload::machines::heterogeneous_cluster();
+    let workload = WorkloadConfig {
+        total_tasks: 120,
+        span_tu: 20.0,
+        ..WorkloadConfig::paper_default(4321)
+    };
+    let tasks = workload.generate_trial(&pet, 0).tasks;
+    (cluster, pet, tasks)
+}
+
+fn coordinator_engine<'a>(
+    cluster: &Cluster,
+    pet: &'a PetMatrix,
+) -> FederatedEngine<'a> {
+    GatewayBuilder::new(cluster, pet)
+        .config(SimConfig::batch(5))
+        .shards(3)
+        .policy(LeastQueuedRoute::new())
+        .strategy_with(|_| HeuristicKind::Mm.make())
+        .build()
+        .expect("valid configuration")
+}
+
+/// The named field of a `Value` object.
+fn field<'v>(v: &'v mut serde::Value, name: &str) -> &'v mut serde::Value {
+    let serde::Value::Object(fields) = v else {
+        panic!("expected an object holding `{name}`");
+    };
+    fields
+        .iter_mut()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v)
+        .expect("field present")
+}
+
+/// The earliest pending event of a coordinator payload.
+fn first_event(payload: &mut serde::Value) -> &mut serde::Value {
+    let serde::Value::Array(events) = field(payload, "events") else {
+        panic!("events is an array");
+    };
+    events
+        .first_mut()
+        .expect("the pause leaves events in flight")
+}
+
+/// A coordinator payload that decodes but does not describe a
+/// federation — an event on a shard that does not exist or due before
+/// the clock, a pending count that disagrees with the events, an event
+/// kind no driver schedules — is rejected with a typed error, never a
+/// panic and never a silently different run. Each mutated payload is re-sealed, so it
+/// passes `verify` and only the restore's own checks stand between it
+/// and the engine.
+#[test]
+fn hostile_coordinator_snapshots_are_typed_errors() {
+    let (cluster, pet, tasks) = coordinator_setup();
+    let mut engine = coordinator_engine(&cluster, &pet);
+    let mut source = tasks.iter().copied().peekable();
+    engine.run_until(&mut source, 60);
+    let genuine = engine.snapshot_coordinator().payload().clone();
+    let restore = |payload: serde::Value| {
+        coordinator_engine(&cluster, &pet).restore_coordinator(&Snapshot::seal(
+            "federated-coordinator",
+            payload,
+        ))
+    };
+    restore(genuine.clone()).expect("the genuine payload restores");
+
+    // An event names shard 7 of 3.
+    let mut p = genuine.clone();
+    *field(first_event(&mut p), "shard") = serde::Value::UInt(7);
+    assert!(
+        matches!(restore(p), Err(SnapshotError::ShapeMismatch { .. })),
+        "an event on a missing shard must be a shape mismatch"
+    );
+
+    // An event due before the federation clock (time never rewinds).
+    let mut p = genuine.clone();
+    *field(first_event(&mut p), "time") = serde::Value::UInt(0);
+    assert!(
+        matches!(restore(p), Err(SnapshotError::ShapeMismatch { .. })),
+        "an event in the past must be a shape mismatch"
+    );
+
+    // A pending count of zero for a shard that has events.
+    let mut p = genuine.clone();
+    let serde::Value::Array(pending) = field(&mut p, "pending") else {
+        panic!("pending is an array");
+    };
+    let busy = pending
+        .iter_mut()
+        .find(|n| !matches!(n, serde::Value::UInt(0)))
+        .expect("the pause leaves events in flight");
+    *busy = serde::Value::UInt(0);
+    assert!(
+        matches!(restore(p), Err(SnapshotError::ShapeMismatch { .. })),
+        "a pending count that disagrees with the events must be rejected"
+    );
+
+    // An event of a kind no driver schedules.
+    let mut p = genuine.clone();
+    *field(first_event(&mut p), "kind") = serde::Value::Object(vec![(
+        "Arrival".to_owned(),
+        serde::Value::Object(vec![("task".to_owned(), serde::Value::UInt(0))]),
+    )]);
+    assert!(
+        matches!(restore(p), Err(SnapshotError::Decode(_))),
+        "an arrival event must fail to decode"
+    );
+
+    // Every event dropped, the pending counts kept.
+    let mut p = genuine;
+    *field(&mut p, "events") = serde::Value::Array(Vec::new());
+    assert!(
+        matches!(restore(p), Err(SnapshotError::ShapeMismatch { .. })),
+        "emptied events under non-zero pending counts must be rejected"
+    );
+}
+
+/// A coordinator snapshot captured by an earlier build (one global
+/// event heap instead of per-shard lanes, same wire format) restores
+/// into this one and finishes the run exactly as an uninterrupted
+/// supervised run does. Captured with the setup above, supervised
+/// under `RecoveryPolicy::default()` and paused at 60 arrivals.
+#[test]
+fn legacy_coordinator_snapshot_resumes_bit_identically() {
+    let (cluster, pet, tasks) = coordinator_setup();
+    let reference = Supervisor::new(
+        coordinator_engine(&cluster, &pet),
+        RecoveryPolicy::default(),
+    )
+    .run_stream(tasks.iter().copied());
+    assert_eq!(reference.unreported(), 0);
+
+    let snap: Snapshot =
+        serde_json::from_str(include_str!("fixtures/coordinator_legacy.json"))
+            .expect("the fixture decodes");
+    let mut engine = coordinator_engine(&cluster, &pet);
+    engine
+        .restore_coordinator(&snap)
+        .expect("an earlier build's capture restores");
+    assert_eq!(engine.arrivals_ingested(), 60);
+    let mut source = tasks[60..].iter().copied().peekable();
+    let resumed = Supervisor::new(engine, RecoveryPolicy::default())
+        .finish_stream(&mut source);
+    assert_eq!(
+        json(&reference),
+        json(&resumed),
+        "the restored capture diverged from the uninterrupted run"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -110,9 +110,6 @@ fn drive_manually(
                     wakeup_pending = false;
                     core.wakeup();
                 }
-                EventKind::Arrival { .. } => {
-                    unreachable!("arrivals come from the stream")
-                }
             }
         } else {
             let task = source.next().expect("peeked");
