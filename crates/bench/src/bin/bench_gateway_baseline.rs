@@ -1,6 +1,6 @@
 //! Machine-readable federation-throughput trajectory.
 //!
-//! Two scenario families, one tracked series
+//! Four scenario families, one tracked series
 //! (`results/BENCH_gateway_baseline.json`):
 //!
 //! **`gateway_ingest_<shards>`** — aggregate ingest throughput
@@ -34,17 +34,6 @@
 //! bit-identical across this family (the bin asserts it again at run
 //! time); only the wall clock may move. The 1-thread run is the
 //! yardstick, so `speedup` is the 1→N-thread scaling.
-//!
-//! **`gateway_stateful_t<threads>`** — the same 4-shard parallel
-//! matrix with the *stateful* least-queued policy routing on
-//! `Consistency::BoundedStale { k: 4 }` views with batch-queue
-//! stealing on. Without the relaxed-routing layer a stateful policy
-//! serialises every arrival on the coordinator; this family tracks
-//! what bounded staleness (one sync per `k+1` arrivals) buys in
-//! thread scaling. Output is bit-identical across thread counts here
-//! too (asserted at run time, pinned by
-//! `tests/relaxed_equivalence.rs`); `steals_pct` and `staleness_k`
-//! are recorded beside the existing columns.
 //!
 //! **`gateway_tenant_{off,quota,ladder}`** — the multi-tenant
 //! admission layer on the same 4-shard serial scenario with 3 SLA
@@ -81,13 +70,11 @@
 //! vacuous), `--out DIR`, `--commit LABEL`, `--check` (exit non-zero
 //! on a noise-aware per-scenario regression vs the previous run, when
 //! the 4-shard scaling fails to exceed 1×, **or** — on hosts with ≥ 4
-//! hardware threads, i.e. CI — when the 1→4-thread scaling of either
-//! parallel family (round-robin `gateway_parallel_t*` or stateful
-//! `gateway_stateful_t*`) fails to exceed 1.5×; on smaller hosts both
-//! thread gates are **waived with a warning** and the
-//! `gateway_parallel_t4` / `gateway_stateful_t4` entries are stamped
-//! `gate: "skipped(cores<4)"`, so the tracked series records a skip
-//! rather than a silent pass).
+//! hardware threads, i.e. CI — when the 1→4-thread scaling of the
+//! parallel family `gateway_parallel_t*` fails to exceed 1.5×; on
+//! smaller hosts the thread gate is **waived with a warning** and the
+//! `gateway_parallel_t4` entry is stamped `gate: "skipped(cores<4)"`,
+//! so the tracked series records a skip rather than a silent pass).
 
 use std::time::Instant;
 use taskprune::prelude::*;
@@ -120,16 +107,10 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 /// Shard count of the parallel-driver family (the gate's scenario).
 const PARALLEL_SHARDS: usize = 4;
 
-/// Required 1→4-thread wall-clock scaling at 4 shards (enforced under
-/// `--check` on hosts with ≥ 4 hardware threads), for both the
-/// round-robin `gateway_parallel_t*` family and the stateful
-/// `gateway_stateful_t*` family.
+/// Required 1→4-thread wall-clock scaling at 4 shards of the
+/// `gateway_parallel_t*` family (enforced under `--check` on hosts
+/// with ≥ 4 hardware threads).
 const THREAD_SCALING_GATE: f64 = 1.5;
-
-/// Staleness bound of the `gateway_stateful_t*` family: routing views
-/// refresh every `k + 1` arrivals, so the parallel driver only
-/// synchronises at one in five arrivals instead of all of them.
-const STATEFUL_STALENESS_K: u64 = 4;
 
 /// Tenant-lane count of the `gateway_tenant_*` family (Premium /
 /// Standard / BestEffort, one lane per SLA class).
@@ -140,27 +121,20 @@ struct Measured {
     robustness_pct: f64,
     /// Reuse-gate counters of the run (all-zero when the gate is off).
     reuse: ReuseStats,
-    /// Steal counters of the run (all-zero without stealing).
-    steals: StealStats,
     /// Serialized stats of the last repeat, for the cross-thread-count
     /// bit-identity assertion.
     stats_json: String,
 }
 
-/// `stateful = false` is the round-robin baseline configuration every
-/// pre-existing family measures; `true` swaps in the stateful
-/// least-queued policy routing on bounded-stale views with
-/// batch-queue stealing — the relaxed-routing layer under test in the
-/// `gateway_stateful_t*` family.
+/// The round-robin MM + pruning federation every family measures.
 fn build_engine<'a>(
     cluster: &Cluster,
     pet: &'a PetMatrix,
     shards: usize,
     reuse: ReusePolicy,
-    stateful: bool,
 ) -> GatewayBuilder<'a, taskprune_sim::NullSink> {
     let n_types = pet.n_task_types();
-    let b = GatewayBuilder::new(cluster, pet)
+    GatewayBuilder::new(cluster, pet)
         .config(SimConfig::batch(7))
         .shards(shards)
         .strategy_with(move |_| HeuristicKind::Mm.make())
@@ -170,23 +144,14 @@ fn build_engine<'a>(
                 n_types,
             ))
         })
-        .reuse(reuse);
-    if stateful {
-        b.policy(LeastQueuedRoute::new())
-            .consistency(Consistency::BoundedStale {
-                k: STATEFUL_STALENESS_K,
-            })
-            .stealing(true)
-    } else {
-        b.policy(RoundRobinRoute::new())
-    }
+        .reuse(reuse)
+        .policy(RoundRobinRoute::new())
 }
 
 /// Wall-clock ns per arrival for full federated runs (build excluded,
 /// drain included — the figure a front-end cares about), best-of-N to
 /// strip scheduler noise. `threads = None` drives the serial engine,
 /// `Some(t)` the parallel one.
-#[allow(clippy::too_many_arguments)]
 fn measure(
     cluster: &Cluster,
     pet: &PetMatrix,
@@ -195,15 +160,13 @@ fn measure(
     threads: Option<usize>,
     repeats: u32,
     reuse: ReusePolicy,
-    stateful: bool,
 ) -> Measured {
     let mut best = f64::INFINITY;
     let mut robustness = 0.0;
     let mut reuse_stats = ReuseStats::default();
-    let mut steal_stats = StealStats::default();
     let mut stats_json = String::new();
     for _ in 0..repeats {
-        let builder = build_engine(cluster, pet, shards, reuse, stateful);
+        let builder = build_engine(cluster, pet, shards, reuse);
         let (elapsed, stats) = match threads {
             None => {
                 let engine = builder.build().expect("valid configuration");
@@ -225,14 +188,12 @@ fn measure(
         best = best.min(elapsed / tasks.len() as f64);
         robustness = stats.paper_robustness_pct();
         reuse_stats = stats.reuse_stats();
-        steal_stats = stats.steal_stats();
         stats_json = serde_json::to_string(&stats).expect("stats serialize");
     }
     Measured {
         ns_per_arrival: best,
         robustness_pct: robustness,
         reuse: reuse_stats,
-        steals: steal_stats,
         stats_json,
     }
 }
@@ -253,7 +214,7 @@ fn measure_under_faults(
         FAULT_PLAN_SEED,
         &FaultSpec::storm(shards, (tasks.len() / shards.max(1)) as u64),
     );
-    let engine = build_engine(cluster, pet, shards, ReusePolicy::Off, false)
+    let engine = build_engine(cluster, pet, shards, ReusePolicy::Off)
         .build()
         .expect("valid configuration");
     let mut sup = Supervisor::new(engine, RecoveryPolicy::no_retries());
@@ -296,13 +257,8 @@ fn measure_tenancy(
     let mut per_tenant = None;
     let mut shed = None;
     for _ in 0..repeats {
-        let mut builder = build_engine(
-            cluster,
-            pet,
-            PARALLEL_SHARDS,
-            ReusePolicy::Off,
-            false,
-        );
+        let mut builder =
+            build_engine(cluster, pet, PARALLEL_SHARDS, ReusePolicy::Off);
         if let Some(policy) = tenancy() {
             builder = builder.tenancy(policy);
         }
@@ -380,7 +336,6 @@ fn main() {
             None,
             repeats,
             ReusePolicy::Off,
-            false,
         );
         let faulted = measure_under_faults(&cluster, &pet, &tasks, shards);
         let ns = m.ns_per_arrival;
@@ -441,7 +396,6 @@ fn main() {
             Some(threads),
             repeats,
             ReusePolicy::Off,
-            false,
         );
         let ns = m.ns_per_arrival;
         if threads == 1 {
@@ -512,7 +466,6 @@ fn main() {
                 None,
                 repeats,
                 policy,
-                false,
             );
             let ns = m.ns_per_arrival;
             if policy == ReusePolicy::Off {
@@ -548,73 +501,7 @@ fn main() {
         }
     }
 
-    // Family 4: the stateful relaxed-routing configuration — least-
-    // queued routing on BoundedStale{4} views with batch-queue
-    // stealing — on the parallel driver across thread counts at 4
-    // shards. Without the relaxed layer a stateful policy forces a
-    // coordinator barrier per arrival; the series tracks what the
-    // bounded-staleness sync (one barrier per k+1 arrivals) buys in
-    // thread scaling. Output stays bit-identical across thread counts
-    // (asserted here, pinned by tests/relaxed_equivalence.rs).
-    let mut stateful_yardstick = f64::NAN;
-    let mut stateful_yardstick_stats = String::new();
-    let mut stateful_scaling_at_4_threads = f64::NAN;
-    for &threads in &THREAD_COUNTS {
-        let m = measure(
-            &cluster,
-            &pet,
-            &tasks,
-            PARALLEL_SHARDS,
-            Some(threads),
-            repeats,
-            ReusePolicy::Off,
-            true,
-        );
-        let ns = m.ns_per_arrival;
-        if threads == 1 {
-            stateful_yardstick = ns;
-            stateful_yardstick_stats = m.stats_json.clone();
-        } else {
-            assert_eq!(
-                stateful_yardstick_stats, m.stats_json,
-                "stateful parallel driver diverged between thread counts"
-            );
-        }
-        let speedup = stateful_yardstick / ns;
-        if threads == 4 {
-            stateful_scaling_at_4_threads = speedup;
-        }
-        let steals_pct =
-            100.0 * m.steals.tasks_moved as f64 / tasks.len() as f64;
-        eprintln!(
-            "gateway_stateful threads {threads} (least-queued, \
-             BoundedStale{{{STATEFUL_STALENESS_K}}}, stealing, at \
-             {PARALLEL_SHARDS} shards): {ns:>9.0} ns/arrival \
-             ({:>9.0} arrivals/s), {speedup:.2}x vs 1 thread, \
-             {steals_pct:.2} % of arrivals stolen",
-            1e9 / ns,
-        );
-        entries.push(BenchEntry {
-            scenario: format!("gateway_stateful_t{threads}"),
-            queue_depth: threads,
-            pet_support: total_tasks,
-            incremental_ns: ns,
-            scratch_ns: stateful_yardstick,
-            speedup,
-            robustness_pct: Some(m.robustness_pct),
-            robustness_under_faults_pct: None,
-            gate: (threads == 4 && thread_gate_skipped)
-                .then(|| "skipped(cores<4)".to_string()),
-            reuse_hit_pct: None,
-            arrivals_per_sec: Some(1e9 / ns),
-            steals_pct: Some(steals_pct),
-            staleness_k: Some(STATEFUL_STALENESS_K),
-            per_tenant_robustness_pct: None,
-            shed_pct: None,
-        });
-    }
-
-    // Family 5: the multi-tenant admission layer (serial driver at 4
+    // Family 4: the multi-tenant admission layer (serial driver at 4
     // shards, 3 SLA lanes). `off` runs the identical workload with no
     // tenancy installed — the equivalence suite pins it byte-identical
     // to the pre-tenancy gateway, so it is the family's yardstick and
@@ -726,12 +613,7 @@ fn main() {
          function-reuse gate off vs exact dedup: scratch_ns = that \
          rate's gate-off run, speedup = ingest-throughput gain from \
          absorbing duplicates, reuse_hit_pct = % of arrivals absorbed, \
-         arrivals_per_sec = raw ingest rate. The gateway_stateful_t* \
-         family repeats the parallel thread matrix with the stateful \
-         least-queued policy routing on BoundedStale{k:4} views with \
-         batch-queue stealing (steals_pct = % of arrivals moved between \
-         shards, staleness_k = the staleness bound); output is \
-         bit-identical across thread counts. The \
+         arrivals_per_sec = raw ingest rate. The \
          gateway_tenant_{off,quota,ladder} family runs the same workload \
          through the multi-tenant admission layer at 3 SLA lanes \
          (queue_depth = lane count): off = no tenancy (the yardstick — \
@@ -767,46 +649,25 @@ fn main() {
         eprintln!(
             "warning: thread gate SKIPPED — host has only {hw_threads} \
              hardware thread(s), the >{THREAD_SCALING_GATE}x 1 -> 4-thread \
-             gate needs >= 4; measured {scaling_at_4_threads:.2}x \
-             (round-robin) and {stateful_scaling_at_4_threads:.2}x \
-             (stateful), recorded gate=\"skipped(cores<4)\" in the \
-             gateway_parallel_t4 and gateway_stateful_t4 entries \
-             (CI enforces the gate on >= 4-thread hosts)"
+             gate needs >= 4; measured {scaling_at_4_threads:.2}x, \
+             recorded gate=\"skipped(cores<4)\" in the \
+             gateway_parallel_t4 entry (CI enforces the gate on >= \
+             4-thread hosts)"
         );
+    } else if scaling_at_4_threads <= THREAD_SCALING_GATE {
+        eprintln!(
+            "thread gate: 1 -> 4 threads scales the 4-shard parallel \
+             driver {scaling_at_4_threads:.2}x — \
+             >{THREAD_SCALING_GATE}x required on this {hw_threads}-\
+             thread host"
+        );
+        failed = true;
     } else {
-        if scaling_at_4_threads <= THREAD_SCALING_GATE {
-            eprintln!(
-                "thread gate: 1 -> 4 threads scales the 4-shard parallel \
-                 driver {scaling_at_4_threads:.2}x — \
-                 >{THREAD_SCALING_GATE}x required on this {hw_threads}-\
-                 thread host"
-            );
-            failed = true;
-        } else {
-            println!(
-                "thread gate: 1 -> 4 threads scales the 4-shard parallel \
-                 driver {scaling_at_4_threads:.2}x \
-                 (>{THREAD_SCALING_GATE}x required)"
-            );
-        }
-        if stateful_scaling_at_4_threads <= THREAD_SCALING_GATE {
-            eprintln!(
-                "stateful thread gate: 1 -> 4 threads scales the stateful \
-                 (least-queued, BoundedStale{{{STATEFUL_STALENESS_K}}}, \
-                 stealing) 4-shard parallel driver \
-                 {stateful_scaling_at_4_threads:.2}x — \
-                 >{THREAD_SCALING_GATE}x required on this {hw_threads}-\
-                 thread host"
-            );
-            failed = true;
-        } else {
-            println!(
-                "stateful thread gate: 1 -> 4 threads scales the stateful \
-                 4-shard parallel driver \
-                 {stateful_scaling_at_4_threads:.2}x \
-                 (>{THREAD_SCALING_GATE}x required)"
-            );
-        }
+        println!(
+            "thread gate: 1 -> 4 threads scales the 4-shard parallel \
+             driver {scaling_at_4_threads:.2}x \
+             (>{THREAD_SCALING_GATE}x required)"
+        );
     }
     match gate {
         Ok(per_scenario) => {

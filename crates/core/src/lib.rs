@@ -79,11 +79,10 @@ pub mod prelude {
     pub use taskprune_heuristics::{BestChanceRoute, HeuristicKind};
     pub use taskprune_model::{Cluster, PetMatrix, SimTime, Task, TaskOutcome};
     pub use taskprune_sim::{
-        Admission, Consistency, FaultKind, FaultPlan, FaultSpec,
-        FederationStats, GatewayBuilder, LeastQueuedRoute,
-        ParallelFederatedEngine, RecoveryLog, RecoveryPolicy, ReuseMode,
-        ReusePolicy, ReuseStats, RoundRobinRoute, RoutePolicy, RunError,
-        SimConfig, SimStats, StealStats, Supervisor,
+        Admission, FaultKind, FaultPlan, FaultSpec, FederationStats,
+        GatewayBuilder, LeastQueuedRoute, ParallelFederatedEngine, RecoveryLog,
+        RecoveryPolicy, ReuseMode, ReusePolicy, ReuseStats, RoundRobinRoute,
+        RoutePolicy, RunError, SimConfig, SimStats, Supervisor,
     };
     pub use taskprune_workload::{
         ArrivalPattern, PetGenConfig, WorkloadConfig,

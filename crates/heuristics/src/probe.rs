@@ -62,24 +62,9 @@ pub fn best_expected_completion(
     best
 }
 
-/// Per-arrival-of-staleness discount applied to a stale view entry's
-/// chance estimate: an entry `a` admitted arrivals old scores
-/// `chance / (1 + STALENESS_DISCOUNT · a)`. Age 0 (live views,
-/// `Lockstep`, `BoundedStale { k: 0 }`) divides by exactly 1.0, so
-/// fresh-view routing is bit-identical to the undiscounted policy.
-pub const STALENESS_DISCOUNT: f64 = 0.05;
-
 /// Probability-aware federation routing: each arrival goes to the shard
 /// on which its admission-time chance of success
 /// ([`best_admission_chance`]) is highest.
-///
-/// Under [`taskprune_sim::Consistency::BoundedStale`] the gateway hands
-/// this policy cached view entries up to `k` arrivals old; each entry's
-/// chance is discounted by its [`ShardView::age`] (see
-/// [`STALENESS_DISCOUNT`]) before comparison, so an old entry's
-/// seemingly perfect chance no longer beats a fresh shard's good one —
-/// the failure mode where work stealing backfires because the thief's
-/// just-emptied view keeps attracting the whole arrival stream.
 ///
 /// Ties break to the lowest shard index; when every shard's machine
 /// queues are full (no admission chance is defined anywhere), the
@@ -107,8 +92,6 @@ impl RoutePolicy for BestChanceRoute {
             else {
                 continue;
             };
-            let chance =
-                chance / (1.0 + STALENESS_DISCOUNT * shard.age() as f64);
             if best.is_none_or(|(_, b)| chance > b) {
                 best = Some((shard.index(), chance));
             }
@@ -224,34 +207,6 @@ mod tests {
         // full, slow machine needs 6 bins), certain on shard 1's idle
         // fast machine.
         assert_eq!(route.route(&views, &task(9, 400)), 1);
-    }
-
-    #[test]
-    fn staleness_discount_prefers_the_fresher_equal_chance() {
-        let pet = pet();
-        let a = queues(&pet);
-        let b = queues(&pet);
-        // Identical idle shards, but shard 0's view entry is 10
-        // arrivals old: the discount must break what was a
-        // ties-to-lowest-index draw toward the fresh shard 1.
-        let stale = vec![
-            ShardView::with_age(
-                0,
-                SystemView::new(SimTime(0), &a, &pet),
-                0,
-                10,
-            ),
-            ShardView::with_age(1, SystemView::new(SimTime(0), &b, &pet), 0, 0),
-        ];
-        let mut route = BestChanceRoute::new();
-        assert_eq!(route.route(&stale, &task(7, 400)), 1);
-        // Age 0 everywhere: bit-identical to the undiscounted policy
-        // (ties back to the lowest index).
-        let fresh = vec![
-            ShardView::new(0, SystemView::new(SimTime(0), &a, &pet), 0),
-            ShardView::new(1, SystemView::new(SimTime(0), &b, &pet), 0),
-        ];
-        assert_eq!(route.route(&fresh, &task(8, 400)), 0);
     }
 
     #[test]

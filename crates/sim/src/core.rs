@@ -568,68 +568,25 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// Removes and returns every task still waiting in the batch queue
     /// (arrival order, shard-internal ids). The tasks have *arrived* —
     /// their arrival records stay in the stats — but no mapping
-    /// decision has committed them to a machine yet, so stealing them
-    /// here is legal: this is how a federation supervisor re-routes a
-    /// quarantined shard's backlog to healthy shards (the drained
-    /// instances end as [`TaskOutcome::Unfinished`] on this core unless
-    /// something resolves them elsewhere).
+    /// decision has committed them to a machine yet, so moving them
+    /// elsewhere is legal: this is how a federation supervisor
+    /// re-routes a quarantined shard's backlog to healthy shards (the
+    /// drained instances end as [`TaskOutcome::Unfinished`] on this
+    /// core unless something resolves them elsewhere).
     pub fn drain_batch_queue(&mut self) -> Vec<Task> {
         std::mem::take(&mut self.arrival_queue)
     }
 
     /// Closes the book on a task this shard will never run. A drained
-    /// (stolen) batch-queue task keeps its arrival record here but is
-    /// no longer in any queue, so [`SchedulerCore::finish`] would miss
-    /// it and leave the shard with `unreported() > 0`. The steal pass
-    /// and the quarantine re-route call this per moved task; the
-    /// instance on the receiving shard carries the live outcome, and
-    /// the task's federation-level arrival record is re-pointed to it.
+    /// batch-queue task keeps its arrival record here but is no longer
+    /// in any queue, so [`SchedulerCore::finish`] would miss it and
+    /// leave the shard with `unreported() > 0`. The quarantine re-route
+    /// calls this per moved task; the instance on the receiving shard
+    /// carries the live outcome, and the task's federation-level
+    /// arrival record is re-pointed to it.
     pub(crate) fn record_unfinished(&mut self, task: &Task) {
         self.stats.record_outcome(task, TaskOutcome::Unfinished);
         self.fan_out_failure(task.id, TaskOutcome::Unfinished);
-    }
-
-    /// Splits off and returns the *tail* `n` tasks of the batch queue —
-    /// the newest arrivals, the ones with no machine-queue commitment
-    /// and the least sunk routing context. The federation's steal pass
-    /// moves them to an idle shard; like
-    /// [`SchedulerCore::drain_batch_queue`] this is legal w.r.t. the
-    /// paper's model because batch-queue tasks are uncommitted by
-    /// construction. No mapping event fires (the donor just got
-    /// shorter, never longer), and the donor's fault/journal
-    /// coordinates do not move.
-    pub fn donate_batch_tail(&mut self, n: usize) -> Vec<Task> {
-        let keep = self.arrival_queue.len().saturating_sub(n);
-        self.arrival_queue.split_off(keep)
-    }
-
-    /// Adopts batch-queue tasks stolen from another shard, already
-    /// relabelled to this shard's internal dense id space. Each task
-    /// goes through the ordinary arrival path (a mapping event per
-    /// task), exactly as [`crate::JournalOp::Adopt`] replays it.
-    pub fn adopt_stolen(&mut self, tasks: Vec<Task>) {
-        for task in tasks {
-            self.push_arrival(task);
-        }
-    }
-
-    /// Replay half of a steal on the *donor*: removes the task with
-    /// the given shard-internal id from the batch queue (if present)
-    /// and closes its book as [`TaskOutcome::Unfinished`], mirroring
-    /// what the live steal pass did. Used by
-    /// [`crate::ShardJournal::replay`] for [`crate::JournalOp::Steal`].
-    pub(crate) fn apply_steal(&mut self, task: TaskId) {
-        if let Some(pos) = self.arrival_queue.iter().position(|t| t.id == task)
-        {
-            let stolen = self.arrival_queue.remove(pos);
-            self.record_unfinished(&stolen);
-        }
-    }
-
-    /// Clones the machine queues (with their chain caches) — the raw
-    /// material of a bounded-staleness view table entry.
-    pub(crate) fn clone_queues(&self) -> Vec<MachineQueue> {
-        self.queues.clone()
     }
 
     /// Simulated crash: forgets the recoverable in-memory scheduling

@@ -36,20 +36,17 @@ use crate::engine::Lane;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::journal::{JournalOp, ShardJournal};
-use crate::queue::MachineQueue;
 use crate::reuse::{Admission, Admit, ReuseGate, ReusePolicy, ReuseStats};
-use crate::route::{Consistency, RoundRobinRoute, RoutePolicy, ShardView};
+use crate::route::{RoundRobinRoute, RoutePolicy, ShardView};
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::{Snapshot, SnapshotError};
-use crate::stats::{SimStats, StealStats, TenancyStats, TenantSlice};
+use crate::stats::{SimStats, TenancyStats, TenantSlice};
 use crate::supervisor::RecoveryLog;
 use crate::tenant::{
     ShedReason, TenancyPolicy, TenantAdmissionStats, TenantTable, TenantVerdict,
 };
 use crate::traits::{MappingStrategy, Pruner};
-use crate::view::SystemView;
 use serde::{Deserialize, Error, Serialize, Value};
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::iter::Peekable;
 use taskprune_model::{
@@ -165,44 +162,6 @@ pub struct FedStart {
     pub internal: TaskId,
 }
 
-/// One shard's epoch-stamped entry in the bounded-staleness view
-/// table: its clock, batch-queue depth and machine queues (with their
-/// cached Eq. 1 chance summaries) exactly as published at the last
-/// sync point (or re-published mid-pass by a steal transfer).
-struct StaleShard {
-    now: SimTime,
-    pending: usize,
-    queues: Vec<MachineQueue>,
-    /// The global arrival ordinal (`arrival_order.len()`) at which this
-    /// entry was published. Routing hands policies the difference
-    /// `now_ordinal − published` as [`ShardView::age`], so
-    /// staleness-aware policies can discount old entries.
-    published: u64,
-}
-
-/// The versioned view table stateful policies route on under
-/// [`Consistency::BoundedStale`]. Published only at sync points —
-/// arrival ordinals divisible by `k + 1` — so both drivers rebuild it
-/// from byte-identical shard state and every routing decision between
-/// refreshes reads the same stamped views.
-struct StaleTable {
-    epoch: u64,
-    shards: Vec<StaleShard>,
-}
-
-/// One executed steal transfer, as the gateway's steal pass performed
-/// it: which shard donated, which adopted, and each moved task as
-/// `(donor-internal id, thief-relabelled task)` — exactly the pair the
-/// driver journals as [`JournalOp::Steal`] / [`JournalOp::Adopt`].
-pub(crate) struct StealRecord {
-    /// The victim shard the batch-queue tail was taken from.
-    pub from: usize,
-    /// The idle thief shard that adopted it.
-    pub to: usize,
-    /// Moved tasks: donor-internal id and the relabelled task.
-    pub moved: Vec<(TaskId, Task)>,
-}
-
 /// The federation front-end: N independent [`SchedulerCore`] shards
 /// behind a [`RoutePolicy`], with id compaction at the boundary.
 ///
@@ -231,22 +190,6 @@ pub struct Gateway<'a, S: Sink = NullSink> {
     /// which arrivals absorb onto an in-flight primary instead of
     /// routing (see [`crate::reuse`]).
     reuse: ReuseGate,
-    /// How fresh the views handed to stateful policies must be.
-    consistency: Consistency,
-    /// Whether the federation-level batch-queue steal pass runs at
-    /// sync points.
-    stealing: bool,
-    /// The bounded-staleness view table (`None` until the first sync
-    /// point, and always `None` when nothing routes on stale views).
-    stale: Option<StaleTable>,
-    /// Steal/staleness observability counters (off the wire shape).
-    steal_stats: StealStats,
-    /// `(shard, internal id) → global arrival index`, so the steal
-    /// pass can re-point a moved task's [`FedArrival`] in O(1).
-    /// Maintained only while stealing is enabled — the map is pure
-    /// overhead otherwise — and rebuilt from the arrival order on
-    /// restore.
-    arrival_idx: HashMap<(u32, u64), usize>,
     /// The multi-tenant admission table (quotas, SLA classes, overload
     /// ladder — see [`crate::tenant`]). `None` when no
     /// [`TenancyPolicy`] was installed: every arrival is admitted and
@@ -259,8 +202,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
         shards: Vec<SchedulerCore<'a, S>>,
         policy: Box<dyn RoutePolicy>,
         reuse: ReuseGate,
-        consistency: Consistency,
-        stealing: bool,
         tenancy: Option<TenancyPolicy>,
     ) -> Self {
         let n = shards.len();
@@ -274,11 +215,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
             starts: Vec::new(),
             quarantined: vec![false; n],
             reuse,
-            consistency,
-            stealing,
-            stale: None,
-            steal_stats: StealStats::default(),
-            arrival_idx: HashMap::new(),
             tenants: tenancy.map(TenantTable::new),
         }
     }
@@ -333,206 +269,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
         self.reuse.policy()
     }
 
-    /// The configured view-freshness contract.
-    pub fn consistency(&self) -> Consistency {
-        self.consistency
-    }
-
-    /// Whether the federation-level steal pass is enabled.
-    pub fn stealing(&self) -> bool {
-        self.stealing && self.shards.len() > 1
-    }
-
-    /// The steal/staleness counters accumulated so far.
-    pub fn steal_counters(&self) -> StealStats {
-        self.steal_stats
-    }
-
-    /// Whether stateful routing reads the bounded-staleness view table
-    /// instead of live shard state. Stateless policies never read
-    /// views, and a one-shard federation never routes, so both keep
-    /// the bit-identity-critical fast paths untouched.
-    fn uses_stale_views(&self) -> bool {
-        matches!(self.consistency, Consistency::BoundedStale { .. })
-            && !self.policy.is_stateless()
-            && self.shards.len() > 1
-    }
-
-    /// Whether the **next** admitted arrival sits on a sync ordinal:
-    /// the arrival count so far is divisible by the refresh period
-    /// `k + 1`. Sync points are where the steal pass runs and the view
-    /// table is republished; drivers must bring every shard fully
-    /// current (all due completions applied) before calling
-    /// [`Gateway::sync_point`] at one. The ordinal counts *every*
-    /// admitted arrival — routed or absorbed — the same coordinate the
-    /// fault plans use.
-    pub(crate) fn sync_due(&self) -> bool {
-        if !self.sync_enabled() {
-            return false;
-        }
-        (self.arrival_order.len() as u64)
-            .is_multiple_of(self.consistency.refresh_period())
-    }
-
-    /// Whether this federation has sync points at all — i.e. whether
-    /// any of the relaxed-consistency machinery (stale-view routing,
-    /// batch stealing) is live. Drivers that see `false` may keep
-    /// their PR 5 schedules untouched.
-    pub(crate) fn sync_enabled(&self) -> bool {
-        self.stealing() || self.uses_stale_views()
-    }
-
-    /// Runs one sync point: the steal pass (when stealing is enabled)
-    /// followed by a view-table refresh (when stateful policies route
-    /// on stale views). Returns the executed steal transfers so the
-    /// driver can journal them; a caller with no journal may discard
-    /// them. Both drivers call this at identical arrival ordinals with
-    /// identical shard state, so the decisions — and therefore the
-    /// runs — stay byte-identical.
-    pub(crate) fn sync_point(&mut self) -> Vec<StealRecord> {
-        let records = if self.stealing() {
-            self.steal_pass()
-        } else {
-            Vec::new()
-        };
-        if self.uses_stale_views() {
-            self.refresh_views();
-        }
-        records
-    }
-
-    /// Publishes a fresh view table: every shard's clock, batch depth
-    /// and machine queues (chance caches included) cloned at this sync
-    /// instant.
-    fn refresh_views(&mut self) {
-        let published = self.arrival_order.len() as u64;
-        let shards: Vec<StaleShard> = self
-            .shards
-            .iter()
-            .map(|s| StaleShard {
-                now: s.now(),
-                pending: s.pending_batch_len(),
-                queues: s.clone_queues(),
-                published,
-            })
-            .collect();
-        let epoch = self.stale.as_ref().map_or(0, |t| t.epoch + 1);
-        self.stale = Some(StaleTable { epoch, shards });
-        self.steal_stats.view_refreshes += 1;
-    }
-
-    /// Re-publishes one shard's view-table entry from its live state
-    /// right now — the steal pass calls this for each victim and thief
-    /// so the table reflects a transfer *immediately*, instead of
-    /// advertising the victim's stolen backlog (and the thief's
-    /// vanished idleness) until the next sync ordinal. No-op when no
-    /// stale table exists. Deterministic: both drivers run the steal
-    /// pass at identical ordinals with identical state.
-    fn republish_view(&mut self, shard: usize) {
-        let published = self.arrival_order.len() as u64;
-        let Some(table) = self.stale.as_mut() else {
-            return;
-        };
-        let s = &self.shards[shard];
-        table.shards[shard] = StaleShard {
-            now: s.now(),
-            pending: s.pending_batch_len(),
-            queues: s.clone_queues(),
-            published,
-        };
-    }
-
-    /// The steal pass: every idle healthy shard (empty batch queue)
-    /// takes half the deepest healthy victim's batch-queue *tail* —
-    /// tasks with no machine-queue commitment, so the move is legal
-    /// w.r.t. the paper's model. Thieves act in ascending index order
-    /// on a working copy of the depths, so the whole pass is a pure
-    /// function of the sync-instant state. Each moved task closes its
-    /// book on the donor (`Unfinished`), gets a fresh dense id on the
-    /// thief, and has its global [`FedArrival`] re-pointed so
-    /// federation-level robustness counts it exactly once, under its
-    /// live instance.
-    fn steal_pass(&mut self) -> Vec<StealRecord> {
-        let n = self.shards.len();
-        let mut depths: Vec<usize> =
-            self.shards.iter().map(|s| s.pending_batch_len()).collect();
-        let mut records = Vec::new();
-        let mut any_idle = false;
-        for thief in 0..n {
-            if self.quarantined[thief] || depths[thief] != 0 {
-                continue;
-            }
-            any_idle = true;
-            let victim = (0..n)
-                .filter(|&v| v != thief && !self.quarantined[v])
-                .max_by_key(|&v| (depths[v], Reverse(v)));
-            let Some(victim) = victim else { continue };
-            // A single queued task is not worth destabilising: the
-            // donor is about to map it anyway.
-            if depths[victim] < 2 {
-                continue;
-            }
-            let take = depths[victim] / 2;
-            let stolen = self.shards[victim].donate_batch_tail(take);
-            depths[victim] -= stolen.len();
-            depths[thief] += stolen.len();
-            let mut moved = Vec::with_capacity(stolen.len());
-            let mut adopted = Vec::with_capacity(stolen.len());
-            for task in stolen {
-                let donor_internal = task.id;
-                let external = self
-                    .compact
-                    .external(victim, donor_internal)
-                    .expect("a queued task was assigned an internal id");
-                // Close the donor's record first: the task never runs
-                // there, and `finish()` only sweeps queued tasks.
-                self.shards[victim].record_unfinished(&task);
-                // No new reuse followers may park on the superseded
-                // donor instance.
-                self.reuse.evict_task(victim, donor_internal);
-                let internal = self.compact.assign(thief, external);
-                if let Some(gi) =
-                    self.arrival_idx.remove(&(victim as u32, donor_internal.0))
-                {
-                    let entry = &mut self.arrival_order[gi];
-                    entry.shard = thief as u32;
-                    entry.internal = internal;
-                    self.arrival_idx.insert((thief as u32, internal.0), gi);
-                }
-                if self.latest.get(&external.0)
-                    == Some(&(victim as u32, donor_internal))
-                {
-                    self.latest.insert(external.0, (thief as u32, internal));
-                }
-                let mut relabelled = task;
-                relabelled.id = internal;
-                moved.push((donor_internal, relabelled));
-                adopted.push(relabelled);
-            }
-            if !adopted.is_empty() {
-                self.shards[thief].adopt_stolen(adopted);
-                self.steal_stats.steals += 1;
-                self.steal_stats.tasks_moved += moved.len() as u64;
-                records.push(StealRecord {
-                    from: victim,
-                    to: thief,
-                    moved,
-                });
-                // Steal-triggered refresh: the table must not keep
-                // advertising state this transfer just invalidated.
-                // (The sync point's full refresh follows when stale
-                // routing is on; these two entries are additionally
-                // current for any later thief in this same pass.)
-                self.republish_view(victim);
-                self.republish_view(thief);
-            }
-        }
-        if any_idle {
-            self.steal_stats.steal_points += 1;
-        }
-        records
-    }
-
     /// The federation clock (all shards share one timeline). Taken as
     /// the max over the shards: in healthy operation every shard
     /// agrees, and after a crash wiped one shard's clock the surviving
@@ -557,8 +293,8 @@ impl<'a, S: Sink> Gateway<'a, S> {
     }
 
     /// The tenant-admission check every driver runs **before any other
-    /// per-arrival side effect** (clock advance, sync point, arrival
-    /// log, watermark). Returns `Some((tenant, reason))` when the task
+    /// per-arrival side effect** (clock advance, arrival log,
+    /// watermark). Returns `Some((tenant, reason))` when the task
     /// is shed — the caller must then skip the arrival entirely, as if
     /// it never existed: that invisibility is what makes one tenant's
     /// burst unobservable in every other tenant's coordinates (the SLA
@@ -666,15 +402,9 @@ impl<'a, S: Sink> Gateway<'a, S> {
         Ok(self.push_admitted(task))
     }
 
-    /// The post-admission tail of [`Gateway::push_arrival`]: sync
-    /// schedule, reuse gate, routing, shard delivery.
+    /// The post-admission tail of [`Gateway::push_arrival`]: reuse
+    /// gate, routing, shard delivery.
     fn push_admitted(&mut self, task: Task) -> Admission {
-        // Streaming callers get the sync schedule for free; the
-        // bundled drivers run it themselves (they journal the steal
-        // records this discards).
-        if self.sync_due() {
-            let _ = self.sync_point();
-        }
         match self.admit_route(task) {
             Admit::Fresh { shard, task } => {
                 let internal = task.id;
@@ -719,12 +449,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
         if let Some((shard, primary, merged)) = self.reuse.admit(&task) {
             let internal = self.compact.assign(shard, task.id);
             self.latest.insert(task.id.0, (shard as u32, internal));
-            if self.stealing {
-                self.arrival_idx.insert(
-                    (shard as u32, internal.0),
-                    self.arrival_order.len(),
-                );
-            }
             self.arrival_order.push(FedArrival {
                 shard: shard as u32,
                 internal,
@@ -758,10 +482,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
         let shard = self.pick_shard(&task);
         let internal = self.compact.assign(shard, task.id);
         self.latest.insert(task.id.0, (shard as u32, internal));
-        if self.stealing {
-            self.arrival_idx
-                .insert((shard as u32, internal.0), self.arrival_order.len());
-        }
         self.arrival_order.push(FedArrival {
             shard: shard as u32,
             internal,
@@ -773,10 +493,9 @@ impl<'a, S: Sink> Gateway<'a, S> {
     }
 
     /// The routing decision alone: asks the policy for a shard (on live
-    /// or stale views, per the consistency contract) and remaps a
-    /// quarantined pick to the next healthy shard. Advances the
-    /// policy's own state (e.g. the round-robin cursor) and nothing
-    /// else.
+    /// views) and remaps a quarantined pick to the next healthy shard.
+    /// Advances the policy's own state (e.g. the round-robin cursor)
+    /// and nothing else.
     fn pick_shard(&mut self, task: &Task) -> usize {
         // A single shard needs no routing decision at all — the
         // bit-identity-critical 1-shard path skips the policy (and its
@@ -786,36 +505,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
             0
         } else if self.policy.is_stateless() {
             self.policy.route_stateless(self.shards.len(), task)
-        } else if self.uses_stale_views() {
-            // Bounded staleness: route on the last published table —
-            // no shard reads at all, which is what lets the parallel
-            // driver deliver arrivals between sync points with zero
-            // cross-shard barriers. The lazy refresh only fires for a
-            // caller that skipped the ordinal-0 sync (the table it
-            // builds equals the live views at this instant).
-            if self.stale.is_none() {
-                self.refresh_views();
-            }
-            let now_ordinal = self.arrival_order.len() as u64;
-            let table = self.stale.as_ref().expect("refreshed above");
-            let views: Vec<ShardView<'_>> = table
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, st)| {
-                    ShardView::with_age(
-                        i,
-                        SystemView::new(
-                            st.now,
-                            &st.queues,
-                            self.shards[i].pet(),
-                        ),
-                        st.pending,
-                        now_ordinal.saturating_sub(st.published),
-                    )
-                })
-                .collect();
-            self.policy.route(&views, task)
         } else {
             // The views borrow the shards, so they cannot live in a
             // reused arena on `self`; one small shard-count-sized
@@ -856,12 +545,12 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// `from` (tasks still carrying their `from`-internal ids). Each
     /// task closes its book on `from` (`Unfinished`), is routed by the
     /// same policy call a fresh arrival would get, takes a fresh dense
-    /// id on its target and runs that shard's mapping event. Like the
-    /// steal pass, it then re-points the task's existing
-    /// [`FedArrival`] instead of appending one: a re-route is not an
-    /// arrival, so the task counts once, under its live instance, and
-    /// no sync ordinal moves. Returns each target with the relabelled
-    /// task, in salvage order, for the driver's journal.
+    /// id on its target and runs that shard's mapping event. It then
+    /// re-points the task's existing [`FedArrival`] instead of
+    /// appending one: a re-route is not an arrival, so the task counts
+    /// once, under its live instance, and no arrival ordinal moves.
+    /// Returns each target with the relabelled task, in salvage order,
+    /// for the driver's journal.
     pub(crate) fn reroute_salvaged(
         &mut self,
         from: usize,
@@ -892,10 +581,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
             let entry = &mut self.arrival_order[gi];
             entry.shard = shard as u32;
             entry.internal = internal;
-            if self.stealing {
-                self.arrival_idx.remove(&(from as u32, task.id.0));
-                self.arrival_idx.insert((shard as u32, internal.0), gi);
-            }
             if self.latest.get(&external.0) == Some(&(from as u32, task.id)) {
                 self.latest.insert(external.0, (shard as u32, internal));
             }
@@ -1004,47 +689,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
             .iter()
             .map(|s| s.snapshot().to_value())
             .collect();
-        // The stale view table is state, not scratch: a restored
-        // gateway must keep routing on the exact views published at
-        // the last pre-capture sync point, or its decisions diverge
-        // from the uninterrupted run's.
-        let stale = match &self.stale {
-            None => Value::Null,
-            Some(table) => Value::Object(vec![
-                ("epoch".to_owned(), table.epoch.to_value()),
-                (
-                    "shards".to_owned(),
-                    Value::Array(
-                        table
-                            .shards
-                            .iter()
-                            .map(|st| {
-                                Value::Object(vec![
-                                    ("now".to_owned(), st.now.to_value()),
-                                    (
-                                        "pending".to_owned(),
-                                        st.pending.to_value(),
-                                    ),
-                                    (
-                                        "queues".to_owned(),
-                                        Value::Array(
-                                            st.queues
-                                                .iter()
-                                                .map(MachineQueue::state_value)
-                                                .collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "published".to_owned(),
-                                        st.published.to_value(),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        };
         Snapshot::seal(
             "gateway",
             Value::Object(vec![
@@ -1054,8 +698,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
                 ("policy".to_owned(), self.policy.snapshot_state()),
                 ("quarantined".to_owned(), self.quarantined.to_value()),
                 ("reuse".to_owned(), self.reuse.state_value()),
-                ("stale".to_owned(), stale),
-                ("steals".to_owned(), self.steal_stats.to_value()),
                 (
                     "tenants".to_owned(),
                     match &self.tenants {
@@ -1075,8 +717,11 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// configuration and plug-in types.
     ///
     /// # Errors
-    /// Any [`SnapshotError`]; on error the gateway's state is
-    /// unspecified and it should be discarded.
+    /// Any [`SnapshotError`] — among them a
+    /// [`SnapshotError::ShapeMismatch`] for a capture that routed on a
+    /// stale view table or recorded batch-queue steals (see the
+    /// [`crate::snapshot`] module docs). On error the gateway's state
+    /// is unspecified and it should be discarded.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let payload = snap.verify()?.clone();
         let Value::Array(shard_snaps) = payload.get_field("shards")? else {
@@ -1118,68 +763,31 @@ impl<'a, S: Sink> Gateway<'a, S> {
             Some(state) => self.reuse.restore_value(state)?,
             None => self.reuse = ReuseGate::new(self.reuse.policy()),
         }
-        // Pre-PR9 snapshots carry no view table or steal counters;
-        // absent means neither subsystem existed at capture.
-        self.stale = match payload.get_opt("stale") {
-            None | Some(Value::Null) => None,
-            Some(v) => {
-                let epoch = u64::from_value(v.get_field("epoch")?)?;
-                let Value::Array(entries) = v.get_field("shards")? else {
+        // Older builds could route on a bounded-staleness view table
+        // and steal batch-queue tails, capturing both as `stale` and
+        // `steals`. A capture with neither in use restores as is; one
+        // that used them would resume as a different federation here.
+        if !matches!(payload.get_opt("stale"), None | Some(Value::Null)) {
+            return Err(SnapshotError::ShapeMismatch {
+                what: "snapshot routes on a stale view table, which this \
+                       build does not have",
+            });
+        }
+        if let Some(steals) = payload.get_opt("steals") {
+            let Value::Object(counters) = steals else {
+                return Err(SnapshotError::ShapeMismatch {
+                    what: "`steals` payload is not an object",
+                });
+            };
+            for (_, count) in counters {
+                if u64::from_value(count)? != 0 {
                     return Err(SnapshotError::ShapeMismatch {
-                        what: "`stale.shards` payload is not an array",
-                    });
-                };
-                if entries.len() != self.shards.len() {
-                    return Err(SnapshotError::ShapeMismatch {
-                        what: "stale-view count differs from this \
-                               federation's shard count",
+                        what: "snapshot records batch-queue steals, which \
+                               this build does not have",
                     });
                 }
-                let mut shards = Vec::with_capacity(entries.len());
-                for (core, entry) in self.shards.iter().zip(entries) {
-                    let now = SimTime::from_value(entry.get_field("now")?)?;
-                    let pending =
-                        usize::from_value(entry.get_field("pending")?)?;
-                    let Value::Array(qs) = entry.get_field("queues")? else {
-                        return Err(SnapshotError::ShapeMismatch {
-                            what: "a stale view's `queues` is not an array",
-                        });
-                    };
-                    // Clone the live queues for their static shape
-                    // (machine identity, capacity, chain caches), then
-                    // overwrite with the published state.
-                    let mut queues = core.clone_queues();
-                    if qs.len() != queues.len() {
-                        return Err(SnapshotError::ShapeMismatch {
-                            what: "a stale view's queue count differs \
-                                   from the shard's machine count",
-                        });
-                    }
-                    for (q, wire) in queues.iter_mut().zip(qs) {
-                        q.restore_value(wire)?;
-                    }
-                    // Pre-PR10 snapshots carry no publication ordinal;
-                    // treat the legacy table as freshly published at
-                    // the capture's arrival count (age 0 — the
-                    // undiscounted behaviour those runs had).
-                    let published = match entry.get_opt("published") {
-                        Some(p) => u64::from_value(p)?,
-                        None => self.arrival_order.len() as u64,
-                    };
-                    shards.push(StaleShard {
-                        now,
-                        pending,
-                        queues,
-                        published,
-                    });
-                }
-                Some(StaleTable { epoch, shards })
             }
-        };
-        self.steal_stats = match payload.get_opt("steals") {
-            Some(v) => StealStats::from_value(v)?,
-            None => StealStats::default(),
-        };
+        }
         // Pre-tenancy snapshots carry no admission state; a
         // tenancy-enabled gateway restoring one starts from a fresh
         // table (and a tenancy-off gateway ignores the field).
@@ -1198,15 +806,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
             .iter()
             .map(|a| (a.external.0, (a.shard, a.internal)))
             .collect();
-        self.arrival_idx = if self.stealing {
-            self.arrival_order
-                .iter()
-                .enumerate()
-                .map(|(gi, a)| ((a.shard, a.internal.0), gi))
-                .collect()
-        } else {
-            HashMap::new()
-        };
         self.decisions.clear();
         self.starts.clear();
         Ok(())
@@ -1231,7 +830,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
             arrivals: self.arrival_order,
             recovery: RecoveryLog::default(),
             reuse,
-            steals: self.steal_stats,
             tenancy,
         }
     }
@@ -1298,11 +896,6 @@ pub struct FederationStats {
     /// reason as the recovery log: serialized stats must stay
     /// bit-identical across reuse configurations.
     pub(crate) reuse: ReuseStats,
-    /// Steal-pass and staleness counters. Off the wire shape like the
-    /// recovery log and reuse counters: the relaxed equivalence
-    /// contract compares serialized stats across drivers, and these
-    /// describe *how* the run proceeded, not its outcome.
-    pub(crate) steals: StealStats,
     /// Per-tenant admission counters, present when the gateway ran
     /// with a [`TenancyPolicy`]. Off the wire shape like the other
     /// observability channels — a quotas-off run must serialize
@@ -1329,7 +922,6 @@ impl Deserialize for FederationStats {
             arrivals: Vec::<FedArrival>::from_value(v.get_field("arrivals")?)?,
             recovery: RecoveryLog::default(),
             reuse: ReuseStats::default(),
-            steals: StealStats::default(),
             tenancy: None,
         })
     }
@@ -1356,16 +948,6 @@ impl FederationStats {
     /// observability and stay off the serialized wire shape).
     pub fn reuse_stats(&self) -> ReuseStats {
         self.reuse
-    }
-
-    /// Steal-pass and staleness counters: transfers executed, tasks
-    /// moved, steal points evaluated, view refreshes published. All
-    /// zero when stealing is off and the consistency knob is
-    /// [`Consistency::Lockstep`] (and after deserialization — like the
-    /// recovery log, these are observability and stay off the
-    /// serialized wire shape).
-    pub fn steal_stats(&self) -> StealStats {
-        self.steals
     }
 
     /// Per-tenant admission counters: `None` for tenancy-off runs and
@@ -1548,8 +1130,6 @@ pub struct GatewayBuilder<'a, S: Sink = NullSink> {
     pruner_fn: Option<PrunerFn<'a>>,
     sink_fn: Box<dyn FnMut(usize) -> S + 'a>,
     reuse: ReusePolicy,
-    consistency: Consistency,
-    stealing: bool,
     tenancy: Option<TenancyPolicy>,
 }
 
@@ -1570,8 +1150,6 @@ impl<'a> GatewayBuilder<'a, NullSink> {
             pruner_fn: None,
             sink_fn: Box::new(|_| NullSink),
             reuse: ReusePolicy::Off,
-            consistency: Consistency::Lockstep,
-            stealing: false,
             tenancy: None,
         }
     }
@@ -1644,31 +1222,6 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
         self
     }
 
-    /// Sets the view-freshness contract for stateful routing policies
-    /// (default: [`Consistency::Lockstep`], the PR 5 behaviour).
-    /// Under [`Consistency::BoundedStale`]`{k}` the gateway routes on
-    /// an epoch-stamped view table at most `k` arrivals stale,
-    /// refreshed on the deterministic (arrival-ordinal) schedule both
-    /// drivers share — see `tests/relaxed_equivalence.rs` for the
-    /// contract this buys. `BoundedStale { k: 0 }` is bit-for-bit
-    /// identical to `Lockstep`.
-    pub fn consistency(mut self, consistency: Consistency) -> Self {
-        self.consistency = consistency;
-        self
-    }
-
-    /// Enables federation-level batch-queue stealing: at every sync
-    /// point, an idle shard adopts half the deepest victim's
-    /// batch-queue tail (tasks with no machine commitment — legal
-    /// w.r.t. the paper's model). Steal decisions are taken at the
-    /// same deterministic ordinals as view refreshes, journaled as
-    /// [`JournalOp::Steal`]/[`JournalOp::Adopt`], and identical under
-    /// both drivers. Default: off.
-    pub fn stealing(mut self, on: bool) -> Self {
-        self.stealing = on;
-        self
-    }
-
     /// Installs the multi-tenant admission policy: per-tenant quotas,
     /// SLA classes, weighted-fair admission, and (when the policy
     /// carries a [`crate::LadderConfig`]) the overload degradation
@@ -1710,8 +1263,6 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
             pruner_fn: self.pruner_fn,
             sink_fn: Box::new(f),
             reuse: self.reuse,
-            consistency: self.consistency,
-            stealing: self.stealing,
             tenancy: self.tenancy,
         }
     }
@@ -1767,8 +1318,6 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
             shards,
             policy,
             ReuseGate::new(self.reuse),
-            self.consistency,
-            self.stealing,
             self.tenancy,
         ))
     }
@@ -2047,8 +1596,7 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             } else {
                 let mut task = source.next().expect("peeked above");
                 // Admission control runs *before* every per-arrival
-                // side effect (clock advance, sync point, arrival log,
-                // watermark): a shed task is invisible to every
+                // side effect (clock advance, arrival log, watermark): a shed task is invisible to every
                 // coordinate of the run, which is exactly what makes
                 // the SLA-isolation contract hold — and what keeps the
                 // serial and parallel drivers bit-identical, since
@@ -2059,27 +1607,6 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
                 }
                 let at = task.arrival.max(self.gateway.now());
                 self.gateway.advance_to(at);
-                // Sync point: by this instant every event due before
-                // the arrival has been processed (the `has_due`
-                // ordering above), so the steal pass and view refresh
-                // read exactly the state the parallel driver's sync
-                // barrier exposes at the same ordinal.
-                if self.gateway.sync_due() {
-                    for record in self.gateway.sync_point() {
-                        for &(donor, adopted) in &record.moved {
-                            self.record(
-                                record.from,
-                                at,
-                                JournalOp::Steal { task: donor },
-                            );
-                            self.record(
-                                record.to,
-                                at,
-                                JournalOp::Adopt { task: adopted },
-                            );
-                        }
-                    }
-                }
                 if let Some(log) = &mut self.arrival_log {
                     log.push(task);
                 }

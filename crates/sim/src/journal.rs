@@ -2,15 +2,14 @@
 //! elastic federation.
 //!
 //! Everything a driver does to a shard core between checkpoints is one
-//! of seven [`JournalOp`]s: an arrival push, a completion, a deadline
-//! wakeup, a reuse absorption, the two halves of a steal, and an
-//! overload-ladder step. `JournalOp::apply` is the one place an
-//! operation becomes core calls: every driver's completions and
-//! wakeups, the federated drivers' routed arrivals, and
-//! [`ShardJournal::replay`] all go through it (the single-shard
-//! [`crate::Engine`] pushes its arrivals itself, to keep their typed
-//! [`crate::StatsError`]). A [`ShardJournal`] records the
-//! stream as [`JournalEntry`] records; replay re-applies it to a core
+//! of five [`JournalOp`]s: an arrival push, a completion, a deadline
+//! wakeup, a reuse absorption and an overload-ladder step.
+//! `JournalOp::apply` is the one place an operation becomes core
+//! calls: every driver's completions and wakeups, the federated
+//! drivers' routed arrivals, and [`ShardJournal::replay`] all go
+//! through it (the single-shard [`crate::Engine`] pushes its arrivals
+//! itself, to keep their typed [`crate::StatsError`]). A
+//! [`ShardJournal`] records the stream as [`JournalEntry`] records; replay re-applies it to a core
 //! restored from the last [`crate::Snapshot`], reproducing the shard's
 //! state bit-identically (the simulator's determinism contract —
 //! `tests/crash_failover.rs` pins it).
@@ -58,22 +57,6 @@ pub enum JournalOp {
         /// duplicate).
         merged: bool,
     },
-    /// A batch-queue task stolen *from* this shard at a federation
-    /// steal point (see `crate::Consistency` and the gateway's steal
-    /// pass). Replay removes the task from the restored batch queue —
-    /// the thief's journal holds the matching [`JournalOp::Adopt`].
-    Steal {
-        /// The shard-internal id of the donated task.
-        task: TaskId,
-    },
-    /// A stolen batch-queue task adopted *by* this shard, already
-    /// relabelled to the thief's internal dense id space. Replayed
-    /// through the ordinary arrival push (steals carry no machine
-    /// commitment by construction).
-    Adopt {
-        /// The relabelled task exactly as it was adopted.
-        task: Task,
-    },
     /// An overload-ladder transition applied to this shard's pruner
     /// bias (see [`crate::tenant`]). Journaled so a recovered shard
     /// replays the exact pruning-threshold history between
@@ -93,9 +76,7 @@ impl JournalOp {
         core: &mut SchedulerCore<'_, S>,
     ) -> bool {
         match self {
-            JournalOp::Arrival(task) | JournalOp::Adopt { task } => {
-                core.push_arrival(task);
-            }
+            JournalOp::Arrival(task) => core.push_arrival(task),
             JournalOp::Completion { machine, task } => {
                 return core.complete(machine, task);
             }
@@ -105,7 +86,6 @@ impl JournalOp {
                 task,
                 merged,
             } => core.apply_piggyback(primary, task, merged),
-            JournalOp::Steal { task } => core.apply_steal(task),
             JournalOp::SlaRung { rung } => core.set_sla_rung(rung),
         }
         true

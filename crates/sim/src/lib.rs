@@ -66,14 +66,6 @@
 //!   fanning the single completion out to every follower (each judged
 //!   against its own deadline). Off by default and bit-identical to a
 //!   gateway without it.
-//! * [`Consistency`] / [`StealStats`] — the relaxed-routing layer:
-//!   under [`Consistency::BoundedStale`] stateful policies route on an
-//!   epoch-stamped view table at most `k` arrivals stale (letting the
-//!   parallel driver skip the per-arrival barrier), and idle shards
-//!   steal batch-queue tails from the deepest backlog at the same
-//!   deterministic sync points. Serial and parallel drivers stay
-//!   byte-identical at every `k` (`tests/relaxed_equivalence.rs`), and
-//!   `BoundedStale { k: 0 }` is bit-for-bit `Lockstep`.
 //! * [`FaultPlan`] / [`Supervisor`] — the robustness layer: seeded,
 //!   replayable fault schedules injected into the serial
 //!   [`FederatedEngine`], and a self-healing supervisor over it that
@@ -141,12 +133,10 @@ pub use gateway::{
 pub use journal::{JournalEntry, JournalOp, ShardJournal};
 pub use parallel::ParallelFederatedEngine;
 pub use reuse::{Admission, ReuseMode, ReusePolicy, ReuseStats};
-pub use route::{
-    Consistency, LeastQueuedRoute, RoundRobinRoute, RoutePolicy, ShardView,
-};
+pub use route::{LeastQueuedRoute, RoundRobinRoute, RoutePolicy, ShardView};
 pub use sink::{NullSink, Sink};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
-pub use stats::{SimStats, StatsError, StealStats, TenancyStats, TenantSlice};
+pub use stats::{SimStats, StatsError, TenancyStats, TenantSlice};
 pub use supervisor::{
     RecoveryAction, RecoveryActionKind, RecoveryLog, RecoveryPolicy, Supervisor,
 };

@@ -27,22 +27,12 @@
 //!
 //! # Two schedules, one ordering
 //!
-//! **Mailbox.** When routing needs no shard state beyond what the
-//! last sync point published — a policy that declares
-//! [`crate::RoutePolicy::is_stateless`] (round-robin), a single shard,
-//! or any federation with sync points (a stateful policy reading the
-//! gateway's epoch-stamped stale view table under
-//! [`crate::Consistency::BoundedStale`], or federation stealing) — the
-//! coordinator routes arrivals into per-shard mailboxes, and every
-//! lane replays its private merge of mailbox arrivals and heap events
-//! on its own. The only barriers are the *sync points* every `k + 1`
-//! arrivals (every arrival under `Lockstep`), where all mailboxes
-//! drain, the steal pass rebalances batch-queue tails, and the view
-//! table is republished. Without sync points the whole stream routes
-//! up front and the lanes run start to finish with **zero cross-shard
-//! barriers**. The serial driver runs the identical sync schedule at
-//! the identical arrival ordinals, so both cases stay byte-identical
-//! at every thread count (`tests/relaxed_equivalence.rs`).
+//! **Mailbox.** When routing needs no shard state — a policy that
+//! declares [`crate::RoutePolicy::is_stateless`] (round-robin), or a
+//! single shard — the coordinator routes the whole stream into
+//! per-shard mailboxes up front, and every lane replays its private
+//! merge of mailbox arrivals and heap events on its own, start to
+//! finish, with **zero cross-shard barriers**.
 //!
 //! **Lockstep.** A state-dependent policy (least-queued, best-chance)
 //! on live views must observe every shard exactly as the serial driver
@@ -251,11 +241,11 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         self.ingest(arrivals);
         if !self.lockstep() {
             // The mailbox schedule normally defers shard work to the
-            // finale or the next sync point; deliver the routed prefix
-            // now so the pause point observes shards advanced to the
-            // watermark. The per-shard operation sequence is exactly
-            // the one `run_shard` (or the next barrier) would have
-            // replayed, so a later `finish_stream` stays bit-identical.
+            // finale; deliver the routed prefix now so the pause point
+            // observes shards advanced to the watermark. The per-shard
+            // operation sequence is exactly the one `run_shard` would
+            // have replayed, so a later `finish_stream` stays
+            // bit-identical.
             self.deliver_mailboxes();
         }
     }
@@ -309,12 +299,10 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
     }
 
     /// Whether the lockstep schedule applies: a stateful policy over
-    /// more than one shard, with no sync points (routing reads live
-    /// shard state). Everything else runs the mailbox schedule.
+    /// more than one shard (routing reads live shard state).
+    /// Everything else runs the mailbox schedule.
     fn lockstep(&self) -> bool {
-        !self.gateway.policy_is_stateless()
-            && self.gateway.n_shards() > 1
-            && !self.gateway.sync_enabled()
+        !self.gateway.policy_is_stateless() && self.gateway.n_shards() > 1
     }
 
     /// Routes a batch of arrivals under whichever schedule applies,
@@ -331,8 +319,8 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
     }
 
     /// The per-arrival prologue both schedules share. Tenant admission
-    /// precedes every coordinate update (watermark, arrival log, sync
-    /// ordinal, mailboxes): a shed task is invisible, exactly as in the
+    /// precedes every coordinate update (watermark, arrival log,
+    /// mailboxes): a shed task is invisible, exactly as in the
     /// serial driver — same verdict from the same arrival-visible data
     /// in the same global order. Returns the admitted arrival's serial
     /// processing instant, or `None` when it was shed.
@@ -351,31 +339,15 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
 
     /// Mailbox schedule: route each arrival into its shard's mailbox on
     /// the coordinator (identical routing bookkeeping to the serial
-    /// driver); shard execution is deferred. Under relaxed consistency
-    /// ([`crate::Consistency`]) or stealing, stateful policies read the
-    /// gateway's stale view table instead of live shards, and every
-    /// `k + 1` arrivals a **sync point** runs first: all lanes drain
-    /// their mailboxes and come fully current before the coordinator
-    /// runs the steal pass and republishes the view table. At a sync
-    /// point both drivers expose byte-identical shard state at the same
-    /// arrival ordinal (every completion due before the sync instant
-    /// applied, clocks at the arrival's serial processing time) — the
-    /// relaxed equivalence contract `tests/relaxed_equivalence.rs`
-    /// pins.
+    /// driver); shard execution is deferred.
     fn mailbox_ingest<I>(&mut self, arrivals: I)
     where
         I: IntoIterator<Item = Task>,
     {
         for mut task in arrivals {
-            // A shed task must not trigger (or delay) a sync point, or
-            // the steal schedule would observe another tenant's burst.
             let Some(target) = self.admit_arrival(&mut task) else {
                 continue;
             };
-            if self.gateway.sync_due() {
-                self.sync_lanes(task.arrival, target);
-                self.run_sync_point();
-            }
             let (shard, op) = self.gateway.admit_route(task).into_op();
             self.lanes[shard].mailbox.push_back(Mail {
                 op,
@@ -424,10 +396,11 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         });
     }
 
-    /// The barrier: every lane drains its mailbox and processes all
-    /// completions due before `cutoff`, finishing with its clock at
-    /// `target` — the exact state the serial driver holds when it
-    /// reaches the same arrival ordinal.
+    /// The lockstep barrier: every lane processes all completions due
+    /// before `cutoff`, finishing with its clock at `target` — the
+    /// exact state the serial driver holds when it reaches the same
+    /// arrival ordinal. Lockstep routes every arrival inline, so the
+    /// mailboxes are empty here.
     fn sync_lanes(&mut self, cutoff: SimTime, target: SimTime) {
         let truth = self.truth;
         let lanes = &mut self.lanes;
@@ -435,14 +408,12 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         // A same-instant burst usually has nothing due between its
         // arrivals; don't pay for a scope (allocation + completion
         // latch) when no lane will spawn.
-        let busy =
-            |l: &ShardLane| !l.mailbox.is_empty() || l.lane.has_due(cutoff);
+        let busy = |l: &ShardLane| l.lane.has_due(cutoff);
         if lanes.iter().any(busy) {
             self.pool.scope(|s| {
                 for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
                     if busy(lane) {
                         s.spawn(move || {
-                            lane.deliver_mail(core, truth);
                             lane.lane.advance_events(
                                 core,
                                 truth,
@@ -464,20 +435,6 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                     core.advance_to(target);
                 }
             }
-        }
-    }
-
-    /// Runs the coordinator half of a sync point — steal pass plus view
-    /// refresh — then dispatches the thieves' freshly mapped starts.
-    fn run_sync_point(&mut self) {
-        if self.gateway.sync_point().is_empty() {
-            return;
-        }
-        let truth = self.truth;
-        let lanes = &mut self.lanes;
-        let shards = self.gateway.shards_mut();
-        for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
-            lane.lane.settle(core, truth, &mut NullDecisions);
         }
     }
 

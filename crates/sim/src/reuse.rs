@@ -492,24 +492,6 @@ impl ReuseGate {
         }
     }
 
-    /// Drops the primary registered as `(shard, internal)`, if it is
-    /// still live. Called when a federation steal moves the instance
-    /// to another shard: followers must stop piggybacking onto the
-    /// donor-side identity (the adopted instance re-registers under
-    /// the thief's ids when it routes fresh — a stolen task never
-    /// does, so the conservative move is to forget it).
-    pub(crate) fn evict_task(&mut self, shard: usize, internal: TaskId) {
-        let dead: Vec<((u64, u16), GateEntry)> = self
-            .cache
-            .iter()
-            .filter(|(_, e)| e.shard == shard && e.internal == internal.0)
-            .map(|(k, e)| (*k, *e))
-            .collect();
-        for (key, entry) in dead {
-            self.remove_entry(key, &entry);
-        }
-    }
-
     /// Removes one cache entry plus its order-index and class-tuple
     /// mirrors — the single exit point every eviction path uses.
     fn remove_entry(&mut self, key: (u64, u16), entry: &GateEntry) {

@@ -10,6 +10,11 @@
 //! probes, lives with the other estimate-driven logic in
 //! `taskprune_heuristics::probe`.
 //!
+//! The views are live: a policy that reads shard state sees every
+//! shard's queues as they stand at the arrival's instant, under either
+//! driver (the parallel one brings every shard current before it
+//! routes such an arrival).
+//!
 //! Policies only see arrivals that reach routing: a task the
 //! function-reuse gate absorbs onto an in-flight primary
 //! ([`crate::ReusePolicy`]) piggybacks on the primary's shard and
@@ -20,59 +25,6 @@
 use crate::view::SystemView;
 use taskprune_model::Task;
 
-/// How fresh the shard views handed to a stateful [`RoutePolicy`] must
-/// be — the knob that trades routing accuracy for barrier-free
-/// parallelism (set via [`crate::GatewayBuilder::consistency`]).
-///
-/// Under [`Consistency::Lockstep`] every stateful routing decision
-/// reads live shard state, which forces the parallel driver into one
-/// global barrier per arrival. Under
-/// [`Consistency::BoundedStale`]`{k}` the gateway instead routes on a
-/// cached, epoch-stamped view table refreshed every `k + 1` arrivals
-/// (at arrival ordinals divisible by `k + 1`, counting every admitted
-/// task including reuse absorptions), so views are at most `k`
-/// arrivals stale. The refresh schedule is pinned to the same
-/// (arrival-ordinal, shard-op-count) coordinate system
-/// [`crate::FaultPlan`] uses, so serial and parallel drivers observe
-/// byte-identical stale views and produce byte-identical runs — the
-/// relaxed equivalence contract in `tests/relaxed_equivalence.rs`.
-///
-/// `BoundedStale { k: 0 }` refreshes before every arrival and is
-/// bit-for-bit identical to `Lockstep`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Consistency {
-    /// Stateful policies route on live shard state; the parallel
-    /// driver synchronises every arrival (the PR 5 behaviour).
-    #[default]
-    Lockstep,
-    /// Stateful policies route on views at most `k` arrivals stale;
-    /// the parallel driver only synchronises at view-refresh ordinals.
-    BoundedStale {
-        /// Maximum staleness, in arrivals, of the view table.
-        k: u64,
-    },
-}
-
-impl Consistency {
-    /// The view-refresh period in arrivals: the table is rebuilt at
-    /// every arrival ordinal divisible by this. `Lockstep` behaves as
-    /// period 1 (always fresh).
-    pub fn refresh_period(self) -> u64 {
-        match self {
-            Consistency::Lockstep => 1,
-            Consistency::BoundedStale { k } => k.saturating_add(1),
-        }
-    }
-
-    /// The staleness bound `k` (0 under `Lockstep`).
-    pub fn staleness(self) -> u64 {
-        match self {
-            Consistency::Lockstep => 0,
-            Consistency::BoundedStale { k } => k,
-        }
-    }
-}
-
 /// A read-only snapshot of one shard, handed to routing policies.
 ///
 /// Wraps the shard's [`SystemView`] (machine queues, PET matrix, chance
@@ -82,49 +34,26 @@ pub struct ShardView<'v> {
     index: usize,
     view: SystemView<'v>,
     pending_batch: usize,
-    age: u64,
 }
 
 impl<'v> ShardView<'v> {
-    /// Builds a live (age 0) shard view (gateway-internal; public for
-    /// policy tests).
+    /// Builds a shard view (gateway-internal; public for policy
+    /// tests).
     pub fn new(
         index: usize,
         view: SystemView<'v>,
         pending_batch: usize,
     ) -> Self {
-        Self::with_age(index, view, pending_batch, 0)
-    }
-
-    /// Builds a shard view carrying an explicit staleness age — the
-    /// number of admitted arrivals since this entry was published to
-    /// the bounded-staleness view table. Live (Lockstep) views and a
-    /// table refreshed this very arrival have age 0.
-    pub fn with_age(
-        index: usize,
-        view: SystemView<'v>,
-        pending_batch: usize,
-        age: u64,
-    ) -> Self {
         Self {
             index,
             view,
             pending_batch,
-            age,
         }
     }
 
     /// This shard's index within the federation.
     pub fn index(&self) -> usize {
         self.index
-    }
-
-    /// Admitted arrivals since this view entry was published (0 for
-    /// live views). Staleness-aware policies discount chance estimates
-    /// by this — a deep-looking backlog in an old entry may already be
-    /// drained, and an empty-looking shard may already be flooded.
-    pub fn age(&self) -> u64 {
-        self.age
     }
 
     /// The shard's system view — machine queues, free slots, and the

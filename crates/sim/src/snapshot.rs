@@ -24,11 +24,15 @@
 //!   records: absent means `None`, so snapshots written before a field
 //!   existed keep loading. Restore paths default each legacy-absent
 //!   field to "the subsystem didn't exist at capture": a pre-reuse
-//!   snapshot restores with an empty gate, a pre-PR9 one with no view
-//!   table or steal counters, and a pre-tenancy one with a fresh
-//!   `TenantTable` and `sla_rung = None` (SLA-aware pruning off) —
-//!   new state never invents history a bit-identity replay would
-//!   have to explain.
+//!   snapshot restores with an empty gate, and a pre-tenancy one with
+//!   a fresh `TenantTable` and `sla_rung = None` (SLA-aware pruning
+//!   off) — new state never invents history a bit-identity replay
+//!   would have to explain. State this build no longer has is the
+//!   reverse case: a gateway capture restores only if its `stale`
+//!   view table is absent or null and its `steals` counters are
+//!   absent or all zero (the relaxed-routing layer was off). Anything
+//!   else is a [`SnapshotError::ShapeMismatch`], because resuming it
+//!   would silently run a different federation.
 //!
 //! Chain caches and scratch arenas are never serialized — restore
 //! rebuilds them lazily, which the incremental-chain determinism

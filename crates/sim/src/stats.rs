@@ -82,51 +82,14 @@ impl TypeStats {
     }
 }
 
-/// Steal-pass and staleness counters for one federated run.
-///
-/// Accumulated by the gateway's steal pass and the bounded-staleness
-/// view table (see `crate::Consistency`), surfaced through
-/// `FederationStats::steal_stats`. Deliberately **off the wire
-/// shape**: like the recovery log and reuse counters, these are
-/// observability, not outcome — the serialized `FederationStats` both
-/// equivalence contracts compare stays exactly `{per_shard,
-/// arrivals}`.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize,
-)]
-pub struct StealStats {
-    /// Steal transfers executed (one per thief/victim pair that moved
-    /// at least one task).
-    pub steals: u64,
-    /// Batch-queue tasks moved across shards by those transfers.
-    pub tasks_moved: u64,
-    /// Steal points evaluated (sync ordinals where some lane was
-    /// idle), whether or not a transfer resulted.
-    pub steal_points: u64,
-    /// View-table refreshes published (0 under lockstep with no
-    /// stealing — the table is never materialised).
-    pub view_refreshes: u64,
-}
-
-impl StealStats {
-    /// Folds another collector into this one (federation merge).
-    pub fn absorb(&mut self, other: &StealStats) {
-        self.steals += other.steals;
-        self.tasks_moved += other.tasks_moved;
-        self.steal_points += other.steal_points;
-        self.view_refreshes += other.view_refreshes;
-    }
-}
-
 /// Per-lane admission counters of one tenancy-enabled federated run.
 ///
 /// Built by the gateway's [`crate::TenancyPolicy`] admission layer and
 /// surfaced through `FederationStats::tenancy_stats`. Like the
-/// recovery log, reuse counters, and steal counters, this is
-/// deliberately **off the wire shape**: the serialized
-/// `FederationStats` the equivalence contracts compare stays exactly
-/// `{per_shard, arrivals}`, and a quotas-off run serializes
-/// bit-identically to a pre-tenancy gateway.
+/// recovery log and reuse counters, this is deliberately **off the
+/// wire shape**: the serialized `FederationStats` the equivalence
+/// contracts compare stays exactly `{per_shard, arrivals}`, and a
+/// quotas-off run serializes bit-identically to a pre-tenancy gateway.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TenancyStats {
     /// Number of tenant lanes (`tenant = external id % lanes`).

@@ -42,19 +42,6 @@
 //! journal replay reproduces a merging shard bit-identically —
 //! `tests/reuse_equivalence.rs` pins a full-budget storm over a
 //! merging run against its fault-free twin.
-//!
-//! Batch-queue stealing composes the same way. Steals are a
-//! synchronous coordinator-side action at sync ordinals (never a
-//! per-shard race), quarantined shards are skipped as both thief and
-//! victim, and each transfer is journaled as
-//! [`crate::JournalOp::Steal`]/[`crate::JournalOp::Adopt`] before any
-//! stolen work executes — so checkpoint + journal replay reproduces a
-//! stealing shard exactly, and fault coordinates
-//! (nth-completion-on-shard) are stealing-invariant. Tasks stolen
-//! *into* a shard that later exhausts its budget are salvaged by the
-//! same quarantine backlog drain as native ones;
-//! `tests/steal_faults.rs` pins both the full-budget bit-identical
-//! heal and the zero-loss quarantine path.
 
 use crate::config::RunError;
 use crate::fault::{FaultKind, FaultPlan};

@@ -64,7 +64,7 @@ pub(crate) const MAX_RUNG: u8 = 3;
 ///
 /// The class rides on [`Task::value`] as a *value tag* (Premium 2.0,
 /// Standard 1.0, BestEffort 0.5) stamped at admission, so it flows
-/// through journals, snapshots, steals and piggybacks for free — the
+/// through journals, snapshots and piggybacks for free — the
 /// serialized stats wire shape never contains task values, so the
 /// stamp is wire-invisible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -388,13 +388,37 @@ fn first_event(payload: &mut serde::Value) -> &mut serde::Value {
         .expect("the pause leaves events in flight")
 }
 
+/// Replaces (or inserts) one field of a coordinator payload's nested
+/// gateway payload and re-seals the gateway envelope.
+fn set_gateway_field(
+    payload: &mut serde::Value,
+    name: &str,
+    value: serde::Value,
+) {
+    let gateway = field(payload, "gateway");
+    let snap: Snapshot = serde::Deserialize::from_value(gateway)
+        .expect("the gateway envelope decodes");
+    let mut inner = snap.payload().clone();
+    let serde::Value::Object(fields) = &mut inner else {
+        panic!("the gateway payload is an object");
+    };
+    match fields.iter_mut().find(|(k, _)| k == name) {
+        Some((_, v)) => *v = value,
+        None => fields.push((name.to_owned(), value)),
+    }
+    *gateway = serde::Serialize::to_value(&Snapshot::seal("gateway", inner));
+}
+
 /// A coordinator payload that decodes but does not describe a
 /// federation — an event on a shard that does not exist or due before
 /// the clock, a pending count that disagrees with the events, an event
 /// kind no driver schedules — is rejected with a typed error, never a
-/// panic and never a silently different run. Each mutated payload is re-sealed, so it
-/// passes `verify` and only the restore's own checks stand between it
-/// and the engine.
+/// panic and never a silently different run. So is one that carries
+/// state of the bounded-staleness routing and batch-stealing layer
+/// this build no longer has: a stale view table, non-zero steal
+/// counters, a journaled steal. Each mutated payload is re-sealed, so
+/// it passes `verify` and only the restore's own checks stand between
+/// it and the engine.
 #[test]
 fn hostile_coordinator_snapshots_are_typed_errors() {
     let (cluster, pet, tasks) = coordinator_setup();
@@ -453,11 +477,68 @@ fn hostile_coordinator_snapshots_are_typed_errors() {
     );
 
     // Every event dropped, the pending counts kept.
-    let mut p = genuine;
+    let mut p = genuine.clone();
     *field(&mut p, "events") = serde::Value::Array(Vec::new());
     assert!(
         matches!(restore(p), Err(SnapshotError::ShapeMismatch { .. })),
         "emptied events under non-zero pending counts must be rejected"
+    );
+
+    let obj = |fields: Vec<(&str, serde::Value)>| {
+        serde::Value::Object(
+            fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+        )
+    };
+
+    // The gateway routed on a stale view table.
+    let mut p = genuine.clone();
+    set_gateway_field(
+        &mut p,
+        "stale",
+        obj(vec![
+            ("epoch", serde::Value::UInt(0)),
+            ("shards", serde::Value::Array(Vec::new())),
+        ]),
+    );
+    assert!(
+        matches!(restore(p), Err(SnapshotError::ShapeMismatch { .. })),
+        "a stale view table must be a shape mismatch"
+    );
+
+    // The gateway recorded batch-queue steals.
+    let mut p = genuine.clone();
+    set_gateway_field(
+        &mut p,
+        "steals",
+        obj(["steals", "tasks_moved", "steal_points", "view_refreshes"]
+            .into_iter()
+            .map(|k| (k, serde::Value::UInt(1)))
+            .collect()),
+    );
+    assert!(
+        matches!(restore(p), Err(SnapshotError::ShapeMismatch { .. })),
+        "non-zero steal counters must be a shape mismatch"
+    );
+
+    // A shard journal holds a steal.
+    let mut p = genuine;
+    let journal =
+        |entries| obj(vec![("entries", serde::Value::Array(entries))]);
+    let steal = obj(vec![
+        ("time", serde::Value::UInt(0)),
+        (
+            "op",
+            obj(vec![("Steal", obj(vec![("task", serde::Value::UInt(0))]))]),
+        ),
+    ]);
+    *field(&mut p, "journals") = serde::Value::Array(vec![
+        journal(vec![steal]),
+        journal(Vec::new()),
+        journal(Vec::new()),
+    ]);
+    assert!(
+        matches!(restore(p), Err(SnapshotError::Decode(_))),
+        "a journaled steal must fail to decode"
     );
 }
 

@@ -345,37 +345,48 @@ fn full_budget() -> RecoveryPolicy {
     }
 }
 
-/// The runtime fault matrix: two fixed storm seeds, each healed to the
-/// fault-free serialized stats. Supervised runs use the serial driver,
-/// so the matrix has one driver column (`tests/self_healing.rs` pins
-/// healed ≡ parallel fault-free).
+/// The runtime fault matrix: two fixed storm seeds under a stateless
+/// and a stateful routing policy, each healed to the fault-free
+/// serialized stats. The stateful leg checks that a recovery leaves
+/// every shard's live queues exactly as the fault-free run had them,
+/// because least-queued routing reads them at every arrival.
+/// Supervised runs use the serial driver, so the matrix has one driver
+/// column (`tests/self_healing.rs` pins healed ≡ parallel fault-free).
 #[test]
 fn fault_storms_heal_identically_across_the_driver_matrix() {
     let (cluster, pet, tasks) = fault_fixture();
     let shards = 3usize;
-    let reference = federated_builder(&cluster, &pet, shards)
-        .build()
-        .expect("valid configuration")
-        .run_stream(tasks.iter().copied());
-    assert_eq!(reference.unreported(), 0);
-    let reference_json = json(&reference);
-
-    for plan_seed in [0xFA01u64, 0xFA02] {
-        let plan = FaultPlan::generate(
-            plan_seed,
-            &FaultSpec::storm(shards, (tasks.len() / shards) as u64),
-        );
-        // Serial.
-        let engine = federated_builder(&cluster, &pet, shards)
+    let policies: [fn() -> Box<dyn RoutePolicy>; 2] = [
+        || Box::new(RoundRobinRoute::new()),
+        || Box::new(LeastQueuedRoute::new()),
+    ];
+    for policy in policies {
+        let name = policy().name().to_owned();
+        let reference = federated_builder(&cluster, &pet, shards)
+            .policy_boxed(policy())
             .build()
-            .expect("valid configuration");
-        let mut sup = Supervisor::new(engine, full_budget());
-        sup.arm(plan);
-        assert_eq!(
-            reference_json,
-            json(&sup.run_stream(tasks.iter().copied())),
-            "serial, plan seed {plan_seed:#x}"
-        );
+            .expect("valid configuration")
+            .run_stream(tasks.iter().copied());
+        assert_eq!(reference.unreported(), 0);
+        let reference_json = json(&reference);
+
+        for plan_seed in [0xFA01u64, 0xFA02] {
+            let plan = FaultPlan::generate(
+                plan_seed,
+                &FaultSpec::storm(shards, (tasks.len() / shards) as u64),
+            );
+            let engine = federated_builder(&cluster, &pet, shards)
+                .policy_boxed(policy())
+                .build()
+                .expect("valid configuration");
+            let mut sup = Supervisor::new(engine, full_budget());
+            sup.arm(plan);
+            assert_eq!(
+                reference_json,
+                json(&sup.run_stream(tasks.iter().copied())),
+                "{name}, plan seed {plan_seed:#x}"
+            );
+        }
     }
 }
 

@@ -153,3 +153,67 @@ fn pruned_decision_streams_are_pinned() {
 const GOLDEN_STREAM_MM: u64 = 3_355_520_884_256_623_010;
 const GOLDEN_STREAM_MSD: u64 = 8_364_599_220_186_489_687;
 const GOLDEN_STREAM_MMU: u64 = 740_984_753_468_499_731;
+
+/// FNV-1a over a string's bytes.
+fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in s.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// A 4-shard federation's serialized outcome record under each routing
+/// policy. The stateful policies read every shard's live queues per
+/// arrival, so these hashes pin least-queued and best-chance routing
+/// decisions, which no single-shard pin reaches.
+#[test]
+fn federated_routing_outputs_are_pinned() {
+    let (cluster, pet, _) = fixture();
+    let trial = WorkloadConfig {
+        total_tasks: 4_000,
+        span_tu: 150.0,
+        ..WorkloadConfig::paper_default(0x601D)
+    }
+    .generate_trial(&pet, 0);
+    let n_types = pet.n_task_types();
+    for (policy, expected) in [
+        (
+            Box::new(RoundRobinRoute::new()) as Box<dyn RoutePolicy>,
+            GOLDEN_FED_ROUND_ROBIN,
+        ),
+        (Box::new(LeastQueuedRoute::new()), GOLDEN_FED_LEAST_QUEUED),
+        (Box::new(BestChanceRoute::new()), GOLDEN_FED_BEST_CHANCE),
+    ] {
+        let name = policy.name().to_owned();
+        let stats = GatewayBuilder::new(&cluster, &pet)
+            .config(SimConfig::batch(9))
+            .shards(4)
+            .policy_boxed(policy)
+            .strategy_with(|_| HeuristicKind::Mm.make())
+            .pruner_with(move |_| {
+                Box::new(PruningMechanism::new(
+                    PruningConfig::paper_default(),
+                    n_types,
+                ))
+            })
+            .build()
+            .expect("valid golden configuration")
+            .run_stream(trial.tasks.iter().copied());
+        let wire = serde_json::to_string(&stats).expect("serializes");
+        assert_eq!(
+            fnv1a(&wire),
+            expected,
+            "{name} federated outcome record moved (robustness {:.1} %)",
+            stats.paper_robustness_pct()
+        );
+    }
+}
+
+// Hashes of the serialized `FederationStats`, recorded while the
+// relaxed-routing layer (bounded-staleness views, batch stealing) still
+// existed; deleting it must not move a live-view routing decision.
+const GOLDEN_FED_ROUND_ROBIN: u64 = 14_752_896_931_104_504_583;
+const GOLDEN_FED_LEAST_QUEUED: u64 = 9_789_201_750_979_085_887;
+const GOLDEN_FED_BEST_CHANCE: u64 = 10_632_137_113_379_554_713;
