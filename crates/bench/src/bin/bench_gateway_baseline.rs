@@ -41,9 +41,9 @@
 //! tenancy (byte-identical to the pre-tenancy gateway, pinned by
 //! `tests/tenant_isolation.rs`) and is the family's yardstick, so
 //! `speedup` is the admission layer's ingest overhead. `quota` puts a
-//! token bucket on the Standard lane; `ladder` adds weighted-fair
-//! admission and runs under a default-policy supervisor so the
-//! overload degradation ladder gets sensing ticks.
+//! token bucket on the Standard lane; `ladder` runs under a
+//! default-policy supervisor so the overload degradation ladder gets
+//! sensing ticks.
 //! `per_tenant_robustness_pct` (the robustness floor across tenants
 //! that submitted — the SLA-isolation signal) and `shed_pct`
 //! (front-door drops as a % of submissions) are recorded beside the
@@ -507,10 +507,10 @@ fn main() {
     // to the pre-tenancy gateway, so it is the family's yardstick and
     // `speedup` is the admission layer's ingest overhead (≈1x when the
     // front-door check is cheap). `quota` gives the Standard lane a
-    // real token bucket, `ladder` adds weighted-fair admission plus
-    // the supervisor-driven overload degradation ladder; both record
-    // `per_tenant_robustness_pct` (the floor across tenants — the
-    // SLA-isolation signal) and `shed_pct` (front-door drops).
+    // real token bucket, `ladder` adds the supervisor-driven overload
+    // degradation ladder; both record `per_tenant_robustness_pct` (the
+    // floor across tenants — the SLA-isolation signal) and `shed_pct`
+    // (front-door drops).
     type TenancyMaker = fn() -> Option<TenancyPolicy>;
     let tenant_scenarios: [(&str, TenancyMaker, bool); 3] = [
         ("off", || None, false),
@@ -534,8 +534,8 @@ fn main() {
             || {
                 Some(
                     TenancyPolicy::new(TENANT_LANES as u64)
-                        .tenant(TenantSpec::new(SlaClass::Premium).weight(3))
-                        .tenant(TenantSpec::new(SlaClass::Standard).weight(2))
+                        .tenant(TenantSpec::new(SlaClass::Premium))
+                        .tenant(TenantSpec::new(SlaClass::Standard))
                         .tenant(TenantSpec::new(SlaClass::BestEffort))
                         .ladder(LadderConfig {
                             high: 48,
@@ -618,8 +618,8 @@ fn main() {
          through the multi-tenant admission layer at 3 SLA lanes \
          (queue_depth = lane count): off = no tenancy (the yardstick — \
          byte-identical to the pre-tenancy gateway), quota = a token \
-         bucket on the Standard lane, ladder = weighted-fair admission \
-         plus the supervisor-driven overload degradation ladder; \
+         bucket on the Standard lane, ladder = the supervisor-driven \
+         overload degradation ladder; \
          per_tenant_robustness_pct = the robustness floor across \
          tenants that submitted (the SLA-isolation signal), shed_pct = \
          front-door drops as a % of submissions. One commit-stamped run \

@@ -180,83 +180,6 @@ impl<'a> ResourceAllocator<'a> {
         Ok(builder.build_parallel()?.run_stream(tasks.iter().copied()))
     }
 
-    /// [`ResourceAllocator::try_run_federated`] with a **live reshard**
-    /// in the middle: the federation runs on `shards_before` shards
-    /// until `reshard_after` arrivals have been ingested, pauses at
-    /// that watermark, verifies a sealed checkpoint of the whole
-    /// gateway (version + state hash — a tampered or stale checkpoint
-    /// surfaces as [`RunError::Snapshot`]), then re-splits the recorded
-    /// arrival stream across `shards_after` fresh shards and runs to
-    /// completion.
-    ///
-    /// Because every shard is deterministic, the returned
-    /// [`FederationStats`] is **equal to an uninterrupted
-    /// `shards_after`-shard run** of the same workload under
-    /// `policy_after` — `tests/elastic_federation.rs` pins it. The two
-    /// policy instances are separate because each federation consumes
-    /// one (routing state does not carry across a re-split).
-    pub fn try_run_federated_elastic(
-        self,
-        shards_before: usize,
-        shards_after: usize,
-        reshard_after: u64,
-        policy: Box<dyn RoutePolicy>,
-        policy_after: Box<dyn RoutePolicy>,
-        tasks: &[Task],
-    ) -> Result<FederationStats, RunError> {
-        let rebuild = self.config_copy();
-        let mut engine =
-            self.federated_builder(shards_before, policy)?.build()?;
-        engine.enable_arrival_log();
-        let mut source = tasks.iter().copied().peekable();
-        engine.run_until(&mut source, reshard_after);
-        engine.snapshot_gateway().verify()?;
-        let logged: Vec<Task> = engine.arrival_log().to_vec();
-        drop(engine);
-        let successor = rebuild
-            .federated_builder(shards_after, policy_after)?
-            .build()?;
-        Ok(successor.run_stream(logged.into_iter().chain(source)))
-    }
-
-    /// [`ResourceAllocator::try_run_federated_elastic`] on the
-    /// **parallel** driver: both the pre-reshard and post-reshard
-    /// federations run their shards on a work-stealing pool of
-    /// `threads` threads. Same equality guarantee — the result matches
-    /// an uninterrupted `shards_after`-shard run at any thread count.
-    #[allow(clippy::too_many_arguments)] // mirrors the serial variant + threads
-    pub fn try_run_federated_elastic_parallel(
-        self,
-        shards_before: usize,
-        shards_after: usize,
-        threads: Option<usize>,
-        reshard_after: u64,
-        policy: Box<dyn RoutePolicy>,
-        policy_after: Box<dyn RoutePolicy>,
-        tasks: &[Task],
-    ) -> Result<FederationStats, RunError> {
-        let rebuild = self.config_copy();
-        let mut builder = self.federated_builder(shards_before, policy)?;
-        if let Some(threads) = threads {
-            builder = builder.threads(threads);
-        }
-        let mut engine = builder.build_parallel()?;
-        engine.enable_arrival_log();
-        let split = (reshard_after as usize).min(tasks.len());
-        engine.ingest_prefix(tasks[..split].iter().copied());
-        engine.snapshot_gateway().verify()?;
-        let logged: Vec<Task> = engine.arrival_log().to_vec();
-        drop(engine);
-        let mut builder =
-            rebuild.federated_builder(shards_after, policy_after)?;
-        if let Some(threads) = threads {
-            builder = builder.threads(threads);
-        }
-        Ok(builder.build_parallel()?.run_stream(
-            logged.into_iter().chain(tasks[split..].iter().copied()),
-        ))
-    }
-
     /// [`ResourceAllocator::try_run_federated`] under the self-healing
     /// [`Supervisor`]: the federation auto-checkpoints on the
     /// `recovery` policy's cadence, heals any faults in the armed
@@ -279,7 +202,6 @@ impl<'a> ResourceAllocator<'a> {
     /// `tests/self_healing.rs` pins it. The pre-restart supervisor's
     /// recovery log dies with it; the returned record carries the
     /// successor's log only.
-    #[allow(clippy::too_many_arguments)] // mirrors the elastic facade
     pub fn try_run_federated_supervised(
         self,
         shards: usize,
@@ -314,9 +236,9 @@ impl<'a> ResourceAllocator<'a> {
     }
 
     /// A second allocator with the same run configuration, for the
-    /// post-reshard federation. The custom-strategy slot is not
-    /// cloneable (and the federated path requires a [`HeuristicKind`]
-    /// anyway), so it stays empty.
+    /// federation a cold restart resumes on. The custom-strategy slot
+    /// is not cloneable (and the federated path requires a
+    /// [`HeuristicKind`] anyway), so it stays empty.
     fn config_copy(&self) -> ResourceAllocator<'a> {
         ResourceAllocator {
             cluster: self.cluster,

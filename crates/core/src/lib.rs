@@ -81,8 +81,8 @@ pub mod prelude {
     pub use taskprune_sim::{
         Admission, FaultKind, FaultPlan, FaultSpec, FederationStats,
         GatewayBuilder, LeastQueuedRoute, ParallelFederatedEngine, RecoveryLog,
-        RecoveryPolicy, ReuseMode, ReusePolicy, ReuseStats, RoundRobinRoute,
-        RoutePolicy, RunError, SimConfig, SimStats, Supervisor,
+        RecoveryPolicy, ReusePolicy, ReuseStats, RoundRobinRoute, RoutePolicy,
+        RunError, SimConfig, SimStats, Supervisor,
     };
     pub use taskprune_workload::{
         ArrivalPattern, PetGenConfig, WorkloadConfig,

@@ -189,8 +189,8 @@ pub enum RunError {
     Config(ConfigError),
     /// The outcome collector rejected a record (malformed trace).
     Stats(crate::stats::StatsError),
-    /// A checkpoint failed verification or decode during an elastic
-    /// operation (failover replay, live reshard).
+    /// A checkpoint failed verification or decode (shard failover
+    /// replay, coordinator restart).
     Snapshot(crate::snapshot::SnapshotError),
     /// `recover_shard` was asked to replay a shard on an engine that
     /// never enabled journaling: there is no operation log to replay,

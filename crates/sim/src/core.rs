@@ -44,6 +44,7 @@ use crate::reuse::{ReuseLedger, ReuseStats};
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::SimStats;
+use crate::tenant::MAX_RUNG;
 use crate::trace::{QueueSnapshot, TraceEvent};
 use crate::traits::{Assignment, EventReport, MappingStrategy, Pruner};
 use crate::view::SystemView;
@@ -666,7 +667,9 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// snapshotting core was at its checkpoint.
     ///
     /// # Errors
-    /// Any [`SnapshotError`]; on error the core's state is
+    /// Any [`SnapshotError`] — among them a
+    /// [`SnapshotError::ShapeMismatch`] for an SLA rung above the
+    /// overload ladder's top rung. On error the core's state is
     /// unspecified and the core should be discarded.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let payload = snap.verify()?.clone();
@@ -701,6 +704,11 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             Some(state) => Option::<u8>::from_value(state)?,
             None => None,
         };
+        if self.sla_rung.is_some_and(|r| r > MAX_RUNG) {
+            return Err(SnapshotError::ShapeMismatch {
+                what: "the SLA rung is above the ladder's top rung",
+            });
+        }
         self.now = now;
         self.arrival_queue = arrival_queue;
         self.stats = stats;
@@ -1194,6 +1202,37 @@ mod tests {
             Decision::CancelRunning { task: id },
         ];
         assert!(all.iter().all(|d| d.task() == id));
+    }
+
+    #[test]
+    fn out_of_range_sla_rung_is_a_typed_error() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let mut c = core(&pet, &cluster);
+        c.set_sla_active(true);
+        c.set_sla_rung(MAX_RUNG);
+        let with_rung = |rung: u64| {
+            let mut payload = c.snapshot().payload().clone();
+            let Value::Object(fields) = &mut payload else {
+                panic!("core payloads are objects");
+            };
+            for (k, v) in fields.iter_mut() {
+                if k == "sla_rung" {
+                    *v = Value::UInt(rung);
+                }
+            }
+            Snapshot::seal("scheduler-core", payload)
+        };
+        let mut fresh = core(&pet, &cluster);
+        fresh.restore(&with_rung(3)).expect("the top rung restores");
+        assert!(matches!(
+            fresh.restore(&with_rung(4)),
+            Err(SnapshotError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            fresh.restore(&with_rung(255)),
+            Err(SnapshotError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

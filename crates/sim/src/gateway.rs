@@ -43,7 +43,8 @@ use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::{SimStats, TenancyStats, TenantSlice};
 use crate::supervisor::RecoveryLog;
 use crate::tenant::{
-    ShedReason, TenancyPolicy, TenantAdmissionStats, TenantTable, TenantVerdict,
+    ShedReason, TenancyPolicy, TenantAdmissionStats, TenantTable,
+    TenantVerdict, MAX_RUNG,
 };
 use crate::traits::{MappingStrategy, Pruner};
 use serde::{Deserialize, Error, Serialize, Value};
@@ -293,14 +294,13 @@ impl<'a, S: Sink> Gateway<'a, S> {
     }
 
     /// The tenant-admission check every driver runs **before any other
-    /// per-arrival side effect** (clock advance, arrival log,
-    /// watermark). Returns `Some((tenant, reason))` when the task
-    /// is shed — the caller must then skip the arrival entirely, as if
-    /// it never existed: that invisibility is what makes one tenant's
-    /// burst unobservable in every other tenant's coordinates (the SLA
-    /// isolation guarantee). On admission the task is stamped with its
-    /// SLA class's value tag and `None` is returned. No-op `None` when
-    /// tenancy is off.
+    /// per-arrival side effect** (clock advance, watermark). Returns
+    /// `Some((tenant, reason))` when the task is shed — the caller must
+    /// then skip the arrival entirely, as if it never existed: that
+    /// invisibility is what makes one tenant's burst unobservable in
+    /// every other tenant's coordinates (the SLA isolation guarantee).
+    /// On admission the task is stamped with its SLA class's value tag
+    /// and `None` is returned. No-op `None` when tenancy is off.
     pub(crate) fn pre_admit(
         &mut self,
         task: &mut Task,
@@ -1223,9 +1223,8 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
     }
 
     /// Installs the multi-tenant admission policy: per-tenant quotas,
-    /// SLA classes, weighted-fair admission, and (when the policy
-    /// carries a [`crate::LadderConfig`]) the overload degradation
-    /// ladder.
+    /// SLA classes and (when the policy carries a
+    /// [`crate::LadderConfig`]) the overload degradation ladder.
     /// Default: no tenancy — every arrival is admitted untouched, and
     /// the gateway is bit-identical to a pre-tenancy build. A policy
     /// with all-[`crate::SlaClass::Standard`] tenants, no quotas, and
@@ -1339,7 +1338,6 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
             truth,
             lanes,
             journals: None,
-            arrival_log: None,
             arrivals_ingested: 0,
             injector: None,
             notices: Vec::new(),
@@ -1424,9 +1422,6 @@ pub struct FederatedEngine<'a, S: Sink = NullSink> {
     /// (crash-failover; opt-in via
     /// [`FederatedEngine::enable_journal`]).
     journals: Option<Vec<ShardJournal>>,
-    /// The external arrival stream as ingested, pre-routing (live
-    /// reshard; opt-in via [`FederatedEngine::enable_arrival_log`]).
-    arrival_log: Option<Vec<Task>>,
     /// Arrivals ingested so far — the watermark
     /// [`FederatedEngine::run_until`] pauses against.
     arrivals_ingested: u64,
@@ -1470,8 +1465,8 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// [`FederatedEngine::finish_stream`] on the *same* source
     /// replays exactly the call sequence an uninterrupted
     /// [`FederatedEngine::run_stream`] would have made. The pause
-    /// point is where elastic operations happen: checkpoint shards,
-    /// verify the gateway state hash, or stop the world to reshard.
+    /// point is where checkpoints happen: checkpoint shards, capture
+    /// the coordinator, or verify the gateway state hash.
     pub fn run_until<I>(&mut self, source: &mut Peekable<I>, watermark: u64)
     where
         I: Iterator<Item = Task>,
@@ -1596,20 +1591,18 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             } else {
                 let mut task = source.next().expect("peeked above");
                 // Admission control runs *before* every per-arrival
-                // side effect (clock advance, arrival log, watermark): a shed task is invisible to every
-                // coordinate of the run, which is exactly what makes
-                // the SLA-isolation contract hold — and what keeps the
-                // serial and parallel drivers bit-identical, since
-                // both evaluate the same verdict from arrival-visible
-                // data alone in global arrival order.
+                // side effect (clock advance, watermark): a shed task
+                // is invisible to every coordinate of the run, which
+                // is exactly what makes the SLA-isolation contract
+                // hold — and what keeps the serial and parallel
+                // drivers bit-identical, since both evaluate the same
+                // verdict from arrival-visible data alone in global
+                // arrival order.
                 if self.gateway.pre_admit(&mut task).is_some() {
                     continue;
                 }
                 let at = task.arrival.max(self.gateway.now());
                 self.gateway.advance_to(at);
-                if let Some(log) = &mut self.arrival_log {
-                    log.push(task);
-                }
                 // Journal before delivery, like completions: a
                 // recovered shard replays an absorption too, rebuilding
                 // its follower ledger exactly.
@@ -1654,21 +1647,6 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             self.journals =
                 Some(vec![ShardJournal::new(); self.gateway.n_shards()]);
         }
-    }
-
-    /// Turns on the external arrival log: every ingested task is
-    /// recorded pre-routing, so a paused federation can re-split its
-    /// entire history across a different shard count. Idempotent.
-    pub fn enable_arrival_log(&mut self) {
-        if self.arrival_log.is_none() {
-            self.arrival_log = Some(Vec::new());
-        }
-    }
-
-    /// The external arrivals ingested so far (empty unless
-    /// [`FederatedEngine::enable_arrival_log`] was called).
-    pub fn arrival_log(&self) -> &[Task] {
-        self.arrival_log.as_deref().unwrap_or(&[])
     }
 
     /// Arrivals ingested since construction — the watermark coordinate
@@ -1899,8 +1877,8 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     }
 
     /// Captures the **coordinator** state — every lane's pending events,
-    /// truth-RNG stream and wakeup flag, driver counters, journals,
-    /// arrival log and armed fault plan — together with the full nested
+    /// truth-RNG stream and wakeup flag, driver counters, journals and
+    /// armed fault plan — together with the full nested
     /// [`Gateway::snapshot`], into one sealed [`Snapshot`]. Where
     /// [`FederatedEngine::checkpoint`] protects a shard against its
     /// own crash (the coordinator survives), this protects against
@@ -1943,7 +1921,6 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
                     .saturating_sub(self.undelivered[s])
             })
             .collect();
-        let opt = |v: Option<Value>| v.unwrap_or(Value::Null);
         Snapshot::seal(
             "federated-coordinator",
             Value::Object(vec![
@@ -1957,17 +1934,12 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
                     self.arrivals_ingested.to_value(),
                 ),
                 ("applied_since_ckpt".to_owned(), applied.to_value()),
-                (
-                    "journals".to_owned(),
-                    opt(self.journals.as_ref().map(Serialize::to_value)),
-                ),
-                (
-                    "arrival_log".to_owned(),
-                    opt(self.arrival_log.as_ref().map(Serialize::to_value)),
-                ),
+                ("journals".to_owned(), self.journals.to_value()),
                 (
                     "injector".to_owned(),
-                    opt(self.injector.as_ref().map(FaultInjector::to_value)),
+                    self.injector
+                        .as_ref()
+                        .map_or(Value::Null, FaultInjector::to_value),
                 ),
             ]),
         )
@@ -1977,15 +1949,18 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// [`FederatedEngine::snapshot_coordinator`] into this engine,
     /// verifying the outer envelope and every nested one. The engine
     /// must have been built with the same shard count, configuration
-    /// and plug-in types as the one that took the snapshot.
+    /// and plug-in types as the one that took the snapshot. The
+    /// resharding log an earlier build could capture is ignored: it
+    /// never changed a resumed run.
     ///
     /// # Errors
     /// Any [`SnapshotError`] — among them a
     /// [`SnapshotError::ShapeMismatch`] for an event naming a shard
     /// this federation does not have or due before the restored
-    /// clock, or a per-shard pending count that disagrees with the
-    /// shard's events. On error the engine's state is unspecified and
-    /// it should be discarded.
+    /// clock, a per-shard pending count that disagrees with the
+    /// shard's events, or a journaled ladder rung above the top rung.
+    /// On error the engine's state is unspecified and it should be
+    /// discarded.
     pub fn restore_coordinator(
         &mut self,
         snap: &Snapshot,
@@ -2055,20 +2030,22 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         }
         let arrivals_ingested =
             u64::from_value(payload.get_field("arrivals_ingested")?)?;
-        let journals = match payload.get_field("journals")? {
-            Value::Null => None,
-            v => Some(Vec::<ShardJournal>::from_value(v)?),
-        };
+        let journals = Option::<Vec<ShardJournal>>::from_value(
+            payload.get_field("journals")?,
+        )?;
         if journals.as_ref().is_some_and(|j| j.len() != n) {
             return Err(SnapshotError::ShapeMismatch {
                 what: "journal count differs from this federation's \
                        shard count",
             });
         }
-        let arrival_log = match payload.get_field("arrival_log")? {
-            Value::Null => None,
-            v => Some(Vec::<Task>::from_value(v)?),
-        };
+        if journals.iter().flatten().flat_map(ShardJournal::entries).any(
+            |e| matches!(e.op, JournalOp::SlaRung { rung } if rung > MAX_RUNG),
+        ) {
+            return Err(SnapshotError::ShapeMismatch {
+                what: "a journaled ladder rung is above the top rung",
+            });
+        }
         let injector = match payload.get_field("injector")? {
             Value::Null => None,
             v => Some(FaultInjector::from_value(v)?),
@@ -2085,7 +2062,6 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         self.lanes = lanes;
         self.arrivals_ingested = arrivals_ingested;
         self.journals = journals;
-        self.arrival_log = arrival_log;
         self.injector = injector;
         self.notices.clear();
         Ok(())
@@ -2231,6 +2207,58 @@ mod tests {
         let s2 = GatewayBuilder::<NullSink>::shard_seed(42, 2);
         assert_ne!(s1, 42);
         assert_ne!(s1, s2);
+    }
+
+    #[test]
+    fn out_of_range_tenant_rung_is_a_typed_error() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let gateway = || {
+            builder(&pet, &cluster, 2)
+                .tenancy(TenancyPolicy::new(2))
+                .build_gateway()
+                .expect("valid configuration")
+        };
+        let genuine = gateway().snapshot().payload().clone();
+        // The capture with its tenant-table rung replaced, carrying an
+        // earlier build's fair-admission windows as well.
+        let with_rung = |rung: u64| {
+            let mut payload = genuine.clone();
+            let Value::Object(fields) = &mut payload else {
+                panic!("gateway payloads are objects");
+            };
+            let (_, tenants) = fields
+                .iter_mut()
+                .find(|(k, _)| k == "tenants")
+                .expect("tenancy is on");
+            let Value::Object(table) = tenants else {
+                panic!("the tenant table is an object");
+            };
+            for (k, v) in table.iter_mut() {
+                if k == "rung" {
+                    *v = Value::UInt(rung);
+                }
+            }
+            let window = Value::Object(vec![
+                ("submitted".to_owned(), Value::UInt(5)),
+                ("admitted".to_owned(), Value::UInt(3)),
+            ]);
+            table.push(("windows".to_owned(), Value::Array(vec![window; 2])));
+            Snapshot::seal("gateway", payload)
+        };
+        let mut restored = gateway();
+        restored
+            .restore(&with_rung(3))
+            .expect("the top rung restores; the windows are ignored");
+        assert_eq!(restored.sla_rung(), 3);
+        assert!(matches!(
+            gateway().restore(&with_rung(4)),
+            Err(SnapshotError::Decode(_))
+        ));
+        assert!(matches!(
+            gateway().restore(&with_rung(256)),
+            Err(SnapshotError::Decode(_))
+        ));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Per-shard replayable event logs — the crash-failover half of the
-//! elastic federation.
+//! Per-shard replayable event logs — the replay half of shard
+//! crash-failover.
 //!
 //! Everything a driver does to a shard core between checkpoints is one
 //! of five [`JournalOp`]s: an arrival push, a completion, a deadline

@@ -53,19 +53,19 @@
 //!   [`FederatedEngine`] at every thread count; parallelism is purely a
 //!   wall-clock change. Unsupervised: supervised runs use the serial
 //!   driver.
-//! * [`Snapshot`] / [`ShardJournal`] — the elasticity layer: versioned,
-//!   hash-sealed state capture for cores, queues and whole gateways,
-//!   plus per-shard replayable logs of [`JournalOp`]s, the operations
-//!   every driver applies to a shard. Together they give
-//!   crash-failover (`replay(snapshot, log)` reproduces a shard
-//!   bit-identically) and live resharding (pause at an arrival
-//!   watermark, snapshot, re-split across K′ shards, resume).
+//! * [`Snapshot`] / [`ShardJournal`] — the checkpoint layer: versioned,
+//!   hash-sealed state capture for cores, queues, gateways and the
+//!   serial driver's coordinator, plus per-shard replayable logs of
+//!   [`JournalOp`]s, the operations every driver applies to a shard.
+//!   Together they give crash-failover (`replay(snapshot, log)`
+//!   reproduces a shard bit-identically) and cold coordinator restarts.
 //! * [`ReusePolicy`] / [`Admission`] — the function-reuse layer: a
 //!   content-keyed gate at the gateway absorbs exact-duplicate and
 //!   deadline-window-mergeable arrivals onto their in-flight primary,
 //!   fanning the single completion out to every follower (each judged
-//!   against its own deadline). Off by default and bit-identical to a
-//!   gateway without it.
+//!   against its own deadline); it holds only primaries that can still
+//!   finish on time. Off by default and bit-identical to a gateway
+//!   without it.
 //! * [`FaultPlan`] / [`Supervisor`] — the robustness layer: seeded,
 //!   replayable fault schedules injected into the serial
 //!   [`FederatedEngine`], and a self-healing supervisor over it that
@@ -132,7 +132,7 @@ pub use gateway::{
 };
 pub use journal::{JournalEntry, JournalOp, ShardJournal};
 pub use parallel::ParallelFederatedEngine;
-pub use reuse::{Admission, ReuseMode, ReusePolicy, ReuseStats};
+pub use reuse::{Admission, ReusePolicy, ReuseStats};
 pub use route::{LeastQueuedRoute, RoundRobinRoute, RoutePolicy, ShardView};
 pub use sink::{NullSink, Sink};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};

@@ -20,10 +20,12 @@
 //!   coordinator merges results in fixed shard order after every lane
 //!   has drained.
 //!
-//! The driver is unsupervised. Supervised runs use the serial driver
-//! under [`crate::Supervisor`]; a run it heals serializes identically
-//! to this driver's fault-free run at any thread count
-//! (`tests/self_healing.rs`).
+//! The driver runs a stream start to finish, with no pause point, and
+//! is unsupervised. Pausing at an arrival watermark, checkpoints and
+//! supervision live on the serial driver
+//! ([`crate::FederatedEngine::run_until`], [`crate::Supervisor`]); a
+//! run the supervisor heals serializes identically to this driver's
+//! fault-free run at any thread count (`tests/self_healing.rs`).
 //!
 //! # Two schedules, one ordering
 //!
@@ -83,7 +85,6 @@ use crate::engine::Lane;
 use crate::gateway::{FederationStats, Gateway};
 use crate::journal::JournalOp;
 use crate::sink::{NullSink, Sink};
-use crate::snapshot::Snapshot;
 use crate::SchedulerCore;
 use std::collections::VecDeque;
 use taskprune_model::{PetMatrix, SimTime, Task};
@@ -110,12 +111,16 @@ struct ShardLane {
 }
 
 impl ShardLane {
-    /// Delivers every mailbox arrival in order: due completions first,
-    /// then the shard's mapping event at the arrival's serial instant.
-    fn deliver_mail<S: Sink>(
+    /// The whole-shard run, as one pool job with no barriers: deliver
+    /// every mailbox arrival in order (due completions first, then the
+    /// shard's mapping event at the arrival's serial instant), then
+    /// drain from `t_last`, the serial driver's stream-exhaustion
+    /// instant.
+    fn run_shard<S: Sink>(
         &mut self,
         core: &mut SchedulerCore<'_, S>,
         truth: &PetMatrix,
+        t_last: Option<SimTime>,
     ) {
         while let Some(mail) = self.mailbox.pop_front() {
             self.lane.advance_events(
@@ -128,19 +133,6 @@ impl ShardLane {
             mail.op.apply(core);
             self.lane.settle(core, truth, &mut NullDecisions);
         }
-    }
-
-    /// The whole-shard finale: replay the private mailbox/heap merge
-    /// to the end of the stream, then drain from `t_last`, the serial
-    /// driver's stream-exhaustion instant. Runs as one pool job — no
-    /// barriers.
-    fn run_shard<S: Sink>(
-        &mut self,
-        core: &mut SchedulerCore<'_, S>,
-        truth: &PetMatrix,
-        t_last: Option<SimTime>,
-    ) {
-        self.deliver_mail(core, truth);
         // No arrivals anywhere: nothing can have happened.
         if let Some(t_last) = t_last {
             self.lane.finish(core, truth, &mut NullDecisions, t_last);
@@ -161,12 +153,8 @@ pub struct ParallelFederatedEngine<'a, S: Sink = NullSink> {
     pool: rayon::ThreadPool,
     threads: usize,
     /// Running maximum of ingested arrival times — the serial
-    /// processing instant of the latest arrival, carried across
-    /// [`ParallelFederatedEngine::ingest_prefix`] calls.
+    /// processing instant of the latest arrival.
     watermark: Option<SimTime>,
-    /// Pre-routing copies of every ingested arrival (original external
-    /// ids), kept when resharding needs to re-split the stream.
-    arrival_log: Option<Vec<Task>>,
 }
 
 impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
@@ -197,7 +185,6 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
             pool: rayon::ThreadPool::new(threads),
             threads,
             watermark: None,
-            arrival_log: None,
         }
     }
 
@@ -217,49 +204,17 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
     /// the shards in parallel, and drains everything after the last
     /// arrival. Output is bit-identical to
     /// [`crate::FederatedEngine::run_stream`] on the same inputs.
-    pub fn run_stream<I>(self, arrivals: I) -> FederationStats
+    pub fn run_stream<I>(mut self, arrivals: I) -> FederationStats
     where
         I: IntoIterator<Item = Task>,
     {
-        self.finish_stream(arrivals)
-    }
-
-    /// Routes and executes a prefix of the arrival stream, leaving the
-    /// engine paused at the prefix watermark: every prefix arrival has
-    /// been routed (id compaction, arrival record, policy state) and
-    /// delivered to its shard, and no post-stream drain has begun.
-    /// Pair with [`ParallelFederatedEngine::snapshot_gateway`] to
-    /// checkpoint the paused federation, then
-    /// [`ParallelFederatedEngine::finish_stream`] to resume — or drop
-    /// the engine and re-split the recorded
-    /// [`ParallelFederatedEngine::arrival_log`] across a different
-    /// shard count (live resharding).
-    pub fn ingest_prefix<I>(&mut self, arrivals: I)
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        self.ingest(arrivals);
-        if !self.lockstep() {
-            // The mailbox schedule normally defers shard work to the
-            // finale; deliver the routed prefix now so the pause point
-            // observes shards advanced to the watermark. The per-shard
-            // operation sequence is exactly the one `run_shard` would
-            // have replayed, so a later `finish_stream` stays
-            // bit-identical.
-            self.deliver_mailboxes();
+        // Lockstep when a stateful policy routes over more than one
+        // shard (routing reads live shard state); mailbox otherwise.
+        if !self.gateway.policy_is_stateless() && self.gateway.n_shards() > 1 {
+            self.lockstep_ingest(arrivals);
+        } else {
+            self.mailbox_ingest(arrivals);
         }
-    }
-
-    /// Ingests the remaining arrivals and runs the federation to
-    /// completion — the second half of a run paused by
-    /// [`ParallelFederatedEngine::ingest_prefix`]. Calling it with the
-    /// whole stream (no prior prefix) is exactly
-    /// [`ParallelFederatedEngine::run_stream`].
-    pub fn finish_stream<I>(mut self, arrivals: I) -> FederationStats
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        self.ingest(arrivals);
         let t_last = self.watermark;
         // Parallel finale: every lane runs/drains independently. On
         // the mailbox schedule this is the rest of the simulation; on
@@ -277,53 +232,12 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         self.finish()
     }
 
-    /// Starts recording every ingested arrival (pre-routing, original
-    /// external ids) so a paused run can be re-split across a different
-    /// shard count. Idempotent; enable before the first ingest.
-    pub fn enable_arrival_log(&mut self) {
-        self.arrival_log.get_or_insert_with(Vec::new);
-    }
-
-    /// The recorded arrivals in ingest order. Empty unless
-    /// [`ParallelFederatedEngine::enable_arrival_log`] was called.
-    pub fn arrival_log(&self) -> &[Task] {
-        self.arrival_log.as_deref().unwrap_or(&[])
-    }
-
-    /// Captures the routing layer — shard cores, id compaction,
-    /// arrival records and policy state — as a sealed, versioned
-    /// [`Snapshot`]. Meaningful at an
-    /// [`ParallelFederatedEngine::ingest_prefix`] pause point.
-    pub fn snapshot_gateway(&self) -> Snapshot {
-        self.gateway.snapshot()
-    }
-
-    /// Whether the lockstep schedule applies: a stateful policy over
-    /// more than one shard (routing reads live shard state).
-    /// Everything else runs the mailbox schedule.
-    fn lockstep(&self) -> bool {
-        !self.gateway.policy_is_stateless() && self.gateway.n_shards() > 1
-    }
-
-    /// Routes a batch of arrivals under whichever schedule applies,
-    /// updating the watermark and the arrival log.
-    fn ingest<I>(&mut self, arrivals: I)
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        if self.lockstep() {
-            self.lockstep_ingest(arrivals);
-        } else {
-            self.mailbox_ingest(arrivals);
-        }
-    }
-
     /// The per-arrival prologue both schedules share. Tenant admission
-    /// precedes every coordinate update (watermark, arrival log,
-    /// mailboxes): a shed task is invisible, exactly as in the
-    /// serial driver — same verdict from the same arrival-visible data
-    /// in the same global order. Returns the admitted arrival's serial
-    /// processing instant, or `None` when it was shed.
+    /// precedes every coordinate update (watermark, mailboxes): a shed
+    /// task is invisible, exactly as in the serial driver — same
+    /// verdict from the same arrival-visible data in the same global
+    /// order. Returns the admitted arrival's serial processing
+    /// instant, or `None` when it was shed.
     fn admit_arrival(&mut self, task: &mut Task) -> Option<SimTime> {
         if self.gateway.pre_admit(task).is_some() {
             return None;
@@ -331,9 +245,6 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         let target =
             self.watermark.map_or(task.arrival, |w| w.max(task.arrival));
         self.watermark = Some(target);
-        if let Some(log) = self.arrival_log.as_mut() {
-            log.push(*task);
-        }
         Some(target)
     }
 
@@ -379,21 +290,6 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                 .lane
                 .settle(core, self.truth, &mut NullDecisions);
         }
-    }
-
-    /// Drains every shard's mailbox in parallel — the delivery half of
-    /// the mailbox schedule, pulled forward by `ingest_prefix`.
-    fn deliver_mailboxes(&mut self) {
-        let truth = self.truth;
-        let lanes = &mut self.lanes;
-        let shards = self.gateway.shards_mut();
-        self.pool.scope(|s| {
-            for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
-                if !lane.mailbox.is_empty() {
-                    s.spawn(move || lane.deliver_mail(core, truth));
-                }
-            }
-        });
     }
 
     /// The lockstep barrier: every lane processes all completions due
@@ -586,36 +482,6 @@ mod tests {
                     "stateless={stateless} threads={threads}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn prefix_ingest_then_finish_matches_one_shot() {
-        let workload = tasks(50, 30);
-        for stateless in [true, false] {
-            let reference = run_parallel(3, 2, stateless, &workload);
-            let pet = det_pet();
-            let cluster = Cluster::one_per_type(1);
-            let mut b = builder(&pet, &cluster, 3).threads(2);
-            if stateless {
-                b = b.policy(RoundRobinRoute::new());
-            } else {
-                b = b.policy(LeastQueuedRoute::new());
-            }
-            let mut engine = b.build_parallel().expect("valid configuration");
-            engine.enable_arrival_log();
-            engine.ingest_prefix(workload[..20].iter().copied());
-            assert_eq!(engine.arrival_log().len(), 20);
-            engine
-                .snapshot_gateway()
-                .verify()
-                .expect("paused-federation snapshot verifies");
-            let stats = engine.finish_stream(workload[20..].iter().copied());
-            assert_eq!(
-                serde_json::to_string(&reference).unwrap(),
-                serde_json::to_string(&stats).unwrap(),
-                "stateless={stateless}"
-            );
         }
     }
 

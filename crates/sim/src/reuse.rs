@@ -38,13 +38,15 @@
 
 use crate::journal::JournalOp;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use taskprune_model::{SimTime, Task, TaskId};
 
 /// How aggressively the gateway coalesces arrivals onto in-flight
-/// primaries — the mode half of a [`ReusePolicy`].
+/// primaries. Configured via [`crate::GatewayBuilder::reuse`]; the
+/// default is [`ReusePolicy::Off`], which is bit-identical to a
+/// gateway without the subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReuseMode {
+pub enum ReusePolicy {
     /// No reuse: every arrival routes and executes individually.
     #[default]
     Off,
@@ -61,88 +63,17 @@ pub enum ReuseMode {
     },
 }
 
-/// Gateway-level reuse knob: a [`ReuseMode`] plus an optional bound on
-/// how many in-flight primaries the gate may track at once. Configured
-/// via [`crate::GatewayBuilder::reuse`]; the default is
-/// [`ReusePolicy::Off`], which is bit-identical to a gateway without
-/// the subsystem.
-///
-/// The `max_inflight` budget caps the gate cache: when registering a
-/// fresh primary would exceed it, the **oldest** still-live primary
-/// (by registration order) is evicted first. Runs whose live-primary
-/// count never reaches the budget are byte-identical to unbudgeted
-/// runs — eviction only ever removes entries that would otherwise have
-/// absorbed followers, so the budget trades reuse hits for bounded
-/// coordinator memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReusePolicy {
-    mode: ReuseMode,
-    max_inflight: Option<usize>,
-}
-
 impl ReusePolicy {
-    /// No reuse (the default). An associated constant so existing
-    /// `ReusePolicy::Off` expression sites keep compiling across the
-    /// enum-to-struct change.
-    #[allow(non_upper_case_globals)]
-    pub const Off: ReusePolicy = ReusePolicy {
-        mode: ReuseMode::Off,
-        max_inflight: None,
-    };
-
-    /// Exact-duplicate piggybacking only, no cache budget.
-    #[allow(non_upper_case_globals)]
-    pub const ExactOnly: ReusePolicy = ReusePolicy {
-        mode: ReuseMode::ExactOnly,
-        max_inflight: None,
-    };
-
-    /// Exact piggybacking plus deadline-window merging, no budget.
-    pub const fn merge(window: SimTime) -> Self {
-        ReusePolicy {
-            mode: ReuseMode::Merge { window },
-            max_inflight: None,
-        }
-    }
-
-    /// Returns this policy with the gate cache capped at `n` live
-    /// primaries (oldest-registered evicted first when full).
-    pub const fn with_max_inflight(self, n: usize) -> Self {
-        ReusePolicy {
-            mode: self.mode,
-            max_inflight: Some(n),
-        }
-    }
-
-    /// The coalescing mode.
-    pub fn mode(self) -> ReuseMode {
-        self.mode
-    }
-
-    /// The gate-cache budget, if one is set.
-    pub fn max_inflight(self) -> Option<usize> {
-        self.max_inflight
-    }
-
     /// Whether any reuse happens under this policy.
     pub fn is_enabled(self) -> bool {
-        !matches!(self.mode, ReuseMode::Off)
+        self != ReusePolicy::Off
     }
 
     /// The merge window, when type-class merging is on.
     pub fn merge_window(self) -> Option<SimTime> {
-        match self.mode {
-            ReuseMode::Merge { window } => Some(window),
+        match self {
+            ReusePolicy::Merge { window } => Some(window),
             _ => None,
-        }
-    }
-
-    /// Short stable label (for traces and bench output).
-    pub fn name(self) -> &'static str {
-        match self.mode {
-            ReuseMode::Off => "off",
-            ReuseMode::ExactOnly => "exact",
-            ReuseMode::Merge { .. } => "merge",
         }
     }
 }
@@ -174,7 +105,7 @@ pub enum Admission {
         internal: TaskId,
     },
     /// The task merged onto a same-type primary within the configured
-    /// deadline window ([`ReuseMode::Merge`]).
+    /// deadline window ([`ReusePolicy::Merge`]).
     Merged {
         /// Shard holding the primary.
         shard: usize,
@@ -332,21 +263,25 @@ struct GateEntry {
     shard: usize,
     internal: u64,
     deadline: SimTime,
-    /// Registration ordinal — the eviction key of the `max_inflight`
-    /// budget (lowest = oldest = evicted first).
-    seq: u64,
 }
 
 /// Class-index tuple: `(deadline ticks, shard, internal, external id)`.
 /// Ordered by deadline first so a window query is one `BTreeSet` range;
-/// the trailing fields make the tuple unique and carry everything
-/// needed to evict the matching cache entry.
+/// the trailing fields make the tuple unique and name the primary a
+/// query returns.
 type ClassTuple = (u64, u64, u64, u64);
 
 /// The coordinator-side reuse cache: maps live content keys to their
 /// in-flight primary. Owned by [`crate::Gateway`]; consulted once per
 /// arrival in global arrival order, which is what keeps its decisions
 /// identical across the serial and parallel drivers.
+///
+/// The cache holds only primaries whose deadline is at or after the
+/// arrival watermark: every admission sweeps the expired ones off the
+/// front of a deadline-ordered index, so its size follows the live
+/// working set rather than the length of the run. An expired primary
+/// can no longer complete on time, so neither the exact nor the merge
+/// path ever returned one, and the sweep changes no decision.
 #[derive(Debug)]
 pub(crate) struct ReuseGate {
     policy: ReusePolicy,
@@ -354,22 +289,16 @@ pub(crate) struct ReuseGate {
     cache: HashMap<(u64, u16), GateEntry>,
     /// Per-type deadline index for window merges; exactly mirrors
     /// `cache` (every cache entry has one tuple here and vice versa)
-    /// when the policy is [`ReuseMode::Merge`], empty otherwise.
+    /// when the policy is [`ReusePolicy::Merge`], empty otherwise.
     classes: HashMap<u16, BTreeSet<ClassTuple>>,
-    /// Running max of admitted arrival instants. Entries whose
-    /// deadline precedes this are expired: their primary can no longer
-    /// complete on time, so absorbing onto it stopped being useful.
-    /// Advancing it off arrivals only — never shard clocks — is what
-    /// keeps admission deterministic under the barrier-free stateless
-    /// parallel schedule, which routes far ahead of execution.
+    /// Expiry index `(deadline ticks, external id, task type)`, one
+    /// tuple per cache entry.
+    expiry: BTreeSet<(u64, u64, u16)>,
+    /// Running max of admitted arrival instants. Advancing it off
+    /// arrivals only — never shard clocks — is what keeps admission
+    /// deterministic under the barrier-free stateless parallel
+    /// schedule, which routes far ahead of execution.
     watermark: SimTime,
-    /// Registration-order index (`seq` → content key), mirroring
-    /// `cache` exactly; the `max_inflight` budget evicts from its
-    /// front. Maintained unconditionally — it is one `BTreeMap` op per
-    /// cache mutation, and only allocates once reuse is enabled.
-    order: BTreeMap<u64, (u64, u16)>,
-    /// Next registration ordinal.
-    next_seq: u64,
 }
 
 impl ReuseGate {
@@ -378,9 +307,8 @@ impl ReuseGate {
             policy,
             cache: HashMap::new(),
             classes: HashMap::new(),
+            expiry: BTreeSet::new(),
             watermark: SimTime::ZERO,
-            order: BTreeMap::new(),
-            next_seq: 0,
         }
     }
 
@@ -388,17 +316,11 @@ impl ReuseGate {
         self.policy
     }
 
-    /// Number of live (unexpired-as-of-last-probe) primaries.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Decides whether `task` (external ids) absorbs onto an in-flight
     /// primary. Returns `(primary shard, primary internal id, merged)`
-    /// on a hit. Advances the arrival watermark as a side effect, so
-    /// callers must consult the gate for **every** arrival, in global
-    /// arrival order.
+    /// on a hit. Advances the arrival watermark and sweeps the expired
+    /// primaries as a side effect, so callers must consult the gate
+    /// for **every** arrival, in global arrival order.
     pub(crate) fn admit(
         &mut self,
         task: &Task,
@@ -409,16 +331,18 @@ impl ReuseGate {
         if task.arrival > self.watermark {
             self.watermark = task.arrival;
         }
-        let key = (task.id.0, task.type_id.0);
-        if let Some(entry) = self.cache.get(&key).copied() {
-            if entry.deadline < self.watermark {
-                self.remove_entry(key, &entry);
-            } else {
-                return Some((entry.shard, TaskId(entry.internal), false));
+        let wm = self.watermark.ticks();
+        while let Some(&(deadline, ext, ty)) = self.expiry.first() {
+            if deadline >= wm {
+                break;
             }
+            self.expiry.pop_first();
+            self.remove_entry((ext, ty));
+        }
+        if let Some(entry) = self.cache.get(&(task.id.0, task.type_id.0)) {
+            return Some((entry.shard, TaskId(entry.internal), false));
         }
         let window = self.policy.merge_window()?;
-        self.prune_expired_class(task.type_id.0);
         let class = self.classes.get(&task.type_id.0)?;
         let lo = task.deadline.saturating_sub(window).ticks();
         let hi = task.deadline.ticks();
@@ -442,191 +366,127 @@ impl ReuseGate {
         if !self.policy.is_enabled() {
             return;
         }
-        let key = (task.id.0, task.type_id.0);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let entry = GateEntry {
             shard,
             internal: internal.0,
             deadline: task.deadline,
-            seq,
         };
-        if let Some(old) = self.cache.insert(key, entry) {
-            self.order.remove(&old.seq);
-            self.remove_class_tuple(key.1, &old, key.0);
-        }
-        self.order.insert(seq, key);
-        if self.policy.merge_window().is_some() {
-            self.classes.entry(task.type_id.0).or_default().insert((
-                task.deadline.ticks(),
-                shard as u64,
-                internal.0,
-                task.id.0,
-            ));
-        }
-        if let Some(budget) = self.policy.max_inflight() {
-            while self.cache.len() > budget {
-                let Some((_, &victim)) = self.order.iter().next() else {
-                    break;
-                };
-                let Some(oldest) = self.cache.get(&victim).copied() else {
-                    break;
-                };
-                self.remove_entry(victim, &oldest);
-            }
-        }
+        self.insert_entry((task.id.0, task.type_id.0), entry);
     }
 
     /// Drops every primary living on `shard`. Called when the shard is
     /// quarantined: its in-flight work will never complete, so nothing
     /// may piggyback onto it from here on.
     pub(crate) fn evict_shard(&mut self, shard: usize) {
-        let dead: Vec<((u64, u16), GateEntry)> = self
+        let dead: Vec<(u64, u16)> = self
             .cache
             .iter()
             .filter(|(_, e)| e.shard == shard)
-            .map(|(k, e)| (*k, *e))
+            .map(|(k, _)| *k)
             .collect();
-        for (key, entry) in dead {
-            self.remove_entry(key, &entry);
+        for key in dead {
+            self.remove_entry(key);
         }
     }
 
-    /// Removes one cache entry plus its order-index and class-tuple
-    /// mirrors — the single exit point every eviction path uses.
-    fn remove_entry(&mut self, key: (u64, u16), entry: &GateEntry) {
-        self.cache.remove(&key);
-        self.order.remove(&entry.seq);
-        self.remove_class_tuple(key.1, entry, key.0);
-    }
-
-    /// Removes the class tuple mirroring a cache entry (no-op outside
-    /// Merge mode, where no tuples exist).
-    fn remove_class_tuple(&mut self, ty: u16, entry: &GateEntry, ext: u64) {
-        if let Some(class) = self.classes.get_mut(&ty) {
-            class.remove(&(
+    /// Inserts one cache entry plus its expiry and class-index
+    /// mirrors, replacing any entry under the same key.
+    fn insert_entry(&mut self, key: (u64, u16), entry: GateEntry) {
+        self.remove_entry(key);
+        self.cache.insert(key, entry);
+        self.expiry.insert((entry.deadline.ticks(), key.0, key.1));
+        if self.policy.merge_window().is_some() {
+            self.classes.entry(key.1).or_default().insert((
                 entry.deadline.ticks(),
                 entry.shard as u64,
                 entry.internal,
-                ext,
+                key.0,
             ));
-            if class.is_empty() {
-                self.classes.remove(&ty);
-            }
         }
     }
 
-    /// Evicts expired primaries (deadline before the watermark) from
-    /// the front of one type's class index, mirroring into the cache.
-    fn prune_expired_class(&mut self, ty: u16) {
-        let wm = self.watermark.ticks();
-        let mut dead_keys: Vec<u64> = Vec::new();
+    /// Removes one cache entry and both of its index mirrors (there is
+    /// no class tuple outside Merge mode).
+    fn remove_entry(&mut self, (ext, ty): (u64, u16)) {
+        let Some(e) = self.cache.remove(&(ext, ty)) else {
+            return;
+        };
+        self.expiry.remove(&(e.deadline.ticks(), ext, ty));
         if let Some(class) = self.classes.get_mut(&ty) {
-            while let Some(&first) = class.iter().next() {
-                if first.0 >= wm {
-                    break;
-                }
-                class.remove(&first);
-                dead_keys.push(first.3);
-            }
+            let shard = e.shard as u64;
+            class.remove(&(e.deadline.ticks(), shard, e.internal, ext));
             if class.is_empty() {
                 self.classes.remove(&ty);
-            }
-        }
-        for ext in dead_keys {
-            if let Some(e) = self.cache.remove(&(ext, ty)) {
-                self.order.remove(&e.seq);
             }
         }
     }
 
     /// Serializes the gate's durable state (watermark + live cache) in
     /// canonical content-key order, so two replicas that admitted the
-    /// same stream seal the same bytes. The class index is derived
-    /// state and is rebuilt on restore.
+    /// same stream seal the same bytes. The expiry and class indexes
+    /// are derived state and are rebuilt on restore.
     pub(crate) fn state_value(&self) -> Value {
-        let mut entries: Vec<(&(u64, u16), &GateEntry)> =
-            self.cache.iter().collect();
-        entries.sort_by_key(|(k, _)| **k);
-        let cache: Vec<Value> = entries
-            .into_iter()
-            .map(|(&(ext, ty), e)| {
-                Value::Object(vec![
-                    ("ext".to_owned(), ext.to_value()),
-                    ("ty".to_owned(), ty.to_value()),
-                    ("shard".to_owned(), (e.shard as u64).to_value()),
-                    ("internal".to_owned(), e.internal.to_value()),
-                    ("deadline".to_owned(), e.deadline.to_value()),
-                    ("seq".to_owned(), e.seq.to_value()),
-                ])
+        let mut cache: Vec<WireEntry> = self
+            .cache
+            .iter()
+            .map(|(&(ext, ty), e)| WireEntry {
+                ext,
+                ty,
+                shard: e.shard,
+                internal: e.internal,
+                deadline: e.deadline,
             })
             .collect();
-        Value::Object(vec![
-            ("watermark".to_owned(), self.watermark.to_value()),
-            ("cache".to_owned(), Value::Array(cache)),
-            ("next_seq".to_owned(), self.next_seq.to_value()),
-        ])
+        cache.sort_by_key(|w| (w.ext, w.ty));
+        GateState {
+            watermark: self.watermark,
+            cache,
+        }
+        .to_value()
     }
 
     /// Restores state captured by [`ReuseGate::state_value`],
-    /// rebuilding the class index under the gate's configured policy.
+    /// rebuilding the expiry and class indexes under the gate's
+    /// configured policy. Captures from builds with an eviction budget
+    /// also carry registration ordinals (`seq`, `next_seq`), which
+    /// nothing reads. Entries already behind the watermark restore as
+    /// captured; the next admission sweeps them.
     pub(crate) fn restore_value(
         &mut self,
         v: &Value,
     ) -> Result<(), serde::Error> {
-        let watermark = SimTime::from_value(v.get_field("watermark")?)?;
-        let Value::Array(items) = v.get_field("cache")? else {
-            return Err(serde::Error::custom("reuse cache is not an array"));
-        };
+        let state = GateState::from_value(v)?;
         self.cache.clear();
         self.classes.clear();
-        self.order.clear();
-        self.watermark = watermark;
-        // `seq`/`next_seq` are absent from pre-budget captures; assign
-        // registration ordinals in the canonical serialized order so a
-        // legacy snapshot restores to a well-formed (if arbitrary)
-        // eviction order.
-        let mut next_seq = match v.get_opt("next_seq") {
-            Some(val) => u64::from_value(val)?,
-            None => 0,
-        };
-        for item in items {
-            let ext = u64::from_value(item.get_field("ext")?)?;
-            let ty = u16::from_value(item.get_field("ty")?)?;
-            let shard = u64::from_value(item.get_field("shard")?)? as usize;
-            let internal = u64::from_value(item.get_field("internal")?)?;
-            let deadline = SimTime::from_value(item.get_field("deadline")?)?;
-            let seq = match item.get_opt("seq") {
-                Some(s) => u64::from_value(s)?,
-                None => {
-                    let s = next_seq;
-                    next_seq += 1;
-                    s
-                }
+        self.expiry.clear();
+        self.watermark = state.watermark;
+        for w in state.cache {
+            let entry = GateEntry {
+                shard: w.shard,
+                internal: w.internal,
+                deadline: w.deadline,
             };
-            self.cache.insert(
-                (ext, ty),
-                GateEntry {
-                    shard,
-                    internal,
-                    deadline,
-                    seq,
-                },
-            );
-            self.order.insert(seq, (ext, ty));
-            if self.policy.merge_window().is_some() {
-                self.classes.entry(ty).or_default().insert((
-                    deadline.ticks(),
-                    shard as u64,
-                    internal,
-                    ext,
-                ));
-            }
+            self.insert_entry((w.ext, w.ty), entry);
         }
-        self.next_seq = next_seq
-            .max(self.cache.values().map(|e| e.seq + 1).max().unwrap_or(0));
         Ok(())
     }
+}
+
+/// The gate's wire form: the arrival watermark and the live cache.
+#[derive(Serialize, Deserialize)]
+struct GateState {
+    watermark: SimTime,
+    cache: Vec<WireEntry>,
+}
+
+/// One cache entry on the wire: the content key and its primary.
+#[derive(Serialize, Deserialize)]
+struct WireEntry {
+    ext: u64,
+    ty: u16,
+    shard: usize,
+    internal: u64,
+    deadline: SimTime,
 }
 
 /// Shard-local follower ledger: which followers ride on which primary,
@@ -824,7 +684,7 @@ mod tests {
         let t = task(1, 0, 0, 100);
         assert_eq!(gate.admit(&t), None);
         gate.register(&t, 0, TaskId(0));
-        assert_eq!(gate.len(), 0);
+        assert_eq!(gate.cache.len(), 0);
         assert_eq!(gate.admit(&task(1, 0, 5, 100)), None);
     }
 
@@ -853,12 +713,83 @@ mod tests {
         gate.register(&t, 0, TaskId(0));
         // An arrival past the primary's deadline expires it.
         assert_eq!(gate.admit(&task(7, 0, 500, 900)), None);
-        assert_eq!(gate.len(), 0);
+        assert_eq!(gate.cache.len(), 0);
+    }
+
+    #[test]
+    fn exact_gate_holds_only_live_primaries() {
+        let mut gate = ReuseGate::new(ReusePolicy::ExactOnly);
+        // 10 000 unique keys, each primary's deadline five ticks after
+        // its arrival, so every one but the newest falls behind the
+        // watermark of the arrivals that follow it.
+        for i in 0..10_000u64 {
+            let t = task(i, 0, i * 10, i * 10 + 5);
+            assert_eq!(gate.admit(&t), None);
+            gate.register(&t, 0, TaskId(i));
+        }
+        assert_eq!(gate.cache.len(), 1);
+        assert!(gate.cache.values().all(|e| e.deadline >= gate.watermark));
+        // The newest primary is live and still absorbs its duplicate.
+        assert_eq!(
+            gate.admit(&task(9_999, 0, 99_991, 99_999)),
+            Some((0, TaskId(9_999), false))
+        );
+    }
+
+    #[test]
+    fn capture_with_ordinals_and_expired_entries_restores_then_sweeps() {
+        let entry = |ext: u64, deadline: u64, seq: u64| {
+            Value::Object(vec![
+                ("ext".to_owned(), Value::UInt(ext)),
+                ("ty".to_owned(), Value::UInt(0)),
+                ("shard".to_owned(), Value::UInt(1)),
+                ("internal".to_owned(), Value::UInt(ext + 10)),
+                ("deadline".to_owned(), Value::UInt(deadline)),
+                ("seq".to_owned(), Value::UInt(seq)),
+            ])
+        };
+        // Two entries already behind the watermark, one live.
+        let capture = Value::Object(vec![
+            ("watermark".to_owned(), Value::UInt(500)),
+            (
+                "cache".to_owned(),
+                Value::Array(vec![
+                    entry(1, 100, 0),
+                    entry(2, 400, 1),
+                    entry(3, 900, 5),
+                ]),
+            ),
+            ("next_seq".to_owned(), Value::UInt(6)),
+        ]);
+        let policies = [
+            ReusePolicy::ExactOnly,
+            ReusePolicy::Merge {
+                window: SimTime(1_000),
+            },
+        ];
+        for policy in policies {
+            let mut gate = ReuseGate::new(policy);
+            gate.restore_value(&capture).expect("the capture restores");
+            assert_eq!(gate.cache.len(), 3, "{policy:?}");
+            // The next admission sweeps both expired primaries: the
+            // merge path no longer finds the one due at 400 either.
+            assert_eq!(gate.admit(&task(7, 0, 600, 420)), None);
+            assert_eq!(gate.cache.len(), 1, "{policy:?}");
+            assert_eq!(gate.expiry.len(), 1, "{policy:?}");
+            assert_eq!(
+                gate.admit(&task(3, 0, 610, 950)),
+                Some((1, TaskId(13), false))
+            );
+            let state = serde_json::to_string(&gate.state_value()).unwrap();
+            assert!(!state.contains("seq"), "{state}");
+        }
     }
 
     #[test]
     fn merge_window_coalesces_same_type_late_deadline() {
-        let mut gate = ReuseGate::new(ReusePolicy::merge(SimTime(200)));
+        let mut gate = ReuseGate::new(ReusePolicy::Merge {
+            window: SimTime(200),
+        });
         let p = task(1, 5, 0, 1_000);
         gate.admit(&p);
         gate.register(&p, 2, TaskId(9));
@@ -878,7 +809,9 @@ mod tests {
 
     #[test]
     fn merge_prefers_latest_in_window_primary() {
-        let mut gate = ReuseGate::new(ReusePolicy::merge(SimTime(1_000)));
+        let mut gate = ReuseGate::new(ReusePolicy::Merge {
+            window: SimTime(1_000),
+        });
         let a = task(1, 0, 0, 500);
         let b = task(2, 0, 0, 800);
         gate.admit(&a);
@@ -895,7 +828,9 @@ mod tests {
 
     #[test]
     fn evict_shard_removes_its_primaries_only() {
-        let mut gate = ReuseGate::new(ReusePolicy::merge(SimTime(500)));
+        let mut gate = ReuseGate::new(ReusePolicy::Merge {
+            window: SimTime(500),
+        });
         let a = task(1, 0, 0, 1_000);
         let b = task(2, 0, 0, 1_100);
         gate.register(&a, 0, TaskId(0));
@@ -911,103 +846,18 @@ mod tests {
     }
 
     #[test]
-    fn inflight_budget_evicts_oldest_primary_first() {
-        let policy = ReusePolicy::ExactOnly.with_max_inflight(2);
-        let mut gate = ReuseGate::new(policy);
-        let (a, b, c) = (
-            task(1, 0, 0, 1_000),
-            task(2, 0, 1, 1_000),
-            task(3, 0, 2, 1_000),
-        );
-        gate.register(&a, 0, TaskId(0));
-        gate.register(&b, 0, TaskId(1));
-        // Third registration exceeds the budget: the oldest (a) goes.
-        gate.register(&c, 0, TaskId(2));
-        assert_eq!(gate.len(), 2);
-        assert_eq!(gate.admit(&task(1, 0, 3, 1_000)), None);
-        assert_eq!(
-            gate.admit(&task(2, 0, 4, 1_000)),
-            Some((0, TaskId(1), false))
-        );
-        assert_eq!(
-            gate.admit(&task(3, 0, 5, 1_000)),
-            Some((0, TaskId(2), false))
-        );
-    }
-
-    #[test]
-    fn reregistration_refreshes_eviction_order() {
-        let policy = ReusePolicy::ExactOnly.with_max_inflight(2);
-        let mut gate = ReuseGate::new(policy);
-        let (a, b, c) = (
-            task(1, 0, 0, 1_000),
-            task(2, 0, 1, 1_000),
-            task(3, 0, 2, 1_000),
-        );
-        gate.register(&a, 0, TaskId(0));
-        gate.register(&b, 0, TaskId(1));
-        // Re-registering a's key makes it the *newest* primary, so the
-        // budget overflow now evicts b instead.
-        gate.register(&a, 1, TaskId(5));
-        gate.register(&c, 0, TaskId(2));
-        assert_eq!(gate.admit(&task(2, 0, 4, 1_000)), None);
-        assert_eq!(
-            gate.admit(&task(1, 0, 5, 1_000)),
-            Some((1, TaskId(5), false))
-        );
-    }
-
-    #[test]
-    fn unreached_budget_is_byte_identical_to_unbudgeted() {
-        let mut capped = ReuseGate::new(
-            ReusePolicy::merge(SimTime(300)).with_max_inflight(8),
-        );
-        let mut free = ReuseGate::new(ReusePolicy::merge(SimTime(300)));
-        for i in 0..5u64 {
-            let t = task(i, (i % 2) as u16, i, 1_000 + i);
-            capped.admit(&t);
-            capped.register(&t, 0, TaskId(i));
-            free.admit(&t);
-            free.register(&t, 0, TaskId(i));
-        }
-        // Five live primaries never reach the budget of eight, so the
-        // serialized gate state is identical byte for byte.
-        assert_eq!(
-            serde_json::to_string(&capped.state_value()).unwrap(),
-            serde_json::to_string(&free.state_value()).unwrap(),
-        );
-    }
-
-    #[test]
-    fn budget_survives_state_roundtrip() {
-        let policy = ReusePolicy::ExactOnly.with_max_inflight(2);
-        let mut gate = ReuseGate::new(policy);
-        let (a, b) = (task(1, 0, 0, 1_000), task(2, 0, 1, 1_000));
-        gate.register(&a, 0, TaskId(0));
-        gate.register(&b, 0, TaskId(1));
-        let state = gate.state_value();
-
-        let mut back = ReuseGate::new(policy);
-        back.restore_value(&state).expect("state restores");
-        // The restored gate kept registration order: overflowing the
-        // budget still evicts a (the oldest), not b.
-        back.register(&task(3, 0, 2, 1_000), 0, TaskId(2));
-        assert_eq!(back.admit(&task(1, 0, 3, 1_000)), None);
-        assert_eq!(
-            back.admit(&task(2, 0, 4, 1_000)),
-            Some((0, TaskId(1), false))
-        );
-    }
-
-    #[test]
     fn gate_state_roundtrips_and_rebuilds_class_index() {
-        let mut gate = ReuseGate::new(ReusePolicy::merge(SimTime(300)));
+        let mut gate = ReuseGate::new(ReusePolicy::Merge {
+            window: SimTime(300),
+        });
         let a = task(1, 0, 50, 1_000);
         gate.admit(&a);
         gate.register(&a, 0, TaskId(3));
         let state = gate.state_value();
 
-        let mut back = ReuseGate::new(ReusePolicy::merge(SimTime(300)));
+        let mut back = ReuseGate::new(ReusePolicy::Merge {
+            window: SimTime(300),
+        });
         back.restore_value(&state).expect("state restores");
         assert_eq!(back.watermark, SimTime(50));
         // Restored state re-serializes to the same canonical bytes

@@ -32,7 +32,11 @@
 //!   view table is absent or null and its `steals` counters are
 //!   absent or all zero (the relaxed-routing layer was off). Anything
 //!   else is a [`SnapshotError::ShapeMismatch`], because resuming it
-//!   would silently run a different federation.
+//!   would silently run a different federation. Retired state that
+//!   never changed a decision is ignored: a coordinator's resharding
+//!   log, the reuse gate's `seq`/`next_seq` ordinals and a tenant
+//!   table's fair-admission `windows`. A ladder rung above the top
+//!   one is a typed error wherever it appears.
 //!
 //! Chain caches and scratch arenas are never serialized — restore
 //! rebuilds them lazily, which the incremental-chain determinism

@@ -1,6 +1,5 @@
 //! Multi-tenant admission control: per-tenant token-bucket quotas,
-//! SLA classes, weighted-fair degraded admission, and the overload
-//! degradation ladder.
+//! SLA classes, and the overload degradation ladder.
 //!
 //! The paper's pruning mechanism sheds load *inside* one scheduler;
 //! this module sheds load *at the federation front door*, where the
@@ -8,11 +7,11 @@
 //! Arrivals are attributed to **tenants** by external-id lane
 //! (`tenant = external_id mod lanes`, the
 //! `TaskStream::with_id_stride` convention), each tenant carries a
-//! [`TenantSpec`] — an [`SlaClass`], a fairness weight, and an
-//! optional [`RateLimit`] token bucket — and the `TenantTable`
-//! decides, in **global arrival order using arrival-visible data
-//! only** (task fields and per-tenant arrival watermarks, never shard
-//! clocks), whether each arrival is admitted or shed. That discipline
+//! [`TenantSpec`] — an [`SlaClass`] and an optional [`RateLimit`]
+//! token bucket — and the `TenantTable` decides, in **global arrival
+//! order using arrival-visible data only** (task fields and
+//! per-tenant arrival watermarks, never shard clocks), whether each
+//! arrival is admitted or shed. That discipline
 //! is exactly the one [`crate::reuse`] established, and it is what
 //! keeps the serial and parallel drivers byte-identical at every
 //! thread count: a shed task touches *nothing* — no reuse gate, no
@@ -34,7 +33,7 @@
 //! | rung | name            | effect                                   |
 //! |------|-----------------|------------------------------------------|
 //! | 0    | admit-all       | quotas only                              |
-//! | 1    | throttle-BE     | BestEffort pays double tokens (or a 1-in-2 duty cycle without a quota); weighted-fair caps activate |
+//! | 1    | throttle-BE     | BestEffort pays double tokens (or a 1-in-2 duty cycle without a quota) |
 //! | 2    | shed-BE         | BestEffort rejected; Standard pruning thresholds tighten via the per-class chance bias |
 //! | 3    | premium-only    | every non-Premium arrival rejected with [`crate::RunError::Overloaded`] on the fallible path |
 //!
@@ -51,10 +50,6 @@ use taskprune_model::{SimTime, Task};
 /// Milli-tokens one admitted task costs (quota rates are expressed in
 /// milli-tokens per tick so slow refills need no floating point).
 const TOKEN_SCALE: u64 = 1000;
-
-/// Length, in per-tenant submissions, of the weighted-fair admission
-/// window active at ladder rung ≥ 1.
-const FAIR_WINDOW: u64 = 64;
 
 /// Highest ladder rung (premium-only admission).
 pub(crate) const MAX_RUNG: u8 = 3;
@@ -139,33 +134,20 @@ impl RateLimit {
     }
 }
 
-/// One tenant's admission contract: service class, weighted-fair
-/// share, and optional token-bucket quota (`None` = unlimited).
+/// One tenant's admission contract: service class and optional
+/// token-bucket quota (`None` = unlimited).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantSpec {
     /// The tenant's service class.
     pub sla: SlaClass,
-    /// Weighted-fair share (relative to the sum over all tenants)
-    /// enforced during degraded operation (ladder rung ≥ 1).
-    pub weight: u32,
     /// Token-bucket quota; `None` admits without rate limiting.
     pub quota: Option<RateLimit>,
 }
 
 impl TenantSpec {
-    /// A spec of the given class with weight 1 and no quota.
+    /// A spec of the given class with no quota.
     pub fn new(sla: SlaClass) -> Self {
-        Self {
-            sla,
-            weight: 1,
-            quota: None,
-        }
-    }
-
-    /// Sets the weighted-fair share (clamped to ≥ 1).
-    pub fn weight(mut self, w: u32) -> Self {
-        self.weight = w.max(1);
-        self
+        Self { sla, quota: None }
     }
 
     /// Sets the token-bucket quota.
@@ -227,7 +209,7 @@ pub struct TenancyPolicy {
 impl TenancyPolicy {
     /// A policy deriving tenant ids as `external_id mod lanes`
     /// (clamped to ≥ 1); every tenant defaults to
-    /// [`TenantSpec::default`] (Standard, weight 1, no quota) until
+    /// [`TenantSpec::default`] (Standard, no quota) until
     /// specs are appended.
     pub fn new(lanes: u64) -> Self {
         Self {
@@ -238,8 +220,8 @@ impl TenancyPolicy {
     }
 
     /// Appends one tenant spec. Tenant `t` uses spec `t mod
-    /// specs.len()`; with no specs at all every tenant is Standard,
-    /// unweighted and unquota'd.
+    /// specs.len()`; with no specs at all every tenant is Standard and
+    /// unquota'd.
     pub fn tenant(mut self, spec: TenantSpec) -> Self {
         self.tenants.push(spec);
         self
@@ -281,8 +263,7 @@ impl TenancyPolicy {
 pub enum ShedReason {
     /// The tenant's token bucket could not cover the arrival.
     Quota,
-    /// Degraded-mode throttling: the weighted-fair window cap, or the
-    /// rung-1 BestEffort duty cycle.
+    /// Degraded-mode throttling: the rung-1 BestEffort duty cycle.
     Throttled,
     /// The ladder rung rejects this tenant's class outright (rung ≥ 2
     /// for BestEffort, rung 3 for everything non-Premium). The
@@ -305,7 +286,7 @@ pub struct TenantAdmissionStats {
     pub admitted: u64,
     /// Arrivals shed because the token bucket ran dry.
     pub shed_quota: u64,
-    /// Arrivals shed by degraded-mode throttling (fair-window cap or
+    /// Arrivals shed by degraded-mode throttling (the rung-1
     /// BestEffort duty cycle).
     pub shed_throttled: u64,
     /// Arrivals rejected outright by the ladder rung.
@@ -331,19 +312,10 @@ impl TenantAdmissionStats {
 /// One tenant's token bucket (milli-token units; `last` is the
 /// tenant's own arrival watermark, so refills depend only on the
 /// tenant's own stream — the isolation property).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct Bucket {
     tokens: u64,
     last: SimTime,
-}
-
-/// One tenant's weighted-fair admission window (rolling, per-tenant:
-/// resets every [`FAIR_WINDOW`] of the tenant's *own* submissions, so
-/// no tenant's burst can move another tenant's window boundary).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct FairWindow {
-    submitted: u64,
-    admitted: u64,
 }
 
 /// The admission verdict [`TenantTable::admit`] returns.
@@ -355,17 +327,15 @@ pub(crate) enum TenantVerdict {
     Shed { tenant: u64, reason: ShedReason },
 }
 
-/// The coordinator-side admission table: token buckets, fair windows,
-/// counters and the ladder rung. Owned by [`crate::Gateway`];
-/// consulted once per arrival in global arrival order **before** the
-/// reuse gate (a shed arrival must not advance the reuse watermark or
-/// any other coordinate).
+/// The coordinator-side admission table: token buckets, counters and
+/// the ladder rung. Owned by [`crate::Gateway`]; consulted once per
+/// arrival in global arrival order **before** the reuse gate (a shed
+/// arrival must not advance the reuse watermark or any other
+/// coordinate).
 #[derive(Debug)]
 pub(crate) struct TenantTable {
     policy: TenancyPolicy,
-    total_weight: u64,
     buckets: Vec<Option<Bucket>>,
-    windows: Vec<FairWindow>,
     counters: Vec<TenantAdmissionStats>,
     rung: u8,
     over: u32,
@@ -375,10 +345,6 @@ pub(crate) struct TenantTable {
 impl TenantTable {
     pub(crate) fn new(policy: TenancyPolicy) -> Self {
         let lanes = policy.lanes() as usize;
-        let total_weight: u64 = (0..policy.lanes())
-            .map(|t| u64::from(policy.spec(t).weight))
-            .sum::<u64>()
-            .max(1);
         let buckets = (0..policy.lanes())
             .map(|t| {
                 policy.spec(t).quota.map(|q| Bucket {
@@ -389,9 +355,7 @@ impl TenantTable {
             .collect();
         Self {
             policy,
-            total_weight,
             buckets,
-            windows: vec![FairWindow::default(); lanes],
             counters: vec![TenantAdmissionStats::default(); lanes],
             rung: 0,
             over: 0,
@@ -413,17 +377,10 @@ impl TenantTable {
         &self.counters
     }
 
-    /// This tenant's weighted-fair per-window admission cap (active at
-    /// rung ≥ 1): `ceil(FAIR_WINDOW · weight / Σ weights)`, never 0.
-    fn fair_cap(&self, tenant: u64) -> u64 {
-        let w = u64::from(self.policy.spec(tenant).weight);
-        (FAIR_WINDOW * w).div_ceil(self.total_weight).max(1)
-    }
-
     /// Decides one arrival, in global arrival order, from
-    /// arrival-visible data only. Counters, buckets and windows
-    /// advance as a side effect, so callers must consult the table
-    /// for **every** arrival exactly once.
+    /// arrival-visible data only. Counters and buckets advance as a
+    /// side effect, so callers must consult the table for **every**
+    /// arrival exactly once.
     pub(crate) fn admit(&mut self, task: &Task) -> TenantVerdict {
         let tenant = self.policy.tenant_of(task.id.0);
         let lane = tenant as usize;
@@ -453,33 +410,21 @@ impl TenantTable {
                 reason: ShedReason::Overload,
             };
         }
-        // Per-tenant fair window bookkeeping (always advanced so the
-        // window phase is a pure function of the tenant's own stream,
-        // not of when the ladder happened to engage).
-        let cap = self.fair_cap(tenant);
-        let w = &mut self.windows[lane];
-        w.submitted += 1;
-        if w.submitted > FAIR_WINDOW {
-            *w = FairWindow {
-                submitted: 1,
-                admitted: 0,
-            };
-        }
-        if self.rung >= 1 && self.windows[lane].admitted >= cap {
-            self.counters[lane].shed_throttled += 1;
-            return TenantVerdict::Shed {
-                tenant,
-                reason: ShedReason::Throttled,
-            };
-        }
         // Rung-1 BestEffort throttle: double token cost under a
-        // quota, a deterministic 1-in-2 duty cycle without one.
+        // quota, a deterministic 1-in-2 duty cycle without one. The
+        // cycle's phase is the parity of the tenant's own submissions
+        // that passed the rung gates — a pure function of the tenant's
+        // stream, not of when the ladder happened to engage. Only the
+        // parity matters, so the count wraps rather than trusting
+        // restored counters to balance.
         let mut cost = TOKEN_SCALE;
         if self.rung == 1 && spec.sla == SlaClass::BestEffort {
+            let c = &mut self.counters[lane];
+            let passed = c.submitted.wrapping_sub(c.shed_overload);
             if spec.quota.is_some() {
                 cost = 2 * TOKEN_SCALE;
-            } else if self.windows[lane].submitted.is_multiple_of(2) {
-                self.counters[lane].shed_throttled += 1;
+            } else if passed.is_multiple_of(2) {
+                c.shed_throttled += 1;
                 return TenantVerdict::Shed {
                     tenant,
                     reason: ShedReason::Throttled,
@@ -496,7 +441,6 @@ impl TenantTable {
             }
             b.tokens -= cost;
         }
-        self.windows[lane].admitted += 1;
         self.counters[lane].admitted += 1;
         TenantVerdict::Admitted { class: spec.sla }
     }
@@ -540,80 +484,46 @@ impl TenantTable {
     /// Canonical state capture for the gateway snapshot (the
     /// configuration is construction-time and not serialized).
     pub(crate) fn state_value(&self) -> Value {
-        let buckets: Vec<Value> = self
-            .buckets
-            .iter()
-            .map(|b| match b {
-                None => Value::Null,
-                Some(b) => Value::Object(vec![
-                    ("tokens".to_owned(), b.tokens.to_value()),
-                    ("last".to_owned(), b.last.to_value()),
-                ]),
-            })
-            .collect();
-        let windows: Vec<Value> = self
-            .windows
-            .iter()
-            .map(|w| {
-                Value::Object(vec![
-                    ("submitted".to_owned(), w.submitted.to_value()),
-                    ("admitted".to_owned(), w.admitted.to_value()),
-                ])
-            })
-            .collect();
         Value::Object(vec![
             ("rung".to_owned(), Value::UInt(u64::from(self.rung))),
             ("over".to_owned(), Value::UInt(u64::from(self.over))),
             ("under".to_owned(), Value::UInt(u64::from(self.under))),
-            ("buckets".to_owned(), Value::Array(buckets)),
-            ("windows".to_owned(), Value::Array(windows)),
+            ("buckets".to_owned(), self.buckets.to_value()),
             ("counters".to_owned(), self.counters.to_value()),
         ])
     }
 
     /// Restores state captured by [`TenantTable::state_value`] into a
-    /// table built from the same [`TenancyPolicy`].
+    /// table built from the same [`TenancyPolicy`]: one bucket per
+    /// quota'd lane and a null per unquota'd one, one counter set per
+    /// lane, a rung no higher than the top one. A `windows` field (an
+    /// earlier build's fair-admission windows) is ignored: the duty
+    /// cycle takes its phase from the counters.
     pub(crate) fn restore_value(&mut self, v: &Value) -> Result<(), Error> {
-        self.rung = u64::from_value(v.get_field("rung")?)?.min(255) as u8;
+        let rung = u64::from_value(v.get_field("rung")?)?;
+        if rung > u64::from(MAX_RUNG) {
+            return Err(Error::custom("ladder rung above the top rung"));
+        }
+        self.rung = rung as u8;
         self.over =
             u64::from_value(v.get_field("over")?)?.min(u32::MAX as u64) as u32;
         self.under =
             u64::from_value(v.get_field("under")?)?.min(u32::MAX as u64) as u32;
-        let Value::Array(buckets) = v.get_field("buckets")? else {
-            return Err(Error::unexpected("array", v.get_field("buckets")?));
-        };
-        let Value::Array(windows) = v.get_field("windows")? else {
-            return Err(Error::unexpected("array", v.get_field("windows")?));
-        };
-        if buckets.len() != self.buckets.len()
-            || windows.len() != self.windows.len()
-        {
-            return Err(Error::custom(
-                "tenant-table lane count differs from this policy",
-            ));
-        }
-        for (slot, wire) in self.buckets.iter_mut().zip(buckets) {
-            *slot = match wire {
-                Value::Null => None,
-                obj => Some(Bucket {
-                    tokens: u64::from_value(obj.get_field("tokens")?)?,
-                    last: SimTime::from_value(obj.get_field("last")?)?,
-                }),
-            };
-        }
-        for (slot, wire) in self.windows.iter_mut().zip(windows) {
-            *slot = FairWindow {
-                submitted: u64::from_value(wire.get_field("submitted")?)?,
-                admitted: u64::from_value(wire.get_field("admitted")?)?,
-            };
-        }
-        self.counters =
+        let buckets =
+            Vec::<Option<Bucket>>::from_value(v.get_field("buckets")?)?;
+        let counters =
             Vec::<TenantAdmissionStats>::from_value(v.get_field("counters")?)?;
-        if self.counters.len() != self.windows.len() {
-            return Err(Error::custom(
-                "tenant-counter count differs from this policy",
-            ));
+        let fits = buckets.len() == self.buckets.len()
+            && counters.len() == self.buckets.len()
+            && buckets
+                .iter()
+                .zip(&self.buckets)
+                .all(|(b, own)| b.is_some() == own.is_some());
+        if !fits {
+            return Err(Error::custom("tenant table differs from this policy"));
         }
+        self.buckets = buckets;
+        self.counters = counters;
         Ok(())
     }
 
@@ -755,22 +665,55 @@ mod tests {
     }
 
     #[test]
-    fn fair_window_caps_by_weight_at_rung_one() {
-        let policy = TenancyPolicy::new(2)
-            .tenant(TenantSpec::default().weight(3))
-            .tenant(TenantSpec::default().weight(1));
+    fn rung_one_throttles_best_effort_by_duty_cycle_or_double_cost() {
+        let shed = |reason| TenantVerdict::Shed { tenant: 0, reason };
+        // Without a quota: a 1-in-2 duty cycle over the submissions the
+        // rung gates let through. Submissions admitted at rung 0 count
+        // toward its phase; rung-2 rejections do not.
+        let policy =
+            TenancyPolicy::new(1).tenant(TenantSpec::new(SlaClass::BestEffort));
         let mut table = TenantTable::new(policy);
+        for i in 0..3u64 {
+            assert!(admitted(table.admit(&task(i, i)))); // rung 0
+        }
+        table.set_rung(2);
+        for i in 3..8u64 {
+            assert_eq!(table.admit(&task(i, i)), shed(ShedReason::Overload));
+        }
         table.set_rung(1);
-        // caps: ceil(64*3/4)=48, ceil(64*1/4)=16.
-        let mut ok = [0u64; 2];
-        for i in 0..FAIR_WINDOW {
-            for t in 0..2u64 {
-                if admitted(table.admit(&task(2 * i + t, i))) {
-                    ok[t as usize] += 1;
-                }
+        // Three submissions passed the gates so far, so the next one is
+        // the 4th (even, throttled); then odd admitted, even throttled,
+        // across many 64-submission spans.
+        for n in 4..=300u64 {
+            let v = table.admit(&task(n + 4, n + 4));
+            if n % 2 == 1 {
+                assert!(admitted(v), "submission {n} must be admitted");
+            } else {
+                assert_eq!(v, shed(ShedReason::Throttled), "submission {n}");
             }
         }
-        assert_eq!(ok, [48, 16]);
+        let c = table.counters()[0];
+        assert_eq!(c.submitted, 305);
+        assert_eq!((c.shed_overload, c.shed_throttled), (5, 149));
+        assert_eq!(c.admitted, 3 + 148);
+
+        // With a quota: no duty cycle, but every admission costs two
+        // tokens, so a burst of four tokens admits two tasks.
+        let policy = TenancyPolicy::new(1).tenant(
+            TenantSpec::new(SlaClass::BestEffort)
+                .quota(RateLimit { burst: 4, rate: 0 }),
+        );
+        let mut table = TenantTable::new(policy.clone());
+        table.set_rung(1);
+        assert!(admitted(table.admit(&task(0, 0))));
+        assert!(admitted(table.admit(&task(1, 0))));
+        assert_eq!(table.admit(&task(2, 0)), shed(ShedReason::Quota));
+        // At rung 0 the same bucket admits four.
+        let mut calm = TenantTable::new(policy);
+        for i in 0..4u64 {
+            assert!(admitted(calm.admit(&task(i, 0))));
+        }
+        assert_eq!(calm.admit(&task(4, 0)), shed(ShedReason::Quota));
     }
 
     #[test]
@@ -793,6 +736,18 @@ mod tests {
         assert_eq!(rebuilt.state_value(), wire);
         assert_eq!(rebuilt.rung(), table.rung());
         assert_eq!(rebuilt.counters(), table.counters());
+        // The quota'd lane's bucket nulled out: a typed error, where
+        // admitting on it would have panicked.
+        let mut misfit = wire;
+        let Value::Object(fields) = &mut misfit else {
+            panic!("tenant tables are objects");
+        };
+        for (k, v) in fields.iter_mut() {
+            if k == "buckets" {
+                *v = Value::Array(vec![Value::Null, Value::Null]);
+            }
+        }
+        assert!(rebuilt.restore_value(&misfit).is_err());
     }
 
     #[test]

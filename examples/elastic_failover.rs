@@ -1,8 +1,7 @@
-//! Elastic federation live: versioned checkpoints, journal replay after
-//! a shard crash, and a mid-run reshard — all bit-identical to runs
-//! where nothing ever went wrong.
+//! Crash-failover live: versioned checkpoints and journal replay after
+//! a shard crash, bit-identical to a run where nothing ever went wrong.
 //!
-//! Three acts:
+//! Two acts:
 //!
 //! 1. **Checkpoint + crash + replay.** The federation journals every
 //!    shard operation, checkpoints shard 1 a third of the way in, loses
@@ -12,9 +11,6 @@
 //! 2. **Tamper detection.** One bit of the checkpoint payload is
 //!    flipped through its serialized form; the FNV-1a state hash
 //!    rejects it at recovery time.
-//! 3. **Live reshard.** A 4-shard run pauses at an arrival watermark,
-//!    verifies the gateway snapshot, and re-splits its logged history
-//!    across 2 shards — matching an uninterrupted 2-shard run.
 //!
 //! Run with: `cargo run --release --example elastic_failover`
 
@@ -27,12 +23,11 @@ const SHARDS: usize = 4;
 fn build<'a>(
     cluster: &Cluster,
     pet: &'a PetMatrix,
-    shards: usize,
 ) -> GatewayBuilder<'a, taskprune_sim::NullSink> {
     let n_types = pet.n_task_types();
     GatewayBuilder::new(cluster, pet)
         .config(SimConfig::batch(7))
-        .shards(shards)
+        .shards(SHARDS)
         .policy(RoundRobinRoute::new())
         .strategy_with(move |_| HeuristicKind::Mm.make())
         .pruner_with(move |_| {
@@ -89,14 +84,13 @@ fn main() {
     let json = |s: &FederationStats| serde_json::to_string(s).unwrap();
 
     // Act 1: the uninterrupted reference, then crash + recover.
-    let reference = build(&cluster, &pet, SHARDS)
+    let reference = build(&cluster, &pet)
         .build()
         .expect("valid configuration")
         .run_stream(tasks.iter().copied());
 
-    let mut engine = build(&cluster, &pet, SHARDS)
-        .build()
-        .expect("valid configuration");
+    let mut engine =
+        build(&cluster, &pet).build().expect("valid configuration");
     engine.enable_journal();
     let mut source = tasks.iter().copied().peekable();
     let (w1, w2) = (tasks.len() as u64 / 3, 2 * tasks.len() as u64 / 3);
@@ -132,44 +126,10 @@ fn main() {
         .expect("genuine checkpoint");
     let recovered = engine.finish_stream(&mut source);
     println!(
-        "crash-failover bit-identical to the uninterrupted run: {}\n",
+        "crash-failover bit-identical to the uninterrupted run: {}",
         json(&reference) == json(&recovered)
     );
     assert_eq!(json(&reference), json(&recovered));
-
-    // Act 3: live reshard 4 -> 2 at the midpoint watermark.
-    let reference2 = build(&cluster, &pet, 2)
-        .build()
-        .expect("valid configuration")
-        .run_stream(tasks.iter().copied());
-    let mut engine = build(&cluster, &pet, SHARDS)
-        .build()
-        .expect("valid configuration");
-    engine.enable_arrival_log();
-    let mut source = tasks.iter().copied().peekable();
-    engine.run_until(&mut source, tasks.len() as u64 / 2);
-    engine
-        .snapshot_gateway()
-        .verify()
-        .expect("gateway snapshot verifies at the pause point");
-    let logged: Vec<Task> = engine.arrival_log().to_vec();
-    println!(
-        "paused {SHARDS}-shard federation at watermark {} — gateway \
-         snapshot verified, {} arrivals logged",
-        tasks.len() / 2,
-        logged.len()
-    );
-    drop(engine);
-    let resharded = build(&cluster, &pet, 2)
-        .build()
-        .expect("valid configuration")
-        .run_stream(logged.into_iter().chain(source));
-    println!(
-        "resharded {SHARDS} -> 2 bit-identical to an uninterrupted \
-         2-shard run: {}",
-        json(&reference2) == json(&resharded)
-    );
-    assert_eq!(json(&reference2), json(&resharded));
 
     println!(
         "\n{} tasks, robustness {:.1} %",

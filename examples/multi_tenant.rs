@@ -146,8 +146,8 @@ fn main() {
     };
     let crunch = squeezed.generate_trial(&pet, 0).tasks;
     let ladder = TenancyPolicy::new(3)
-        .tenant(TenantSpec::new(SlaClass::Premium).weight(3))
-        .tenant(TenantSpec::new(SlaClass::Standard).weight(2))
+        .tenant(TenantSpec::new(SlaClass::Premium))
+        .tenant(TenantSpec::new(SlaClass::Standard))
         .tenant(TenantSpec::new(SlaClass::BestEffort))
         .ladder(LadderConfig {
             high: 48,

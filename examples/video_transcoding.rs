@@ -135,7 +135,12 @@ fn main() {
     let policies = [
         ("off", ReusePolicy::Off),
         ("exact", ReusePolicy::ExactOnly),
-        ("merge", ReusePolicy::merge(merge_window)),
+        (
+            "merge",
+            ReusePolicy::Merge {
+                window: merge_window,
+            },
+        ),
     ];
     println!(
         "dup-rate  policy   on-air %   dedup-hits   merges   cycles saved"

@@ -1,28 +1,18 @@
-//! Live resharding ≡ a fresh federation: pausing a K-shard run at an
-//! arrival watermark and re-splitting its history across K′ shards must
-//! be invisible in the outcome record.
+//! Checkpoints that must not restore, and one that must.
 //!
-//! The contract under test (ISSUE pin b): a federation paused at
-//! watermark `w`, whose gateway snapshot verifies, and whose logged
-//! arrival prefix is re-routed through a freshly built K′-shard
-//! federation followed by the rest of the stream, produces a serialized
-//! `FederationStats` — outcome tables, counters, the global arrival
-//! record, and the full per-shard `TraceLog` — **byte-identical** to an
-//! uninterrupted K′-shard run of the same stream. Both drivers are
-//! pinned: the serial `FederatedEngine` (`run_until` + `arrival_log`)
-//! and the `ParallelFederatedEngine` (`ingest_prefix`), plus the
-//! `ResourceAllocator` facade over both.
+//! Corruption: a sealed [`Snapshot`] whose payload is tampered with
+//! after sealing is rejected with [`SnapshotError::HashMismatch`] — by
+//! `verify()` at a paused watermark and by `recover_shard` at the next
+//! recovery point. Tampering has to go through the serialized form
+//! (fields are private), exactly like an attacker flipping bits in a
+//! checkpoint file would.
 //!
-//! The corruption half (ISSUE pin c): a sealed [`Snapshot`] whose
-//! payload is tampered with after sealing is rejected with
-//! [`SnapshotError::HashMismatch`] — by `verify()` at the watermark and
-//! by `recover_shard` at the next recovery point. Tampering has to go
-//! through the serialized form (fields are private), exactly like an
-//! attacker flipping bits in a checkpoint file would.
+//! Coordinator snapshots: a re-sealed payload that does not describe a
+//! federation decodes to a typed error, and an earlier build's capture
+//! resumes bit-identically.
 
 mod common;
 
-use proptest::prelude::*;
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
 use taskprune_sim::{FederatedEngine, Snapshot, SnapshotError, TraceLog};
@@ -46,28 +36,16 @@ fn json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("serializes")
 }
 
-fn policy_by_index(policy: usize) -> Box<dyn RoutePolicy> {
-    match policy {
-        0 => Box::new(RoundRobinRoute::new()),
-        1 => Box::new(LeastQueuedRoute::new()),
-        _ => Box::new(BestChanceRoute::new()),
-    }
-}
-
-/// The traced + pruned federation under test: every run carries the
-/// full per-shard `TraceLog` through the serialized comparison, so a
-/// reshard perturbing even one event timestamp would show.
+/// The traced + pruned 3-shard federation the corruption tests pause.
 fn builder<'a>(
     cluster: &Cluster,
     pet: &'a PetMatrix,
-    shards: usize,
-    policy: usize,
 ) -> GatewayBuilder<'a, TraceLog> {
     let n_types = pet.n_task_types();
     GatewayBuilder::new(cluster, pet)
         .config(SimConfig::batch(55))
-        .shards(shards)
-        .policy_boxed(policy_by_index(policy))
+        .shards(3)
+        .policy(RoundRobinRoute::new())
         .strategy_with(move |_| HeuristicKind::Mm.make())
         .pruner_with(move |_| {
             Box::new(PruningMechanism::new(
@@ -76,154 +54,6 @@ fn builder<'a>(
             ))
         })
         .sink_with(|_| TraceLog::new(1_000_000, 4))
-}
-
-/// Serial driver: pause a 4-shard run at the watermark, verify the
-/// gateway snapshot, re-split the logged history across 3 shards, and
-/// compare against an uninterrupted 3-shard run — for stateless and
-/// lockstep routing, at an early and a midpoint watermark (including
-/// `w = 0`, the degenerate "reshard before anything happened" case).
-#[test]
-fn serial_reshard_matches_the_uninterrupted_target_shard_count() {
-    let (cluster, pet, tasks) = fixture(common::test_scale());
-    for policy in [0usize, 1] {
-        let reference = builder(&cluster, &pet, 3, policy)
-            .build()
-            .expect("valid configuration")
-            .run_stream(tasks.iter().copied());
-        assert_eq!(reference.unreported(), 0);
-        let reference_json = json(&reference);
-        for watermark in [0u64, (tasks.len() / 2) as u64] {
-            let mut engine = builder(&cluster, &pet, 4, policy)
-                .build()
-                .expect("valid configuration");
-            engine.enable_arrival_log();
-            let mut source = tasks.iter().copied().peekable();
-            engine.run_until(&mut source, watermark);
-            assert_eq!(engine.arrivals_ingested(), watermark);
-            engine
-                .snapshot_gateway()
-                .verify()
-                .expect("pause-point gateway snapshot verifies");
-            let logged: Vec<Task> = engine.arrival_log().to_vec();
-            assert_eq!(logged.len() as u64, watermark);
-            drop(engine); // the 4-shard federation is gone
-            let resharded = builder(&cluster, &pet, 3, policy)
-                .build()
-                .expect("valid configuration")
-                .run_stream(logged.into_iter().chain(source));
-            assert_eq!(
-                reference_json,
-                json(&resharded),
-                "policy #{policy} watermark={watermark}: reshard 4→3 \
-                 diverged from an uninterrupted 3-shard run"
-            );
-        }
-    }
-}
-
-/// Parallel driver: same contract through `ingest_prefix` — the
-/// pause-point for a pool-driven federation — across thread counts and
-/// both scheduling regimes (stateless mailbox fill vs lockstep epochs).
-#[test]
-fn parallel_reshard_matches_the_uninterrupted_target_shard_count() {
-    let (cluster, pet, tasks) = fixture(common::test_scale() * 0.5);
-    let split = tasks.len() / 2;
-    for policy in [0usize, 1] {
-        for threads in [1usize, 2] {
-            let reference = builder(&cluster, &pet, 2, policy)
-                .threads(threads)
-                .build_parallel()
-                .expect("valid configuration")
-                .run_stream(tasks.iter().copied());
-            let mut engine = builder(&cluster, &pet, 3, policy)
-                .threads(threads)
-                .build_parallel()
-                .expect("valid configuration");
-            engine.enable_arrival_log();
-            engine.ingest_prefix(tasks[..split].iter().copied());
-            engine
-                .snapshot_gateway()
-                .verify()
-                .expect("pause-point gateway snapshot verifies");
-            let logged: Vec<Task> = engine.arrival_log().to_vec();
-            assert_eq!(logged.len(), split);
-            drop(engine);
-            let resharded = builder(&cluster, &pet, 2, policy)
-                .threads(threads)
-                .build_parallel()
-                .expect("valid configuration")
-                .run_stream(
-                    logged.into_iter().chain(tasks[split..].iter().copied()),
-                );
-            assert_eq!(
-                json(&reference),
-                json(&resharded),
-                "policy #{policy} threads={threads}: parallel reshard \
-                 3→2 diverged from an uninterrupted 2-shard run"
-            );
-        }
-    }
-}
-
-/// The `ResourceAllocator` facade over both drivers. The pre-reshard
-/// policy is deliberately *different* from the successor's: only the
-/// logged history crosses the reshard boundary, so the old federation's
-/// routing choices must not leak into the outcome.
-#[test]
-fn facade_elastic_reshard_matches_the_uninterrupted_run() {
-    let pet = PetGenConfig::paper_heterogeneous(3).generate();
-    let cluster = taskprune_workload::machines::heterogeneous_cluster();
-    let tasks = WorkloadConfig {
-        total_tasks: common::scaled(1_200, common::test_scale()) as usize,
-        span_tu: common::scaled(200, common::test_scale()) as f64,
-        ..WorkloadConfig::paper_default(8)
-    }
-    .generate_trial(&pet, 0)
-    .tasks;
-    let alloc = || {
-        ResourceAllocator::new(&cluster, &pet, SimConfig::batch(2))
-            .heuristic(HeuristicKind::Mm)
-            .pruning(PruningConfig::paper_default())
-    };
-    let watermark = (tasks.len() / 2) as u64;
-    let reference = alloc()
-        .try_run_federated(2, Box::new(RoundRobinRoute::new()), &tasks)
-        .expect("valid federated configuration");
-    let reference_json = json(&reference);
-
-    let serial = alloc()
-        .try_run_federated_elastic(
-            3,
-            2,
-            watermark,
-            Box::new(LeastQueuedRoute::new()),
-            Box::new(RoundRobinRoute::new()),
-            &tasks,
-        )
-        .expect("valid elastic configuration");
-    assert_eq!(
-        reference_json,
-        json(&serial),
-        "serial facade reshard diverged from try_run_federated"
-    );
-
-    let parallel = alloc()
-        .try_run_federated_elastic_parallel(
-            3,
-            2,
-            Some(2),
-            watermark,
-            Box::new(LeastQueuedRoute::new()),
-            Box::new(RoundRobinRoute::new()),
-            &tasks,
-        )
-        .expect("valid elastic configuration");
-    assert_eq!(
-        reference_json,
-        json(&parallel),
-        "parallel facade reshard diverged from try_run_federated"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -277,7 +107,7 @@ fn tampered(snap: &Snapshot) -> Snapshot {
 #[test]
 fn tampered_gateway_snapshot_is_rejected_at_the_watermark() {
     let (cluster, pet, tasks) = fixture(common::test_scale() * 0.5);
-    let mut engine = builder(&cluster, &pet, 3, 0)
+    let mut engine = builder(&cluster, &pet)
         .build()
         .expect("valid configuration");
     let mut source = tasks.iter().copied().peekable();
@@ -301,7 +131,7 @@ fn tampered_gateway_snapshot_is_rejected_at_the_watermark() {
 #[test]
 fn tampered_checkpoint_is_rejected_on_recovery() {
     let (cluster, pet, tasks) = fixture(common::test_scale() * 0.5);
-    let mut engine = builder(&cluster, &pet, 3, 0)
+    let mut engine = builder(&cluster, &pet)
         .build()
         .expect("valid configuration");
     engine.enable_journal();
@@ -412,11 +242,12 @@ fn set_gateway_field(
 /// A coordinator payload that decodes but does not describe a
 /// federation — an event on a shard that does not exist or due before
 /// the clock, a pending count that disagrees with the events, an event
-/// kind no driver schedules — is rejected with a typed error, never a
-/// panic and never a silently different run. So is one that carries
-/// state of the bounded-staleness routing and batch-stealing layer
-/// this build no longer has: a stale view table, non-zero steal
-/// counters, a journaled steal. Each mutated payload is re-sealed, so
+/// kind no driver schedules, a journaled ladder step above the top
+/// rung — is rejected with a typed error, never a panic and never a
+/// silently different run. So is one that carries state of the
+/// bounded-staleness routing and batch-stealing layer this build no
+/// longer has: a stale view table, non-zero steal counters, a
+/// journaled steal. Each mutated payload is re-sealed, so
 /// it passes `verify` and only the restore's own checks stand between
 /// it and the engine.
 #[test]
@@ -520,10 +351,40 @@ fn hostile_coordinator_snapshots_are_typed_errors() {
         "non-zero steal counters must be a shape mismatch"
     );
 
-    // A shard journal holds a steal.
-    let mut p = genuine;
     let journal =
         |entries| obj(vec![("entries", serde::Value::Array(entries))]);
+    let with_rung_step = |rung: u64| {
+        let step = obj(vec![
+            ("time", serde::Value::UInt(0)),
+            (
+                "op",
+                obj(vec![(
+                    "SlaRung",
+                    obj(vec![("rung", serde::Value::UInt(rung))]),
+                )]),
+            ),
+        ]);
+        let mut p = genuine.clone();
+        *field(&mut p, "journals") = serde::Value::Array(vec![
+            journal(vec![step]),
+            journal(Vec::new()),
+            journal(Vec::new()),
+        ]);
+        p
+    };
+
+    // A shard journal holds a step to rung 4 of 0..=3.
+    restore(with_rung_step(3)).expect("a step to the top rung restores");
+    assert!(
+        matches!(
+            restore(with_rung_step(4)),
+            Err(SnapshotError::ShapeMismatch { .. })
+        ),
+        "a journaled rung above the top rung must be a shape mismatch"
+    );
+
+    // A shard journal holds a steal.
+    let mut p = genuine;
     let steal = obj(vec![
         ("time", serde::Value::UInt(0)),
         (
@@ -573,143 +434,4 @@ fn legacy_coordinator_snapshot_resumes_bit_identically() {
         json(&resumed),
         "the restored capture diverged from the uninterrupted run"
     );
-}
-
-// ---------------------------------------------------------------------
-// Property test: resharding under hostile external ids.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Bursts of simultaneous arrivals with sparse/duplicate external
-    /// ids and oscillating deadlines reshard 3→2 bit-identically under
-    /// both drivers, at a watermark derived from the stream itself.
-    #[test]
-    fn hostile_streams_reshard_bit_identically(
-        raw in proptest::collection::vec((any::<u32>(), 0u64..3), 8..48),
-    ) {
-        use taskprune_model::{BinSpec, SimTime, TaskTypeId};
-        use taskprune_prob::Pmf;
-
-        let spread = Pmf::from_points(&[(1, 0.4), (3, 0.4), (6, 0.2)])
-            .expect("valid PMF");
-        let heavy = Pmf::from_points(&[(2, 0.5), (5, 0.3), (9, 0.2)])
-            .expect("valid PMF");
-        let pet =
-            PetMatrix::new(BinSpec::new(100), 1, 2, vec![spread, heavy]);
-        let cluster = Cluster::one_per_type(1);
-
-        let mut stream: Vec<Task> = Vec::with_capacity(raw.len());
-        let mut t = 0u64;
-        for (i, &(r, delta)) in raw.iter().enumerate() {
-            t += delta * 137;
-            let external = if i % 6 == 5 {
-                stream[i - 1].id.0
-            } else {
-                (r as u64).wrapping_mul(1_000_003)
-            };
-            let deadline = t + if r % 3 == 0 { 150 } else { 40_000 };
-            stream.push(Task::new(
-                external,
-                TaskTypeId((r % 2) as u16),
-                SimTime(t),
-                SimTime(deadline),
-            ));
-        }
-        let watermark = stream.len() / 2;
-
-        let build = |shards: usize| {
-            GatewayBuilder::new(&cluster, &pet)
-                .config(SimConfig::batch(9))
-                .shards(shards)
-                .policy(RoundRobinRoute::new())
-                .strategy_with(|_| HeuristicKind::FcfsRr.make())
-                .pruner_with(|_| {
-                    Box::new(PruningMechanism::new(
-                        PruningConfig::paper_default(),
-                        2,
-                    ))
-                })
-                .sink_with(|_| TraceLog::new(100_000, 4))
-        };
-
-        let reference = build(2)
-            .build()
-            .expect("valid configuration")
-            .run_stream(stream.iter().copied());
-        prop_assert_eq!(reference.unreported(), 0);
-        let reference_json = json(&reference);
-
-        // Serial reshard 3→2.
-        let mut engine =
-            build(3).build().expect("valid configuration");
-        engine.enable_arrival_log();
-        let mut source = stream.iter().copied().peekable();
-        engine.run_until(&mut source, watermark as u64);
-        engine.snapshot_gateway().verify().expect("snapshot verifies");
-        let logged: Vec<Task> = engine.arrival_log().to_vec();
-        drop(engine);
-        let serial = build(2)
-            .build()
-            .expect("valid configuration")
-            .run_stream(logged.into_iter().chain(source));
-        prop_assert_eq!(
-            &reference_json,
-            &json(&serial),
-            "serial reshard diverged on a hostile stream"
-        );
-
-        // Parallel reshard 3→2 on 2 threads.
-        let mut engine = build(3)
-            .threads(2)
-            .build_parallel()
-            .expect("valid configuration");
-        engine.enable_arrival_log();
-        engine.ingest_prefix(stream[..watermark].iter().copied());
-        engine.snapshot_gateway().verify().expect("snapshot verifies");
-        let logged: Vec<Task> = engine.arrival_log().to_vec();
-        drop(engine);
-        let parallel = build(2)
-            .threads(2)
-            .build_parallel()
-            .expect("valid configuration")
-            .run_stream(
-                logged.into_iter().chain(stream[watermark..].iter().copied()),
-            );
-        prop_assert_eq!(
-            &reference_json,
-            &json(&parallel),
-            "parallel reshard diverged on a hostile stream"
-        );
-    }
-}
-
-#[test]
-#[ignore = "full-size reshard sweep; run with --ignored"]
-fn full_scale_reshard_matches_uninterrupted() {
-    let (cluster, pet, tasks) = fixture(1.0);
-    for policy in [0usize, 1, 2] {
-        let reference = builder(&cluster, &pet, 3, policy)
-            .build()
-            .expect("valid configuration")
-            .run_stream(tasks.iter().copied());
-        let mut engine = builder(&cluster, &pet, 4, policy)
-            .build()
-            .expect("valid configuration");
-        engine.enable_arrival_log();
-        let mut source = tasks.iter().copied().peekable();
-        engine.run_until(&mut source, (tasks.len() / 2) as u64);
-        engine
-            .snapshot_gateway()
-            .verify()
-            .expect("snapshot verifies");
-        let logged: Vec<Task> = engine.arrival_log().to_vec();
-        drop(engine);
-        let resharded = builder(&cluster, &pet, 3, policy)
-            .build()
-            .expect("valid configuration")
-            .run_stream(logged.into_iter().chain(source));
-        assert_eq!(json(&reference), json(&resharded), "policy #{policy}");
-    }
 }

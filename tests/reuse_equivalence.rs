@@ -106,7 +106,9 @@ fn run(
 /// same-type neighbours in the paper workload, narrow enough that the
 /// primary's deadline conservatively bounds every follower's.
 fn merge_policy() -> ReusePolicy {
-    ReusePolicy::merge(SimTime(taskprune_model::TICKS_PER_TIME_UNIT / 2))
+    ReusePolicy::Merge {
+        window: SimTime(taskprune_model::TICKS_PER_TIME_UNIT / 2),
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -139,15 +139,14 @@ fn isolation_policy() -> TenancyPolicy {
         .tenant(TenantSpec::new(SlaClass::BestEffort).quota(RateLimit::zero()))
 }
 
-/// Three lanes with real quotas, weights and (optionally) the ladder —
+/// Three lanes with real quotas and (optionally) the ladder —
 /// the degraded-operation configuration the driver-equivalence and
 /// replay tests exercise.
 fn degraded_policy(ladder: bool) -> TenancyPolicy {
     let p = TenancyPolicy::new(3)
-        .tenant(TenantSpec::new(SlaClass::Premium).weight(3))
+        .tenant(TenantSpec::new(SlaClass::Premium))
         .tenant(
             TenantSpec::new(SlaClass::Standard)
-                .weight(2)
                 .quota(RateLimit::per_ticks(64, 2)),
         )
         .tenant(TenantSpec::new(SlaClass::BestEffort));
