@@ -43,12 +43,13 @@ use crate::queue::MachineQueue;
 use crate::reuse::{ReuseLedger, ReuseStats};
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::{Snapshot, SnapshotError};
-use crate::stats::SimStats;
+use crate::stats::{OutcomePages, SimStats};
 use crate::tenant::MAX_RUNG;
 use crate::trace::{QueueSnapshot, TraceEvent};
 use crate::traits::{Assignment, EventReport, MappingStrategy, Pruner};
 use crate::view::SystemView;
 use serde::{Deserialize, Serialize, Value};
+use std::cell::RefCell;
 use taskprune_model::{
     Machine, MachineId, PetMatrix, SimTime, Task, TaskId, TaskOutcome,
 };
@@ -145,6 +146,14 @@ pub struct SchedulerCore<'a, S: Sink = NullSink> {
     arrival_queue: Vec<Task>,
     now: SimTime,
     stats: SimStats,
+    /// The sealed pages of `stats`' outcome history that every capture
+    /// shares (see [`crate::snapshot`]). Filled only inside
+    /// [`SchedulerCore::snapshot`], which takes `&self` — hence the
+    /// `RefCell` — cleared by a crash wipe, reset by a restore.
+    pages: RefCell<OutcomePages>,
+    /// The latest `arrival` instant among the tasks delivered to this
+    /// core — never its clock. Captures sweep the reuse ledger by it.
+    arrival_watermark: SimTime,
     sink: S,
     /// Decisions taken since the last drain.
     decisions: Vec<Decision>,
@@ -205,6 +214,8 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             arrival_queue: Vec::new(),
             now: SimTime::ZERO,
             stats: SimStats::new(0, pet.n_task_types()),
+            pages: RefCell::default(),
+            arrival_watermark: SimTime::ZERO,
             sink,
             decisions: Vec::new(),
             decisions_spare: Vec::new(),
@@ -270,6 +281,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             task.arrival
         );
         self.stats.try_record_arrival(&task)?;
+        self.arrival_watermark = self.arrival_watermark.max(task.arrival);
         self.begin_report();
         self.sink
             .record(self.now, TraceEvent::Arrived { task: task.id });
@@ -311,7 +323,8 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                 on_time,
             },
         );
-        self.reuse.record_exec(rt.task.id, exec_ticks);
+        self.reuse
+            .record_exec(rt.task.id, exec_ticks, rt.task.deadline);
         self.fan_out_completion(rt.task.id, exec_ticks);
         self.mapping_event(None);
         true
@@ -404,6 +417,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             self.reuse.is_active(),
             "piggyback delivered to a core whose reuse ledger is off",
         );
+        self.arrival_watermark = self.arrival_watermark.max(task.arrival);
         match self.stats.outcome(primary) {
             Some(TaskOutcome::CompletedOnTime | TaskOutcome::CompletedLate) => {
                 self.stats.record_arrival(&task);
@@ -605,6 +619,8 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             q.drain_all();
         }
         self.stats = SimStats::new(0, self.pet.n_task_types());
+        *self.pages.get_mut() = OutcomePages::default();
+        self.arrival_watermark = SimTime::ZERO;
         self.now = SimTime::ZERO;
         self.decisions.clear();
         self.decisions_spare.clear();
@@ -633,28 +649,45 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
 
     /// Captures the core's complete durable state into a sealed,
     /// versioned [`Snapshot`]: clock, batch queue, every machine
-    /// queue, the outcome record, and the plug-in state of the
-    /// strategy, pruner and sink. Static configuration (the
-    /// [`SimConfig`], cluster and PET matrix) is not serialized — a
-    /// restore target must be built identically. Scratch arenas,
+    /// queue, the outcome record, the reuse ledger, and the plug-in
+    /// state of the strategy, pruner and sink. Static configuration
+    /// (the [`SimConfig`], cluster and PET matrix) is not serialized —
+    /// a restore target must be built identically. Scratch arenas,
     /// drained-decision buffers and the Eq. 1 chain caches are
     /// rebuilt, not serialized.
+    ///
+    /// The outcome history travels in pages (see [`crate::snapshot`]):
+    /// pages sealed by an earlier capture of this core are shared, not
+    /// rebuilt, so a capture costs the live state plus the records
+    /// resolved since the previous one. The reuse ledger's completed
+    /// primaries are swept by the arrival watermark first. Neither
+    /// changes what the core does next, and the capture is a pure
+    /// function of the core's state.
     pub fn snapshot(&self) -> Snapshot {
         let queues: Vec<Value> =
             self.queues.iter().map(|q| q.state_value()).collect();
-        Snapshot::seal(
+        let (stats, pages) = self.pages.borrow_mut().capture(&self.stats);
+        Snapshot::seal_with_pages(
             "scheduler-core",
             Value::Object(vec![
                 ("now".to_owned(), self.now.to_value()),
                 ("arrival_queue".to_owned(), self.arrival_queue.to_value()),
                 ("queues".to_owned(), Value::Array(queues)),
-                ("stats".to_owned(), self.stats.to_value()),
+                ("stats".to_owned(), stats),
                 ("strategy".to_owned(), self.strategy.snapshot_state()),
                 ("pruner".to_owned(), self.pruner.snapshot_state()),
                 ("sink".to_owned(), self.sink.snapshot_state()),
-                ("reuse".to_owned(), self.reuse.state_value()),
+                (
+                    "reuse".to_owned(),
+                    self.reuse.state_value(self.arrival_watermark),
+                ),
                 ("sla_rung".to_owned(), self.sla_rung.to_value()),
+                (
+                    "arrival_watermark".to_owned(),
+                    self.arrival_watermark.to_value(),
+                ),
             ]),
+            pages,
         )
     }
 
@@ -669,14 +702,20 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// # Errors
     /// Any [`SnapshotError`] — among them a
     /// [`SnapshotError::ShapeMismatch`] for an SLA rung above the
-    /// overload ladder's top rung. On error the core's state is
-    /// unspecified and the core should be discarded.
+    /// overload ladder's top rung, or for an outcome record that does
+    /// not describe one run (see the [`crate::snapshot`] module docs).
+    /// On error the core's state is unspecified and the core should be
+    /// discarded.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let payload = snap.verify()?.clone();
         let now = SimTime::from_value(payload.get_field("now")?)?;
         let arrival_queue =
             Vec::<Task>::from_value(payload.get_field("arrival_queue")?)?;
-        let stats = SimStats::from_value(payload.get_field("stats")?)?;
+        let (stats, pages) = OutcomePages::restore(
+            payload.get_field("stats")?,
+            snap.pages(),
+            self.pet.n_task_types(),
+        )?;
         let Value::Array(queue_states) = payload.get_field("queues")? else {
             return Err(SnapshotError::ShapeMismatch {
                 what: "`queues` payload is not an array",
@@ -709,9 +748,32 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                 what: "the SLA rung is above the ladder's top rung",
             });
         }
+        let resolved_but_live = arrival_queue
+            .iter()
+            .chain(self.queues.iter().flat_map(|q| {
+                q.running()
+                    .map(|rt| &rt.task)
+                    .into_iter()
+                    .chain(q.waiting())
+            }))
+            .chain(self.reuse.parked())
+            .any(|t| stats.outcome(t.id).is_some());
+        if resolved_but_live {
+            return Err(SnapshotError::ShapeMismatch {
+                what: "a task still queued, running or parked has a \
+                       recorded outcome",
+            });
+        }
+        // Pre-paging snapshot: no watermark was kept. Zero sweeps
+        // nothing the capture holds and is never ahead of the gate's.
+        self.arrival_watermark = match payload.get_opt("arrival_watermark") {
+            Some(state) => SimTime::from_value(state)?,
+            None => SimTime::ZERO,
+        };
         self.now = now;
         self.arrival_queue = arrival_queue;
         self.stats = stats;
+        *self.pages.get_mut() = pages;
         self.decisions.clear();
         self.decisions_spare.clear();
         self.starts.clear();
@@ -1233,6 +1295,65 @@ mod tests {
             fresh.restore(&with_rung(255)),
             Err(SnapshotError::ShapeMismatch { .. })
         ));
+    }
+
+    /// The ledger sweep follows the arrivals, not the clock: a capture
+    /// taken while the clock runs far past a completed primary's
+    /// deadline keeps it, because a duplicate that arrived before that
+    /// deadline can still be delivered late and must price its saving.
+    #[test]
+    fn capture_keeps_completed_primaries_a_late_duplicate_can_reach() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let mut c = core(&pet, &cluster);
+        c.set_reuse_active(true);
+        c.push_arrival(Task::new(0, TaskTypeId(0), SimTime(0), SimTime(500)));
+        c.advance_to(SimTime(300));
+        assert!(c.complete(MachineId(0), TaskId(0)));
+        c.advance_to(SimTime(5_000));
+        let snap = c.snapshot();
+        let follower = Task::new(1, TaskTypeId(0), SimTime(100), SimTime(600));
+        c.apply_piggyback(TaskId(0), follower, false);
+        assert_eq!(c.reuse_stats().cycles_saved, 300);
+        // A piggybacked arrival moves the watermark like any other.
+        assert_eq!(
+            c.snapshot().payload().get_field("arrival_watermark"),
+            Ok(&Value::UInt(100))
+        );
+        // The restored core prices it the same way.
+        let mut back = core(&pet, &cluster);
+        back.set_reuse_active(true);
+        back.restore(&snap).expect("the capture restores");
+        back.apply_piggyback(TaskId(0), follower, false);
+        assert_eq!(back.reuse_stats(), c.reuse_stats());
+    }
+
+    /// A restore replaces the page cache: restoring another core's
+    /// capture and capturing again reproduces that capture exactly,
+    /// pages included, whatever this core had sealed before.
+    #[test]
+    fn restore_replaces_the_sealed_pages() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        // The same 130 ids: every task is dropped reactively on `a`
+        // and completes on time on `b`, so their pages differ.
+        let mut a = core(&pet, &cluster);
+        let mut b = core(&pet, &cluster);
+        a.advance_to(SimTime(10));
+        for i in 0..130 {
+            a.push_arrival(Task::new(i, TaskTypeId(0), SimTime(0), SimTime(0)));
+            b.push_arrival(Task::new(i, TaskTypeId(0), SimTime(0), SimTime(1)));
+            for s in b.drain_starts().to_vec() {
+                b.complete(s.machine.id, s.task.id);
+            }
+        }
+        let before = a.snapshot();
+        let theirs = b.snapshot();
+        assert_eq!(before.pages().len(), 2);
+        assert_eq!(theirs.pages().len(), 2);
+        assert_ne!(before.pages(), theirs.pages());
+        a.restore(&theirs).expect("the capture restores");
+        assert_eq!(a.snapshot(), theirs);
     }
 
     #[test]

@@ -1704,6 +1704,14 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// logged prefix). Call at a paused watermark —
     /// [`FederatedEngine::run_until`] — so the capture is
     /// quiescent.
+    ///
+    /// Cost: the shard's live state (queues, batch queue, parked
+    /// followers, the completed primaries a follower can still reach)
+    /// plus the outcome records resolved since its previous capture,
+    /// sealed into pages once; every page an earlier capture sealed is
+    /// shared by reference, and sealing hashes one word per page. The
+    /// first capture of a long-running shard seals its whole history
+    /// and costs what every capture used to: the run so far.
     pub fn checkpoint(&mut self, shard: usize) -> Snapshot {
         let snap = self.gateway.shards()[shard].snapshot();
         if let Some(journals) = &mut self.journals {

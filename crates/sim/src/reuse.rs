@@ -38,6 +38,7 @@
 
 use crate::journal::JournalOp;
 use serde::{Deserialize, Serialize, Value};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use taskprune_model::{SimTime, Task, TaskId};
 
@@ -489,11 +490,29 @@ struct WireEntry {
     deadline: SimTime,
 }
 
+/// A completed primary's measured execution time and its deadline.
+#[derive(Debug, Clone, Copy)]
+struct CompletedExec {
+    ticks: u64,
+    deadline: SimTime,
+}
+
 /// Shard-local follower ledger: which followers ride on which primary,
 /// plus the measured execution times of resolved primaries (so a
 /// follower arriving *after* its primary completed still knows how
 /// many cycles it saved). Owned by [`crate::SchedulerCore`]; resolved
 /// at the primary's single terminal outcome.
+///
+/// A capture sweeps the completed primaries due before the core's
+/// arrival watermark (the latest arrival instant delivered to it), so
+/// the table follows the live working set, not the length of the run
+/// (the twin of the gate's expiry sweep). The sweep changes no
+/// decision: a follower reaches a completed primary only through the
+/// gate, which holds no primary due before its own watermark, and the
+/// gate's watermark — every admitted arrival, federation-wide — is
+/// never behind this core's. The core clock is not a safe bound: a
+/// task delivered late arrives at the clock, which can therefore run
+/// ahead of both watermarks.
 #[derive(Debug)]
 pub(crate) struct ReuseLedger {
     /// Whether this core participates in reuse at all. When false the
@@ -503,9 +522,12 @@ pub(crate) struct ReuseLedger {
     active: bool,
     /// Primary internal id → followers in absorption order.
     followers: HashMap<u64, Vec<Task>>,
-    /// Primary internal id → measured execution ticks, recorded only
-    /// while active (late followers price their savings from this).
-    completed_exec: HashMap<u64, u64>,
+    /// Primary internal id → measured execution ticks and deadline,
+    /// recorded only while active (late followers price their savings
+    /// from this). Behind a `RefCell` because a capture, which takes
+    /// the core by shared reference, sweeps it; every other access
+    /// goes through `get_mut`, which costs nothing.
+    completed_exec: RefCell<HashMap<u64, CompletedExec>>,
     stats: ReuseStats,
 }
 
@@ -514,7 +536,7 @@ impl ReuseLedger {
         Self {
             active: false,
             followers: HashMap::new(),
-            completed_exec: HashMap::new(),
+            completed_exec: RefCell::new(HashMap::new()),
             stats: ReuseStats::default(),
         }
     }
@@ -554,17 +576,28 @@ impl ReuseLedger {
         self.followers.remove(&primary.0)
     }
 
-    /// Records a completed primary's measured execution time for
-    /// late-arriving followers.
-    pub(crate) fn record_exec(&mut self, primary: TaskId, ticks: u64) {
+    /// Records a completed primary's measured execution time (and its
+    /// deadline, which bounds how long a follower can still reach it)
+    /// for late-arriving followers.
+    pub(crate) fn record_exec(
+        &mut self,
+        primary: TaskId,
+        ticks: u64,
+        deadline: SimTime,
+    ) {
         if self.active {
-            self.completed_exec.insert(primary.0, ticks);
+            self.completed_exec
+                .get_mut()
+                .insert(primary.0, CompletedExec { ticks, deadline });
         }
     }
 
     /// Execution ticks a follower of this completed primary saves.
-    pub(crate) fn exec_ticks(&self, primary: TaskId) -> u64 {
-        self.completed_exec.get(&primary.0).copied().unwrap_or(0)
+    pub(crate) fn exec_ticks(&mut self, primary: TaskId) -> u64 {
+        self.completed_exec
+            .get_mut()
+            .get(&primary.0)
+            .map_or(0, |e| e.ticks)
     }
 
     /// Adds saved machine time to the counters.
@@ -581,8 +614,13 @@ impl ReuseLedger {
     /// rebuilds the ledger exactly.
     pub(crate) fn clear(&mut self) {
         self.followers.clear();
-        self.completed_exec.clear();
+        self.completed_exec.get_mut().clear();
         self.stats = ReuseStats::default();
+    }
+
+    /// Every follower still parked on an in-flight primary.
+    pub(crate) fn parked(&self) -> impl Iterator<Item = &Task> {
+        self.followers.values().flatten()
     }
 
     /// Removes every still-parked follower in canonical (primary id,
@@ -601,8 +639,14 @@ impl ReuseLedger {
         out
     }
 
-    /// Serializes the ledger in canonical primary-id order.
-    pub(crate) fn state_value(&self) -> Value {
+    /// Sweeps the completed primaries due before `watermark` — the
+    /// capturing core's arrival watermark (see the type docs) — then
+    /// serializes the ledger in canonical primary-id order. What a
+    /// capture holds is therefore a pure function of the core's state,
+    /// whenever earlier captures ran.
+    pub(crate) fn state_value(&self, watermark: SimTime) -> Value {
+        let mut completed_exec = self.completed_exec.borrow_mut();
+        completed_exec.retain(|_, e| e.deadline >= watermark);
         let mut follower_keys: Vec<u64> =
             self.followers.keys().copied().collect();
         follower_keys.sort_unstable();
@@ -615,15 +659,16 @@ impl ReuseLedger {
                 ])
             })
             .collect();
-        let mut exec_keys: Vec<u64> =
-            self.completed_exec.keys().copied().collect();
+        let mut exec_keys: Vec<u64> = completed_exec.keys().copied().collect();
         exec_keys.sort_unstable();
         let completed: Vec<Value> = exec_keys
             .into_iter()
             .map(|k| {
+                let e = completed_exec[&k];
                 Value::Object(vec![
                     ("primary".to_owned(), k.to_value()),
-                    ("ticks".to_owned(), self.completed_exec[&k].to_value()),
+                    ("ticks".to_owned(), e.ticks.to_value()),
+                    ("deadline".to_owned(), e.deadline.to_value()),
                 ])
             })
             .collect();
@@ -636,7 +681,9 @@ impl ReuseLedger {
 
     /// Restores state captured by [`ReuseLedger::state_value`]. The
     /// activation flag is construction-time configuration and is left
-    /// untouched.
+    /// untouched. A completed primary captured before deadlines were
+    /// recorded is kept for the rest of the run (it cannot be swept
+    /// safely).
     pub(crate) fn restore_value(
         &mut self,
         v: &Value,
@@ -653,7 +700,8 @@ impl ReuseLedger {
         };
         let stats = ReuseStats::from_value(v.get_field("stats")?)?;
         self.followers.clear();
-        self.completed_exec.clear();
+        let completed_exec = self.completed_exec.get_mut();
+        completed_exec.clear();
         for item in followers {
             let primary = u64::from_value(item.get_field("primary")?)?;
             let tasks = Vec::<Task>::from_value(item.get_field("tasks")?)?;
@@ -662,7 +710,11 @@ impl ReuseLedger {
         for item in completed {
             let primary = u64::from_value(item.get_field("primary")?)?;
             let ticks = u64::from_value(item.get_field("ticks")?)?;
-            self.completed_exec.insert(primary, ticks);
+            let deadline = match item.get_opt("deadline") {
+                Some(d) => SimTime::from_value(d)?,
+                None => SimTime::MAX,
+            };
+            completed_exec.insert(primary, CompletedExec { ticks, deadline });
         }
         self.stats = stats;
         Ok(())
@@ -890,7 +942,7 @@ mod tests {
         let fs = ledger.take_followers(TaskId(5)).expect("two followers");
         assert_eq!(fs.len(), 2);
         assert_eq!(ledger.take_followers(TaskId(5)), None);
-        ledger.record_exec(TaskId(5), 250);
+        ledger.record_exec(TaskId(5), 250, SimTime(100));
         assert_eq!(ledger.exec_ticks(TaskId(5)), 250);
         assert_eq!(ledger.exec_ticks(TaskId(6)), 0);
         ledger.add_saved(250);
@@ -914,9 +966,9 @@ mod tests {
         ledger.set_active(true);
         ledger.add_follower(TaskId(9), task(20, 1, 5, 300));
         ledger.add_follower(TaskId(2), task(21, 1, 6, 310));
-        ledger.record_exec(TaskId(1), 77);
+        ledger.record_exec(TaskId(1), 77, SimTime(400));
         ledger.note_hit(false);
-        let state = ledger.state_value();
+        let state = ledger.state_value(SimTime(6));
 
         let mut back = ReuseLedger::new();
         back.set_active(true);
@@ -930,14 +982,45 @@ mod tests {
         assert_eq!(drained[1].id, TaskId(20));
         assert_eq!(
             serde_json::to_string(&state),
-            serde_json::to_string(&ledger.state_value())
+            serde_json::to_string(&ledger.state_value(SimTime(6)))
         );
+    }
+
+    #[test]
+    fn capture_sweeps_completed_primaries_due_before_the_watermark() {
+        let mut ledger = ReuseLedger::new();
+        ledger.set_active(true);
+        for (id, deadline) in [(1, 90), (2, 100), (3, 250)] {
+            ledger.record_exec(TaskId(id), 10 * id, SimTime(deadline));
+        }
+        let state = ledger.state_value(SimTime(100));
+        // Due at the watermark is still live; due before it is gone,
+        // from the capture and from the ledger.
+        assert_eq!(ledger.completed_exec.get_mut().len(), 2);
+        assert_eq!(ledger.exec_ticks(TaskId(1)), 0);
+        assert_eq!(ledger.exec_ticks(TaskId(2)), 20);
+        let mut back = ReuseLedger::new();
+        back.set_active(true);
+        back.restore_value(&state).expect("ledger restores");
+        assert_eq!(back.exec_ticks(TaskId(3)), 30);
+        assert_eq!(back.completed_exec.get_mut().len(), 2);
+        // A capture written before deadlines were recorded keeps its
+        // completed primaries for good.
+        let legacy = serde_json::from_str::<Value>(
+            r#"{"followers": [], "stats": {"hits": 0, "merges": 0,
+                "cycles_saved": 0},
+                "completed_exec": [{"primary": 4, "ticks": 5}]}"#,
+        )
+        .expect("parses");
+        back.restore_value(&legacy).expect("legacy ledger restores");
+        back.state_value(SimTime(u64::MAX - 1));
+        assert_eq!(back.exec_ticks(TaskId(4)), 5);
     }
 
     #[test]
     fn inactive_ledger_skips_exec_recording() {
         let mut ledger = ReuseLedger::new();
-        ledger.record_exec(TaskId(0), 99);
+        ledger.record_exec(TaskId(0), 99, SimTime(100));
         assert_eq!(ledger.exec_ticks(TaskId(0)), 0);
         assert!(ledger.drain_remaining().is_empty());
     }

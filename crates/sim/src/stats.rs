@@ -10,9 +10,11 @@
 //! machine-time spent on work that produced no value (the energy/cost
 //! extension of §VII).
 
+use crate::snapshot::{Page, SnapshotError};
 use crate::tenant::TenantAdmissionStats;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+use std::sync::Arc;
 use taskprune_model::{SimTime, Task, TaskId, TaskOutcome, TaskTypeId};
 
 /// Number of leading and trailing tasks excluded by the paper's protocol.
@@ -383,6 +385,211 @@ impl SimStats {
     }
 }
 
+/// Ids per page of a capture's outcome history (see [`OutcomePages`]):
+/// large enough that a page is one pointer per 64 records, small
+/// enough that the unresolved tail a checkpoint leaves open stays
+/// within a page or two on a lightly loaded shard.
+const PAGE_LEN: usize = 64;
+
+/// Page `index` of an outcome history on the wire: the outcome and
+/// type records of ids `index·PAGE_LEN ..` and the arrival-order
+/// entries at the same positions, in the encoding the inline tables
+/// use.
+#[derive(Serialize, Deserialize)]
+struct PageBody {
+    index: u64,
+    outcomes: Vec<Option<TaskOutcome>>,
+    types: Vec<Option<TaskTypeId>>,
+    arrival_order: Vec<TaskId>,
+}
+
+/// The sealed pages of one scheduler core's outcome history, by page
+/// index. Filled only inside a capture, cleared by a crash wipe and
+/// reset to a checkpoint's pages by a restore; never serialized itself.
+///
+/// Page `k` holds the outcome and type records of ids
+/// `[k·PAGE_LEN, (k+1)·PAGE_LEN)` and the arrival-order entries at the
+/// same positions. It seals when every one of those ids has arrived
+/// and resolved and the arrival order has filled those positions —
+/// records that can never change again. Pages seal independently, so
+/// a task stuck on a lost completion holds only its own page open.
+/// Which pages a capture carries is a pure function of the record
+/// (sealing is monotone), never of when earlier captures ran: a shard
+/// rebuilt from a checkpoint plus its journal seals exactly the pages
+/// of the shard that never crashed.
+#[derive(Debug, Default)]
+pub(crate) struct OutcomePages {
+    sealed: Vec<Option<Arc<Page>>>,
+}
+
+impl OutcomePages {
+    /// Seals every page of `stats` that has completed since the last
+    /// capture and returns the capture's two halves: the stats payload
+    /// in [`SimStats`]' own encoding, holding only the records outside
+    /// sealed pages, and every sealed page in index order (shared, not
+    /// copied). Costs one pass over the page slots plus the records of
+    /// the open pages and of the pages sealed now.
+    pub(crate) fn capture(
+        &mut self,
+        stats: &SimStats,
+    ) -> (Value, Vec<Arc<Page>>) {
+        let full =
+            stats.outcomes.len().min(stats.arrival_order.len()) / PAGE_LEN;
+        if self.sealed.len() < full {
+            self.sealed.resize(full, None);
+        }
+        for (k, slot) in self.sealed.iter_mut().enumerate() {
+            if slot.is_none() && stats.page_complete(k) {
+                let body = stats.page_body(k).to_value();
+                *slot = Some(Arc::new(Page::seal(body)));
+            }
+        }
+        let inline = SimStats {
+            outcomes: self.open_records(&stats.outcomes),
+            types: self.open_records(&stats.types),
+            per_type: stats.per_type.clone(),
+            arrival_order: self.open_records(&stats.arrival_order),
+            trace: stats.trace.clone(),
+            ..*stats
+        };
+        let pages = self.sealed.iter().flatten().cloned().collect();
+        (inline.to_value(), pages)
+    }
+
+    /// The records of `table` outside sealed pages, in id (or
+    /// position) order.
+    fn open_records<T: Copy>(&self, table: &[T]) -> Vec<T> {
+        table
+            .chunks(PAGE_LEN)
+            .enumerate()
+            .filter(|&(k, _)| !matches!(self.sealed.get(k), Some(Some(_))))
+            .flat_map(|(_, records)| records.iter().copied())
+            .collect()
+    }
+
+    /// Rebuilds the outcome record a capture describes — its stats
+    /// payload with its pages stitched back in — together with the
+    /// page cache of the core that took it.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Decode`] for a payload or page body that does
+    /// not decode; [`SnapshotError::ShapeMismatch`] when the pages and
+    /// the inline records do not cover the id range exactly once, a
+    /// sealed page holds an unresolved id, the outcome and type tables
+    /// differ in length, an arrival-order id lies outside them, or the
+    /// per-type counters do not number `n_types`.
+    pub(crate) fn restore(
+        stats: &Value,
+        pages: &[Arc<Page>],
+        n_types: usize,
+    ) -> Result<(SimStats, OutcomePages), SnapshotError> {
+        let inline = SimStats::from_value(stats)?;
+        let bodies = pages
+            .iter()
+            .map(|p| PageBody::from_value(p.body()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let cover = SnapshotError::ShapeMismatch {
+            what: "the sealed pages and the inline records do not cover \
+                   the outcome history exactly once",
+        };
+        let outcomes = stitch(
+            &inline.outcomes,
+            bodies.iter().map(|b| (b.index, &b.outcomes)),
+        )
+        .ok_or(cover.clone())?;
+        let types =
+            stitch(&inline.types, bodies.iter().map(|b| (b.index, &b.types)))
+                .ok_or(cover.clone())?;
+        let arrival_order = stitch(
+            &inline.arrival_order,
+            bodies.iter().map(|b| (b.index, &b.arrival_order)),
+        )
+        .ok_or(cover)?;
+        if bodies.iter().any(|b| {
+            b.outcomes.iter().any(Option::is_none)
+                || b.types.iter().any(Option::is_none)
+        }) {
+            return Err(SnapshotError::ShapeMismatch {
+                what: "a sealed page holds an unresolved task",
+            });
+        }
+        if outcomes.len() != types.len() {
+            return Err(SnapshotError::ShapeMismatch {
+                what: "the outcome and type tables differ in length",
+            });
+        }
+        if arrival_order.iter().any(|id| id.0 >= outcomes.len() as u64) {
+            return Err(SnapshotError::ShapeMismatch {
+                what: "an arrival-order id lies outside the outcome table",
+            });
+        }
+        if inline.per_type.len() != n_types {
+            return Err(SnapshotError::ShapeMismatch {
+                what: "the per-type counters do not match the PET task types",
+            });
+        }
+        let mut cache = OutcomePages {
+            sealed: vec![None; outcomes.len() / PAGE_LEN],
+        };
+        for (body, page) in bodies.iter().zip(pages) {
+            // `stitch` placed every page inside the tables.
+            cache.sealed[body.index as usize] = Some(Arc::clone(page));
+        }
+        let stats = SimStats {
+            outcomes,
+            types,
+            arrival_order,
+            ..inline
+        };
+        Ok((stats, cache))
+    }
+}
+
+/// Interleaves sealed pages, given as `(index, records)` in increasing
+/// index order, with the inline records that fill every other page
+/// slot. `None` when a page is not a full page, comes out of order or
+/// twice, or starts past the end of the inline records.
+fn stitch<'p, T: Copy + 'p>(
+    inline: &[T],
+    pages: impl Iterator<Item = (u64, &'p Vec<T>)>,
+) -> Option<Vec<T>> {
+    let mut out = Vec::new();
+    let mut rest = inline;
+    for (index, records) in pages {
+        let start = usize::try_from(index).ok()?.checked_mul(PAGE_LEN)?;
+        let gap = start.checked_sub(out.len())?;
+        if records.len() != PAGE_LEN || gap > rest.len() {
+            return None;
+        }
+        out.extend_from_slice(&rest[..gap]);
+        out.extend_from_slice(records);
+        rest = &rest[gap..];
+    }
+    out.extend_from_slice(rest);
+    Some(out)
+}
+
+impl SimStats {
+    /// Whether full page `k` (one the arrival order already covers)
+    /// may seal: every id in it arrived and resolved.
+    fn page_complete(&self, k: usize) -> bool {
+        let ids = k * PAGE_LEN..(k + 1) * PAGE_LEN;
+        self.outcomes[ids.clone()].iter().all(Option::is_some)
+            && self.types[ids].iter().all(Option::is_some)
+    }
+
+    /// The wire body of page `k`.
+    fn page_body(&self, k: usize) -> PageBody {
+        let ids = k * PAGE_LEN..(k + 1) * PAGE_LEN;
+        PageBody {
+            index: k as u64,
+            outcomes: self.outcomes[ids.clone()].to_vec(),
+            types: self.types[ids.clone()].to_vec(),
+            arrival_order: self.arrival_order[ids].to_vec(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,6 +756,58 @@ mod tests {
         assert_eq!(s.task_type(TaskId(1)), Some(TaskTypeId(1)));
         assert_eq!(s.task_type(TaskId(0)), None);
         assert_eq!(s.task_type(TaskId(99)), None);
+    }
+
+    /// 200 arrivals (three full pages and a tail of 8); every task
+    /// resolves except id 10 (page 0) and the tail's last one.
+    fn paged_record() -> SimStats {
+        let mut s = SimStats::new(0, 2);
+        for id in 0..200u64 {
+            let t = task(id, (id % 2) as u16);
+            s.record_arrival(&t);
+            if id != 10 && id != 199 {
+                s.record_outcome(&t, TaskOutcome::CompletedOnTime);
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn pages_seal_independently_and_restore_the_same_record() {
+        let s = paged_record();
+        let mut cache = OutcomePages::default();
+        let (inline, pages) = cache.capture(&s);
+        // Page 0 waits on id 10; pages 1 and 2 seal; the tail stays
+        // inline with page 0.
+        assert_eq!(pages.len(), 2);
+        let Value::Array(open) = inline.get_field("outcomes").unwrap() else {
+            panic!("outcomes is an array");
+        };
+        assert_eq!(open.len(), PAGE_LEN + 8);
+        let (back, _) = OutcomePages::restore(&inline, &pages, 2)
+            .expect("the capture restores");
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            serde_json::to_string(&s).unwrap()
+        );
+        // A later capture shares both pages and rebuilds none.
+        let (_, again) = cache.capture(&s);
+        assert!(again.iter().zip(&pages).all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
+
+    #[test]
+    fn page_less_capture_encodes_as_the_record_itself() {
+        let mut s = SimStats::new(0, 1);
+        for id in 0..50u64 {
+            s.record_arrival(&task(id, 0));
+            s.record_outcome(&task(id, 0), TaskOutcome::DroppedReactive);
+        }
+        let (inline, pages) = OutcomePages::default().capture(&s);
+        assert!(pages.is_empty());
+        assert_eq!(inline, s.to_value());
+        let (back, _) =
+            OutcomePages::restore(&s.to_value(), &[], 1).expect("restores");
+        assert_eq!(back.to_value(), s.to_value());
     }
 
     #[test]

@@ -255,6 +255,14 @@ pub(crate) fn backoff_at(base: u64, attempt: u32) -> u64 {
 /// of every shard; arm a [`FaultPlan`] afterwards via
 /// [`Supervisor::arm`] so the bootstrap captures are not themselves
 /// fault targets.
+///
+/// Cost: each auto-checkpoint costs the shard's live state plus the
+/// outcome records resolved since its previous checkpoint (see
+/// [`FederatedEngine::checkpoint`]), so checkpointing every
+/// [`RecoveryPolicy::checkpoint_interval`] arrivals grows linearly
+/// with the run, not with its square. A checkpoint shares the sealed
+/// pages of the one it replaces, so holding one per shard costs the
+/// outcome history once.
 pub struct Supervisor<'a, S: Sink = NullSink> {
     engine: FederatedEngine<'a, S>,
     policy: RecoveryPolicy,

@@ -27,6 +27,7 @@
 mod common;
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
 use taskprune_sim::TraceLog;
@@ -208,6 +209,110 @@ fn all_shards_recover_from_their_checkpoints() {
         json(&engine.finish_stream(&mut source)),
         "full-wipe recovery diverged from the uninterrupted run"
     );
+}
+
+// ---------------------------------------------------------------------
+// The cost model of a checkpoint, pinned by counts.
+// ---------------------------------------------------------------------
+
+/// Nodes in a `Value` tree.
+fn nodes(v: &serde::Value) -> usize {
+    1 + match v {
+        serde::Value::Array(items) => items.iter().map(nodes).sum(),
+        serde::Value::Object(fields) => {
+            fields.iter().map(|(_, v)| nodes(v)).sum()
+        }
+        _ => 0,
+    }
+}
+
+/// The named field of a `Value` object.
+fn field<'v>(v: &'v serde::Value, name: &str) -> &'v serde::Value {
+    v.get_field(name).expect("field present")
+}
+
+/// A checkpoint costs the live state, not the run: on a lightly loaded
+/// journaled federation (4 round-robin shards, exact reuse, 30 %
+/// duplicates) shard 0's capture after N arrivals and after 4N
+/// arrivals both stay under one node cap outside the shared pages, the
+/// later capture shares every page of the earlier one, and the reuse
+/// ledger holds only completed primaries due at or after the shard's
+/// arrival watermark.
+#[test]
+fn checkpoints_cost_the_live_state_not_the_run() {
+    const NODE_CAP: usize = 1_000;
+    let pet = PetGenConfig::paper_heterogeneous(
+        taskprune::experiment::PET_MATRIX_SEED,
+    )
+    .generate();
+    let cluster = taskprune_workload::machines::heterogeneous_cluster();
+    // The benchmark's supervised load: 25 K tasks per 3 000 tu.
+    let workload = WorkloadConfig {
+        total_tasks: 2_000,
+        span_tu: 240.0,
+        ..WorkloadConfig::paper_default(4321)
+    };
+    let tasks: Vec<Task> = workload
+        .stream_trial(&pet, 0)
+        .with_duplicate_rate(0.3, 0xD0B1)
+        .collect();
+    let n = (tasks.len() / 4) as u64;
+    let n_types = pet.n_task_types();
+    let mut engine = GatewayBuilder::new(&cluster, &pet)
+        .config(SimConfig::batch(55))
+        .shards(4)
+        .policy(RoundRobinRoute::new())
+        .strategy_with(|_| HeuristicKind::Mm.make())
+        .pruner_with(move |_| {
+            Box::new(PruningMechanism::new(
+                PruningConfig::paper_default(),
+                n_types,
+            ))
+        })
+        .reuse(ReusePolicy::ExactOnly)
+        .build()
+        .expect("valid configuration");
+    engine.enable_journal();
+    let mut source = tasks.iter().copied().peekable();
+    engine.run_until(&mut source, n);
+    let early = engine.checkpoint(0);
+    engine.run_until(&mut source, 4 * n);
+    let late = engine.checkpoint(0);
+
+    for (name, snap) in [("N", &early), ("4N", &late)] {
+        let size = nodes(snap.payload());
+        assert!(
+            size <= NODE_CAP,
+            "the {name} capture holds {size} nodes outside its pages"
+        );
+    }
+    assert!(!early.pages().is_empty(), "the N capture sealed a page");
+    assert!(late.pages().len() > early.pages().len());
+    for page in early.pages() {
+        assert!(
+            late.pages()
+                .iter()
+                .any(|p| Arc::ptr_eq(p, page) && p.hash() == page.hash()),
+            "the 4N capture rebuilt a page the N capture sealed"
+        );
+    }
+
+    let payload = late.payload();
+    let watermark: u64 =
+        serde::Deserialize::from_value(field(payload, "arrival_watermark"))
+            .expect("the watermark is a tick count");
+    let serde::Value::Array(completed) =
+        field(field(payload, "reuse"), "completed_exec")
+    else {
+        panic!("completed_exec is an array");
+    };
+    assert!(!completed.is_empty(), "the fixture completes primaries");
+    for entry in completed {
+        let deadline: u64 =
+            serde::Deserialize::from_value(field(entry, "deadline"))
+                .expect("deadlines are tick counts");
+        assert!(deadline >= watermark, "{deadline} < {watermark}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,11 +1,17 @@
 //! Checkpoints that must not restore, and one that must.
 //!
-//! Corruption: a sealed [`Snapshot`] whose payload is tampered with
-//! after sealing is rejected with [`SnapshotError::HashMismatch`] — by
-//! `verify()` at a paused watermark and by `recover_shard` at the next
-//! recovery point. Tampering has to go through the serialized form
-//! (fields are private), exactly like an attacker flipping bits in a
-//! checkpoint file would.
+//! Corruption: a sealed [`Snapshot`] whose payload or pages are
+//! tampered with after sealing is rejected with
+//! [`SnapshotError::HashMismatch`] — by `verify()` at a paused
+//! watermark and by `recover_shard` at the next recovery point.
+//! Tampering has to go through the serialized form (fields are
+//! private), exactly like an attacker flipping bits in a checkpoint
+//! file would.
+//!
+//! Malformed outcome records: a shard checkpoint re-sealed around an
+//! outcome history that does not describe one run is a
+//! [`SnapshotError::ShapeMismatch`] at recovery, never a panic in the
+//! journal replay and never a run resumed on misaligned tables.
 //!
 //! Coordinator snapshots: a re-sealed payload that does not describe a
 //! federation decodes to a typed error, and an earlier build's capture
@@ -13,9 +19,16 @@
 
 mod common;
 
+use std::sync::Arc;
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
+use taskprune_sim::snapshot::Page;
 use taskprune_sim::{FederatedEngine, Snapshot, SnapshotError, TraceLog};
+
+/// Fixture scale of the tests that need sealed pages on shard 1
+/// whatever `TASKPRUNE_TEST_SCALE` says: 900 tasks, so shard 1 has
+/// resolved whole 64-task pages a third of the way in.
+const PAGED_SCALE: f64 = 0.6;
 
 fn fixture(scale: f64) -> (Cluster, PetMatrix, Vec<Task>) {
     let pet = PetGenConfig::paper_heterogeneous(
@@ -102,6 +115,49 @@ fn tampered(snap: &Snapshot) -> Snapshot {
         .expect("decode is hash-agnostic — tampering is caught by verify")
 }
 
+/// The named field of a `Value` object.
+fn field<'v>(v: &'v mut serde::Value, name: &str) -> &'v mut serde::Value {
+    let serde::Value::Object(fields) = v else {
+        panic!("expected an object holding `{name}`");
+    };
+    fields
+        .iter_mut()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v)
+        .expect("field present")
+}
+
+/// Round-trips a sealed snapshot through its serialized form with
+/// `edit` applied to the wire array of its pages.
+fn with_wire_pages(
+    snap: &Snapshot,
+    edit: impl FnOnce(&mut Vec<serde::Value>),
+) -> Snapshot {
+    use serde::{Deserialize, Serialize};
+    let mut v = snap.to_value();
+    let serde::Value::Array(pages) = field(&mut v, "pages") else {
+        panic!("a paged snapshot writes its pages as an array");
+    };
+    edit(pages);
+    Snapshot::from_value(&v)
+        .expect("decode is hash-agnostic — tampering is caught by verify")
+}
+
+/// One bit flipped in the arrival order of the first page's body.
+fn tampered_page(snap: &Snapshot) -> Snapshot {
+    with_wire_pages(snap, |pages| {
+        let body = field(&mut pages[0], "body");
+        assert!(corrupt_first_uint(field(body, "arrival_order")));
+    })
+}
+
+fn is_hash_mismatch(err: &taskprune_sim::RunError) -> bool {
+    matches!(
+        err,
+        taskprune_sim::RunError::Snapshot(SnapshotError::HashMismatch { .. })
+    )
+}
+
 /// A tampered gateway snapshot fails `verify()` at the watermark with
 /// `HashMismatch`, while the untouched one passes.
 #[test]
@@ -125,12 +181,13 @@ fn tampered_gateway_snapshot_is_rejected_at_the_watermark() {
     }
 }
 
-/// A tampered *shard checkpoint* is rejected by `recover_shard` at the
-/// next recovery point — the corruption never reaches the core — and
-/// the error threads through the facade's `RunError` via `?`.
+/// A tampered *shard checkpoint*, with one bit flipped in its payload
+/// or inside one of its sealed pages, is rejected by `recover_shard`
+/// at the next recovery point — the corruption never reaches the core
+/// — and the error threads through the facade's `RunError` via `?`.
 #[test]
 fn tampered_checkpoint_is_rejected_on_recovery() {
-    let (cluster, pet, tasks) = fixture(common::test_scale() * 0.5);
+    let (cluster, pet, tasks) = fixture(PAGED_SCALE);
     let mut engine = builder(&cluster, &pet)
         .build()
         .expect("valid configuration");
@@ -138,26 +195,190 @@ fn tampered_checkpoint_is_rejected_on_recovery() {
     let mut source = tasks.iter().copied().peekable();
     engine.run_until(&mut source, (tasks.len() / 3) as u64);
     let snap = engine.checkpoint(1);
+    assert!(!snap.pages().is_empty(), "the checkpoint sealed a page");
     engine.run_until(&mut source, (2 * tasks.len() / 3) as u64);
-    let err = engine
-        .recover_shard(1, &tampered(&snap))
-        .expect_err("a corrupted checkpoint must not restore");
-    assert!(
-        matches!(
-            err,
-            taskprune_sim::RunError::Snapshot(
-                SnapshotError::HashMismatch { .. }
-            )
-        ),
-        "expected HashMismatch, got {err:?}"
-    );
-    assert!(!err.to_string().is_empty());
+    for bad in [tampered(&snap), tampered_page(&snap)] {
+        let err = engine
+            .recover_shard(1, &bad)
+            .expect_err("a corrupted checkpoint must not restore");
+        assert!(is_hash_mismatch(&err), "expected HashMismatch, got {err:?}");
+        assert!(!err.to_string().is_empty());
+    }
     // The untampered checkpoint still recovers the shard fine.
     engine
         .recover_shard(1, &snap)
         .expect("the genuine checkpoint restores");
     let stats = engine.finish_stream(&mut source);
     assert_eq!(stats.unreported(), 0);
+}
+
+/// A paged checkpoint whose wire form had a bit flipped inside a page,
+/// or a page dropped, duplicated or swapped, fails both `verify()` and
+/// `recover_shard` with `HashMismatch`; the genuine one still recovers
+/// the shard.
+#[test]
+fn hostile_paged_checkpoints_are_hash_mismatches() {
+    let (cluster, pet, tasks) = fixture(PAGED_SCALE);
+    let mut engine = builder(&cluster, &pet)
+        .build()
+        .expect("valid configuration");
+    engine.enable_journal();
+    let mut source = tasks.iter().copied().peekable();
+    engine.run_until(&mut source, (2 * tasks.len() / 3) as u64);
+    let snap = engine.checkpoint(1);
+    assert!(snap.pages().len() >= 2, "the checkpoint sealed two pages");
+    snap.verify().expect("the genuine checkpoint verifies");
+    let hostile = [
+        ("flip", tampered_page(&snap)),
+        (
+            "drop",
+            with_wire_pages(&snap, |p| {
+                p.remove(0);
+            }),
+        ),
+        (
+            "duplicate",
+            with_wire_pages(&snap, |p| {
+                let copy = p[0].clone();
+                p.insert(0, copy);
+            }),
+        ),
+        ("swap", with_wire_pages(&snap, |p| p.swap(0, 1))),
+    ];
+    for (name, bad) in &hostile {
+        assert!(
+            matches!(bad.verify(), Err(SnapshotError::HashMismatch { .. })),
+            "{name}: verify returned {:?}",
+            bad.verify()
+        );
+        let err = engine
+            .recover_shard(1, bad)
+            .expect_err("a hostile checkpoint must not restore");
+        assert!(is_hash_mismatch(&err), "{name}: got {err:?}");
+    }
+    engine
+        .recover_shard(1, &snap)
+        .expect("the genuine checkpoint restores");
+    assert_eq!(engine.finish_stream(&mut source).unreported(), 0);
+}
+
+/// Re-seals a shard checkpoint around `edit`ed payload and pages, so
+/// it passes `verify` and only the restore's own checks stand between
+/// it and the core.
+fn resealed(
+    snap: &Snapshot,
+    edit: impl FnOnce(&mut serde::Value, &mut Vec<Arc<Page>>),
+) -> Snapshot {
+    let mut payload = snap.payload().clone();
+    let mut pages = snap.pages().to_vec();
+    edit(&mut payload, &mut pages);
+    Snapshot::seal_with_pages("scheduler-core", payload, pages)
+}
+
+/// The array under `stats.<table>` of a core payload.
+fn table<'v>(
+    payload: &'v mut serde::Value,
+    name: &str,
+) -> &'v mut Vec<serde::Value> {
+    let serde::Value::Array(items) = field(field(payload, "stats"), name)
+    else {
+        panic!("stats.{name} is an array");
+    };
+    items
+}
+
+/// Outcome records that do not describe one run are typed errors at
+/// recovery. The first three inputs restored at an earlier build:
+/// per-type counters cut to one entry (the journal replay then indexed
+/// past them and panicked), an unresolved id marked on time (the
+/// replay then panicked with "finished twice"), and a type table half
+/// the length of the outcome table (the run went on, on misaligned
+/// tables). The rest are the other shapes pages add. After every
+/// rejection the genuine checkpoint still recovers the shard, and the
+/// run finishes exactly as an uninterrupted one.
+#[test]
+fn malformed_outcome_records_are_typed_errors() {
+    let (cluster, pet, tasks) = fixture(PAGED_SCALE);
+    let reference = builder(&cluster, &pet)
+        .build()
+        .expect("valid configuration")
+        .run_stream(tasks.iter().copied());
+    let mut engine = builder(&cluster, &pet)
+        .build()
+        .expect("valid configuration");
+    engine.enable_journal();
+    let mut source = tasks.iter().copied().peekable();
+    engine.run_until(&mut source, (tasks.len() / 3) as u64);
+    let snap = engine.checkpoint(1);
+    assert!(!snap.pages().is_empty(), "the checkpoint sealed a page");
+    engine.run_until(&mut source, (2 * tasks.len() / 3) as u64);
+
+    type Edit = fn(&mut serde::Value, &mut Vec<Arc<Page>>);
+    let cases: Vec<(&str, Edit)> = vec![
+        ("per_type cut to one entry", |p, _| {
+            table(p, "per_type").truncate(1);
+        }),
+        ("an unresolved id marked on time", |p, _| {
+            let types = table(p, "types").clone();
+            let outcomes = table(p, "outcomes");
+            let open = (0..outcomes.len())
+                .find(|&i| {
+                    outcomes[i] == serde::Value::Null
+                        && types[i] != serde::Value::Null
+                })
+                .expect("the pause leaves an arrived task unresolved");
+            outcomes[open] = serde::Value::Str("CompletedOnTime".to_owned());
+        }),
+        ("types cut to half the outcomes", |p, _| {
+            let half = table(p, "outcomes").len() / 2;
+            table(p, "types").truncate(half);
+        }),
+        ("an arrival-order id past the tables", |p, _| {
+            table(p, "arrival_order")[0] = serde::Value::UInt(1 << 40);
+        }),
+        ("a page given twice", |_, pages| {
+            pages.insert(0, Arc::clone(&pages[0]));
+        }),
+        ("a page past the records", |_, pages| {
+            let mut body = pages[0].body().clone();
+            *field(&mut body, "index") = serde::Value::UInt(1_000);
+            pages[0] = Arc::new(Page::seal(body));
+        }),
+        ("a sealed page holding an unresolved id", |_, pages| {
+            let mut body = pages[0].body().clone();
+            let serde::Value::Array(outcomes) = field(&mut body, "outcomes")
+            else {
+                panic!("page outcomes are an array");
+            };
+            outcomes[5] = serde::Value::Null;
+            pages[0] = Arc::new(Page::seal(body));
+        }),
+        ("a page dropped with its records", |_, pages| {
+            pages.remove(0);
+        }),
+    ];
+    for (name, edit) in cases {
+        let err = engine
+            .recover_shard(1, &resealed(&snap, edit))
+            .expect_err(name);
+        assert!(
+            matches!(
+                err,
+                taskprune_sim::RunError::Snapshot(
+                    SnapshotError::ShapeMismatch { .. }
+                )
+            ),
+            "{name}: expected ShapeMismatch, got {err:?}"
+        );
+    }
+    engine
+        .recover_shard(1, &resealed(&snap, |_, _| {}))
+        .expect("the re-sealed genuine checkpoint restores");
+    assert_eq!(
+        json(&reference),
+        json(&engine.finish_stream(&mut source)),
+        "recovery after the rejected checkpoints diverged"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -194,18 +415,6 @@ fn coordinator_engine<'a>(
         .strategy_with(|_| HeuristicKind::Mm.make())
         .build()
         .expect("valid configuration")
-}
-
-/// The named field of a `Value` object.
-fn field<'v>(v: &'v mut serde::Value, name: &str) -> &'v mut serde::Value {
-    let serde::Value::Object(fields) = v else {
-        panic!("expected an object holding `{name}`");
-    };
-    fields
-        .iter_mut()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .expect("field present")
 }
 
 /// The earliest pending event of a coordinator payload.

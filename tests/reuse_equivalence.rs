@@ -295,6 +295,10 @@ fn full_budget_storm_heals_a_merging_run_bit_identically() {
         json(&healed),
         "serial healing diverged on a merging run"
     );
+    // Hits, merges and cycles saved are off the wire: compare them too,
+    // so a checkpoint that swept a completed primary a later follower
+    // still needed would show here.
+    assert_eq!(reference.reuse_stats(), healed.reuse_stats());
     assert!(
         healed
             .recovery_log()
