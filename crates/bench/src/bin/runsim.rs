@@ -10,8 +10,9 @@
 //! queue-occupancy snapshots) is written to FILE as JSON.
 //!
 //! Bad input (an unknown flag or heuristic, a flag without a valid
-//! value, an unreadable or malformed trial, an unwritable trace path)
-//! prints one line to stderr and exits with code 2.
+//! value, an unreadable or malformed trial, a configuration the
+//! allocator rejects, an unwritable trace path) prints one line to
+//! stderr and exits with code 2.
 
 use taskprune::experiment::PET_MATRIX_SEED;
 use taskprune::prelude::*;
@@ -104,7 +105,9 @@ fn main() {
     if trace_path.is_some() {
         alloc = alloc.traced();
     }
-    let stats = alloc.run(&trial.tasks);
+    let stats = alloc
+        .try_run(&trial.tasks)
+        .unwrap_or_else(|e| fail(&format!("cannot run '{path}': {e}")));
     if let Some(path) = &trace_path {
         let trace = stats.trace.as_ref().expect("tracing was enabled");
         let json = serde_json::to_string(trace).expect("serialisable");

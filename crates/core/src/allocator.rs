@@ -1,10 +1,11 @@
-//! The resource allocator: heuristic + optional pruning + engine, wired
+//! The resource allocator: heuristic + optional pruning + driver, wired
 //! together (Fig. 1c).
 //!
-//! A thin domain-level facade over [`taskprune_sim::SchedulerBuilder`]:
+//! A thin domain-level facade over [`taskprune_sim::GatewayBuilder`]:
 //! it resolves a [`HeuristicKind`] into a strategy (forcing the
 //! matching allocation mode) and a [`PruningConfig`] into the pruning
-//! mechanism, then builds and drives the engine.
+//! mechanism, then builds and drives a [`taskprune_sim::FederatedEngine`].
+//! A single-cluster run is its one-shard case.
 
 use crate::pruner::{PruningConfig, PruningMechanism};
 use serde::{Deserialize, Serialize};
@@ -12,9 +13,17 @@ use taskprune_heuristics::HeuristicKind;
 use taskprune_model::{Cluster, PetMatrix, Task};
 use taskprune_sim::{
     ConfigError, FaultPlan, FederationStats, GatewayBuilder, MappingStrategy,
-    RecoveryPolicy, ReusePolicy, RoutePolicy, RunError, SchedulerBuilder,
-    SimConfig, SimStats, Snapshot, SnapshotError, Supervisor,
+    RecoveryPolicy, ReusePolicy, RoundRobinRoute, RoutePolicy, RunError,
+    SimConfig, SimStats, Snapshot, SnapshotError, Supervisor, TraceLog,
 };
+
+/// The mapping heuristic an allocator runs: one of the paper's ten by
+/// kind, which every shard instantiates for itself, or one custom
+/// instance, which can serve a single shard only.
+enum Mapper {
+    Kind(HeuristicKind),
+    Custom(MappingStrategy),
+}
 
 /// Builder for one simulation run: pick a heuristic, optionally attach
 /// the pruning mechanism, then [`run`](ResourceAllocator::run).
@@ -23,10 +32,9 @@ pub struct ResourceAllocator<'a> {
     pet: &'a PetMatrix,
     truth: Option<&'a PetMatrix>,
     sim: SimConfig,
-    heuristic: Option<HeuristicKind>,
-    strategy: Option<MappingStrategy>,
+    mapper: Option<Mapper>,
     pruning: Option<PruningConfig>,
-    trace: Option<taskprune_sim::TraceLog>,
+    traced: bool,
     reuse: ReusePolicy,
 }
 
@@ -42,19 +50,17 @@ impl<'a> ResourceAllocator<'a> {
             pet,
             truth: None,
             sim,
-            heuristic: None,
-            strategy: None,
+            mapper: None,
             pruning: None,
-            trace: None,
+            traced: false,
             reuse: ReusePolicy::Off,
         }
     }
 
-    /// Sets the federation's function-reuse policy (exact-duplicate
-    /// piggybacking and deadline-window merging at the gateway; see
-    /// [`taskprune_sim::ReusePolicy`]). Default: off. Only the
-    /// federated entry points observe it — the single-cluster
-    /// [`ResourceAllocator::run`] has no gateway to host the cache.
+    /// Sets the gateway's function-reuse policy (exact-duplicate
+    /// piggybacking and deadline-window merging; see
+    /// [`taskprune_sim::ReusePolicy`]). Default: off. Every entry point
+    /// observes it: a single-cluster run has a one-shard gateway too.
     pub fn reuse(mut self, policy: ReusePolicy) -> Self {
         self.reuse = policy;
         self
@@ -63,33 +69,38 @@ impl<'a> ResourceAllocator<'a> {
     /// Enables execution tracing with default sizing; the log comes back
     /// in [`SimStats::trace`].
     pub fn traced(mut self) -> Self {
-        self.trace = Some(taskprune_sim::TraceLog::with_defaults());
+        self.traced = true;
         self
     }
 
     /// Separates ground truth from the scheduler's belief: estimates use
     /// the matrix given to [`ResourceAllocator::new`] while actual
     /// durations are sampled from `truth` (see
-    /// [`taskprune_sim::SchedulerBuilder::truth`]).
+    /// [`taskprune_sim::GatewayBuilder::truth`]).
     pub fn truth_pet(mut self, truth: &'a PetMatrix) -> Self {
         self.truth = Some(truth);
         self
     }
 
-    /// Selects a mapping heuristic by kind. The simulator mode is
+    /// Selects a mapping heuristic by kind, replacing any strategy
+    /// installed before (the later of this and
+    /// [`ResourceAllocator::strategy`] wins). The simulator mode is
     /// switched to match the heuristic (immediate heuristics force
     /// immediate mode, batch heuristics batch mode).
     pub fn heuristic(mut self, kind: HeuristicKind) -> Self {
         self.sim.mode = kind.allocation_mode();
-        self.heuristic = Some(kind);
-        self.strategy = Some(kind.make());
+        self.mapper = Some(Mapper::Kind(kind));
         self
     }
 
     /// Installs a custom mapping strategy (for heuristics outside the
-    /// paper's ten). The caller must keep `sim.mode` consistent.
+    /// paper's ten), replacing any heuristic selected before (the later
+    /// of this and [`ResourceAllocator::heuristic`] wins). The caller
+    /// must keep `sim.mode` consistent. One instance serves one shard:
+    /// a federated run of more than one shard, or a cold restart, is
+    /// rejected with [`ConfigError::FederatedStrategyNotPerShard`].
     pub fn strategy(mut self, strategy: MappingStrategy) -> Self {
-        self.strategy = Some(strategy);
+        self.mapper = Some(Mapper::Custom(strategy));
         self
     }
 
@@ -106,32 +117,32 @@ impl<'a> ResourceAllocator<'a> {
         self
     }
 
-    /// Runs the workload and returns its outcome record, surfacing any
-    /// configuration problem — or a malformed trace (e.g. ids too
-    /// sparse for the dense outcome tables) — as a typed [`RunError`].
+    /// Runs the workload on the single cluster and returns its outcome
+    /// record, surfacing any configuration problem as a typed
+    /// [`RunError`].
+    ///
+    /// The run is the one-shard case of the federated setup
+    /// ([`taskprune_sim::FederatedEngine::run_stream`]), so the
+    /// gateway keys the record by arrival order: `TaskId(i)` in the
+    /// returned [`SimStats`] is the `i`-th arrival. Task ids may be
+    /// sparse (timestamps, snowflakes); a trace whose ids are its
+    /// arrival indices, as every `WorkloadTrial`'s are, keeps them.
     pub fn try_run(self, tasks: &[Task]) -> Result<SimStats, RunError> {
-        let mut builder =
-            SchedulerBuilder::new(self.cluster, self.pet).config(self.sim);
-        if let Some(strategy) = self.strategy {
-            builder = builder.strategy(strategy);
-        }
-        if let Some(cfg) = self.pruning {
-            builder = builder
-                .pruner(PruningMechanism::new(cfg, self.pet.n_task_types()));
-        }
-        if let Some(truth) = self.truth {
-            builder = builder.truth(truth);
-        }
+        let traced = self.traced;
+        let builder =
+            self.gateway_builder(1, Box::new(RoundRobinRoute::new()))?;
         // The sink is a type parameter, so the traced and untraced runs
-        // build differently-monomorphised engines — the untraced one
+        // build differently-monomorphised drivers — the untraced one
         // pays literally nothing for observability.
-        Ok(match self.trace {
-            Some(log) => builder
-                .sink(log)
+        let mut stats = if traced {
+            builder
+                .sink_with(|_| TraceLog::with_defaults())
                 .build()?
-                .try_run_stream(tasks.iter().copied())?,
-            None => builder.build()?.try_run_stream(tasks.iter().copied())?,
-        })
+                .run_stream(tasks.iter().copied())
+        } else {
+            builder.build()?.run_stream(tasks.iter().copied())
+        };
+        Ok(stats.per_shard.swap_remove(0))
     }
 
     /// Runs the workload through a federation of `shards` independent
@@ -139,9 +150,10 @@ impl<'a> ResourceAllocator<'a> {
     /// heuristic and pruning configuration) behind the given routing
     /// policy, returning the fan-in record.
     ///
-    /// Requires the heuristic to have been selected via
-    /// [`ResourceAllocator::heuristic`] — each shard instantiates its
-    /// own stateful copy. Tracing is per-shard and not supported
+    /// With more than one shard, requires the heuristic to have been
+    /// selected via [`ResourceAllocator::heuristic`] — each shard
+    /// instantiates its own stateful copy. Tracing is per-shard and not
+    /// supported
     /// through this facade: a [`ResourceAllocator::traced`] allocator
     /// is **rejected** (rather than silently dropping the trace);
     /// drive a [`taskprune_sim::GatewayBuilder`] with
@@ -211,6 +223,11 @@ impl<'a> ResourceAllocator<'a> {
         restart: Option<(u64, Box<dyn RoutePolicy>)>,
         tasks: &[Task],
     ) -> Result<FederationStats, RunError> {
+        if restart.is_some() && matches!(self.mapper, Some(Mapper::Custom(_))) {
+            // The restart builds the federation twice, and one custom
+            // instance cannot serve both.
+            return Err(ConfigError::FederatedStrategyNotPerShard.into());
+        }
         let rebuild = self.config_copy();
         let engine = self.federated_builder(shards, policy)?.build()?;
         let mut sup = Supervisor::new(engine, recovery);
@@ -236,55 +253,73 @@ impl<'a> ResourceAllocator<'a> {
     }
 
     /// A second allocator with the same run configuration, for the
-    /// federation a cold restart resumes on. The custom-strategy slot
-    /// is not cloneable (and the federated path requires a
-    /// [`HeuristicKind`] anyway), so it stays empty.
+    /// federation a cold restart resumes on. A custom strategy is not
+    /// cloneable (the restart path rejects one up front), so only a
+    /// heuristic kind carries over.
     fn config_copy(&self) -> ResourceAllocator<'a> {
+        let mapper = match self.mapper {
+            Some(Mapper::Kind(kind)) => Some(Mapper::Kind(kind)),
+            Some(Mapper::Custom(_)) | None => None,
+        };
         ResourceAllocator {
             cluster: self.cluster,
             pet: self.pet,
             truth: self.truth,
             sim: self.sim,
-            heuristic: self.heuristic,
-            strategy: None,
+            mapper,
             pruning: self.pruning,
-            trace: None,
+            traced: false,
             reuse: self.reuse,
         }
     }
 
-    /// The shared federation setup behind both federated entry points
-    /// (one code path, so the serial and parallel drivers cannot drift
-    /// apart on shard configuration).
+    /// The setup behind the federated entry points: a single
+    /// `TraceLog` cannot observe N shards, so a traced allocator is
+    /// rejected here.
     fn federated_builder(
         self,
         shards: usize,
         policy: Box<dyn RoutePolicy>,
     ) -> Result<GatewayBuilder<'a, taskprune_sim::NullSink>, RunError> {
-        if self.trace.is_some() {
+        if self.traced {
             return Err(ConfigError::FederatedTraceUnsupported.into());
         }
-        let Some(kind) = self.heuristic else {
-            // Distinguish "nothing selected" from "a custom strategy
-            // was installed via .strategy(..)": a single instance
-            // cannot be shared across N shards, and telling the caller
-            // a strategy is *missing* when they installed one would be
-            // contradictory.
-            return Err(if self.strategy.is_some() {
-                ConfigError::FederatedStrategyNotPerShard.into()
-            } else {
-                ConfigError::MissingStrategy.into()
-            });
-        };
-        let n_types = self.pet.n_task_types();
-        let pruning = self.pruning;
-        let mut builder = GatewayBuilder::new(self.cluster, self.pet)
+        self.gateway_builder(shards, policy)
+    }
+
+    /// The shard configuration every entry point shares, single-cluster
+    /// included (one code path, so no two drivers can drift apart on
+    /// it).
+    fn gateway_builder(
+        self,
+        shards: usize,
+        policy: Box<dyn RoutePolicy>,
+    ) -> Result<GatewayBuilder<'a, taskprune_sim::NullSink>, RunError> {
+        let builder = GatewayBuilder::new(self.cluster, self.pet)
             .config(self.sim)
             .shards(shards)
             .policy_boxed(policy)
-            .reuse(self.reuse)
-            .strategy_with(move |_| kind.make());
-        if let Some(cfg) = pruning {
+            .reuse(self.reuse);
+        let mut builder = match self.mapper {
+            None => return Err(ConfigError::MissingStrategy.into()),
+            Some(Mapper::Kind(kind)) => {
+                builder.strategy_with(move |_| kind.make())
+            }
+            Some(Mapper::Custom(strategy)) if shards <= 1 => {
+                let mut strategy = Some(strategy);
+                builder.strategy_with(move |_| {
+                    strategy.take().expect("one shard builds one strategy")
+                })
+            }
+            // One instance cannot be shared across N shards; telling
+            // the caller a strategy is *missing* when they installed
+            // one would be contradictory.
+            Some(Mapper::Custom(_)) => {
+                return Err(ConfigError::FederatedStrategyNotPerShard.into())
+            }
+        };
+        let n_types = self.pet.n_task_types();
+        if let Some(cfg) = self.pruning {
             builder = builder.pruner_with(move |_| {
                 Box::new(PruningMechanism::new(cfg, n_types))
             });
@@ -392,23 +427,91 @@ mod tests {
     }
 
     #[test]
-    fn try_run_surfaces_malformed_traces_as_stats_errors() {
-        use taskprune_model::{SimTime, TaskTypeId};
+    fn try_run_keys_sparse_ids_by_arrival_order() {
+        use taskprune_model::{SimTime, TaskId, TaskOutcome, TaskTypeId};
         let pet = PetGenConfig::paper_heterogeneous(3).generate();
         let cluster = taskprune_workload::machines::heterogeneous_cluster();
-        // A snowflake-style id straight into a single cluster (no
-        // gateway compaction): a recoverable typed error, not a panic.
-        let bad = vec![taskprune_model::Task::new(
-            1_700_000_000_000,
-            TaskTypeId(0),
-            SimTime(0),
-            SimTime(1_000),
-        )];
-        let err = ResourceAllocator::new(&cluster, &pet, SimConfig::batch(1))
+        // Snowflake-style ids, out of order, straight into a single
+        // cluster: the one-shard gateway compacts them.
+        let tasks: Vec<Task> = [1_700_000_000_000, 1_700_000_000_007, 5]
+            .into_iter()
+            .enumerate()
+            .map(|(i, id)| {
+                let arrival = SimTime(i as u64 * 1_000);
+                Task::new(id, TaskTypeId(0), arrival, SimTime(1_000_000))
+            })
+            .collect();
+        let stats = ResourceAllocator::new(&cluster, &pet, SimConfig::batch(1))
             .heuristic(HeuristicKind::Mm)
-            .try_run(&bad)
-            .expect_err("sparse external ids must be rejected");
-        assert!(matches!(err, RunError::Stats(_)), "got {err:?}");
+            .try_run(&tasks)
+            .expect("sparse external ids run");
+        assert_eq!(stats.n_tasks(), 3);
+        assert_eq!(stats.unreported(), 0);
+        for i in 0..3 {
+            assert_eq!(
+                stats.outcome(TaskId(i)),
+                Some(TaskOutcome::CompletedOnTime),
+                "arrival {i}"
+            );
+        }
+        assert_eq!(stats.outcome(TaskId(5)), None);
+    }
+
+    #[test]
+    fn the_later_of_heuristic_and_strategy_wins_on_every_entry_point() {
+        use taskprune_sim::RoundRobinRoute;
+        let pet = PetGenConfig::paper_heterogeneous(3).generate();
+        let cluster = taskprune_workload::machines::heterogeneous_cluster();
+        // Oversubscribed, so the two heuristics' records differ.
+        let trial = WorkloadConfig {
+            total_tasks: 1_000,
+            span_tu: 50.0,
+            ..WorkloadConfig::paper_default(5)
+        }
+        .generate_trial(&pet, 0);
+        let alloc =
+            || ResourceAllocator::new(&cluster, &pet, SimConfig::batch(1));
+        let json = |stats: &SimStats| serde_json::to_string(stats).unwrap();
+        let single = |a: ResourceAllocator<'_>| {
+            json(&a.try_run(&trial.tasks).expect("valid configuration"))
+        };
+        let one_shard = |a: ResourceAllocator<'_>| {
+            let stats = a
+                .try_run_federated(
+                    1,
+                    Box::new(RoundRobinRoute::new()),
+                    &trial.tasks,
+                )
+                .expect("valid configuration");
+            json(&stats.per_shard[0])
+        };
+        let mm = single(alloc().heuristic(HeuristicKind::Mm));
+        let edf = single(alloc().heuristic(HeuristicKind::Edf));
+        assert!(mm != edf, "the fixture must tell the two apart");
+
+        let custom_last = || {
+            alloc()
+                .heuristic(HeuristicKind::Mm)
+                .strategy(HeuristicKind::Edf.make())
+        };
+        assert!(single(custom_last()) == edf, "try_run: EDF must win");
+        assert!(one_shard(custom_last()) == edf, "federated: EDF must win");
+
+        let kind_last = || {
+            alloc()
+                .strategy(HeuristicKind::Edf.make())
+                .heuristic(HeuristicKind::Mm)
+        };
+        assert!(single(kind_last()) == mm, "try_run: MM must win");
+        assert!(one_shard(kind_last()) == mm, "federated: MM must win");
+
+        let err = custom_last()
+            .try_run_federated(2, Box::new(RoundRobinRoute::new()), &[])
+            .expect_err("one instance cannot serve two shards");
+        assert_eq!(
+            err,
+            RunError::Config(ConfigError::FederatedStrategyNotPerShard)
+        );
     }
 
     #[test]

@@ -233,9 +233,9 @@ fn aggregate_trials(
 pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     aggregate_trials(cfg, cfg.label.clone(), |allocator, tasks| {
         // The allocator resolves this trial's configuration through
-        // the validated SchedulerBuilder; a bad experiment config
-        // fails every trial identically, so surface the typed error
-        // once with context instead of panicking deep in the engine.
+        // the validated builders; a bad experiment config fails every
+        // trial identically, so surface the typed error once with
+        // context instead of panicking deep in the driver.
         let stats = allocator.try_run(tasks).unwrap_or_else(|e| {
             panic!("experiment {:?} rejected: {e}", cfg.label)
         });

@@ -6,7 +6,7 @@
 //! matrices — histograms over `k` observations per (machine type, task
 //! type) cell, exactly the estimator a platform would bootstrap — plus a
 //! systematically miscalibrated variant, and the builder's
-//! belief-vs-truth split (`SchedulerBuilder::truth`) measures what the
+//! belief-vs-truth split (`GatewayBuilder::truth`) measures what the
 //! error costs. The `model_error` bench bin sweeps `k`.
 
 use taskprune_model::{MachineTypeId, PetMatrix, TaskTypeId};

@@ -59,11 +59,6 @@ impl SimConfig {
         }
     }
 
-    /// Returns the effective waiting-queue capacity for this mode.
-    pub fn effective_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
     /// Validates the static parameters, returning the first problem
     /// found. [`crate::SchedulerBuilder`] calls this before
     /// constructing anything.
@@ -123,9 +118,9 @@ pub enum ConfigError {
     /// is per-shard; install per-shard sinks through
     /// [`crate::GatewayBuilder::sink_with`] instead.
     FederatedTraceUnsupported,
-    /// A federated run was given one already-instantiated mapping
-    /// strategy, but every shard needs its own stateful instance —
-    /// select the heuristic by kind (or use
+    /// A federated run of more than one shard was given one
+    /// already-instantiated mapping strategy, but every shard needs its
+    /// own stateful instance — select the heuristic by kind (or use
     /// [`crate::GatewayBuilder::strategy_with`], the per-shard
     /// factory).
     FederatedStrategyNotPerShard,
@@ -179,16 +174,18 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Anything that can stop a run when driven through the fallible entry
-/// points (`try_run`, [`crate::Engine::try_run_stream`]): either the
-/// configuration was rejected up front, or the input trace itself was
-/// malformed mid-stream.
+/// Anything that can stop a run driven through the fallible entry
+/// points (the allocator's `try_run*`, shard recovery, the gateway's
+/// admission): a configuration rejected up front, a checkpoint that
+/// fails to verify, recovery without a journal, or an overloaded
+/// federation. Every driver compacts external ids at the gateway, so a
+/// trace cannot be malformed for the outcome tables; a caller pushing
+/// into a bare core gets the typed [`crate::StatsError`] from
+/// [`crate::SchedulerCore::try_push_arrival`] instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The scheduler configuration was rejected at build time.
     Config(ConfigError),
-    /// The outcome collector rejected a record (malformed trace).
-    Stats(crate::stats::StatsError),
     /// A checkpoint failed verification or decode (shard failover
     /// replay, coordinator restart).
     Snapshot(crate::snapshot::SnapshotError),
@@ -216,7 +213,6 @@ impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunError::Config(e) => e.fmt(f),
-            RunError::Stats(e) => e.fmt(f),
             RunError::Snapshot(e) => e.fmt(f),
             RunError::RecoveryUnavailable => write!(
                 f,
@@ -240,7 +236,6 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Config(e) => Some(e),
-            RunError::Stats(e) => Some(e),
             RunError::Snapshot(e) => Some(e),
             RunError::RecoveryUnavailable | RunError::Overloaded { .. } => None,
         }
@@ -250,12 +245,6 @@ impl std::error::Error for RunError {
 impl From<ConfigError> for RunError {
     fn from(e: ConfigError) -> Self {
         RunError::Config(e)
-    }
-}
-
-impl From<crate::stats::StatsError> for RunError {
-    fn from(e: crate::stats::StatsError) -> Self {
-        RunError::Stats(e)
     }
 }
 
@@ -323,10 +312,10 @@ mod tests {
     fn defaults() {
         let b = SimConfig::batch(1);
         assert_eq!(b.mode, AllocationMode::Batch);
-        assert_eq!(b.effective_capacity(), 4);
+        assert_eq!(b.queue_capacity, 4);
         let i = SimConfig::immediate(1);
         assert_eq!(i.mode, AllocationMode::Immediate);
-        assert_eq!(i.effective_capacity(), 4);
+        assert_eq!(i.queue_capacity, 4);
         assert!(!i.cancel_running_late);
     }
 }

@@ -26,8 +26,9 @@
 //! simulation that means sampling a ground-truth duration, in a live
 //! deployment it means waiting for the worker.
 //!
-//! [`crate::Engine`] is the bundled discrete-event driver over this
-//! core; [`crate::SchedulerBuilder`] constructs either.
+//! [`crate::SchedulerBuilder`] constructs the core;
+//! [`crate::FederatedEngine`] is the bundled discrete-event driver over
+//! one or more of them (a single-cluster run is its one-shard case).
 //!
 //! # Allocation discipline
 //!
@@ -38,7 +39,7 @@
 //! borrows on the stack. (The estimator side has been allocation-free
 //! since the convolution arena; see [`crate::queue`].)
 
-use crate::config::{AllocationMode, SimConfig};
+use crate::config::SimConfig;
 use crate::queue::MachineQueue;
 use crate::reuse::{ReuseLedger, ReuseStats};
 use crate::sink::{NullSink, Sink};
@@ -200,10 +201,11 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         pruner: Box<dyn Pruner>,
         sink: S,
     ) -> Self {
-        let capacity = cfg.effective_capacity();
         let queues = machines
             .iter()
-            .map(|&m| MachineQueue::new(m, capacity, cfg.horizon_bins))
+            .map(|&m| {
+                MachineQueue::new(m, cfg.queue_capacity, cfg.horizon_bins)
+            })
             .collect();
         Self {
             cfg,
@@ -817,15 +819,16 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         }
 
         // The arriving task joins the batch queue before any decision
-        // (in immediate mode it is held aside for direct placement).
-        let immediate_arrival = match self.cfg.mode {
-            AllocationMode::Batch => {
+        // (an immediate-mode mapper holds it aside for direct
+        // placement).
+        let immediate_arrival = match self.strategy {
+            MappingStrategy::Batch(_) => {
                 if let Some(t) = arriving {
                     self.arrival_queue.push(t);
                 }
                 None
             }
-            AllocationMode::Immediate => arriving,
+            MappingStrategy::Immediate(_) => arriving,
         };
 
         // Optional policy: cancel running tasks that are already late.
@@ -926,43 +929,28 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         }
         self.drop_buf = drops;
 
-        // Steps 7–11: the mapping loop.
-        match self.cfg.mode {
-            AllocationMode::Immediate => {
-                if let Some(task) = immediate_arrival {
-                    self.place_immediately(task);
-                }
-            }
-            AllocationMode::Batch => self.batch_mapping_loop(),
-        }
+        // Steps 7–11: the mapping loop of the mapper the core holds.
+        self.run_mapper(immediate_arrival);
 
         // Machines that were idle with an empty queue may have just
         // received work.
         self.start_ready_machines();
     }
 
-    /// Immediate-mode placement (Fig. 1a): the mapper picks a machine;
-    /// if that queue is full the first machine with a free slot takes
-    /// the task instead, and if every queue is full the task is rejected
-    /// — there is no arrival queue to hold it.
-    fn place_immediately(&mut self, task: Task) {
-        if self.queues.iter().all(|q| q.free_slots() == 0) {
-            self.stats.record_outcome(&task, TaskOutcome::Rejected);
-            self.decisions.push(Decision::Reject { task: task.id });
-            self.sink
-                .record(self.now, TraceEvent::Rejected { task: task.id });
-            self.fan_out_failure(task.id, TaskOutcome::Rejected);
-            return;
-        }
-        let chosen = {
-            let view = SystemView::new(self.now, &self.queues, self.pet);
-            match &mut self.strategy {
-                MappingStrategy::Immediate(m) => m.place(&view, &task),
-                MappingStrategy::Batch(_) => {
-                    panic!("immediate mode requires an immediate-mode mapper")
-                }
-            }
-        };
+    /// Rejects an immediate-mode arrival that finds every queue full:
+    /// there is no arrival queue to hold it (Fig. 1a).
+    fn reject(&mut self, task: Task) {
+        self.stats.record_outcome(&task, TaskOutcome::Rejected);
+        self.decisions.push(Decision::Reject { task: task.id });
+        self.sink
+            .record(self.now, TraceEvent::Rejected { task: task.id });
+        self.fan_out_failure(task.id, TaskOutcome::Rejected);
+    }
+
+    /// Admits an immediate-mode arrival to the machine its mapper
+    /// `chosen`, or, when that queue is full, to the first machine with
+    /// a free slot (the caller checked that one exists).
+    fn place_immediately(&mut self, task: Task, chosen: MachineId) {
         let machine = if self.queues[chosen.0 as usize].free_slots() > 0 {
             chosen
         } else {
@@ -987,19 +975,33 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         );
     }
 
-    /// The Step 7 while-loop: heuristic proposes, pruner vetoes,
-    /// survivors dispatch, repeat until no progress is possible.
+    /// Steps 7–11 for the mapper the core holds. An immediate-mode
+    /// mapper places the arriving task, if any (Fig. 1a). A batch-mode
+    /// mapper runs the Step 7 while-loop: heuristic proposes, pruner
+    /// vetoes, survivors dispatch, repeat until no progress is
+    /// possible.
     ///
     /// `candidates` is built once per event and shrinks as proposals are
     /// decided, so at every round start it equals the arrival queue
     /// minus this event's deferrals, in arrival order. A proposal whose
     /// task is missing from it — deferred already, or no longer pending
     /// — is skipped.
-    fn batch_mapping_loop(&mut self) {
+    fn run_mapper(&mut self, immediate_arrival: Option<Task>) {
         let mapper = match &mut self.strategy {
-            MappingStrategy::Batch(m) => m,
-            MappingStrategy::Immediate(_) => {
-                panic!("batch mode requires a batch-mode mapper")
+            MappingStrategy::Batch(mapper) => mapper,
+            MappingStrategy::Immediate(mapper) => {
+                let Some(task) = immediate_arrival else {
+                    return;
+                };
+                if self.queues.iter().all(|q| q.free_slots() == 0) {
+                    self.reject(task);
+                } else {
+                    let view =
+                        SystemView::new(self.now, &self.queues, self.pet);
+                    let chosen = mapper.place(&view, &task);
+                    self.place_immediately(task, chosen);
+                }
+                return;
             }
         };
         let mut candidates = std::mem::take(&mut self.candidate_buf);
@@ -1190,6 +1192,39 @@ mod tests {
         // Buffers drained: nothing left.
         assert!(c.drain_decisions().is_empty());
         assert!(c.drain_starts().is_empty());
+    }
+
+    #[test]
+    fn sparse_id_is_a_typed_error_that_leaves_the_core_untouched() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let mut c = core(&pet, &cluster);
+        c.push_arrival(Task::new(
+            0,
+            TaskTypeId(0),
+            SimTime(0),
+            SimTime(100_000),
+        ));
+        c.drain_decisions();
+        c.drain_starts();
+        let before = c.snapshot().to_value();
+        let sparse = Task::new(
+            u64::from(u32::MAX) * 1_000,
+            TaskTypeId(0),
+            SimTime(0),
+            SimTime(1_000),
+        );
+        let err = c
+            .try_push_arrival(sparse)
+            .expect_err("a sparse id must surface, not panic");
+        assert!(matches!(
+            err,
+            crate::stats::StatsError::SparseTaskId { tracked: 1, .. }
+        ));
+        assert_eq!(c.snapshot().to_value(), before);
+        assert!(c.drain_decisions().is_empty());
+        assert!(c.drain_starts().is_empty());
+        assert_eq!(c.stats().n_arrived(), 1);
     }
 
     #[test]

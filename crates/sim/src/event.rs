@@ -6,7 +6,7 @@
 //! queued: arrivals come from the arrival stream, and a completion due
 //! at an arrival's instant fires before the arrival (free capacity
 //! before new demand). That rule lives in one place, `Lane::has_due` in
-//! [`crate::engine`]. Within the queue the order is fully
+//! the crate-private `lane` module. Within the queue the order is fully
 //! deterministic: by time, then completions before wakeups, then by
 //! stable ids.
 

@@ -22,20 +22,21 @@
 //!   into federation-level robustness/throughput figures
 //!   deterministically, trimmed by *global arrival order*.
 //!
-//! A **one-shard gateway is bit-identical to the plain engine**: the
-//! round-robin policy degenerates to "always shard 0", compaction maps
-//! a dense in-order trace onto itself, and the federated driver
-//! ([`FederatedEngine`]) replays exactly the event ordering of
-//! [`crate::Engine`] — `tests/federation_equivalence.rs` pins this on
-//! serialized [`SimStats`], trace included.
+//! A **single-cluster run is the one-shard case**: the round-robin
+//! policy degenerates to "always shard 0", compaction keys the shard's
+//! record by arrival order (the identity on a dense in-order trace),
+//! and the federated driver ([`FederatedEngine`]) steps the shard's one
+//! lane. `tests/streaming_equivalence.rs` and
+//! `tests/federation_equivalence.rs` pin the shard's serialized
+//! [`SimStats`], trace included, byte-equal to a loop that drives the
+//! core through its public API alone.
 
 use crate::config::{ConfigError, RunError, SimConfig};
 use crate::core::{Decision, SchedulerCore, Start};
-use crate::decisions::NullDecisions;
-use crate::engine::Lane;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::journal::{JournalOp, ShardJournal};
+use crate::lane::Lane;
 use crate::reuse::{Admission, Admit, ReuseGate, ReusePolicy, ReuseStats};
 use crate::route::{RoundRobinRoute, RoutePolicy, ShardView};
 use crate::sink::{NullSink, Sink};
@@ -1115,9 +1116,9 @@ type PrunerFn<'a> = Box<dyn FnMut(usize) -> Box<dyn Pruner> + 'a>;
 /// Every shard is a full paper-system instance over the *same* cluster
 /// shape and PET matrix; the heuristic and pruner are supplied as
 /// per-shard factories (strategies are stateful and not clonable).
-/// Shard 0 keeps the configured seed — so a one-shard federation is
-/// bit-identical to the plain engine — and shard `i > 0` derives an
-/// independent stream from it.
+/// Shard 0 samples execution durations from the configured seed's
+/// stream, so a single-cluster run (one shard) depends on that seed
+/// alone; shard `i > 0` derives an independent stream from it.
 pub struct GatewayBuilder<'a, S: Sink = NullSink> {
     cluster: Cluster,
     pet: &'a PetMatrix,
@@ -1236,9 +1237,12 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
         self
     }
 
-    /// Separates the shards' belief from ground truth (see
-    /// [`crate::SchedulerBuilder::truth`]); the [`FederatedEngine`]
-    /// samples actual durations from `truth`.
+    /// Separates the shards' *belief* from ground truth: estimates use
+    /// the matrix given to [`GatewayBuilder::new`], while the drivers
+    /// sample actual execution durations from `truth`. Used to study
+    /// how robust pruning is to execution-time model error. The two
+    /// must agree on shape and bin width
+    /// ([`ConfigError::BeliefTruthMismatch`]).
     pub fn truth(mut self, truth: &'a PetMatrix) -> Self {
         self.truth = Some(truth);
         self
@@ -1267,14 +1271,31 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
     }
 
     /// The execution-sampling seed shard `i` runs under: shard 0 keeps
-    /// the configured seed (one shard ≡ plain engine), later shards
-    /// derive decorrelated streams.
+    /// the configured seed, later shards derive decorrelated streams.
     pub fn shard_seed(base: u64, shard: usize) -> u64 {
         if shard == 0 {
             base
         } else {
             derive_seed(base, shard as u64)
         }
+    }
+
+    /// Checks that a separate ground-truth matrix indexes like the
+    /// belief: same machine types, task types and bin width.
+    fn validate_truth(&self) -> Result<(), ConfigError> {
+        let Some(truth) = self.truth else {
+            return Ok(());
+        };
+        let what = if self.pet.n_machine_types() != truth.n_machine_types() {
+            "machine types"
+        } else if self.pet.n_task_types() != truth.n_task_types() {
+            "task types"
+        } else if self.pet.bin_spec() != truth.bin_spec() {
+            "bin width"
+        } else {
+            return Ok(());
+        };
+        Err(ConfigError::BeliefTruthMismatch { what })
     }
 
     /// Builds the bare [`Gateway`] for streaming callers.
@@ -1295,11 +1316,9 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
             if let Some(pruner_fn) = self.pruner_fn.as_mut() {
                 b = b.pruner_boxed(pruner_fn(i));
             }
-            if let Some(truth) = self.truth {
-                b = b.truth(truth);
-            }
             shards.push(b.sink((self.sink_fn)(i)).build_core()?);
         }
+        self.validate_truth()?;
         if self.reuse.is_enabled() {
             for core in &mut shards {
                 core.set_reuse_active(true);
@@ -1409,11 +1428,11 @@ pub(crate) struct FaultReport {
     pub op: Option<(MachineId, TaskId)>,
 }
 
-/// The federation's bundled simulation driver: merges one arrival
-/// stream with one event lane per shard, stepping the lanes in global
-/// event order and sampling each shard's ground-truth durations from
-/// its own decorrelated RNG stream. With one shard this replays
-/// [`crate::Engine::run_stream`] event for event.
+/// The bundled simulation driver: merges one arrival stream with one
+/// event lane per shard, stepping the lanes in global event order and
+/// sampling each shard's ground-truth durations from its own
+/// decorrelated RNG stream. A single-cluster run is its one-shard
+/// case.
 pub struct FederatedEngine<'a, S: Sink = NullSink> {
     gateway: Gateway<'a, S>,
     truth: &'a PetMatrix,
@@ -2111,7 +2130,7 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         let truth = self.truth;
         let shards = self.gateway.shards_mut();
         for (lane, core) in self.lanes.iter_mut().zip(shards) {
-            lane.settle(core, truth, &mut NullDecisions);
+            lane.settle(core, truth);
         }
     }
 
@@ -2206,6 +2225,19 @@ mod tests {
             .build_gateway()
             .expect_err("no strategy must fail");
         assert_eq!(err, ConfigError::MissingStrategy);
+    }
+
+    #[test]
+    fn belief_truth_mismatch_is_rejected() {
+        let belief = det_pet();
+        let truth =
+            PetMatrix::new(BinSpec::new(200), 1, 1, vec![Pmf::point_mass(2)]);
+        let cluster = Cluster::one_per_type(1);
+        let err = builder(&belief, &cluster, 1)
+            .truth(&truth)
+            .build()
+            .expect_err("bin-width mismatch must fail");
+        assert_eq!(err, ConfigError::BeliefTruthMismatch { what: "bin width" });
     }
 
     #[test]

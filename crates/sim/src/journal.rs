@@ -5,14 +5,12 @@
 //! of five [`JournalOp`]s: an arrival push, a completion, a deadline
 //! wakeup, a reuse absorption and an overload-ladder step.
 //! `JournalOp::apply` is the one place an operation becomes core
-//! calls: every driver's completions and wakeups, the federated
-//! drivers' routed arrivals, and [`ShardJournal::replay`] all go
-//! through it (the single-shard [`crate::Engine`] pushes its arrivals
-//! itself, to keep their typed [`crate::StatsError`]). A
-//! [`ShardJournal`] records the stream as [`JournalEntry`] records; replay re-applies it to a core
-//! restored from the last [`crate::Snapshot`], reproducing the shard's
-//! state bit-identically (the simulator's determinism contract —
-//! `tests/crash_failover.rs` pins it).
+//! calls: both drivers' completions, wakeups and routed arrivals, and
+//! [`ShardJournal::replay`], all go through it. A [`ShardJournal`]
+//! records the stream as [`JournalEntry`] records; replay re-applies it
+//! to a core restored from the last [`crate::Snapshot`], reproducing
+//! the shard's state bit-identically (the simulator's determinism
+//! contract — `tests/crash_failover.rs` pins it).
 //!
 //! Replay discards the starts and decisions the core re-emits: the
 //! surviving coordinator already dispatched them the first time, so

@@ -26,27 +26,21 @@
 //!   `advance_to` / `push_arrival` / `complete` / `wakeup`; read back
 //!   typed [`Decision`]s and [`Start`] records. No event queue, no
 //!   duration sampling: live traffic can drive it directly.
-//! * [`Engine`] — the bundled discrete-event *driver*: merges an
-//!   arrival stream with one shard's event lane. The lane (in
-//!   [`engine`]) holds the completion/wakeup heap and the ground-truth
-//!   RNG stream, samples durations, and owns the wakeup safety net;
-//!   every driver below runs its shards on the same lane, so each of
-//!   those rules exists once. `run` (task slice) and `run_stream` (any
-//!   ordered iterator) are bit-identical paths.
 //! * [`Sink`] — pluggable observability, chosen *by type*: the default
 //!   [`NullSink`] compiles to nothing, [`TraceLog`] records the full
 //!   lifecycle trace.
-//! * [`Decisions`] — pluggable consumer of the typed decision stream,
-//!   also chosen by type: the default [`NullDecisions`] restores the
-//!   driver's historical drain-and-discard at zero cost.
-//! * [`SchedulerBuilder`] — the validated fluent constructor for both;
+//! * [`SchedulerBuilder`] — the validated fluent constructor of a core;
 //!   misconfigurations surface as typed [`ConfigError`]s at build time.
 //! * [`Gateway`] — the federation layer: N independent cores behind a
 //!   pluggable [`RoutePolicy`], with external-id compaction at the
-//!   boundary and a deterministic [`FederationStats`] fan-in;
-//!   [`FederatedEngine`] is its bundled discrete-event driver, which
-//!   steps one lane per shard in global event order. One shard is
-//!   bit-identical to [`Engine`].
+//!   boundary and a deterministic [`FederationStats`] fan-in.
+//!   [`FederatedEngine`] is the bundled discrete-event *driver*: it
+//!   merges an arrival stream with one event lane per shard, stepped in
+//!   global event order. A lane holds a shard's completion/wakeup heap
+//!   and ground-truth RNG stream, samples durations, and owns the
+//!   wakeup safety net; both drivers run their shards on it, so each of
+//!   those rules exists once. A single-cluster run is the one-shard
+//!   case (`ResourceAllocator::try_run` in the `taskprune` crate).
 //! * [`ParallelFederatedEngine`] — the same federation and the same
 //!   lanes, each advanced by a worker of a work-stealing pool, routing
 //!   serialized on the coordinator. Bit-identical to
@@ -80,12 +74,11 @@
 pub mod build;
 pub mod config;
 pub mod core;
-pub mod decisions;
-pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod gateway;
 pub mod journal;
+mod lane;
 pub mod parallel;
 pub mod queue;
 pub mod reuse;
@@ -100,7 +93,7 @@ pub mod traits;
 pub mod view;
 
 pub mod queue_testing {
-    //! Helpers for constructing machine-queue state outside the engine —
+    //! Helpers for constructing machine-queue state outside a core —
     //! used by heuristic unit tests and the micro-benchmarks.
 
     use crate::queue::MachineQueue;
@@ -123,8 +116,6 @@ pub mod queue_testing {
 pub use build::SchedulerBuilder;
 pub use config::{AllocationMode, ConfigError, RunError, SimConfig};
 pub use core::{Decision, SchedulerCore, Start};
-pub use decisions::{DecisionCounter, DecisionLog, Decisions, NullDecisions};
-pub use engine::Engine;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec, TenantBurst};
 pub use gateway::{
     FedArrival, FedDecision, FedStart, FederatedEngine, FederationStats,

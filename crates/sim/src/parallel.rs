@@ -80,10 +80,9 @@
 //! Parallelism is therefore purely a wall-clock change; the serialized
 //! [`FederationStats`] — traces included — is bit-identical.
 
-use crate::decisions::NullDecisions;
-use crate::engine::Lane;
 use crate::gateway::{FederationStats, Gateway};
 use crate::journal::JournalOp;
+use crate::lane::Lane;
 use crate::sink::{NullSink, Sink};
 use crate::SchedulerCore;
 use std::collections::VecDeque;
@@ -123,19 +122,14 @@ impl ShardLane {
         t_last: Option<SimTime>,
     ) {
         while let Some(mail) = self.mailbox.pop_front() {
-            self.lane.advance_events(
-                core,
-                truth,
-                &mut NullDecisions,
-                mail.cutoff,
-                mail.target,
-            );
+            self.lane
+                .advance_events(core, truth, mail.cutoff, mail.target);
             mail.op.apply(core);
-            self.lane.settle(core, truth, &mut NullDecisions);
+            self.lane.settle(core, truth);
         }
         // No arrivals anywhere: nothing can have happened.
         if let Some(t_last) = t_last {
-            self.lane.finish(core, truth, &mut NullDecisions, t_last);
+            self.lane.finish(core, truth, t_last);
         }
     }
 }
@@ -286,9 +280,7 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
             let (shard, op) = self.gateway.admit_route(task).into_op();
             let core = &mut self.gateway.shards_mut()[shard];
             op.apply(core);
-            self.lanes[shard]
-                .lane
-                .settle(core, self.truth, &mut NullDecisions);
+            self.lanes[shard].lane.settle(core, self.truth);
         }
     }
 
@@ -310,13 +302,8 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                 for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
                     if busy(lane) {
                         s.spawn(move || {
-                            lane.lane.advance_events(
-                                core,
-                                truth,
-                                &mut NullDecisions,
-                                cutoff,
-                                target,
-                            );
+                            lane.lane
+                                .advance_events(core, truth, cutoff, target);
                         });
                     } else if target > core.now() {
                         // No shard work this epoch: the clock tick is

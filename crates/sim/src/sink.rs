@@ -2,14 +2,15 @@
 //!
 //! The core reports every task-lifecycle transition and periodic queue
 //! snapshot to a [`Sink`]. Observability is a *type parameter* of
-//! [`crate::SchedulerCore`] and [`crate::Engine`], so the default
-//! [`NullSink`] compiles to nothing at all — tracing costs exactly zero
-//! when it is off, with no `Option` branch and no virtual dispatch on
-//! the hot mapping-event path.
+//! [`crate::SchedulerCore`] (and of the [`crate::Gateway`] and drivers
+//! over it), so the default [`NullSink`] compiles to nothing at all —
+//! tracing costs exactly zero when it is off, with no `Option` branch
+//! and no virtual dispatch on the hot mapping-event path.
 //!
 //! [`crate::TraceLog`] implements `Sink`, so tracing is one
 //! implementation among any number (metrics exporters, stdout printers,
-//! test probes, …), installed with [`crate::SchedulerBuilder::sink`].
+//! test probes, …), installed with [`crate::SchedulerBuilder::sink`]
+//! or, per shard, [`crate::GatewayBuilder::sink_with`].
 
 use crate::trace::{QueueSnapshot, TraceEvent, TraceLog};
 use taskprune_model::SimTime;

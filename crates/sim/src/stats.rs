@@ -20,10 +20,11 @@ use taskprune_model::{SimTime, Task, TaskId, TaskOutcome, TaskTypeId};
 /// Number of leading and trailing tasks excluded by the paper's protocol.
 pub const PAPER_TRIM: usize = 100;
 
-/// Why the outcome collector refused a record. Surfaced through
-/// [`crate::Engine::try_run_stream`] and
-/// `ResourceAllocator::try_run`, so a malformed external trace is a
-/// recoverable error instead of a panic deep inside a run.
+/// Why the outcome collector refused a record. Surfaced by
+/// [`crate::SchedulerCore::try_push_arrival`], so a caller feeding an
+/// external trace into a bare core can drop or relabel the task instead
+/// of panicking. The drivers never meet it: their gateway keys every
+/// shard's record by arrival order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsError {
     /// A task id jumped far past the population tracked so far. The
@@ -170,7 +171,8 @@ pub struct SimStats {
     /// Simulated instant at which the run finished draining.
     pub end_time: SimTime,
     /// Execution trace, present when the run's sink was a
-    /// [`crate::TraceLog`] ([`crate::SchedulerBuilder::sink`]).
+    /// [`crate::TraceLog`] ([`crate::SchedulerBuilder::sink`],
+    /// [`crate::GatewayBuilder::sink_with`]).
     pub trace: Option<crate::trace::TraceLog>,
 }
 

@@ -11,7 +11,7 @@ use taskprune_model::{
 use taskprune_prob::Pmf;
 use taskprune_sim::queue::MachineQueue;
 use taskprune_sim::{
-    Assignment, BatchMapper, MappingStrategy, NoPruning, SchedulerBuilder,
+    Assignment, BatchMapper, GatewayBuilder, MappingStrategy, NoPruning,
     SimConfig, SystemView,
 };
 
@@ -146,13 +146,13 @@ fn engine_survives_mapping_events_on_permanently_empty_queues() {
             )
         })
         .collect();
-    let stats = SchedulerBuilder::new(&cluster, &pet)
+    let stats = GatewayBuilder::new(&cluster, &pet)
         .config(SimConfig::batch(11))
-        .strategy(MappingStrategy::Batch(Box::new(MapNothing)))
-        .pruner(NoPruning)
+        .strategy_with(|_| MappingStrategy::Batch(Box::new(MapNothing)))
+        .pruner_with(|_| Box::new(NoPruning))
         .build()
         .expect("valid configuration")
-        .run(&tasks);
+        .run_stream(tasks.iter().copied());
     // Nothing ever reaches a machine: every task must be reactively
     // dropped at its deadline (via the wakeup safety net), with no task
     // lost and no panic on the all-empty machine queues.

@@ -6,8 +6,8 @@ use taskprune_model::{
 };
 use taskprune_prob::Pmf;
 use taskprune_sim::{
-    Assignment, BatchMapper, MappingStrategy, NoPruning, SchedulerBuilder,
-    SimConfig, SystemView, TraceEvent, TraceLog,
+    Assignment, BatchMapper, GatewayBuilder, MappingStrategy, NoPruning,
+    SimConfig, SimStats, Sink, SystemView, TraceEvent, TraceLog,
 };
 
 struct ToZero;
@@ -31,17 +31,25 @@ impl BatchMapper for ToZero {
     }
 }
 
-fn run_traced(tasks: &[Task]) -> taskprune_sim::SimStats {
+/// A single-cluster run (a one-shard federation) of one machine on
+/// which every task takes exactly 2 bins, observed by `sink`.
+fn run_one_shard<S: Sink>(tasks: &[Task], sink: fn() -> S) -> SimStats {
     let pet = PetMatrix::new(BinSpec::new(100), 1, 1, vec![Pmf::point_mass(2)]);
     let cluster = Cluster::one_per_type(1);
-    SchedulerBuilder::new(&cluster, &pet)
+    GatewayBuilder::new(&cluster, &pet)
         .config(SimConfig::batch(1))
-        .strategy(MappingStrategy::Batch(Box::new(ToZero)))
-        .pruner(NoPruning)
-        .sink(TraceLog::new(10_000, 1))
+        .strategy_with(|_| MappingStrategy::Batch(Box::new(ToZero)))
+        .pruner_with(|_| Box::new(NoPruning))
+        .sink_with(move |_| sink())
         .build()
         .expect("valid configuration")
-        .run(tasks)
+        .run_stream(tasks.iter().copied())
+        .per_shard
+        .swap_remove(0)
+}
+
+fn run_traced(tasks: &[Task]) -> SimStats {
+    run_one_shard(tasks, || TraceLog::new(10_000, 1))
 }
 
 #[test]
@@ -123,16 +131,7 @@ fn tracing_does_not_change_outcomes() {
         })
         .collect();
     let traced = run_traced(&tasks);
-
-    let pet = PetMatrix::new(BinSpec::new(100), 1, 1, vec![Pmf::point_mass(2)]);
-    let cluster = Cluster::one_per_type(1);
-    let untraced = SchedulerBuilder::new(&cluster, &pet)
-        .config(SimConfig::batch(1))
-        .strategy(MappingStrategy::Batch(Box::new(ToZero)))
-        .pruner(NoPruning)
-        .build()
-        .expect("valid configuration")
-        .run(&tasks);
+    let untraced = run_one_shard(&tasks, || taskprune_sim::NullSink);
 
     assert_eq!(traced.robustness_pct(0), untraced.robustness_pct(0));
     for i in 0..50 {

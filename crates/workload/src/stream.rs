@@ -15,7 +15,7 @@ use taskprune_model::{PetMatrix, Task};
 /// An ordered stream of task arrivals.
 ///
 /// A `TraceSource` is any iterator of tasks whose `arrival` times are
-/// non-decreasing — the contract `Engine::run_stream` and
+/// non-decreasing — the contract `FederatedEngine::run_stream` and
 /// `SchedulerCore::push_arrival` rely on. The blanket implementation
 /// makes every conforming iterator a source; [`TaskStream`] is the
 /// canonical concrete one.

@@ -9,7 +9,7 @@
 
 use taskprune::extensions::{CostModel, PriorityAwarePruner};
 use taskprune::prelude::*;
-use taskprune_sim::{Pruner, SchedulerBuilder};
+use taskprune_sim::Pruner;
 
 fn main() {
     let pet = PetGenConfig::paper_heterogeneous(
@@ -29,6 +29,7 @@ fn main() {
     println!(
         "config        on-time %   wasted h   wasted Wh   wasted $   total $"
     );
+    let mut wasted_wh = Vec::new();
     for pruning in [None, Some(PruningConfig::paper_default())] {
         let stats = ResourceAllocator::new(&cluster, &pet, SimConfig::batch(5))
             .heuristic(HeuristicKind::Mm)
@@ -48,7 +49,12 @@ fn main() {
             report.wasted_cost,
             report.total_cost,
         );
+        wasted_wh.push(report.wasted_energy_wh);
     }
+    assert!(
+        wasted_wh[1] < wasted_wh[0],
+        "pruning must cut the energy wasted on failing tasks"
+    );
 
     // Priority-aware pruning: give 10 % of tasks 5x value and compare
     // how many of them survive under plain vs. priority-aware pruning.
@@ -72,29 +78,29 @@ fn main() {
             (on_time, total)
         };
 
-    for (label, pruner) in [
-        (
-            "standard pruning",
-            Box::new(PruningMechanism::new(
-                PruningConfig::paper_default(),
-                pet.n_task_types(),
-            )) as Box<dyn Pruner>,
-        ),
-        (
-            "priority-aware pruning",
-            Box::new(PriorityAwarePruner::new(
-                PruningConfig::paper_default(),
-                pet.n_task_types(),
-            )) as Box<dyn Pruner>,
-        ),
+    let n_types = pet.n_task_types();
+    let mut high_value = Vec::new();
+    for (label, priority_aware) in [
+        ("standard pruning", false),
+        ("priority-aware pruning", true),
     ] {
-        let stats = SchedulerBuilder::new(&cluster, &pet)
+        // A single cluster is a one-shard federation.
+        let stats = GatewayBuilder::new(&cluster, &pet)
             .config(SimConfig::batch(5))
-            .strategy(HeuristicKind::Mm.make())
-            .pruner_boxed(pruner)
+            .strategy_with(|_| HeuristicKind::Mm.make())
+            .pruner_with(move |_| -> Box<dyn Pruner> {
+                let cfg = PruningConfig::paper_default();
+                if priority_aware {
+                    Box::new(PriorityAwarePruner::new(cfg, n_types))
+                } else {
+                    Box::new(PruningMechanism::new(cfg, n_types))
+                }
+            })
             .build()
             .expect("valid configuration")
-            .run(&valued_tasks);
+            .run_stream(valued_tasks.iter().copied())
+            .per_shard
+            .swap_remove(0);
         let (hv_on_time, hv_total) = high_value_on_time(&stats, &valued_tasks);
         println!(
             "{label:<24} overall {:>5.1} %   high-value {:>4}/{:<4} ({:.1} %)",
@@ -103,7 +109,12 @@ fn main() {
             hv_total,
             100.0 * hv_on_time as f64 / hv_total as f64,
         );
+        high_value.push(hv_on_time);
     }
+    assert!(
+        high_value[1] > high_value[0],
+        "priority-aware pruning must put more high-value tasks on time"
+    );
     println!(
         "\npriority-aware pruning shields high-value tasks from the \
          dropping pass\n(deferral stays value-blind — it is protective, \

@@ -14,7 +14,7 @@
 use std::collections::BinaryHeap;
 use taskprune::prelude::*;
 use taskprune_prob::rng::Xoshiro256PlusPlus;
-use taskprune_sim::{Decision, DecisionCounter, Decisions, SchedulerBuilder};
+use taskprune_sim::{Decision, SchedulerBuilder};
 
 /// One in-flight execution: when it finishes and on which machine.
 /// Ordered as a min-heap on finish time.
@@ -38,6 +38,36 @@ impl Ord for InFlight {
 impl PartialOrd for InFlight {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// Decisions seen so far, by kind: assigned, deferred, dropped
+/// reactively, pruned, rejected, cancelled.
+#[derive(Default)]
+struct Tally([u64; 6]);
+
+impl Tally {
+    fn count(&mut self, d: &Decision) {
+        let kind = match d {
+            Decision::Assign { .. } => 0,
+            Decision::DeferToBatch { .. } => 1,
+            Decision::DropReactive { .. } => 2,
+            Decision::DropProbabilistic { .. } => 3,
+            Decision::Reject { .. } => 4,
+            Decision::CancelRunning { .. } => 5,
+        };
+        self.0[kind] += 1;
+    }
+
+    fn summary(&self) -> String {
+        let [assigned, deferred, reactive, pruned, rejected, cancelled] =
+            self.0;
+        format!(
+            "{} decisions: {assigned} assigned, {deferred} deferred, \
+             {reactive} dropped reactive, {pruned} pruned, \
+             {rejected} rejected, {cancelled} cancelled",
+            self.0.iter().sum::<u64>(),
+        )
     }
 }
 
@@ -97,10 +127,7 @@ fn main() {
     let mut rng = Xoshiro256PlusPlus::new(7);
     let mut in_flight: BinaryHeap<InFlight> = BinaryHeap::new();
     let mut printed = 0usize;
-    // The same `Decisions` consumer the Engine driver accepts via
-    // `SchedulerBuilder::decisions(..)` — here fed by hand, since this
-    // loop drives the bare core.
-    let mut counter = DecisionCounter::default();
+    let mut tally = Tally::default();
 
     println!(
         "streaming {} tasks into an MM + pruning scheduler...\n",
@@ -153,10 +180,10 @@ fn main() {
         }
 
         // Print the decision stream as it drains (first 40 shown),
-        // feeding every decision through the typed consumer.
+        // counting every decision by kind.
         let now = core.now();
         for decision in core.drain_decisions() {
-            counter.on_decision(now, *decision);
+            tally.count(decision);
             if printed < 40 {
                 println!(
                     "[t={:>8.2}tu] {}",
@@ -173,7 +200,7 @@ fn main() {
 
     let stats = core.finish();
     println!("\n--- drained ---");
-    println!("decision summary       {}", counter.summary());
+    println!("decision summary       {}", tally.summary());
     println!("mapping events         {}", stats.mapping_events);
     println!(
         "on-time                {}",

@@ -68,4 +68,8 @@ fn main() {
         "\npruning gained {:+.1} percentage points of robustness",
         pruned.robustness_pct(100) - baseline.robustness_pct(100)
     );
+    assert!(
+        pruned.robustness_pct(100) > baseline.robustness_pct(100),
+        "pruning must raise robustness"
+    );
 }

@@ -1,14 +1,15 @@
-//! Federation ≡ single engine: the gateway layer must add sharding
+//! Federation ≡ the paper system: the gateway layer must add sharding
 //! without perturbing the paper system it shards.
 //!
 //! Three layers of proof:
 //!
-//! 1. **One shard is the engine.** A 1-shard [`GatewayBuilder`] run is
-//!    byte-identical to `Engine::run_stream` on serialized `SimStats` —
-//!    outcome tables, counters, per-type stats, and (in the traced
-//!    variant) the full `TraceLog`. Routing degenerates, id compaction
-//!    maps a dense trace onto itself, and the federated driver replays
-//!    the engine's event ordering exactly.
+//! 1. **One shard is the bare core.** A 1-shard [`GatewayBuilder`] run
+//!    is byte-identical on serialized `SimStats` — outcome tables,
+//!    counters, per-type stats, and (in the traced variant) the full
+//!    `TraceLog` — to a loop that drives one core through its public
+//!    API alone (`tests/common/core_loop.rs`). Routing degenerates, id
+//!    compaction maps a dense trace onto itself, and the federation's
+//!    arrival-ordered trim equals the shard's own.
 //! 2. **Id compaction is lossless.** Property tests feed sparse,
 //!    out-of-order and duplicated external ids through the compactor
 //!    and a live 3-shard gateway, asserting internal density,
@@ -19,12 +20,13 @@
 //!    stateless and probability-aware routing.
 
 mod common;
+#[path = "common/core_loop.rs"]
+mod core_loop;
 
 use proptest::prelude::*;
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
-use taskprune_sim::{SchedulerBuilder, TraceLog};
-use taskprune_workload::TaskStream;
+use taskprune_sim::{NullSink, SchedulerBuilder, Sink, TraceLog};
 
 fn fixture(scale: f64) -> (Cluster, PetMatrix, Vec<Task>) {
     let pet = PetGenConfig::paper_heterogeneous(
@@ -45,7 +47,8 @@ fn json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("serializes")
 }
 
-fn engine_stats(
+/// The single cluster, driven by the reference core loop.
+fn core_loop_stats(
     cluster: &Cluster,
     pet: &PetMatrix,
     kind: HeuristicKind,
@@ -53,6 +56,15 @@ fn engine_stats(
     traced: bool,
     tasks: &[Task],
 ) -> SimStats {
+    fn drive<S: Sink>(
+        b: SchedulerBuilder<'_>,
+        sink: S,
+        pet: &PetMatrix,
+        tasks: &[Task],
+    ) -> SimStats {
+        let core = b.sink(sink).build_core().expect("valid configuration");
+        core_loop::drive_core(core, pet, tasks, |_, _| {})
+    }
     let sim = match kind.allocation_mode() {
         taskprune_sim::AllocationMode::Immediate => SimConfig::immediate(55),
         taskprune_sim::AllocationMode::Batch => SimConfig::batch(55),
@@ -67,14 +79,9 @@ fn engine_stats(
         ));
     }
     if traced {
-        b.sink(TraceLog::new(1_000_000, 4))
-            .build()
-            .expect("valid configuration")
-            .run_stream(TaskStream::from_tasks(tasks.to_vec()))
+        drive(b, TraceLog::new(1_000_000, 4), pet, tasks)
     } else {
-        b.build()
-            .expect("valid configuration")
-            .run_stream(TaskStream::from_tasks(tasks.to_vec()))
+        drive(b, NullSink, pet, tasks)
     }
 }
 
@@ -119,14 +126,14 @@ fn gateway_stats(
     }
 }
 
-fn assert_one_shard_is_the_engine(
+fn assert_one_shard_is_the_core(
     kind: HeuristicKind,
     pruned: bool,
     traced: bool,
     scale: f64,
 ) {
     let (cluster, pet, tasks) = fixture(scale);
-    let single = engine_stats(&cluster, &pet, kind, pruned, traced, &tasks);
+    let single = core_loop_stats(&cluster, &pet, kind, pruned, traced, &tasks);
     let federated = gateway_stats(
         &cluster,
         &pet,
@@ -143,7 +150,7 @@ fn assert_one_shard_is_the_engine(
         json(&single),
         json(&federated.per_shard[0]),
         "{kind:?} pruned={pruned} traced={traced}: \
-         1-shard gateway diverged from Engine::run_stream"
+         1-shard gateway diverged from the core loop"
     );
     // The compaction layer was the identity on this dense trace.
     for (i, a) in federated.arrivals().iter().enumerate() {
@@ -160,7 +167,7 @@ fn assert_one_shard_is_the_engine(
 
 #[test]
 fn one_shard_batch_is_bit_identical() {
-    assert_one_shard_is_the_engine(
+    assert_one_shard_is_the_core(
         HeuristicKind::Mm,
         false,
         false,
@@ -170,7 +177,7 @@ fn one_shard_batch_is_bit_identical() {
 
 #[test]
 fn one_shard_batch_pruned_is_bit_identical() {
-    assert_one_shard_is_the_engine(
+    assert_one_shard_is_the_core(
         HeuristicKind::Msd,
         true,
         false,
@@ -180,7 +187,7 @@ fn one_shard_batch_pruned_is_bit_identical() {
 
 #[test]
 fn one_shard_immediate_pruned_is_bit_identical() {
-    assert_one_shard_is_the_engine(
+    assert_one_shard_is_the_core(
         HeuristicKind::Mct,
         true,
         false,
@@ -190,7 +197,7 @@ fn one_shard_immediate_pruned_is_bit_identical() {
 
 #[test]
 fn one_shard_traced_carries_the_identical_trace() {
-    assert_one_shard_is_the_engine(
+    assert_one_shard_is_the_core(
         HeuristicKind::Mm,
         true,
         true,
@@ -415,18 +422,5 @@ proptest! {
         prop_assert!(
             (stats.robustness_pct(trim) - expected).abs() < 1e-9
         );
-    }
-}
-
-#[test]
-#[ignore = "full-size federation sweep; run with --ignored"]
-fn full_scale_one_shard_is_bit_identical() {
-    for (kind, pruned) in [
-        (HeuristicKind::Mm, false),
-        (HeuristicKind::Mm, true),
-        (HeuristicKind::Msd, true),
-        (HeuristicKind::Mct, false),
-    ] {
-        assert_one_shard_is_the_engine(kind, pruned, false, 1.0);
     }
 }

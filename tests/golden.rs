@@ -9,6 +9,9 @@
 //! one of a dozen interacting components that unit tests may individually
 //! miss.
 
+#[path = "common/core_loop.rs"]
+mod core_loop;
+
 use taskprune::prelude::*;
 use taskprune::ClusterKind;
 
@@ -115,8 +118,10 @@ fn decision_stream_hash(entries: &[(SimTime, taskprune_sim::Decision)]) -> u64 {
 
 /// The pruned fixture's whole decision stream — every assignment,
 /// deferral and drop, with its time and order — under each batch
-/// heuristic. The outcome counts above would not notice a reordering
-/// that keeps the totals; these hashes do.
+/// heuristic, as the core emits it to a loop that drives it through
+/// its public API (`tests/common/core_loop.rs`). The outcome counts
+/// above would not notice a reordering that keeps the totals; these
+/// hashes do.
 #[test]
 fn pruned_decision_streams_are_pinned() {
     let (cluster, pet, trial) = fixture();
@@ -125,24 +130,25 @@ fn pruned_decision_streams_are_pinned() {
         (HeuristicKind::Msd, GOLDEN_STREAM_MSD),
         (HeuristicKind::Mmu, GOLDEN_STREAM_MMU),
     ] {
-        let mut log = taskprune_sim::DecisionLog::default();
-        taskprune_sim::SchedulerBuilder::new(&cluster, &pet)
+        let core = taskprune_sim::SchedulerBuilder::new(&cluster, &pet)
             .config(SimConfig::batch(9))
             .strategy(kind.make())
             .pruner(PruningMechanism::new(
                 PruningConfig::paper_default(),
                 pet.n_task_types(),
             ))
-            .decisions(&mut log)
-            .build()
-            .expect("valid golden configuration")
-            .run_stream(trial.tasks.iter().copied());
-        assert!(!log.entries.is_empty());
+            .build_core()
+            .expect("valid golden configuration");
+        let mut entries = Vec::new();
+        core_loop::drive_core(core, &pet, &trial.tasks, |at, decision| {
+            entries.push((at, decision));
+        });
+        assert!(!entries.is_empty());
         assert_eq!(
-            decision_stream_hash(&log.entries),
+            decision_stream_hash(&entries),
             expected,
             "{kind:?} pruned decision stream moved ({} decisions)",
-            log.entries.len()
+            entries.len()
         );
     }
 }

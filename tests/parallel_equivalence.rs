@@ -7,9 +7,10 @@
 //! the global arrival record, and (in the traced variants) the full
 //! per-shard `TraceLog` — **byte-identical** to the single-threaded
 //! `FederatedEngine` on the same inputs. Since the 1-shard serial
-//! federation is already pinned to `Engine::run_stream`
-//! (`tests/federation_equivalence.rs`), this transitively pins the
-//! parallel driver all the way down to the plain engine.
+//! federation is already pinned to a loop that drives one core through
+//! its public API (`tests/federation_equivalence.rs`), this
+//! transitively pins the parallel driver all the way down to the bare
+//! core.
 //!
 //! Both scheduling regimes are covered:
 //!

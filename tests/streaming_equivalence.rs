@@ -1,29 +1,25 @@
-//! Streaming ≡ batch equivalence: the push-driven ingest path must be
-//! **bit-identical** to the legacy `Engine::run(tasks)` shim.
+//! Single-cluster ≡ independent core loop: the allocator's
+//! single-cluster record must be **bit-identical** to a discrete-event
+//! loop written against the public `SchedulerCore` API alone
+//! (`tests/common/core_loop.rs`).
 //!
-//! Three layers of proof, each across immediate and batch modes:
-//!
-//! 1. `run(tasks)` vs `run_stream(source)` — the two public entry
-//!    points produce byte-identical serialized `SimStats` (outcomes,
-//!    counters, per-type stats, and — in the traced variant — the full
-//!    `TraceLog`).
-//! 2. A *manual* driver written against only the public
-//!    `SchedulerCore` API (`advance_to` / `push_arrival` / `complete` /
-//!    `wakeup` / `drain_starts`) reproduces `Engine::run` byte for
-//!    byte — proving the streaming API is sufficient to rebuild the
-//!    discrete-event simulation outside the engine.
-//! 3. The same at the paper's workload family via the `TraceSource`
-//!    adapter, scaled by `TASKPRUNE_TEST_SCALE` (full size under
-//!    `--ignored`).
+//! `ResourceAllocator::try_run` streams the trial through a one-shard
+//! `FederatedEngine`; the reference drives a bare core with its own
+//! event heap and truth RNG. Serialized `SimStats` must match across
+//! immediate and batch modes, with and without pruning — outcomes,
+//! counters, per-type stats and, in the traced variant, the full
+//! `TraceLog` — at `TASKPRUNE_TEST_SCALE` (full size under
+//! `--ignored`).
 
 mod common;
+#[path = "common/core_loop.rs"]
+mod core_loop;
 
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
-use taskprune_prob::rng::Xoshiro256PlusPlus;
-use taskprune_sim::event::{Event, EventKind, EventQueue};
-use taskprune_sim::{SchedulerBuilder, TraceLog};
-use taskprune_workload::TaskStream;
+use taskprune_sim::{
+    AllocationMode, NullSink, SchedulerBuilder, Sink, TraceLog,
+};
 
 fn fixture(scale: f64) -> (Cluster, PetMatrix, Vec<Task>) {
     let pet = PetGenConfig::paper_heterogeneous(
@@ -40,15 +36,39 @@ fn fixture(scale: f64) -> (Cluster, PetMatrix, Vec<Task>) {
     (cluster, pet, tasks)
 }
 
-fn builder<'a>(
+const SEED: u64 = 77;
+
+/// The allocator's single-cluster run.
+fn via_allocator(
     cluster: &Cluster,
-    pet: &'a PetMatrix,
+    pet: &PetMatrix,
     kind: HeuristicKind,
     pruned: bool,
-) -> SchedulerBuilder<'a> {
+    traced: bool,
+    tasks: &[Task],
+) -> SimStats {
+    let mut alloc =
+        ResourceAllocator::new(cluster, pet, SimConfig::batch(SEED))
+            .heuristic(kind)
+            .pruning_opt(pruned.then(PruningConfig::paper_default));
+    if traced {
+        alloc = alloc.traced();
+    }
+    alloc.try_run(tasks).expect("valid configuration")
+}
+
+/// The same configuration, driven by the reference loop.
+fn via_core_loop<S: Sink>(
+    cluster: &Cluster,
+    pet: &PetMatrix,
+    kind: HeuristicKind,
+    pruned: bool,
+    sink: S,
+    tasks: &[Task],
+) -> SimStats {
     let sim = match kind.allocation_mode() {
-        taskprune_sim::AllocationMode::Immediate => SimConfig::immediate(77),
-        taskprune_sim::AllocationMode::Batch => SimConfig::batch(77),
+        AllocationMode::Immediate => SimConfig::immediate(SEED),
+        AllocationMode::Batch => SimConfig::batch(SEED),
     };
     let mut b = SchedulerBuilder::new(cluster, pet)
         .config(sim)
@@ -59,121 +79,24 @@ fn builder<'a>(
             pet.n_task_types(),
         ));
     }
-    b
+    let core = b.sink(sink).build_core().expect("valid configuration");
+    core_loop::drive_core(core, pet, tasks, |_, _| {})
 }
 
 fn json(stats: &SimStats) -> String {
     serde_json::to_string(stats).expect("SimStats serializes")
 }
 
-/// Layer 2: a from-scratch discrete-event driver over the *public*
-/// streaming core API. Mirrors what `Engine` does internally without
-/// using `Engine` — if the public API were missing anything, this would
-/// not be writable (or would diverge).
-fn drive_manually(
-    cluster: &Cluster,
-    pet: &PetMatrix,
-    kind: HeuristicKind,
-    pruned: bool,
-    tasks: &[Task],
-) -> SimStats {
-    let mut core = builder(cluster, pet, kind, pruned)
-        .build_core()
-        .expect("valid configuration");
-    let seed = core.config().seed;
-    let mut rng = Xoshiro256PlusPlus::new(seed);
-    let mut events = EventQueue::new();
-    let mut wakeup_pending = false;
-    let mut source = tasks.iter().copied().peekable();
-
-    loop {
-        let event_first = match (events.peek(), source.peek()) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(e), Some(t)) => {
-                e.time < t.arrival
-                    || (e.time == t.arrival
-                        && matches!(e.kind, EventKind::Completion { .. }))
-            }
-        };
-        if event_first {
-            let event = events.pop().expect("peeked");
-            core.advance_to(event.time);
-            match event.kind {
-                EventKind::Completion { machine, task } => {
-                    if !core.complete(machine, task) {
-                        continue; // stale after a cancellation
-                    }
-                }
-                EventKind::Wakeup => {
-                    wakeup_pending = false;
-                    core.wakeup();
-                }
-            }
-        } else {
-            let task = source.next().expect("peeked");
-            core.advance_to(task.arrival);
-            core.push_arrival(task);
-        }
-        // Sample ground truth for every start the core issued and
-        // schedule its completion (belief == truth in this fixture).
-        let now = core.now();
-        for start in core.drain_starts() {
-            let duration = pet.sample_duration(
-                start.machine.type_id,
-                start.task.type_id,
-                &mut rng,
-            );
-            events.push(Event {
-                time: now + duration,
-                kind: EventKind::Completion {
-                    machine: start.machine.id,
-                    task: start.task.id,
-                },
-            });
-        }
-        core.drain_decisions();
-        // The wakeup safety net for all-deferred batch queues.
-        if !wakeup_pending && source.peek().is_none() && events.is_empty() {
-            if let Some(earliest) = core.earliest_pending_deadline() {
-                events.push(Event {
-                    time: taskprune_model::SimTime(
-                        earliest.ticks().max(core.now().ticks()) + 1,
-                    ),
-                    kind: EventKind::Wakeup,
-                });
-                wakeup_pending = true;
-            }
-        }
-    }
-    core.finish()
-}
-
 fn assert_equivalent(kind: HeuristicKind, pruned: bool, scale: f64) {
     let (cluster, pet, tasks) = fixture(scale);
-
-    let via_run = builder(&cluster, &pet, kind, pruned)
-        .build()
-        .expect("valid configuration")
-        .run(&tasks);
-    let via_stream = builder(&cluster, &pet, kind, pruned)
-        .build()
-        .expect("valid configuration")
-        .run_stream(TaskStream::from_tasks(tasks.clone()));
-    let via_core = drive_manually(&cluster, &pet, kind, pruned, &tasks);
-
-    assert_eq!(via_run.unreported(), 0);
-    let a = json(&via_run);
+    let single = via_allocator(&cluster, &pet, kind, pruned, false, &tasks);
+    let reference =
+        via_core_loop(&cluster, &pet, kind, pruned, NullSink, &tasks);
+    assert_eq!(single.unreported(), 0);
     assert_eq!(
-        a,
-        json(&via_stream),
-        "{kind:?} pruned={pruned}: run vs run_stream diverged"
-    );
-    assert_eq!(
-        a,
-        json(&via_core),
-        "{kind:?} pruned={pruned}: run vs manual core drive diverged"
+        json(&single),
+        json(&reference),
+        "{kind:?} pruned={pruned}: single-cluster run vs core loop diverged"
     );
 }
 
@@ -202,21 +125,18 @@ fn traced_streaming_produces_the_identical_trace() {
     // Serialized SimStats includes the TraceLog: byte equality therefore
     // pins the full event-by-event trace, not just the outcome counts.
     let (cluster, pet, tasks) = fixture(common::test_scale() * 0.5);
-    let traced = |stream: bool| -> SimStats {
-        let engine = builder(&cluster, &pet, HeuristicKind::Mm, true)
-            .sink(TraceLog::new(1_000_000, 4))
-            .build()
-            .expect("valid configuration");
-        if stream {
-            engine.run_stream(TaskStream::from_tasks(tasks.clone()))
-        } else {
-            engine.run(&tasks)
-        }
-    };
-    let batch = traced(false);
-    let streamed = traced(true);
-    assert!(batch.trace.is_some(), "trace must be captured");
-    assert_eq!(json(&batch), json(&streamed));
+    let kind = HeuristicKind::Mm;
+    let single = via_allocator(&cluster, &pet, kind, true, true, &tasks);
+    let reference = via_core_loop(
+        &cluster,
+        &pet,
+        kind,
+        true,
+        TraceLog::with_defaults(),
+        &tasks,
+    );
+    assert!(single.trace.is_some(), "trace must be captured");
+    assert_eq!(json(&single), json(&reference));
 }
 
 #[test]
