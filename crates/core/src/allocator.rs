@@ -177,7 +177,11 @@ impl<'a> ResourceAllocator<'a> {
     /// `TASKPRUNE_THREADS`, else all hardware threads). The outcome
     /// record is bit-identical to the serial variant at any thread
     /// count — `tests/parallel_equivalence.rs` pins it — so this is
-    /// purely a wall-clock knob.
+    /// purely a wall-clock knob. With more than one shard the policy
+    /// must route without reading shard state
+    /// ([`RoutePolicy::is_stateless`]); any other is rejected with
+    /// [`ConfigError::ParallelNeedsStatelessRoute`], and
+    /// [`ResourceAllocator::try_run_federated`] runs it instead.
     pub fn try_run_federated_parallel(
         self,
         shards: usize,
@@ -557,28 +561,41 @@ mod tests {
                 .heuristic(HeuristicKind::Mm)
                 .pruning(crate::pruner::PruningConfig::paper_default())
         };
-        // Both scheduling regimes: stateless (round-robin) and
-        // lockstep (least-queued).
-        for stateless in [true, false] {
-            let policy = || -> Box<dyn taskprune_sim::RoutePolicy> {
-                if stateless {
-                    Box::new(RoundRobinRoute::new())
-                } else {
-                    Box::new(LeastQueuedRoute::new())
-                }
-            };
-            let serial = alloc()
-                .try_run_federated(3, policy(), &trial.tasks)
-                .expect("valid federated configuration");
-            let parallel = alloc()
-                .try_run_federated_parallel(3, Some(2), policy(), &trial.tasks)
-                .expect("valid parallel configuration");
-            assert_eq!(
-                serde_json::to_string(&serial).unwrap(),
-                serde_json::to_string(&parallel).unwrap(),
-                "stateless={stateless}: parallel facade diverged"
-            );
-        }
+        let serial = alloc()
+            .try_run_federated(
+                3,
+                Box::new(RoundRobinRoute::new()),
+                &trial.tasks,
+            )
+            .expect("valid federated configuration");
+        let parallel = alloc()
+            .try_run_federated_parallel(
+                3,
+                Some(2),
+                Box::new(RoundRobinRoute::new()),
+                &trial.tasks,
+            )
+            .expect("valid parallel configuration");
+        assert_eq!(
+            serde_json::to_string(&serial).unwrap(),
+            serde_json::to_string(&parallel).unwrap(),
+            "parallel facade diverged"
+        );
+        // A policy that reads shard state has no parallel schedule.
+        let err = alloc()
+            .try_run_federated_parallel(
+                3,
+                Some(2),
+                Box::new(LeastQueuedRoute::new()),
+                &trial.tasks,
+            )
+            .expect_err("least-queued routing is stateful");
+        assert_eq!(
+            err,
+            RunError::Config(ConfigError::ParallelNeedsStatelessRoute {
+                policy: "least-queued".to_owned(),
+            })
+        );
     }
 
     #[test]

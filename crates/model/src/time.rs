@@ -64,6 +64,12 @@ impl SimTime {
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
+
+    /// Saturating addition: `self + other`, capped at [`SimTime::MAX`].
+    #[inline]
+    pub fn saturating_add(self, other: SimTime) -> SimTime {
+        SimTime(self.0.saturating_add(other.0))
+    }
 }
 
 impl Add for SimTime {

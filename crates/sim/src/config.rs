@@ -124,6 +124,16 @@ pub enum ConfigError {
     /// [`crate::GatewayBuilder::strategy_with`], the per-shard
     /// factory).
     FederatedStrategyNotPerShard,
+    /// The parallel driver was asked to route over more than one shard
+    /// with a policy that reads shard state (one that does not declare
+    /// [`crate::RoutePolicy::is_stateless`]). Each such decision waits
+    /// on the previous arrival's mapping event, so the routing chain is
+    /// serial: run the policy on the serial driver
+    /// ([`crate::GatewayBuilder::build`]).
+    ParallelNeedsStatelessRoute {
+        /// The name of the stateful policy.
+        policy: String,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -168,6 +178,12 @@ impl fmt::Display for ConfigError {
                      strategy cannot be shared across shards)"
                 )
             }
+            ConfigError::ParallelNeedsStatelessRoute { policy } => write!(
+                f,
+                "routing policy {policy:?} reads shard state, so it \
+                 cannot route more than one shard on the parallel \
+                 driver: use the serial driver (GatewayBuilder::build)"
+            ),
         }
     }
 }
@@ -296,6 +312,9 @@ mod tests {
             ConfigError::ZeroShards,
             ConfigError::FederatedTraceUnsupported,
             ConfigError::FederatedStrategyNotPerShard,
+            ConfigError::ParallelNeedsStatelessRoute {
+                policy: "least-queued".to_string(),
+            },
         ];
         let rendered: Vec<String> =
             errors.iter().map(|e| e.to_string()).collect();
@@ -306,6 +325,7 @@ mod tests {
             }
         }
         assert!(rendered[3].contains("RR"));
+        assert!(rendered[9].contains("least-queued"));
     }
 
     #[test]

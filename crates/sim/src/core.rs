@@ -45,7 +45,6 @@ use crate::reuse::{ReuseLedger, ReuseStats};
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::{OutcomePages, SimStats};
-use crate::tenant::MAX_RUNG;
 use crate::trace::{QueueSnapshot, TraceEvent};
 use crate::traits::{Assignment, EventReport, MappingStrategy, Pruner};
 use crate::view::SystemView;
@@ -181,13 +180,6 @@ pub struct SchedulerCore<'a, S: Sink = NullSink> {
     /// (see [`crate::reuse`]). Inactive (and cost-free) unless the
     /// gateway enables reuse.
     reuse: ReuseLedger,
-    /// The overload-ladder rung this core prunes under: `None` when
-    /// tenancy is off (the historical float path, untouched),
-    /// `Some(r)` when a [`crate::TenancyPolicy`] is installed. The
-    /// rung selects the per-SLA-class chance bias
-    /// ([`crate::tenant::sla_chance_bias`]) applied before the
-    /// pruner's deferral test — BestEffort prunes first, Premium last.
-    sla_rung: Option<u8>,
 }
 
 impl<'a, S: Sink> SchedulerCore<'a, S> {
@@ -229,7 +221,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             drop_buf: Vec::new(),
             drop_ids_buf: Vec::new(),
             reuse: ReuseLedger::new(),
-            sla_rung: None,
         }
     }
 
@@ -473,23 +464,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         *self.reuse.stats()
     }
 
-    /// Activates SLA-aware pruning at rung 0; set by the gateway
-    /// builder when a [`crate::TenancyPolicy`] is installed. Without
-    /// this the core never touches the chance value the pruner sees.
-    pub(crate) fn set_sla_active(&mut self, active: bool) {
-        self.sla_rung = if active { Some(0) } else { None };
-    }
-
-    /// Moves this core to an overload-ladder rung (live transition or
-    /// [`crate::JournalOp::SlaRung`] replay). No-op tightening: the
-    /// bias is a pure function of (class, rung), so stepping back down
-    /// restores the previous pruning behaviour exactly.
-    pub(crate) fn set_sla_rung(&mut self, rung: u8) {
-        if self.sla_rung.is_some() {
-            self.sla_rung = Some(rung);
-        }
-    }
-
     /// Runs a synthetic mapping event at the current clock: nothing
     /// arrived and nothing completed, but pending work should be
     /// reconsidered (deferred tasks retried or reactively dropped).
@@ -683,7 +657,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                     "reuse".to_owned(),
                     self.reuse.state_value(self.arrival_watermark),
                 ),
-                ("sla_rung".to_owned(), self.sla_rung.to_value()),
                 (
                     "arrival_watermark".to_owned(),
                     self.arrival_watermark.to_value(),
@@ -701,10 +674,12 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// restored core starts from a drained state, exactly as the
     /// snapshotting core was at its checkpoint.
     ///
+    /// An `sla_rung` field, which earlier builds wrote, is ignored:
+    /// the core no longer prunes by overload rung.
+    ///
     /// # Errors
     /// Any [`SnapshotError`] — among them a
-    /// [`SnapshotError::ShapeMismatch`] for an SLA rung above the
-    /// overload ladder's top rung, or for an outcome record that does
+    /// [`SnapshotError::ShapeMismatch`] for an outcome record that does
     /// not describe one run (see the [`crate::snapshot`] module docs).
     /// On error the core's state is unspecified and the core should be
     /// discarded.
@@ -739,16 +714,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             Some(state) => self.reuse.restore_value(state)?,
             // Pre-reuse snapshot: nothing was parked.
             None => self.reuse.clear(),
-        }
-        // Pre-tenancy snapshot: SLA-aware pruning was off.
-        self.sla_rung = match payload.get_opt("sla_rung") {
-            Some(state) => Option::<u8>::from_value(state)?,
-            None => None,
-        };
-        if self.sla_rung.is_some_and(|r| r > MAX_RUNG) {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "the SLA rung is above the ladder's top rung",
-            });
         }
         let resolved_but_live = arrival_queue
             .iter()
@@ -1034,24 +999,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                         SystemView::new(self.now, &self.queues, self.pet);
                     view.chance_if_appended(assignment.machine, &task)
                 };
-                // SLA-class pruning offset: shift the chance the pruner
-                // judges by the (class, ladder-rung) bias so BestEffort
-                // prunes first and Premium last. The bias is exactly
-                // 0.0 for Standard below rung 2, and the shift is
-                // skipped entirely then, keeping the tenancy-off (and
-                // calm all-Standard) float paths bit-identical.
-                let chance = match self.sla_rung {
-                    Some(rung) => {
-                        let bias =
-                            crate::tenant::sla_chance_bias(task.value, rung);
-                        if bias != 0.0 {
-                            (chance + bias).clamp(0.0, 1.0)
-                        } else {
-                            chance
-                        }
-                    }
-                    None => chance,
-                };
                 if self.pruner.should_defer(&task, chance) {
                     self.stats.deferrals += 1;
                     self.decisions
@@ -1299,37 +1246,6 @@ mod tests {
             Decision::CancelRunning { task: id },
         ];
         assert!(all.iter().all(|d| d.task() == id));
-    }
-
-    #[test]
-    fn out_of_range_sla_rung_is_a_typed_error() {
-        let pet = det_pet();
-        let cluster = Cluster::one_per_type(1);
-        let mut c = core(&pet, &cluster);
-        c.set_sla_active(true);
-        c.set_sla_rung(MAX_RUNG);
-        let with_rung = |rung: u64| {
-            let mut payload = c.snapshot().payload().clone();
-            let Value::Object(fields) = &mut payload else {
-                panic!("core payloads are objects");
-            };
-            for (k, v) in fields.iter_mut() {
-                if k == "sla_rung" {
-                    *v = Value::UInt(rung);
-                }
-            }
-            Snapshot::seal("scheduler-core", payload)
-        };
-        let mut fresh = core(&pet, &cluster);
-        fresh.restore(&with_rung(3)).expect("the top rung restores");
-        assert!(matches!(
-            fresh.restore(&with_rung(4)),
-            Err(SnapshotError::ShapeMismatch { .. })
-        ));
-        assert!(matches!(
-            fresh.restore(&with_rung(255)),
-            Err(SnapshotError::ShapeMismatch { .. })
-        ));
     }
 
     /// The ledger sweep follows the arrivals, not the clock: a capture

@@ -44,8 +44,7 @@ use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::{SimStats, TenancyStats, TenantSlice};
 use crate::supervisor::RecoveryLog;
 use crate::tenant::{
-    ShedReason, TenancyPolicy, TenantAdmissionStats, TenantTable,
-    TenantVerdict, MAX_RUNG,
+    ShedReason, TenancyPolicy, TenantAdmissionStats, TenantTable, TenantVerdict,
 };
 use crate::traits::{MappingStrategy, Pruner};
 use serde::{Deserialize, Error, Serialize, Value};
@@ -243,12 +242,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
         &mut self.shards
     }
 
-    /// Whether the routing policy declared itself state-independent
-    /// (see [`RoutePolicy::is_stateless`]).
-    pub(crate) fn policy_is_stateless(&self) -> bool {
-        self.policy.is_stateless()
-    }
-
     /// Whether a supervisor has quarantined `shard` (degraded mode:
     /// the shard accepts no new work and its in-flight events are
     /// discarded).
@@ -342,8 +335,8 @@ impl<'a, S: Sink> Gateway<'a, S> {
     }
 
     /// One ladder sensing tick (see [`TenantTable::overload_tick`]);
-    /// drivers call this at quiescent arrival watermarks with the
-    /// summed healthy batch-queue depth. Returns the transition, if
+    /// the supervisor calls this at quiescent arrival watermarks with
+    /// the summed healthy batch-queue depth. Returns the transition, if
     /// one fired.
     pub(crate) fn overload_tick(
         &mut self,
@@ -1324,11 +1317,6 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
                 core.set_reuse_active(true);
             }
         }
-        if self.tenancy.is_some() {
-            for core in &mut shards {
-                core.set_sla_active(true);
-            }
-        }
         let policy = self
             .policy
             .unwrap_or_else(|| Box::new(RoundRobinRoute::new()));
@@ -1369,9 +1357,21 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
     /// [`GatewayBuilder::threads`] threads, bit-identical to
     /// [`GatewayBuilder::build`] at any thread count (see
     /// [`crate::ParallelFederatedEngine`]).
+    ///
+    /// # Errors
+    /// Everything [`GatewayBuilder::build`] rejects, and
+    /// [`ConfigError::ParallelNeedsStatelessRoute`] for more than one
+    /// shard behind a policy that reads shard state.
     pub fn build_parallel(
         self,
     ) -> Result<crate::ParallelFederatedEngine<'a, S>, ConfigError> {
+        if let Some(policy) = &self.policy {
+            if self.n_shards > 1 && !policy.is_stateless() {
+                return Err(ConfigError::ParallelNeedsStatelessRoute {
+                    policy: policy.name().to_owned(),
+                });
+            }
+        }
         let truth = self.truth;
         let pet = self.pet;
         let threads = self.threads;
@@ -1688,28 +1688,6 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             .sum()
     }
 
-    /// Feeds one pressure sample to the overload ladder. On a rung
-    /// transition, propagates the new rung to every healthy shard's
-    /// pruner bias and journals it as [`JournalOp::SlaRung`] (when
-    /// journaling is on), so a recovered shard replays the exact
-    /// threshold history. Returns the `(from, to)` transition, if any.
-    pub(crate) fn overload_tick(
-        &mut self,
-        pressure: usize,
-    ) -> Option<(u8, u8)> {
-        let (from, to) = self.gateway.overload_tick(pressure)?;
-        let time = self.gateway.now();
-        for shard in 0..self.gateway.n_shards() {
-            if self.gateway.is_quarantined(shard) {
-                continue;
-            }
-            let op = JournalOp::SlaRung { rung: to };
-            self.record(shard, time, op);
-            op.apply(&mut self.gateway.shards_mut()[shard]);
-        }
-        Some((from, to))
-    }
-
     /// One shard's operation journal (empty unless
     /// [`FederatedEngine::enable_journal`] was called).
     pub fn journal(&self, shard: usize) -> &ShardJournal {
@@ -1897,6 +1875,11 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         &self.gateway
     }
 
+    /// Write access to the gateway for the supervisor's ladder ticks.
+    pub(crate) fn gateway_mut(&mut self) -> &mut Gateway<'a, S> {
+        &mut self.gateway
+    }
+
     /// Finishes the run from the supervisor's pump loop (the owned
     /// equivalent of the tail of [`FederatedEngine::finish_stream`]).
     pub(crate) fn finish_now(self) -> FederationStats {
@@ -2064,13 +2047,6 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             return Err(SnapshotError::ShapeMismatch {
                 what: "journal count differs from this federation's \
                        shard count",
-            });
-        }
-        if journals.iter().flatten().flat_map(ShardJournal::entries).any(
-            |e| matches!(e.op, JournalOp::SlaRung { rung } if rung > MAX_RUNG),
-        ) {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "a journaled ladder rung is above the top rung",
             });
         }
         let injector = match payload.get_field("injector")? {

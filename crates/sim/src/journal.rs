@@ -2,8 +2,8 @@
 //! crash-failover.
 //!
 //! Everything a driver does to a shard core between checkpoints is one
-//! of five [`JournalOp`]s: an arrival push, a completion, a deadline
-//! wakeup, a reuse absorption and an overload-ladder step.
+//! of four [`JournalOp`]s: an arrival push, a completion, a deadline
+//! wakeup and a reuse absorption.
 //! `JournalOp::apply` is the one place an operation becomes core
 //! calls: both drivers' completions, wakeups and routed arrivals, and
 //! [`ShardJournal::replay`], all go through it. A [`ShardJournal`]
@@ -55,14 +55,6 @@ pub enum JournalOp {
         /// duplicate).
         merged: bool,
     },
-    /// An overload-ladder transition applied to this shard's pruner
-    /// bias (see [`crate::tenant`]). Journaled so a recovered shard
-    /// replays the exact pruning-threshold history between
-    /// checkpoints.
-    SlaRung {
-        /// The rung the federation stepped to.
-        rung: u8,
-    },
 }
 
 impl JournalOp {
@@ -84,7 +76,6 @@ impl JournalOp {
                 task,
                 merged,
             } => core.apply_piggyback(primary, task, merged),
-            JournalOp::SlaRung { rung } => core.set_sla_rung(rung),
         }
         true
     }

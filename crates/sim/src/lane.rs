@@ -92,8 +92,10 @@ impl Lane {
                 start.task.type_id,
                 &mut self.rng,
             );
+            // A clock near the end of time saturates instead of
+            // wrapping into the past.
             self.events.push(Event {
-                time: now + duration,
+                time: now.saturating_add(duration),
                 kind: EventKind::Completion {
                     machine: start.machine.id,
                     task: start.task.id,
@@ -143,8 +145,14 @@ impl Lane {
         let Some(earliest) = core.earliest_pending_deadline() else {
             return;
         };
+        // A deadline at the end of the clock never passes, so no
+        // wakeup could drop its task: it stays pending, and the run
+        // ends with it unfinished instead of waking forever.
+        let Some(after) = earliest.max(now).ticks().checked_add(1) else {
+            return;
+        };
         self.events.push(Event {
-            time: SimTime(earliest.ticks().max(now.ticks()) + 1),
+            time: SimTime(after),
             kind: EventKind::Wakeup,
         });
         self.wakeup_pending = true;

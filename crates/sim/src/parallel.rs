@@ -11,11 +11,13 @@
 //!
 //! * the **coordinator** (the calling thread) routes arrivals in
 //!   global arrival order — identical id compaction, `latest` map and
-//!   [`FederationStats`] arrival record as the serial driver;
+//!   [`FederationStats`] arrival record as the serial driver — into
+//!   per-shard mailboxes, up front;
 //! * each **shard lane** is the serial driver's own per-shard `Lane`
-//!   (event heap, ground-truth RNG stream, wakeup flag) plus a mailbox
-//!   of routed arrivals, and advances on a worker of a hand-rolled
-//!   work-stealing pool (`vendor/rayon`);
+//!   (event heap, ground-truth RNG stream, wakeup flag) plus its
+//!   mailbox of routed arrivals, and replays its private merge of
+//!   the two start to finish, with **zero cross-shard barriers**, on a
+//!   worker of a hand-rolled work-stealing pool (`vendor/rayon`);
 //! * the deterministic [`FederationStats`] fan-in is unchanged: the
 //!   coordinator merges results in fixed shard order after every lane
 //!   has drained.
@@ -27,26 +29,16 @@
 //! run the supervisor heals serializes identically to this driver's
 //! fault-free run at any thread count (`tests/self_healing.rs`).
 //!
-//! # Two schedules, one ordering
-//!
-//! **Mailbox.** When routing needs no shard state — a policy that
-//! declares [`crate::RoutePolicy::is_stateless`] (round-robin), or a
-//! single shard — the coordinator routes the whole stream into
-//! per-shard mailboxes up front, and every lane replays its private
-//! merge of mailbox arrivals and heap events on its own, start to
-//! finish, with **zero cross-shard barriers**.
-//!
-//! **Lockstep.** A state-dependent policy (least-queued, best-chance)
-//! on live views must observe every shard exactly as the serial driver
-//! would have when it routes arrival *i*: all events before `tᵢ` (and
-//! completions at `tᵢ`) applied. Before each arrival, all lanes
-//! advance in parallel up to that arrival's watermark, then the
-//! coordinator routes on fresh views and runs the routed shard's
-//! mapping event. The arrival chain is inherently serial under such a
-//! policy (each routing decision depends on the previous arrival's
-//! mapping), so only the completion processing between arrivals
-//! parallelises — which is exactly the available parallelism, no
-//! more.
+//! Routing up front needs a decision that reads no shard state: a
+//! policy that declares [`crate::RoutePolicy::is_stateless`]
+//! (round-robin), or a single shard. A policy that reads shard state
+//! (least-queued, best-chance) on more than one shard waits, at every
+//! arrival, on the previous arrival's mapping event: the routing chain
+//! is serial by data dependency, and the completion work between
+//! arrivals is too little to pay for a barrier per arrival. Building
+//! one is a typed error
+//! ([`crate::ConfigError::ParallelNeedsStatelessRoute`]); the serial
+//! driver runs it.
 //!
 //! # Bit-identity argument (the headline guarantee)
 //!
@@ -103,7 +95,7 @@ struct Mail {
 }
 
 /// One shard's event lane plus its mailbox of routed arrivals awaiting
-/// delivery (mailbox schedule).
+/// delivery.
 struct ShardLane {
     lane: Lane,
     mailbox: VecDeque<Mail>,
@@ -139,16 +131,13 @@ impl ShardLane {
 /// for [`crate::FederatedEngine::run_stream`] — same inputs, same
 /// deterministic [`FederationStats`], bit-identical at every thread
 /// count — with wall-clock scaling across shards. See the [module
-/// docs](self) for the schedules and the bit-identity argument.
+/// docs](self) for the schedule and the bit-identity argument.
 pub struct ParallelFederatedEngine<'a, S: Sink = NullSink> {
     gateway: Gateway<'a, S>,
     truth: &'a PetMatrix,
     lanes: Vec<ShardLane>,
     pool: rayon::ThreadPool,
     threads: usize,
-    /// Running maximum of ingested arrival times — the serial
-    /// processing instant of the latest arrival.
-    watermark: Option<SimTime>,
 }
 
 impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
@@ -178,7 +167,6 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
             lanes,
             pool: rayon::ThreadPool::new(threads),
             threads,
-            watermark: None,
         }
     }
 
@@ -202,17 +190,8 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
     where
         I: IntoIterator<Item = Task>,
     {
-        // Lockstep when a stateful policy routes over more than one
-        // shard (routing reads live shard state); mailbox otherwise.
-        if !self.gateway.policy_is_stateless() && self.gateway.n_shards() > 1 {
-            self.lockstep_ingest(arrivals);
-        } else {
-            self.mailbox_ingest(arrivals);
-        }
-        let t_last = self.watermark;
-        // Parallel finale: every lane runs/drains independently. On
-        // the mailbox schedule this is the rest of the simulation; on
-        // the lockstep schedule only the post-arrival drain remains.
+        let t_last = self.ingest(arrivals);
+        // Every lane runs the rest of the simulation independently.
         {
             let truth = self.truth;
             let lanes = &mut self.lanes;
@@ -226,33 +205,27 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         self.finish()
     }
 
-    /// The per-arrival prologue both schedules share. Tenant admission
-    /// precedes every coordinate update (watermark, mailboxes): a shed
-    /// task is invisible, exactly as in the serial driver — same
-    /// verdict from the same arrival-visible data in the same global
-    /// order. Returns the admitted arrival's serial processing
-    /// instant, or `None` when it was shed.
-    fn admit_arrival(&mut self, task: &mut Task) -> Option<SimTime> {
-        if self.gateway.pre_admit(task).is_some() {
-            return None;
-        }
-        let target =
-            self.watermark.map_or(task.arrival, |w| w.max(task.arrival));
-        self.watermark = Some(target);
-        Some(target)
-    }
-
-    /// Mailbox schedule: route each arrival into its shard's mailbox on
-    /// the coordinator (identical routing bookkeeping to the serial
-    /// driver); shard execution is deferred.
-    fn mailbox_ingest<I>(&mut self, arrivals: I)
+    /// Routes each arrival into its shard's mailbox on the coordinator
+    /// (identical routing bookkeeping to the serial driver); shard
+    /// execution is deferred. Tenant admission precedes every
+    /// coordinate update (watermark, mailboxes): a shed task is
+    /// invisible, exactly as in the serial driver — same verdict from
+    /// the same arrival-visible data in the same global order.
+    /// Returns the watermark — the running maximum of admitted arrival
+    /// times, the serial processing instant of the latest arrival —
+    /// or `None` when nothing was admitted.
+    fn ingest<I>(&mut self, arrivals: I) -> Option<SimTime>
     where
         I: IntoIterator<Item = Task>,
     {
+        let mut watermark: Option<SimTime> = None;
         for mut task in arrivals {
-            let Some(target) = self.admit_arrival(&mut task) else {
+            if self.gateway.pre_admit(&mut task).is_some() {
                 continue;
-            };
+            }
+            let target =
+                watermark.map_or(task.arrival, |w| w.max(task.arrival));
+            watermark = Some(target);
             let (shard, op) = self.gateway.admit_route(task).into_op();
             self.lanes[shard].mailbox.push_back(Mail {
                 op,
@@ -260,65 +233,7 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
                 target,
             });
         }
-    }
-
-    /// Lockstep schedule: one epoch per arrival. All lanes advance in
-    /// parallel to the arrival's watermark, then the coordinator routes
-    /// on views every bit as fresh as the serial driver's and runs the
-    /// routed shard's mapping event inline (that chain is serial by
-    /// data dependency — each routing decision observes the previous
-    /// arrival's mapping).
-    fn lockstep_ingest<I>(&mut self, arrivals: I)
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        for mut task in arrivals {
-            let Some(target) = self.admit_arrival(&mut task) else {
-                continue;
-            };
-            self.sync_lanes(task.arrival, target);
-            let (shard, op) = self.gateway.admit_route(task).into_op();
-            let core = &mut self.gateway.shards_mut()[shard];
-            op.apply(core);
-            self.lanes[shard].lane.settle(core, self.truth);
-        }
-    }
-
-    /// The lockstep barrier: every lane processes all completions due
-    /// before `cutoff`, finishing with its clock at `target` — the
-    /// exact state the serial driver holds when it reaches the same
-    /// arrival ordinal. Lockstep routes every arrival inline, so the
-    /// mailboxes are empty here.
-    fn sync_lanes(&mut self, cutoff: SimTime, target: SimTime) {
-        let truth = self.truth;
-        let lanes = &mut self.lanes;
-        let shards = self.gateway.shards_mut();
-        // A same-instant burst usually has nothing due between its
-        // arrivals; don't pay for a scope (allocation + completion
-        // latch) when no lane will spawn.
-        let busy = |l: &ShardLane| l.lane.has_due(cutoff);
-        if lanes.iter().any(busy) {
-            self.pool.scope(|s| {
-                for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
-                    if busy(lane) {
-                        s.spawn(move || {
-                            lane.lane
-                                .advance_events(core, truth, cutoff, target);
-                        });
-                    } else if target > core.now() {
-                        // No shard work this epoch: the clock tick is
-                        // too cheap to ship out.
-                        core.advance_to(target);
-                    }
-                }
-            });
-        } else {
-            for core in shards.iter_mut() {
-                if target > core.now() {
-                    core.advance_to(target);
-                }
-            }
-        }
+        watermark
     }
 
     /// Deterministic fan-in: advance every shard to the federation-wide
@@ -355,7 +270,6 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::gateway::GatewayBuilder;
-    use crate::route::{LeastQueuedRoute, RoundRobinRoute};
     use crate::traits::{Assignment, BatchMapper, MappingStrategy, NoPruning};
     use crate::view::SystemView;
     use taskprune_model::{
@@ -417,58 +331,44 @@ mod tests {
     fn run_parallel(
         shards: usize,
         threads: usize,
-        stateless: bool,
         workload: &[Task],
     ) -> FederationStats {
         let pet = det_pet();
         let cluster = Cluster::one_per_type(1);
-        let mut b = builder(&pet, &cluster, shards).threads(threads);
-        if !stateless {
-            b = b.policy(LeastQueuedRoute::new());
-        } else {
-            b = b.policy(RoundRobinRoute::new());
-        }
-        b.build_parallel()
+        builder(&pet, &cluster, shards)
+            .threads(threads)
+            .build_parallel()
             .expect("valid configuration")
             .run_stream(workload.iter().copied())
     }
 
     #[test]
     fn empty_stream_finishes_cleanly() {
-        let stats = run_parallel(3, 2, true, &[]);
+        let stats = run_parallel(3, 2, &[]);
         assert_eq!(stats.n_tasks(), 0);
         assert_eq!(stats.end_time(), SimTime::ZERO);
     }
 
     #[test]
-    fn both_schedules_complete_everything() {
-        let workload = tasks(60, 40);
-        for stateless in [true, false] {
-            let stats = run_parallel(4, 3, stateless, &workload);
-            assert_eq!(stats.n_tasks(), 60, "stateless={stateless}");
-            assert_eq!(stats.unreported(), 0, "stateless={stateless}");
-            assert_eq!(
-                stats.count(TaskOutcome::CompletedOnTime),
-                60,
-                "stateless={stateless}"
-            );
-        }
+    fn a_run_completes_everything() {
+        let stats = run_parallel(4, 3, &tasks(60, 40));
+        assert_eq!(stats.n_tasks(), 60);
+        assert_eq!(stats.unreported(), 0);
+        assert_eq!(stats.count(TaskOutcome::CompletedOnTime), 60);
     }
 
     #[test]
     fn thread_counts_agree_bit_for_bit() {
         // The crate-local smoke version of the root equivalence suite.
         let workload = tasks(80, 25);
-        for stateless in [true, false] {
-            let reference = run_parallel(4, 1, stateless, &workload);
-            for threads in [2, 4] {
-                let other = run_parallel(4, threads, stateless, &workload);
-                assert_eq!(
-                    serde_json::to_string(&reference).unwrap(),
-                    serde_json::to_string(&other).unwrap(),
-                    "stateless={stateless} threads={threads}"
-                );
-            }
+        let reference = run_parallel(4, 1, &workload);
+        for threads in [2, 4] {
+            let other = run_parallel(4, threads, &workload);
+            assert_eq!(
+                serde_json::to_string(&reference).unwrap(),
+                serde_json::to_string(&other).unwrap(),
+                "threads={threads}"
+            );
         }
     }
 

@@ -103,7 +103,9 @@ pub trait RoutePolicy {
     /// [`RoutePolicy::route`] would pick. In exchange the gateway skips
     /// materialising shard views, and the parallel federated driver
     /// routes the whole arrival stream up front so every shard runs
-    /// its event loop with **zero cross-shard barriers**.
+    /// its event loop with **zero cross-shard barriers**. The parallel
+    /// driver takes only such policies beyond one shard
+    /// ([`crate::ConfigError::ParallelNeedsStatelessRoute`]).
     fn is_stateless(&self) -> bool {
         false
     }

@@ -49,18 +49,21 @@
 //!   existed keep loading. Restore paths default each legacy-absent
 //!   field to "the subsystem didn't exist at capture": a pre-reuse
 //!   snapshot restores with an empty gate, and a pre-tenancy one with
-//!   a fresh `TenantTable` and `sla_rung = None` (SLA-aware pruning
-//!   off) — new state never invents history a bit-identity replay
-//!   would have to explain. State this build no longer has is the
-//!   reverse case: a gateway capture restores only if its `stale`
-//!   view table is absent or null and its `steals` counters are
-//!   absent or all zero (the relaxed-routing layer was off). Anything
-//!   else is a [`SnapshotError::ShapeMismatch`], because resuming it
-//!   would silently run a different federation. Retired state that
-//!   never changed a decision is ignored: a coordinator's resharding
-//!   log, the reuse gate's `seq`/`next_seq` ordinals and a tenant
-//!   table's fair-admission `windows`. A ladder rung above the top
-//!   one is a typed error wherever it appears.
+//!   a fresh `TenantTable` — new state never invents history a
+//!   bit-identity replay would have to explain. State this build no
+//!   longer has is the reverse case: a gateway capture restores only
+//!   if its `stale` view table is absent or null and its `steals`
+//!   counters are absent or all zero (the relaxed-routing layer was
+//!   off). Anything else is a [`SnapshotError::ShapeMismatch`],
+//!   because resuming it would silently run a different federation.
+//!   Retired state that a resumed run cannot miss is ignored: a
+//!   coordinator's resharding log, the reuse gate's `seq`/`next_seq`
+//!   ordinals, a tenant table's fair-admission `windows` and a core's
+//!   `sla_rung` (the overload rung its deferral chance was biased by;
+//!   the core no longer reads one). A journal spans one checkpoint
+//!   interval of one run, so a retired journal op (`Steal`, `Adopt`,
+//!   `SlaRung`) is a [`SnapshotError::Decode`]. A tenant table's
+//!   ladder rung above the top one is a typed error.
 //!
 //! A core restore also checks that the outcome record it stitches back
 //! together describes one run, and returns

@@ -534,15 +534,15 @@ impl<'a, S: Sink> Supervisor<'a, S> {
     fn maintain(&mut self) {
         let watermark = self.engine.arrivals_ingested();
         let now = self.engine.now();
-        // Overload-ladder sensing comes first, so the checkpoints this
-        // pause captures already carry the stepped rung (a recovered
-        // shard replays the threshold history exactly). The pressure
-        // read and the transition are pure functions of shard state at
-        // this quiescent admitted-arrival ordinal, so a healed run
-        // steps exactly like its fault-free twin.
+        // Overload-ladder sensing comes first, before a health check
+        // below can quarantine a shard and move the pressure it reads.
+        // The pressure read and the transition are pure functions of
+        // shard state at this quiescent admitted-arrival ordinal, so a
+        // healed run steps exactly like its fault-free twin.
         if self.engine.gateway_ref().ladder_enabled() {
             let pressure = self.engine.overload_pressure();
-            if let Some((from, to)) = self.engine.overload_tick(pressure) {
+            let tick = self.engine.gateway_mut().overload_tick(pressure);
+            if let Some((from, to)) = tick {
                 let kind = if to > from {
                     RecoveryActionKind::OverloadStepUp { rung: to }
                 } else {

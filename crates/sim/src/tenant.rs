@@ -34,15 +34,16 @@
 //! |------|-----------------|------------------------------------------|
 //! | 0    | admit-all       | quotas only                              |
 //! | 1    | throttle-BE     | BestEffort pays double tokens (or a 1-in-2 duty cycle without a quota) |
-//! | 2    | shed-BE         | BestEffort rejected; Standard pruning thresholds tighten via the per-class chance bias |
+//! | 2    | shed-BE         | BestEffort rejected                      |
 //! | 3    | premium-only    | every non-Premium arrival rejected with [`crate::RunError::Overloaded`] on the fallible path |
 //!
 //! Transitions are monotone (one rung per sensing tick), require
-//! `sustain` consecutive over/under-pressure observations, are
-//! journaled as [`crate::JournalOp::SlaRung`] and logged as
-//! [`crate::RecoveryActionKind::OverloadStepUp`] /
+//! `sustain` consecutive over/under-pressure observations, are logged
+//! as [`crate::RecoveryActionKind::OverloadStepUp`] /
 //! [`crate::RecoveryActionKind::OverloadStepDown`], and step back
-//! down deterministically on recovery.
+//! down deterministically as pressure falls. The rung lives in the
+//! coordinator's table alone: it gates admission and never reaches a
+//! shard, so a crash-recovered shard has no rung to replay.
 
 use serde::{Deserialize, Error, Serialize, Value};
 use taskprune_model::{SimTime, Task};
@@ -52,25 +53,25 @@ use taskprune_model::{SimTime, Task};
 const TOKEN_SCALE: u64 = 1000;
 
 /// Highest ladder rung (premium-only admission).
-pub(crate) const MAX_RUNG: u8 = 3;
+const MAX_RUNG: u8 = 3;
 
-/// A tenant's service class: how late it prunes and how early the
-/// overload ladder sheds it.
+/// A tenant's service class: how early the overload ladder sheds it.
 ///
 /// The class rides on [`Task::value`] as a *value tag* (Premium 2.0,
 /// Standard 1.0, BestEffort 0.5) stamped at admission, so it flows
 /// through journals, snapshots and piggybacks for free — the
 /// serialized stats wire shape never contains task values, so the
-/// stamp is wire-invisible.
+/// stamp is wire-invisible. The core prunes every class alike; a
+/// value-aware [`Pruner`](crate::Pruner) reads the tag to prune by
+/// class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SlaClass {
-    /// Prunes last; admitted even at the top ladder rung.
+    /// Admitted even at the top ladder rung.
     Premium,
-    /// The default class; pruning tightens at rung ≥ 2, admission is
-    /// rejected at rung 3.
+    /// The default class; rejected at rung 3.
     #[default]
     Standard,
-    /// Prunes first; throttled at rung 1, shed from rung 2 up.
+    /// Throttled at rung 1, shed from rung 2 up.
     BestEffort,
 }
 
@@ -81,18 +82,6 @@ impl SlaClass {
             SlaClass::Premium => 2.0,
             SlaClass::Standard => 1.0,
             SlaClass::BestEffort => 0.5,
-        }
-    }
-
-    /// Recovers the class from a task's value tag (the inverse of
-    /// [`SlaClass::value_tag`]; unstamped tasks carry 1.0 = Standard).
-    pub fn from_value_tag(value: f64) -> Self {
-        if value > 1.0 {
-            SlaClass::Premium
-        } else if value < 1.0 {
-            SlaClass::BestEffort
-        } else {
-            SlaClass::Standard
         }
     }
 
@@ -536,34 +525,10 @@ impl TenantTable {
     }
 }
 
-/// The per-class pruning-threshold offset, as a bias added to the
-/// Eq. 2 admission chance before the pruner's deferral test: a
-/// positive bias makes the pruner *less* likely to drop (Premium
-/// prunes last), a negative one *more* likely (BestEffort prunes
-/// first), and the magnitude grows with the ladder rung (rung ≥ 2
-/// additionally tightens Standard). Returns exactly `0.0` for
-/// Standard tasks below rung 2, so an all-Standard tenancy at rung 0
-/// leaves the float path untouched (the quotas-off byte-identity
-/// contract).
-pub(crate) fn sla_chance_bias(value_tag: f64, rung: u8) -> f64 {
-    let r = f64::from(rung);
-    match SlaClass::from_value_tag(value_tag) {
-        SlaClass::Premium => 0.05 * (1.0 + r),
-        SlaClass::BestEffort => -0.05 * (1.0 + r),
-        SlaClass::Standard => {
-            if rung >= 2 {
-                -0.03 * (r - 1.0)
-            } else {
-                0.0
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskprune_model::{TaskId, TaskTypeId};
+    use taskprune_model::TaskTypeId;
 
     fn task(id: u64, arrival: u64) -> Task {
         Task::new(id, TaskTypeId(0), SimTime(arrival), SimTime(arrival + 1000))
@@ -748,16 +713,5 @@ mod tests {
             }
         }
         assert!(rebuilt.restore_value(&misfit).is_err());
-    }
-
-    #[test]
-    fn bias_is_zero_only_for_calm_standard() {
-        assert_eq!(sla_chance_bias(1.0, 0), 0.0);
-        assert_eq!(sla_chance_bias(1.0, 1), 0.0);
-        assert!(sla_chance_bias(1.0, 2) < 0.0);
-        assert!(sla_chance_bias(2.0, 0) > 0.0);
-        assert!(sla_chance_bias(0.5, 0) < 0.0);
-        assert!(sla_chance_bias(0.5, 3) < sla_chance_bias(0.5, 1));
-        let _ = TaskId(0); // silence unused-import lint paths on some cfgs
     }
 }

@@ -381,6 +381,49 @@ fn malformed_outcome_records_are_typed_errors() {
     );
 }
 
+/// A shard checkpoint written by an earlier build carries the core's
+/// `sla_rung`, the overload rung its deferral chance was biased by.
+/// This build ignores the field whatever it holds: the shard recovers
+/// from the checkpoint, and the run finishes exactly as an
+/// uninterrupted one.
+#[test]
+fn legacy_sla_rung_field_is_ignored_on_recovery() {
+    let (cluster, pet, tasks) = fixture(PAGED_SCALE);
+    let reference = json(
+        &builder(&cluster, &pet)
+            .build()
+            .expect("valid configuration")
+            .run_stream(tasks.iter().copied()),
+    );
+    for rung in [
+        serde::Value::Null,
+        serde::Value::UInt(2),
+        serde::Value::UInt(255),
+    ] {
+        let mut engine = builder(&cluster, &pet)
+            .build()
+            .expect("valid configuration");
+        engine.enable_journal();
+        let mut source = tasks.iter().copied().peekable();
+        engine.run_until(&mut source, (tasks.len() / 3) as u64);
+        let snap = resealed(&engine.checkpoint(1), |payload, _| {
+            let serde::Value::Object(fields) = payload else {
+                panic!("core payloads are objects");
+            };
+            fields.push(("sla_rung".to_owned(), rung.clone()));
+        });
+        engine.run_until(&mut source, (2 * tasks.len() / 3) as u64);
+        engine
+            .recover_shard(1, &snap)
+            .unwrap_or_else(|e| panic!("sla_rung {rung:?}: {e:?}"));
+        assert_eq!(
+            reference,
+            json(&engine.finish_stream(&mut source)),
+            "sla_rung {rung:?}: the recovered run diverged"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Coordinator snapshots: hostile payloads and an earlier build's
 // capture.
@@ -451,14 +494,14 @@ fn set_gateway_field(
 /// A coordinator payload that decodes but does not describe a
 /// federation — an event on a shard that does not exist or due before
 /// the clock, a pending count that disagrees with the events, an event
-/// kind no driver schedules, a journaled ladder step above the top
-/// rung — is rejected with a typed error, never a panic and never a
-/// silently different run. So is one that carries state of the
-/// bounded-staleness routing and batch-stealing layer this build no
-/// longer has: a stale view table, non-zero steal counters, a
-/// journaled steal. Each mutated payload is re-sealed, so
-/// it passes `verify` and only the restore's own checks stand between
-/// it and the engine.
+/// kind no driver schedules — is rejected with a typed error, never a
+/// panic and never a silently different run. So is one that carries
+/// state of layers this build no longer has: a stale view table,
+/// non-zero steal counters, a journaled steal (bounded-staleness
+/// routing and batch stealing), a journaled ladder step (the SLA
+/// class bias on the deferral chance). Each mutated payload is
+/// re-sealed, so it passes `verify` and only the restore's own checks
+/// stand between it and the engine.
 #[test]
 fn hostile_coordinator_snapshots_are_typed_errors() {
     let (cluster, pet, tasks) = coordinator_setup();
@@ -582,15 +625,16 @@ fn hostile_coordinator_snapshots_are_typed_errors() {
         p
     };
 
-    // A shard journal holds a step to rung 4 of 0..=3.
-    restore(with_rung_step(3)).expect("a step to the top rung restores");
-    assert!(
-        matches!(
-            restore(with_rung_step(4)),
-            Err(SnapshotError::ShapeMismatch { .. })
-        ),
-        "a journaled rung above the top rung must be a shape mismatch"
-    );
+    // A shard journal holds a ladder step, to a rung in range or not.
+    for rung in [3, 4] {
+        assert!(
+            matches!(
+                restore(with_rung_step(rung)),
+                Err(SnapshotError::Decode(_))
+            ),
+            "a journaled step to rung {rung} must fail to decode"
+        );
+    }
 
     // A shard journal holds a steal.
     let mut p = genuine;

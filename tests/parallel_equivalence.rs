@@ -12,13 +12,13 @@
 //! transitively pins the parallel driver all the way down to the bare
 //! core.
 //!
-//! Both scheduling regimes are covered:
-//!
-//! * **stateless routing** (round-robin): arrivals are routed up front
-//!   and every shard replays with zero cross-shard barriers;
-//! * **state-dependent routing** (least-queued, best-chance): lockstep
-//!   epochs — every shard advances to each arrival's watermark before
-//!   the coordinator routes on fresh views.
+//! The parallel driver routes the whole stream up front, so it takes
+//! a **stateless** policy (round-robin) beyond one shard, and every
+//! shard replays with zero cross-shard barriers. A policy that reads
+//! shard state (least-queued, best-chance) on more than one shard is a
+//! typed build error; on one shard it runs, and matches the serial
+//! driver. The serial driver's stateful routing is pinned by
+//! `tests/golden.rs`.
 //!
 //! A property test feeds hostile arrival bursts (many tasks at the
 //! same instant, sparse/duplicated external ids, deadlines tight
@@ -29,7 +29,7 @@ mod common;
 use proptest::prelude::*;
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
-use taskprune_sim::TraceLog;
+use taskprune_sim::{ConfigError, TraceLog};
 
 fn fixture(seed: u64, scale: f64) -> (Cluster, PetMatrix, Vec<Task>) {
     let pet = PetGenConfig::paper_heterogeneous(
@@ -143,32 +143,51 @@ fn parallel_matches_serial_across_shards_and_threads() {
     }
 }
 
-/// State-dependent policies drive the lockstep schedule; the routed
-/// views must be exactly as fresh as the serial driver's.
+/// A policy that reads shard state cannot route more than one shard
+/// on the parallel driver: the build is a typed error, at any thread
+/// count. On one shard the routing decision is fixed, so the same
+/// policies build and match the serial driver.
 #[test]
-fn lockstep_policies_match_serial() {
+fn stateful_policies_need_one_shard_on_the_parallel_driver() {
     let scale = common::test_scale();
     let (cluster, pet, tasks) = fixture(1111, scale);
     for policy in [1usize, 2] {
+        let name = policy_by_index(policy).name().to_owned();
+        for shards in [2usize, 4] {
+            let err = GatewayBuilder::new(&cluster, &pet)
+                .config(SimConfig::batch(55))
+                .shards(shards)
+                .policy_boxed(policy_by_index(policy))
+                .strategy_with(|_| HeuristicKind::Mm.make())
+                .threads(2)
+                .build_parallel()
+                .expect_err("a stateful policy has no parallel schedule");
+            assert_eq!(
+                err,
+                ConfigError::ParallelNeedsStatelessRoute {
+                    policy: name.clone()
+                },
+                "{name} on {shards} shards"
+            );
+        }
         let serial =
-            federated_stats(&cluster, &pet, 55, 4, None, policy, false, &tasks);
+            federated_stats(&cluster, &pet, 55, 1, None, policy, false, &tasks);
         assert_eq!(serial.unreported(), 0);
-        let serial_json = json(&serial);
-        for threads in [1usize, 2, 8] {
+        for threads in [1usize, 2] {
             let parallel = federated_stats(
                 &cluster,
                 &pet,
                 55,
-                4,
+                1,
                 Some(threads),
                 policy,
                 false,
                 &tasks,
             );
             assert_eq!(
-                serial_json,
+                json(&serial),
                 json(&parallel),
-                "policy #{policy} threads={threads}: lockstep schedule \
+                "{name} on one shard, threads={threads}: parallel driver \
                  diverged from FederatedEngine"
             );
         }
@@ -182,29 +201,18 @@ fn lockstep_policies_match_serial() {
 fn traced_runs_carry_identical_per_shard_traces() {
     let scale = common::test_scale() * 0.5;
     let (cluster, pet, tasks) = fixture(2222, scale);
-    for policy in [0usize, 1] {
-        let serial =
-            federated_stats(&cluster, &pet, 55, 2, None, policy, true, &tasks);
-        let parallel = federated_stats(
-            &cluster,
-            &pet,
-            55,
-            2,
-            Some(2),
-            policy,
-            true,
-            &tasks,
-        );
-        assert!(
-            serial.per_shard.iter().all(|s| s.trace.is_some()),
-            "traced fixture must actually record traces"
-        );
-        assert_eq!(
-            json(&serial),
-            json(&parallel),
-            "policy #{policy}: traced parallel run diverged"
-        );
-    }
+    let serial = federated_stats(&cluster, &pet, 55, 2, None, 0, true, &tasks);
+    let parallel =
+        federated_stats(&cluster, &pet, 55, 2, Some(2), 0, true, &tasks);
+    assert!(
+        serial.per_shard.iter().all(|s| s.trace.is_some()),
+        "traced fixture must actually record traces"
+    );
+    assert_eq!(
+        json(&serial),
+        json(&parallel),
+        "traced parallel run diverged"
+    );
 }
 
 /// A caller that re-submits an external id can still complete the
@@ -284,7 +292,7 @@ proptest! {
     /// Bursts of simultaneous arrivals with sparse/duplicate external
     /// ids and burst-dependent deadlines (tight enough under load to
     /// force reactive drops and pruning) replay bit-identically
-    /// through the parallel driver, under both scheduling regimes.
+    /// through the parallel driver.
     #[test]
     fn hostile_bursts_replay_bit_identically(
         raw in proptest::collection::vec((any::<u32>(), 0u64..3), 8..60),
@@ -322,41 +330,38 @@ proptest! {
             ));
         }
 
-        for policy in [0usize, 1] {
-            let run = |threads: Option<usize>| -> FederationStats {
-                let b = GatewayBuilder::new(&cluster, &pet)
-                    .config(SimConfig::batch(9))
-                    .shards(3)
-                    .policy_boxed(policy_by_index(policy))
-                    .strategy_with(|_| HeuristicKind::FcfsRr.make())
-                    .pruner_with(|_| {
-                        Box::new(PruningMechanism::new(
-                            PruningConfig::paper_default(),
-                            2,
-                        ))
-                    });
-                match threads {
-                    None => b
-                        .build()
-                        .expect("valid configuration")
-                        .run_stream(stream.iter().copied()),
-                    Some(t) => b
-                        .threads(t)
-                        .build_parallel()
-                        .expect("valid configuration")
-                        .run_stream(stream.iter().copied()),
-                }
-            };
-            let serial = run(None);
-            prop_assert_eq!(serial.unreported(), 0);
-            let parallel = run(Some(3));
-            prop_assert_eq!(
-                json(&serial),
-                json(&parallel),
-                "policy #{} diverged on a hostile burst stream",
-                policy
-            );
-        }
+        let run = |threads: Option<usize>| -> FederationStats {
+            let b = GatewayBuilder::new(&cluster, &pet)
+                .config(SimConfig::batch(9))
+                .shards(3)
+                .policy(RoundRobinRoute::new())
+                .strategy_with(|_| HeuristicKind::FcfsRr.make())
+                .pruner_with(|_| {
+                    Box::new(PruningMechanism::new(
+                        PruningConfig::paper_default(),
+                        2,
+                    ))
+                });
+            match threads {
+                None => b
+                    .build()
+                    .expect("valid configuration")
+                    .run_stream(stream.iter().copied()),
+                Some(t) => b
+                    .threads(t)
+                    .build_parallel()
+                    .expect("valid configuration")
+                    .run_stream(stream.iter().copied()),
+            }
+        };
+        let serial = run(None);
+        prop_assert_eq!(serial.unreported(), 0);
+        let parallel = run(Some(3));
+        prop_assert_eq!(
+            json(&serial),
+            json(&parallel),
+            "parallel driver diverged on a hostile burst stream"
+        );
     }
 }
 
@@ -364,9 +369,7 @@ proptest! {
 #[ignore = "full-size parallel-equivalence sweep; run with --ignored"]
 fn full_scale_parallel_matches_serial() {
     let (cluster, pet, tasks) = fixture(4376, 1.0);
-    for (shards, threads, policy) in
-        [(4usize, 8usize, 0usize), (4, 8, 1), (2, 2, 2)]
-    {
+    for (shards, threads, policy) in [(4usize, 8usize, 0usize), (2, 2, 0)] {
         let serial = federated_stats(
             &cluster, &pet, 55, shards, None, policy, false, &tasks,
         );

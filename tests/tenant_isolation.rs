@@ -11,11 +11,12 @@
 //!    every thread count. The overload ladder is sensed by the
 //!    supervisor, and supervised runs use the serial driver, so the
 //!    ladder leg is serial-only: it must trip and stay deterministic.
-//! 3. **Replay exactness.** Ladder transitions are journaled
-//!    (`JournalOp::SlaRung`); a supervised run that heals a fault
-//!    storm — crashes recovered from checkpoint + journal replay with
-//!    rung transitions inside the replay window — finishes
-//!    byte-identical to the fault-free supervised run.
+//! 3. **Replay exactness.** The ladder rung lives in the
+//!    coordinator's tenant table, which no shard crash touches; a
+//!    supervised run that heals a fault storm — crashes recovered from
+//!    checkpoint + journal replay with rung transitions inside the
+//!    replay window — finishes byte-identical to the fault-free
+//!    supervised run.
 //! 4. **Invisibility when off.** An all-Standard, no-quota, no-ladder
 //!    tenancy is byte-identical to a gateway without tenancy, and the
 //!    per-tenant counters stay off the stats wire shape.
@@ -288,7 +289,7 @@ fn quotas_and_ladder_stay_driver_agnostic() {
 
 /// A supervised run with quotas + ladder that heals a generated fault
 /// storm — shard crashes rebuilt from checkpoint + journal replay,
-/// with `SlaRung` transitions inside the replay window — serializes
+/// with ladder transitions inside the replay window — serializes
 /// identically to the fault-free supervised run.
 #[test]
 fn ladder_transitions_replay_exactly_across_crash_recovery() {
