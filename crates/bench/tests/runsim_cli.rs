@@ -3,7 +3,7 @@
 //! exit 0.
 
 use std::process::Command;
-use taskprune_model::{SimTime, Task, TaskId};
+use taskprune_model::{SimTime, Task, TaskId, TaskTypeId};
 
 /// Runs `runsim` and asserts the clean rejection; returns its stderr.
 fn rejected(args: &[&str]) -> String {
@@ -87,6 +87,15 @@ fn zero_capacity_exits_2() {
     let path = trial_file("runsim_zero_capacity.json", |_| {});
     let stderr = rejected(&[&path, "--capacity", "0"]);
     assert!(stderr.contains("queue_capacity"), "{stderr}");
+}
+
+#[test]
+fn unknown_task_type_exits_2() {
+    let path = trial_file("runsim_unknown_type.json", |tasks| {
+        tasks[3].type_id = TaskTypeId(99);
+    });
+    let stderr = rejected(&[&path]);
+    assert!(stderr.contains("type 99"), "{stderr}");
 }
 
 #[test]

@@ -14,7 +14,8 @@ use taskprune_model::{Cluster, PetMatrix, Task};
 use taskprune_sim::{
     ConfigError, FaultPlan, FederationStats, GatewayBuilder, MappingStrategy,
     RecoveryPolicy, ReusePolicy, RoundRobinRoute, RoutePolicy, RunError,
-    SimConfig, SimStats, Snapshot, SnapshotError, Supervisor, TraceLog,
+    SimConfig, SimStats, Snapshot, SnapshotError, StatsError, Supervisor,
+    TraceLog,
 };
 
 /// The mapping heuristic an allocator runs: one of the paper's ten by
@@ -118,8 +119,8 @@ impl<'a> ResourceAllocator<'a> {
     }
 
     /// Runs the workload on the single cluster and returns its outcome
-    /// record, surfacing any configuration problem as a typed
-    /// [`RunError`].
+    /// record, surfacing any configuration problem, or a task of a type
+    /// the PET matrix lacks, as a typed [`RunError`].
     ///
     /// The run is the one-shard case of the federated setup
     /// ([`taskprune_sim::FederatedEngine::run_stream`]), so the
@@ -128,6 +129,7 @@ impl<'a> ResourceAllocator<'a> {
     /// sparse (timestamps, snowflakes); a trace whose ids are its
     /// arrival indices, as every `WorkloadTrial`'s are, keeps them.
     pub fn try_run(self, tasks: &[Task]) -> Result<SimStats, RunError> {
+        self.check_types(tasks)?;
         let traced = self.traced;
         let builder =
             self.gateway_builder(1, Box::new(RoundRobinRoute::new()))?;
@@ -165,6 +167,7 @@ impl<'a> ResourceAllocator<'a> {
         policy: Box<dyn RoutePolicy>,
         tasks: &[Task],
     ) -> Result<FederationStats, RunError> {
+        self.check_types(tasks)?;
         Ok(self
             .federated_builder(shards, policy)?
             .build()?
@@ -189,6 +192,7 @@ impl<'a> ResourceAllocator<'a> {
         policy: Box<dyn RoutePolicy>,
         tasks: &[Task],
     ) -> Result<FederationStats, RunError> {
+        self.check_types(tasks)?;
         let mut builder = self.federated_builder(shards, policy)?;
         if let Some(threads) = threads {
             builder = builder.threads(threads);
@@ -227,6 +231,7 @@ impl<'a> ResourceAllocator<'a> {
         restart: Option<(u64, Box<dyn RoutePolicy>)>,
         tasks: &[Task],
     ) -> Result<FederationStats, RunError> {
+        self.check_types(tasks)?;
         if restart.is_some() && matches!(self.mapper, Some(Mapper::Custom(_))) {
             // The restart builds the federation twice, and one custom
             // instance cannot serve both.
@@ -254,6 +259,17 @@ impl<'a> ResourceAllocator<'a> {
         // every shard at the restart point and resumes the cadence.
         let sup = Supervisor::new(successor, recovery);
         Ok(sup.finish_stream(&mut source))
+    }
+
+    /// Rejects a workload with a task of a type the PET matrix lacks
+    /// ([`StatsError::UnknownTaskType`]) before anything runs: the
+    /// drivers' push paths would panic on it mid-run.
+    fn check_types(&self, tasks: &[Task]) -> Result<(), RunError> {
+        let types = self.pet.n_task_types();
+        for task in tasks {
+            StatsError::check_type(task, types)?;
+        }
+        Ok(())
     }
 
     /// A second allocator with the same run configuration, for the
@@ -349,6 +365,7 @@ impl<'a> ResourceAllocator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taskprune_model::TaskTypeId;
     use taskprune_workload::{PetGenConfig, WorkloadConfig};
 
     #[test]
@@ -431,8 +448,55 @@ mod tests {
     }
 
     #[test]
+    fn every_try_run_rejects_an_unknown_task_type() {
+        let pet = PetGenConfig::paper_heterogeneous(3).generate();
+        let cluster = taskprune_workload::machines::heterogeneous_cluster();
+        let mut trial = WorkloadConfig {
+            total_tasks: 100,
+            span_tu: 40.0,
+            ..WorkloadConfig::paper_default(6)
+        }
+        .generate_trial(&pet, 0);
+        trial.tasks[7].type_id = TaskTypeId(99);
+        let want = RunError::Stats(StatsError::UnknownTaskType {
+            id: trial.tasks[7].id.0,
+            type_id: 99,
+            types: pet.n_task_types(),
+        });
+        let alloc = || {
+            ResourceAllocator::new(&cluster, &pet, SimConfig::batch(1))
+                .heuristic(HeuristicKind::Mm)
+        };
+        let rr = || Box::new(RoundRobinRoute::new());
+        assert_eq!(alloc().try_run(&trial.tasks).err(), Some(want.clone()));
+        assert_eq!(
+            alloc().try_run_federated(2, rr(), &trial.tasks).err(),
+            Some(want.clone())
+        );
+        assert_eq!(
+            alloc()
+                .try_run_federated_parallel(2, Some(1), rr(), &trial.tasks)
+                .err(),
+            Some(want.clone())
+        );
+        assert_eq!(
+            alloc()
+                .try_run_federated_supervised(
+                    2,
+                    rr(),
+                    RecoveryPolicy::default(),
+                    None,
+                    None,
+                    &trial.tasks,
+                )
+                .err(),
+            Some(want)
+        );
+    }
+
+    #[test]
     fn try_run_keys_sparse_ids_by_arrival_order() {
-        use taskprune_model::{SimTime, TaskId, TaskOutcome, TaskTypeId};
+        use taskprune_model::{SimTime, TaskId, TaskOutcome};
         let pet = PetGenConfig::paper_heterogeneous(3).generate();
         let cluster = taskprune_workload::machines::heterogeneous_cluster();
         // Snowflake-style ids, out of order, straight into a single

@@ -21,17 +21,30 @@
 //! type, not once per task. Committing a task to machine *j* only raises
 //! *j*'s ready time (or fills *j*), so a type's best machine can change
 //! only if it was *j* — the invalidation of Ezzatti et al.'s efficient
-//! Min-Min (the paper's ref. \[22\]). Phase 2 still scans the unassigned
-//! tasks in order, so the output is identical to recomputing phase 1
-//! for every task.
+//! Min-Min (the paper's ref. \[22\]). The output is identical to
+//! recomputing phase 1 for every task.
 //!
-//! Ties: MM and MMU break equal scores by task id. MSD has no id
-//! tie-break on purpose: among equal deadlines and completions the
-//! first task in scan order wins, and the scan order is the candidate
-//! order perturbed by `swap_remove`. That order dependence is part of
-//! MSD's pinned behaviour.
+//! Phase 2 of MM runs per type too. Every candidate of a type shares
+//! that type's phase-1 completion, and MM breaks equal completions by
+//! task id, so the winner is the lowest unassigned id of the type with
+//! the best (completion, lowest unassigned id). Each type's candidates
+//! are sorted by id once per call, so a proposal costs O(types) instead
+//! of a scan of every unassigned task. The types are found through a
+//! table indexed by type id whose entries carry the call they were
+//! written in, so no call clears it.
+//!
+//! MSD and MMU keep the scan. MSD has no id tie-break on purpose: among
+//! equal deadlines and completions the first task in scan order wins,
+//! and the scan order is the candidate order perturbed by `swap_remove`.
+//! That order dependence is part of MSD's pinned behaviour, and no
+//! per-type summary reproduces it. MMU ranks by deadline as well as
+//! completion, so a type's best task is not its lowest id; it breaks
+//! ties by id like MM.
+//!
+//! Candidate ids must be unique (the scheduler core's are): with a
+//! repeated id the (completion, id) order would not name one winner.
 
-use taskprune_model::{MachineId, Task, TaskTypeId};
+use taskprune_model::{MachineId, Task};
 use taskprune_sim::{Assignment, BatchMapper, SystemView};
 
 /// The phase-2 selection rule distinguishing MM / MSD / MMU.
@@ -47,7 +60,8 @@ pub enum Phase2 {
 
 /// A generic two-phase batch heuristic; [`MM`], [`MSD`] and [`MMU`] are
 /// thin constructors over this. The vectors are scratch reused across
-/// calls; no state survives a call.
+/// calls; no state survives a call (the type table's entries from an
+/// earlier call are stale by their stamp).
 #[derive(Debug)]
 pub struct TwoPhase {
     name: &'static str,
@@ -56,17 +70,32 @@ pub struct TwoPhase {
     ready: Vec<f64>,
     /// Virtual free-slot count per machine.
     slots: Vec<usize>,
-    /// Unassigned set as indices into the candidate slice.
-    unassigned: Vec<usize>,
+    /// Stamps the entries of `kind_at` written by this call.
+    call: u64,
+    /// Per task type id: (the call that wrote it, its index in `kinds`).
+    kind_at: Vec<(u64, usize)>,
     /// The task types present among the candidates.
-    kinds: Vec<TaskTypeId>,
+    kinds: Vec<Kind>,
     /// Per candidate: the index of its type in `kinds`.
     kind_of: Vec<usize>,
     /// Expected execution ticks, one row of machines per present type.
     exec: Vec<f64>,
-    /// Per present type: its phase-1 best (machine, completion), or
-    /// `None` until phase 2 next needs it.
-    best: Vec<Option<(usize, f64)>>,
+    /// MM: candidate indices grouped by type, each group in id order.
+    members: Vec<usize>,
+    /// MSD, MMU: the unassigned set as indices into the candidates.
+    unassigned: Vec<usize>,
+}
+
+/// One task type present among the candidates.
+#[derive(Debug, Clone, Copy)]
+struct Kind {
+    /// Its phase-1 best (machine, completion), or `None` until phase 2
+    /// next needs it.
+    best: Option<(usize, f64)>,
+    /// MM: its group in `members` is `next..end`, the lowest unassigned
+    /// id at `next`. While grouping, `end` counts the members.
+    next: usize,
+    end: usize,
 }
 
 impl TwoPhase {
@@ -77,11 +106,185 @@ impl TwoPhase {
             phase2,
             ready: Vec::new(),
             slots: Vec::new(),
-            unassigned: Vec::new(),
+            call: 0,
+            kind_at: Vec::new(),
             kinds: Vec::new(),
             kind_of: Vec::new(),
             exec: Vec::new(),
-            best: Vec::new(),
+            members: Vec::new(),
+            unassigned: Vec::new(),
+        }
+    }
+
+    /// Groups the candidates by task type, reading each present type's
+    /// execution row once.
+    fn group(&mut self, view: &SystemView<'_>, candidates: &[Task]) {
+        let n_machines = view.n_machines();
+        self.call += 1;
+        self.kinds.clear();
+        self.kind_of.clear();
+        self.exec.clear();
+        for task in candidates {
+            let t = task.type_id.0 as usize;
+            if t >= self.kind_at.len() {
+                self.kind_at.resize(t + 1, (0, 0));
+            }
+            let (call, k) = self.kind_at[t];
+            let k = if call == self.call {
+                k
+            } else {
+                let k = self.kinds.len();
+                self.kind_at[t] = (self.call, k);
+                self.kinds.push(Kind {
+                    best: None,
+                    next: 0,
+                    end: 0,
+                });
+                self.exec.extend((0..n_machines).map(|m| {
+                    view.expected_exec_ticks(MachineId(m as u16), task.type_id)
+                }));
+                k
+            };
+            self.kinds[k].end += 1;
+            self.kind_of.push(k);
+        }
+    }
+
+    /// Phase 1 for present type `k`, recomputed if a commit invalidated
+    /// it.
+    fn best_of(&mut self, k: usize) -> Option<(usize, f64)> {
+        let n_machines = self.ready.len();
+        let kind = &mut self.kinds[k];
+        if kind.best.is_none() {
+            let row = &self.exec[k * n_machines..];
+            kind.best = best_machine(row, &self.ready, &self.slots);
+        }
+        kind.best
+    }
+
+    /// Commits a task of present type `k` to machine `m`. Only the
+    /// types whose best machine was `m` can have a new best (every
+    /// other machine is unchanged); phase 2 recomputes those when it
+    /// next needs one.
+    fn commit(
+        &mut self,
+        k: usize,
+        m: usize,
+        task: &Task,
+        out: &mut Vec<Assignment>,
+    ) {
+        self.ready[m] += self.exec[k * self.ready.len() + m];
+        self.slots[m] -= 1;
+        out.push(Assignment {
+            task: task.id,
+            machine: MachineId(m as u16),
+        });
+        for kind in &mut self.kinds {
+            if kind.best.is_some_and(|(b, _)| b == m) {
+                kind.best = None;
+            }
+        }
+    }
+
+    /// MM's phase 2 by type: the winner is the lexicographic minimum,
+    /// over the types with a task left, of (phase-1 completion, lowest
+    /// unassigned id).
+    fn min_min(&mut self, candidates: &[Task], out: &mut Vec<Assignment>) {
+        // Counting sort of the candidate indices into per-type groups,
+        // each then sorted by id (in the core's arrival order the ids
+        // already ascend).
+        let mut at = 0;
+        for kind in &mut self.kinds {
+            let len = kind.end;
+            kind.next = at;
+            kind.end = at;
+            at += len;
+        }
+        self.members.clear();
+        self.members.resize(candidates.len(), 0);
+        for (ti, &k) in self.kind_of.iter().enumerate() {
+            self.members[self.kinds[k].end] = ti;
+            self.kinds[k].end += 1;
+        }
+        for kind in &self.kinds {
+            self.members[kind.next..kind.end]
+                .sort_unstable_by_key(|&ti| candidates[ti].id);
+        }
+        let mut left = candidates.len();
+        while left > 0 && self.slots.iter().any(|&s| s > 0) {
+            // (type, machine, completion, candidate index)
+            let mut winner: Option<(usize, usize, f64, usize)> = None;
+            for k in 0..self.kinds.len() {
+                let Kind { next, end, .. } = self.kinds[k];
+                if next == end {
+                    continue;
+                }
+                let Some((machine, completion)) = self.best_of(k) else {
+                    break;
+                };
+                let ti = self.members[next];
+                let better = winner.is_none_or(|(_, _, wcomp, wti)| {
+                    completion < wcomp
+                        || (completion == wcomp
+                            && candidates[ti].id < candidates[wti].id)
+                });
+                if better {
+                    winner = Some((k, machine, completion, ti));
+                }
+            }
+            let Some((k, m, _, ti)) = winner else {
+                break;
+            };
+            self.kinds[k].next += 1;
+            left -= 1;
+            self.commit(k, m, &candidates[ti], out);
+        }
+    }
+
+    /// MSD's and MMU's phase 2: a scan of every unassigned task per
+    /// proposal.
+    fn scan(&mut self, candidates: &[Task], out: &mut Vec<Assignment>) {
+        self.unassigned.clear();
+        self.unassigned.extend(0..candidates.len());
+        while !self.unassigned.is_empty() && self.slots.iter().any(|&s| s > 0) {
+            // The winning (unassigned index, machine, completion).
+            let mut winner: Option<(usize, usize, f64)> = None;
+            for idx in 0..self.unassigned.len() {
+                let ti = self.unassigned[idx];
+                let task = &candidates[ti];
+                let Some((machine, completion)) =
+                    self.best_of(self.kind_of[ti])
+                else {
+                    break;
+                };
+                let better = match (winner, self.phase2) {
+                    (None, _) => true,
+                    (Some((widx, _, wcomp)), Phase2::SoonestDeadline) => {
+                        let w = &candidates[self.unassigned[widx]];
+                        task.deadline < w.deadline
+                            || (task.deadline == w.deadline
+                                && completion < wcomp)
+                    }
+                    (Some((widx, _, wcomp)), Phase2::MaxUrgency) => {
+                        let w = &candidates[self.unassigned[widx]];
+                        let u_t =
+                            urgency(task.deadline.ticks() as f64, completion);
+                        let u_w = urgency(w.deadline.ticks() as f64, wcomp);
+                        u_t > u_w || (u_t == u_w && task.id < w.id)
+                    }
+                    (Some(_), Phase2::MinCompletion) => {
+                        unreachable!("MM selects by type")
+                    }
+                };
+                if better {
+                    winner = Some((idx, machine, completion));
+                }
+            }
+            let Some((idx, m, _)) = winner else {
+                break;
+            };
+            let ti = self.unassigned.swap_remove(idx);
+            self.commit(self.kind_of[ti], m, &candidates[ti], out);
         }
     }
 }
@@ -193,91 +396,11 @@ impl BatchMapper for TwoPhase {
         self.slots.extend(
             (0..n_machines).map(|m| view.free_slots(MachineId(m as u16))),
         );
-        self.unassigned.clear();
-        self.unassigned.extend(0..candidates.len());
-        // Group the candidates by task type, reading each present
-        // type's execution row once.
-        self.kinds.clear();
-        self.kind_of.clear();
-        self.exec.clear();
-        for task in candidates {
-            let k = match self.kinds.iter().position(|&t| t == task.type_id) {
-                Some(k) => k,
-                None => {
-                    self.kinds.push(task.type_id);
-                    self.exec.extend((0..n_machines).map(|m| {
-                        view.expected_exec_ticks(
-                            MachineId(m as u16),
-                            task.type_id,
-                        )
-                    }));
-                    self.kinds.len() - 1
-                }
-            };
-            self.kind_of.push(k);
-        }
-        self.best.clear();
-        self.best.resize(self.kinds.len(), None);
-
-        while !self.unassigned.is_empty() && self.slots.iter().any(|&s| s > 0) {
-            // Phase 2: the winning (unassigned index, machine,
-            // completion) by the heuristic's rule.
-            let mut winner: Option<(usize, usize, f64)> = None;
-            for (idx, &ti) in self.unassigned.iter().enumerate() {
-                let task = &candidates[ti];
-                // Phase 1: best machine (min expected completion) for
-                // the task's type, among machines with a free slot.
-                let k = self.kind_of[ti];
-                if self.best[k].is_none() {
-                    let row = &self.exec[k * n_machines..];
-                    self.best[k] = best_machine(row, &self.ready, &self.slots);
-                }
-                let Some((machine, completion)) = self.best[k] else {
-                    break;
-                };
-                let better = match (winner, self.phase2) {
-                    (None, _) => true,
-                    (Some((widx, _, wcomp)), Phase2::MinCompletion) => {
-                        completion < wcomp
-                            || (completion == wcomp
-                                && task.id
-                                    < candidates[self.unassigned[widx]].id)
-                    }
-                    (Some((widx, _, wcomp)), Phase2::SoonestDeadline) => {
-                        let w = &candidates[self.unassigned[widx]];
-                        task.deadline < w.deadline
-                            || (task.deadline == w.deadline
-                                && completion < wcomp)
-                    }
-                    (Some((widx, _, wcomp)), Phase2::MaxUrgency) => {
-                        let w = &candidates[self.unassigned[widx]];
-                        let u_t =
-                            urgency(task.deadline.ticks() as f64, completion);
-                        let u_w = urgency(w.deadline.ticks() as f64, wcomp);
-                        u_t > u_w || (u_t == u_w && task.id < w.id)
-                    }
-                };
-                if better {
-                    winner = Some((idx, machine, completion));
-                }
-            }
-            let Some((idx, m, _)) = winner else {
-                break;
-            };
-            let ti = self.unassigned.swap_remove(idx);
-            self.ready[m] += self.exec[self.kind_of[ti] * n_machines + m];
-            self.slots[m] -= 1;
-            out.push(Assignment {
-                task: candidates[ti].id,
-                machine: MachineId(m as u16),
-            });
-            // Only the types whose best machine was just filled can
-            // have a new best (every other machine is unchanged); phase
-            // 2 recomputes those when it next meets one.
-            for best in &mut self.best {
-                if best.is_some_and(|(b, _)| b == m) {
-                    *best = None;
-                }
+        self.group(view, candidates);
+        match self.phase2 {
+            Phase2::MinCompletion => self.min_min(candidates, out),
+            Phase2::SoonestDeadline | Phase2::MaxUrgency => {
+                self.scan(candidates, out)
             }
         }
     }
@@ -289,8 +412,10 @@ mod tests {
     use proptest::prelude::*;
     use taskprune_model::{
         BinSpec, Cluster, Machine, MachineTypeId, PetMatrix, SimTime, TaskId,
+        TaskTypeId,
     };
     use taskprune_prob::Pmf;
+    use taskprune_sim::queue::MachineQueue;
     use taskprune_sim::queue_testing::make_queues;
 
     /// 2 machines × 2 task types: machine 0 fast for both types but
@@ -576,5 +701,139 @@ mod tests {
                 );
             }
         }
+
+        /// Whole mapping events, the way the core's Step 7–10 loop
+        /// drives a mapper: every round's proposals leave the candidate
+        /// set, a random subset of them is admitted to the real queues
+        /// (the rest are deferred and wait for the next event), and the
+        /// next round maps what is left. Every round must equal the
+        /// naive loop over freshly rebuilt queues, so neither reused
+        /// scratch nor a stale queue memo can pass unseen. Up to 16 task
+        /// types with sparse type and task ids, one type often holding
+        /// most of the candidates, and point-mass PETs from three bins,
+        /// so equal completions across types are common.
+        #[test]
+        fn whole_events_match_the_naive_loop_round_by_round(
+            (bins, capacity, backlog) in (
+                prop::collection::vec(1u64..4, 2 * 16),
+                1usize..4,
+                prop::collection::vec(0usize..4, 4),
+            ),
+            pool in prop::collection::vec(0u16..16, 1..6),
+            events in prop::collection::vec(
+                prop::collection::vec((0usize..8, 1u64..4), 0..16),
+                1..4,
+            ),
+            admit_mask in any::<u64>()
+        ) {
+            let pet = PetMatrix::new(
+                BinSpec::new(100),
+                2,
+                16,
+                bins.into_iter().map(Pmf::point_mass).collect(),
+            );
+            let cluster = Cluster::new(
+                (0..4).map(|m| Machine::new(m, MachineTypeId(m % 2))).collect(),
+            );
+            for phase2 in [
+                Phase2::MinCompletion,
+                Phase2::SoonestDeadline,
+                Phase2::MaxUrgency,
+            ] {
+                let mut queues = make_queues(&cluster, capacity, 256);
+                for (m, &depth) in backlog.iter().enumerate() {
+                    for i in 0..depth.min(capacity) as u64 {
+                        queues[m].admit(Task::new(
+                            500 + 10 * m as u64 + i,
+                            TaskTypeId(pool[i as usize % pool.len()]),
+                            SimTime(0),
+                            SimTime(1_000_000),
+                        ));
+                    }
+                }
+                let mut mapper = TwoPhase::new("under-test", phase2);
+                let mut pending: Vec<Task> = Vec::new();
+                let (mut next, mut proposed) = (0u64, 0u32);
+                let mut now = SimTime(0);
+                for arrivals in &events {
+                    // A type choice past the pool lands on its first
+                    // type; ids are unique, sparse and out of order.
+                    for &(choice, d) in arrivals {
+                        let type_id = pool.get(choice).unwrap_or(&pool[0]);
+                        pending.push(Task::new(
+                            10_000_000_000 + next * 2_654_435_761 % 4_294_967_311,
+                            TaskTypeId(*type_id),
+                            now,
+                            SimTime(now.ticks() + d * 400),
+                        ));
+                        next += 1;
+                    }
+                    let mut candidates = pending.clone();
+                    while !candidates.is_empty()
+                        && queues.iter().any(|q| q.free_slots() > 0)
+                    {
+                        let got = mapper.select(
+                            &SystemView::new(now, &queues, &pet),
+                            &candidates,
+                        );
+                        let fresh = rebuilt(&cluster, capacity, &queues);
+                        let want = naive_select(
+                            phase2,
+                            &SystemView::new(now, &fresh, &pet),
+                            &candidates,
+                        );
+                        prop_assert_eq!(&got, &want, "{:?} at {:?}", phase2, now);
+                        let undecided = candidates.len();
+                        for a in &got {
+                            let m = a.machine.0 as usize;
+                            if queues[m].free_slots() == 0 {
+                                continue; // stale, as in the core
+                            }
+                            let Some(ci) =
+                                candidates.iter().position(|t| t.id == a.task)
+                            else {
+                                continue;
+                            };
+                            let task = candidates.remove(ci);
+                            if admit_mask >> (proposed % 64) & 1 == 1 {
+                                pending.retain(|t| t.id != task.id);
+                                queues[m].admit(task);
+                            }
+                            proposed += 1;
+                        }
+                        if candidates.len() == undecided {
+                            break;
+                        }
+                    }
+                    // Between events: idle machines start their heads,
+                    // and the clock moves on.
+                    for q in &mut queues {
+                        if let Some(head) = q.pop_head_for_start() {
+                            q.set_running(head, now);
+                        }
+                    }
+                    now = SimTime(now.ticks() + 150);
+                }
+            }
+        }
+    }
+
+    /// A fresh copy of every queue — the same running task and waiting
+    /// list — with none of its memos filled.
+    fn rebuilt(
+        cluster: &Cluster,
+        capacity: usize,
+        queues: &[MachineQueue],
+    ) -> Vec<MachineQueue> {
+        let mut fresh = make_queues(cluster, capacity, 256);
+        for (f, q) in fresh.iter_mut().zip(queues) {
+            if let Some(rt) = q.running() {
+                f.set_running(rt.task, rt.start);
+            }
+            for task in q.waiting() {
+                f.admit(*task);
+            }
+        }
+        fresh
     }
 }

@@ -32,6 +32,8 @@ pub struct PetMatrix {
     entries: Vec<Pmf>,
     /// Cached expectations in bins, same layout.
     expected_bins: Vec<f64>,
+    /// Cached expectations in ticks (bin midpoints), same layout.
+    expected_ticks: Vec<f64>,
 }
 
 impl PetMatrix {
@@ -51,13 +53,18 @@ impl PetMatrix {
             n_machine_types * n_task_types,
             "PET matrix shape mismatch"
         );
-        let expected_bins = entries.iter().map(|p| p.expectation()).collect();
+        let expected_bins: Vec<f64> =
+            entries.iter().map(|p| p.expectation()).collect();
+        let width = bin_spec.width() as f64;
+        let expected_ticks =
+            expected_bins.iter().map(|&e| (e + 0.5) * width).collect();
         Self {
             bin_spec,
             n_machine_types,
             n_task_types,
             entries,
             expected_bins,
+            expected_ticks,
         }
     }
 
@@ -103,12 +110,13 @@ impl PetMatrix {
     }
 
     /// Expected execution time in ticks (bin midpoints).
+    #[inline]
     pub fn expected_ticks(
         &self,
         machine: MachineTypeId,
         task: TaskTypeId,
     ) -> f64 {
-        (self.expected_bins(machine, task) + 0.5) * self.bin_spec.width() as f64
+        self.expected_ticks[self.index(machine, task)]
     }
 
     /// Samples an actual execution duration in ticks: draws a bin from

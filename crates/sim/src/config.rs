@@ -192,16 +192,21 @@ impl std::error::Error for ConfigError {}
 
 /// Anything that can stop a run driven through the fallible entry
 /// points (the allocator's `try_run*`, shard recovery, the gateway's
-/// admission): a configuration rejected up front, a checkpoint that
-/// fails to verify, recovery without a journal, or an overloaded
-/// federation. Every driver compacts external ids at the gateway, so a
-/// trace cannot be malformed for the outcome tables; a caller pushing
-/// into a bare core gets the typed [`crate::StatsError`] from
+/// admission): a configuration rejected up front, a task of a type the
+/// PET matrix lacks, a checkpoint that fails to verify, recovery
+/// without a journal, or an overloaded federation. Every driver
+/// compacts external ids at the gateway, so ids cannot be too sparse
+/// for the outcome tables; a caller pushing into a bare core gets the
+/// typed [`crate::StatsError`] from
 /// [`crate::SchedulerCore::try_push_arrival`] instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The scheduler configuration was rejected at build time.
     Config(ConfigError),
+    /// An arrival the outcome tables cannot record: a task type the PET
+    /// matrix lacks ([`crate::StatsError::UnknownTaskType`]). Nothing
+    /// was routed.
+    Stats(crate::StatsError),
     /// A checkpoint failed verification or decode (shard failover
     /// replay, coordinator restart).
     Snapshot(crate::snapshot::SnapshotError),
@@ -229,6 +234,7 @@ impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunError::Config(e) => e.fmt(f),
+            RunError::Stats(e) => e.fmt(f),
             RunError::Snapshot(e) => e.fmt(f),
             RunError::RecoveryUnavailable => write!(
                 f,
@@ -252,6 +258,7 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Config(e) => Some(e),
+            RunError::Stats(e) => Some(e),
             RunError::Snapshot(e) => Some(e),
             RunError::RecoveryUnavailable | RunError::Overloaded { .. } => None,
         }
@@ -261,6 +268,12 @@ impl std::error::Error for RunError {
 impl From<ConfigError> for RunError {
     fn from(e: ConfigError) -> Self {
         RunError::Config(e)
+    }
+}
+
+impl From<crate::StatsError> for RunError {
+    fn from(e: crate::StatsError) -> Self {
+        RunError::Stats(e)
     }
 }
 

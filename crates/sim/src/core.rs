@@ -252,18 +252,19 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// now.
     ///
     /// # Panics
-    /// When the task id is too sparse for the dense outcome tables —
-    /// [`SchedulerCore::try_push_arrival`] is the recoverable variant.
+    /// When the task's type is unknown or its id is too sparse for the
+    /// dense outcome tables — [`SchedulerCore::try_push_arrival`] is the
+    /// recoverable variant.
     pub fn push_arrival(&mut self, task: Task) {
         self.try_push_arrival(task)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Fallible [`SchedulerCore::push_arrival`]: a task whose id the
-    /// dense outcome tables cannot absorb (see
-    /// [`crate::stats::StatsError`]) is rejected *before* touching any
-    /// scheduling state, so the caller can drop or re-label it and keep
-    /// streaming.
+    /// Fallible [`SchedulerCore::push_arrival`]: a task whose type the
+    /// PET matrix lacks, or whose id the dense outcome tables cannot
+    /// absorb (see [`crate::stats::StatsError`]), is rejected *before*
+    /// touching any scheduling state, so the caller can drop or
+    /// re-label it and keep streaming.
     pub fn try_push_arrival(
         &mut self,
         task: Task,

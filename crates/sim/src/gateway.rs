@@ -41,7 +41,7 @@ use crate::reuse::{Admission, Admit, ReuseGate, ReusePolicy, ReuseStats};
 use crate::route::{RoundRobinRoute, RoutePolicy, ShardView};
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::{Snapshot, SnapshotError};
-use crate::stats::{SimStats, TenancyStats, TenantSlice};
+use crate::stats::{SimStats, StatsError, TenancyStats, TenantSlice};
 use crate::supervisor::RecoveryLog;
 use crate::tenant::{
     ShedReason, TenancyPolicy, TenantAdmissionStats, TenantTable, TenantVerdict,
@@ -378,11 +378,14 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// configured back-off hint, so a live caller can push back on the
     /// submitting client. Quota and throttle sheds are normal
     /// degraded-mode operation and still return
-    /// `Ok(`[`Admission::Shed`]`)`.
+    /// `Ok(`[`Admission::Shed`]`)`. A task of a type the PET matrix
+    /// lacks is [`RunError::Stats`], before any tenant, reuse or
+    /// routing table changes.
     pub fn try_push_arrival(
         &mut self,
         task: Task,
     ) -> Result<Admission, RunError> {
+        StatsError::check_type(&task, self.shards[0].pet().n_task_types())?;
         let mut task = task;
         if let Some((tenant, reason)) = self.pre_admit(&mut task) {
             if reason == ShedReason::Overload {
@@ -2275,6 +2278,27 @@ mod tests {
             gateway().restore(&with_rung(256)),
             Err(SnapshotError::Decode(_))
         ));
+    }
+
+    #[test]
+    fn unknown_task_type_is_a_typed_error_that_changes_nothing() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let mut gw = builder(&pet, &cluster, 2)
+            .build_gateway()
+            .expect("valid configuration");
+        let before = gw.snapshot().to_value();
+        let task = Task::new(7, TaskTypeId(99), SimTime(0), SimTime(100_000));
+        assert_eq!(
+            gw.try_push_arrival(task),
+            Err(RunError::Stats(StatsError::UnknownTaskType {
+                id: 7,
+                type_id: 99,
+                types: 1
+            }))
+        );
+        assert_eq!(gw.snapshot().to_value(), before);
+        assert!(gw.drain_decisions().is_empty());
     }
 
     #[test]

@@ -60,14 +60,27 @@
 //! with [`chance_of_success`]'s own outer loop: every chance is
 //! bit-identical to the direct sum. Below the table G is 0; above it
 //! every term is the chain's window mass, so G reads the top entry.
+//!
+//! # The expected-ready memo
+//!
+//! [`MachineQueue::expected_ready_ticks`] walks the waiting list, and the
+//! batch mappers read it for every machine on every Step 7 round, most of
+//! them on queues the previous round left alone. So the queue keeps the
+//! last answer with the `now` it was asked for, in a `Cell` beside the
+//! running task and the waiting list rather than in the chain cache: a
+//! lookup then touches no memory the walk would not.
+//!
 //! **Invariant:** every `&mut self` method that changes the running task
-//! or the waiting list forgets the memo in O(1) (table entries carry a
-//! fill stamp and are never cleared), so the memo always describes the
-//! queue as it is. Like the chains, it assumes one PET matrix per queue.
+//! or the waiting list forgets both memos (the G table and the expected
+//! ready time) in O(1), through the queue's `touch` or, when the chain
+//! changed too, `invalidate_from`. Table entries carry a fill stamp and
+//! are never cleared, so the memos always describe the queue as it is.
+//! Like the chains, they assume one PET matrix per queue: neither is
+//! keyed by the matrix.
 
 use crate::snapshot::{Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize, Value};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use taskprune_model::{
     BinSpec, Machine, MachineTypeId, PetMatrix, SimTime, Task, TaskId,
@@ -233,6 +246,9 @@ pub struct MachineQueue {
     generation: u64,
     running: Option<RunningTask>,
     waiting: VecDeque<Task>,
+    /// `expected_ready_ticks` at the instant it was last asked for;
+    /// `None` once the queue has mutated since (see the module docs).
+    expected_ready: Cell<Option<(SimTime, f64)>>,
     chain: RefCell<ChainCache>,
 }
 
@@ -247,8 +263,23 @@ impl MachineQueue {
             generation: 0,
             running: None,
             waiting: VecDeque::new(),
+            expected_ready: Cell::new(None),
             chain: RefCell::new(ChainCache::new()),
         }
+    }
+
+    /// Forgets every memo: the running task or the waiting list
+    /// changed.
+    fn touch(&mut self) {
+        *self.expected_ready.get_mut() = None;
+        self.chain.get_mut().touch();
+    }
+
+    /// [`Self::touch`], and the waiting task at `first_changed` (and
+    /// everything behind it) no longer matches the cached chain.
+    fn invalidate_from(&mut self, first_changed: usize) {
+        *self.expected_ready.get_mut() = None;
+        self.chain.get_mut().invalidate_from(first_changed);
     }
 
     /// The machine this queue belongs to.
@@ -306,7 +337,7 @@ impl MachineQueue {
     pub fn admit(&mut self, task: Task) {
         assert!(self.free_slots() > 0, "admit into a full machine queue");
         self.waiting.push_back(task);
-        self.chain.get_mut().touch();
+        self.touch();
     }
 
     /// Removes the head waiting task so the engine can start it.
@@ -320,7 +351,7 @@ impl MachineQueue {
             return None;
         }
         let task = self.waiting.pop_front()?;
-        self.chain.get_mut().invalidate_from(0);
+        self.invalidate_from(0);
         Some(task)
     }
 
@@ -331,13 +362,13 @@ impl MachineQueue {
         assert!(self.running.is_none(), "machine already busy");
         self.generation += 1;
         self.running = Some(RunningTask { task, start });
-        self.chain.get_mut().touch();
+        self.touch();
         self.generation
     }
 
     /// Completes the running task, returning it.
     pub fn complete_running(&mut self) -> RunningTask {
-        self.chain.get_mut().touch();
+        self.touch();
         self.running.take().expect("completion on an idle machine")
     }
 
@@ -347,7 +378,7 @@ impl MachineQueue {
     pub fn cancel_running(&mut self) -> RunningTask {
         let rt = self.running.take().expect("cancel on an idle machine");
         self.generation += 1;
-        self.chain.get_mut().touch();
+        self.touch();
         rt
     }
 
@@ -369,7 +400,7 @@ impl MachineQueue {
             !expired
         });
         if let Some(first) = first_removed {
-            self.chain.get_mut().invalidate_from(first);
+            self.invalidate_from(first);
         }
         dropped
     }
@@ -400,7 +431,7 @@ impl MachineQueue {
             !hit
         });
         if let Some(first) = first_removed {
-            self.chain.get_mut().invalidate_from(first);
+            self.invalidate_from(first);
         }
         removed
     }
@@ -566,12 +597,18 @@ impl MachineQueue {
     /// Deterministic expected-completion accounting used by the classic
     /// heuristics (MCT, MM, …): expected finish of the running task
     /// (never earlier than `now`), plus the expected execution times of
-    /// all waiting tasks. In ticks.
+    /// all waiting tasks. In ticks. Memoised per `now` until the queue
+    /// next changes (see the module docs).
     pub fn expected_ready_ticks(
         &self,
         pet_matrix: &PetMatrix,
         now: SimTime,
     ) -> f64 {
+        if let Some((at, ticks)) = self.expected_ready.get() {
+            if at == now {
+                return ticks;
+            }
+        }
         let mut t = match &self.running {
             None => now.ticks() as f64,
             Some(rt) => {
@@ -584,6 +621,7 @@ impl MachineQueue {
         for w in &self.waiting {
             t += pet_matrix.expected_ticks(self.machine.type_id, w.type_id);
         }
+        self.expected_ready.set(Some((now, t)));
         t
     }
 
@@ -593,7 +631,7 @@ impl MachineQueue {
         let mut out: Vec<Task> =
             self.running.take().map(|rt| rt.task).into_iter().collect();
         out.extend(self.waiting.drain(..));
-        self.chain.get_mut().invalidate_from(0);
+        self.invalidate_from(0);
         out
     }
 
@@ -601,9 +639,8 @@ impl MachineQueue {
     /// the cost profile of the pre-incremental `rebuild_chain`. Exposed
     /// as the from-scratch baseline for benches and the fuzz reference.
     pub fn force_full_rebuild(&mut self, pet_matrix: &PetMatrix) {
-        let chain = self.chain.get_mut();
-        chain.invalidate_from(0);
-        chain.repair(
+        self.invalidate_from(0);
+        self.chain.get_mut().repair(
             &self.waiting,
             self.machine.type_id,
             pet_matrix,
@@ -666,7 +703,7 @@ impl MachineQueue {
         // list; slot 0 (δ(0)) is constant, so invalidating from the
         // head discards everything else while keeping the arena
         // allocations.
-        self.chain.get_mut().invalidate_from(0);
+        self.invalidate_from(0);
         Ok(())
     }
 

@@ -23,8 +23,10 @@ pub const PAPER_TRIM: usize = 100;
 /// Why the outcome collector refused a record. Surfaced by
 /// [`crate::SchedulerCore::try_push_arrival`], so a caller feeding an
 /// external trace into a bare core can drop or relabel the task instead
-/// of panicking. The drivers never meet it: their gateway keys every
-/// shard's record by arrival order.
+/// of panicking. The drivers never meet a sparse id (their gateway keys
+/// every shard's record by arrival order); an unknown task type is
+/// rejected by [`crate::Gateway::try_push_arrival`] and the allocator's
+/// `try_run*` entry points before anything is routed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsError {
     /// A task id jumped far past the population tracked so far. The
@@ -38,6 +40,16 @@ pub enum StatsError {
         /// How many ids the tables covered when it appeared.
         tracked: usize,
     },
+    /// A task's type has no row in the PET matrix, so it has no
+    /// per-type counters either.
+    UnknownTaskType {
+        /// The task carrying it.
+        id: u64,
+        /// The out-of-range type id.
+        type_id: u16,
+        /// How many task types the PET matrix has.
+        types: usize,
+    },
 }
 
 impl fmt::Display for StatsError {
@@ -49,6 +61,27 @@ impl fmt::Display for StatsError {
                  SimStats tables are dense per id — compact sparse external \
                  ids (the Gateway does) before feeding the scheduler"
             ),
+            StatsError::UnknownTaskType { id, type_id, types } => write!(
+                f,
+                "task {id} has type {type_id}, but the PET matrix has \
+                 {types} task types (0..{types})"
+            ),
+        }
+    }
+}
+
+impl StatsError {
+    /// `Ok` when `task`'s type is one of the `types` task types of the
+    /// PET matrix, else [`StatsError::UnknownTaskType`].
+    pub fn check_type(task: &Task, types: usize) -> Result<(), StatsError> {
+        if (task.type_id.0 as usize) < types {
+            Ok(())
+        } else {
+            Err(StatsError::UnknownTaskType {
+                id: task.id.0,
+                type_id: task.type_id.0,
+                types,
+            })
         }
     }
 }
@@ -229,12 +262,14 @@ impl SimStats {
         self.try_ensure_task(id).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Registers a task arrival, rejecting ids the dense tables cannot
-    /// absorb.
+    /// Registers a task arrival, rejecting a type with no per-type
+    /// counters and ids the dense tables cannot absorb. A rejected
+    /// arrival changes no table.
     pub fn try_record_arrival(
         &mut self,
         task: &Task,
     ) -> Result<(), StatsError> {
+        StatsError::check_type(task, self.per_type.len())?;
         self.try_ensure_task(task.id)?;
         let idx = task.id.0 as usize;
         self.types[idx] = Some(task.type_id);
@@ -246,8 +281,8 @@ impl SimStats {
     /// Registers a task arrival.
     ///
     /// # Panics
-    /// When the id is sparse (see [`SimStats::try_record_arrival`], the
-    /// recoverable variant).
+    /// When the type is unknown or the id is sparse (see
+    /// [`SimStats::try_record_arrival`], the recoverable variant).
     pub fn record_arrival(&mut self, task: &Task) {
         self.try_record_arrival(task)
             .unwrap_or_else(|e| panic!("{e}"));
@@ -748,6 +783,28 @@ mod tests {
         assert_eq!(s.n_arrived(), 0);
         // A dense id still goes through afterwards.
         assert!(s.try_record_arrival(&task(0, 0)).is_ok());
+        assert_eq!(s.n_arrived(), 1);
+    }
+
+    #[test]
+    fn try_record_arrival_rejects_an_unknown_type_before_any_table_changes() {
+        let mut s = SimStats::new(0, 2);
+        let err = s
+            .try_record_arrival(&task(5, 99))
+            .expect_err("type 99 of 2 must be rejected");
+        assert_eq!(
+            err,
+            StatsError::UnknownTaskType {
+                id: 5,
+                type_id: 99,
+                types: 2
+            }
+        );
+        assert!(err.to_string().contains("2 task types"), "{err}");
+        // The tables did not grow to cover id 5.
+        assert_eq!(s.n_tasks(), 0);
+        assert_eq!(s.n_arrived(), 0);
+        assert!(s.try_record_arrival(&task(5, 1)).is_ok());
         assert_eq!(s.n_arrived(), 1);
     }
 
