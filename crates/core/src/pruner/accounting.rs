@@ -8,7 +8,8 @@
 use serde::{Deserialize, Serialize};
 use taskprune_sim::EventReport;
 
-/// Lifetime and per-event counters of task outcomes.
+/// Lifetime and per-event counters of task outcomes. The lifetime
+/// totals saturate, since a restored checkpoint may carry any count.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Accounting {
     /// Deadline misses observed at the most recent mapping event (the
@@ -34,22 +35,25 @@ impl Accounting {
 
     /// Digests one mapping event's report.
     pub fn observe(&mut self, report: &EventReport) {
-        self.events += 1;
+        self.events = self.events.saturating_add(1);
         self.misses_last_event = report.deadline_misses();
         for (_, on_time) in &report.completed {
-            if *on_time {
-                self.total_on_time += 1;
+            let total = if *on_time {
+                &mut self.total_on_time
             } else {
-                self.total_late += 1;
-            }
+                &mut self.total_late
+            };
+            *total = total.saturating_add(1);
         }
-        self.total_reactive_drops += report.dropped_reactive.len() as u64;
-        self.total_reactive_drops += report.cancelled.len() as u64;
+        let drops = report.dropped_reactive.len() + report.cancelled.len();
+        self.total_reactive_drops =
+            self.total_reactive_drops.saturating_add(drops as u64);
     }
 
     /// Registers a proactive drop decided by the Pruner.
     pub fn observe_proactive_drop(&mut self) {
-        self.total_proactive_drops += 1;
+        self.total_proactive_drops =
+            self.total_proactive_drops.saturating_add(1);
     }
 
     /// Deadline misses at the most recent event — what the Toggle

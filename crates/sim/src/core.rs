@@ -40,16 +40,18 @@
 //! since the convolution arena; see [`crate::queue`].)
 
 use crate::config::SimConfig;
-use crate::queue::MachineQueue;
-use crate::reuse::{ReuseLedger, ReuseStats};
+use crate::queue::{MachineQueue, QueueCapture};
+use crate::reuse::{LedgerCapture, ReuseLedger, ReuseStats};
 use crate::sink::{NullSink, Sink};
-use crate::snapshot::{Snapshot, SnapshotError};
+use crate::snapshot::{Page, Snapshot, SnapshotError};
 use crate::stats::{OutcomePages, SimStats};
 use crate::trace::{QueueSnapshot, TraceEvent};
 use crate::traits::{Assignment, EventReport, MappingStrategy, Pruner};
 use crate::view::SystemView;
 use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
+use std::collections::HashSet;
+use std::sync::Arc;
 use taskprune_model::{
     Machine, MachineId, PetMatrix, SimTime, Task, TaskId, TaskOutcome,
 };
@@ -147,8 +149,8 @@ pub struct SchedulerCore<'a, S: Sink = NullSink> {
     now: SimTime,
     stats: SimStats,
     /// The sealed pages of `stats`' outcome history that every capture
-    /// shares (see [`crate::snapshot`]). Filled only inside
-    /// [`SchedulerCore::snapshot`], which takes `&self` — hence the
+    /// shares (see [`crate::snapshot`]). Filled only inside a capture
+    /// ([`SchedulerCore::snapshot`]), which takes `&self` — hence the
     /// `RefCell` — cleared by a crash wipe, reset by a restore.
     pages: RefCell<OutcomePages>,
     /// The latest `arrival` instant among the tasks delivered to this
@@ -641,30 +643,29 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// changes what the core does next, and the capture is a pure
     /// function of the core's state.
     pub fn snapshot(&self) -> Snapshot {
-        let queues: Vec<Value> =
-            self.queues.iter().map(|q| q.state_value()).collect();
+        self.capture().seal()
+    }
+
+    /// The first half of [`SchedulerCore::snapshot`]: a deep copy of
+    /// the durable state, with every capture-time effect applied (new
+    /// pages sealed, the reuse ledger swept, the plug-in states read),
+    /// but neither rendered nor hashed. [`CoreCapture::seal`] turns it
+    /// into the snapshot this call would have returned, however far
+    /// the core has moved on since.
+    pub(crate) fn capture(&self) -> CoreCapture {
         let (stats, pages) = self.pages.borrow_mut().capture(&self.stats);
-        Snapshot::seal_with_pages(
-            "scheduler-core",
-            Value::Object(vec![
-                ("now".to_owned(), self.now.to_value()),
-                ("arrival_queue".to_owned(), self.arrival_queue.to_value()),
-                ("queues".to_owned(), Value::Array(queues)),
-                ("stats".to_owned(), stats),
-                ("strategy".to_owned(), self.strategy.snapshot_state()),
-                ("pruner".to_owned(), self.pruner.snapshot_state()),
-                ("sink".to_owned(), self.sink.snapshot_state()),
-                (
-                    "reuse".to_owned(),
-                    self.reuse.state_value(self.arrival_watermark),
-                ),
-                (
-                    "arrival_watermark".to_owned(),
-                    self.arrival_watermark.to_value(),
-                ),
-            ]),
+        CoreCapture {
+            now: self.now,
+            arrival_queue: self.arrival_queue.clone(),
+            queues: self.queues.iter().map(MachineQueue::capture).collect(),
+            stats,
             pages,
-        )
+            strategy: self.strategy.snapshot_state(),
+            pruner: self.pruner.snapshot_state(),
+            sink: self.sink.snapshot_state(),
+            reuse: self.reuse.capture(self.arrival_watermark),
+            arrival_watermark: self.arrival_watermark,
+        }
     }
 
     /// Restores state captured by [`SchedulerCore::snapshot`] into
@@ -716,7 +717,11 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             // Pre-reuse snapshot: nothing was parked.
             None => self.reuse.clear(),
         }
-        let resolved_but_live = arrival_queue
+        // Every live task — batch-queued, waiting or running on a
+        // machine, parked as a reuse follower — is an unresolved arrival
+        // of the type the record holds for its id, and the only live
+        // task with that id. The replay resolves each one exactly once.
+        let live = arrival_queue
             .iter()
             .chain(self.queues.iter().flat_map(|q| {
                 q.running()
@@ -724,12 +729,29 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                     .into_iter()
                     .chain(q.waiting())
             }))
-            .chain(self.reuse.parked())
-            .any(|t| stats.outcome(t.id).is_some());
-        if resolved_but_live {
+            .chain(self.reuse.parked());
+        let mut live_ids = HashSet::new();
+        for t in live {
+            let what = if stats.outcome(t.id).is_some() {
+                "a task still queued, running or parked has a recorded \
+                 outcome"
+            } else if stats.task_type(t.id) != Some(t.type_id) {
+                "a task still queued, running or parked is not an arrival \
+                 of its type in the outcome record"
+            } else if !live_ids.insert(t.id) {
+                "two tasks still queued, running or parked share an id"
+            } else {
+                continue;
+            };
+            return Err(SnapshotError::ShapeMismatch { what });
+        }
+        if self
+            .queues
+            .iter()
+            .any(|q| q.running().is_some_and(|rt| rt.start > now))
+        {
             return Err(SnapshotError::ShapeMismatch {
-                what: "a task still queued, running or parked has a \
-                       recorded outcome",
+                what: "a running task starts after the capture's clock",
             });
         }
         // Pre-paging snapshot: no watermark was kept. Zero sweeps
@@ -765,7 +787,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// One mapping event: the Fig. 5 procedure. `arriving` is the task
     /// whose arrival triggered the event, if any.
     fn mapping_event(&mut self, arriving: Option<Task>) {
-        self.stats.mapping_events += 1;
+        self.stats.mapping_events = self.stats.mapping_events.saturating_add(1);
         if self.sink.snapshot_due(self.stats.mapping_events) {
             let snapshot = QueueSnapshot {
                 at: self.now,
@@ -1001,7 +1023,8 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                     view.chance_if_appended(assignment.machine, &task)
                 };
                 if self.pruner.should_defer(&task, chance) {
-                    self.stats.deferrals += 1;
+                    self.stats.deferrals =
+                        self.stats.deferrals.saturating_add(1);
                     self.decisions
                         .push(Decision::DeferToBatch { task: task.id });
                     self.sink.record(
@@ -1058,6 +1081,52 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                 );
             }
         }
+    }
+}
+
+/// A scheduler core's durable state, copied out by
+/// [`SchedulerCore::capture`]: what a checkpoint costs to take. Nothing
+/// in it aliases the live core but the sealed outcome pages, which
+/// never change. Rendering the payload and hashing it wait for
+/// [`CoreCapture::seal`], which runs only when the checkpoint is
+/// restored or written out.
+pub(crate) struct CoreCapture {
+    now: SimTime,
+    arrival_queue: Vec<Task>,
+    queues: Vec<QueueCapture>,
+    /// The outcome record outside the sealed pages.
+    stats: SimStats,
+    pages: Vec<Arc<Page>>,
+    strategy: Value,
+    pruner: Value,
+    sink: Value,
+    reuse: LedgerCapture,
+    arrival_watermark: SimTime,
+}
+
+impl CoreCapture {
+    /// Renders the capture in the core's wire form and seals it: the
+    /// [`Snapshot`] [`SchedulerCore::snapshot`] returned at the
+    /// capture instant, to the byte.
+    pub(crate) fn seal(&self) -> Snapshot {
+        Snapshot::seal_with_pages(
+            "scheduler-core",
+            Value::Object(vec![
+                ("now".to_owned(), self.now.to_value()),
+                ("arrival_queue".to_owned(), self.arrival_queue.to_value()),
+                ("queues".to_owned(), self.queues.to_value()),
+                ("stats".to_owned(), self.stats.to_value()),
+                ("strategy".to_owned(), self.strategy.clone()),
+                ("pruner".to_owned(), self.pruner.clone()),
+                ("sink".to_owned(), self.sink.clone()),
+                ("reuse".to_owned(), self.reuse.to_value()),
+                (
+                    "arrival_watermark".to_owned(),
+                    self.arrival_watermark.to_value(),
+                ),
+            ]),
+            self.pages.clone(),
+        )
     }
 }
 

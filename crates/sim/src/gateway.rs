@@ -32,7 +32,7 @@
 //! core through its public API alone.
 
 use crate::config::{ConfigError, RunError, SimConfig};
-use crate::core::{Decision, SchedulerCore, Start};
+use crate::core::{CoreCapture, Decision, SchedulerCore, Start};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::journal::{JournalOp, ShardJournal};
@@ -295,10 +295,18 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// every other tenant's coordinates (the SLA isolation guarantee).
     /// On admission the task is stamped with its SLA class's value tag
     /// and `None` is returned. No-op `None` when tenancy is off.
+    ///
+    /// # Panics
+    /// When the task's type is not one of the PET matrix's task types
+    /// (the [`StatsError::UnknownTaskType`] message), before any table
+    /// of the gateway or a shard changes.
+    /// [`Gateway::try_push_arrival`] returns that error instead.
     pub(crate) fn pre_admit(
         &mut self,
         task: &mut Task,
     ) -> Option<(u64, ShedReason)> {
+        StatsError::check_type(task, self.shards[0].pet().n_task_types())
+            .unwrap_or_else(|e| panic!("{e}"));
         let table = self.tenants.as_mut()?;
         match table.admit(task) {
             TenantVerdict::Admitted { class } => {
@@ -364,6 +372,11 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// per the configured [`ReusePolicy`]). The returned [`Admission`]
     /// says which happened; a shed arrival reports
     /// [`Admission::Shed`] and touches nothing.
+    ///
+    /// # Panics
+    /// When the task's type is not one of the PET matrix's task types,
+    /// before anything changes; [`Gateway::try_push_arrival`] is the
+    /// recoverable variant.
     pub fn push_arrival(&mut self, task: Task) -> Admission {
         let mut task = task;
         if let Some((tenant, reason)) = self.pre_admit(&mut task) {
@@ -1089,10 +1102,11 @@ impl FederationStats {
             }
         }
         for s in &self.per_shard {
-            merged.useful_ticks += s.useful_ticks;
-            merged.wasted_ticks += s.wasted_ticks;
-            merged.mapping_events += s.mapping_events;
-            merged.deferrals += s.deferrals;
+            merged.record_execution(s.useful_ticks, true);
+            merged.record_execution(s.wasted_ticks, false);
+            merged.mapping_events =
+                merged.mapping_events.saturating_add(s.mapping_events);
+            merged.deferrals = merged.deferrals.saturating_add(s.deferrals);
         }
         merged.end_time = self.end_time();
         merged
@@ -1471,6 +1485,11 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// `task.arrival` — external ids may be sparse, out of order or
     /// duplicated — routes every task through the gateway, and drains
     /// all shards after the last arrival.
+    ///
+    /// # Panics
+    /// On an arrival whose type is not one of the PET matrix's task
+    /// types, before it changes any table (see
+    /// [`Gateway::push_arrival`]).
     pub fn run_stream<I>(mut self, arrivals: I) -> FederationStats
     where
         I: IntoIterator<Item = Task>,
@@ -1712,13 +1731,24 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// shared by reference, and sealing hashes one word per page. The
     /// first capture of a long-running shard seals its whole history
     /// and costs what every capture used to: the run so far.
+    ///
+    /// The snapshot returned here is sealed: its payload rendered and
+    /// hashed. A [`crate::Supervisor`] keeps its checkpoints as the
+    /// same captures unsealed, and seals one only to restore it.
     pub fn checkpoint(&mut self, shard: usize) -> Snapshot {
-        let snap = self.gateway.shards()[shard].snapshot();
+        self.capture(shard).seal()
+    }
+
+    /// [`FederatedEngine::checkpoint`] without the seal: copies the
+    /// shard's durable state and clears its journal. Sealing the
+    /// capture, however much later, gives the checkpoint's snapshot.
+    pub(crate) fn capture(&mut self, shard: usize) -> CoreCapture {
+        let capture = self.gateway.shards()[shard].capture();
         if let Some(journals) = &mut self.journals {
             journals[shard].clear();
         }
         self.undelivered[shard] = 0;
-        snap
+        capture
     }
 
     /// Crash-failover: rebuilds shard `shard` from its last
@@ -1735,7 +1765,11 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// enabled (there is nothing to replay from, so "recovery" would
     /// silently lose operations), or any [`SnapshotError`] from the
     /// envelope or payload — on the latter the shard is unusable and
-    /// the engine should be discarded.
+    /// the engine should be discarded. A checkpoint whose clock is
+    /// ahead of the first operation journaled since, or of the
+    /// federation clock, is a [`SnapshotError::ShapeMismatch`] (no
+    /// checkpoint of this shard can be) and leaves the shard wiped, as
+    /// a crash does.
     pub fn recover_shard(
         &mut self,
         shard: usize,
@@ -1744,12 +1778,26 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         let Some(journals) = self.journals.as_ref() else {
             return Err(RunError::RecoveryUnavailable);
         };
-        // The federation clock is lockstep under this serial driver
-        // (and `Gateway::now` survives a wiped shard clock); capture
-        // it before the restore rewinds the shard.
-        let now = self.gateway.now();
+        let journal = journals[shard].entries();
+        // The federation clock is lockstep under this serial driver;
+        // capture it before the restore rewinds the shard. A crash
+        // wipe leaves it standing on every other shard, and a lone
+        // shard's last journaled operation keeps it.
+        let now = journal
+            .last()
+            .map_or(SimTime::ZERO, |e| e.time)
+            .max(self.gateway.now());
         let core = &mut self.gateway.shards_mut()[shard];
         core.restore(snap).map_err(RunError::Snapshot)?;
+        if core.now() > journal.first().map_or(now, |e| e.time) {
+            // Back to the crashed state: a clock left this far ahead
+            // would become the federation's.
+            core.wipe();
+            return Err(RunError::Snapshot(SnapshotError::ShapeMismatch {
+                what: "the checkpoint's clock is ahead of its journal or \
+                       of the federation",
+            }));
+        }
         journals[shard].replay(core);
         if core.now() < now {
             core.advance_to(now);
@@ -2299,6 +2347,117 @@ mod tests {
         );
         assert_eq!(gw.snapshot().to_value(), before);
         assert!(gw.drain_decisions().is_empty());
+    }
+
+    /// The infallible path panics on an unknown task type before the
+    /// reuse gate, the id compactor or the arrival order records it.
+    #[test]
+    fn unknown_task_type_panics_before_any_table_changes() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let mut gw = builder(&pet, &cluster, 2)
+            .reuse(ReusePolicy::ExactOnly)
+            .build_gateway()
+            .expect("valid configuration");
+        gw.push_arrival(Task::new(7, TaskTypeId(0), SimTime(0), SimTime(50)));
+        let before = gw.snapshot().to_value();
+        let arrived = gw.arrival_order.len();
+        let alien = Task::new(8, TaskTypeId(99), SimTime(0), SimTime(50));
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                gw.push_arrival(alien)
+            }));
+        assert!(caught.is_err(), "an unknown type must not be admitted");
+        assert_eq!(gw.resolve(TaskId(8)), None);
+        assert_eq!(gw.arrival_order.len(), arrived);
+        assert_eq!(gw.snapshot().to_value(), before);
+    }
+
+    /// A capture is a copy of the core, not a view of it: sealed after
+    /// the run has moved on, it is the snapshot the core gave at the
+    /// capture instant, by wire form and by hash. The run is paged,
+    /// keeps followers parked and completed primaries in the reuse
+    /// ledger, and traces every event, so the sink's plug-in state
+    /// grows between a capture and its seal.
+    #[test]
+    fn a_capture_seals_to_the_snapshot_of_its_instant() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let mut engine = builder(&pet, &cluster, 2)
+            .reuse(ReusePolicy::ExactOnly)
+            .sink_with(|_| crate::TraceLog::new(1 << 16, 1))
+            .build()
+            .expect("valid configuration");
+        // Every third arrival repeats the one before it: an exact
+        // duplicate the gate absorbs while its primary is in flight.
+        let tasks: Vec<Task> = (0..900u64)
+            .map(|i| {
+                let id = if i % 3 == 2 { i - 1 } else { i };
+                Task::new(
+                    id,
+                    TaskTypeId(0),
+                    SimTime(150 * i),
+                    SimTime(150 * i + 3_000),
+                )
+            })
+            .collect();
+        let mut source = tasks.iter().copied().peekable();
+        let mut held = Vec::new();
+        for watermark in [200, 400, 600, 800] {
+            engine.run_until(&mut source, watermark);
+            for shard in 0..engine.n_shards() {
+                let core = &engine.gateway.shards()[shard];
+                held.push((core.capture(), core.snapshot()));
+            }
+        }
+        engine.run_until(&mut source, tasks.len() as u64);
+        let (mut paged, mut parked, mut completed) = (false, false, false);
+        for (capture, snap) in &held {
+            let sealed = capture.seal();
+            assert_eq!(sealed.to_value(), snap.to_value());
+            assert_eq!(sealed.state_hash(), snap.state_hash());
+            let reuse = snap.payload().get_field("reuse").expect("reuse");
+            let held_any = |name| {
+                reuse
+                    .get_field(name)
+                    .is_ok_and(|v| *v != Value::Array(Vec::new()))
+            };
+            paged |= !snap.pages().is_empty();
+            parked |= held_any("followers");
+            completed |= held_any("completed_exec");
+        }
+        assert!(paged && parked && completed, "{paged} {parked} {completed}");
+    }
+
+    fn alien_stream() -> Vec<Task> {
+        vec![
+            Task::new(0, TaskTypeId(0), SimTime(0), SimTime(50)),
+            Task::new(1, TaskTypeId(99), SimTime(1), SimTime(50)),
+            Task::new(2, TaskTypeId(0), SimTime(2), SimTime(50)),
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "has type 99")]
+    fn serial_run_stream_panics_on_an_unknown_task_type() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        builder(&pet, &cluster, 2)
+            .build()
+            .expect("valid configuration")
+            .run_stream(alien_stream());
+    }
+
+    #[test]
+    #[should_panic(expected = "has type 99")]
+    fn parallel_run_stream_panics_on_an_unknown_task_type() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        builder(&pet, &cluster, 2)
+            .threads(2)
+            .build_parallel()
+            .expect("valid configuration")
+            .run_stream(alien_stream());
     }
 
     #[test]

@@ -186,6 +186,11 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
     /// the shards in parallel, and drains everything after the last
     /// arrival. Output is bit-identical to
     /// [`crate::FederatedEngine::run_stream`] on the same inputs.
+    ///
+    /// # Panics
+    /// On an arrival whose type is not one of the PET matrix's task
+    /// types, while routing it, before any table changes and before a
+    /// shard runs.
     pub fn run_stream<I>(mut self, arrivals: I) -> FederationStats
     where
         I: IntoIterator<Item = Task>,

@@ -101,6 +101,17 @@ pub struct RunningTask {
     pub start: SimTime,
 }
 
+/// A machine queue's durable state, copied out by
+/// [`MachineQueue::capture`]: the start generation, the running task
+/// with its start instant, and the waiting list. Serializes as the
+/// queue's snapshot payload.
+#[derive(Debug, Serialize)]
+pub(crate) struct QueueCapture {
+    generation: u64,
+    running: Option<(Task, SimTime)>,
+    waiting: VecDeque<Task>,
+}
+
 /// The lazily-repaired prefix-chain cache plus the per-queue convolution
 /// arena. Interior-mutable so estimate queries on `&MachineQueue` can
 /// repair the chain in place.
@@ -319,7 +330,8 @@ impl MachineQueue {
     }
 
     /// Current start-generation (stale completion events carry an older
-    /// value and are ignored by the engine).
+    /// value and are ignored by the engine). A tag, not a count: it
+    /// wraps at the top of its range.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -360,7 +372,7 @@ impl MachineQueue {
     /// Returns the new start-generation.
     pub fn set_running(&mut self, task: Task, start: SimTime) -> u64 {
         assert!(self.running.is_none(), "machine already busy");
-        self.generation += 1;
+        self.generation = self.generation.wrapping_add(1);
         self.running = Some(RunningTask { task, start });
         self.touch();
         self.generation
@@ -377,7 +389,7 @@ impl MachineQueue {
     /// becomes stale.
     pub fn cancel_running(&mut self) -> RunningTask {
         let rt = self.running.take().expect("cancel on an idle machine");
-        self.generation += 1;
+        self.generation = self.generation.wrapping_add(1);
         self.touch();
         rt
     }
@@ -657,7 +669,7 @@ impl MachineQueue {
     /// [`MachineQueue::restore`] rebuilds them lazily, bit-identically
     /// (the incremental-chain equivalence contract).
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot::seal("machine-queue", self.state_value())
+        Snapshot::seal("machine-queue", self.capture().to_value())
     }
 
     /// Restores state captured by [`MachineQueue::snapshot`], after
@@ -671,18 +683,18 @@ impl MachineQueue {
         self.restore_value(&payload)
     }
 
-    /// The raw (unsealed) state payload, for embedding inside a larger
-    /// component's snapshot.
-    pub(crate) fn state_value(&self) -> Value {
-        let running = self.running.as_ref().map(|rt| (rt.task, rt.start));
-        Value::Object(vec![
-            ("generation".to_owned(), self.generation.to_value()),
-            ("running".to_owned(), running.to_value()),
-            ("waiting".to_owned(), self.waiting.to_value()),
-        ])
+    /// A copy of the queue's durable state; its `Serialize` impl
+    /// renders the payload [`MachineQueue::snapshot`] seals and a core
+    /// capture embeds.
+    pub(crate) fn capture(&self) -> QueueCapture {
+        QueueCapture {
+            generation: self.generation,
+            running: self.running.as_ref().map(|rt| (rt.task, rt.start)),
+            waiting: self.waiting.clone(),
+        }
     }
 
-    /// Applies a payload produced by [`MachineQueue::state_value`].
+    /// Applies a payload rendered from [`MachineQueue::capture`].
     pub(crate) fn restore_value(
         &mut self,
         v: &Value,

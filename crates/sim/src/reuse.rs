@@ -229,7 +229,8 @@ impl Admit {
 /// Reuse outcome counters, aggregated per shard and fanned into
 /// [`crate::FederationStats`]. Kept **off** the stats wire shape (the
 /// same convention as the recovery log) so serialized stats stay
-/// bit-identical across reuse configurations.
+/// bit-identical across reuse configurations. They saturate, since a
+/// restored checkpoint may carry any count.
 #[derive(
     Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize,
 )]
@@ -252,9 +253,10 @@ impl ReuseStats {
 
     /// Adds another shard's counters into this one.
     pub(crate) fn accumulate(&mut self, other: &ReuseStats) {
-        self.hits += other.hits;
-        self.merges += other.merges;
-        self.cycles_saved += other.cycles_saved;
+        self.hits = self.hits.saturating_add(other.hits);
+        self.merges = self.merges.saturating_add(other.merges);
+        self.cycles_saved =
+            self.cycles_saved.saturating_add(other.cycles_saved);
     }
 }
 
@@ -552,9 +554,9 @@ impl ReuseLedger {
     /// Counts one absorbed follower (exact hit or window merge).
     pub(crate) fn note_hit(&mut self, merged: bool) {
         if merged {
-            self.stats.merges += 1;
+            self.stats.merges = self.stats.merges.saturating_add(1);
         } else {
-            self.stats.hits += 1;
+            self.stats.hits = self.stats.hits.saturating_add(1);
         }
     }
 
@@ -602,7 +604,7 @@ impl ReuseLedger {
 
     /// Adds saved machine time to the counters.
     pub(crate) fn add_saved(&mut self, ticks: u64) {
-        self.stats.cycles_saved += ticks;
+        self.stats.cycles_saved = self.stats.cycles_saved.saturating_add(ticks);
     }
 
     pub(crate) fn stats(&self) -> &ReuseStats {
@@ -641,45 +643,26 @@ impl ReuseLedger {
 
     /// Sweeps the completed primaries due before `watermark` — the
     /// capturing core's arrival watermark (see the type docs) — then
-    /// serializes the ledger in canonical primary-id order. What a
-    /// capture holds is therefore a pure function of the core's state,
-    /// whenever earlier captures ran.
-    pub(crate) fn state_value(&self, watermark: SimTime) -> Value {
+    /// copies the ledger out. What a capture holds is therefore a pure
+    /// function of the core's state, whenever earlier captures ran.
+    pub(crate) fn capture(&self, watermark: SimTime) -> LedgerCapture {
         let mut completed_exec = self.completed_exec.borrow_mut();
         completed_exec.retain(|_, e| e.deadline >= watermark);
-        let mut follower_keys: Vec<u64> =
-            self.followers.keys().copied().collect();
-        follower_keys.sort_unstable();
-        let followers: Vec<Value> = follower_keys
-            .into_iter()
-            .map(|k| {
-                Value::Object(vec![
-                    ("primary".to_owned(), k.to_value()),
-                    ("tasks".to_owned(), self.followers[&k].to_value()),
-                ])
-            })
-            .collect();
-        let mut exec_keys: Vec<u64> = completed_exec.keys().copied().collect();
-        exec_keys.sort_unstable();
-        let completed: Vec<Value> = exec_keys
-            .into_iter()
-            .map(|k| {
-                let e = completed_exec[&k];
-                Value::Object(vec![
-                    ("primary".to_owned(), k.to_value()),
-                    ("ticks".to_owned(), e.ticks.to_value()),
-                    ("deadline".to_owned(), e.deadline.to_value()),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("followers".to_owned(), Value::Array(followers)),
-            ("completed_exec".to_owned(), Value::Array(completed)),
-            ("stats".to_owned(), self.stats.to_value()),
-        ])
+        LedgerCapture {
+            followers: self
+                .followers
+                .iter()
+                .map(|(&k, tasks)| (k, tasks.clone()))
+                .collect(),
+            completed_exec: completed_exec
+                .iter()
+                .map(|(&k, &e)| (k, e))
+                .collect(),
+            stats: self.stats,
+        }
     }
 
-    /// Restores state captured by [`ReuseLedger::state_value`]. The
+    /// Restores state rendered from [`ReuseLedger::capture`]. The
     /// activation flag is construction-time configuration and is left
     /// untouched. A completed primary captured before deadlines were
     /// recorded is kept for the rest of the run (it cannot be swept
@@ -718,6 +701,49 @@ impl ReuseLedger {
         }
         self.stats = stats;
         Ok(())
+    }
+}
+
+/// A ledger's durable state, copied out by [`ReuseLedger::capture`]
+/// after its sweep. Serializes in canonical primary-id order: the
+/// tables are copied in hash order and sorted only when rendered.
+#[derive(Debug)]
+pub(crate) struct LedgerCapture {
+    followers: Vec<(u64, Vec<Task>)>,
+    completed_exec: Vec<(u64, CompletedExec)>,
+    stats: ReuseStats,
+}
+
+impl Serialize for LedgerCapture {
+    fn to_value(&self) -> Value {
+        let mut followers: Vec<_> = self.followers.iter().collect();
+        followers.sort_unstable_by_key(|&&(k, _)| k);
+        let mut completed: Vec<_> = self.completed_exec.iter().collect();
+        completed.sort_unstable_by_key(|&&(k, _)| k);
+        let followers = followers
+            .into_iter()
+            .map(|(k, tasks)| {
+                Value::Object(vec![
+                    ("primary".to_owned(), k.to_value()),
+                    ("tasks".to_owned(), tasks.to_value()),
+                ])
+            })
+            .collect();
+        let completed = completed
+            .into_iter()
+            .map(|(k, e)| {
+                Value::Object(vec![
+                    ("primary".to_owned(), k.to_value()),
+                    ("ticks".to_owned(), e.ticks.to_value()),
+                    ("deadline".to_owned(), e.deadline.to_value()),
+                ])
+            })
+            .collect();
+        Value::Object(vec![
+            ("followers".to_owned(), Value::Array(followers)),
+            ("completed_exec".to_owned(), Value::Array(completed)),
+            ("stats".to_owned(), self.stats.to_value()),
+        ])
     }
 }
 
@@ -968,7 +994,7 @@ mod tests {
         ledger.add_follower(TaskId(2), task(21, 1, 6, 310));
         ledger.record_exec(TaskId(1), 77, SimTime(400));
         ledger.note_hit(false);
-        let state = ledger.state_value(SimTime(6));
+        let state = ledger.capture(SimTime(6)).to_value();
 
         let mut back = ReuseLedger::new();
         back.set_active(true);
@@ -982,7 +1008,7 @@ mod tests {
         assert_eq!(drained[1].id, TaskId(20));
         assert_eq!(
             serde_json::to_string(&state),
-            serde_json::to_string(&ledger.state_value(SimTime(6)))
+            serde_json::to_string(&ledger.capture(SimTime(6)).to_value())
         );
     }
 
@@ -993,7 +1019,7 @@ mod tests {
         for (id, deadline) in [(1, 90), (2, 100), (3, 250)] {
             ledger.record_exec(TaskId(id), 10 * id, SimTime(deadline));
         }
-        let state = ledger.state_value(SimTime(100));
+        let state = ledger.capture(SimTime(100)).to_value();
         // Due at the watermark is still live; due before it is gone,
         // from the capture and from the ledger.
         assert_eq!(ledger.completed_exec.get_mut().len(), 2);
@@ -1013,7 +1039,7 @@ mod tests {
         )
         .expect("parses");
         back.restore_value(&legacy).expect("legacy ledger restores");
-        back.state_value(SimTime(u64::MAX - 1));
+        back.capture(SimTime(u64::MAX - 1));
         assert_eq!(back.exec_ticks(TaskId(4)), 5);
     }
 

@@ -65,16 +65,33 @@
 //!   `SlaRung`) is a [`SnapshotError::Decode`]. A tenant table's
 //!   ladder rung above the top one is a typed error.
 //!
+//! **When the seal is computed.** Every `snapshot()` above, and
+//! [`crate::FederatedEngine::checkpoint`], returns a sealed envelope:
+//! the payload rendered into a [`Value`] tree and hashed when it is
+//! taken. A [`crate::Supervisor`] checkpoints every shard at every
+//! watermark but reads a checkpoint only when that shard fails, so it
+//! keeps each one as a typed copy of the core's state instead, taken
+//! with every capture-time effect applied (new pages sealed, the reuse
+//! ledger swept, the plug-in states read). It renders and seals a copy
+//! only when it restores the shard from it (or salvages the shard's
+//! backlog), and the sealed envelope is byte-identical to what
+//! `checkpoint` returned at the capture instant.
+//!
 //! A core restore also checks that the outcome record it stitches back
 //! together describes one run, and returns
 //! [`SnapshotError::ShapeMismatch`] otherwise: the outcome and type
 //! tables have equal lengths, there is one per-type counter per PET
-//! task type, every arrival-order id lies inside the tables, the pages
-//! and the inline records cover the id range exactly once, no sealed
-//! page holds an unresolved task, and no task still batch-queued,
-//! waiting or running on a machine, or parked as a reuse follower has
-//! a recorded outcome. Each of these, left unchecked, either panicked
-//! later in the journal replay or resumed a run on misaligned tables.
+//! task type and every counter matches the tables, every recorded type
+//! is a PET task type, every arrival-order id lies inside the tables,
+//! the pages and the inline records cover the id range exactly once,
+//! and no sealed page holds an unresolved task. Every live task — still
+//! batch-queued, waiting or running on a machine, or parked as a reuse
+//! follower — must be an unresolved arrival of the type the record
+//! holds for its id, and the only live task with that id; no running
+//! task starts after the capture's clock. A shard recovery also rejects
+//! a capture whose clock is ahead of the journal replayed on top of it.
+//! Each of these, left unchecked, either panicked later in the journal
+//! replay or resumed a run on misaligned tables.
 //!
 //! Chain caches and scratch arenas are never serialized — restore
 //! rebuilds them lazily, which the incremental-chain determinism

@@ -108,6 +108,19 @@ pub struct TypeStats {
 }
 
 impl TypeStats {
+    /// Counts one terminal outcome (`Unfinished` has no counter).
+    fn count(&mut self, outcome: TaskOutcome) {
+        match outcome {
+            TaskOutcome::CompletedOnTime => self.on_time += 1,
+            TaskOutcome::CompletedLate => self.late += 1,
+            TaskOutcome::DroppedReactive => self.dropped_reactive += 1,
+            TaskOutcome::DroppedProactive => self.dropped_proactive += 1,
+            TaskOutcome::CancelledRunning => self.cancelled += 1,
+            TaskOutcome::Rejected => self.rejected += 1,
+            TaskOutcome::Unfinished => {}
+        }
+    }
+
     /// On-time fraction of arrived tasks (0 when none arrived).
     pub fn on_time_fraction(&self) -> f64 {
         if self.arrived == 0 {
@@ -300,24 +313,17 @@ impl SimStats {
             outcome,
         );
         self.outcomes[idx] = Some(outcome);
-        let t = &mut self.per_type[task.type_id.0 as usize];
-        match outcome {
-            TaskOutcome::CompletedOnTime => t.on_time += 1,
-            TaskOutcome::CompletedLate => t.late += 1,
-            TaskOutcome::DroppedReactive => t.dropped_reactive += 1,
-            TaskOutcome::DroppedProactive => t.dropped_proactive += 1,
-            TaskOutcome::CancelledRunning => t.cancelled += 1,
-            TaskOutcome::Rejected => t.rejected += 1,
-            TaskOutcome::Unfinished => {}
-        }
+        self.per_type[task.type_id.0 as usize].count(outcome);
     }
 
     /// Adds executed machine time, split by whether it produced value.
+    /// Saturates: a restored checkpoint may carry any count, and a
+    /// counter at the top of its range stays there.
     pub fn record_execution(&mut self, ticks: u64, useful: bool) {
         if useful {
-            self.useful_ticks += ticks;
+            self.useful_ticks = self.useful_ticks.saturating_add(ticks);
         } else {
-            self.wasted_ticks += ticks;
+            self.wasted_ticks = self.wasted_ticks.saturating_add(ticks);
         }
     }
 
@@ -461,15 +467,16 @@ pub(crate) struct OutcomePages {
 
 impl OutcomePages {
     /// Seals every page of `stats` that has completed since the last
-    /// capture and returns the capture's two halves: the stats payload
-    /// in [`SimStats`]' own encoding, holding only the records outside
-    /// sealed pages, and every sealed page in index order (shared, not
-    /// copied). Costs one pass over the page slots plus the records of
-    /// the open pages and of the pages sealed now.
+    /// capture and returns the capture's two halves: the inline
+    /// record, a copy of `stats` holding only the records outside
+    /// sealed pages (it serializes as the stats payload), and every
+    /// sealed page in index order (shared, not copied). Costs one pass
+    /// over the page slots plus the records of the open pages and of
+    /// the pages sealed now.
     pub(crate) fn capture(
         &mut self,
         stats: &SimStats,
-    ) -> (Value, Vec<Arc<Page>>) {
+    ) -> (SimStats, Vec<Arc<Page>>) {
         let full =
             stats.outcomes.len().min(stats.arrival_order.len()) / PAGE_LEN;
         if self.sealed.len() < full {
@@ -490,7 +497,7 @@ impl OutcomePages {
             ..*stats
         };
         let pages = self.sealed.iter().flatten().cloned().collect();
-        (inline.to_value(), pages)
+        (inline, pages)
     }
 
     /// The records of `table` outside sealed pages, in id (or
@@ -514,7 +521,8 @@ impl OutcomePages {
     /// the inline records do not cover the id range exactly once, a
     /// sealed page holds an unresolved id, the outcome and type tables
     /// differ in length, an arrival-order id lies outside them, or the
-    /// per-type counters do not number `n_types`.
+    /// per-type counters do not number `n_types`, a recorded type lies
+    /// past them, or they disagree with the tables.
     pub(crate) fn restore(
         stats: &Value,
         pages: &[Arc<Page>],
@@ -563,6 +571,28 @@ impl OutcomePages {
         if inline.per_type.len() != n_types {
             return Err(SnapshotError::ShapeMismatch {
                 what: "the per-type counters do not match the PET task types",
+            });
+        }
+        // The per-type counters are a function of the tables: recount
+        // them, so a run never resumes on counters its record does not
+        // back (or that the next arrival would overflow).
+        let mut per_type = vec![TypeStats::default(); n_types];
+        for (ty, outcome) in types.iter().zip(&outcomes) {
+            let Some(ty) = ty else { continue };
+            let Some(t) = per_type.get_mut(ty.0 as usize) else {
+                return Err(SnapshotError::ShapeMismatch {
+                    what: "a recorded task type is not one of the PET task \
+                           types",
+                });
+            };
+            t.arrived += 1;
+            if let Some(outcome) = outcome {
+                t.count(*outcome);
+            }
+        }
+        if per_type != inline.per_type {
+            return Err(SnapshotError::ShapeMismatch {
+                what: "the per-type counters disagree with the outcome record",
             });
         }
         let mut cache = OutcomePages {
@@ -839,11 +869,8 @@ mod tests {
         // Page 0 waits on id 10; pages 1 and 2 seal; the tail stays
         // inline with page 0.
         assert_eq!(pages.len(), 2);
-        let Value::Array(open) = inline.get_field("outcomes").unwrap() else {
-            panic!("outcomes is an array");
-        };
-        assert_eq!(open.len(), PAGE_LEN + 8);
-        let (back, _) = OutcomePages::restore(&inline, &pages, 2)
+        assert_eq!(inline.outcomes.len(), PAGE_LEN + 8);
+        let (back, _) = OutcomePages::restore(&inline.to_value(), &pages, 2)
             .expect("the capture restores");
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
@@ -863,7 +890,7 @@ mod tests {
         }
         let (inline, pages) = OutcomePages::default().capture(&s);
         assert!(pages.is_empty());
-        assert_eq!(inline, s.to_value());
+        assert_eq!(inline.to_value(), s.to_value());
         let (back, _) =
             OutcomePages::restore(&s.to_value(), &[], 1).expect("restores");
         assert_eq!(back.to_value(), s.to_value());

@@ -44,6 +44,7 @@
 //! merging run against its fault-free twin.
 
 use crate::config::RunError;
+use crate::core::CoreCapture;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::gateway::{DriveSignal, FederatedEngine, FederationStats};
 use crate::sink::{NullSink, Sink};
@@ -256,18 +257,24 @@ pub(crate) fn backoff_at(base: u64, attempt: u32) -> u64 {
 /// [`Supervisor::arm`] so the bootstrap captures are not themselves
 /// fault targets.
 ///
-/// Cost: each auto-checkpoint costs the shard's live state plus the
+/// Cost: each auto-checkpoint copies the shard's live state plus the
 /// outcome records resolved since its previous checkpoint (see
 /// [`FederatedEngine::checkpoint`]), so checkpointing every
 /// [`RecoveryPolicy::checkpoint_interval`] arrivals grows linearly
 /// with the run, not with its square. A checkpoint shares the sealed
 /// pages of the one it replaces, so holding one per shard costs the
-/// outcome history once.
+/// outcome history once. The supervisor keeps each checkpoint as that
+/// copy: it renders and hashes one into a [`Snapshot`] only when it
+/// restores the shard from it (a crash recovery, a journal-gap or
+/// watermark-lag repair, or the salvage before a quarantine), and the
+/// sealed snapshot is byte-identical to what
+/// [`FederatedEngine::checkpoint`] returned at the capture instant.
 pub struct Supervisor<'a, S: Sink = NullSink> {
     engine: FederatedEngine<'a, S>,
     policy: RecoveryPolicy,
     retries_left: Vec<u32>,
-    checkpoints: Vec<Snapshot>,
+    /// The latest checkpoint of each shard, unsealed.
+    checkpoints: Vec<CoreCapture>,
     next_watermark: u64,
     log: RecoveryLog,
 }
@@ -281,7 +288,7 @@ impl<'a, S: Sink> Supervisor<'a, S> {
     ) -> Self {
         engine.enable_journal();
         let n = engine.n_shards();
-        let checkpoints = (0..n).map(|s| engine.checkpoint(s)).collect();
+        let checkpoints = (0..n).map(|s| engine.capture(s)).collect();
         // Relative to the arrivals already ingested, so a supervisor
         // attached to a restored coordinator resumes its checkpoint
         // cadence instead of waiting for an absolute count it may
@@ -470,7 +477,8 @@ impl<'a, S: Sink> Supervisor<'a, S> {
         // it, but to salvage the still-unmapped backlog the batch
         // queue held (a free read of durable storage, not a retry) —
         // then quarantine it and shed load on the survivors.
-        let _ = self.engine.recover_shard(shard, &self.checkpoints[shard]);
+        let checkpoint = self.checkpoints[shard].seal();
+        let _ = self.engine.recover_shard(shard, &checkpoint);
         let rerouted = self.engine.quarantine_shard(shard, more);
         self.engine
             .tighten_healthy_pruners(self.policy.quarantine_shed_factor);
@@ -503,7 +511,8 @@ impl<'a, S: Sink> Supervisor<'a, S> {
                 );
                 continue;
             }
-            match self.engine.recover_shard(shard, &self.checkpoints[shard]) {
+            let checkpoint = self.checkpoints[shard].seal();
+            match self.engine.recover_shard(shard, &checkpoint) {
                 Ok(()) => {
                     let journal_ops = self.engine.journal(shard).len() as u64;
                     self.log.push(
@@ -602,7 +611,7 @@ impl<'a, S: Sink> Supervisor<'a, S> {
                     }
                     break;
                 }
-                self.checkpoints[shard] = self.engine.checkpoint(shard);
+                self.checkpoints[shard] = self.engine.capture(shard);
                 self.log.push(
                     now,
                     shard,

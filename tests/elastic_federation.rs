@@ -16,12 +16,17 @@
 //! Coordinator snapshots: a re-sealed payload that does not describe a
 //! federation decodes to a typed error, and an earlier build's capture
 //! resumes bit-identically.
+//!
+//! Generative: a shard checkpoint with any one node changed and
+//! re-sealed either restores or is a typed error; recovery and the
+//! rest of the run never panic.
 
 mod common;
 
 use std::sync::Arc;
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
+use taskprune_prob::rng::SplitMix64;
 use taskprune_sim::snapshot::Page;
 use taskprune_sim::{FederatedEngine, Snapshot, SnapshotError, TraceLog};
 
@@ -381,6 +386,121 @@ fn malformed_outcome_records_are_typed_errors() {
     );
 }
 
+/// The `k`-th live task of a core payload, counting the batch queue,
+/// then each machine's running task and waiting list.
+fn live_task(payload: &mut serde::Value, k: usize) -> &mut serde::Value {
+    let serde::Value::Object(fields) = payload else {
+        panic!("core payloads are objects");
+    };
+    let mut live: Vec<&mut serde::Value> = Vec::new();
+    for (name, v) in fields.iter_mut() {
+        match (name.as_str(), v) {
+            ("arrival_queue", serde::Value::Array(batch)) => live.extend(batch),
+            ("queues", serde::Value::Array(queues)) => {
+                for q in queues {
+                    let serde::Value::Object(q) = q else {
+                        panic!("queue payloads are objects");
+                    };
+                    for (name, v) in q.iter_mut() {
+                        match (name.as_str(), v) {
+                            ("running", serde::Value::Array(running)) => {
+                                live.push(&mut running[0]);
+                            }
+                            ("waiting", serde::Value::Array(waiting)) => {
+                                live.extend(waiting);
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    live.into_iter()
+        .nth(k)
+        .expect("the pause leaves two tasks live on the shard")
+}
+
+/// Live tasks and clocks the rest of a checkpoint does not back are
+/// typed errors at recovery. At an earlier build each of these
+/// restored and then panicked: a live task's type out of the PET's
+/// range (an index past the per-type counters), its id past the tables
+/// ("jumps far past"), its id moved onto another live task ("finished
+/// twice"), the clock past the journal ("time ran backwards"), a
+/// running task started at the end of the clock (its completion's
+/// execution time underflowed). After every rejection the genuine
+/// checkpoint still recovers the shard, and the run finishes exactly
+/// as an uninterrupted one.
+#[test]
+fn live_tasks_and_clocks_the_record_does_not_back_are_typed_errors() {
+    let (cluster, pet, tasks) = fixture(PAGED_SCALE);
+    let reference = builder(&cluster, &pet)
+        .build()
+        .expect("valid configuration")
+        .run_stream(tasks.iter().copied());
+    let mut engine = builder(&cluster, &pet)
+        .build()
+        .expect("valid configuration");
+    engine.enable_journal();
+    let mut source = tasks.iter().copied().peekable();
+    engine.run_until(&mut source, (tasks.len() / 3) as u64);
+    let snap = engine.checkpoint(1);
+    engine.run_until(&mut source, (2 * tasks.len() / 3) as u64);
+
+    type Edit = fn(&mut serde::Value, &mut Vec<Arc<Page>>);
+    let cases: Vec<(&str, Edit)> = vec![
+        ("a live task's type past the PET", |p, _| {
+            *field(live_task(p, 0), "type_id") = serde::Value::UInt(99);
+        }),
+        ("a live task's id past the tables", |p, _| {
+            *field(live_task(p, 0), "id") = serde::Value::UInt(u64::MAX);
+        }),
+        ("a live task's id moved onto the next one", |p, _| {
+            let next = field(live_task(p, 1), "id").clone();
+            *field(live_task(p, 0), "id") = next;
+        }),
+        ("the clock past the journal", |p, _| {
+            *field(p, "now") = serde::Value::UInt(u64::MAX / 2);
+        }),
+        ("a running task started at the end of the clock", |p, _| {
+            let serde::Value::Array(queues) = field(p, "queues") else {
+                panic!("queues is an array");
+            };
+            let start = queues
+                .iter_mut()
+                .find_map(|q| match field(q, "running") {
+                    serde::Value::Array(running) => Some(&mut running[1]),
+                    _ => None,
+                })
+                .expect("the pause leaves a machine busy");
+            *start = serde::Value::UInt(u64::MAX);
+        }),
+    ];
+    for (name, edit) in cases {
+        let err = engine
+            .recover_shard(1, &resealed(&snap, edit))
+            .expect_err(name);
+        assert!(
+            matches!(
+                err,
+                taskprune_sim::RunError::Snapshot(
+                    SnapshotError::ShapeMismatch { .. }
+                )
+            ),
+            "{name}: expected ShapeMismatch, got {err:?}"
+        );
+    }
+    engine
+        .recover_shard(1, &resealed(&snap, |_, _| {}))
+        .expect("the re-sealed genuine checkpoint restores");
+    assert_eq!(
+        json(&reference),
+        json(&engine.finish_stream(&mut source)),
+        "recovery after the rejected checkpoints diverged"
+    );
+}
+
 /// A shard checkpoint written by an earlier build carries the core's
 /// `sla_rung`, the overload rung its deferral chance was biased by.
 /// This build ignores the field whatever it holds: the shard recovers
@@ -688,3 +808,199 @@ fn legacy_coordinator_snapshot_resumes_bit_identically() {
         "the restored capture diverged from the uninterrupted run"
     );
 }
+
+// ---------------------------------------------------------------------
+// Generative: one node of a re-sealed checkpoint changed.
+// ---------------------------------------------------------------------
+
+/// The federation the generative test pauses: 2 round-robin shards of
+/// MM with the paper's pruning, absorbing exact duplicates.
+fn reuse_engine<'a>(
+    cluster: &Cluster,
+    pet: &'a PetMatrix,
+) -> FederatedEngine<'a> {
+    let n_types = pet.n_task_types();
+    GatewayBuilder::new(cluster, pet)
+        .config(SimConfig::batch(55))
+        .shards(2)
+        .policy(RoundRobinRoute::new())
+        .strategy_with(|_| HeuristicKind::Mm.make())
+        .pruner_with(move |_| {
+            Box::new(PruningMechanism::new(
+                PruningConfig::paper_default(),
+                n_types,
+            ))
+        })
+        .reuse(ReusePolicy::ExactOnly)
+        .build()
+        .expect("valid configuration")
+}
+
+/// A uniform pick below `n` from the test's seeded case stream.
+fn below(cases: &mut SplitMix64, n: usize) -> usize {
+    (cases.next() % n as u64) as usize
+}
+
+/// Every node of a `Value` tree, as the child indices leading to it.
+fn node_paths(
+    v: &serde::Value,
+    at: &mut Vec<usize>,
+    out: &mut Vec<Vec<usize>>,
+) {
+    out.push(at.clone());
+    let children: Vec<&serde::Value> = match v {
+        serde::Value::Array(items) => items.iter().collect(),
+        serde::Value::Object(fields) => fields.iter().map(|(_, v)| v).collect(),
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        at.push(i);
+        node_paths(child, at, out);
+        at.pop();
+    }
+}
+
+fn node_at<'v>(
+    v: &'v mut serde::Value,
+    path: &[usize],
+) -> &'v mut serde::Value {
+    path.iter().fold(v, |v, &i| match v {
+        serde::Value::Array(items) => &mut items[i],
+        serde::Value::Object(fields) => &mut fields[i].1,
+        _ => unreachable!("paths lead through containers"),
+    })
+}
+
+/// Changes one node of `tree`: an integer to a neighbour, zero, the
+/// top of its range or an integer found elsewhere in the tree; a null
+/// to an integer; a string or float to another leaf; a container
+/// loses, repeats or forgets an element.
+fn mutate(tree: &mut serde::Value, cases: &mut SplitMix64) {
+    use serde::Value as V;
+    let mut paths = Vec::new();
+    node_paths(tree, &mut Vec::new(), &mut paths);
+    let ints: Vec<u64> = paths
+        .iter()
+        .filter_map(|p| match node_at(tree, p) {
+            V::UInt(x) => Some(*x),
+            _ => None,
+        })
+        .collect();
+    let path = &paths[below(cases, paths.len())];
+    let pick = below(cases, 5);
+    let some_int = ints.get(below(cases, ints.len().max(1))).copied();
+    let node = node_at(tree, path);
+    *node = match std::mem::replace(node, V::Null) {
+        V::UInt(x) => V::UInt(
+            [x.wrapping_add(1), x.wrapping_sub(1), 0, u64::MAX]
+                .get(pick)
+                .copied()
+                .or(some_int)
+                .unwrap_or(7),
+        ),
+        V::Int(x) => V::Int(
+            [x.wrapping_add(1), x.wrapping_sub(1), 0, i64::MAX, -1][pick],
+        ),
+        V::Null => V::UInt(some_int.unwrap_or(0)),
+        V::Bool(b) => V::Bool(!b),
+        V::Float(x) => V::Float([0.0, -x, x * 2.0, 1e300, 0.5][pick]),
+        V::Str(s) => {
+            let others = ["CompletedOnTime", "DroppedReactive", "Unfinished"];
+            V::Str(others.iter().find(|&&o| o != s).copied().unwrap().into())
+        }
+        V::Array(mut items) if !items.is_empty() => {
+            let i = below(cases, items.len());
+            match pick % 3 {
+                0 => {
+                    items.remove(i);
+                }
+                1 => items.insert(i, items[i].clone()),
+                _ => items.clear(),
+            }
+            V::Array(items)
+        }
+        V::Object(mut fields) if !fields.is_empty() => {
+            fields.remove(below(cases, fields.len()));
+            V::Object(fields)
+        }
+        empty => V::Array(vec![empty]),
+    };
+}
+
+/// A paged shard checkpoint with one node of its payload or of one
+/// page changed, then re-sealed, never makes recovery panic: shard 1
+/// of a reuse-absorbing run is checkpointed a third of the way in and
+/// recovered halfway, then the run is finished, all under
+/// `catch_unwind`. Either the checkpoint restores and the run finishes,
+/// or recovery fails with a typed `RunError::Snapshot`. At an earlier
+/// build these cases panicked in the replay or the resumed run: on a
+/// live task whose id the outcome record did not hold, on two live
+/// tasks sharing an id, and, in debug builds, on a counter set to the
+/// top of its range.
+#[test]
+fn resealed_hostile_checkpoints_never_panic() {
+    let (cluster, pet, base) = fixture(HOSTILE_SCALE);
+    let tasks: Vec<Task> = taskprune_workload::TaskStream::from_tasks(base)
+        .with_duplicate_rate(0.3, 0xD0B1)
+        .collect();
+    let (third, half) = (tasks.len() as u64 / 3, tasks.len() as u64 / 2);
+    let paused = |cluster, pet| {
+        let mut engine = reuse_engine(cluster, pet);
+        engine.enable_journal();
+        let mut source = tasks.iter().copied().peekable();
+        engine.run_until(&mut source, third);
+        let snap = engine.checkpoint(1);
+        engine.run_until(&mut source, half);
+        (engine, source, snap)
+    };
+    let (mut engine, mut source, snap) = paused(&cluster, &pet);
+    assert!(!snap.pages().is_empty(), "the checkpoint sealed a page");
+    let mut cases = SplitMix64::new(0x5eed);
+    let (mut restored, mut rejected) = (0, 0);
+    for case in 0..CASES {
+        let mut payload = snap.payload().clone();
+        let mut pages = snap.pages().to_vec();
+        if below(&mut cases, 2) == 0 {
+            mutate(&mut payload, &mut cases);
+        } else {
+            let target = below(&mut cases, pages.len());
+            let mut body = pages[target].body().clone();
+            mutate(&mut body, &mut cases);
+            pages[target] = Arc::new(Page::seal(body));
+        }
+        let bad = Snapshot::seal_with_pages("scheduler-core", payload, pages);
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.recover_shard(1, &bad)
+            }));
+        match outcome {
+            Ok(Err(taskprune_sim::RunError::Snapshot(_))) => {
+                rejected += 1;
+                continue;
+            }
+            Ok(Ok(())) => restored += 1,
+            Ok(Err(e)) => panic!("case {case}: untyped recovery error {e:?}"),
+            Err(_) => panic!("case {case}: recovery panicked"),
+        }
+        // The restored engine finishes its run; the next case gets a
+        // fresh one, paused at the same point.
+        let (fresh, fresh_source, _) = paused(&cluster, &pet);
+        let resumed = std::mem::replace(&mut engine, fresh);
+        let mut rest = std::mem::replace(&mut source, fresh_source);
+        let finished =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                resumed.finish_stream(&mut rest)
+            }));
+        assert!(finished.is_ok(), "case {case}: the resumed run panicked");
+    }
+    assert!(
+        restored > 0 && rejected > 0,
+        "{restored} restored, {rejected} rejected"
+    );
+}
+
+/// Cases of [`resealed_hostile_checkpoints_never_panic`].
+const CASES: usize = 256;
+
+/// Fixture scale of the generative test: a 3 000-task trial.
+const HOSTILE_SCALE: f64 = 2.0;
