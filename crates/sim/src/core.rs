@@ -43,15 +43,14 @@ use crate::config::SimConfig;
 use crate::queue::{MachineQueue, QueueCapture};
 use crate::reuse::{LedgerCapture, ReuseLedger, ReuseStats};
 use crate::sink::{NullSink, Sink};
-use crate::snapshot::{Page, Snapshot, SnapshotError};
-use crate::stats::{OutcomePages, SimStats};
+use crate::snapshot::{Snapshot, SnapshotError};
+use crate::stats::{OutcomeCapture, OutcomePages, SimStats};
 use crate::trace::{QueueSnapshot, TraceEvent};
 use crate::traits::{Assignment, EventReport, MappingStrategy, Pruner};
 use crate::view::SystemView;
 use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::collections::HashSet;
-use std::sync::Arc;
 use taskprune_model::{
     Machine, MachineId, PetMatrix, SimTime, Task, TaskId, TaskOutcome,
 };
@@ -149,9 +148,10 @@ pub struct SchedulerCore<'a, S: Sink = NullSink> {
     now: SimTime,
     stats: SimStats,
     /// The sealed pages of `stats`' outcome history that every capture
-    /// shares (see [`crate::snapshot`]). Filled only inside a capture
-    /// ([`SchedulerCore::snapshot`]), which takes `&self` — hence the
-    /// `RefCell` — cleared by a crash wipe, reset by a restore.
+    /// shares instead of copying (see [`OutcomePages`]). Filled only
+    /// inside a capture ([`SchedulerCore::capture`]), which takes
+    /// `&self` — hence the `RefCell` — and cleared by a crash wipe and
+    /// by a restore.
     pages: RefCell<OutcomePages>,
     /// The latest `arrival` instant among the tasks delivered to this
     /// core — never its clock. Captures sweep the reuse ledger by it.
@@ -635,31 +635,30 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// drained-decision buffers and the Eq. 1 chain caches are
     /// rebuilt, not serialized.
     ///
-    /// The outcome history travels in pages (see [`crate::snapshot`]):
-    /// pages sealed by an earlier capture of this core are shared, not
-    /// rebuilt, so a capture costs the live state plus the records
-    /// resolved since the previous one. The reuse ledger's completed
-    /// primaries are swept by the arrival watermark first. Neither
-    /// changes what the core does next, and the capture is a pure
-    /// function of the core's state.
+    /// The payload carries the whole outcome record, so a snapshot
+    /// grows with the run. The reuse ledger's completed primaries are
+    /// swept by the arrival watermark first; that changes nothing the
+    /// core does next, and the snapshot is a pure function of the
+    /// core's state.
     pub fn snapshot(&self) -> Snapshot {
         self.capture().seal()
     }
 
-    /// The first half of [`SchedulerCore::snapshot`]: a deep copy of
-    /// the durable state, with every capture-time effect applied (new
-    /// pages sealed, the reuse ledger swept, the plug-in states read),
-    /// but neither rendered nor hashed. [`CoreCapture::seal`] turns it
-    /// into the snapshot this call would have returned, however far
-    /// the core has moved on since.
+    /// The first half of [`SchedulerCore::snapshot`]: a copy of the
+    /// durable state, with every capture-time effect applied (the
+    /// reuse ledger swept, the plug-in states read), but neither
+    /// rendered nor hashed. It copies the live state and the outcome
+    /// records resolved since the previous capture; every page of 64
+    /// ids that has fully resolved is sealed once and shared with the
+    /// earlier captures. [`CoreCapture::seal`] turns it into the
+    /// snapshot this call would have returned, however far the core
+    /// has moved on since.
     pub(crate) fn capture(&self) -> CoreCapture {
-        let (stats, pages) = self.pages.borrow_mut().capture(&self.stats);
         CoreCapture {
             now: self.now,
             arrival_queue: self.arrival_queue.clone(),
             queues: self.queues.iter().map(MachineQueue::capture).collect(),
-            stats,
-            pages,
+            stats: self.pages.borrow_mut().capture(&self.stats),
             strategy: self.strategy.snapshot_state(),
             pruner: self.pruner.snapshot_state(),
             sink: self.sink.snapshot_state(),
@@ -690,9 +689,8 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         let now = SimTime::from_value(payload.get_field("now")?)?;
         let arrival_queue =
             Vec::<Task>::from_value(payload.get_field("arrival_queue")?)?;
-        let (stats, pages) = OutcomePages::restore(
+        let stats = SimStats::from_checkpoint(
             payload.get_field("stats")?,
-            snap.pages(),
             self.pet.n_task_types(),
         )?;
         let Value::Array(queue_states) = payload.get_field("queues")? else {
@@ -754,7 +752,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                 what: "a running task starts after the capture's clock",
             });
         }
-        // Pre-paging snapshot: no watermark was kept. Zero sweeps
+        // Snapshot from before the watermark existed. Zero sweeps
         // nothing the capture holds and is never ahead of the gate's.
         self.arrival_watermark = match payload.get_opt("arrival_watermark") {
             Some(state) => SimTime::from_value(state)?,
@@ -763,7 +761,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         self.now = now;
         self.arrival_queue = arrival_queue;
         self.stats = stats;
-        *self.pages.get_mut() = pages;
+        *self.pages.get_mut() = OutcomePages::default();
         self.decisions.clear();
         self.decisions_spare.clear();
         self.starts.clear();
@@ -1094,9 +1092,7 @@ pub(crate) struct CoreCapture {
     now: SimTime,
     arrival_queue: Vec<Task>,
     queues: Vec<QueueCapture>,
-    /// The outcome record outside the sealed pages.
-    stats: SimStats,
-    pages: Vec<Arc<Page>>,
+    stats: OutcomeCapture,
     strategy: Value,
     pruner: Value,
     sink: Value,
@@ -1105,17 +1101,18 @@ pub(crate) struct CoreCapture {
 }
 
 impl CoreCapture {
-    /// Renders the capture in the core's wire form and seals it: the
+    /// Renders the capture in the core's wire form, the outcome record
+    /// stitched back flat from its pages, and seals it: the
     /// [`Snapshot`] [`SchedulerCore::snapshot`] returned at the
     /// capture instant, to the byte.
     pub(crate) fn seal(&self) -> Snapshot {
-        Snapshot::seal_with_pages(
+        Snapshot::seal(
             "scheduler-core",
             Value::Object(vec![
                 ("now".to_owned(), self.now.to_value()),
                 ("arrival_queue".to_owned(), self.arrival_queue.to_value()),
                 ("queues".to_owned(), self.queues.to_value()),
-                ("stats".to_owned(), self.stats.to_value()),
+                ("stats".to_owned(), self.stats.record().to_value()),
                 ("strategy".to_owned(), self.strategy.clone()),
                 ("pruner".to_owned(), self.pruner.clone()),
                 ("sink".to_owned(), self.sink.clone()),
@@ -1125,7 +1122,6 @@ impl CoreCapture {
                     self.arrival_watermark.to_value(),
                 ),
             ]),
-            self.pages.clone(),
         )
     }
 }
@@ -1349,11 +1345,11 @@ mod tests {
         assert_eq!(back.reuse_stats(), c.reuse_stats());
     }
 
-    /// A restore replaces the page cache: restoring another core's
+    /// A restore clears the page cache: restoring another core's
     /// capture and capturing again reproduces that capture exactly,
-    /// pages included, whatever this core had sealed before.
+    /// whatever this core had sealed before.
     #[test]
-    fn restore_replaces_the_sealed_pages() {
+    fn restore_clears_the_sealed_pages() {
         let pet = det_pet();
         let cluster = Cluster::one_per_type(1);
         // The same 130 ids: every task is dropped reactively on `a`
@@ -1368,13 +1364,17 @@ mod tests {
                 b.complete(s.machine.id, s.task.id);
             }
         }
-        let before = a.snapshot();
+        assert_eq!(a.capture().stats.sealed().count(), 2);
         let theirs = b.snapshot();
-        assert_eq!(before.pages().len(), 2);
-        assert_eq!(theirs.pages().len(), 2);
-        assert_ne!(before.pages(), theirs.pages());
         a.restore(&theirs).expect("the capture restores");
         assert_eq!(a.snapshot(), theirs);
+    }
+
+    impl CoreCapture {
+        /// The capture's outcome record.
+        pub(crate) fn outcome(&self) -> &OutcomeCapture {
+            &self.stats
+        }
     }
 
     #[test]

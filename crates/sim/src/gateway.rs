@@ -103,22 +103,6 @@ impl IdCompactor {
     pub fn assigned(&self, shard: usize) -> usize {
         self.per_shard.get(shard).map_or(0, Vec::len)
     }
-
-    /// Captures the compactor's id tables into a sealed, versioned
-    /// [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot::seal("id-compactor", self.to_value())
-    }
-
-    /// Restores the tables captured by [`IdCompactor::snapshot`],
-    /// after verifying the envelope (version + state hash).
-    ///
-    /// # Errors
-    /// Any [`SnapshotError`] from the envelope or payload decode.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        *self = Self::from_value(snap.verify()?)?;
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1724,17 +1708,14 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// [`FederatedEngine::run_until`] — so the capture is
     /// quiescent.
     ///
-    /// Cost: the shard's live state (queues, batch queue, parked
-    /// followers, the completed primaries a follower can still reach)
-    /// plus the outcome records resolved since its previous capture,
-    /// sealed into pages once; every page an earlier capture sealed is
-    /// shared by reference, and sealing hashes one word per page. The
-    /// first capture of a long-running shard seals its whole history
-    /// and costs what every capture used to: the run so far.
-    ///
-    /// The snapshot returned here is sealed: its payload rendered and
-    /// hashed. A [`crate::Supervisor`] keeps its checkpoints as the
-    /// same captures unsealed, and seals one only to restore it.
+    /// Cost: the shard's whole state, rendered and hashed: the live
+    /// state (queues, batch queue, parked followers, the completed
+    /// primaries a follower can still reach) and the whole outcome
+    /// record, so a sealed checkpoint grows with the run. A
+    /// [`crate::Supervisor`] keeps its checkpoints unsealed instead,
+    /// as copies that cost the live state plus the outcome records
+    /// resolved since the shard's previous copy, and seals one only to
+    /// restore it.
     pub fn checkpoint(&mut self, shard: usize) -> Snapshot {
         self.capture(shard).seal()
     }
@@ -2375,10 +2356,10 @@ mod tests {
 
     /// A capture is a copy of the core, not a view of it: sealed after
     /// the run has moved on, it is the snapshot the core gave at the
-    /// capture instant, by wire form and by hash. The run is paged,
-    /// keeps followers parked and completed primaries in the reuse
-    /// ledger, and traces every event, so the sink's plug-in state
-    /// grows between a capture and its seal.
+    /// capture instant, by wire form and by hash. The run seals
+    /// outcome pages, keeps followers parked and completed primaries in
+    /// the reuse ledger, and traces every event, so the sink's plug-in
+    /// state grows between a capture and its seal.
     #[test]
     fn a_capture_seals_to_the_snapshot_of_its_instant() {
         let pet = det_pet();
@@ -2422,11 +2403,65 @@ mod tests {
                     .get_field(name)
                     .is_ok_and(|v| *v != Value::Array(Vec::new()))
             };
-            paged |= !snap.pages().is_empty();
+            paged |= capture.outcome().sealed().next().is_some();
             parked |= held_any("followers");
             completed |= held_any("completed_exec");
         }
         assert!(paged && parked && completed, "{paged} {parked} {completed}");
+    }
+
+    /// A capture costs the live state, not the run: on a lightly
+    /// loaded federation (4 round-robin shards, exact reuse, 30 %
+    /// duplicates) shard 0's captures after N and after 4N arrivals
+    /// each copy the records of at most two pages' worth of ids, and
+    /// the later capture shares every page the earlier one sealed.
+    #[test]
+    fn captures_copy_the_open_records_and_share_sealed_pages() {
+        const OPEN_CAP: usize = 128;
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let mut engine = builder(&pet, &cluster, 4)
+            .reuse(ReusePolicy::ExactOnly)
+            .build()
+            .expect("valid configuration");
+        // Three arrivals in ten repeat the one before: exact
+        // duplicates the gate absorbs.
+        let tasks: Vec<Task> = (0..2_400u64)
+            .map(|i| {
+                let id = if matches!(i % 10, 2 | 5 | 8) {
+                    i - 1
+                } else {
+                    i
+                };
+                Task::new(
+                    id,
+                    TaskTypeId(0),
+                    SimTime(150 * i),
+                    SimTime(150 * i + 3_000),
+                )
+            })
+            .collect();
+        let mut source = tasks.iter().copied().peekable();
+        engine.run_until(&mut source, 600);
+        let early = engine.capture(0);
+        engine.run_until(&mut source, 2_400);
+        let late = engine.capture(0);
+        for (name, capture) in [("N", &early), ("4N", &late)] {
+            let open = capture.outcome().open_ids();
+            assert!(
+                open <= OPEN_CAP,
+                "the {name} capture copies the records of {open} ids"
+            );
+        }
+        let (early, late) = (early.outcome(), late.outcome());
+        assert!(early.sealed().next().is_some(), "the N capture sealed");
+        assert!(late.sealed().count() > early.sealed().count());
+        for page in early.sealed() {
+            assert!(
+                late.sealed().any(|p| std::sync::Arc::ptr_eq(p, page)),
+                "the 4N capture rebuilt a page the N capture sealed"
+            );
+        }
     }
 
     fn alien_stream() -> Vec<Task> {

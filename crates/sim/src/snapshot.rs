@@ -1,12 +1,13 @@
 //! Versioned, hash-sealed state snapshots.
 //!
 //! Every durable piece of federation state — [`crate::SchedulerCore`],
-//! [`crate::queue::MachineQueue`], [`crate::IdCompactor`],
-//! [`crate::Gateway`] — captures itself into a [`Snapshot`]: a wire
-//! envelope carrying a format `version`, a `state_hash` sealed over the
-//! payload, an optional `component` tag, the payload [`Value`] tree
-//! itself, and the sealed [`Page`]s of the component's append-only
-//! history (none for every component but the scheduler core).
+//! [`crate::queue::MachineQueue`], [`crate::Gateway`] — captures itself
+//! into a [`Snapshot`]: a wire envelope carrying a format `version`, a
+//! `state_hash` sealed over the payload, an optional `component` tag,
+//! and the payload [`Value`] tree itself. The payload holds the whole
+//! state: a scheduler core's carries its whole outcome record (outcome
+//! and type per task id, the arrival order, the per-type counters) in
+//! [`crate::SimStats`]' own encoding.
 //!
 //! Four properties make the envelope production-grade:
 //!
@@ -15,34 +16,17 @@
 //!   data still parses), but [`Snapshot::verify`] rejects it with
 //!   [`SnapshotError::UnsupportedVersion`] before any state is
 //!   restored from it. This build writes version 2 and reads versions
-//!   1 and 2: version 2 added pages, so a version-1 capture is simply
-//!   one without them. A build that reads only version 1 reports a
-//!   paged capture as unsupported instead of as a hash mismatch.
+//!   1 and 2. Earlier version-2 builds could write the sealed pages of
+//!   a core's outcome history beside its payload, in a `pages` field;
+//!   this build decodes such a paged capture to an error that names
+//!   it (a [`SnapshotError::Decode`] through `?`) and never restores
+//!   it. It writes no `pages` field, so those builds read its
+//!   captures as captures without pages.
 //! * **Hash-sealed.** `state_hash` is an FNV-1a digest over a
-//!   canonical walk of the payload tree, continued over each page's
-//!   own hash in page order. Because the whole simulator is bit-for-bit
-//!   deterministic, two replicas that executed the same event stream
-//!   produce the *same* hash — so a hash mismatch at a watermark is a
-//!   desync (or tampering) detector, not noise.
-//! * **Paged.** A scheduler core's outcome history (the per-id outcome
-//!   and type tables and the arrival order) only ever grows, and a
-//!   record stops changing once its task has resolved. The core cuts
-//!   it into fixed-size pages and seals a page once, when every task
-//!   in it has arrived and resolved; every later capture of that core
-//!   shares the sealed page by reference instead of rebuilding it, and
-//!   the payload carries only the records outside sealed pages. A
-//!   capture therefore costs the live state plus the records resolved
-//!   since the previous capture, not the length of the run. Each page
-//!   carries its own FNV-1a hash of its body, so sealing a capture
-//!   hashes the payload plus one word per page. [`Snapshot::verify`]
-//!   still re-hashes every page body before anything is restored: a
-//!   flipped bit inside a page, or a page dropped, duplicated or
-//!   swapped on the wire, is a [`SnapshotError::HashMismatch`]. An
-//!   envelope without pages — every capture written before pages
-//!   existed, and every component but the core — hashes, serializes,
-//!   verifies and restores exactly as before: its hash chain is the
-//!   payload's digest alone, and the core reads its payload with the
-//!   one decoder, stitching in zero pages.
+//!   canonical walk of the payload tree. Because the whole simulator
+//!   is bit-for-bit deterministic, two replicas that executed the same
+//!   event stream produce the *same* hash — so a hash mismatch at a
+//!   watermark is a desync (or tampering) detector, not noise.
 //! * **Forward-compatible decode.** Optional envelope fields follow
 //!   the same missing-field convention as the bench `BenchEntry`
 //!   records: absent means `None`, so snapshots written before a field
@@ -64,6 +48,21 @@
 //!   interval of one run, so a retired journal op (`Steal`, `Adopt`,
 //!   `SlaRung`) is a [`SnapshotError::Decode`]. A tenant table's
 //!   ladder rung above the top one is a typed error.
+//! * **Checked on restore.** A core restore checks that the outcome
+//!   record describes one run, and returns
+//!   [`SnapshotError::ShapeMismatch`] otherwise: the outcome and type
+//!   tables have equal lengths, the arrival order lists each arrived
+//!   id (each id with a recorded type) exactly once, there is one
+//!   per-type counter per PET task type and every counter matches the
+//!   tables, and every recorded type is a PET task type. Every live
+//!   task — still batch-queued, waiting or running on a machine, or
+//!   parked as a reuse follower — must be an unresolved arrival of the
+//!   type the record holds for its id, and the only live task with
+//!   that id; no running task starts after the capture's clock. A
+//!   shard recovery also rejects a capture whose clock is ahead of the
+//!   journal replayed on top of it. Each of these, left unchecked,
+//!   either panicked later in the journal replay or resumed a run on
+//!   a record no run could have written.
 //!
 //! **When the seal is computed.** Every `snapshot()` above, and
 //! [`crate::FederatedEngine::checkpoint`], returns a sealed envelope:
@@ -71,34 +70,21 @@
 //! taken. A [`crate::Supervisor`] checkpoints every shard at every
 //! watermark but reads a checkpoint only when that shard fails, so it
 //! keeps each one as a typed copy of the core's state instead, taken
-//! with every capture-time effect applied (new pages sealed, the reuse
-//! ledger swept, the plug-in states read). It renders and seals a copy
-//! only when it restores the shard from it (or salvages the shard's
-//! backlog), and the sealed envelope is byte-identical to what
-//! `checkpoint` returned at the capture instant.
-//!
-//! A core restore also checks that the outcome record it stitches back
-//! together describes one run, and returns
-//! [`SnapshotError::ShapeMismatch`] otherwise: the outcome and type
-//! tables have equal lengths, there is one per-type counter per PET
-//! task type and every counter matches the tables, every recorded type
-//! is a PET task type, every arrival-order id lies inside the tables,
-//! the pages and the inline records cover the id range exactly once,
-//! and no sealed page holds an unresolved task. Every live task — still
-//! batch-queued, waiting or running on a machine, or parked as a reuse
-//! follower — must be an unresolved arrival of the type the record
-//! holds for its id, and the only live task with that id; no running
-//! task starts after the capture's clock. A shard recovery also rejects
-//! a capture whose clock is ahead of the journal replayed on top of it.
-//! Each of these, left unchecked, either panicked later in the journal
-//! replay or resumed a run on misaligned tables.
+//! with every capture-time effect applied (the reuse ledger swept, the
+//! plug-in states read). The copy shares the outcome records that
+//! earlier copies already hold: the core seals its history in memory,
+//! 64 task ids at a time, once every task in them has resolved, and
+//! every later copy holds those pages by reference. The supervisor
+//! renders and seals a copy only when it restores the shard from it
+//! (or salvages the shard's backlog), and the sealed envelope is
+//! byte-identical to what `checkpoint` returned at the capture
+//! instant.
 //!
 //! Chain caches and scratch arenas are never serialized — restore
 //! rebuilds them lazily, which the incremental-chain determinism
 //! contract guarantees is bit-identical.
 
 use serde::{Deserialize, Serialize, Value};
-use std::sync::Arc;
 
 /// The snapshot wire-format version written by this build.
 ///
@@ -106,7 +92,7 @@ use std::sync::Arc;
 /// way old readers cannot tolerate. Readers accept exactly the
 /// versions they know how to restore; [`Snapshot::verify`] turns an
 /// unknown version into [`SnapshotError::UnsupportedVersion`]. This
-/// build reads every version from 1 (no pages) to this one.
+/// build reads every version from 1 to this one.
 pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// The oldest wire-format version this build still verifies and
@@ -122,19 +108,18 @@ pub enum SnapshotError {
         /// The version stamped on the snapshot.
         found: u64,
     },
-    /// The payload and pages do not hash to the sealed `state_hash`,
-    /// or a page body does not hash to its own sealed hash — the
+    /// The payload does not hash to the sealed `state_hash` — the
     /// snapshot was corrupted in storage, tampered with, or the two
     /// replicas have desynced.
     HashMismatch {
-        /// The hash sealed when the snapshot was written: the
-        /// envelope's, or the first failing page's.
+        /// The hash sealed when the snapshot was written.
         expected: u64,
-        /// The hash recomputed over what was decoded.
+        /// The hash recomputed over the decoded payload.
         found: u64,
     },
-    /// The payload tree did not decode into the component's state
-    /// (wrong types, missing required fields).
+    /// The envelope or payload tree did not decode into the
+    /// component's state (wrong types, missing required fields, a
+    /// paged capture).
     Decode(String),
     /// The payload decoded but does not fit the live component it is
     /// being restored into (wrong shard count, wrong machine count,
@@ -181,22 +166,11 @@ impl From<serde::Error> for SnapshotError {
 /// Deterministic across runs and hosts: every variant contributes a
 /// tag byte plus its content bytes (integers little-endian, floats by
 /// IEEE-754 bit pattern, object fields in their stable serialized
-/// order). This is the hash [`Page::seal`] stamps on a page body and
-/// [`Snapshot::seal`] on a page-less payload; [`Snapshot::verify`]
-/// recomputes both.
+/// order). This is the hash [`Snapshot::seal`] stamps on a payload and
+/// [`Snapshot::verify`] recomputes.
 pub fn state_hash(v: &Value) -> u64 {
-    sealed_hash(v, &[])
-}
-
-/// The envelope hash: [`state_hash`] of the payload, continued over
-/// each page's sealed hash in page order. Without pages it is the
-/// payload's digest alone.
-fn sealed_hash(payload: &Value, pages: &[Arc<Page>]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
-    hash_value(&mut h, payload);
-    for page in pages {
-        hash_bytes(&mut h, &page.hash.to_le_bytes());
-    }
+    hash_value(&mut h, v);
     h
 }
 
@@ -247,79 +221,33 @@ fn hash_value(h: &mut u64, v: &Value) {
     }
 }
 
-/// One sealed page of a component's append-only history: a body
-/// that never changes again, under its own [`state_hash`].
-///
-/// A [`Snapshot`] holds its pages by [`Arc`], so consecutive captures
-/// of one scheduler core share every page sealed before the earlier of
-/// them (see the [module docs](self)).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
-pub struct Page {
-    hash: u64,
-    body: Value,
-}
-
-impl Page {
-    /// Seals `body` under its [`state_hash`].
-    pub fn seal(body: Value) -> Self {
-        Self {
-            hash: state_hash(&body),
-            body,
-        }
-    }
-
-    /// The hash sealed over the body when the page was written.
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// The page body, unverified ([`Snapshot::verify`] re-hashes it).
-    pub fn body(&self) -> &Value {
-        &self.body
-    }
-}
-
 /// A versioned, hash-sealed capture of one component's state.
 ///
 /// Produced by the `snapshot()` methods on [`crate::SchedulerCore`],
-/// [`crate::queue::MachineQueue`], [`crate::IdCompactor`] and the
-/// federated engines; consumed by the matching `restore()` methods,
-/// which call [`Snapshot::verify`] before touching any live state.
+/// [`crate::queue::MachineQueue`] and the federated engines; consumed
+/// by the matching `restore()` methods, which call
+/// [`Snapshot::verify`] before touching any live state.
 ///
 /// The envelope serializes through the vendored serde like any other
 /// record, so snapshots round-trip through `serde_json` for durable
-/// storage. A capture with pages writes them beside the payload as
-/// `pages: [{hash, body}, ..]`; one without writes no `pages` field.
+/// storage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     version: u64,
     state_hash: u64,
     component: Option<String>,
     payload: Value,
-    pages: Vec<Arc<Page>>,
 }
 
 impl Snapshot {
     /// Seals `payload` into an envelope stamped with the current
     /// [`SNAPSHOT_VERSION`] and the payload's [`state_hash`].
     pub fn seal(component: &str, payload: Value) -> Self {
-        Self::seal_with_pages(component, payload, Vec::new())
-    }
-
-    /// Seals `payload` and `pages` into one envelope: the state hash
-    /// continues the payload's digest over each page's sealed hash in
-    /// order, so the pages themselves are not re-hashed.
-    pub fn seal_with_pages(
-        component: &str,
-        payload: Value,
-        pages: Vec<Arc<Page>>,
-    ) -> Self {
         Self {
             version: SNAPSHOT_VERSION,
-            state_hash: sealed_hash(&payload, &pages),
+            state_hash: state_hash(&payload),
             component: Some(component.to_owned()),
             payload,
-            pages,
         }
     }
 
@@ -328,7 +256,7 @@ impl Snapshot {
         self.version
     }
 
-    /// The hash sealed over the payload and pages at write time.
+    /// The hash sealed over the payload at write time.
     pub fn state_hash(&self) -> u64 {
         self.state_hash
     }
@@ -346,38 +274,21 @@ impl Snapshot {
         &self.payload
     }
 
-    /// The sealed pages beside the payload, in page order, unverified
-    /// (empty for every component but the scheduler core).
-    pub fn pages(&self) -> &[Arc<Page>] {
-        &self.pages
-    }
-
     /// Checks the envelope and returns the payload if it is intact:
-    /// the version must be one this build reads, every page body must
-    /// hash back to its page's sealed hash, and the payload and page
-    /// hashes must chain back to the sealed `state_hash`.
+    /// the version must be one this build reads, and the payload must
+    /// hash back to the sealed `state_hash`.
     ///
     /// # Errors
     /// [`SnapshotError::UnsupportedVersion`] for a version this build
     /// does not read; [`SnapshotError::HashMismatch`] when the payload
-    /// or a page has been corrupted, a page was dropped, duplicated or
-    /// reordered, or the producing replica desynced.
+    /// has been corrupted or the producing replica desynced.
     pub fn verify(&self) -> Result<&Value, SnapshotError> {
         if !(OLDEST_READ_VERSION..=SNAPSHOT_VERSION).contains(&self.version) {
             return Err(SnapshotError::UnsupportedVersion {
                 found: self.version,
             });
         }
-        for page in &self.pages {
-            let found = state_hash(&page.body);
-            if found != page.hash {
-                return Err(SnapshotError::HashMismatch {
-                    expected: page.hash,
-                    found,
-                });
-            }
-        }
-        let found = sealed_hash(&self.payload, &self.pages);
+        let found = state_hash(&self.payload);
         if found != self.state_hash {
             return Err(SnapshotError::HashMismatch {
                 expected: self.state_hash,
@@ -390,22 +301,25 @@ impl Snapshot {
 
 impl Serialize for Snapshot {
     fn to_value(&self) -> Value {
-        let mut fields = vec![
+        Value::Object(vec![
             ("version".to_owned(), self.version.to_value()),
             ("state_hash".to_owned(), self.state_hash.to_value()),
             ("component".to_owned(), self.component.to_value()),
             ("payload".to_owned(), self.payload.clone()),
-        ];
-        if !self.pages.is_empty() {
-            let pages = self.pages.iter().map(|p| p.to_value()).collect();
-            fields.push(("pages".to_owned(), Value::Array(pages)));
-        }
-        Value::Object(fields)
+        ])
     }
 }
 
 impl Deserialize for Snapshot {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        // Only a paged capture carries a `pages` field, and its
+        // payload holds part of the outcome record.
+        if v.get_opt("pages").is_some() {
+            return Err(serde::Error::custom(
+                "a paged capture (sealed outcome pages beside the \
+                 payload) is not read by this build",
+            ));
+        }
         Ok(Self {
             version: Deserialize::from_value(v.get_field("version")?)?,
             state_hash: Deserialize::from_value(v.get_field("state_hash")?)?,
@@ -416,14 +330,6 @@ impl Deserialize for Snapshot {
                 None => None,
             },
             payload: v.get_field("payload")?.clone(),
-            // Written before pages existed: none.
-            pages: match v.get_opt("pages") {
-                Some(f) => Vec::<Page>::from_value(f)?
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect(),
-                None => Vec::new(),
-            },
         })
     }
 }
@@ -510,95 +416,32 @@ mod tests {
         assert_eq!(old.verify().expect("intact"), &payload());
     }
 
-    fn pages() -> Vec<Arc<Page>> {
-        (0..3u64)
-            .map(|i| {
-                Arc::new(Page::seal(Value::Array(vec![
-                    Value::UInt(i),
-                    Value::Str(format!("page {i}")),
-                ])))
-            })
-            .collect()
-    }
-
-    /// The `pages` array of a snapshot's wire form.
-    fn wire_pages(wire: &mut Value) -> &mut Vec<Value> {
-        let Value::Object(fields) = wire else {
-            unreachable!()
-        };
-        let Some((_, Value::Array(pages))) =
-            fields.iter_mut().find(|(k, _)| k == "pages")
-        else {
-            panic!("a paged snapshot writes `pages`");
-        };
-        pages
-    }
-
+    /// The wire form is the four envelope fields, hashed over the
+    /// payload alone. A capture that carries sealed pages beside its
+    /// payload, as earlier builds wrote, is a typed decode error that
+    /// names it, never a snapshot.
     #[test]
-    fn page_less_envelope_hashes_and_serializes_as_before() {
+    fn envelopes_write_no_pages_and_refuse_paged_captures() {
         let snap = Snapshot::seal("unit-test", payload());
         assert_eq!(snap.state_hash(), state_hash(&payload()));
-        assert!(snap.pages().is_empty());
-        let Value::Object(fields) = snap.to_value() else {
+        let Value::Object(mut fields) = snap.to_value() else {
             unreachable!()
         };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["version", "state_hash", "component", "payload"]);
-    }
-
-    #[test]
-    fn paged_snapshot_verifies_roundtrips_and_chains_page_hashes() {
-        let snap = Snapshot::seal_with_pages("unit-test", payload(), pages());
-        assert_eq!(snap.verify().expect("intact"), &payload());
-        assert_ne!(snap.state_hash(), state_hash(&payload()));
-        let back = Snapshot::from_value(&snap.to_value()).expect("decodes");
-        assert_eq!(back, snap);
-        assert_eq!(back.pages().len(), 3);
-        back.verify().expect("still intact");
-        // Resealing shares the pages: the same hash, no page re-hashed.
-        let again = Snapshot::seal_with_pages(
-            "unit-test",
-            payload(),
-            snap.pages().to_vec(),
+        let page = Value::Object(vec![
+            ("hash".to_owned(), Value::UInt(1)),
+            ("body".to_owned(), payload()),
+        ]);
+        fields.push(("pages".to_owned(), Value::Array(vec![page])));
+        let err = SnapshotError::from(
+            Snapshot::from_value(&Value::Object(fields))
+                .expect_err("a paged capture must not decode"),
         );
-        assert_eq!(again.state_hash(), snap.state_hash());
-        assert!(Arc::ptr_eq(&again.pages()[1], &snap.pages()[1]));
-    }
-
-    #[test]
-    fn tampered_dropped_duplicated_or_swapped_pages_are_hash_mismatches() {
-        let snap = Snapshot::seal_with_pages("unit-test", payload(), pages());
-        let wire = snap.to_value();
-        type Edit = fn(&mut Vec<Value>);
-        let edits: Vec<(&str, Edit)> = vec![
-            ("flip", |p| {
-                let Value::Object(page) = &mut p[1] else {
-                    unreachable!()
-                };
-                let Value::Array(body) = &mut page[1].1 else {
-                    unreachable!()
-                };
-                body[0] = Value::UInt(7);
-            }),
-            ("drop", |p| {
-                p.remove(1);
-            }),
-            ("duplicate", |p| {
-                let copy = p[0].clone();
-                p.insert(1, copy);
-            }),
-            ("swap", |p| p.swap(0, 2)),
-        ];
-        for (name, edit) in edits {
-            let mut bad = wire.clone();
-            edit(wire_pages(&mut bad));
-            let bad = Snapshot::from_value(&bad).expect("still decodes");
-            assert!(
-                matches!(bad.verify(), Err(SnapshotError::HashMismatch { .. })),
-                "{name}: {:?}",
-                bad.verify()
-            );
-        }
+        assert!(
+            matches!(&err, SnapshotError::Decode(msg) if msg.contains("paged")),
+            "{err:?}"
+        );
     }
 
     #[test]

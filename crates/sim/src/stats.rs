@@ -9,8 +9,16 @@
 //! Fairness module's input and the fairness experiments' output) and the
 //! machine-time spent on work that produced no value (the energy/cost
 //! extension of §VII).
+//!
+//! A scheduler core's checkpoint carries its whole outcome record, in
+//! [`SimStats`]' own encoding, and a restore decodes it with one checked
+//! decoder that rejects a record no run could have written. Only the
+//! in-memory captures a supervisor keeps see pages: the core seals its
+//! record 64 task ids at a time, once every task in them has resolved,
+//! and each capture shares the sealed pages by reference and copies
+//! only the rest.
 
-use crate::snapshot::{Page, SnapshotError};
+use crate::snapshot::SnapshotError;
 use crate::tenant::TenantAdmissionStats;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -426,29 +434,101 @@ impl SimStats {
         fracs.iter().map(|f| (f - mean).powi(2)).sum::<f64>()
             / (fracs.len() - 1) as f64
     }
+
+    /// Decodes the outcome record of a core checkpoint and checks that
+    /// it describes one run of a core whose PET matrix has `n_types`
+    /// task types.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Decode`] for a record that does not decode;
+    /// [`SnapshotError::ShapeMismatch`] when the outcome and type
+    /// tables differ in length, an arrival-order id lies outside them,
+    /// the arrival order does not list each arrived id (each id with a
+    /// recorded type) exactly once, or the per-type counters do not
+    /// number `n_types`, a recorded type lies past them, or they
+    /// disagree with the tables.
+    pub(crate) fn from_checkpoint(
+        stats: &Value,
+        n_types: usize,
+    ) -> Result<SimStats, SnapshotError> {
+        let stats = SimStats::from_value(stats)?;
+        let shape = |what| Err(SnapshotError::ShapeMismatch { what });
+        if stats.outcomes.len() != stats.types.len() {
+            return shape("the outcome and type tables differ in length");
+        }
+        if stats
+            .arrival_order
+            .iter()
+            .any(|id| id.0 >= stats.types.len() as u64)
+        {
+            return shape("an arrival-order id lies outside the outcome table");
+        }
+        // The trim window and the robustness count read the arrival
+        // order: an id listed twice, or an arrival left out, changes
+        // the resumed run's result.
+        let mut listed = vec![false; stats.types.len()];
+        let once = stats.arrival_order.iter().all(|id| {
+            let i = id.0 as usize;
+            stats.types[i].is_some() && !std::mem::replace(&mut listed[i], true)
+        });
+        if !once
+            || stats.arrival_order.len() != stats.types.iter().flatten().count()
+        {
+            return shape(
+                "the arrival order does not list each arrived id exactly once",
+            );
+        }
+        if stats.per_type.len() != n_types {
+            return shape(
+                "the per-type counters do not match the PET task types",
+            );
+        }
+        // The per-type counters are a function of the tables: recount
+        // them, so a run never resumes on counters its record does not
+        // back (or that the next arrival would overflow).
+        let mut per_type = vec![TypeStats::default(); n_types];
+        for (ty, outcome) in stats.types.iter().zip(&stats.outcomes) {
+            let Some(ty) = ty else { continue };
+            let Some(t) = per_type.get_mut(ty.0 as usize) else {
+                return shape(
+                    "a recorded task type is not one of the PET task types",
+                );
+            };
+            t.arrived += 1;
+            if let Some(outcome) = outcome {
+                t.count(*outcome);
+            }
+        }
+        if per_type != stats.per_type {
+            return shape(
+                "the per-type counters disagree with the outcome record",
+            );
+        }
+        Ok(stats)
+    }
 }
 
-/// Ids per page of a capture's outcome history (see [`OutcomePages`]):
-/// large enough that a page is one pointer per 64 records, small
-/// enough that the unresolved tail a checkpoint leaves open stays
-/// within a page or two on a lightly loaded shard.
+/// Ids per sealed page of a core's outcome history (see
+/// [`OutcomePages`]): large enough that a page is one pointer per 64
+/// records, small enough that the unresolved tail a capture leaves
+/// open stays within a page or two on a lightly loaded shard.
 const PAGE_LEN: usize = 64;
 
-/// Page `index` of an outcome history on the wire: the outcome and
-/// type records of ids `index·PAGE_LEN ..` and the arrival-order
-/// entries at the same positions, in the encoding the inline tables
-/// use.
-#[derive(Serialize, Deserialize)]
-struct PageBody {
-    index: u64,
-    outcomes: Vec<Option<TaskOutcome>>,
-    types: Vec<Option<TaskTypeId>>,
-    arrival_order: Vec<TaskId>,
+/// One sealed page of an outcome history: the outcome and type records
+/// of ids `k·PAGE_LEN ..` and the arrival-order entries at the same
+/// positions, all final.
+#[derive(Debug)]
+pub(crate) struct OutcomePage {
+    outcomes: [Option<TaskOutcome>; PAGE_LEN],
+    types: [Option<TaskTypeId>; PAGE_LEN],
+    arrival_order: [TaskId; PAGE_LEN],
 }
 
 /// The sealed pages of one scheduler core's outcome history, by page
-/// index. Filled only inside a capture, cleared by a crash wipe and
-/// reset to a checkpoint's pages by a restore; never serialized itself.
+/// index: what lets a capture copy only the records resolved since the
+/// previous one. Filled only inside a capture; a crash wipe and a
+/// restore clear it, and the next capture seals the pages again. It
+/// never reaches a snapshot, which carries the record flat.
 ///
 /// Page `k` holds the outcome and type records of ids
 /// `[k·PAGE_LEN, (k+1)·PAGE_LEN)` and the arrival-order entries at the
@@ -456,204 +536,115 @@ struct PageBody {
 /// and resolved and the arrival order has filled those positions —
 /// records that can never change again. Pages seal independently, so
 /// a task stuck on a lost completion holds only its own page open.
-/// Which pages a capture carries is a pure function of the record
-/// (sealing is monotone), never of when earlier captures ran: a shard
-/// rebuilt from a checkpoint plus its journal seals exactly the pages
-/// of the shard that never crashed.
 #[derive(Debug, Default)]
 pub(crate) struct OutcomePages {
-    sealed: Vec<Option<Arc<Page>>>,
+    sealed: Vec<Option<Arc<OutcomePage>>>,
 }
 
 impl OutcomePages {
     /// Seals every page of `stats` that has completed since the last
-    /// capture and returns the capture's two halves: the inline
-    /// record, a copy of `stats` holding only the records outside
-    /// sealed pages (it serializes as the stats payload), and every
-    /// sealed page in index order (shared, not copied). Costs one pass
+    /// capture and copies the records of the others. Costs one pass
     /// over the page slots plus the records of the open pages and of
-    /// the pages sealed now.
-    pub(crate) fn capture(
-        &mut self,
-        stats: &SimStats,
-    ) -> (SimStats, Vec<Arc<Page>>) {
+    /// the pages sealed now; every earlier page is shared, not copied.
+    pub(crate) fn capture(&mut self, stats: &SimStats) -> OutcomeCapture {
         let full =
             stats.outcomes.len().min(stats.arrival_order.len()) / PAGE_LEN;
         if self.sealed.len() < full {
             self.sealed.resize(full, None);
         }
-        for (k, slot) in self.sealed.iter_mut().enumerate() {
-            if slot.is_none() && stats.page_complete(k) {
-                let body = stats.page_body(k).to_value();
-                *slot = Some(Arc::new(Page::seal(body)));
-            }
-        }
-        let inline = SimStats {
-            outcomes: self.open_records(&stats.outcomes),
-            types: self.open_records(&stats.types),
+        let mut inline = SimStats {
+            outcomes: Vec::new(),
+            types: Vec::new(),
             per_type: stats.per_type.clone(),
-            arrival_order: self.open_records(&stats.arrival_order),
+            arrival_order: Vec::new(),
             trace: stats.trace.clone(),
             ..*stats
         };
-        let pages = self.sealed.iter().flatten().cloned().collect();
-        (inline, pages)
-    }
-
-    /// The records of `table` outside sealed pages, in id (or
-    /// position) order.
-    fn open_records<T: Copy>(&self, table: &[T]) -> Vec<T> {
-        table
-            .chunks(PAGE_LEN)
-            .enumerate()
-            .filter(|&(k, _)| !matches!(self.sealed.get(k), Some(Some(_))))
-            .flat_map(|(_, records)| records.iter().copied())
-            .collect()
-    }
-
-    /// Rebuilds the outcome record a capture describes — its stats
-    /// payload with its pages stitched back in — together with the
-    /// page cache of the core that took it.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Decode`] for a payload or page body that does
-    /// not decode; [`SnapshotError::ShapeMismatch`] when the pages and
-    /// the inline records do not cover the id range exactly once, a
-    /// sealed page holds an unresolved id, the outcome and type tables
-    /// differ in length, an arrival-order id lies outside them, or the
-    /// per-type counters do not number `n_types`, a recorded type lies
-    /// past them, or they disagree with the tables.
-    pub(crate) fn restore(
-        stats: &Value,
-        pages: &[Arc<Page>],
-        n_types: usize,
-    ) -> Result<(SimStats, OutcomePages), SnapshotError> {
-        let inline = SimStats::from_value(stats)?;
-        let bodies = pages
-            .iter()
-            .map(|p| PageBody::from_value(p.body()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let cover = SnapshotError::ShapeMismatch {
-            what: "the sealed pages and the inline records do not cover \
-                   the outcome history exactly once",
-        };
-        let outcomes = stitch(
-            &inline.outcomes,
-            bodies.iter().map(|b| (b.index, &b.outcomes)),
-        )
-        .ok_or(cover.clone())?;
-        let types =
-            stitch(&inline.types, bodies.iter().map(|b| (b.index, &b.types)))
-                .ok_or(cover.clone())?;
-        let arrival_order = stitch(
-            &inline.arrival_order,
-            bodies.iter().map(|b| (b.index, &b.arrival_order)),
-        )
-        .ok_or(cover)?;
-        if bodies.iter().any(|b| {
-            b.outcomes.iter().any(Option::is_none)
-                || b.types.iter().any(Option::is_none)
-        }) {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "a sealed page holds an unresolved task",
-            });
-        }
-        if outcomes.len() != types.len() {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "the outcome and type tables differ in length",
-            });
-        }
-        if arrival_order.iter().any(|id| id.0 >= outcomes.len() as u64) {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "an arrival-order id lies outside the outcome table",
-            });
-        }
-        if inline.per_type.len() != n_types {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "the per-type counters do not match the PET task types",
-            });
-        }
-        // The per-type counters are a function of the tables: recount
-        // them, so a run never resumes on counters its record does not
-        // back (or that the next arrival would overflow).
-        let mut per_type = vec![TypeStats::default(); n_types];
-        for (ty, outcome) in types.iter().zip(&outcomes) {
-            let Some(ty) = ty else { continue };
-            let Some(t) = per_type.get_mut(ty.0 as usize) else {
-                return Err(SnapshotError::ShapeMismatch {
-                    what: "a recorded task type is not one of the PET task \
-                           types",
-                });
-            };
-            t.arrived += 1;
-            if let Some(outcome) = outcome {
-                t.count(*outcome);
+        for (k, slot) in self.sealed.iter_mut().enumerate() {
+            if slot.is_some() {
+                continue;
+            }
+            let ids = k * PAGE_LEN..(k + 1) * PAGE_LEN;
+            let (outcomes, types, arrival_order) = (
+                &stats.outcomes[ids.clone()],
+                &stats.types[ids.clone()],
+                &stats.arrival_order[ids],
+            );
+            if outcomes.iter().all(Option::is_some)
+                && types.iter().all(Option::is_some)
+            {
+                *slot = Some(Arc::new(OutcomePage {
+                    outcomes: outcomes.try_into().expect("a full page"),
+                    types: types.try_into().expect("a full page"),
+                    arrival_order: arrival_order
+                        .try_into()
+                        .expect("a full page"),
+                }));
+            } else {
+                inline.outcomes.extend_from_slice(outcomes);
+                inline.types.extend_from_slice(types);
+                inline.arrival_order.extend_from_slice(arrival_order);
             }
         }
-        if per_type != inline.per_type {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "the per-type counters disagree with the outcome record",
-            });
+        let tail = self.sealed.len() * PAGE_LEN;
+        inline.outcomes.extend_from_slice(&stats.outcomes[tail..]);
+        inline.types.extend_from_slice(&stats.types[tail..]);
+        inline
+            .arrival_order
+            .extend_from_slice(&stats.arrival_order[tail..]);
+        OutcomeCapture {
+            inline,
+            pages: self.sealed.clone(),
         }
-        let mut cache = OutcomePages {
-            sealed: vec![None; outcomes.len() / PAGE_LEN],
-        };
-        for (body, page) in bodies.iter().zip(pages) {
-            // `stitch` placed every page inside the tables.
-            cache.sealed[body.index as usize] = Some(Arc::clone(page));
-        }
-        let stats = SimStats {
-            outcomes,
-            types,
-            arrival_order,
-            ..inline
-        };
-        Ok((stats, cache))
     }
 }
 
-/// Interleaves sealed pages, given as `(index, records)` in increasing
-/// index order, with the inline records that fill every other page
-/// slot. `None` when a page is not a full page, comes out of order or
-/// twice, or starts past the end of the inline records.
-fn stitch<'p, T: Copy + 'p>(
-    inline: &[T],
-    pages: impl Iterator<Item = (u64, &'p Vec<T>)>,
-) -> Option<Vec<T>> {
-    let mut out = Vec::new();
-    let mut rest = inline;
-    for (index, records) in pages {
-        let start = usize::try_from(index).ok()?.checked_mul(PAGE_LEN)?;
-        let gap = start.checked_sub(out.len())?;
-        if records.len() != PAGE_LEN || gap > rest.len() {
-            return None;
-        }
-        out.extend_from_slice(&rest[..gap]);
-        out.extend_from_slice(records);
-        rest = &rest[gap..];
-    }
-    out.extend_from_slice(rest);
-    Some(out)
+/// A core's outcome record as one capture holds it: the records
+/// outside sealed pages copied, the sealed pages shared.
+pub(crate) struct OutcomeCapture {
+    /// The record with only the open pages' records in its tables.
+    inline: SimStats,
+    /// The sealed pages by index; `None` marks a page held inline.
+    pages: Vec<Option<Arc<OutcomePage>>>,
 }
 
-impl SimStats {
-    /// Whether full page `k` (one the arrival order already covers)
-    /// may seal: every id in it arrived and resolved.
-    fn page_complete(&self, k: usize) -> bool {
-        let ids = k * PAGE_LEN..(k + 1) * PAGE_LEN;
-        self.outcomes[ids.clone()].iter().all(Option::is_some)
-            && self.types[ids].iter().all(Option::is_some)
+impl OutcomeCapture {
+    /// The outcome record at the capture instant: the sealed pages
+    /// stitched back between the inline records.
+    pub(crate) fn record(&self) -> SimStats {
+        SimStats {
+            outcomes: self.unpage(&self.inline.outcomes, |p| &p.outcomes),
+            types: self.unpage(&self.inline.types, |p| &p.types),
+            per_type: self.inline.per_type.clone(),
+            arrival_order: self
+                .unpage(&self.inline.arrival_order, |p| &p.arrival_order),
+            trace: self.inline.trace.clone(),
+            ..self.inline
+        }
     }
 
-    /// The wire body of page `k`.
-    fn page_body(&self, k: usize) -> PageBody {
-        let ids = k * PAGE_LEN..(k + 1) * PAGE_LEN;
-        PageBody {
-            index: k as u64,
-            outcomes: self.outcomes[ids.clone()].to_vec(),
-            types: self.types[ids.clone()].to_vec(),
-            arrival_order: self.arrival_order[ids].to_vec(),
+    /// One table of the record: each sealed page's records, each open
+    /// page's next `PAGE_LEN` inline records, then the inline rest.
+    fn unpage<T: Copy>(
+        &self,
+        inline: &[T],
+        table: impl Fn(&OutcomePage) -> &[T; PAGE_LEN],
+    ) -> Vec<T> {
+        let mut out =
+            Vec::with_capacity(inline.len() + self.pages.len() * PAGE_LEN);
+        let mut rest = inline;
+        for slot in &self.pages {
+            match slot {
+                Some(page) => out.extend_from_slice(table(page)),
+                None => {
+                    let (open, tail) = rest.split_at(PAGE_LEN);
+                    out.extend_from_slice(open);
+                    rest = tail;
+                }
+            }
         }
+        out.extend_from_slice(rest);
+        out
     }
 }
 
@@ -861,39 +852,42 @@ mod tests {
         s
     }
 
+    /// Page 0 waits on id 10; pages 1 and 2 seal; the tail stays
+    /// inline with page 0. The capture gives back the record it was
+    /// taken from, and a later capture shares both pages and rebuilds
+    /// none.
     #[test]
-    fn pages_seal_independently_and_restore_the_same_record() {
+    fn pages_seal_independently_and_give_back_the_same_record() {
         let s = paged_record();
         let mut cache = OutcomePages::default();
-        let (inline, pages) = cache.capture(&s);
-        // Page 0 waits on id 10; pages 1 and 2 seal; the tail stays
-        // inline with page 0.
-        assert_eq!(pages.len(), 2);
-        assert_eq!(inline.outcomes.len(), PAGE_LEN + 8);
-        let (back, _) = OutcomePages::restore(&inline.to_value(), &pages, 2)
-            .expect("the capture restores");
+        let capture = cache.capture(&s);
+        assert_eq!(capture.sealed().count(), 2);
+        assert_eq!(capture.open_ids(), PAGE_LEN + 8);
+        let back = SimStats::from_checkpoint(&capture.record().to_value(), 2)
+            .expect("the record restores");
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&s).unwrap()
         );
-        // A later capture shares both pages and rebuilds none.
-        let (_, again) = cache.capture(&s);
-        assert!(again.iter().zip(&pages).all(|(a, b)| Arc::ptr_eq(a, b)));
+        let again = cache.capture(&s);
+        assert!(again
+            .sealed()
+            .zip(capture.sealed())
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
-    #[test]
-    fn page_less_capture_encodes_as_the_record_itself() {
-        let mut s = SimStats::new(0, 1);
-        for id in 0..50u64 {
-            s.record_arrival(&task(id, 0));
-            s.record_outcome(&task(id, 0), TaskOutcome::DroppedReactive);
+    impl OutcomeCapture {
+        /// The sealed pages the capture shares, in index order.
+        pub(crate) fn sealed(
+            &self,
+        ) -> impl Iterator<Item = &Arc<OutcomePage>> + '_ {
+            self.pages.iter().flatten()
         }
-        let (inline, pages) = OutcomePages::default().capture(&s);
-        assert!(pages.is_empty());
-        assert_eq!(inline.to_value(), s.to_value());
-        let (back, _) =
-            OutcomePages::restore(&s.to_value(), &[], 1).expect("restores");
-        assert_eq!(back.to_value(), s.to_value());
+
+        /// Ids whose records the capture holds outside its pages.
+        pub(crate) fn open_ids(&self) -> usize {
+            self.inline.outcomes.len()
+        }
     }
 
     #[test]

@@ -63,10 +63,11 @@ pub struct RecoveryPolicy {
     pub retry_budget: u32,
     /// Base of the exponential retry backoff, in sim-time ticks. The
     /// backoff for attempt *k* is `base · 2^(k−1)`. **Bookkeeping
-    /// only**: it is recorded in the [`RecoveryLog`] and drives the
-    /// give-up decision, but never advances the simulation clock —
-    /// recovery must happen at the fault instant to keep the
-    /// truth-RNG streams aligned with the fault-free run.
+    /// only**: it is recorded in the [`RecoveryLog`] and nothing else
+    /// reads it. It never advances the simulation clock — recovery
+    /// must happen at the fault instant to keep the truth-RNG streams
+    /// aligned with the fault-free run — and it has no say in giving
+    /// up, which [`RecoveryPolicy::retry_budget`] alone decides.
     pub backoff_base: u64,
     /// Auto-checkpoint every this many ingested arrivals (the
     /// [`FederatedEngine::run_until`] watermark coordinate). Also the
@@ -257,17 +258,19 @@ pub(crate) fn backoff_at(base: u64, attempt: u32) -> u64 {
 /// [`Supervisor::arm`] so the bootstrap captures are not themselves
 /// fault targets.
 ///
-/// Cost: each auto-checkpoint copies the shard's live state plus the
-/// outcome records resolved since its previous checkpoint (see
-/// [`FederatedEngine::checkpoint`]), so checkpointing every
-/// [`RecoveryPolicy::checkpoint_interval`] arrivals grows linearly
-/// with the run, not with its square. A checkpoint shares the sealed
-/// pages of the one it replaces, so holding one per shard costs the
-/// outcome history once. The supervisor keeps each checkpoint as that
-/// copy: it renders and hashes one into a [`Snapshot`] only when it
-/// restores the shard from it (a crash recovery, a journal-gap or
-/// watermark-lag repair, or the salvage before a quarantine), and the
-/// sealed snapshot is byte-identical to what
+/// Cost: each auto-checkpoint is an unsealed copy of the shard's
+/// state that costs its live state plus the outcome records resolved
+/// since its previous checkpoint. The core seals its outcome history
+/// in memory, 64 task ids at a time, once every task in them has
+/// resolved, and each copy shares those pages with the copy it
+/// replaces, so checkpointing every
+/// [`RecoveryPolicy::checkpoint_interval`] arrivals grows linearly with
+/// the run, not with its square, and holding one per shard costs the
+/// outcome history once. The supervisor renders and hashes a copy into
+/// a [`Snapshot`], with the whole outcome record in its payload, only
+/// when it restores the shard from it (a crash recovery, a journal-gap
+/// or watermark-lag repair, or the salvage before a quarantine), and
+/// the sealed snapshot is byte-identical to what
 /// [`FederatedEngine::checkpoint`] returned at the capture instant.
 pub struct Supervisor<'a, S: Sink = NullSink> {
     engine: FederatedEngine<'a, S>,

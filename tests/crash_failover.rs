@@ -27,7 +27,6 @@
 mod common;
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
 use taskprune_sim::TraceLog;
@@ -212,35 +211,23 @@ fn all_shards_recover_from_their_checkpoints() {
 }
 
 // ---------------------------------------------------------------------
-// The cost model of a checkpoint, pinned by counts.
+// The cost model of a checkpoint: the reuse ledger's sweep.
 // ---------------------------------------------------------------------
-
-/// Nodes in a `Value` tree.
-fn nodes(v: &serde::Value) -> usize {
-    1 + match v {
-        serde::Value::Array(items) => items.iter().map(nodes).sum(),
-        serde::Value::Object(fields) => {
-            fields.iter().map(|(_, v)| nodes(v)).sum()
-        }
-        _ => 0,
-    }
-}
 
 /// The named field of a `Value` object.
 fn field<'v>(v: &'v serde::Value, name: &str) -> &'v serde::Value {
     v.get_field(name).expect("field present")
 }
 
-/// A checkpoint costs the live state, not the run: on a lightly loaded
-/// journaled federation (4 round-robin shards, exact reuse, 30 %
-/// duplicates) shard 0's capture after N arrivals and after 4N
-/// arrivals both stay under one node cap outside the shared pages, the
-/// later capture shares every page of the earlier one, and the reuse
-/// ledger holds only completed primaries due at or after the shard's
-/// arrival watermark.
+/// A checkpoint keeps of the reuse ledger only what the live state
+/// can reach: on a lightly loaded journaled federation (4 round-robin
+/// shards, exact reuse, 30 % duplicates) shard 0's checkpoint after 4N
+/// arrivals holds only completed primaries due at or after the shard's
+/// arrival watermark. (The outcome record's share of a capture is
+/// pinned by `captures_copy_the_open_records_and_share_sealed_pages`
+/// in `crates/sim/src/gateway.rs`.)
 #[test]
 fn checkpoints_cost_the_live_state_not_the_run() {
-    const NODE_CAP: usize = 1_000;
     let pet = PetGenConfig::paper_heterogeneous(
         taskprune::experiment::PET_MATRIX_SEED,
     )
@@ -275,27 +262,10 @@ fn checkpoints_cost_the_live_state_not_the_run() {
     engine.enable_journal();
     let mut source = tasks.iter().copied().peekable();
     engine.run_until(&mut source, n);
-    let early = engine.checkpoint(0);
+    // An earlier checkpoint of the shard, as a supervised run takes.
+    engine.checkpoint(0);
     engine.run_until(&mut source, 4 * n);
     let late = engine.checkpoint(0);
-
-    for (name, snap) in [("N", &early), ("4N", &late)] {
-        let size = nodes(snap.payload());
-        assert!(
-            size <= NODE_CAP,
-            "the {name} capture holds {size} nodes outside its pages"
-        );
-    }
-    assert!(!early.pages().is_empty(), "the N capture sealed a page");
-    assert!(late.pages().len() > early.pages().len());
-    for page in early.pages() {
-        assert!(
-            late.pages()
-                .iter()
-                .any(|p| Arc::ptr_eq(p, page) && p.hash() == page.hash()),
-            "the 4N capture rebuilt a page the N capture sealed"
-        );
-    }
 
     let payload = late.payload();
     let watermark: u64 =

@@ -1,7 +1,7 @@
 //! Checkpoints that must not restore, and one that must.
 //!
-//! Corruption: a sealed [`Snapshot`] whose payload or pages are
-//! tampered with after sealing is rejected with
+//! Corruption: a sealed [`Snapshot`] whose payload is tampered with
+//! after sealing is rejected with
 //! [`SnapshotError::HashMismatch`] — by `verify()` at a paused
 //! watermark and by `recover_shard` at the next recovery point.
 //! Tampering has to go through the serialized form (fields are
@@ -19,21 +19,19 @@
 //!
 //! Generative: a shard checkpoint with any one node changed and
 //! re-sealed either restores or is a typed error; recovery and the
-//! rest of the run never panic.
+//! rest of the run never panic. Truncated: every prefix of a shard
+//! checkpoint's JSON text is a decode error, never a panic.
 
 mod common;
 
-use std::sync::Arc;
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
 use taskprune_prob::rng::SplitMix64;
-use taskprune_sim::snapshot::Page;
 use taskprune_sim::{FederatedEngine, Snapshot, SnapshotError, TraceLog};
 
-/// Fixture scale of the tests that need sealed pages on shard 1
-/// whatever `TASKPRUNE_TEST_SCALE` says: 900 tasks, so shard 1 has
-/// resolved whole 64-task pages a third of the way in.
-const PAGED_SCALE: f64 = 0.6;
+/// Fixture scale of the shard-checkpoint tests, whatever
+/// `TASKPRUNE_TEST_SCALE` says: 900 tasks.
+const CHECKPOINT_SCALE: f64 = 0.6;
 
 fn fixture(scale: f64) -> (Cluster, PetMatrix, Vec<Task>) {
     let pet = PetGenConfig::paper_heterogeneous(
@@ -132,30 +130,6 @@ fn field<'v>(v: &'v mut serde::Value, name: &str) -> &'v mut serde::Value {
         .expect("field present")
 }
 
-/// Round-trips a sealed snapshot through its serialized form with
-/// `edit` applied to the wire array of its pages.
-fn with_wire_pages(
-    snap: &Snapshot,
-    edit: impl FnOnce(&mut Vec<serde::Value>),
-) -> Snapshot {
-    use serde::{Deserialize, Serialize};
-    let mut v = snap.to_value();
-    let serde::Value::Array(pages) = field(&mut v, "pages") else {
-        panic!("a paged snapshot writes its pages as an array");
-    };
-    edit(pages);
-    Snapshot::from_value(&v)
-        .expect("decode is hash-agnostic — tampering is caught by verify")
-}
-
-/// One bit flipped in the arrival order of the first page's body.
-fn tampered_page(snap: &Snapshot) -> Snapshot {
-    with_wire_pages(snap, |pages| {
-        let body = field(&mut pages[0], "body");
-        assert!(corrupt_first_uint(field(body, "arrival_order")));
-    })
-}
-
 fn is_hash_mismatch(err: &taskprune_sim::RunError) -> bool {
     matches!(
         err,
@@ -186,13 +160,13 @@ fn tampered_gateway_snapshot_is_rejected_at_the_watermark() {
     }
 }
 
-/// A tampered *shard checkpoint*, with one bit flipped in its payload
-/// or inside one of its sealed pages, is rejected by `recover_shard`
-/// at the next recovery point — the corruption never reaches the core
-/// — and the error threads through the facade's `RunError` via `?`.
+/// A tampered *shard checkpoint*, with one bit flipped in its payload,
+/// is rejected by `recover_shard` at the next recovery point — the
+/// corruption never reaches the core — and the error threads through
+/// the facade's `RunError` via `?`.
 #[test]
 fn tampered_checkpoint_is_rejected_on_recovery() {
-    let (cluster, pet, tasks) = fixture(PAGED_SCALE);
+    let (cluster, pet, tasks) = fixture(CHECKPOINT_SCALE);
     let mut engine = builder(&cluster, &pet)
         .build()
         .expect("valid configuration");
@@ -200,15 +174,12 @@ fn tampered_checkpoint_is_rejected_on_recovery() {
     let mut source = tasks.iter().copied().peekable();
     engine.run_until(&mut source, (tasks.len() / 3) as u64);
     let snap = engine.checkpoint(1);
-    assert!(!snap.pages().is_empty(), "the checkpoint sealed a page");
     engine.run_until(&mut source, (2 * tasks.len() / 3) as u64);
-    for bad in [tampered(&snap), tampered_page(&snap)] {
-        let err = engine
-            .recover_shard(1, &bad)
-            .expect_err("a corrupted checkpoint must not restore");
-        assert!(is_hash_mismatch(&err), "expected HashMismatch, got {err:?}");
-        assert!(!err.to_string().is_empty());
-    }
+    let err = engine
+        .recover_shard(1, &tampered(&snap))
+        .expect_err("a corrupted checkpoint must not restore");
+    assert!(is_hash_mismatch(&err), "expected HashMismatch, got {err:?}");
+    assert!(!err.to_string().is_empty());
     // The untampered checkpoint still recovers the shard fine.
     engine
         .recover_shard(1, &snap)
@@ -217,67 +188,13 @@ fn tampered_checkpoint_is_rejected_on_recovery() {
     assert_eq!(stats.unreported(), 0);
 }
 
-/// A paged checkpoint whose wire form had a bit flipped inside a page,
-/// or a page dropped, duplicated or swapped, fails both `verify()` and
-/// `recover_shard` with `HashMismatch`; the genuine one still recovers
-/// the shard.
-#[test]
-fn hostile_paged_checkpoints_are_hash_mismatches() {
-    let (cluster, pet, tasks) = fixture(PAGED_SCALE);
-    let mut engine = builder(&cluster, &pet)
-        .build()
-        .expect("valid configuration");
-    engine.enable_journal();
-    let mut source = tasks.iter().copied().peekable();
-    engine.run_until(&mut source, (2 * tasks.len() / 3) as u64);
-    let snap = engine.checkpoint(1);
-    assert!(snap.pages().len() >= 2, "the checkpoint sealed two pages");
-    snap.verify().expect("the genuine checkpoint verifies");
-    let hostile = [
-        ("flip", tampered_page(&snap)),
-        (
-            "drop",
-            with_wire_pages(&snap, |p| {
-                p.remove(0);
-            }),
-        ),
-        (
-            "duplicate",
-            with_wire_pages(&snap, |p| {
-                let copy = p[0].clone();
-                p.insert(0, copy);
-            }),
-        ),
-        ("swap", with_wire_pages(&snap, |p| p.swap(0, 1))),
-    ];
-    for (name, bad) in &hostile {
-        assert!(
-            matches!(bad.verify(), Err(SnapshotError::HashMismatch { .. })),
-            "{name}: verify returned {:?}",
-            bad.verify()
-        );
-        let err = engine
-            .recover_shard(1, bad)
-            .expect_err("a hostile checkpoint must not restore");
-        assert!(is_hash_mismatch(&err), "{name}: got {err:?}");
-    }
-    engine
-        .recover_shard(1, &snap)
-        .expect("the genuine checkpoint restores");
-    assert_eq!(engine.finish_stream(&mut source).unreported(), 0);
-}
-
-/// Re-seals a shard checkpoint around `edit`ed payload and pages, so
-/// it passes `verify` and only the restore's own checks stand between
-/// it and the core.
-fn resealed(
-    snap: &Snapshot,
-    edit: impl FnOnce(&mut serde::Value, &mut Vec<Arc<Page>>),
-) -> Snapshot {
+/// Re-seals a shard checkpoint around an `edit`ed payload, so it
+/// passes `verify` and only the restore's own checks stand between it
+/// and the core.
+fn resealed(snap: &Snapshot, edit: impl FnOnce(&mut serde::Value)) -> Snapshot {
     let mut payload = snap.payload().clone();
-    let mut pages = snap.pages().to_vec();
-    edit(&mut payload, &mut pages);
-    Snapshot::seal_with_pages("scheduler-core", payload, pages)
+    edit(&mut payload);
+    Snapshot::seal("scheduler-core", payload)
 }
 
 /// The array under `stats.<table>` of a core payload.
@@ -298,12 +215,14 @@ fn table<'v>(
 /// past them and panicked), an unresolved id marked on time (the
 /// replay then panicked with "finished twice"), and a type table half
 /// the length of the outcome table (the run went on, on misaligned
-/// tables). The rest are the other shapes pages add. After every
-/// rejection the genuine checkpoint still recovers the shard, and the
-/// run finishes exactly as an uninterrupted one.
+/// tables). So did an arrival order whose last entry repeats the one
+/// before it: the run finished, with a different record than the
+/// uninterrupted run's. After every rejection the genuine checkpoint
+/// still recovers the shard, and the run finishes exactly as an
+/// uninterrupted one.
 #[test]
 fn malformed_outcome_records_are_typed_errors() {
-    let (cluster, pet, tasks) = fixture(PAGED_SCALE);
+    let (cluster, pet, tasks) = fixture(CHECKPOINT_SCALE);
     let reference = builder(&cluster, &pet)
         .build()
         .expect("valid configuration")
@@ -315,15 +234,14 @@ fn malformed_outcome_records_are_typed_errors() {
     let mut source = tasks.iter().copied().peekable();
     engine.run_until(&mut source, (tasks.len() / 3) as u64);
     let snap = engine.checkpoint(1);
-    assert!(!snap.pages().is_empty(), "the checkpoint sealed a page");
     engine.run_until(&mut source, (2 * tasks.len() / 3) as u64);
 
-    type Edit = fn(&mut serde::Value, &mut Vec<Arc<Page>>);
+    type Edit = fn(&mut serde::Value);
     let cases: Vec<(&str, Edit)> = vec![
-        ("per_type cut to one entry", |p, _| {
+        ("per_type cut to one entry", |p| {
             table(p, "per_type").truncate(1);
         }),
-        ("an unresolved id marked on time", |p, _| {
+        ("an unresolved id marked on time", |p| {
             let types = table(p, "types").clone();
             let outcomes = table(p, "outcomes");
             let open = (0..outcomes.len())
@@ -334,32 +252,17 @@ fn malformed_outcome_records_are_typed_errors() {
                 .expect("the pause leaves an arrived task unresolved");
             outcomes[open] = serde::Value::Str("CompletedOnTime".to_owned());
         }),
-        ("types cut to half the outcomes", |p, _| {
+        ("types cut to half the outcomes", |p| {
             let half = table(p, "outcomes").len() / 2;
             table(p, "types").truncate(half);
         }),
-        ("an arrival-order id past the tables", |p, _| {
+        ("an arrival-order id past the tables", |p| {
             table(p, "arrival_order")[0] = serde::Value::UInt(1 << 40);
         }),
-        ("a page given twice", |_, pages| {
-            pages.insert(0, Arc::clone(&pages[0]));
-        }),
-        ("a page past the records", |_, pages| {
-            let mut body = pages[0].body().clone();
-            *field(&mut body, "index") = serde::Value::UInt(1_000);
-            pages[0] = Arc::new(Page::seal(body));
-        }),
-        ("a sealed page holding an unresolved id", |_, pages| {
-            let mut body = pages[0].body().clone();
-            let serde::Value::Array(outcomes) = field(&mut body, "outcomes")
-            else {
-                panic!("page outcomes are an array");
-            };
-            outcomes[5] = serde::Value::Null;
-            pages[0] = Arc::new(Page::seal(body));
-        }),
-        ("a page dropped with its records", |_, pages| {
-            pages.remove(0);
+        ("an arrival order that repeats one id", |p| {
+            let order = table(p, "arrival_order");
+            let last = order.len() - 1;
+            order[last] = order[last - 1].clone();
         }),
     ];
     for (name, edit) in cases {
@@ -377,7 +280,7 @@ fn malformed_outcome_records_are_typed_errors() {
         );
     }
     engine
-        .recover_shard(1, &resealed(&snap, |_, _| {}))
+        .recover_shard(1, &resealed(&snap, |_| {}))
         .expect("the re-sealed genuine checkpoint restores");
     assert_eq!(
         json(&reference),
@@ -434,7 +337,7 @@ fn live_task(payload: &mut serde::Value, k: usize) -> &mut serde::Value {
 /// as an uninterrupted one.
 #[test]
 fn live_tasks_and_clocks_the_record_does_not_back_are_typed_errors() {
-    let (cluster, pet, tasks) = fixture(PAGED_SCALE);
+    let (cluster, pet, tasks) = fixture(CHECKPOINT_SCALE);
     let reference = builder(&cluster, &pet)
         .build()
         .expect("valid configuration")
@@ -448,22 +351,22 @@ fn live_tasks_and_clocks_the_record_does_not_back_are_typed_errors() {
     let snap = engine.checkpoint(1);
     engine.run_until(&mut source, (2 * tasks.len() / 3) as u64);
 
-    type Edit = fn(&mut serde::Value, &mut Vec<Arc<Page>>);
+    type Edit = fn(&mut serde::Value);
     let cases: Vec<(&str, Edit)> = vec![
-        ("a live task's type past the PET", |p, _| {
+        ("a live task's type past the PET", |p| {
             *field(live_task(p, 0), "type_id") = serde::Value::UInt(99);
         }),
-        ("a live task's id past the tables", |p, _| {
+        ("a live task's id past the tables", |p| {
             *field(live_task(p, 0), "id") = serde::Value::UInt(u64::MAX);
         }),
-        ("a live task's id moved onto the next one", |p, _| {
+        ("a live task's id moved onto the next one", |p| {
             let next = field(live_task(p, 1), "id").clone();
             *field(live_task(p, 0), "id") = next;
         }),
-        ("the clock past the journal", |p, _| {
+        ("the clock past the journal", |p| {
             *field(p, "now") = serde::Value::UInt(u64::MAX / 2);
         }),
-        ("a running task started at the end of the clock", |p, _| {
+        ("a running task started at the end of the clock", |p| {
             let serde::Value::Array(queues) = field(p, "queues") else {
                 panic!("queues is an array");
             };
@@ -492,7 +395,7 @@ fn live_tasks_and_clocks_the_record_does_not_back_are_typed_errors() {
         );
     }
     engine
-        .recover_shard(1, &resealed(&snap, |_, _| {}))
+        .recover_shard(1, &resealed(&snap, |_| {}))
         .expect("the re-sealed genuine checkpoint restores");
     assert_eq!(
         json(&reference),
@@ -508,7 +411,7 @@ fn live_tasks_and_clocks_the_record_does_not_back_are_typed_errors() {
 /// uninterrupted one.
 #[test]
 fn legacy_sla_rung_field_is_ignored_on_recovery() {
-    let (cluster, pet, tasks) = fixture(PAGED_SCALE);
+    let (cluster, pet, tasks) = fixture(CHECKPOINT_SCALE);
     let reference = json(
         &builder(&cluster, &pet)
             .build()
@@ -526,7 +429,7 @@ fn legacy_sla_rung_field_is_ignored_on_recovery() {
         engine.enable_journal();
         let mut source = tasks.iter().copied().peekable();
         engine.run_until(&mut source, (tasks.len() / 3) as u64);
-        let snap = resealed(&engine.checkpoint(1), |payload, _| {
+        let snap = resealed(&engine.checkpoint(1), |payload| {
             let serde::Value::Object(fields) = payload else {
                 panic!("core payloads are objects");
             };
@@ -873,8 +776,9 @@ fn node_at<'v>(
 
 /// Changes one node of `tree`: an integer to a neighbour, zero, the
 /// top of its range or an integer found elsewhere in the tree; a null
-/// to an integer; a string or float to another leaf; a container
-/// loses, repeats or forgets an element.
+/// to an integer; a string or float to another leaf; an array loses,
+/// repeats or swaps an element, or is emptied; an object loses a
+/// field.
 fn mutate(tree: &mut serde::Value, cases: &mut SplitMix64) {
     use serde::Value as V;
     let mut paths = Vec::new();
@@ -910,11 +814,15 @@ fn mutate(tree: &mut serde::Value, cases: &mut SplitMix64) {
         }
         V::Array(mut items) if !items.is_empty() => {
             let i = below(cases, items.len());
-            match pick % 3 {
+            match pick % 4 {
                 0 => {
                     items.remove(i);
                 }
                 1 => items.insert(i, items[i].clone()),
+                2 => {
+                    let j = below(cases, items.len());
+                    items.swap(i, j);
+                }
                 _ => items.clear(),
             }
             V::Array(items)
@@ -927,11 +835,10 @@ fn mutate(tree: &mut serde::Value, cases: &mut SplitMix64) {
     };
 }
 
-/// A paged shard checkpoint with one node of its payload or of one
-/// page changed, then re-sealed, never makes recovery panic: shard 1
-/// of a reuse-absorbing run is checkpointed a third of the way in and
-/// recovered halfway, then the run is finished, all under
-/// `catch_unwind`. Either the checkpoint restores and the run finishes,
+/// A shard checkpoint with one node of its payload changed, then
+/// re-sealed, never makes recovery panic: shard 1 of a reuse-absorbing
+/// run is checkpointed a third of the way in and recovered halfway,
+/// then the run is finished, all under `catch_unwind`. Either the checkpoint restores and the run finishes,
 /// or recovery fails with a typed `RunError::Snapshot`. At an earlier
 /// build these cases panicked in the replay or the resumed run: on a
 /// live task whose id the outcome record did not hold, on two live
@@ -954,21 +861,10 @@ fn resealed_hostile_checkpoints_never_panic() {
         (engine, source, snap)
     };
     let (mut engine, mut source, snap) = paused(&cluster, &pet);
-    assert!(!snap.pages().is_empty(), "the checkpoint sealed a page");
     let mut cases = SplitMix64::new(0x5eed);
     let (mut restored, mut rejected) = (0, 0);
     for case in 0..CASES {
-        let mut payload = snap.payload().clone();
-        let mut pages = snap.pages().to_vec();
-        if below(&mut cases, 2) == 0 {
-            mutate(&mut payload, &mut cases);
-        } else {
-            let target = below(&mut cases, pages.len());
-            let mut body = pages[target].body().clone();
-            mutate(&mut body, &mut cases);
-            pages[target] = Arc::new(Page::seal(body));
-        }
-        let bad = Snapshot::seal_with_pages("scheduler-core", payload, pages);
+        let bad = resealed(&snap, |payload| mutate(payload, &mut cases));
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 engine.recover_shard(1, &bad)
@@ -1004,3 +900,49 @@ const CASES: usize = 256;
 
 /// Fixture scale of the generative test: a 3 000-task trial.
 const HOSTILE_SCALE: f64 = 2.0;
+
+/// A checkpoint write cut short leaves a prefix of its JSON text. Every
+/// proper prefix of a shard checkpoint's text (shard 1 of the
+/// reuse-absorbing run, a third of the way in) fails to decode with an
+/// error, and none panics. The whole text decodes to the checkpoint,
+/// which recovers the shard, and the run finishes exactly as an
+/// uninterrupted one.
+#[test]
+fn truncated_checkpoints_fail_to_decode() {
+    let (cluster, pet, base) = fixture(TRUNCATED_SCALE);
+    let tasks: Vec<Task> = taskprune_workload::TaskStream::from_tasks(base)
+        .with_duplicate_rate(0.3, 0xD0B1)
+        .collect();
+    let reference =
+        json(&reuse_engine(&cluster, &pet).run_stream(tasks.iter().copied()));
+    let mut engine = reuse_engine(&cluster, &pet);
+    engine.enable_journal();
+    let mut source = tasks.iter().copied().peekable();
+    let third = tasks.len() as u64 / 3;
+    engine.run_until(&mut source, third);
+    let snap = engine.checkpoint(1);
+    let text = json(&snap);
+    for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+        let decoded = std::panic::catch_unwind(|| {
+            serde_json::from_str::<Snapshot>(&text[..end])
+                .map_err(SnapshotError::from)
+        });
+        match decoded {
+            Ok(Err(SnapshotError::Decode(_))) => {}
+            Ok(other) => panic!("the {end}-byte prefix gave {other:?}"),
+            Err(_) => panic!("the {end}-byte prefix panicked"),
+        }
+    }
+    let whole: Snapshot = serde_json::from_str(&text).expect("decodes");
+    assert_eq!(whole, snap);
+    engine.run_until(&mut source, 2 * third);
+    engine
+        .recover_shard(1, &whole)
+        .expect("the decoded checkpoint restores");
+    assert_eq!(reference, json(&engine.finish_stream(&mut source)));
+}
+
+/// Fixture scale of [`truncated_checkpoints_fail_to_decode`]: a
+/// 300-task trial, whose shard checkpoint is a few thousand bytes of
+/// JSON (every prefix is decoded).
+const TRUNCATED_SCALE: f64 = 0.2;
