@@ -149,51 +149,44 @@ impl Pruner for PruningMechanism {
     }
 
     fn snapshot_state(&self) -> serde::Value {
-        // Configuration (toggle mode, fairness factor) is
-        // construction-time state, like a queue's capacity: the restore
-        // target must be built with the same config, so only the
-        // evolving state travels. The threshold is the exception since
-        // `tighten_threshold` made it mutable mid-run.
-        serde::Value::Object(vec![
-            (
-                "threshold".to_owned(),
-                serde::Value::Float(self.cfg.threshold),
-            ),
-            ("accounting".to_owned(), self.accounting.to_value()),
-            (
-                "engaged".to_owned(),
-                serde::Value::Bool(self.toggle.dropping_engaged()),
-            ),
-            (
-                "scores".to_owned(),
-                serde::Serialize::to_value(self.fairness.scores()),
-            ),
-        ])
+        MechanismState {
+            threshold: self.cfg.threshold,
+            accounting: self.accounting.clone(),
+            engaged: self.toggle.dropping_engaged(),
+            scores: self.fairness.scores().to_vec(),
+        }
+        .to_value()
     }
 
     fn restore_state(
         &mut self,
         state: &serde::Value,
     ) -> Result<(), serde::Error> {
-        let accounting =
-            Accounting::from_value(state.get_field("accounting")?)?;
-        let engaged = bool::from_value(state.get_field("engaged")?)?;
-        let scores = Vec::<f64>::from_value(state.get_field("scores")?)?;
-        if !self.fairness.restore_scores(&scores) {
+        let state = MechanismState::from_value(state)?;
+        if !self.fairness.restore_scores(&state.scores) {
             return Err(serde::Error::custom(
                 "fairness score count differs from this mechanism's \
                  task-type count",
             ));
         }
-        // Absent in pre-tightening snapshots: the threshold was
-        // construction-only then, so the built value is already right.
-        if let Some(v) = state.get_opt("threshold") {
-            self.cfg.threshold = f64::from_value(v)?;
-        }
-        self.accounting = accounting;
-        self.toggle.set_engaged(engaged);
+        self.cfg.threshold = state.threshold;
+        self.accounting = state.accounting;
+        self.toggle.set_engaged(state.engaged);
         Ok(())
     }
+}
+
+/// The mechanism's checkpoint state. Configuration (toggle mode,
+/// fairness factor) is construction-time state, like a queue's
+/// capacity: the restore target must be built with the same config,
+/// so only the evolving state travels. The threshold is the exception
+/// since `tighten_threshold` made it mutable mid-run.
+#[derive(Serialize, Deserialize)]
+struct MechanismState {
+    threshold: f64,
+    accounting: Accounting,
+    engaged: bool,
+    scores: Vec<f64>,
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@
 
 use crate::config::SimConfig;
 use crate::queue::{MachineQueue, QueueCapture};
-use crate::reuse::{LedgerCapture, ReuseLedger, ReuseStats};
+use crate::reuse::{LedgerState, ReuseLedger, ReuseStats};
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::{OutcomeCapture, OutcomePages, SimStats};
@@ -668,72 +668,64 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     }
 
     /// Restores state captured by [`SchedulerCore::snapshot`] into
-    /// this core, after verifying the envelope (version + state hash).
-    /// The core must have been built with the same configuration,
-    /// cluster, PET matrix and plug-in types as the one that took the
-    /// snapshot. Pending decision/start buffers are cleared — a
-    /// restored core starts from a drained state, exactly as the
-    /// snapshotting core was at its checkpoint.
-    ///
-    /// An `sla_rung` field, which earlier builds wrote, is ignored:
-    /// the core no longer prunes by overload rung.
+    /// this core, after verifying the envelope (version + state hash),
+    /// decoding the payload whole and checking it. The core must have
+    /// been built with the same configuration, cluster, PET matrix and
+    /// plug-in types as the one that took the snapshot. Pending
+    /// decision/start buffers are cleared — a restored core starts
+    /// from a drained state, exactly as the snapshotting core was at
+    /// its checkpoint.
     ///
     /// # Errors
     /// Any [`SnapshotError`] — among them a
-    /// [`SnapshotError::ShapeMismatch`] for an outcome record that does
-    /// not describe one run (see the [`crate::snapshot`] module docs).
-    /// On error the core's state is unspecified and the core should be
-    /// discarded.
+    /// [`SnapshotError::ShapeMismatch`] for an outcome record or live
+    /// state that does not describe one run (see the
+    /// [`crate::snapshot`] module docs), before any state changes. A
+    /// plug-in hook that rejects its state fails later: then the
+    /// core's state is unspecified and the core should be discarded.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        let payload = snap.verify()?.clone();
-        let now = SimTime::from_value(payload.get_field("now")?)?;
-        let arrival_queue =
-            Vec::<Task>::from_value(payload.get_field("arrival_queue")?)?;
-        let stats = SimStats::from_checkpoint(
-            payload.get_field("stats")?,
-            self.pet.n_task_types(),
-        )?;
-        let Value::Array(queue_states) = payload.get_field("queues")? else {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "`queues` payload is not an array",
-            });
-        };
-        if queue_states.len() != self.queues.len() {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "snapshot machine count differs from this cluster",
-            });
+        let state = self.check(snap)?;
+        self.install(state)
+    }
+
+    /// Verifies a checkpoint of this core, decodes it and checks it
+    /// against this core without changing anything: the first half of
+    /// [`SchedulerCore::restore`].
+    pub(crate) fn check(
+        &self,
+        snap: &Snapshot,
+    ) -> Result<CoreState, SnapshotError> {
+        let state = CoreState::from_value(snap.verify()?)?;
+        state.stats.check_checkpoint(self.pet.n_task_types())?;
+        let shape = |what| Err(SnapshotError::ShapeMismatch { what });
+        if state.queues.len() != self.queues.len() {
+            return shape("snapshot machine count differs from this cluster");
         }
-        for (q, state) in self.queues.iter_mut().zip(queue_states) {
-            q.restore_value(state)?;
-        }
-        self.strategy
-            .restore_state(payload.get_field("strategy")?)?;
-        self.pruner.restore_state(payload.get_field("pruner")?)?;
-        self.sink.restore_state(payload.get_field("sink")?)?;
-        match payload.get_opt("reuse") {
-            Some(state) => self.reuse.restore_value(state)?,
-            // Pre-reuse snapshot: nothing was parked.
-            None => self.reuse.clear(),
+        if !self
+            .queues
+            .iter()
+            .zip(&state.queues)
+            .all(|(q, s)| q.fits(s))
+        {
+            return shape("a waiting list exceeds its queue's capacity");
         }
         // Every live task — batch-queued, waiting or running on a
         // machine, parked as a reuse follower — is an unresolved arrival
         // of the type the record holds for its id, and the only live
         // task with that id. The replay resolves each one exactly once.
-        let live = arrival_queue
+        let live = state
+            .arrival_queue
             .iter()
-            .chain(self.queues.iter().flat_map(|q| {
-                q.running()
-                    .map(|rt| &rt.task)
-                    .into_iter()
-                    .chain(q.waiting())
+            .chain(state.queues.iter().flat_map(|q| {
+                q.running.iter().map(|(task, _)| task).chain(&q.waiting)
             }))
-            .chain(self.reuse.parked());
+            .chain(state.reuse.parked());
         let mut live_ids = HashSet::new();
         for t in live {
-            let what = if stats.outcome(t.id).is_some() {
+            let what = if state.stats.outcome(t.id).is_some() {
                 "a task still queued, running or parked has a recorded \
                  outcome"
-            } else if stats.task_type(t.id) != Some(t.type_id) {
+            } else if state.stats.task_type(t.id) != Some(t.type_id) {
                 "a task still queued, running or parked is not an arrival \
                  of its type in the outcome record"
             } else if !live_ids.insert(t.id) {
@@ -741,26 +733,36 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             } else {
                 continue;
             };
-            return Err(SnapshotError::ShapeMismatch { what });
+            return shape(what);
         }
-        if self
+        if state
             .queues
             .iter()
-            .any(|q| q.running().is_some_and(|rt| rt.start > now))
+            .any(|q| q.running.is_some_and(|(_, start)| start > state.now))
         {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "a running task starts after the capture's clock",
-            });
+            return shape("a running task starts after the capture's clock");
         }
-        // Snapshot from before the watermark existed. Zero sweeps
-        // nothing the capture holds and is never ahead of the gate's.
-        self.arrival_watermark = match payload.get_opt("arrival_watermark") {
-            Some(state) => SimTime::from_value(state)?,
-            None => SimTime::ZERO,
-        };
-        self.now = now;
-        self.arrival_queue = arrival_queue;
-        self.stats = stats;
+        Ok(state)
+    }
+
+    /// Installs a state [`SchedulerCore::check`] accepted: the second
+    /// half of [`SchedulerCore::restore`]. Fails only when a plug-in
+    /// hook rejects its state.
+    pub(crate) fn install(
+        &mut self,
+        state: CoreState,
+    ) -> Result<(), SnapshotError> {
+        self.strategy.restore_state(&state.strategy)?;
+        self.pruner.restore_state(&state.pruner)?;
+        self.sink.restore_state(&state.sink)?;
+        for (q, s) in self.queues.iter_mut().zip(state.queues) {
+            q.restore(s);
+        }
+        self.reuse.restore(state.reuse);
+        self.arrival_watermark = state.arrival_watermark;
+        self.now = state.now;
+        self.arrival_queue = state.arrival_queue;
+        self.stats = state.stats;
         *self.pages.get_mut() = OutcomePages::default();
         self.decisions.clear();
         self.decisions_spare.clear();
@@ -1096,33 +1098,53 @@ pub(crate) struct CoreCapture {
     strategy: Value,
     pruner: Value,
     sink: Value,
-    reuse: LedgerCapture,
+    reuse: LedgerState,
     arrival_watermark: SimTime,
 }
 
 impl CoreCapture {
     /// Renders the capture in the core's wire form, the outcome record
-    /// stitched back flat from its pages, and seals it: the
-    /// [`Snapshot`] [`SchedulerCore::snapshot`] returned at the
-    /// capture instant, to the byte.
+    /// stitched back flat from its pages and the reuse ledger in
+    /// canonical order, and seals it: the [`Snapshot`]
+    /// [`SchedulerCore::snapshot`] returned at the capture instant, to
+    /// the byte.
     pub(crate) fn seal(&self) -> Snapshot {
-        Snapshot::seal(
-            "scheduler-core",
-            Value::Object(vec![
-                ("now".to_owned(), self.now.to_value()),
-                ("arrival_queue".to_owned(), self.arrival_queue.to_value()),
-                ("queues".to_owned(), self.queues.to_value()),
-                ("stats".to_owned(), self.stats.record().to_value()),
-                ("strategy".to_owned(), self.strategy.clone()),
-                ("pruner".to_owned(), self.pruner.clone()),
-                ("sink".to_owned(), self.sink.clone()),
-                ("reuse".to_owned(), self.reuse.to_value()),
-                (
-                    "arrival_watermark".to_owned(),
-                    self.arrival_watermark.to_value(),
-                ),
-            ]),
-        )
+        let state = CoreState {
+            now: self.now,
+            arrival_queue: self.arrival_queue.clone(),
+            queues: self.queues.clone(),
+            stats: self.stats.record(),
+            strategy: self.strategy.clone(),
+            pruner: self.pruner.clone(),
+            sink: self.sink.clone(),
+            reuse: self.reuse.canonical(),
+            arrival_watermark: self.arrival_watermark,
+        };
+        Snapshot::seal("scheduler-core", state.to_value())
+    }
+}
+
+/// A scheduler core's checkpoint payload: what [`CoreCapture::seal`]
+/// writes and [`SchedulerCore::restore`] decodes whole, checks, and
+/// only then installs. The plug-in states travel as the value trees
+/// their hooks wrote.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct CoreState {
+    now: SimTime,
+    arrival_queue: Vec<Task>,
+    queues: Vec<QueueCapture>,
+    stats: SimStats,
+    strategy: Value,
+    pruner: Value,
+    sink: Value,
+    reuse: LedgerState,
+    arrival_watermark: SimTime,
+}
+
+impl CoreState {
+    /// The core's clock at the capture.
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
     }
 }
 

@@ -24,7 +24,7 @@
 //! [`FaultKind`]; the [`crate::Supervisor`] is the component that
 //! detects and heals them.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use taskprune_prob::rng::Xoshiro256PlusPlus;
 
 /// The fault taxonomy: what breaks, at one scheduled coordinate.
@@ -232,7 +232,7 @@ impl FaultPlan {
 /// The counters are part of the coordinator's restartable state (see
 /// `FederatedEngine::snapshot_coordinator`), so a federation restored
 /// from disk resumes the *remaining* fault schedule exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct FaultInjector {
     plan: FaultPlan,
     arrivals_seen: Vec<u64>,
@@ -301,41 +301,17 @@ impl FaultInjector {
             .is_some()
     }
 
-    pub(crate) fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("plan".to_owned(), self.plan.to_value()),
-            ("arrivals_seen".to_owned(), self.arrivals_seen.to_value()),
-            (
-                "completions_seen".to_owned(),
-                self.completions_seen.to_value(),
-            ),
-            (
-                "checkpoints_seen".to_owned(),
-                self.checkpoints_seen.to_value(),
-            ),
-            (
-                "recoveries_seen".to_owned(),
-                self.recoveries_seen.to_value(),
-            ),
-        ])
-    }
-
-    pub(crate) fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Self {
-            plan: FaultPlan::from_value(v.get_field("plan")?)?,
-            arrivals_seen: Vec::<u64>::from_value(
-                v.get_field("arrivals_seen")?,
-            )?,
-            completions_seen: Vec::<u64>::from_value(
-                v.get_field("completions_seen")?,
-            )?,
-            checkpoints_seen: Vec::<u64>::from_value(
-                v.get_field("checkpoints_seen")?,
-            )?,
-            recoveries_seen: Vec::<u64>::from_value(
-                v.get_field("recoveries_seen")?,
-            )?,
-        })
+    /// Whether the injector counts the operations of `n_shards`
+    /// shards: one counter of each kind per shard.
+    pub(crate) fn fits(&self, n_shards: usize) -> bool {
+        [
+            &self.arrivals_seen,
+            &self.completions_seen,
+            &self.checkpoints_seen,
+            &self.recoveries_seen,
+        ]
+        .iter()
+        .all(|c| c.len() == n_shards)
     }
 }
 
@@ -575,5 +551,7 @@ mod tests {
         assert_eq!(restored.plan, plan);
         assert_eq!(restored.completions_seen, inj.completions_seen);
         assert_eq!(restored.arrivals_seen, inj.arrivals_seen);
+        assert!(restored.fits(4));
+        assert!(!FaultInjector::new(plan, 3).fits(4));
     }
 }

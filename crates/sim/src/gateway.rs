@@ -32,19 +32,20 @@
 //! core through its public API alone.
 
 use crate::config::{ConfigError, RunError, SimConfig};
-use crate::core::{CoreCapture, Decision, SchedulerCore, Start};
+use crate::core::{CoreCapture, CoreState, Decision, SchedulerCore, Start};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::journal::{JournalOp, ShardJournal};
 use crate::lane::Lane;
-use crate::reuse::{Admission, Admit, ReuseGate, ReusePolicy, ReuseStats};
+use crate::reuse::{Admission, GateState, ReuseGate, ReusePolicy, ReuseStats};
 use crate::route::{RoundRobinRoute, RoutePolicy, ShardView};
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::{SimStats, StatsError, TenancyStats, TenantSlice};
 use crate::supervisor::RecoveryLog;
 use crate::tenant::{
-    ShedReason, TenancyPolicy, TenantAdmissionStats, TenantTable, TenantVerdict,
+    ShedReason, TenancyPolicy, TenantAdmissionStats, TenantState, TenantTable,
+    TenantVerdict,
 };
 use crate::traits::{MappingStrategy, Pruner};
 use serde::{Deserialize, Error, Serialize, Value};
@@ -161,9 +162,6 @@ pub struct Gateway<'a, S: Sink = NullSink> {
     compact: IdCompactor,
     /// Global arrival order across the federation.
     arrival_order: Vec<FedArrival>,
-    /// Latest (shard, internal) per external id, for callers that only
-    /// know external ids. Duplicated external ids: latest wins.
-    latest: HashMap<u64, (u32, TaskId)>,
     /// Reused output buffer for [`Gateway::drain_decisions`].
     decisions: Vec<FedDecision>,
     /// Reused output buffer for [`Gateway::drain_starts`].
@@ -195,7 +193,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
             policy,
             compact: IdCompactor::new(n),
             arrival_order: Vec::new(),
-            latest: HashMap::new(),
             decisions: Vec::new(),
             starts: Vec::new(),
             quarantined: vec![false; n],
@@ -289,16 +286,27 @@ impl<'a, S: Sink> Gateway<'a, S> {
         &mut self,
         task: &mut Task,
     ) -> Option<(u64, ShedReason)> {
-        StatsError::check_type(task, self.shards[0].pet().n_task_types())
-            .unwrap_or_else(|e| panic!("{e}"));
-        let table = self.tenants.as_mut()?;
-        match table.admit(task) {
+        self.try_pre_admit(task).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Gateway::pre_admit`]: a task of a type the PET matrix
+    /// lacks is a [`StatsError::UnknownTaskType`], before any table
+    /// changes.
+    fn try_pre_admit(
+        &mut self,
+        task: &mut Task,
+    ) -> Result<Option<(u64, ShedReason)>, StatsError> {
+        StatsError::check_type(task, self.shards[0].pet().n_task_types())?;
+        let Some(table) = self.tenants.as_mut() else {
+            return Ok(None);
+        };
+        Ok(match table.admit(task) {
             TenantVerdict::Admitted { class } => {
                 task.value = class.value_tag();
                 None
             }
             TenantVerdict::Shed { tenant, reason } => Some((tenant, reason)),
-        }
+        })
     }
 
     /// The installed tenancy contract, if any.
@@ -382,9 +390,8 @@ impl<'a, S: Sink> Gateway<'a, S> {
         &mut self,
         task: Task,
     ) -> Result<Admission, RunError> {
-        StatsError::check_type(&task, self.shards[0].pet().n_task_types())?;
         let mut task = task;
-        if let Some((tenant, reason)) = self.pre_admit(&mut task) {
+        if let Some((tenant, reason)) = self.try_pre_admit(&mut task)? {
             if reason == ShedReason::Overload {
                 return Err(RunError::Overloaded {
                     tenant,
@@ -399,83 +406,52 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// The post-admission tail of [`Gateway::push_arrival`]: reuse
     /// gate, routing, shard delivery.
     fn push_admitted(&mut self, task: Task) -> Admission {
-        match self.admit_route(task) {
-            Admit::Fresh { shard, task } => {
-                let internal = task.id;
-                self.shards[shard].push_arrival(task);
-                Admission::Routed { shard, internal }
-            }
-            Admit::Absorb {
-                shard,
+        let (shard, op) = self.admit_route(task);
+        op.apply(&mut self.shards[shard]);
+        match op {
+            JournalOp::Piggyback {
                 primary,
                 task,
-                merged,
-            } => {
-                let internal = task.id;
-                self.shards[shard].apply_piggyback(primary, task, merged);
-                if merged {
-                    Admission::Merged {
-                        shard,
-                        primary,
-                        internal,
-                    }
-                } else {
-                    Admission::Piggybacked {
-                        shard,
-                        primary,
-                        internal,
-                    }
+                merged: true,
+            } => Admission::Merged {
+                shard,
+                primary,
+                internal: task.id,
+            },
+            JournalOp::Piggyback { primary, task, .. } => {
+                Admission::Piggybacked {
+                    shard,
+                    primary,
+                    internal: task.id,
                 }
+            }
+            JournalOp::Arrival(task) => Admission::Routed {
+                shard,
+                internal: task.id,
+            },
+            JournalOp::Completion { .. } | JournalOp::Wakeup => {
+                unreachable!("admission delivers arrivals only")
             }
         }
     }
 
     /// The admission half of [`Gateway::push_arrival`]: consults the
-    /// reuse gate in global arrival order, then either records an
-    /// absorption (compacting an internal id for the follower so its
-    /// outcome has a dense slot) or routes via
-    /// [`Gateway::route_only`] and registers the fresh task as a live
-    /// primary. Does **not** touch any shard; the caller owes the
-    /// target shard the matching `push_arrival`/`apply_piggyback` (the
-    /// parallel driver delivers it through a mailbox instead of
-    /// inline).
-    pub(crate) fn admit_route(&mut self, task: Task) -> Admit {
-        if let Some((shard, primary, merged)) = self.reuse.admit(&task) {
-            let internal = self.compact.assign(shard, task.id);
-            self.latest.insert(task.id.0, (shard as u32, internal));
-            self.arrival_order.push(FedArrival {
-                shard: shard as u32,
-                internal,
-                external: task.id,
-            });
-            let mut relabelled = task;
-            relabelled.id = internal;
-            return Admit::Absorb {
-                shard,
-                primary,
-                task: relabelled,
-                merged,
-            };
-        }
-        let (shard, relabelled) = self.route_only(task);
-        self.reuse.register(&task, shard, relabelled.id);
-        Admit::Fresh {
-            shard,
-            task: relabelled,
-        }
-    }
-
-    /// The routing half of [`Gateway::push_arrival`]: picks the shard,
-    /// compacts the external id, and records the global arrival — but
-    /// does **not** run the shard's mapping event. Returns the shard
-    /// and the task relabelled with its internal id; the caller owes
-    /// that shard a matching `push_arrival` of the relabelled task
-    /// (the parallel driver delivers it through a mailbox instead of
-    /// inline).
-    pub(crate) fn route_only(&mut self, task: Task) -> (usize, Task) {
-        let shard = self.pick_shard(&task);
+    /// reuse gate in global arrival order, compacts the external id
+    /// into the target shard's dense space and records the global
+    /// arrival. An absorbed task rides on its primary's shard; a fresh
+    /// one is routed and registered as a live primary. Returns the
+    /// shard and the operation that delivers the relabelled task there
+    /// (a [`JournalOp::Piggyback`] or a [`JournalOp::Arrival`]), but
+    /// does **not** touch any shard: the caller owes the target shard
+    /// that operation (the parallel driver delivers it through a
+    /// mailbox instead of inline).
+    pub(crate) fn admit_route(&mut self, task: Task) -> (usize, JournalOp) {
+        let absorbed = self.reuse.admit(&task);
+        let shard = match absorbed {
+            Some((shard, ..)) => shard,
+            None => self.pick_shard(&task),
+        };
         let internal = self.compact.assign(shard, task.id);
-        self.latest.insert(task.id.0, (shard as u32, internal));
         self.arrival_order.push(FedArrival {
             shard: shard as u32,
             internal,
@@ -483,7 +459,18 @@ impl<'a, S: Sink> Gateway<'a, S> {
         });
         let mut relabelled = task;
         relabelled.id = internal;
-        (shard, relabelled)
+        let op = match absorbed {
+            Some((_, primary, merged)) => JournalOp::Piggyback {
+                primary,
+                task: relabelled,
+                merged,
+            },
+            None => {
+                self.reuse.register(&task, shard, internal);
+                JournalOp::Arrival(relabelled)
+            }
+        };
+        (shard, op)
     }
 
     /// The routing decision alone: asks the policy for a shard (on live
@@ -575,9 +562,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
             let entry = &mut self.arrival_order[gi];
             entry.shard = shard as u32;
             entry.internal = internal;
-            if self.latest.get(&external.0) == Some(&(from as u32, task.id)) {
-                self.latest.insert(external.0, (shard as u32, internal));
-            }
             self.shards[shard].push_arrival(relabelled);
             rerouted.push((shard, relabelled));
         }
@@ -602,9 +586,15 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// earlier occurrences). A caller that re-submitted an external id
     /// and still needs to reach the *superseded* instance cannot get
     /// there from here — hold the [`FedStart`] handles and use
-    /// [`Gateway::complete_internal`] instead.
+    /// [`Gateway::complete_internal`] instead, which is also the cheap
+    /// path: this scans the arrival record back from the newest entry,
+    /// so it costs O(arrivals) in the worst case.
     pub fn resolve(&self, external: TaskId) -> Option<(usize, TaskId)> {
-        self.latest.get(&external.0).map(|&(s, i)| (s as usize, i))
+        self.arrival_order
+            .iter()
+            .rev()
+            .find(|a| a.external == external)
+            .map(|a| (a.shard as usize, a.internal))
     }
 
     /// Completes an execution by its [`FedStart`] handle — the
@@ -674,33 +664,20 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// Captures the whole federation front-end into a sealed,
     /// versioned [`Snapshot`]: every shard's full (nested, itself
     /// sealed) core snapshot, the id compactor, the global arrival
-    /// order, and the routing policy's plug-in state. The
-    /// external-id index is rebuilt from the arrival order on restore,
-    /// and the drain buffers are scratch — neither is serialized.
+    /// order, the routing policy's plug-in state, the quarantine
+    /// vector, the reuse gate and the tenant table. The drain buffers
+    /// are scratch and are not serialized.
     pub fn snapshot(&self) -> Snapshot {
-        let shards: Vec<Value> = self
-            .shards
-            .iter()
-            .map(|s| s.snapshot().to_value())
-            .collect();
-        Snapshot::seal(
-            "gateway",
-            Value::Object(vec![
-                ("shards".to_owned(), Value::Array(shards)),
-                ("compact".to_owned(), self.compact.to_value()),
-                ("arrival_order".to_owned(), self.arrival_order.to_value()),
-                ("policy".to_owned(), self.policy.snapshot_state()),
-                ("quarantined".to_owned(), self.quarantined.to_value()),
-                ("reuse".to_owned(), self.reuse.state_value()),
-                (
-                    "tenants".to_owned(),
-                    match &self.tenants {
-                        None => Value::Null,
-                        Some(t) => t.state_value(),
-                    },
-                ),
-            ]),
-        )
+        let state = GatewayState {
+            shards: self.shards.iter().map(SchedulerCore::snapshot).collect(),
+            compact: self.compact.clone(),
+            arrival_order: self.arrival_order.clone(),
+            policy: self.policy.snapshot_state(),
+            quarantined: self.quarantined.clone(),
+            reuse: self.reuse.state(),
+            tenants: self.tenants.as_ref().map(TenantTable::state),
+        };
+        Snapshot::seal("gateway", state.to_value())
     }
 
     /// Restores state captured by [`Gateway::snapshot`] into this
@@ -708,98 +685,99 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// per-shard envelope (defense in depth: a desynced or tampered
     /// shard payload cannot hide inside an intact outer hash). The
     /// gateway must have been built with the same shard count,
-    /// configuration and plug-in types.
+    /// configuration, tenancy and plug-in types.
     ///
     /// # Errors
-    /// Any [`SnapshotError`] — among them a
-    /// [`SnapshotError::ShapeMismatch`] for a capture that routed on a
-    /// stale view table or recorded batch-queue steals (see the
-    /// [`crate::snapshot`] module docs). On error the gateway's state
-    /// is unspecified and it should be discarded.
+    /// Any [`SnapshotError`]. Every payload is decoded and checked
+    /// before any state changes: a
+    /// [`SnapshotError::ShapeMismatch`] names a shard payload that
+    /// does not describe one run, an id compactor or quarantine vector
+    /// without one entry per shard, an arrival-order entry the
+    /// compactor did not assign, a reuse-gate primary on a shard this
+    /// federation does not have, or a tenant table that does not fit
+    /// this gateway's tenancy (a capture with a table, into a gateway
+    /// without tenancy, or the reverse). A plug-in hook that rejects
+    /// its state fails later: then the gateway's state is unspecified
+    /// and it should be discarded.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        let payload = snap.verify()?.clone();
-        let Value::Array(shard_snaps) = payload.get_field("shards")? else {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "`shards` payload is not an array",
-            });
-        };
-        if shard_snaps.len() != self.shards.len() {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "snapshot shard count differs from this federation",
-            });
+        let (state, cores) = self.check(snap)?;
+        self.install(state, cores)
+    }
+
+    /// Verifies a gateway snapshot and every shard snapshot nested in
+    /// it, decodes them and checks them against this gateway without
+    /// changing anything: the first half of [`Gateway::restore`].
+    fn check(
+        &self,
+        snap: &Snapshot,
+    ) -> Result<(GatewayState, Vec<CoreState>), SnapshotError> {
+        let state = GatewayState::from_value(snap.verify()?)?;
+        let n = self.shards.len();
+        let shape = |what| Err(SnapshotError::ShapeMismatch { what });
+        if state.shards.len() != n {
+            return shape("snapshot shard count differs from this federation");
         }
-        for (core, wire) in self.shards.iter_mut().zip(shard_snaps) {
-            let nested = Snapshot::from_value(wire)?;
-            core.restore(&nested)?;
-        }
-        self.compact = IdCompactor::from_value(payload.get_field("compact")?)?;
-        self.arrival_order =
-            Vec::<FedArrival>::from_value(payload.get_field("arrival_order")?)?;
-        self.policy.restore_state(payload.get_field("policy")?)?;
-        // Pre-supervisor snapshots carry no quarantine vector; absent
-        // means every shard was healthy when the capture was taken.
-        self.quarantined = match payload.get_opt("quarantined") {
-            Some(v) => {
-                let q = Vec::<bool>::from_value(v)?;
-                if q.len() != self.shards.len() {
-                    return Err(SnapshotError::ShapeMismatch {
-                        what: "quarantine vector length differs from \
-                               this federation's shard count",
-                    });
-                }
-                q
-            }
-            None => vec![false; self.shards.len()],
-        };
-        // Pre-reuse snapshots carry no gate state; absent means the
-        // cache was empty (or the subsystem didn't exist) at capture.
-        match payload.get_opt("reuse") {
-            Some(state) => self.reuse.restore_value(state)?,
-            None => self.reuse = ReuseGate::new(self.reuse.policy()),
-        }
-        // Older builds could route on a bounded-staleness view table
-        // and steal batch-queue tails, capturing both as `stale` and
-        // `steals`. A capture with neither in use restores as is; one
-        // that used them would resume as a different federation here.
-        if !matches!(payload.get_opt("stale"), None | Some(Value::Null)) {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "snapshot routes on a stale view table, which this \
-                       build does not have",
-            });
-        }
-        if let Some(steals) = payload.get_opt("steals") {
-            let Value::Object(counters) = steals else {
-                return Err(SnapshotError::ShapeMismatch {
-                    what: "`steals` payload is not an object",
-                });
-            };
-            for (_, count) in counters {
-                if u64::from_value(count)? != 0 {
-                    return Err(SnapshotError::ShapeMismatch {
-                        what: "snapshot records batch-queue steals, which \
-                               this build does not have",
-                    });
-                }
-            }
-        }
-        // Pre-tenancy snapshots carry no admission state; a
-        // tenancy-enabled gateway restoring one starts from a fresh
-        // table (and a tenancy-off gateway ignores the field).
-        if let Some(table) = self.tenants.as_mut() {
-            match payload.get_opt("tenants") {
-                Some(Value::Null) | None => {
-                    *table = TenantTable::new(table.policy().clone());
-                }
-                Some(v) => table.restore_value(v)?,
-            }
-        }
-        // Replaying the arrival order front to back makes the latest
-        // occurrence of each external id win — the live invariant.
-        self.latest = self
-            .arrival_order
+        let cores = self
+            .shards
             .iter()
-            .map(|a| (a.external.0, (a.shard, a.internal)))
-            .collect();
+            .zip(&state.shards)
+            .map(|(core, snap)| core.check(snap))
+            .collect::<Result<Vec<_>, _>>()?;
+        if state.compact.per_shard.len() != n || state.quarantined.len() != n {
+            return shape(
+                "the id compactor or the quarantine vector differs from \
+                 this federation's shard count",
+            );
+        }
+        let assigned = |a: &FedArrival| {
+            state.compact.external(a.shard as usize, a.internal)
+                == Some(a.external)
+        };
+        if !state.arrival_order.iter().all(assigned) {
+            return shape(
+                "an arrival-order entry names an id the compactor did not \
+                 assign",
+            );
+        }
+        if !state.reuse.fits(n) {
+            return shape(
+                "a reuse-gate primary lives on a shard this federation \
+                 does not have",
+            );
+        }
+        match (&self.tenants, &state.tenants) {
+            (Some(table), Some(tenants)) => table.check(tenants)?,
+            (None, None) => {}
+            _ => {
+                return shape(
+                    "the snapshot's tenancy differs from this gateway's",
+                )
+            }
+        }
+        Ok((state, cores))
+    }
+
+    /// Installs a state [`Gateway::check`] accepted, with its decoded
+    /// shard states: the second half of [`Gateway::restore`]. Fails
+    /// only when a plug-in hook rejects its state.
+    fn install(
+        &mut self,
+        state: GatewayState,
+        cores: Vec<CoreState>,
+    ) -> Result<(), SnapshotError> {
+        for (core, state) in self.shards.iter_mut().zip(cores) {
+            core.install(state)?;
+        }
+        self.policy.restore_state(&state.policy)?;
+        self.compact = state.compact;
+        self.arrival_order = state.arrival_order;
+        self.quarantined = state.quarantined;
+        self.reuse.restore(state.reuse);
+        if let (Some(table), Some(tenants)) =
+            (self.tenants.as_mut(), state.tenants)
+        {
+            table.restore(tenants);
+        }
         self.decisions.clear();
         self.starts.clear();
         Ok(())
@@ -827,6 +805,20 @@ impl<'a, S: Sink> Gateway<'a, S> {
             tenancy,
         }
     }
+}
+
+/// A gateway's snapshot payload: what [`Gateway::snapshot`] writes and
+/// [`Gateway::restore`] decodes whole, checks, and only then installs.
+/// Each shard travels as its own sealed core snapshot.
+#[derive(Serialize, Deserialize)]
+struct GatewayState {
+    shards: Vec<Snapshot>,
+    compact: IdCompactor,
+    arrival_order: Vec<FedArrival>,
+    policy: Value,
+    quarantined: Vec<bool>,
+    reuse: GateState,
+    tenants: Option<TenantState>,
 }
 
 impl<S: Sink> std::fmt::Debug for Gateway<'_, S> {
@@ -1398,6 +1390,23 @@ struct FedEvent {
     kind: EventKind,
 }
 
+/// A coordinator snapshot's payload: what
+/// [`FederatedEngine::snapshot_coordinator`] writes and
+/// [`FederatedEngine::restore_coordinator`] decodes whole, checks, and
+/// only then installs. The gateway travels as its own sealed snapshot.
+#[derive(Serialize, Deserialize)]
+struct CoordinatorState {
+    gateway: Snapshot,
+    events: Vec<FedEvent>,
+    rngs: Vec<Vec<u64>>,
+    pending: Vec<usize>,
+    wakeup_pending: Vec<bool>,
+    arrivals_ingested: u64,
+    applied_since_ckpt: Vec<u64>,
+    journals: Option<Vec<ShardJournal>>,
+    injector: Option<FaultInjector>,
+}
+
 /// Why [`FederatedEngine::drive`] returned control to its caller.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum DriveSignal {
@@ -1631,7 +1640,7 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
                 // Journal before delivery, like completions: a
                 // recovered shard replays an absorption too, rebuilding
                 // its follower ledger exactly.
-                let (shard, op) = self.gateway.admit_route(task).into_op();
+                let (shard, op) = self.gateway.admit_route(task);
                 self.record(shard, at, op);
                 op.apply(&mut self.gateway.shards_mut()[shard]);
                 self.arrivals_ingested += 1;
@@ -1947,113 +1956,91 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             (e.time, e.kind.class(), e.shard, e.kind.stable_id())
         });
         let lanes = &self.lanes;
-        let rngs: Vec<Value> = lanes
-            .iter()
-            .map(|l| l.rng.state().to_vec().to_value())
-            .collect();
-        let pending: Vec<usize> =
-            lanes.iter().map(|l| l.events.len()).collect();
-        let wakeup_pending: Vec<bool> =
-            lanes.iter().map(|l| l.wakeup_pending).collect();
-        // On the wire the gap travels as the count of journaled
-        // operations the shard did receive.
-        let applied: Vec<u64> = (0..lanes.len())
-            .map(|s| {
-                (self.journal(s).len() as u64)
-                    .saturating_sub(self.undelivered[s])
-            })
-            .collect();
-        Snapshot::seal(
-            "federated-coordinator",
-            Value::Object(vec![
-                ("gateway".to_owned(), self.gateway.snapshot().to_value()),
-                ("events".to_owned(), events.to_value()),
-                ("rngs".to_owned(), Value::Array(rngs)),
-                ("pending".to_owned(), pending.to_value()),
-                ("wakeup_pending".to_owned(), wakeup_pending.to_value()),
-                (
-                    "arrivals_ingested".to_owned(),
-                    self.arrivals_ingested.to_value(),
-                ),
-                ("applied_since_ckpt".to_owned(), applied.to_value()),
-                ("journals".to_owned(), self.journals.to_value()),
-                (
-                    "injector".to_owned(),
-                    self.injector
-                        .as_ref()
-                        .map_or(Value::Null, FaultInjector::to_value),
-                ),
-            ]),
-        )
+        let state = CoordinatorState {
+            gateway: self.gateway.snapshot(),
+            events,
+            rngs: lanes.iter().map(|l| l.rng.state().to_vec()).collect(),
+            pending: lanes.iter().map(|l| l.events.len()).collect(),
+            wakeup_pending: lanes.iter().map(|l| l.wakeup_pending).collect(),
+            arrivals_ingested: self.arrivals_ingested,
+            // On the wire the gap travels as the count of journaled
+            // operations the shard did receive.
+            applied_since_ckpt: (0..lanes.len())
+                .map(|s| {
+                    (self.journal(s).len() as u64)
+                        .saturating_sub(self.undelivered[s])
+                })
+                .collect(),
+            journals: self.journals.clone(),
+            injector: self.injector.clone(),
+        };
+        Snapshot::seal("federated-coordinator", state.to_value())
     }
 
     /// Restores state captured by
     /// [`FederatedEngine::snapshot_coordinator`] into this engine,
     /// verifying the outer envelope and every nested one. The engine
     /// must have been built with the same shard count, configuration
-    /// and plug-in types as the one that took the snapshot. The
-    /// resharding log an earlier build could capture is ignored: it
-    /// never changed a resumed run.
+    /// and plug-in types as the one that took the snapshot.
     ///
     /// # Errors
-    /// Any [`SnapshotError`] — among them a
-    /// [`SnapshotError::ShapeMismatch`] for an event naming a shard
-    /// this federation does not have or due before the restored
-    /// clock, a per-shard pending count that disagrees with the
-    /// shard's events, or a journaled ladder rung above the top rung.
-    /// On error the engine's state is unspecified and it should be
-    /// discarded.
+    /// Any [`SnapshotError`]. Every payload is decoded and checked
+    /// before any state changes: besides the gateway's own checks (see
+    /// [`Gateway::restore`]), a [`SnapshotError::ShapeMismatch`] names
+    /// per-shard driver state, journals or fault-injector counters
+    /// without one entry per shard, an RNG state that is not four
+    /// words, an event naming a shard this federation does not have or
+    /// due before the restored clock, or a per-shard pending count
+    /// that disagrees with the shard's events. A plug-in hook that
+    /// rejects its state fails later: then the engine's state is
+    /// unspecified and it should be discarded.
     pub fn restore_coordinator(
         &mut self,
         snap: &Snapshot,
     ) -> Result<(), SnapshotError> {
-        let payload = snap.verify()?.clone();
+        let state = CoordinatorState::from_value(snap.verify()?)?;
+        let (gateway, cores) = self.gateway.check(&state.gateway)?;
         let n = self.gateway.n_shards();
-        let nested = Snapshot::from_value(payload.get_field("gateway")?)?;
-        self.gateway.restore(&nested)?;
-        let events = Vec::<FedEvent>::from_value(payload.get_field("events")?)?;
-        let rng_states =
-            Vec::<Vec<u64>>::from_value(payload.get_field("rngs")?)?;
-        let pending = Vec::<usize>::from_value(payload.get_field("pending")?)?;
-        let wakeup_pending =
-            Vec::<bool>::from_value(payload.get_field("wakeup_pending")?)?;
-        let applied =
-            Vec::<u64>::from_value(payload.get_field("applied_since_ckpt")?)?;
-        if rng_states.len() != n
-            || pending.len() != n
-            || wakeup_pending.len() != n
-            || applied.len() != n
+        let shape = |what| Err(SnapshotError::ShapeMismatch { what });
+        if [
+            state.rngs.len(),
+            state.pending.len(),
+            state.wakeup_pending.len(),
+            state.applied_since_ckpt.len(),
+        ]
+        .iter()
+        .any(|&len| len != n)
+            || state.journals.as_ref().is_some_and(|j| j.len() != n)
+            || state.injector.as_ref().is_some_and(|i| !i.fits(n))
         {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "per-shard driver state differs from this \
-                       federation's shard count",
-            });
+            return shape(
+                "per-shard driver state differs from this federation's \
+                 shard count",
+            );
         }
         let mut lanes = Vec::with_capacity(n);
-        for (state, &wakeup_pending) in rng_states.iter().zip(&wakeup_pending) {
-            let words: [u64; 4] =
-                state.as_slice().try_into().map_err(|_| {
-                    SnapshotError::ShapeMismatch {
-                        what: "an RNG stream state is not four words",
-                    }
-                })?;
+        for (words, &wakeup_pending) in
+            state.rngs.iter().zip(&state.wakeup_pending)
+        {
+            let Ok(words) = words.as_slice().try_into() else {
+                return shape("an RNG stream state is not four words");
+            };
             lanes.push(Lane {
                 events: EventQueue::new(),
                 rng: Xoshiro256PlusPlus::from_state(words),
                 wakeup_pending,
             });
         }
-        let now = self.gateway.now();
-        for e in events {
-            let lane =
-                lanes.get_mut(e.shard).ok_or(SnapshotError::ShapeMismatch {
-                    what: "an event names a shard this federation \
-                           does not have",
-                })?;
+        // The federation clock the restored shards will share.
+        let now = cores.iter().map(CoreState::now).max().unwrap_or_default();
+        for e in state.events {
+            let Some(lane) = lanes.get_mut(e.shard) else {
+                return shape(
+                    "an event names a shard this federation does not have",
+                );
+            };
             if e.time < now {
-                return Err(SnapshotError::ShapeMismatch {
-                    what: "an event is due before the federation clock",
-                });
+                return shape("an event is due before the federation clock");
             }
             lane.events.push(Event {
                 time: e.time,
@@ -2062,42 +2049,29 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
         }
         if lanes
             .iter()
-            .zip(&pending)
+            .zip(&state.pending)
             .any(|(l, &p)| l.events.len() != p)
         {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "a shard's pending-event count disagrees with its \
-                       events",
-            });
+            return shape(
+                "a shard's pending-event count disagrees with its events",
+            );
         }
-        let arrivals_ingested =
-            u64::from_value(payload.get_field("arrivals_ingested")?)?;
-        let journals = Option::<Vec<ShardJournal>>::from_value(
-            payload.get_field("journals")?,
-        )?;
-        if journals.as_ref().is_some_and(|j| j.len() != n) {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "journal count differs from this federation's \
-                       shard count",
-            });
-        }
-        let injector = match payload.get_field("injector")? {
-            Value::Null => None,
-            v => Some(FaultInjector::from_value(v)?),
-        };
-        self.undelivered = applied
+        self.gateway.install(gateway, cores)?;
+        self.undelivered = state
+            .applied_since_ckpt
             .iter()
             .enumerate()
             .map(|(s, &a)| {
-                journals
+                state
+                    .journals
                     .as_ref()
                     .map_or(0, |j| (j[s].len() as u64).saturating_sub(a))
             })
             .collect();
         self.lanes = lanes;
-        self.arrivals_ingested = arrivals_ingested;
-        self.journals = journals;
-        self.injector = injector;
+        self.arrivals_ingested = state.arrivals_ingested;
+        self.journals = state.journals;
+        self.injector = state.injector;
         self.notices.clear();
         Ok(())
     }
@@ -2268,8 +2242,7 @@ mod tests {
                 .expect("valid configuration")
         };
         let genuine = gateway().snapshot().payload().clone();
-        // The capture with its tenant-table rung replaced, carrying an
-        // earlier build's fair-admission windows as well.
+        // The capture with its tenant-table rung replaced.
         let with_rung = |rung: u64| {
             let mut payload = genuine.clone();
             let Value::Object(fields) = &mut payload else {
@@ -2287,26 +2260,51 @@ mod tests {
                     *v = Value::UInt(rung);
                 }
             }
-            let window = Value::Object(vec![
-                ("submitted".to_owned(), Value::UInt(5)),
-                ("admitted".to_owned(), Value::UInt(3)),
-            ]);
-            table.push(("windows".to_owned(), Value::Array(vec![window; 2])));
             Snapshot::seal("gateway", payload)
         };
         let mut restored = gateway();
         restored
             .restore(&with_rung(3))
-            .expect("the top rung restores; the windows are ignored");
+            .expect("the top rung restores");
         assert_eq!(restored.sla_rung(), 3);
         assert!(matches!(
             gateway().restore(&with_rung(4)),
-            Err(SnapshotError::Decode(_))
+            Err(SnapshotError::ShapeMismatch { .. })
         ));
         assert!(matches!(
             gateway().restore(&with_rung(256)),
             Err(SnapshotError::Decode(_))
         ));
+    }
+
+    /// A capture restores only into a gateway with the same tenancy:
+    /// one with a tenant table into a gateway without tenancy, or one
+    /// without into a gateway with it, is a shape mismatch.
+    #[test]
+    fn a_capture_restores_only_into_the_same_tenancy() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let plain = || {
+            builder(&pet, &cluster, 2)
+                .build_gateway()
+                .expect("valid configuration")
+        };
+        let tenanted = || {
+            builder(&pet, &cluster, 2)
+                .tenancy(TenancyPolicy::new(2))
+                .build_gateway()
+                .expect("valid configuration")
+        };
+        let mismatch =
+            |r| matches!(r, Err(SnapshotError::ShapeMismatch { .. }));
+        assert!(mismatch(plain().restore(&tenanted().snapshot())));
+        assert!(mismatch(tenanted().restore(&plain().snapshot())));
+        plain()
+            .restore(&plain().snapshot())
+            .expect("a tenancy-off capture restores");
+        tenanted()
+            .restore(&tenanted().snapshot())
+            .expect("a tenanted capture restores");
     }
 
     #[test]

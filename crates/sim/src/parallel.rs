@@ -10,7 +10,7 @@
 //! [`ParallelFederatedEngine`] exploits exactly that decomposition:
 //!
 //! * the **coordinator** (the calling thread) routes arrivals in
-//!   global arrival order — identical id compaction, `latest` map and
+//!   global arrival order — identical id compaction and
 //!   [`FederationStats`] arrival record as the serial driver — into
 //!   per-shard mailboxes, up front;
 //! * each **shard lane** is the serial driver's own per-shard `Lane`
@@ -231,7 +231,7 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
             let target =
                 watermark.map_or(task.arrival, |w| w.max(task.arrival));
             watermark = Some(target);
-            let (shard, op) = self.gateway.admit_route(task).into_op();
+            let (shard, op) = self.gateway.admit_route(task);
             self.lanes[shard].mailbox.push_back(Mail {
                 op,
                 cutoff: task.arrival,

@@ -78,8 +78,7 @@
 //! Like the chains, they assume one PET matrix per queue: neither is
 //! keyed by the matrix.
 
-use crate::snapshot::{Snapshot, SnapshotError};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use taskprune_model::{
@@ -103,13 +102,17 @@ pub struct RunningTask {
 
 /// A machine queue's durable state, copied out by
 /// [`MachineQueue::capture`]: the start generation, the running task
-/// with its start instant, and the waiting list. Serializes as the
-/// queue's snapshot payload.
-#[derive(Debug, Serialize)]
+/// with its start instant, and the waiting list. A core checkpoint
+/// carries one per machine. The machine identity, capacity and horizon
+/// are construction-time configuration and are not captured, and the
+/// Eq. 1 chain cache and convolution arena are rebuilt lazily after
+/// [`MachineQueue::restore`], bit-identically (the incremental-chain
+/// equivalence contract).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct QueueCapture {
     generation: u64,
-    running: Option<(Task, SimTime)>,
-    waiting: VecDeque<Task>,
+    pub(crate) running: Option<(Task, SimTime)>,
+    pub(crate) waiting: VecDeque<Task>,
 }
 
 /// The lazily-repaired prefix-chain cache plus the per-queue convolution
@@ -660,32 +663,8 @@ impl MachineQueue {
         );
     }
 
-    /// Captures the queue's durable state into a sealed, versioned
-    /// [`Snapshot`]: generation counter, running task, and waiting
-    /// list. The machine identity, capacity and horizon are
-    /// construction-time configuration and are *not* serialized — a
-    /// restore target must be built with the same configuration. The
-    /// Eq. 1 chain cache and convolution arena are never serialized;
-    /// [`MachineQueue::restore`] rebuilds them lazily, bit-identically
-    /// (the incremental-chain equivalence contract).
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot::seal("machine-queue", self.capture().to_value())
-    }
-
-    /// Restores state captured by [`MachineQueue::snapshot`], after
-    /// verifying the envelope (version + state hash).
-    ///
-    /// # Errors
-    /// Any [`SnapshotError`]: a bad envelope, an undecodable payload,
-    /// or a waiting list that does not fit this queue's capacity.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        let payload = snap.verify()?.clone();
-        self.restore_value(&payload)
-    }
-
-    /// A copy of the queue's durable state; its `Serialize` impl
-    /// renders the payload [`MachineQueue::snapshot`] seals and a core
-    /// capture embeds.
+    /// A copy of the queue's durable state, as a core checkpoint
+    /// carries it.
     pub(crate) fn capture(&self) -> QueueCapture {
         QueueCapture {
             generation: self.generation,
@@ -694,29 +673,23 @@ impl MachineQueue {
         }
     }
 
-    /// Applies a payload rendered from [`MachineQueue::capture`].
-    pub(crate) fn restore_value(
-        &mut self,
-        v: &Value,
-    ) -> Result<(), SnapshotError> {
-        let generation = u64::from_value(v.get_field("generation")?)?;
-        let running =
-            Option::<(Task, SimTime)>::from_value(v.get_field("running")?)?;
-        let waiting = VecDeque::<Task>::from_value(v.get_field("waiting")?)?;
-        if waiting.len() > self.capacity {
-            return Err(SnapshotError::ShapeMismatch {
-                what: "waiting list exceeds this queue's capacity",
-            });
-        }
-        self.generation = generation;
-        self.running = running.map(|(task, start)| RunningTask { task, start });
-        self.waiting = waiting;
+    /// Whether a capture's waiting list fits this queue's capacity.
+    pub(crate) fn fits(&self, state: &QueueCapture) -> bool {
+        state.waiting.len() <= self.capacity
+    }
+
+    /// Installs a capture that [`MachineQueue::fits`] this queue.
+    pub(crate) fn restore(&mut self, state: QueueCapture) {
+        self.generation = state.generation;
+        self.running = state
+            .running
+            .map(|(task, start)| RunningTask { task, start });
+        self.waiting = state.waiting;
         // The chain cache is rebuilt lazily from the restored waiting
         // list; slot 0 (δ(0)) is constant, so invalidating from the
         // head discards everything else while keeping the arena
         // allocations.
         self.invalidate_from(0);
-        Ok(())
     }
 
     /// Repairs the chain, then clones out the live prefix PMFs and CDFs
@@ -1103,38 +1076,35 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrips_and_rebuilds_the_chain() {
+    fn capture_restore_roundtrips_and_rebuilds_the_chain() {
         let pm = pet_matrix();
         let mut q = queue();
         q.set_running(task(0, 1, 10_000), SimTime(0));
         q.admit(task(1, 1, 10_000));
         q.admit(task(2, 0, 900));
-        let snap = q.snapshot();
-        assert_eq!(snap.component(), Some("machine-queue"));
+        let wire = q.capture().to_value();
+        let state = QueueCapture::from_value(&wire).expect("decodes");
         let mut fresh = queue();
-        fresh.restore(&snap).expect("intact snapshot restores");
+        assert!(fresh.fits(&state));
+        fresh.restore(state);
         assert_eq!(fresh.generation(), q.generation());
         assert_eq!(fresh.waiting_len(), 2);
         assert!(fresh.is_busy());
+        assert_eq!(fresh.capture().to_value(), wire);
         // The rebuilt-lazily chain must equal the live one exactly.
         assert_eq!(fresh.chain_snapshot(&pm), q.chain_snapshot(&pm));
     }
 
     #[test]
-    fn snapshot_restore_rejects_an_over_capacity_waiting_list() {
+    fn an_over_capacity_waiting_list_does_not_fit() {
         let cluster = Cluster::one_per_type(1);
         let m = cluster.machine(taskprune_model::MachineId(0));
         let mut big = MachineQueue::new(m, 8, 256);
         for i in 0..6 {
             big.admit(task(i, 1, 10_000));
         }
-        let snap = big.snapshot();
-        let mut small = MachineQueue::new(m, 4, 256);
-        let err = small.restore(&snap).expect_err("must not overfill");
-        assert!(
-            matches!(err, SnapshotError::ShapeMismatch { .. }),
-            "got {err:?}"
-        );
+        assert!(!MachineQueue::new(m, 4, 256).fits(&big.capture()));
+        assert!(MachineQueue::new(m, 6, 256).fits(&big.capture()));
     }
 
     #[test]

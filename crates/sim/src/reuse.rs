@@ -36,8 +36,7 @@
 //! the parallel lanes stay barrier-free. The shard-local follower
 //! ledger (`ReuseLedger`) resolves deterministically on each core.
 
-use crate::journal::JournalOp;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use taskprune_model::{SimTime, Task, TaskId};
@@ -175,54 +174,6 @@ impl Admission {
     /// Whether the tenant admission layer shed the task.
     pub fn is_shed(&self) -> bool {
         matches!(self, Admission::Shed { .. })
-    }
-}
-
-/// Crate-internal admission verdict carrying the relabelled task, used
-/// between the gateway's admission path and the drivers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Admit {
-    /// Route and execute: the existing arrival path.
-    Fresh {
-        /// Target shard.
-        shard: usize,
-        /// The relabelled (shard-internal ids) task.
-        task: Task,
-    },
-    /// Absorbed by an in-flight primary on `shard`.
-    Absorb {
-        /// Shard holding the primary.
-        shard: usize,
-        /// The primary's shard-internal id.
-        primary: TaskId,
-        /// The relabelled follower.
-        task: Task,
-        /// Whether this was a window merge (vs an exact duplicate).
-        merged: bool,
-    },
-}
-
-impl Admit {
-    /// The shard the verdict names and the operation that delivers it
-    /// there: an [`JournalOp::Arrival`] for a fresh task, a
-    /// [`JournalOp::Piggyback`] for an absorbed one.
-    pub(crate) fn into_op(self) -> (usize, JournalOp) {
-        match self {
-            Admit::Fresh { shard, task } => (shard, JournalOp::Arrival(task)),
-            Admit::Absorb {
-                shard,
-                primary,
-                task,
-                merged,
-            } => (
-                shard,
-                JournalOp::Piggyback {
-                    primary,
-                    task,
-                    merged,
-                },
-            ),
-        }
     }
 }
 
@@ -424,11 +375,11 @@ impl ReuseGate {
         }
     }
 
-    /// Serializes the gate's durable state (watermark + live cache) in
-    /// canonical content-key order, so two replicas that admitted the
-    /// same stream seal the same bytes. The expiry and class indexes
-    /// are derived state and are rebuilt on restore.
-    pub(crate) fn state_value(&self) -> Value {
+    /// The gate's durable state (watermark + live cache) in canonical
+    /// content-key order, so two replicas that admitted the same
+    /// stream seal the same bytes. The expiry and class indexes are
+    /// derived state and are rebuilt on restore.
+    pub(crate) fn state(&self) -> GateState {
         let mut cache: Vec<WireEntry> = self
             .cache
             .iter()
@@ -445,20 +396,13 @@ impl ReuseGate {
             watermark: self.watermark,
             cache,
         }
-        .to_value()
     }
 
-    /// Restores state captured by [`ReuseGate::state_value`],
-    /// rebuilding the expiry and class indexes under the gate's
-    /// configured policy. Captures from builds with an eviction budget
-    /// also carry registration ordinals (`seq`, `next_seq`), which
-    /// nothing reads. Entries already behind the watermark restore as
-    /// captured; the next admission sweeps them.
-    pub(crate) fn restore_value(
-        &mut self,
-        v: &Value,
-    ) -> Result<(), serde::Error> {
-        let state = GateState::from_value(v)?;
+    /// Installs state captured by [`ReuseGate::state`], rebuilding the
+    /// expiry and class indexes under the gate's configured policy.
+    /// Entries already behind the watermark restore as captured; the
+    /// next admission sweeps them.
+    pub(crate) fn restore(&mut self, state: GateState) {
         self.cache.clear();
         self.classes.clear();
         self.expiry.clear();
@@ -471,19 +415,25 @@ impl ReuseGate {
             };
             self.insert_entry((w.ext, w.ty), entry);
         }
-        Ok(())
     }
 }
 
 /// The gate's wire form: the arrival watermark and the live cache.
-#[derive(Serialize, Deserialize)]
-struct GateState {
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct GateState {
     watermark: SimTime,
     cache: Vec<WireEntry>,
 }
 
+impl GateState {
+    /// Whether every primary lives on one of `n_shards` shards.
+    pub(crate) fn fits(&self, n_shards: usize) -> bool {
+        self.cache.iter().all(|w| w.shard < n_shards)
+    }
+}
+
 /// One cache entry on the wire: the content key and its primary.
-#[derive(Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct WireEntry {
     ext: u64,
     ty: u16,
@@ -620,11 +570,6 @@ impl ReuseLedger {
         self.stats = ReuseStats::default();
     }
 
-    /// Every follower still parked on an in-flight primary.
-    pub(crate) fn parked(&self) -> impl Iterator<Item = &Task> {
-        self.followers.values().flatten()
-    }
-
     /// Removes every still-parked follower in canonical (primary id,
     /// absorption) order — the end-of-run sweep backing
     /// [`crate::SchedulerCore::finish`].
@@ -643,113 +588,102 @@ impl ReuseLedger {
 
     /// Sweeps the completed primaries due before `watermark` — the
     /// capturing core's arrival watermark (see the type docs) — then
-    /// copies the ledger out. What a capture holds is therefore a pure
-    /// function of the core's state, whenever earlier captures ran.
-    pub(crate) fn capture(&self, watermark: SimTime) -> LedgerCapture {
+    /// copies the ledger out, in hash order. What a capture holds is
+    /// therefore a pure function of the core's state, whenever earlier
+    /// captures ran.
+    pub(crate) fn capture(&self, watermark: SimTime) -> LedgerState {
         let mut completed_exec = self.completed_exec.borrow_mut();
         completed_exec.retain(|_, e| e.deadline >= watermark);
-        LedgerCapture {
+        LedgerState {
             followers: self
                 .followers
                 .iter()
-                .map(|(&k, tasks)| (k, tasks.clone()))
+                .map(|(&primary, tasks)| Followers {
+                    primary,
+                    tasks: tasks.clone(),
+                })
                 .collect(),
             completed_exec: completed_exec
                 .iter()
-                .map(|(&k, &e)| (k, e))
+                .map(|(&primary, e)| Completed {
+                    primary,
+                    ticks: e.ticks,
+                    deadline: e.deadline,
+                })
                 .collect(),
             stats: self.stats,
         }
     }
 
-    /// Restores state rendered from [`ReuseLedger::capture`]. The
+    /// Installs state captured by [`ReuseLedger::capture`]. The
     /// activation flag is construction-time configuration and is left
-    /// untouched. A completed primary captured before deadlines were
-    /// recorded is kept for the rest of the run (it cannot be swept
-    /// safely).
-    pub(crate) fn restore_value(
-        &mut self,
-        v: &Value,
-    ) -> Result<(), serde::Error> {
-        let Value::Array(followers) = v.get_field("followers")? else {
-            return Err(serde::Error::custom(
-                "reuse followers is not an array",
-            ));
-        };
-        let Value::Array(completed) = v.get_field("completed_exec")? else {
-            return Err(serde::Error::custom(
-                "reuse completed_exec is not an array",
-            ));
-        };
-        let stats = ReuseStats::from_value(v.get_field("stats")?)?;
-        self.followers.clear();
-        let completed_exec = self.completed_exec.get_mut();
-        completed_exec.clear();
-        for item in followers {
-            let primary = u64::from_value(item.get_field("primary")?)?;
-            let tasks = Vec::<Task>::from_value(item.get_field("tasks")?)?;
-            self.followers.insert(primary, tasks);
-        }
-        for item in completed {
-            let primary = u64::from_value(item.get_field("primary")?)?;
-            let ticks = u64::from_value(item.get_field("ticks")?)?;
-            let deadline = match item.get_opt("deadline") {
-                Some(d) => SimTime::from_value(d)?,
-                None => SimTime::MAX,
-            };
-            completed_exec.insert(primary, CompletedExec { ticks, deadline });
-        }
-        self.stats = stats;
-        Ok(())
+    /// untouched.
+    pub(crate) fn restore(&mut self, state: LedgerState) {
+        self.followers = state
+            .followers
+            .into_iter()
+            .map(|f| (f.primary, f.tasks))
+            .collect();
+        *self.completed_exec.get_mut() = state
+            .completed_exec
+            .into_iter()
+            .map(|c| {
+                let exec = CompletedExec {
+                    ticks: c.ticks,
+                    deadline: c.deadline,
+                };
+                (c.primary, exec)
+            })
+            .collect();
+        self.stats = state.stats;
     }
 }
 
 /// A ledger's durable state, copied out by [`ReuseLedger::capture`]
-/// after its sweep. Serializes in canonical primary-id order: the
-/// tables are copied in hash order and sorted only when rendered.
-#[derive(Debug)]
-pub(crate) struct LedgerCapture {
-    followers: Vec<(u64, Vec<Task>)>,
-    completed_exec: Vec<(u64, CompletedExec)>,
+/// after its sweep, in hash order; [`LedgerState::canonical`] puts it
+/// in the primary-id order a checkpoint payload carries.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct LedgerState {
+    followers: Vec<Followers>,
+    completed_exec: Vec<Completed>,
     stats: ReuseStats,
 }
 
-impl Serialize for LedgerCapture {
-    fn to_value(&self) -> Value {
-        let mut followers: Vec<_> = self.followers.iter().collect();
-        followers.sort_unstable_by_key(|&&(k, _)| k);
-        let mut completed: Vec<_> = self.completed_exec.iter().collect();
-        completed.sort_unstable_by_key(|&&(k, _)| k);
-        let followers = followers
-            .into_iter()
-            .map(|(k, tasks)| {
-                Value::Object(vec![
-                    ("primary".to_owned(), k.to_value()),
-                    ("tasks".to_owned(), tasks.to_value()),
-                ])
-            })
-            .collect();
-        let completed = completed
-            .into_iter()
-            .map(|(k, e)| {
-                Value::Object(vec![
-                    ("primary".to_owned(), k.to_value()),
-                    ("ticks".to_owned(), e.ticks.to_value()),
-                    ("deadline".to_owned(), e.deadline.to_value()),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("followers".to_owned(), Value::Array(followers)),
-            ("completed_exec".to_owned(), Value::Array(completed)),
-            ("stats".to_owned(), self.stats.to_value()),
-        ])
+/// The followers parked on one primary, in absorption order.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Followers {
+    primary: u64,
+    tasks: Vec<Task>,
+}
+
+/// One completed primary a late follower can still reach.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Completed {
+    primary: u64,
+    ticks: u64,
+    deadline: SimTime,
+}
+
+impl LedgerState {
+    /// The state in canonical primary-id order: the tables are copied
+    /// in hash order and sorted only when a checkpoint is sealed.
+    pub(crate) fn canonical(&self) -> LedgerState {
+        let mut state = self.clone();
+        state.followers.sort_unstable_by_key(|f| f.primary);
+        state.completed_exec.sort_unstable_by_key(|c| c.primary);
+        state
+    }
+
+    /// Every follower parked on an in-flight primary.
+    pub(crate) fn parked(&self) -> impl Iterator<Item = &Task> {
+        self.followers.iter().flat_map(|f| &f.tasks)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use taskprune_model::TaskTypeId;
 
     fn task(ext: u64, ty: u16, arrival: u64, deadline: u64) -> Task {
@@ -814,31 +748,30 @@ mod tests {
         );
     }
 
-    #[test]
-    fn capture_with_ordinals_and_expired_entries_restores_then_sweeps() {
-        let entry = |ext: u64, deadline: u64, seq: u64| {
+    /// A gate state decoded from its wire form, with one entry per
+    /// `(external id, deadline)`, all on shard 1.
+    fn gate_state(watermark: u64, entries: &[(u64, u64)]) -> GateState {
+        let entry = |&(ext, deadline): &(u64, u64)| {
             Value::Object(vec![
                 ("ext".to_owned(), Value::UInt(ext)),
                 ("ty".to_owned(), Value::UInt(0)),
                 ("shard".to_owned(), Value::UInt(1)),
                 ("internal".to_owned(), Value::UInt(ext + 10)),
                 ("deadline".to_owned(), Value::UInt(deadline)),
-                ("seq".to_owned(), Value::UInt(seq)),
             ])
         };
-        // Two entries already behind the watermark, one live.
-        let capture = Value::Object(vec![
-            ("watermark".to_owned(), Value::UInt(500)),
+        GateState::from_value(&Value::Object(vec![
+            ("watermark".to_owned(), Value::UInt(watermark)),
             (
                 "cache".to_owned(),
-                Value::Array(vec![
-                    entry(1, 100, 0),
-                    entry(2, 400, 1),
-                    entry(3, 900, 5),
-                ]),
+                Value::Array(entries.iter().map(entry).collect()),
             ),
-            ("next_seq".to_owned(), Value::UInt(6)),
-        ]);
+        ]))
+        .expect("the gate state decodes")
+    }
+
+    #[test]
+    fn capture_with_expired_entries_restores_then_sweeps() {
         let policies = [
             ReusePolicy::ExactOnly,
             ReusePolicy::Merge {
@@ -847,7 +780,8 @@ mod tests {
         ];
         for policy in policies {
             let mut gate = ReuseGate::new(policy);
-            gate.restore_value(&capture).expect("the capture restores");
+            // Two entries already behind the watermark, one live.
+            gate.restore(gate_state(500, &[(1, 100), (2, 400), (3, 900)]));
             assert_eq!(gate.cache.len(), 3, "{policy:?}");
             // The next admission sweeps both expired primaries: the
             // merge path no longer finds the one due at 400 either.
@@ -858,9 +792,9 @@ mod tests {
                 gate.admit(&task(3, 0, 610, 950)),
                 Some((1, TaskId(13), false))
             );
-            let state = serde_json::to_string(&gate.state_value()).unwrap();
-            assert!(!state.contains("seq"), "{state}");
         }
+        assert!(gate_state(0, &[(1, 100)]).fits(2));
+        assert!(!gate_state(0, &[(1, 100)]).fits(1));
     }
 
     #[test]
@@ -931,19 +865,16 @@ mod tests {
         let a = task(1, 0, 50, 1_000);
         gate.admit(&a);
         gate.register(&a, 0, TaskId(3));
-        let state = gate.state_value();
+        let wire = gate.state().to_value();
 
         let mut back = ReuseGate::new(ReusePolicy::Merge {
             window: SimTime(300),
         });
-        back.restore_value(&state).expect("state restores");
+        back.restore(GateState::from_value(&wire).expect("state decodes"));
         assert_eq!(back.watermark, SimTime(50));
         // Restored state re-serializes to the same canonical bytes
         // (before any admission advances the watermark).
-        assert_eq!(
-            serde_json::to_string(&state),
-            serde_json::to_string(&back.state_value())
-        );
+        assert_eq!(back.state().to_value(), wire);
         assert_eq!(
             back.admit(&task(1, 0, 60, 1_000)),
             Some((0, TaskId(3), false))
@@ -994,22 +925,25 @@ mod tests {
         ledger.add_follower(TaskId(2), task(21, 1, 6, 310));
         ledger.record_exec(TaskId(1), 77, SimTime(400));
         ledger.note_hit(false);
-        let state = ledger.capture(SimTime(6)).to_value();
+        let wire = ledger.capture(SimTime(6)).canonical().to_value();
+        let text = serde_json::to_string(&wire).unwrap();
+        assert!(
+            text.find("\"primary\":2").unwrap()
+                < text.find("\"primary\":9").unwrap(),
+            "{text}"
+        );
 
         let mut back = ReuseLedger::new();
         back.set_active(true);
-        back.restore_value(&state).expect("ledger restores");
+        back.restore(LedgerState::from_value(&wire).expect("decodes"));
         assert_eq!(back.exec_ticks(TaskId(1)), 77);
         assert_eq!(back.stats().hits, 1);
+        assert_eq!(back.capture(SimTime(6)).canonical().to_value(), wire);
         // Drain order is canonical: primary 2 before primary 9.
         let drained = back.drain_remaining();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].id, TaskId(21));
         assert_eq!(drained[1].id, TaskId(20));
-        assert_eq!(
-            serde_json::to_string(&state),
-            serde_json::to_string(&ledger.capture(SimTime(6)).to_value())
-        );
     }
 
     #[test]
@@ -1019,7 +953,7 @@ mod tests {
         for (id, deadline) in [(1, 90), (2, 100), (3, 250)] {
             ledger.record_exec(TaskId(id), 10 * id, SimTime(deadline));
         }
-        let state = ledger.capture(SimTime(100)).to_value();
+        let state = ledger.capture(SimTime(100));
         // Due at the watermark is still live; due before it is gone,
         // from the capture and from the ledger.
         assert_eq!(ledger.completed_exec.get_mut().len(), 2);
@@ -1027,20 +961,9 @@ mod tests {
         assert_eq!(ledger.exec_ticks(TaskId(2)), 20);
         let mut back = ReuseLedger::new();
         back.set_active(true);
-        back.restore_value(&state).expect("ledger restores");
+        back.restore(state);
         assert_eq!(back.exec_ticks(TaskId(3)), 30);
         assert_eq!(back.completed_exec.get_mut().len(), 2);
-        // A capture written before deadlines were recorded keeps its
-        // completed primaries for good.
-        let legacy = serde_json::from_str::<Value>(
-            r#"{"followers": [], "stats": {"hits": 0, "merges": 0,
-                "cycles_saved": 0},
-                "completed_exec": [{"primary": 4, "ticks": 5}]}"#,
-        )
-        .expect("parses");
-        back.restore_value(&legacy).expect("legacy ledger restores");
-        back.capture(SimTime(u64::MAX - 1));
-        assert_eq!(back.exec_ticks(TaskId(4)), 5);
     }
 
     #[test]

@@ -1,68 +1,65 @@
 //! Versioned, hash-sealed state snapshots.
 //!
 //! Every durable piece of federation state — [`crate::SchedulerCore`],
-//! [`crate::queue::MachineQueue`], [`crate::Gateway`] — captures itself
-//! into a [`Snapshot`]: a wire envelope carrying a format `version`, a
-//! `state_hash` sealed over the payload, an optional `component` tag,
-//! and the payload [`Value`] tree itself. The payload holds the whole
-//! state: a scheduler core's carries its whole outcome record (outcome
-//! and type per task id, the arrival order, the per-type counters) in
-//! [`crate::SimStats`]' own encoding.
+//! [`crate::Gateway`] and the [`crate::FederatedEngine`] coordinator —
+//! captures itself into a [`Snapshot`]: a wire envelope carrying a
+//! format `version`, a `state_hash` sealed over the payload, a
+//! `component` tag, and the payload [`Value`] tree itself. Each
+//! payload is one derived wire struct per layer (a core's `CoreState`,
+//! a gateway's `GatewayState`, a coordinator's `CoordinatorState`),
+//! which the seal renders and the restore decodes whole. A core's
+//! payload holds the whole state, its whole outcome record (outcome
+//! and type per task id, the arrival order, the per-type counters)
+//! included, in [`crate::SimStats`]' own encoding.
 //!
 //! Four properties make the envelope production-grade:
 //!
-//! * **Versioned.** [`SNAPSHOT_VERSION`] stamps every snapshot.
-//!   *Decoding* never fails on an unknown version (a newer writer's
-//!   data still parses), but [`Snapshot::verify`] rejects it with
-//!   [`SnapshotError::UnsupportedVersion`] before any state is
-//!   restored from it. This build writes version 2 and reads versions
-//!   1 and 2. Earlier version-2 builds could write the sealed pages of
-//!   a core's outcome history beside its payload, in a `pages` field;
-//!   this build decodes such a paged capture to an error that names
-//!   it (a [`SnapshotError::Decode`] through `?`) and never restores
-//!   it. It writes no `pages` field, so those builds read its
-//!   captures as captures without pages.
+//! * **Versioned.** [`SNAPSHOT_VERSION`] stamps every snapshot, and
+//!   this build verifies that version alone. *Decoding* never fails on
+//!   an unknown version (a newer writer's data still parses), but
+//!   [`Snapshot::verify`] rejects any other version with
+//!   [`SnapshotError::UnsupportedVersion`] before a payload field is
+//!   read. Every capture an earlier build wrote is version 1 or 2, so
+//!   none of them restores here.
 //! * **Hash-sealed.** `state_hash` is an FNV-1a digest over a
 //!   canonical walk of the payload tree. Because the whole simulator
 //!   is bit-for-bit deterministic, two replicas that executed the same
 //!   event stream produce the *same* hash — so a hash mismatch at a
 //!   watermark is a desync (or tampering) detector, not noise.
-//! * **Forward-compatible decode.** Optional envelope fields follow
-//!   the same missing-field convention as the bench `BenchEntry`
-//!   records: absent means `None`, so snapshots written before a field
-//!   existed keep loading. Restore paths default each legacy-absent
-//!   field to "the subsystem didn't exist at capture": a pre-reuse
-//!   snapshot restores with an empty gate, and a pre-tenancy one with
-//!   a fresh `TenantTable` — new state never invents history a
-//!   bit-identity replay would have to explain. State this build no
-//!   longer has is the reverse case: a gateway capture restores only
-//!   if its `stale` view table is absent or null and its `steals`
-//!   counters are absent or all zero (the relaxed-routing layer was
-//!   off). Anything else is a [`SnapshotError::ShapeMismatch`],
-//!   because resuming it would silently run a different federation.
-//!   Retired state that a resumed run cannot miss is ignored: a
-//!   coordinator's resharding log, the reuse gate's `seq`/`next_seq`
-//!   ordinals, a tenant table's fair-admission `windows` and a core's
-//!   `sla_rung` (the overload rung its deferral chance was biased by;
-//!   the core no longer reads one). A journal spans one checkpoint
-//!   interval of one run, so a retired journal op (`Steal`, `Adopt`,
-//!   `SlaRung`) is a [`SnapshotError::Decode`]. A tenant table's
-//!   ladder rung above the top one is a typed error.
-//! * **Checked on restore.** A core restore checks that the outcome
-//!   record describes one run, and returns
-//!   [`SnapshotError::ShapeMismatch`] otherwise: the outcome and type
-//!   tables have equal lengths, the arrival order lists each arrived
-//!   id (each id with a recorded type) exactly once, there is one
-//!   per-type counter per PET task type and every counter matches the
-//!   tables, and every recorded type is a PET task type. Every live
-//!   task — still batch-queued, waiting or running on a machine, or
-//!   parked as a reuse follower — must be an unresolved arrival of the
-//!   type the record holds for its id, and the only live task with
-//!   that id; no running task starts after the capture's clock. A
-//!   shard recovery also rejects a capture whose clock is ahead of the
-//!   journal replayed on top of it. Each of these, left unchecked,
-//!   either panicked later in the journal replay or resumed a run on
-//!   a record no run could have written.
+//! * **Decoded whole.** A restore decodes the payload into its wire
+//!   struct before it changes anything: a missing field or a value of
+//!   the wrong type or range is a [`SnapshotError::Decode`]. Only the
+//!   plug-in states, which travel as the value trees their
+//!   `snapshot_state` hooks wrote, are decoded later, by their
+//!   `restore_state` hooks as they are installed. A journal
+//!   spans one checkpoint interval of one run, so a journaled
+//!   operation this build does not have (`Steal`, `Adopt`, `SlaRung`)
+//!   is a [`SnapshotError::Decode`] too.
+//! * **Checked before it is installed.** A decoded payload that does
+//!   not describe a state this component could have reached is a
+//!   [`SnapshotError::ShapeMismatch`]. A core checks that the outcome
+//!   record describes one run: the outcome and type tables have equal
+//!   lengths, the arrival order lists each arrived id (each id with a
+//!   recorded type) exactly once, there is one per-type counter per
+//!   PET task type and every counter matches the tables, and every
+//!   recorded type is a PET task type. Every live task — still
+//!   batch-queued, waiting or running on a machine, or parked as a
+//!   reuse follower — must be an unresolved arrival of the type the
+//!   record holds for its id, and the only live task with that id; no
+//!   running task starts after the capture's clock, and no waiting
+//!   list exceeds its queue's capacity. A shard recovery also rejects
+//!   a capture whose clock is ahead of the journal replayed on top of
+//!   it. A gateway checks its shard count, that the id compactor and
+//!   the quarantine vector have one entry per shard, that every
+//!   arrival-order entry names an id the compactor assigned, that
+//!   every reuse-gate primary lives on one of its shards, and that the
+//!   tenant table fits its tenancy (a capture with a table restores
+//!   only into a gateway with tenancy, and one without only into a
+//!   gateway without). A coordinator checks its per-shard lengths,
+//!   event shards and times, pending counts and fault-injector
+//!   counters. Each of these, left unchecked, either panicked later in
+//!   the journal replay or the resumed run, or resumed a run on a
+//!   record no run could have written.
 //!
 //! **When the seal is computed.** Every `snapshot()` above, and
 //! [`crate::FederatedEngine::checkpoint`], returns a sealed envelope:
@@ -86,24 +83,21 @@
 
 use serde::{Deserialize, Serialize, Value};
 
-/// The snapshot wire-format version written by this build.
+/// The snapshot wire-format version written by this build, and the
+/// only one [`Snapshot::verify`] accepts.
 ///
-/// Bump when the payload layout of any component changes shape in a
-/// way old readers cannot tolerate. Readers accept exactly the
-/// versions they know how to restore; [`Snapshot::verify`] turns an
-/// unknown version into [`SnapshotError::UnsupportedVersion`]. This
-/// build reads every version from 1 to this one.
-pub const SNAPSHOT_VERSION: u64 = 2;
-
-/// The oldest wire-format version this build still verifies and
-/// restores.
-const OLDEST_READ_VERSION: u64 = 1;
+/// Bump when the payload layout of any component changes shape:
+/// [`Snapshot::verify`] turns every other version into
+/// [`SnapshotError::UnsupportedVersion`], so an earlier build's
+/// capture is refused before its payload is read.
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// Why a snapshot could not be verified or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The snapshot was written by an unknown (usually newer) format
-    /// version; restoring it could silently misinterpret state.
+    /// The snapshot was written by another format version (an earlier
+    /// build's, or a newer one); restoring it could silently
+    /// misinterpret state.
     UnsupportedVersion {
         /// The version stamped on the snapshot.
         found: u64,
@@ -118,8 +112,8 @@ pub enum SnapshotError {
         found: u64,
     },
     /// The envelope or payload tree did not decode into the
-    /// component's state (wrong types, missing required fields, a
-    /// paged capture).
+    /// component's wire struct (wrong types, out-of-range values,
+    /// missing fields).
     Decode(String),
     /// The payload decoded but does not fit the live component it is
     /// being restored into (wrong shard count, wrong machine count,
@@ -136,7 +130,7 @@ impl std::fmt::Display for SnapshotError {
             Self::UnsupportedVersion { found } => write!(
                 f,
                 "unsupported snapshot version {found} (this build reads \
-                 versions {OLDEST_READ_VERSION} to {SNAPSHOT_VERSION})"
+                 version {SNAPSHOT_VERSION})"
             ),
             Self::HashMismatch { expected, found } => write!(
                 f,
@@ -223,15 +217,15 @@ fn hash_value(h: &mut u64, v: &Value) {
 
 /// A versioned, hash-sealed capture of one component's state.
 ///
-/// Produced by the `snapshot()` methods on [`crate::SchedulerCore`],
-/// [`crate::queue::MachineQueue`] and the federated engines; consumed
-/// by the matching `restore()` methods, which call
+/// Produced by the `snapshot()` methods on [`crate::SchedulerCore`]
+/// and [`crate::Gateway`] and by the federated engine's checkpoints;
+/// consumed by the matching `restore()` methods, which call
 /// [`Snapshot::verify`] before touching any live state.
 ///
 /// The envelope serializes through the vendored serde like any other
 /// record, so snapshots round-trip through `serde_json` for durable
 /// storage.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     version: u64,
     state_hash: u64,
@@ -261,9 +255,8 @@ impl Snapshot {
         self.state_hash
     }
 
-    /// Which component wrote this snapshot, when recorded. Snapshots
-    /// from before the tag existed decode as `None` (the
-    /// forward-compatible missing-field convention).
+    /// Which component wrote this snapshot (`None` for an envelope
+    /// whose tag is null).
     pub fn component(&self) -> Option<&str> {
         self.component.as_deref()
     }
@@ -275,15 +268,15 @@ impl Snapshot {
     }
 
     /// Checks the envelope and returns the payload if it is intact:
-    /// the version must be one this build reads, and the payload must
+    /// the version must be [`SNAPSHOT_VERSION`], and the payload must
     /// hash back to the sealed `state_hash`.
     ///
     /// # Errors
-    /// [`SnapshotError::UnsupportedVersion`] for a version this build
-    /// does not read; [`SnapshotError::HashMismatch`] when the payload
-    /// has been corrupted or the producing replica desynced.
+    /// [`SnapshotError::UnsupportedVersion`] for any other version;
+    /// [`SnapshotError::HashMismatch`] when the payload has been
+    /// corrupted or the producing replica desynced.
     pub fn verify(&self) -> Result<&Value, SnapshotError> {
-        if !(OLDEST_READ_VERSION..=SNAPSHOT_VERSION).contains(&self.version) {
+        if self.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: self.version,
             });
@@ -296,41 +289,6 @@ impl Snapshot {
             });
         }
         Ok(&self.payload)
-    }
-}
-
-impl Serialize for Snapshot {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".to_owned(), self.version.to_value()),
-            ("state_hash".to_owned(), self.state_hash.to_value()),
-            ("component".to_owned(), self.component.to_value()),
-            ("payload".to_owned(), self.payload.clone()),
-        ])
-    }
-}
-
-impl Deserialize for Snapshot {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        // Only a paged capture carries a `pages` field, and its
-        // payload holds part of the outcome record.
-        if v.get_opt("pages").is_some() {
-            return Err(serde::Error::custom(
-                "a paged capture (sealed outcome pages beside the \
-                 payload) is not read by this build",
-            ));
-        }
-        Ok(Self {
-            version: Deserialize::from_value(v.get_field("version")?)?,
-            state_hash: Deserialize::from_value(v.get_field("state_hash")?)?,
-            // Written before `component` existed? Still loads — the
-            // same convention as `BenchEntry::robustness_pct`.
-            component: match v.get_opt("component") {
-                Some(f) => Deserialize::from_value(f)?,
-                None => None,
-            },
-            payload: v.get_field("payload")?.clone(),
-        })
     }
 }
 
@@ -403,49 +361,23 @@ mod tests {
         );
     }
 
-    #[test]
-    fn missing_component_field_still_decodes() {
-        let snap = Snapshot::seal("unit-test", payload());
-        let Value::Object(mut fields) = snap.to_value() else {
-            unreachable!()
-        };
-        fields.retain(|(k, _)| k != "component");
-        let old = Snapshot::from_value(&Value::Object(fields))
-            .expect("pre-`component` snapshots must keep loading");
-        assert_eq!(old.component(), None);
-        assert_eq!(old.verify().expect("intact"), &payload());
-    }
-
     /// The wire form is the four envelope fields, hashed over the
-    /// payload alone. A capture that carries sealed pages beside its
-    /// payload, as earlier builds wrote, is a typed decode error that
-    /// names it, never a snapshot.
+    /// payload alone.
     #[test]
-    fn envelopes_write_no_pages_and_refuse_paged_captures() {
+    fn envelopes_are_four_fields_hashed_over_the_payload() {
         let snap = Snapshot::seal("unit-test", payload());
         assert_eq!(snap.state_hash(), state_hash(&payload()));
-        let Value::Object(mut fields) = snap.to_value() else {
+        let Value::Object(fields) = snap.to_value() else {
             unreachable!()
         };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["version", "state_hash", "component", "payload"]);
-        let page = Value::Object(vec![
-            ("hash".to_owned(), Value::UInt(1)),
-            ("body".to_owned(), payload()),
-        ]);
-        fields.push(("pages".to_owned(), Value::Array(vec![page])));
-        let err = SnapshotError::from(
-            Snapshot::from_value(&Value::Object(fields))
-                .expect_err("a paged capture must not decode"),
-        );
-        assert!(
-            matches!(&err, SnapshotError::Decode(msg) if msg.contains("paged")),
-            "{err:?}"
-        );
     }
 
+    /// Only this build's version verifies: every earlier build wrote
+    /// version 1 or 2, and a newer one may write anything above.
     #[test]
-    fn version_one_envelopes_still_verify() {
+    fn only_this_builds_version_verifies() {
         let stamped = |version: u64| {
             let mut wire = Snapshot::seal("unit-test", payload()).to_value();
             let Value::Object(fields) = &mut wire else {
@@ -454,13 +386,14 @@ mod tests {
             fields[0].1 = Value::UInt(version);
             Snapshot::from_value(&wire).expect("decodes")
         };
-        let old = stamped(1);
-        assert_eq!(old.version(), 1);
-        assert_eq!(old.verify().expect("version 1 is read"), &payload());
-        assert_eq!(
-            stamped(0).verify(),
-            Err(SnapshotError::UnsupportedVersion { found: 0 })
-        );
+        assert_eq!(SNAPSHOT_VERSION, 3);
+        assert_eq!(stamped(3).verify().expect("version 3 is read"), &payload());
+        for found in [0, 1, 2, 4] {
+            assert_eq!(
+                stamped(found).verify(),
+                Err(SnapshotError::UnsupportedVersion { found })
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::snapshot::SnapshotError;
 use crate::tenant::TenantAdmissionStats;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 use taskprune_model::{SimTime, Task, TaskId, TaskOutcome, TaskTypeId};
@@ -435,50 +435,48 @@ impl SimStats {
             / (fracs.len() - 1) as f64
     }
 
-    /// Decodes the outcome record of a core checkpoint and checks that
-    /// it describes one run of a core whose PET matrix has `n_types`
-    /// task types.
+    /// Checks that the outcome record of a decoded core checkpoint
+    /// describes one run of a core whose PET matrix has `n_types` task
+    /// types.
     ///
     /// # Errors
-    /// [`SnapshotError::Decode`] for a record that does not decode;
     /// [`SnapshotError::ShapeMismatch`] when the outcome and type
     /// tables differ in length, an arrival-order id lies outside them,
     /// the arrival order does not list each arrived id (each id with a
     /// recorded type) exactly once, or the per-type counters do not
     /// number `n_types`, a recorded type lies past them, or they
     /// disagree with the tables.
-    pub(crate) fn from_checkpoint(
-        stats: &Value,
+    pub(crate) fn check_checkpoint(
+        &self,
         n_types: usize,
-    ) -> Result<SimStats, SnapshotError> {
-        let stats = SimStats::from_value(stats)?;
+    ) -> Result<(), SnapshotError> {
         let shape = |what| Err(SnapshotError::ShapeMismatch { what });
-        if stats.outcomes.len() != stats.types.len() {
+        if self.outcomes.len() != self.types.len() {
             return shape("the outcome and type tables differ in length");
         }
-        if stats
+        if self
             .arrival_order
             .iter()
-            .any(|id| id.0 >= stats.types.len() as u64)
+            .any(|id| id.0 >= self.types.len() as u64)
         {
             return shape("an arrival-order id lies outside the outcome table");
         }
         // The trim window and the robustness count read the arrival
         // order: an id listed twice, or an arrival left out, changes
         // the resumed run's result.
-        let mut listed = vec![false; stats.types.len()];
-        let once = stats.arrival_order.iter().all(|id| {
+        let mut listed = vec![false; self.types.len()];
+        let once = self.arrival_order.iter().all(|id| {
             let i = id.0 as usize;
-            stats.types[i].is_some() && !std::mem::replace(&mut listed[i], true)
+            self.types[i].is_some() && !std::mem::replace(&mut listed[i], true)
         });
         if !once
-            || stats.arrival_order.len() != stats.types.iter().flatten().count()
+            || self.arrival_order.len() != self.types.iter().flatten().count()
         {
             return shape(
                 "the arrival order does not list each arrived id exactly once",
             );
         }
-        if stats.per_type.len() != n_types {
+        if self.per_type.len() != n_types {
             return shape(
                 "the per-type counters do not match the PET task types",
             );
@@ -487,7 +485,7 @@ impl SimStats {
         // them, so a run never resumes on counters its record does not
         // back (or that the next arrival would overflow).
         let mut per_type = vec![TypeStats::default(); n_types];
-        for (ty, outcome) in stats.types.iter().zip(&stats.outcomes) {
+        for (ty, outcome) in self.types.iter().zip(&self.outcomes) {
             let Some(ty) = ty else { continue };
             let Some(t) = per_type.get_mut(ty.0 as usize) else {
                 return shape(
@@ -499,12 +497,12 @@ impl SimStats {
                 t.count(*outcome);
             }
         }
-        if per_type != stats.per_type {
+        if per_type != self.per_type {
             return shape(
                 "the per-type counters disagree with the outcome record",
             );
         }
-        Ok(stats)
+        Ok(())
     }
 }
 
@@ -863,8 +861,9 @@ mod tests {
         let capture = cache.capture(&s);
         assert_eq!(capture.sealed().count(), 2);
         assert_eq!(capture.open_ids(), PAGE_LEN + 8);
-        let back = SimStats::from_checkpoint(&capture.record().to_value(), 2)
-            .expect("the record restores");
+        let back = SimStats::from_value(&capture.record().to_value())
+            .expect("the record decodes");
+        back.check_checkpoint(2).expect("the record restores");
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&s).unwrap()

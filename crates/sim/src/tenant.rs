@@ -45,7 +45,8 @@
 //! coordinator's table alone: it gates admission and never reaches a
 //! shard, so a crash-recovered shard has no rung to replay.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use crate::snapshot::SnapshotError;
+use serde::{Deserialize, Serialize};
 use taskprune_model::{SimTime, Task};
 
 /// Milli-tokens one admitted task costs (quota rates are expressed in
@@ -331,6 +332,17 @@ pub(crate) struct TenantTable {
     under: u32,
 }
 
+/// A tenant table's wire form in the gateway snapshot: the ladder rung
+/// and streak counters, the token buckets and the per-tenant counters.
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct TenantState {
+    rung: u8,
+    over: u32,
+    under: u32,
+    buckets: Vec<Option<Bucket>>,
+    counters: Vec<TenantAdmissionStats>,
+}
+
 impl TenantTable {
     pub(crate) fn new(policy: TenancyPolicy) -> Self {
         let lanes = policy.lanes() as usize;
@@ -470,55 +482,58 @@ impl TenantTable {
         None
     }
 
-    /// Canonical state capture for the gateway snapshot (the
+    /// The table's state as the gateway snapshot carries it (the
     /// configuration is construction-time and not serialized).
-    pub(crate) fn state_value(&self) -> Value {
-        Value::Object(vec![
-            ("rung".to_owned(), Value::UInt(u64::from(self.rung))),
-            ("over".to_owned(), Value::UInt(u64::from(self.over))),
-            ("under".to_owned(), Value::UInt(u64::from(self.under))),
-            ("buckets".to_owned(), self.buckets.to_value()),
-            ("counters".to_owned(), self.counters.to_value()),
-        ])
+    pub(crate) fn state(&self) -> TenantState {
+        TenantState {
+            rung: self.rung,
+            over: self.over,
+            under: self.under,
+            buckets: self.buckets.clone(),
+            counters: self.counters.clone(),
+        }
     }
 
-    /// Restores state captured by [`TenantTable::state_value`] into a
-    /// table built from the same [`TenancyPolicy`]: one bucket per
-    /// quota'd lane and a null per unquota'd one, one counter set per
-    /// lane, a rung no higher than the top one. A `windows` field (an
-    /// earlier build's fair-admission windows) is ignored: the duty
-    /// cycle takes its phase from the counters.
-    pub(crate) fn restore_value(&mut self, v: &Value) -> Result<(), Error> {
-        let rung = u64::from_value(v.get_field("rung")?)?;
-        if rung > u64::from(MAX_RUNG) {
-            return Err(Error::custom("ladder rung above the top rung"));
-        }
-        self.rung = rung as u8;
-        self.over =
-            u64::from_value(v.get_field("over")?)?.min(u32::MAX as u64) as u32;
-        self.under =
-            u64::from_value(v.get_field("under")?)?.min(u32::MAX as u64) as u32;
-        let buckets =
-            Vec::<Option<Bucket>>::from_value(v.get_field("buckets")?)?;
-        let counters =
-            Vec::<TenantAdmissionStats>::from_value(v.get_field("counters")?)?;
-        let fits = buckets.len() == self.buckets.len()
-            && counters.len() == self.buckets.len()
-            && buckets
+    /// Checks that a captured state fits a table built from this
+    /// table's [`TenancyPolicy`]: one bucket per quota'd lane and a
+    /// null per unquota'd one, one counter set per lane, a rung no
+    /// higher than the top one.
+    ///
+    /// # Errors
+    /// [`SnapshotError::ShapeMismatch`] naming the first misfit.
+    pub(crate) fn check(
+        &self,
+        state: &TenantState,
+    ) -> Result<(), SnapshotError> {
+        let what = if state.rung > MAX_RUNG {
+            "the tenant table's ladder rung is above the top rung"
+        } else if state.buckets.len() != self.buckets.len()
+            || state.counters.len() != self.buckets.len()
+            || state
+                .buckets
                 .iter()
                 .zip(&self.buckets)
-                .all(|(b, own)| b.is_some() == own.is_some());
-        if !fits {
-            return Err(Error::custom("tenant table differs from this policy"));
-        }
-        self.buckets = buckets;
-        self.counters = counters;
-        Ok(())
+                .any(|(b, own)| b.is_some() != own.is_some())
+        {
+            "the tenant table differs from this tenancy policy"
+        } else {
+            return Ok(());
+        };
+        Err(SnapshotError::ShapeMismatch { what })
+    }
+
+    /// Installs a state that passed [`TenantTable::check`].
+    pub(crate) fn restore(&mut self, state: TenantState) {
+        self.rung = state.rung;
+        self.over = state.over;
+        self.under = state.under;
+        self.buckets = state.buckets;
+        self.counters = state.counters;
     }
 
     /// Directly sets the ladder rung (test-only: production rungs move
     /// through [`TenantTable::overload_tick`] or
-    /// [`TenantTable::restore_value`]).
+    /// [`TenantTable::restore`]).
     #[cfg(test)]
     pub(crate) fn set_rung(&mut self, rung: u8) {
         self.rung = rung.min(MAX_RUNG);
@@ -528,6 +543,7 @@ impl TenantTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use taskprune_model::TaskTypeId;
 
     fn task(id: u64, arrival: u64) -> Task {
@@ -695,23 +711,36 @@ mod tests {
             let _ = table.admit(&task(i, i * 3));
         }
         let _ = table.overload_tick(1000);
-        let wire = table.state_value();
+        let wire = table.state().to_value();
+        let decode = |v: &Value| TenantState::from_value(v).expect("decodes");
         let mut rebuilt = TenantTable::new(policy);
-        rebuilt.restore_value(&wire).expect("round trip");
-        assert_eq!(rebuilt.state_value(), wire);
+        rebuilt.check(&decode(&wire)).expect("the state fits");
+        rebuilt.restore(decode(&wire));
+        assert_eq!(rebuilt.state().to_value(), wire);
         assert_eq!(rebuilt.rung(), table.rung());
         assert_eq!(rebuilt.counters(), table.counters());
         // The quota'd lane's bucket nulled out: a typed error, where
         // admitting on it would have panicked.
-        let mut misfit = wire;
-        let Value::Object(fields) = &mut misfit else {
-            panic!("tenant tables are objects");
-        };
-        for (k, v) in fields.iter_mut() {
-            if k == "buckets" {
-                *v = Value::Array(vec![Value::Null, Value::Null]);
+        let with = |name: &str, value: Value| {
+            let mut v = wire.clone();
+            let Value::Object(fields) = &mut v else {
+                panic!("tenant tables are objects");
+            };
+            for (k, v) in fields.iter_mut() {
+                if k == name {
+                    *v = value.clone();
+                }
             }
-        }
-        assert!(rebuilt.restore_value(&misfit).is_err());
+            v
+        };
+        let misfit = with("buckets", Value::Array(vec![Value::Null; 2]));
+        assert!(matches!(
+            rebuilt.check(&decode(&misfit)),
+            Err(SnapshotError::ShapeMismatch { .. })
+        ));
+        // Streak counters past `u32` no longer clamp: they fail to
+        // decode.
+        let over = with("over", Value::UInt(u64::from(u32::MAX) + 1));
+        assert!(TenantState::from_value(&over).is_err());
     }
 }

@@ -26,8 +26,9 @@ use taskprune_workload::TaskStream;
 /// sampled finish instant; min-heap on finish. Holding the full handle
 /// (not just the external id) is what lets the front-end complete the
 /// right instance even after a duplicate external id re-submission
-/// shadows it in the gateway's latest-wins `resolve` map — completion
-/// goes through `Gateway::complete_internal`.
+/// shadows it for `Gateway::resolve`, which answers with an external
+/// id's latest arrival — completion goes through
+/// `Gateway::complete_internal`.
 struct InFlight {
     finish: SimTime,
     start: FedStart,

@@ -1,4 +1,4 @@
-//! Checkpoints that must not restore, and one that must.
+//! Checkpoints that must not restore.
 //!
 //! Corruption: a sealed [`Snapshot`] whose payload is tampered with
 //! after sealing is rejected with
@@ -14,20 +14,24 @@
 //! journal replay and never a run resumed on misaligned tables.
 //!
 //! Coordinator snapshots: a re-sealed payload that does not describe a
-//! federation decodes to a typed error, and an earlier build's capture
-//! resumes bit-identically.
+//! federation is a typed error, and an earlier build's capture is
+//! refused by its version.
 //!
-//! Generative: a shard checkpoint with any one node changed and
-//! re-sealed either restores or is a typed error; recovery and the
-//! rest of the run never panic. Truncated: every prefix of a shard
-//! checkpoint's JSON text is a decode error, never a panic.
+//! Generative: a shard checkpoint, or a coordinator capture with every
+//! nested envelope, with any one node changed and re-sealed either
+//! restores or is a typed error; the restore and the rest of the run
+//! never panic. Truncated: every prefix of a shard checkpoint's JSON
+//! text is a decode error, never a panic.
 
 mod common;
 
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
 use taskprune_prob::rng::SplitMix64;
-use taskprune_sim::{FederatedEngine, Snapshot, SnapshotError, TraceLog};
+use taskprune_sim::{
+    FaultPlan, FederatedEngine, LadderConfig, RateLimit, SlaClass, Snapshot,
+    SnapshotError, TenancyPolicy, TenantSpec, TraceLog,
+};
 
 /// Fixture scale of the shard-checkpoint tests, whatever
 /// `TASKPRUNE_TEST_SCALE` says: 900 tasks.
@@ -404,49 +408,6 @@ fn live_tasks_and_clocks_the_record_does_not_back_are_typed_errors() {
     );
 }
 
-/// A shard checkpoint written by an earlier build carries the core's
-/// `sla_rung`, the overload rung its deferral chance was biased by.
-/// This build ignores the field whatever it holds: the shard recovers
-/// from the checkpoint, and the run finishes exactly as an
-/// uninterrupted one.
-#[test]
-fn legacy_sla_rung_field_is_ignored_on_recovery() {
-    let (cluster, pet, tasks) = fixture(CHECKPOINT_SCALE);
-    let reference = json(
-        &builder(&cluster, &pet)
-            .build()
-            .expect("valid configuration")
-            .run_stream(tasks.iter().copied()),
-    );
-    for rung in [
-        serde::Value::Null,
-        serde::Value::UInt(2),
-        serde::Value::UInt(255),
-    ] {
-        let mut engine = builder(&cluster, &pet)
-            .build()
-            .expect("valid configuration");
-        engine.enable_journal();
-        let mut source = tasks.iter().copied().peekable();
-        engine.run_until(&mut source, (tasks.len() / 3) as u64);
-        let snap = resealed(&engine.checkpoint(1), |payload| {
-            let serde::Value::Object(fields) = payload else {
-                panic!("core payloads are objects");
-            };
-            fields.push(("sla_rung".to_owned(), rung.clone()));
-        });
-        engine.run_until(&mut source, (2 * tasks.len() / 3) as u64);
-        engine
-            .recover_shard(1, &snap)
-            .unwrap_or_else(|e| panic!("sla_rung {rung:?}: {e:?}"));
-        assert_eq!(
-            reference,
-            json(&engine.finish_stream(&mut source)),
-            "sla_rung {rung:?}: the recovered run diverged"
-        );
-    }
-}
-
 // ---------------------------------------------------------------------
 // Coordinator snapshots: hostile payloads and an earlier build's
 // capture.
@@ -493,24 +454,17 @@ fn first_event(payload: &mut serde::Value) -> &mut serde::Value {
         .expect("the pause leaves events in flight")
 }
 
-/// Replaces (or inserts) one field of a coordinator payload's nested
-/// gateway payload and re-seals the gateway envelope.
-fn set_gateway_field(
+/// Edits a coordinator payload's nested gateway payload and re-seals
+/// the gateway envelope.
+fn edit_gateway(
     payload: &mut serde::Value,
-    name: &str,
-    value: serde::Value,
+    edit: impl FnOnce(&mut serde::Value),
 ) {
     let gateway = field(payload, "gateway");
     let snap: Snapshot = serde::Deserialize::from_value(gateway)
         .expect("the gateway envelope decodes");
     let mut inner = snap.payload().clone();
-    let serde::Value::Object(fields) = &mut inner else {
-        panic!("the gateway payload is an object");
-    };
-    match fields.iter_mut().find(|(k, _)| k == name) {
-        Some((_, v)) => *v = value,
-        None => fields.push((name.to_owned(), value)),
-    }
+    edit(&mut inner);
     *gateway = serde::Serialize::to_value(&Snapshot::seal("gateway", inner));
 }
 
@@ -518,13 +472,11 @@ fn set_gateway_field(
 /// federation — an event on a shard that does not exist or due before
 /// the clock, a pending count that disagrees with the events, an event
 /// kind no driver schedules — is rejected with a typed error, never a
-/// panic and never a silently different run. So is one that carries
-/// state of layers this build no longer has: a stale view table,
-/// non-zero steal counters, a journaled steal (bounded-staleness
-/// routing and batch stealing), a journaled ladder step (the SLA
-/// class bias on the deferral chance). Each mutated payload is
-/// re-sealed, so it passes `verify` and only the restore's own checks
-/// stand between it and the engine.
+/// panic and never a silently different run. So is a journaled
+/// operation of a layer this build no longer has: a steal (batch
+/// stealing) or a ladder step (the SLA class bias on the deferral
+/// chance). Each mutated payload is re-sealed, so it passes `verify`
+/// and only the restore's own checks stand between it and the engine.
 #[test]
 fn hostile_coordinator_snapshots_are_typed_errors() {
     let (cluster, pet, tasks) = coordinator_setup();
@@ -596,36 +548,6 @@ fn hostile_coordinator_snapshots_are_typed_errors() {
         )
     };
 
-    // The gateway routed on a stale view table.
-    let mut p = genuine.clone();
-    set_gateway_field(
-        &mut p,
-        "stale",
-        obj(vec![
-            ("epoch", serde::Value::UInt(0)),
-            ("shards", serde::Value::Array(Vec::new())),
-        ]),
-    );
-    assert!(
-        matches!(restore(p), Err(SnapshotError::ShapeMismatch { .. })),
-        "a stale view table must be a shape mismatch"
-    );
-
-    // The gateway recorded batch-queue steals.
-    let mut p = genuine.clone();
-    set_gateway_field(
-        &mut p,
-        "steals",
-        obj(["steals", "tasks_moved", "steal_points", "view_refreshes"]
-            .into_iter()
-            .map(|k| (k, serde::Value::UInt(1)))
-            .collect()),
-    );
-    assert!(
-        matches!(restore(p), Err(SnapshotError::ShapeMismatch { .. })),
-        "non-zero steal counters must be a shape mismatch"
-    );
-
     let journal =
         |entries| obj(vec![("entries", serde::Value::Array(entries))]);
     let with_rung_step = |rung: u64| {
@@ -679,36 +601,117 @@ fn hostile_coordinator_snapshots_are_typed_errors() {
     );
 }
 
-/// A coordinator snapshot captured by an earlier build (one global
-/// event heap instead of per-shard lanes, same wire format) restores
-/// into this one and finishes the run exactly as an uninterrupted
-/// supervised run does. Captured with the setup above, supervised
-/// under `RecoveryPolicy::default()` and paused at 60 arrivals.
-#[test]
-fn legacy_coordinator_snapshot_resumes_bit_identically() {
-    let (cluster, pet, tasks) = coordinator_setup();
-    let reference = Supervisor::new(
-        coordinator_engine(&cluster, &pet),
-        RecoveryPolicy::default(),
-    )
-    .run_stream(tasks.iter().copied());
-    assert_eq!(reference.unreported(), 0);
+/// The federation the captures that used to restore and then panic
+/// come from: 3 round-robin shards of MM absorbing exact duplicates,
+/// with an empty fault plan armed.
+fn armed_engine<'a>(
+    cluster: &Cluster,
+    pet: &'a PetMatrix,
+) -> FederatedEngine<'a> {
+    let mut engine = GatewayBuilder::new(cluster, pet)
+        .config(SimConfig::batch(5))
+        .shards(3)
+        .policy(RoundRobinRoute::new())
+        .strategy_with(|_| HeuristicKind::Mm.make())
+        .reuse(ReusePolicy::ExactOnly)
+        .build()
+        .expect("valid configuration");
+    engine.arm_faults(FaultPlan::default());
+    engine
+}
 
+/// Coordinator captures that an earlier build restored and then
+/// panicked on: an injector without a completion counter per shard
+/// (at the next completion delivery), an id compactor cut to one
+/// shard of three with the arrival order cut to that shard's entries
+/// (at the next arrival routed past it), an arrival-order entry naming
+/// a shard the federation does not have (in the robustness fold), and
+/// reuse-gate primaries on such a shard (at the next arrival repeating
+/// one's key). Each is re-sealed, and each is a shape mismatch.
+#[test]
+fn coordinator_captures_that_used_to_panic_are_shape_mismatches() {
+    let (cluster, pet, base) = coordinator_setup();
+    let tasks: Vec<Task> = taskprune_workload::TaskStream::from_tasks(base)
+        .with_duplicate_rate(0.3, 0xD0B1)
+        .collect();
+    let mut engine = armed_engine(&cluster, &pet);
+    let mut source = tasks.iter().copied().peekable();
+    engine.run_until(&mut source, 60);
+    let genuine = engine.snapshot_coordinator().payload().clone();
+    let restore = |payload: serde::Value| {
+        armed_engine(&cluster, &pet).restore_coordinator(&Snapshot::seal(
+            "federated-coordinator",
+            payload,
+        ))
+    };
+    restore(genuine.clone()).expect("the genuine payload restores");
+    let mismatch = |r: Result<(), SnapshotError>| {
+        matches!(r, Err(SnapshotError::ShapeMismatch { .. }))
+    };
+
+    let mut p = genuine.clone();
+    *field(field(&mut p, "injector"), "completions_seen") =
+        serde::Value::Array(Vec::new());
+    assert!(mismatch(restore(p)), "an emptied completion counter");
+
+    let mut p = genuine.clone();
+    edit_gateway(&mut p, |gateway| {
+        let serde::Value::Array(tables) =
+            field(field(gateway, "compact"), "per_shard")
+        else {
+            panic!("the compactor holds one table per shard");
+        };
+        tables.truncate(1);
+        // Only shard 0's arrivals stay on record, so every entry left
+        // names an id the cut compactor did assign.
+        let serde::Value::Array(arrivals) = field(gateway, "arrival_order")
+        else {
+            panic!("the arrival order is an array");
+        };
+        arrivals.retain_mut(|a| *field(a, "shard") == serde::Value::UInt(0));
+    });
+    assert!(mismatch(restore(p)), "a compactor cut to one shard");
+
+    let mut p = genuine.clone();
+    edit_gateway(&mut p, |gateway| {
+        let serde::Value::Array(arrivals) = field(gateway, "arrival_order")
+        else {
+            panic!("the arrival order is an array");
+        };
+        *field(&mut arrivals[0], "shard") = serde::Value::UInt(7);
+    });
+    assert!(mismatch(restore(p)), "an arrival routed to shard 7 of 3");
+
+    let mut p = genuine;
+    edit_gateway(&mut p, |gateway| {
+        let serde::Value::Array(cache) =
+            field(field(gateway, "reuse"), "cache")
+        else {
+            panic!("the gate cache is an array");
+        };
+        assert!(!cache.is_empty(), "the gate holds live primaries");
+        for entry in cache {
+            *field(entry, "shard") = serde::Value::UInt(7);
+        }
+    });
+    assert!(mismatch(restore(p)), "gate primaries on shard 7 of 3");
+}
+
+/// A coordinator snapshot captured by an earlier build is refused by
+/// its version before its payload is read: every earlier build wrote
+/// version 1 or 2. The fixture is a version-1 capture of the setup
+/// above, supervised under `RecoveryPolicy::default()` and paused at
+/// 60 arrivals.
+#[test]
+fn legacy_coordinator_snapshot_is_refused_by_version() {
+    let (cluster, pet, _) = coordinator_setup();
     let snap: Snapshot =
         serde_json::from_str(include_str!("fixtures/coordinator_legacy.json"))
             .expect("the fixture decodes");
-    let mut engine = coordinator_engine(&cluster, &pet);
-    engine
-        .restore_coordinator(&snap)
-        .expect("an earlier build's capture restores");
-    assert_eq!(engine.arrivals_ingested(), 60);
-    let mut source = tasks[60..].iter().copied().peekable();
-    let resumed = Supervisor::new(engine, RecoveryPolicy::default())
-        .finish_stream(&mut source);
+    assert_eq!(snap.version(), 1);
     assert_eq!(
-        json(&reference),
-        json(&resumed),
-        "the restored capture diverged from the uninterrupted run"
+        coordinator_engine(&cluster, &pet).restore_coordinator(&snap),
+        Err(SnapshotError::UnsupportedVersion { found: 1 })
     );
 }
 
@@ -900,6 +903,154 @@ const CASES: usize = 256;
 
 /// Fixture scale of the generative test: a 3 000-task trial.
 const HOSTILE_SCALE: f64 = 2.0;
+
+/// The federation the generative coordinator test pauses: 3
+/// round-robin shards of MM with the paper's pruning, absorbing exact
+/// duplicates, under three tenant lanes (one with a quota) and the
+/// overload ladder, journaling, with an empty fault plan armed.
+fn hostile_coordinator_engine<'a>(
+    cluster: &Cluster,
+    pet: &'a PetMatrix,
+) -> FederatedEngine<'a> {
+    let n_types = pet.n_task_types();
+    let tenancy = TenancyPolicy::new(3)
+        .tenant(TenantSpec::new(SlaClass::Premium))
+        .tenant(
+            TenantSpec::new(SlaClass::Standard)
+                .quota(RateLimit::per_ticks(64, 2)),
+        )
+        .tenant(TenantSpec::new(SlaClass::BestEffort))
+        .ladder(LadderConfig::default());
+    let mut engine = GatewayBuilder::new(cluster, pet)
+        .config(SimConfig::batch(55))
+        .shards(3)
+        .policy(RoundRobinRoute::new())
+        .strategy_with(|_| HeuristicKind::Mm.make())
+        .pruner_with(move |_| {
+            Box::new(PruningMechanism::new(
+                PruningConfig::paper_default(),
+                n_types,
+            ))
+        })
+        .reuse(ReusePolicy::ExactOnly)
+        .tenancy(tenancy)
+        .build()
+        .expect("valid configuration");
+    engine.enable_journal();
+    engine.arm_faults(FaultPlan::default());
+    engine
+}
+
+/// Replaces a sealed envelope's wire form by its payload.
+fn unseal(envelope: &mut serde::Value) {
+    let payload = field(envelope, "payload").clone();
+    *envelope = payload;
+}
+
+/// Replaces `node` by the wire form of a `component` envelope sealed
+/// around it.
+fn seal_in_place(component: &str, node: &mut serde::Value) {
+    let payload = std::mem::replace(node, serde::Value::Null);
+    *node = serde::Serialize::to_value(&Snapshot::seal(component, payload));
+}
+
+/// The named field of a `Value` object, if it is one and has it.
+fn child<'v>(
+    v: &'v mut serde::Value,
+    name: &str,
+) -> Option<&'v mut serde::Value> {
+    match v {
+        serde::Value::Object(fields) => {
+            fields.iter_mut().find(|(k, _)| k == name).map(|(_, v)| v)
+        }
+        _ => None,
+    }
+}
+
+/// A coordinator payload with the nested gateway envelope, and every
+/// shard envelope inside it, replaced by its payload: one tree whose
+/// nodes are all state.
+fn inline_envelopes(coordinator: &mut serde::Value) {
+    let gateway = field(coordinator, "gateway");
+    unseal(gateway);
+    let serde::Value::Array(shards) = field(gateway, "shards") else {
+        panic!("the gateway holds one snapshot per shard");
+    };
+    shards.iter_mut().for_each(unseal);
+}
+
+/// Seals a tree [`inline_envelopes`] laid out, however it was changed
+/// since: each shard payload, the gateway payload, the coordinator.
+fn reseal_envelopes(mut coordinator: serde::Value) -> Snapshot {
+    if let Some(gateway) = child(&mut coordinator, "gateway") {
+        if let Some(serde::Value::Array(shards)) = child(gateway, "shards") {
+            for shard in shards {
+                seal_in_place("scheduler-core", shard);
+            }
+        }
+        seal_in_place("gateway", gateway);
+    }
+    Snapshot::seal("federated-coordinator", coordinator)
+}
+
+/// A coordinator capture with one node changed anywhere in it — the
+/// coordinator's own fields, the gateway's, or any shard's — and every
+/// envelope re-sealed, never makes a restore or the resumed run panic.
+/// The federation is paused a third of the way into a trial with 30 %
+/// duplicates; each case restores into a fresh engine, finishes the
+/// stream and reads every arrival's outcome back, under
+/// `catch_unwind`, and must end in a typed error or a finished run. At
+/// an earlier build cases whose arrival-order entry named another
+/// shard restored and then panicked.
+#[test]
+fn resealed_hostile_coordinator_captures_never_panic() {
+    let (cluster, pet, base) = fixture(HOSTILE_COORDINATOR_SCALE);
+    let tasks: Vec<Task> = taskprune_workload::TaskStream::from_tasks(base)
+        .with_duplicate_rate(0.3, 0xD0B1)
+        .collect();
+    let third = tasks.len() / 3;
+    let mut engine = hostile_coordinator_engine(&cluster, &pet);
+    let mut source = tasks.iter().copied().peekable();
+    engine.run_until(&mut source, third as u64);
+    let mut genuine = engine.snapshot_coordinator().payload().clone();
+    inline_envelopes(&mut genuine);
+    let resume = |snap: &Snapshot| {
+        let mut engine = hostile_coordinator_engine(&cluster, &pet);
+        engine.restore_coordinator(snap)?;
+        let mut rest = tasks[third..].iter().copied().peekable();
+        // Every arrival the resumed run records is read back.
+        let stats = engine.finish_stream(&mut rest);
+        stats.robustness_pct(0);
+        stats.merged();
+        Ok::<(), SnapshotError>(())
+    };
+    resume(&reseal_envelopes(genuine.clone()))
+        .expect("the genuine capture restores");
+    let mut cases = SplitMix64::new(0xC0DE);
+    let (mut finished, mut rejected) = (0, 0);
+    for case in 0..COORDINATOR_CASES {
+        let mut bad = genuine.clone();
+        mutate(&mut bad, &mut cases);
+        let bad = reseal_envelopes(bad);
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            resume(&bad)
+        })) {
+            Ok(Ok(())) => finished += 1,
+            Ok(Err(_)) => rejected += 1,
+            Err(_) => panic!("case {case}: the restore or the run panicked"),
+        }
+    }
+    assert!(
+        finished > 0 && rejected > 0,
+        "{finished} finished, {rejected} rejected"
+    );
+}
+
+/// Cases of [`resealed_hostile_coordinator_captures_never_panic`].
+const COORDINATOR_CASES: usize = 400;
+
+/// Fixture scale of the generative coordinator test: a 600-task trial.
+const HOSTILE_COORDINATOR_SCALE: f64 = 0.4;
 
 /// A checkpoint write cut short leaves a prefix of its JSON text. Every
 /// proper prefix of a shard checkpoint's text (shard 1 of the

@@ -216,8 +216,8 @@ fn traced_runs_carry_identical_per_shard_traces() {
 }
 
 /// A caller that re-submits an external id can still complete the
-/// superseded instance via its `FedStart` handle — the
-/// `Gateway::resolve` latest-wins map no longer strands it.
+/// superseded instance via its `FedStart` handle, although
+/// `Gateway::resolve` answers with the external id's latest arrival.
 #[test]
 fn superseded_duplicate_external_id_completes_via_internal_handle() {
     use taskprune_model::{BinSpec, SimTime, TaskId, TaskTypeId};
@@ -248,7 +248,7 @@ fn superseded_duplicate_external_id_completes_via_internal_handle() {
     assert_eq!(first_start.shard, 0);
     assert_eq!(first_start.task.id, external);
     // Re-submission of the same external id lands on shard 1 and
-    // shadows the first instance in the latest-wins map.
+    // shadows the first instance for `resolve`.
     assert_eq!(
         gw.push_arrival(task),
         Admission::Routed {
