@@ -147,11 +147,11 @@ pub struct SchedulerCore<'a, S: Sink = NullSink> {
     arrival_queue: Vec<Task>,
     now: SimTime,
     stats: SimStats,
-    /// The sealed pages of `stats`' outcome history that every capture
-    /// shares instead of copying (see [`OutcomePages`]). Filled only
-    /// inside a capture ([`SchedulerCore::capture`]), which takes
-    /// `&self` — hence the `RefCell` — and cleared by a crash wipe and
-    /// by a restore.
+    /// The list of sealed pages of `stats`' outcome history that every
+    /// capture shares instead of copying (see [`OutcomePages`]).
+    /// Filled only inside a capture ([`SchedulerCore::capture`]), which
+    /// takes `&self` — hence the `RefCell` — and cleared by a crash
+    /// wipe and by a restore.
     pages: RefCell<OutcomePages>,
     /// The latest `arrival` instant among the tasks delivered to this
     /// core — never its clock. Captures sweep the reuse ledger by it.
@@ -641,30 +641,36 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// core does next, and the snapshot is a pure function of the
     /// core's state.
     pub fn snapshot(&self) -> Snapshot {
-        self.capture().seal()
+        let mut capture = CoreCapture::default();
+        self.capture(&mut capture);
+        capture.seal()
     }
 
-    /// The first half of [`SchedulerCore::snapshot`]: a copy of the
-    /// durable state, with every capture-time effect applied (the
-    /// reuse ledger swept, the plug-in states read), but neither
-    /// rendered nor hashed. It copies the live state and the outcome
-    /// records resolved since the previous capture; every page of 64
-    /// ids that has fully resolved is sealed once and shared with the
-    /// earlier captures. [`CoreCapture::seal`] turns it into the
-    /// snapshot this call would have returned, however far the core
-    /// has moved on since.
-    pub(crate) fn capture(&self) -> CoreCapture {
-        CoreCapture {
-            now: self.now,
-            arrival_queue: self.arrival_queue.clone(),
-            queues: self.queues.iter().map(MachineQueue::capture).collect(),
-            stats: self.pages.borrow_mut().capture(&self.stats),
-            strategy: self.strategy.snapshot_state(),
-            pruner: self.pruner.snapshot_state(),
-            sink: self.sink.snapshot_state(),
-            reuse: self.reuse.capture(self.arrival_watermark),
-            arrival_watermark: self.arrival_watermark,
+    /// The first half of [`SchedulerCore::snapshot`]: overwrites `out`
+    /// with a copy of the durable state, with every capture-time effect
+    /// applied (the reuse ledger swept, the plug-in states read), but
+    /// neither rendered nor hashed. It copies the live state and the
+    /// records of the outcome pages still open; every page of 64 ids
+    /// that has fully resolved is sealed once, and the list of sealed
+    /// pages is shared with the earlier captures. `out`'s buffers are
+    /// reused, so a capture that overwrites the previous one allocates
+    /// only as the live state grows. [`CoreCapture::seal`] turns it
+    /// into the snapshot this call would have returned, however far the
+    /// core has moved on since.
+    pub(crate) fn capture(&self, out: &mut CoreCapture) {
+        out.now = self.now;
+        out.arrival_queue.clone_from(&self.arrival_queue);
+        out.queues
+            .resize_with(self.queues.len(), QueueCapture::default);
+        for (q, o) in self.queues.iter().zip(&mut out.queues) {
+            q.capture(o);
         }
+        self.pages.borrow_mut().capture(&self.stats, &mut out.stats);
+        out.strategy = self.strategy.snapshot_state();
+        out.pruner = self.pruner.snapshot_state();
+        out.sink = self.sink.snapshot_state();
+        self.reuse.capture(self.arrival_watermark, &mut out.reuse);
+        out.arrival_watermark = self.arrival_watermark;
     }
 
     /// Restores state captured by [`SchedulerCore::snapshot`] into
@@ -1086,10 +1092,12 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
 
 /// A scheduler core's durable state, copied out by
 /// [`SchedulerCore::capture`]: what a checkpoint costs to take. Nothing
-/// in it aliases the live core but the sealed outcome pages, which
-/// never change. Rendering the payload and hashing it wait for
+/// in it aliases the live core but the list of sealed outcome pages,
+/// which the core copies before changing while a capture holds it.
+/// Rendering the payload and hashing it wait for
 /// [`CoreCapture::seal`], which runs only when the checkpoint is
-/// restored or written out.
+/// restored or written out. The default value is an empty buffer for
+/// a first capture to fill.
 pub(crate) struct CoreCapture {
     now: SimTime,
     arrival_queue: Vec<Task>,
@@ -1100,6 +1108,22 @@ pub(crate) struct CoreCapture {
     sink: Value,
     reuse: LedgerState,
     arrival_watermark: SimTime,
+}
+
+impl Default for CoreCapture {
+    fn default() -> Self {
+        Self {
+            now: SimTime::ZERO,
+            arrival_queue: Vec::new(),
+            queues: Vec::new(),
+            stats: OutcomeCapture::default(),
+            strategy: Value::Null,
+            pruner: Value::Null,
+            sink: Value::Null,
+            reuse: LedgerState::default(),
+            arrival_watermark: SimTime::ZERO,
+        }
+    }
 }
 
 impl CoreCapture {
@@ -1386,7 +1410,9 @@ mod tests {
                 b.complete(s.machine.id, s.task.id);
             }
         }
-        assert_eq!(a.capture().stats.sealed().count(), 2);
+        let mut capture = CoreCapture::default();
+        a.capture(&mut capture);
+        assert_eq!(capture.stats.sealed().count(), 2);
         let theirs = b.snapshot();
         a.restore(&theirs).expect("the capture restores");
         assert_eq!(a.snapshot(), theirs);

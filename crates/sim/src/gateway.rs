@@ -890,8 +890,9 @@ pub struct FederationStats {
 }
 
 /// The wire shape is exactly the pre-supervisor `{per_shard,
-/// arrivals}` derive. The recovery log is observability — read it via
-/// [`FederationStats::recovery_log`] and serialize it on its own.
+/// arrivals}` derive (`FederationWire`). The recovery log is
+/// observability — read it via [`FederationStats::recovery_log`] and
+/// serialize it on its own.
 impl Serialize for FederationStats {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -901,16 +902,42 @@ impl Serialize for FederationStats {
     }
 }
 
+/// Decodes the `{per_shard, arrivals}` wire shape and rejects an
+/// arrival routed to a shard the record does not have, which every
+/// per-arrival read would index out of bounds. The off-wire fields
+/// decode to their defaults.
 impl Deserialize for FederationStats {
     fn from_value(v: &Value) -> Result<Self, Error> {
+        let FederationWire {
+            per_shard,
+            arrivals,
+        } = FederationWire::from_value(v)?;
+        if let Some(a) = arrivals
+            .iter()
+            .find(|a| a.shard as usize >= per_shard.len())
+        {
+            return Err(Error::custom(format!(
+                "an arrival names shard {}, but the record has {} shards",
+                a.shard,
+                per_shard.len()
+            )));
+        }
         Ok(Self {
-            per_shard: Vec::<SimStats>::from_value(v.get_field("per_shard")?)?,
-            arrivals: Vec::<FedArrival>::from_value(v.get_field("arrivals")?)?,
+            per_shard,
+            arrivals,
             recovery: RecoveryLog::default(),
             reuse: ReuseStats::default(),
             tenancy: None,
         })
     }
+}
+
+/// [`FederationStats`]' wire shape: what its `Serialize` writes and its
+/// `Deserialize` decodes before checking the shard indices.
+#[derive(Deserialize)]
+struct FederationWire {
+    per_shard: Vec<SimStats>,
+    arrivals: Vec<FedArrival>,
 }
 
 impl FederationStats {
@@ -1720,25 +1747,28 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// Cost: the shard's whole state, rendered and hashed: the live
     /// state (queues, batch queue, parked followers, the completed
     /// primaries a follower can still reach) and the whole outcome
-    /// record, so a sealed checkpoint grows with the run. A
-    /// [`crate::Supervisor`] keeps its checkpoints unsealed instead,
-    /// as copies that cost the live state plus the outcome records
-    /// resolved since the shard's previous copy, and seals one only to
-    /// restore it.
+    /// record, so a sealed checkpoint grows with the run. It captures
+    /// into a fresh buffer, then seals. A [`crate::Supervisor`] keeps
+    /// its checkpoints unsealed instead, one per shard, and overwrites
+    /// each in place: a copy of the live state and of the outcome
+    /// records still open, sharing the shard's list of sealed outcome
+    /// pages. It seals one only to restore it.
     pub fn checkpoint(&mut self, shard: usize) -> Snapshot {
-        self.capture(shard).seal()
+        let mut capture = CoreCapture::default();
+        self.capture(shard, &mut capture);
+        capture.seal()
     }
 
-    /// [`FederatedEngine::checkpoint`] without the seal: copies the
-    /// shard's durable state and clears its journal. Sealing the
-    /// capture, however much later, gives the checkpoint's snapshot.
-    pub(crate) fn capture(&mut self, shard: usize) -> CoreCapture {
-        let capture = self.gateway.shards()[shard].capture();
+    /// [`FederatedEngine::checkpoint`] without the seal: overwrites
+    /// `out` with the shard's durable state, reusing its buffers, and
+    /// clears the shard's journal. Sealing the capture, however much
+    /// later, gives the checkpoint's snapshot.
+    pub(crate) fn capture(&mut self, shard: usize, out: &mut CoreCapture) {
+        self.gateway.shards()[shard].capture(out);
         if let Some(journals) = &mut self.journals {
             journals[shard].clear();
         }
         self.undelivered[shard] = 0;
-        capture
     }
 
     /// Crash-failover: rebuilds shard `shard` from its last
@@ -2357,7 +2387,12 @@ mod tests {
     /// capture instant, by wire form and by hash. The run seals
     /// outcome pages, keeps followers parked and completed primaries in
     /// the reuse ledger, and traces every event, so the sink's plug-in
-    /// state grows between a capture and its seal.
+    /// state grows between a capture and its seal. One buffer per
+    /// shard, overwritten at every watermark as the supervisor does,
+    /// seals to the snapshot of the latest instant: a reused buffer
+    /// keeps nothing of the instant it held before, also where both
+    /// instants park followers on the shard or only the earlier one
+    /// does.
     #[test]
     fn a_capture_seals_to_the_snapshot_of_its_instant() {
         let pet = det_pet();
@@ -2382,13 +2417,39 @@ mod tests {
             .collect();
         let mut source = tasks.iter().copied().peekable();
         let mut held = Vec::new();
-        for watermark in [200, 400, 600, 800] {
+        let mut reused: Vec<CoreCapture> = (0..engine.n_shards())
+            .map(|_| CoreCapture::default())
+            .collect();
+        let parks = |snap: &Snapshot| {
+            snap.payload()
+                .get_field("reuse")
+                .and_then(|r| r.get_field("followers"))
+                .is_ok_and(|v| *v != Value::Array(Vec::new()))
+        };
+        let mut parked_before = vec![false; engine.n_shards()];
+        let (mut refilled, mut emptied) = (false, false);
+        // A pause right after a duplicate (a watermark divisible by 3)
+        // finds it parked: 300 and 303 park one on the same shard, and
+        // 400 parks none.
+        for watermark in [200, 300, 303, 400, 600, 603, 800] {
             engine.run_until(&mut source, watermark);
-            for shard in 0..engine.n_shards() {
+            for (shard, buffer) in reused.iter_mut().enumerate() {
                 let core = &engine.gateway.shards()[shard];
-                held.push((core.capture(), core.snapshot()));
+                let snap = core.snapshot();
+                core.capture(buffer);
+                let sealed = buffer.seal();
+                assert_eq!(sealed.to_value(), snap.to_value());
+                assert_eq!(sealed.state_hash(), snap.state_hash());
+                let parked_now = parks(&snap);
+                refilled |= parked_before[shard] && parked_now;
+                emptied |= parked_before[shard] && !parked_now;
+                parked_before[shard] = parked_now;
+                let mut fresh = CoreCapture::default();
+                core.capture(&mut fresh);
+                held.push((fresh, snap));
             }
         }
+        assert!(refilled && emptied, "{refilled} {emptied}");
         engine.run_until(&mut source, tasks.len() as u64);
         let (mut paged, mut parked, mut completed) = (false, false, false);
         for (capture, snap) in &held {
@@ -2411,8 +2472,9 @@ mod tests {
     /// A capture costs the live state, not the run: on a lightly
     /// loaded federation (4 round-robin shards, exact reuse, 30 %
     /// duplicates) shard 0's captures after N and after 4N arrivals
-    /// each copy the records of at most two pages' worth of ids, and
-    /// the later capture shares every page the earlier one sealed.
+    /// each copy the records of at most two pages' worth of ids, the
+    /// later capture shares every page the earlier one sealed, and two
+    /// captures with no seal between them share the page list itself.
     #[test]
     fn captures_copy_the_open_records_and_share_sealed_pages() {
         const OPEN_CAP: usize = 128;
@@ -2441,9 +2503,20 @@ mod tests {
             .collect();
         let mut source = tasks.iter().copied().peekable();
         engine.run_until(&mut source, 600);
-        let early = engine.capture(0);
+        let mut early = CoreCapture::default();
+        engine.capture(0, &mut early);
+        let mut again = CoreCapture::default();
+        engine.capture(0, &mut again);
+        assert!(
+            std::sync::Arc::ptr_eq(
+                early.outcome().page_list(),
+                again.outcome().page_list()
+            ),
+            "a capture with no seal since the last one copied the page list"
+        );
         engine.run_until(&mut source, 2_400);
-        let late = engine.capture(0);
+        let mut late = CoreCapture::default();
+        engine.capture(0, &mut late);
         for (name, capture) in [("N", &early), ("4N", &late)] {
             let open = capture.outcome().open_ids();
             assert!(
@@ -2608,5 +2681,34 @@ mod tests {
         for shard in &stats.per_shard {
             assert_eq!(shard.n_tasks(), shard.n_arrived());
         }
+    }
+
+    /// A stats record read back is checked: an arrival routed to a
+    /// shard the record lacks is a decode error, not an index panic on
+    /// the first per-arrival read. The untouched record round-trips to
+    /// the same bytes, with the off-wire fields at their defaults.
+    #[test]
+    fn stats_naming_a_missing_shard_fail_to_decode() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let tasks = (0..8u64).map(|i| {
+            Task::new(i, TaskTypeId(0), SimTime(50 * i), SimTime(100_000))
+        });
+        let stats = builder(&pet, &cluster, 2)
+            .build()
+            .expect("valid configuration")
+            .run_stream(tasks);
+        let text = serde_json::to_string(&stats).unwrap();
+        let back: FederationStats =
+            serde_json::from_str(&text).expect("the record decodes");
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
+        assert!(back.recovery_log().is_empty());
+        assert_eq!(back.reuse_stats(), ReuseStats::default());
+        assert!(back.tenancy_stats().is_none());
+        let hostile = text.replacen("\"shard\":1", "\"shard\":7", 1);
+        assert_ne!(hostile, text);
+        let err = serde_json::from_str::<FederationStats>(&hostile)
+            .expect_err("an arrival on shard 7 of 2 must be rejected");
+        assert!(err.to_string().contains("shard 7"), "{err}");
     }
 }

@@ -108,7 +108,7 @@ pub struct RunningTask {
 /// Eq. 1 chain cache and convolution arena are rebuilt lazily after
 /// [`MachineQueue::restore`], bit-identically (the incremental-chain
 /// equivalence contract).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct QueueCapture {
     generation: u64,
     pub(crate) running: Option<(Task, SimTime)>,
@@ -663,14 +663,12 @@ impl MachineQueue {
         );
     }
 
-    /// A copy of the queue's durable state, as a core checkpoint
-    /// carries it.
-    pub(crate) fn capture(&self) -> QueueCapture {
-        QueueCapture {
-            generation: self.generation,
-            running: self.running.as_ref().map(|rt| (rt.task, rt.start)),
-            waiting: self.waiting.clone(),
-        }
+    /// Overwrites `out` with a copy of the queue's durable state, as a
+    /// core checkpoint carries it, reusing its waiting-list buffer.
+    pub(crate) fn capture(&self, out: &mut QueueCapture) {
+        out.generation = self.generation;
+        out.running = self.running.as_ref().map(|rt| (rt.task, rt.start));
+        out.waiting.clone_from(&self.waiting);
     }
 
     /// Whether a capture's waiting list fits this queue's capacity.
@@ -1075,6 +1073,12 @@ mod tests {
         assert_eq!(q.chain_snapshot(&pm).0, vec![Pmf::point_mass(0)]);
     }
 
+    fn captured(q: &MachineQueue) -> QueueCapture {
+        let mut out = QueueCapture::default();
+        q.capture(&mut out);
+        out
+    }
+
     #[test]
     fn capture_restore_roundtrips_and_rebuilds_the_chain() {
         let pm = pet_matrix();
@@ -1082,7 +1086,7 @@ mod tests {
         q.set_running(task(0, 1, 10_000), SimTime(0));
         q.admit(task(1, 1, 10_000));
         q.admit(task(2, 0, 900));
-        let wire = q.capture().to_value();
+        let wire = captured(&q).to_value();
         let state = QueueCapture::from_value(&wire).expect("decodes");
         let mut fresh = queue();
         assert!(fresh.fits(&state));
@@ -1090,7 +1094,7 @@ mod tests {
         assert_eq!(fresh.generation(), q.generation());
         assert_eq!(fresh.waiting_len(), 2);
         assert!(fresh.is_busy());
-        assert_eq!(fresh.capture().to_value(), wire);
+        assert_eq!(captured(&fresh).to_value(), wire);
         // The rebuilt-lazily chain must equal the live one exactly.
         assert_eq!(fresh.chain_snapshot(&pm), q.chain_snapshot(&pm));
     }
@@ -1103,8 +1107,8 @@ mod tests {
         for i in 0..6 {
             big.admit(task(i, 1, 10_000));
         }
-        assert!(!MachineQueue::new(m, 4, 256).fits(&big.capture()));
-        assert!(MachineQueue::new(m, 6, 256).fits(&big.capture()));
+        assert!(!MachineQueue::new(m, 4, 256).fits(&captured(&big)));
+        assert!(MachineQueue::new(m, 6, 256).fits(&captured(&big)));
     }
 
     #[test]

@@ -588,31 +588,30 @@ impl ReuseLedger {
 
     /// Sweeps the completed primaries due before `watermark` — the
     /// capturing core's arrival watermark (see the type docs) — then
-    /// copies the ledger out, in hash order. What a capture holds is
+    /// overwrites `out` with the ledger, in hash order, reusing its
+    /// tables and each follower list's buffer. What a capture holds is
     /// therefore a pure function of the core's state, whenever earlier
     /// captures ran.
-    pub(crate) fn capture(&self, watermark: SimTime) -> LedgerState {
+    pub(crate) fn capture(&self, watermark: SimTime, out: &mut LedgerState) {
         let mut completed_exec = self.completed_exec.borrow_mut();
         completed_exec.retain(|_, e| e.deadline >= watermark);
-        LedgerState {
-            followers: self
-                .followers
-                .iter()
-                .map(|(&primary, tasks)| Followers {
-                    primary,
-                    tasks: tasks.clone(),
-                })
-                .collect(),
-            completed_exec: completed_exec
-                .iter()
-                .map(|(&primary, e)| Completed {
-                    primary,
-                    ticks: e.ticks,
-                    deadline: e.deadline,
-                })
-                .collect(),
-            stats: self.stats,
+        out.followers
+            .resize_with(self.followers.len(), Followers::default);
+        for (slot, (&primary, tasks)) in
+            out.followers.iter_mut().zip(&self.followers)
+        {
+            slot.primary = primary;
+            slot.tasks.clone_from(tasks);
         }
+        out.completed_exec.clear();
+        out.completed_exec.extend(completed_exec.iter().map(
+            |(&primary, e)| Completed {
+                primary,
+                ticks: e.ticks,
+                deadline: e.deadline,
+            },
+        ));
+        out.stats = self.stats;
     }
 
     /// Installs state captured by [`ReuseLedger::capture`]. The
@@ -642,7 +641,7 @@ impl ReuseLedger {
 /// A ledger's durable state, copied out by [`ReuseLedger::capture`]
 /// after its sweep, in hash order; [`LedgerState::canonical`] puts it
 /// in the primary-id order a checkpoint payload carries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct LedgerState {
     followers: Vec<Followers>,
     completed_exec: Vec<Completed>,
@@ -650,7 +649,7 @@ pub(crate) struct LedgerState {
 }
 
 /// The followers parked on one primary, in absorption order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct Followers {
     primary: u64,
     tasks: Vec<Task>,
@@ -917,6 +916,12 @@ mod tests {
         assert!(ledger.is_active(), "clear keeps the activation flag");
     }
 
+    fn captured(ledger: &ReuseLedger, watermark: SimTime) -> LedgerState {
+        let mut out = LedgerState::default();
+        ledger.capture(watermark, &mut out);
+        out
+    }
+
     #[test]
     fn ledger_state_roundtrips_canonically() {
         let mut ledger = ReuseLedger::new();
@@ -925,7 +930,7 @@ mod tests {
         ledger.add_follower(TaskId(2), task(21, 1, 6, 310));
         ledger.record_exec(TaskId(1), 77, SimTime(400));
         ledger.note_hit(false);
-        let wire = ledger.capture(SimTime(6)).canonical().to_value();
+        let wire = captured(&ledger, SimTime(6)).canonical().to_value();
         let text = serde_json::to_string(&wire).unwrap();
         assert!(
             text.find("\"primary\":2").unwrap()
@@ -938,7 +943,7 @@ mod tests {
         back.restore(LedgerState::from_value(&wire).expect("decodes"));
         assert_eq!(back.exec_ticks(TaskId(1)), 77);
         assert_eq!(back.stats().hits, 1);
-        assert_eq!(back.capture(SimTime(6)).canonical().to_value(), wire);
+        assert_eq!(captured(&back, SimTime(6)).canonical().to_value(), wire);
         // Drain order is canonical: primary 2 before primary 9.
         let drained = back.drain_remaining();
         assert_eq!(drained.len(), 2);
@@ -953,7 +958,7 @@ mod tests {
         for (id, deadline) in [(1, 90), (2, 100), (3, 250)] {
             ledger.record_exec(TaskId(id), 10 * id, SimTime(deadline));
         }
-        let state = ledger.capture(SimTime(100));
+        let state = captured(&ledger, SimTime(100));
         // Due at the watermark is still live; due before it is gone,
         // from the capture and from the ledger.
         assert_eq!(ledger.completed_exec.get_mut().len(), 2);

@@ -71,11 +71,12 @@
 //! plug-in states read). The copy shares the outcome records that
 //! earlier copies already hold: the core seals its history in memory,
 //! 64 task ids at a time, once every task in them has resolved, and
-//! every later copy holds those pages by reference. The supervisor
-//! renders and seals a copy only when it restores the shard from it
-//! (or salvages the shard's backlog), and the sealed envelope is
-//! byte-identical to what `checkpoint` returned at the capture
-//! instant.
+//! every later copy holds the one list of those pages by reference.
+//! The supervisor keeps one copy per shard and overwrites it in place
+//! at each checkpoint. It renders and seals a copy only when it
+//! restores the shard from it (or salvages the shard's backlog), and
+//! the sealed envelope is byte-identical to what `checkpoint` returned
+//! at the capture instant.
 //!
 //! Chain caches and scratch arenas are never serialized — restore
 //! rebuilds them lazily, which the incremental-chain determinism

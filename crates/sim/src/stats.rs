@@ -15,8 +15,8 @@
 //! decoder that rejects a record no run could have written. Only the
 //! in-memory captures a supervisor keeps see pages: the core seals its
 //! record 64 task ids at a time, once every task in them has resolved,
-//! and each capture shares the sealed pages by reference and copies
-//! only the rest.
+//! and each capture shares the one list of sealed pages by reference
+//! and copies only the rest.
 
 use crate::snapshot::SnapshotError;
 use crate::tenant::TenantAdmissionStats;
@@ -522,11 +522,15 @@ pub(crate) struct OutcomePage {
     arrival_order: [TaskId; PAGE_LEN],
 }
 
+/// The page slots of an outcome history, by page index: a sealed page,
+/// or `None` for a page whose records are still open.
+type PageSlots = Vec<Option<Arc<OutcomePage>>>;
+
 /// The sealed pages of one scheduler core's outcome history, by page
-/// index: what lets a capture copy only the records resolved since the
-/// previous one. Filled only inside a capture; a crash wipe and a
-/// restore clear it, and the next capture seals the pages again. It
-/// never reaches a snapshot, which carries the record flat.
+/// index: what lets a capture copy only the records still open. Filled
+/// only inside a capture; a crash wipe and a restore clear it, and the
+/// next capture seals the pages again. It never reaches a snapshot,
+/// which carries the record flat.
 ///
 /// Page `k` holds the outcome and type records of ids
 /// `[k·PAGE_LEN, (k+1)·PAGE_LEN)` and the arrival-order entries at the
@@ -534,66 +538,86 @@ pub(crate) struct OutcomePage {
 /// and resolved and the arrival order has filled those positions —
 /// records that can never change again. Pages seal independently, so
 /// a task stuck on a lost completion holds only its own page open.
+///
+/// The slot list is one shared value: every capture clones the `Arc`
+/// around it, and the list itself is copied only when it changes while
+/// an older capture still holds it (a page seals or a new slot opens,
+/// each once per `PAGE_LEN` ids). The indices of the open slots are
+/// kept beside it, so a capture visits those slots and the tail past
+/// the last slot, never the sealed ones.
 #[derive(Debug, Default)]
 pub(crate) struct OutcomePages {
-    sealed: Vec<Option<Arc<OutcomePage>>>,
+    slots: Arc<PageSlots>,
+    /// The slots still `None`, ascending.
+    open: Vec<usize>,
 }
 
 impl OutcomePages {
-    /// Seals every page of `stats` that has completed since the last
-    /// capture and copies the records of the others. Costs one pass
-    /// over the page slots plus the records of the open pages and of
-    /// the pages sealed now; every earlier page is shared, not copied.
-    pub(crate) fn capture(&mut self, stats: &SimStats) -> OutcomeCapture {
+    /// Overwrites `out` with `stats` as a capture holds it: seals every
+    /// page that has completed since the last capture, copies the
+    /// records of the open pages and of the tail, and shares the slot
+    /// list. `out`'s buffers are reused.
+    pub(crate) fn capture(
+        &mut self,
+        stats: &SimStats,
+        out: &mut OutcomeCapture,
+    ) {
         let full =
             stats.outcomes.len().min(stats.arrival_order.len()) / PAGE_LEN;
-        if self.sealed.len() < full {
-            self.sealed.resize(full, None);
-        }
-        let mut inline = SimStats {
-            outcomes: Vec::new(),
-            types: Vec::new(),
-            per_type: stats.per_type.clone(),
-            arrival_order: Vec::new(),
-            trace: stats.trace.clone(),
-            ..*stats
+        let ids = |k: usize| k * PAGE_LEN..(k + 1) * PAGE_LEN;
+        let complete = |k: usize| {
+            stats.outcomes[ids(k)].iter().all(Option::is_some)
+                && stats.types[ids(k)].iter().all(Option::is_some)
         };
-        for (k, slot) in self.sealed.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let ids = k * PAGE_LEN..(k + 1) * PAGE_LEN;
-            let (outcomes, types, arrival_order) = (
-                &stats.outcomes[ids.clone()],
-                &stats.types[ids.clone()],
-                &stats.arrival_order[ids],
-            );
-            if outcomes.iter().all(Option::is_some)
-                && types.iter().all(Option::is_some)
-            {
-                *slot = Some(Arc::new(OutcomePage {
-                    outcomes: outcomes.try_into().expect("a full page"),
-                    types: types.try_into().expect("a full page"),
-                    arrival_order: arrival_order
+        if full > self.slots.len() || self.open.iter().any(|&k| complete(k)) {
+            // `out` is being overwritten: give up its share of the list
+            // first, so that a caller who keeps one capture per core
+            // leaves the list unshared and it changes in place.
+            out.pages = Arc::default();
+            let slots = Arc::make_mut(&mut self.slots);
+            self.open.extend(slots.len()..full);
+            slots.resize(full, None);
+            self.open.retain(|&k| {
+                if !complete(k) {
+                    return true;
+                }
+                slots[k] = Some(Arc::new(OutcomePage {
+                    outcomes: stats.outcomes[ids(k)]
+                        .try_into()
+                        .expect("a full page"),
+                    types: stats.types[ids(k)].try_into().expect("a full page"),
+                    arrival_order: stats.arrival_order[ids(k)]
                         .try_into()
                         .expect("a full page"),
                 }));
-            } else {
-                inline.outcomes.extend_from_slice(outcomes);
-                inline.types.extend_from_slice(types);
-                inline.arrival_order.extend_from_slice(arrival_order);
-            }
+                false
+            });
         }
-        let tail = self.sealed.len() * PAGE_LEN;
+        let inline = &mut out.inline;
+        inline.outcomes.clear();
+        inline.types.clear();
+        inline.arrival_order.clear();
+        for &k in &self.open {
+            inline.outcomes.extend_from_slice(&stats.outcomes[ids(k)]);
+            inline.types.extend_from_slice(&stats.types[ids(k)]);
+            inline
+                .arrival_order
+                .extend_from_slice(&stats.arrival_order[ids(k)]);
+        }
+        let tail = self.slots.len() * PAGE_LEN;
         inline.outcomes.extend_from_slice(&stats.outcomes[tail..]);
         inline.types.extend_from_slice(&stats.types[tail..]);
         inline
             .arrival_order
             .extend_from_slice(&stats.arrival_order[tail..]);
-        OutcomeCapture {
-            inline,
-            pages: self.sealed.clone(),
-        }
+        inline.per_type.clone_from(&stats.per_type);
+        inline.trace.clone_from(&stats.trace);
+        inline.useful_ticks = stats.useful_ticks;
+        inline.wasted_ticks = stats.wasted_ticks;
+        inline.mapping_events = stats.mapping_events;
+        inline.deferrals = stats.deferrals;
+        inline.end_time = stats.end_time;
+        out.pages.clone_from(&self.slots);
     }
 }
 
@@ -602,8 +626,18 @@ impl OutcomePages {
 pub(crate) struct OutcomeCapture {
     /// The record with only the open pages' records in its tables.
     inline: SimStats,
-    /// The sealed pages by index; `None` marks a page held inline.
-    pages: Vec<Option<Arc<OutcomePage>>>,
+    /// The core's page slots at the capture instant, shared with it
+    /// until a page seals.
+    pages: Arc<PageSlots>,
+}
+
+impl Default for OutcomeCapture {
+    fn default() -> Self {
+        Self {
+            inline: SimStats::new(0, 0),
+            pages: Arc::default(),
+        }
+    }
 }
 
 impl OutcomeCapture {
@@ -631,7 +665,7 @@ impl OutcomeCapture {
         let mut out =
             Vec::with_capacity(inline.len() + self.pages.len() * PAGE_LEN);
         let mut rest = inline;
-        for slot in &self.pages {
+        for slot in self.pages.iter() {
             match slot {
                 Some(page) => out.extend_from_slice(table(page)),
                 None => {
@@ -858,7 +892,8 @@ mod tests {
     fn pages_seal_independently_and_give_back_the_same_record() {
         let s = paged_record();
         let mut cache = OutcomePages::default();
-        let capture = cache.capture(&s);
+        let mut capture = OutcomeCapture::default();
+        cache.capture(&s, &mut capture);
         assert_eq!(capture.sealed().count(), 2);
         assert_eq!(capture.open_ids(), PAGE_LEN + 8);
         let back = SimStats::from_value(&capture.record().to_value())
@@ -868,7 +903,8 @@ mod tests {
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&s).unwrap()
         );
-        let again = cache.capture(&s);
+        let mut again = OutcomeCapture::default();
+        cache.capture(&s, &mut again);
         assert!(again
             .sealed()
             .zip(capture.sealed())
@@ -881,6 +917,11 @@ mod tests {
             &self,
         ) -> impl Iterator<Item = &Arc<OutcomePage>> + '_ {
             self.pages.iter().flatten()
+        }
+
+        /// The page slot list the capture shares with its core.
+        pub(crate) fn page_list(&self) -> &Arc<PageSlots> {
+            &self.pages
         }
 
         /// Ids whose records the capture holds outside its pages.

@@ -258,25 +258,28 @@ pub(crate) fn backoff_at(base: u64, attempt: u32) -> u64 {
 /// [`Supervisor::arm`] so the bootstrap captures are not themselves
 /// fault targets.
 ///
-/// Cost: each auto-checkpoint is an unsealed copy of the shard's
-/// state that costs its live state plus the outcome records resolved
-/// since its previous checkpoint. The core seals its outcome history
-/// in memory, 64 task ids at a time, once every task in them has
-/// resolved, and each copy shares those pages with the copy it
-/// replaces, so checkpointing every
-/// [`RecoveryPolicy::checkpoint_interval`] arrivals grows linearly with
-/// the run, not with its square, and holding one per shard costs the
-/// outcome history once. The supervisor renders and hashes a copy into
-/// a [`Snapshot`], with the whole outcome record in its payload, only
-/// when it restores the shard from it (a crash recovery, a journal-gap
-/// or watermark-lag repair, or the salvage before a quarantine), and
-/// the sealed snapshot is byte-identical to what
-/// [`FederatedEngine::checkpoint`] returned at the capture instant.
+/// Cost: each auto-checkpoint is an unsealed copy of the shard's open
+/// state: its queues, batch queue, parked followers and reachable
+/// completed primaries, the outcome records not yet sealed, and the
+/// plug-in states. The core seals its outcome history in memory, 64
+/// task ids at a time, once every task in them has resolved, and keeps
+/// the sealed pages in one shared list that each copy holds by
+/// reference. The supervisor keeps one copy per shard and overwrites
+/// it in place, reusing its buffers, so a checkpoint neither grows
+/// with the run nor frees the copy it replaces, and holding one per
+/// shard costs the outcome history once. The supervisor renders and
+/// hashes a copy into a [`Snapshot`], with the whole outcome record in
+/// its payload, only when it restores the shard from it (a crash
+/// recovery, a journal-gap or watermark-lag repair, or the salvage
+/// before a quarantine), and the sealed snapshot is byte-identical to
+/// what [`FederatedEngine::checkpoint`] returned at the capture
+/// instant.
 pub struct Supervisor<'a, S: Sink = NullSink> {
     engine: FederatedEngine<'a, S>,
     policy: RecoveryPolicy,
     retries_left: Vec<u32>,
-    /// The latest checkpoint of each shard, unsealed.
+    /// The latest checkpoint of each shard, unsealed; each
+    /// checkpoint overwrites the last in place.
     checkpoints: Vec<CoreCapture>,
     next_watermark: u64,
     log: RecoveryLog,
@@ -291,7 +294,13 @@ impl<'a, S: Sink> Supervisor<'a, S> {
     ) -> Self {
         engine.enable_journal();
         let n = engine.n_shards();
-        let checkpoints = (0..n).map(|s| engine.capture(s)).collect();
+        let checkpoints = (0..n)
+            .map(|s| {
+                let mut capture = CoreCapture::default();
+                engine.capture(s, &mut capture);
+                capture
+            })
+            .collect();
         // Relative to the arrivals already ingested, so a supervisor
         // attached to a restored coordinator resumes its checkpoint
         // cadence instead of waiting for an absolute count it may
@@ -614,7 +623,7 @@ impl<'a, S: Sink> Supervisor<'a, S> {
                     }
                     break;
                 }
-                self.checkpoints[shard] = self.engine.capture(shard);
+                self.engine.capture(shard, &mut self.checkpoints[shard]);
                 self.log.push(
                     now,
                     shard,

@@ -121,6 +121,7 @@ fn main() {
         "\ntenants 0 and 1 bit-identical across the burst: {}",
         if same { "yes" } else { "NO (bug!)" }
     );
+    assert!(same, "the burst reached tenants 0 and 1");
 
     // -- act 2: a real token bucket -----------------------------------
     println!("\n-- act 2: per-tenant token-bucket quotas --\n");
@@ -162,15 +163,29 @@ fn main() {
         .run_stream(crunch.iter().copied());
     print_slices(&stats);
     println!("\nladder transitions (recovery log):");
+    // The ladder moves one rung at a time from rung 0, so a log that
+    // holds every step walks a chain of neighbouring rungs.
+    let (mut rung_now, mut ups, mut downs) = (0u8, 0, 0);
     for action in stats.recovery_log().actions() {
-        match action.kind {
+        let (dir, rung, next) = match action.kind {
             RecoveryActionKind::OverloadStepUp { rung } => {
-                println!("  t={:>8}  step UP   -> rung {rung}", action.time)
+                ups += 1;
+                ("UP  ", rung, rung_now.checked_add(1))
             }
             RecoveryActionKind::OverloadStepDown { rung } => {
-                println!("  t={:>8}  step DOWN -> rung {rung}", action.time)
+                downs += 1;
+                ("DOWN", rung, rung_now.checked_sub(1))
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        println!("  t={:>8}  step {dir} -> rung {rung}", action.time);
+        assert_eq!(Some(rung), next, "the log skipped a step");
+        rung_now = rung;
     }
+    assert!(
+        ups > 0 && downs > 0,
+        "the ladder did not step up and back down"
+    );
+    let premium = &stats.tenant_slices().expect("tenancy installed")[0];
+    assert_eq!(premium.counters.shed(), 0, "the Premium tenant shed work");
 }
