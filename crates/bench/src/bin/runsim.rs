@@ -7,7 +7,13 @@
 //!          [--capacity N] [--seed S] [--trace FILE]
 //!
 //! With `--trace`, the full execution trace (task lifecycle events +
-//! queue-occupancy snapshots) is written to FILE as JSON.
+//! queue-occupancy snapshots) is written to FILE as JSON. Each event is
+//! `[time, event]`, the event one of `{"Arrived": {"task": id}}`,
+//! `{"Decided": decision}`, `{"Started": {"task": id, "machine": m}}`
+//! and `{"Completed": {"task": id, "on_time": b}}`; a decision is the
+//! core's own, e.g. `{"Assign": {"task": id, "machine": m}}`,
+//! `{"DeferToBatch": {"task": id}}` or `{"DropProbabilistic":
+//! {"task": id}}`.
 //!
 //! Bad input (an unknown flag or heuristic, a flag without a valid
 //! value, an unreadable or malformed trial, a configuration the

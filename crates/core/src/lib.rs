@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::pruner::{
         FairnessConfig, PruningConfig, PruningMechanism, ToggleMode,
     };
-    pub use taskprune_heuristics::{BestChanceRoute, HeuristicKind};
+    pub use taskprune_heuristics::HeuristicKind;
     pub use taskprune_model::{Cluster, PetMatrix, SimTime, Task, TaskOutcome};
     pub use taskprune_sim::{
         Admission, FaultKind, FaultPlan, FaultSpec, FederationStats,

@@ -18,7 +18,6 @@
 pub mod batch;
 pub mod homogeneous;
 pub mod immediate;
-pub mod probe;
 pub mod registry;
 
 pub use batch::{TwoPhase, MM, MMU, MSD};
@@ -28,8 +27,5 @@ pub use homogeneous::{
 pub use immediate::{
     KPercentBest, MinimumCompletionTime, MinimumExecutionTime,
     OpportunisticLoadBalancing, RoundRobin, SwitchingAlgorithm,
-};
-pub use probe::{
-    best_admission_chance, best_expected_completion, BestChanceRoute,
 };
 pub use registry::HeuristicKind;

@@ -63,7 +63,9 @@ use taskprune_model::{
 /// procedure — reactive drops (Step 1), proactive probabilistic drops
 /// (Steps 3–6), assignments and deferrals (Steps 7–11) — plus the two
 /// immediate-mode outcomes (rejection, optional late cancellation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A traced core records each one on its sink too, as
+/// [`TraceEvent::Decided`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Decision {
     /// The task was committed to a machine queue (Step 11).
     Assign {
@@ -114,6 +116,42 @@ impl Decision {
             | Decision::DropProbabilistic { task }
             | Decision::Reject { task }
             | Decision::CancelRunning { task } => task,
+        }
+    }
+
+    /// The same decision about another task: how the gateway restores
+    /// external ids, and how a reuse follower inherits its primary's
+    /// decision.
+    #[must_use]
+    pub fn with_task(self, task: TaskId) -> Self {
+        match self {
+            Decision::Assign { machine, .. } => {
+                Decision::Assign { task, machine }
+            }
+            Decision::DeferToBatch { .. } => Decision::DeferToBatch { task },
+            Decision::DropReactive { .. } => Decision::DropReactive { task },
+            Decision::DropProbabilistic { .. } => {
+                Decision::DropProbabilistic { task }
+            }
+            Decision::Reject { .. } => Decision::Reject { task },
+            Decision::CancelRunning { .. } => Decision::CancelRunning { task },
+        }
+    }
+
+    /// The terminal outcome this decision records, if it ends the task:
+    /// a drop, a rejection or a cancellation. An assignment or a
+    /// deferral leaves the task live.
+    fn outcome(self) -> Option<TaskOutcome> {
+        match self {
+            Decision::Assign { .. } | Decision::DeferToBatch { .. } => None,
+            Decision::DropReactive { .. } => Some(TaskOutcome::DroppedReactive),
+            Decision::DropProbabilistic { .. } => {
+                Some(TaskOutcome::DroppedProactive)
+            }
+            Decision::Reject { .. } => Some(TaskOutcome::Rejected),
+            Decision::CancelRunning { .. } => {
+                Some(TaskOutcome::CancelledRunning)
+            }
         }
     }
 }
@@ -357,30 +395,23 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
 
     /// Fate-sharing on primary failure: followers of a primary that
     /// never produces a result inherit its terminal outcome (they were
-    /// never queued anywhere, so nothing else can resolve them).
-    fn fan_out_failure(&mut self, primary: TaskId, outcome: TaskOutcome) {
+    /// never queued anywhere, so nothing else can resolve them). When
+    /// the failure was a decision, each follower is traced as that
+    /// decision under its own id; it never joins the drained stream.
+    fn fan_out_failure(
+        &mut self,
+        primary: TaskId,
+        outcome: TaskOutcome,
+        decision: Option<Decision>,
+    ) {
         let Some(followers) = self.reuse.take_followers(primary) else {
             return;
         };
         for f in followers {
             self.stats.record_outcome(&f, outcome);
-            let ev = match outcome {
-                TaskOutcome::DroppedReactive => {
-                    Some(TraceEvent::DroppedReactive { task: f.id })
-                }
-                TaskOutcome::DroppedProactive => {
-                    Some(TraceEvent::DroppedProactive { task: f.id })
-                }
-                TaskOutcome::CancelledRunning => {
-                    Some(TraceEvent::Cancelled { task: f.id })
-                }
-                TaskOutcome::Rejected => {
-                    Some(TraceEvent::Rejected { task: f.id })
-                }
-                _ => None,
-            };
-            if let Some(ev) = ev {
-                self.sink.record(self.now, ev);
+            if let Some(d) = decision {
+                self.sink
+                    .record(self.now, TraceEvent::Decided(d.with_task(f.id)));
             }
         }
     }
@@ -504,8 +535,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             .chain(self.arrival_queue.drain(..))
             .collect();
         for t in leftovers {
-            self.stats.record_outcome(&t, TaskOutcome::Unfinished);
-            self.fan_out_failure(t.id, TaskOutcome::Unfinished);
+            self.record_unfinished(&t);
         }
         // Safety net: followers whose primary never reached a terminal
         // outcome on this core (canonical order — see the ledger).
@@ -580,7 +610,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// arrival record is re-pointed to it.
     pub(crate) fn record_unfinished(&mut self, task: &Task) {
         self.stats.record_outcome(task, TaskOutcome::Unfinished);
-        self.fan_out_failure(task.id, TaskOutcome::Unfinished);
+        self.fan_out_failure(task.id, TaskOutcome::Unfinished, None);
     }
 
     /// Simulated crash: forgets the recoverable in-memory scheduling
@@ -833,22 +863,12 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                     .is_some_and(|rt| rt.task.is_past_deadline(self.now));
                 if late {
                     let rt = self.queues[i].cancel_running();
-                    self.stats.record_outcome(
-                        &rt.task,
-                        TaskOutcome::CancelledRunning,
-                    );
                     self.stats
                         .record_execution((self.now - rt.start).ticks(), false);
                     self.report.cancelled.push(rt.task);
-                    self.decisions
-                        .push(Decision::CancelRunning { task: rt.task.id });
-                    self.sink.record(
-                        self.now,
-                        TraceEvent::Cancelled { task: rt.task.id },
-                    );
-                    self.fan_out_failure(
-                        rt.task.id,
-                        TaskOutcome::CancelledRunning,
+                    self.decide(
+                        &rt.task,
+                        Decision::CancelRunning { task: rt.task.id },
                     );
                 }
             }
@@ -870,11 +890,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         }
         for i in 0..self.report.dropped_reactive.len() {
             let t = self.report.dropped_reactive[i];
-            self.stats.record_outcome(&t, TaskOutcome::DroppedReactive);
-            self.decisions.push(Decision::DropReactive { task: t.id });
-            self.sink
-                .record(self.now, TraceEvent::DroppedReactive { task: t.id });
-            self.fan_out_failure(t.id, TaskOutcome::DroppedReactive);
+            self.decide(&t, Decision::DropReactive { task: t.id });
         }
 
         // Freed machines pick up their queue heads immediately (physical
@@ -908,15 +924,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                 let removed =
                     self.queues[machine.0 as usize].remove_waiting(&ids);
                 for t in removed {
-                    self.stats
-                        .record_outcome(&t, TaskOutcome::DroppedProactive);
-                    self.decisions
-                        .push(Decision::DropProbabilistic { task: t.id });
-                    self.sink.record(
-                        self.now,
-                        TraceEvent::DroppedProactive { task: t.id },
-                    );
-                    self.fan_out_failure(t.id, TaskOutcome::DroppedProactive);
+                    self.decide(&t, Decision::DropProbabilistic { task: t.id });
                 }
             }
             self.drop_ids_buf = ids;
@@ -931,14 +939,20 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         self.start_ready_machines();
     }
 
-    /// Rejects an immediate-mode arrival that finds every queue full:
-    /// there is no arrival queue to hold it (Fig. 1a).
-    fn reject(&mut self, task: Task) {
-        self.stats.record_outcome(&task, TaskOutcome::Rejected);
-        self.decisions.push(Decision::Reject { task: task.id });
-        self.sink
-            .record(self.now, TraceEvent::Rejected { task: task.id });
-        self.fan_out_failure(task.id, TaskOutcome::Rejected);
+    /// Takes one decision about `task`: the one place the core appends
+    /// to its decision stream, and where it traces the decision. A
+    /// terminal decision also records the task's outcome and fans it
+    /// out to the reuse followers parked on the task, which are traced
+    /// but never drained.
+    #[inline]
+    fn decide(&mut self, task: &Task, decision: Decision) {
+        debug_assert_eq!(decision.task(), task.id);
+        self.decisions.push(decision);
+        self.sink.record(self.now, TraceEvent::Decided(decision));
+        if let Some(outcome) = decision.outcome() {
+            self.stats.record_outcome(task, outcome);
+            self.fan_out_failure(task.id, outcome, Some(decision));
+        }
     }
 
     /// Admits an immediate-mode arrival to the machine its mapper
@@ -956,13 +970,9 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             MachineId(fallback as u16)
         };
         self.queues[machine.0 as usize].admit(task);
-        self.decisions.push(Decision::Assign {
-            task: task.id,
-            machine,
-        });
-        self.sink.record(
-            self.now,
-            TraceEvent::Mapped {
+        self.decide(
+            &task,
+            Decision::Assign {
                 task: task.id,
                 machine,
             },
@@ -981,23 +991,20 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// task is missing from it — deferred already, or no longer pending
     /// — is skipped.
     fn run_mapper(&mut self, immediate_arrival: Option<Task>) {
-        let mapper = match &mut self.strategy {
-            MappingStrategy::Batch(mapper) => mapper,
-            MappingStrategy::Immediate(mapper) => {
-                let Some(task) = immediate_arrival else {
-                    return;
-                };
-                if self.queues.iter().all(|q| q.free_slots() == 0) {
-                    self.reject(task);
-                } else {
-                    let view =
-                        SystemView::new(self.now, &self.queues, self.pet);
-                    let chosen = mapper.place(&view, &task);
-                    self.place_immediately(task, chosen);
-                }
+        if let MappingStrategy::Immediate(mapper) = &mut self.strategy {
+            let Some(task) = immediate_arrival else {
                 return;
+            };
+            if self.queues.iter().all(|q| q.free_slots() == 0) {
+                // No arrival queue to hold it (Fig. 1a).
+                self.decide(&task, Decision::Reject { task: task.id });
+            } else {
+                let view = SystemView::new(self.now, &self.queues, self.pet);
+                let chosen = mapper.place(&view, &task);
+                self.place_immediately(task, chosen);
             }
-        };
+            return;
+        }
         let mut candidates = std::mem::take(&mut self.candidate_buf);
         candidates.clear();
         candidates.extend_from_slice(&self.arrival_queue);
@@ -1007,6 +1014,10 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         {
             proposals.clear();
             {
+                // Borrowed per round: a decision borrows the whole core.
+                let MappingStrategy::Batch(mapper) = &mut self.strategy else {
+                    unreachable!("an immediate mapper returned above");
+                };
                 let view = SystemView::new(self.now, &self.queues, self.pet);
                 mapper.select_into(&view, &candidates, &mut proposals);
             }
@@ -1031,11 +1042,9 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                 if self.pruner.should_defer(&task, chance) {
                     self.stats.deferrals =
                         self.stats.deferrals.saturating_add(1);
-                    self.decisions
-                        .push(Decision::DeferToBatch { task: task.id });
-                    self.sink.record(
-                        self.now,
-                        TraceEvent::Deferred { task: task.id },
+                    self.decide(
+                        &task,
+                        Decision::DeferToBatch { task: task.id },
                     );
                 } else {
                     let pos = self
@@ -1045,13 +1054,9 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                         .expect("every candidate is pending");
                     self.arrival_queue.remove(pos);
                     self.queues[machine_idx].admit(task);
-                    self.decisions.push(Decision::Assign {
-                        task: task.id,
-                        machine: assignment.machine,
-                    });
-                    self.sink.record(
-                        self.now,
-                        TraceEvent::Mapped {
+                    self.decide(
+                        &task,
+                        Decision::Assign {
                             task: task.id,
                             machine: assignment.machine,
                         },

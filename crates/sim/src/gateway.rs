@@ -626,13 +626,13 @@ impl<'a, S: Sink> Gateway<'a, S> {
         self.decisions.clear();
         for (i, shard) in self.shards.iter_mut().enumerate() {
             for d in shard.drain_decisions() {
+                let external = self
+                    .compact
+                    .external(i, d.task())
+                    .expect("decision about an id the shard was fed");
                 self.decisions.push(FedDecision {
                     shard: i,
-                    decision: relabel_decision(*d, |id| {
-                        self.compact
-                            .external(i, id)
-                            .expect("decision about an id the shard was fed")
-                    }),
+                    decision: d.with_task(external),
                 });
             }
         }
@@ -828,32 +828,6 @@ impl<S: Sink> std::fmt::Debug for Gateway<'_, S> {
             .field("policy", &self.policy.name())
             .field("arrivals", &self.arrival_order.len())
             .finish_non_exhaustive()
-    }
-}
-
-/// Rewrites the task id inside a decision.
-fn relabel_decision(
-    d: Decision,
-    mut f: impl FnMut(TaskId) -> TaskId,
-) -> Decision {
-    match d {
-        Decision::Assign { task, machine } => Decision::Assign {
-            task: f(task),
-            machine,
-        },
-        Decision::DeferToBatch { task } => {
-            Decision::DeferToBatch { task: f(task) }
-        }
-        Decision::DropReactive { task } => {
-            Decision::DropReactive { task: f(task) }
-        }
-        Decision::DropProbabilistic { task } => {
-            Decision::DropProbabilistic { task: f(task) }
-        }
-        Decision::Reject { task } => Decision::Reject { task: f(task) },
-        Decision::CancelRunning { task } => {
-            Decision::CancelRunning { task: f(task) }
-        }
     }
 }
 

@@ -32,7 +32,7 @@
 //! Routing up front needs a decision that reads no shard state: a
 //! policy that declares [`crate::RoutePolicy::is_stateless`]
 //! (round-robin), or a single shard. A policy that reads shard state
-//! (least-queued, best-chance) on more than one shard waits, at every
+//! (least-queued) on more than one shard waits, at every
 //! arrival, on the previous arrival's mapping event: the routing chain
 //! is serial by data dependency, and the completion work between
 //! arrivals is too little to pay for a barrier per arrival. Building

@@ -3,17 +3,19 @@
 //! A [`crate::Gateway`] multiplexes one live arrival stream across N
 //! independent [`crate::SchedulerCore`] shards. The choice of shard is
 //! the federation's one new degree of freedom, so it is a plug-in — a
-//! [`RoutePolicy`] sees a read-only [`ShardView`] of every shard and
-//! names the recipient. Two stateless baselines ship here
-//! ([`RoundRobinRoute`], [`LeastQueuedRoute`]); the probability-aware
-//! policy, which reuses the Eq. 1 prefix chains through the estimate
-//! probes, lives with the other estimate-driven logic in
-//! `taskprune_heuristics::probe`.
+//! [`RoutePolicy`] sees a read-only [`ShardView`] of every shard (its
+//! index and its load) and names the recipient. Two policies ship
+//! here: [`RoundRobinRoute`], which reads no shard state, and
+//! [`LeastQueuedRoute`], which balances the load. Routing by the Eq. 2
+//! chance of success was measured below least-queued on every run of
+//! an oversubscribed federation and is not offered: the paper applies
+//! Eq. 2 inside one cluster's mapping event, against the queues a task
+//! actually joins.
 //!
 //! The views are live: a policy that reads shard state sees every
-//! shard's queues as they stand at the arrival's instant, under either
-//! driver (the parallel one brings every shard current before it
-//! routes such an arrival).
+//! shard's queues as they stand at the arrival's instant. Such a policy
+//! runs on the serial driver, or on one shard of the parallel one
+//! ([`crate::ConfigError::ParallelNeedsStatelessRoute`]).
 //!
 //! Policies only see arrivals that reach routing: a task the
 //! function-reuse gate absorbs onto an in-flight primary
@@ -25,11 +27,8 @@
 use crate::view::SystemView;
 use taskprune_model::Task;
 
-/// A read-only snapshot of one shard, handed to routing policies.
-///
-/// Wraps the shard's [`SystemView`] (machine queues, PET matrix, chance
-/// probes) plus the gateway-level state a view cannot see: the shard
-/// index and the batch-queue backlog.
+/// A read-only snapshot of one shard, handed to routing policies: the
+/// shard's index and its load, read from the shard's live queues.
 pub struct ShardView<'v> {
     index: usize,
     view: SystemView<'v>,
@@ -54,12 +53,6 @@ impl<'v> ShardView<'v> {
     /// This shard's index within the federation.
     pub fn index(&self) -> usize {
         self.index
-    }
-
-    /// The shard's system view — machine queues, free slots, and the
-    /// Eq. 2 chance probes.
-    pub fn view(&self) -> &SystemView<'v> {
-        &self.view
     }
 
     /// Tasks waiting in the shard's batch queue.

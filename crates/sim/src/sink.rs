@@ -1,9 +1,14 @@
 //! Pluggable observability for the scheduler core.
 //!
 //! The core reports every task-lifecycle transition and periodic queue
-//! snapshot to a [`Sink`]. Observability is a *type parameter* of
-//! [`crate::SchedulerCore`] (and of the [`crate::Gateway`] and drivers
-//! over it), so the default [`NullSink`] compiles to nothing at all —
+//! snapshot to a [`Sink`]. A lifecycle transition is a [`TraceEvent`]:
+//! an arrival, a start, a completion, or a decision, which the core
+//! records as the same [`crate::Decision`] it appends to the stream a
+//! caller drains, at the one place it takes it.
+//!
+//! Observability is a *type parameter* of [`crate::SchedulerCore`]
+//! (and of the [`crate::Gateway`] and drivers over it), so the
+//! default [`NullSink`] compiles to nothing at all —
 //! tracing costs exactly zero when it is off, with no `Option` branch
 //! and no virtual dispatch on the hot mapping-event path.
 //!
@@ -114,7 +119,7 @@ impl Sink for TraceLog {
         &mut self,
         state: &serde::Value,
     ) -> Result<(), serde::Error> {
-        *self = serde::Deserialize::from_value(state)?;
+        *self = TraceLog::from_checkpoint(state)?;
         Ok(())
     }
 }
@@ -145,5 +150,47 @@ mod tests {
         assert!(!Sink::snapshot_due(&log, 5));
         let trace = Sink::into_trace(log).expect("trace log converts");
         assert_eq!(trace.len(), 1);
+    }
+
+    /// A restored log is one a log could have reached: a capacity or a
+    /// snapshot cadence of 0, or more events than the capacity, is a
+    /// typed error. Its drop counter restores at any value and then
+    /// saturates.
+    #[test]
+    fn trace_log_restore_refuses_unreachable_logs() {
+        let mut log = TraceLog::new(2, 4);
+        for i in 0..2 {
+            log.record(SimTime(i), TraceEvent::Arrived { task: TaskId(i) });
+        }
+        let state = Sink::snapshot_state(&log);
+        let with = |field: &str, value: u64| {
+            let mut v = state.clone();
+            let serde::Value::Object(fields) = &mut v else {
+                unreachable!("a trace log is an object")
+            };
+            let slot = fields.iter_mut().find(|(k, _)| k == field);
+            slot.expect("the field is on the wire").1 =
+                serde::Value::UInt(value);
+            v
+        };
+        let mut restored = TraceLog::with_defaults();
+        for (field, value) in
+            [("capacity", 0), ("snapshot_every", 0), ("capacity", 1)]
+        {
+            assert!(
+                Sink::restore_state(&mut restored, &with(field, value))
+                    .is_err(),
+                "{field} = {value}"
+            );
+        }
+        Sink::restore_state(&mut restored, &with("dropped_events", u64::MAX))
+            .expect("any count restores");
+        Sink::record(
+            &mut restored,
+            SimTime(9),
+            TraceEvent::Arrived { task: TaskId(9) },
+        );
+        assert_eq!(restored.len(), 2);
+        assert_eq!(restored.dropped_events, u64::MAX);
     }
 }

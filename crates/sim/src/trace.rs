@@ -6,10 +6,18 @@
 //! surge plots, and post-hoc analysis of *why* a configuration won —
 //! e.g. watching the batch queue drain when the Toggle engages.
 //!
+//! A lifecycle is an arrival, the core's decisions about the task, and
+//! its start and completion. A decision is recorded as the core's own
+//! [`Decision`] ([`TraceEvent::Decided`]), the value the caller drains
+//! from [`crate::SchedulerCore::drain_decisions`]; a reuse follower that
+//! shares its primary's failure is recorded as that decision under the
+//! follower's own id, and only on the trace.
+//!
 //! The log is bounded: beyond `capacity` lifecycle events the earliest
 //! are discarded (a ring), so tracing a 25 K-task run cannot exhaust
 //! memory by accident.
 
+use crate::core::Decision;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use taskprune_model::{MachineId, SimTime, TaskId};
@@ -22,18 +30,9 @@ pub enum TraceEvent {
         /// Task id.
         task: TaskId,
     },
-    /// The task was committed to a machine queue.
-    Mapped {
-        /// Task id.
-        task: TaskId,
-        /// Destination machine.
-        machine: MachineId,
-    },
-    /// The pruner vetoed a proposed mapping (Step 10).
-    Deferred {
-        /// Task id.
-        task: TaskId,
-    },
+    /// The core decided the task's fate: mapped, deferred, dropped,
+    /// cancelled or rejected.
+    Decided(Decision),
     /// The task began executing.
     Started {
         /// Task id.
@@ -48,26 +47,18 @@ pub enum TraceEvent {
         /// Whether it met its deadline.
         on_time: bool,
     },
-    /// Reactive drop: the deadline passed while pending (Step 1).
-    DroppedReactive {
-        /// Task id.
-        task: TaskId,
-    },
-    /// Proactive drop: pruned from a machine queue (Step 6).
-    DroppedProactive {
-        /// Task id.
-        task: TaskId,
-    },
-    /// Cancelled mid-execution (optional policy).
-    Cancelled {
-        /// Task id.
-        task: TaskId,
-    },
-    /// Rejected at arrival (immediate mode, all queues full).
-    Rejected {
-        /// Task id.
-        task: TaskId,
-    },
+}
+
+impl TraceEvent {
+    /// The task this event is about.
+    pub fn task(&self) -> TaskId {
+        match *self {
+            TraceEvent::Arrived { task }
+            | TraceEvent::Started { task, .. }
+            | TraceEvent::Completed { task, .. } => task,
+            TraceEvent::Decided(d) => d.task(),
+        }
+    }
 }
 
 /// A sampled snapshot of system occupancy.
@@ -117,9 +108,30 @@ impl TraceLog {
     pub fn record(&mut self, at: SimTime, event: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
-            self.dropped_events += 1;
+            self.dropped_events = self.dropped_events.saturating_add(1);
         }
         self.events.push_back((at, event));
+    }
+
+    /// Decodes a log captured by [`crate::Sink::snapshot_state`],
+    /// refusing one that no log could have reached: a capacity or a
+    /// snapshot cadence of 0 (the constructor raises both to 1), or
+    /// more retained events than the capacity.
+    pub(crate) fn from_checkpoint(
+        state: &serde::Value,
+    ) -> Result<Self, serde::Error> {
+        let log: Self = Deserialize::from_value(state)?;
+        if log.capacity == 0 {
+            Err(serde::Error::custom("trace log capacity is 0"))
+        } else if log.snapshot_every == 0 {
+            Err(serde::Error::custom("trace log snapshot cadence is 0"))
+        } else if log.events.len() > log.capacity {
+            Err(serde::Error::custom(
+                "trace log retains more events than its capacity",
+            ))
+        } else {
+            Ok(log)
+        }
     }
 
     /// Whether a snapshot is due at the given mapping-event ordinal.
@@ -156,20 +168,7 @@ impl TraceLog {
     pub fn task_history(&self, task: TaskId) -> Vec<(SimTime, TraceEvent)> {
         self.events
             .iter()
-            .filter(|(_, e)| {
-                matches!(e,
-                    TraceEvent::Arrived { task: t }
-                    | TraceEvent::Mapped { task: t, .. }
-                    | TraceEvent::Deferred { task: t }
-                    | TraceEvent::Started { task: t, .. }
-                    | TraceEvent::Completed { task: t, .. }
-                    | TraceEvent::DroppedReactive { task: t }
-                    | TraceEvent::DroppedProactive { task: t }
-                    | TraceEvent::Cancelled { task: t }
-                    | TraceEvent::Rejected { task: t }
-                    if *t == task
-                )
-            })
+            .filter(|(_, e)| e.task() == task)
             .copied()
             .collect()
     }
@@ -232,10 +231,10 @@ mod tests {
         log.record(SimTime(2), TraceEvent::Arrived { task: TaskId(8) });
         log.record(
             SimTime(3),
-            TraceEvent::Mapped {
+            TraceEvent::Decided(Decision::Assign {
                 task: TaskId(7),
                 machine: MachineId(2),
-            },
+            }),
         );
         log.record(
             SimTime(9),
@@ -246,7 +245,10 @@ mod tests {
         );
         let history = log.task_history(TaskId(7));
         assert_eq!(history.len(), 3);
-        assert!(matches!(history[1].1, TraceEvent::Mapped { .. }));
+        assert!(matches!(
+            history[1].1,
+            TraceEvent::Decided(Decision::Assign { .. })
+        ));
         assert!(log.task_history(TaskId(99)).is_empty());
     }
 

@@ -6,8 +6,8 @@ use taskprune_model::{
 };
 use taskprune_prob::Pmf;
 use taskprune_sim::{
-    Assignment, BatchMapper, GatewayBuilder, MappingStrategy, NoPruning,
-    SimConfig, SimStats, Sink, SystemView, TraceEvent, TraceLog,
+    Assignment, BatchMapper, Decision, GatewayBuilder, MappingStrategy,
+    NoPruning, SimConfig, SimStats, Sink, SystemView, TraceEvent, TraceLog,
 };
 
 struct ToZero;
@@ -65,10 +65,13 @@ fn lifecycle_is_coherent_for_a_completed_task() {
 
     for id in 0..5 {
         let history = trace.task_history(TaskId(id));
-        // Arrived → Mapped → Started → Completed, in order.
+        // Arrived → Decided(Assign) → Started → Completed, in order.
         assert_eq!(history.len(), 4, "task {id}: {history:?}");
         assert!(matches!(history[0].1, TraceEvent::Arrived { .. }));
-        assert!(matches!(history[1].1, TraceEvent::Mapped { .. }));
+        assert!(matches!(
+            history[1].1,
+            TraceEvent::Decided(Decision::Assign { .. })
+        ));
         assert!(matches!(history[2].1, TraceEvent::Started { .. }));
         assert!(matches!(
             history[3].1,
@@ -96,7 +99,7 @@ fn dropped_tasks_end_with_a_drop_event() {
             let history = trace.task_history(TaskId(id));
             assert!(matches!(
                 history.last().expect("non-empty history").1,
-                TraceEvent::DroppedReactive { .. }
+                TraceEvent::Decided(Decision::DropReactive { .. })
             ));
             drop_events += 1;
         }

@@ -1,14 +1,13 @@
 //! Federated ingest: one interleaved arrival stream, four scheduler
-//! shards, probability-aware routing.
+//! shards, load-balancing routing.
 //!
 //! Where `live_ingest` drives a single `SchedulerCore` by hand, this
 //! example plays a federation front-end: four tenants' workloads are
 //! merged into one arrival stream with sparse, snowflake-style external
 //! ids, and every arrival is routed through a 4-shard [`Gateway`] by
-//! the probability-aware [`BestChanceRoute`] policy — each task goes to
-//! the shard where its admission-time Eq. 2 chance of success is
-//! highest, computed from the same cached Eq. 1 prefix chains the
-//! per-shard pruners maintain anyway. The gateway's id-compaction layer
+//! the [`LeastQueuedRoute`] policy — each task goes to the shard
+//! holding the fewest tasks, read from every shard's live queues at the
+//! arrival's instant. The gateway's id-compaction layer
 //! hands each shard a dense internal id space; completions are
 //! reported back per shard; the fan-in record prints per-shard and
 //! federated robustness.
@@ -89,7 +88,7 @@ fn main() {
     let mut gateway = GatewayBuilder::new(&cluster, &pet)
         .config(SimConfig::batch(7))
         .shards(SHARDS)
-        .policy(BestChanceRoute::new())
+        .policy(LeastQueuedRoute::new())
         .strategy_with(|_| HeuristicKind::Mm.make())
         .pruner_with(|_| {
             Box::new(PruningMechanism::new(

@@ -5,10 +5,15 @@
 //! triples in bursts. This example watches the *Toggle* module engage
 //! dropping only while the surge lasts, and the *Fairness* module keep
 //! long-running function types from being starved by the pruner.
+//! A traced run then shows the surges in the batch queue, and the
+//! example asserts that tracing changed no outcome and that the trace
+//! agrees with the outcome record.
 //!
 //! Run with: `cargo run --release --example serverless_edge`
 
+use std::collections::HashMap;
 use taskprune::prelude::*;
+use taskprune_sim::{Decision, TraceEvent};
 
 fn run_one(
     label: &str,
@@ -136,5 +141,45 @@ fn main() {
         "\npeak batch-queue {peak} tasks; the four surges are plainly \
          visible, and the\nqueue drains between them — the Toggle only \
          engages dropping inside the bursts."
+    );
+
+    // Tracing only observes: the traced run is the paper-pruning run.
+    for outcome in [
+        TaskOutcome::CompletedOnTime,
+        TaskOutcome::CompletedLate,
+        TaskOutcome::DroppedReactive,
+        TaskOutcome::DroppedProactive,
+        TaskOutcome::CancelledRunning,
+        TaskOutcome::Rejected,
+        TaskOutcome::Unfinished,
+    ] {
+        assert_eq!(
+            traced.count(outcome),
+            with.count(outcome),
+            "tracing changed the {outcome:?} count"
+        );
+    }
+    // The trace records the core's own decisions: a task whose retained
+    // lifecycle ends in a probabilistic drop is a proactive drop in the
+    // outcome record.
+    let mut last = HashMap::new();
+    for &(_, event) in trace.events() {
+        last.insert(event.task(), event);
+    }
+    let mut pruned = 0;
+    for (&task, event) in &last {
+        if let TraceEvent::Decided(Decision::DropProbabilistic { .. }) = event {
+            assert_eq!(
+                traced.outcome(task),
+                Some(TaskOutcome::DroppedProactive),
+                "{task:?} ends its trace in a probabilistic drop"
+            );
+            pruned += 1;
+        }
+    }
+    assert!(pruned > 0, "the retained trace holds no probabilistic drop");
+    println!(
+        "tracing changed no outcome; {pruned} retained lifecycles end in a \
+         probabilistic drop, each a proactive drop in the record"
     );
 }

@@ -53,8 +53,7 @@ fn json<T: serde::Serialize>(value: &T) -> String {
 fn policy_by_index(policy: usize) -> Box<dyn RoutePolicy> {
     match policy {
         0 => Box::new(RoundRobinRoute::new()),
-        1 => Box::new(LeastQueuedRoute::new()),
-        _ => Box::new(BestChanceRoute::new()),
+        _ => Box::new(LeastQueuedRoute::new()),
     }
 }
 

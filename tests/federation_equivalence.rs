@@ -208,12 +208,11 @@ fn one_shard_traced_carries_the_identical_trace() {
 #[test]
 fn n_shard_runs_are_seed_reproducible() {
     let (cluster, pet, tasks) = fixture(common::test_scale());
-    for policy in 0..3 {
+    for policy in 0..2 {
         let run = || -> FederationStats {
             let boxed: Box<dyn RoutePolicy> = match policy {
                 0 => Box::new(RoundRobinRoute::new()),
-                1 => Box::new(LeastQueuedRoute::new()),
-                _ => Box::new(BestChanceRoute::new()),
+                _ => Box::new(LeastQueuedRoute::new()),
             };
             gateway_stats(
                 &cluster,

@@ -153,6 +153,45 @@ fn pruned_decision_streams_are_pinned() {
     }
 }
 
+/// The trace speaks the decision stream's vocabulary: on the pruned
+/// fixture, under each batch heuristic, the (time, decision) pairs a
+/// traced core's caller drains are exactly the trace's `Decided`
+/// entries, in order. (No reuse runs here, so no follower decision is
+/// traced without being drained.)
+#[test]
+fn traced_decisions_are_the_drained_decisions() {
+    use taskprune_sim::{TraceEvent, TraceLog};
+    let (cluster, pet, trial) = fixture();
+    for kind in [HeuristicKind::Mm, HeuristicKind::Msd, HeuristicKind::Mmu] {
+        let core = taskprune_sim::SchedulerBuilder::new(&cluster, &pet)
+            .config(SimConfig::batch(9))
+            .strategy(kind.make())
+            .pruner(PruningMechanism::new(
+                PruningConfig::paper_default(),
+                pet.n_task_types(),
+            ))
+            .sink(TraceLog::new(1 << 20, 16))
+            .build_core()
+            .expect("valid golden configuration");
+        let mut drained = Vec::new();
+        let stats =
+            core_loop::drive_core(core, &pet, &trial.tasks, |at, decision| {
+                drained.push((at, decision));
+            });
+        let trace = stats.trace.expect("the core was traced");
+        assert_eq!(trace.dropped_events, 0, "{kind:?}: the ring overflowed");
+        let decided: Vec<_> = trace
+            .events()
+            .filter_map(|&(at, e)| match e {
+                TraceEvent::Decided(d) => Some((at, d)),
+                _ => None,
+            })
+            .collect();
+        assert!(!drained.is_empty());
+        assert_eq!(drained, decided, "{kind:?}");
+    }
+}
+
 // Hashes of the pruned decision streams, recorded before the deferral
 // loop's mapper, estimator and candidate list were optimised; they must
 // not move with any optimisation that keeps every decision.
@@ -172,8 +211,8 @@ fn fnv1a(s: &str) -> u64 {
 
 /// A 4-shard federation's serialized outcome record under each routing
 /// policy. The stateful policies read every shard's live queues per
-/// arrival, so these hashes pin least-queued and best-chance routing
-/// decisions, which no single-shard pin reaches.
+/// arrival, so these hashes pin least-queued routing decisions, which
+/// no single-shard pin reaches.
 #[test]
 fn federated_routing_outputs_are_pinned() {
     let (cluster, pet, _) = fixture();
@@ -190,7 +229,6 @@ fn federated_routing_outputs_are_pinned() {
             GOLDEN_FED_ROUND_ROBIN,
         ),
         (Box::new(LeastQueuedRoute::new()), GOLDEN_FED_LEAST_QUEUED),
-        (Box::new(BestChanceRoute::new()), GOLDEN_FED_BEST_CHANCE),
     ] {
         let name = policy.name().to_owned();
         let stats = GatewayBuilder::new(&cluster, &pet)
@@ -222,4 +260,3 @@ fn federated_routing_outputs_are_pinned() {
 // existed; deleting it must not move a live-view routing decision.
 const GOLDEN_FED_ROUND_ROBIN: u64 = 14_752_896_931_104_504_583;
 const GOLDEN_FED_LEAST_QUEUED: u64 = 9_789_201_750_979_085_887;
-const GOLDEN_FED_BEST_CHANCE: u64 = 10_632_137_113_379_554_713;

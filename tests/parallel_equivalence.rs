@@ -15,7 +15,7 @@
 //! The parallel driver routes the whole stream up front, so it takes
 //! a **stateless** policy (round-robin) beyond one shard, and every
 //! shard replays with zero cross-shard barriers. A policy that reads
-//! shard state (least-queued, best-chance) on more than one shard is a
+//! shard state (least-queued) on more than one shard is a
 //! typed build error; on one shard it runs, and matches the serial
 //! driver. The serial driver's stateful routing is pinned by
 //! `tests/golden.rs`.
@@ -53,8 +53,7 @@ fn json<T: serde::Serialize>(value: &T) -> String {
 fn policy_by_index(policy: usize) -> Box<dyn RoutePolicy> {
     match policy {
         0 => Box::new(RoundRobinRoute::new()),
-        1 => Box::new(LeastQueuedRoute::new()),
-        _ => Box::new(BestChanceRoute::new()),
+        _ => Box::new(LeastQueuedRoute::new()),
     }
 }
 
@@ -143,54 +142,50 @@ fn parallel_matches_serial_across_shards_and_threads() {
     }
 }
 
-/// A policy that reads shard state cannot route more than one shard
-/// on the parallel driver: the build is a typed error, at any thread
-/// count. On one shard the routing decision is fixed, so the same
-/// policies build and match the serial driver.
+/// A policy that reads shard state (least-queued) cannot route more
+/// than one shard on the parallel driver: the build is a typed error,
+/// at any thread count. On one shard the routing decision is fixed, so
+/// the same policy builds and matches the serial driver.
 #[test]
 fn stateful_policies_need_one_shard_on_the_parallel_driver() {
     let scale = common::test_scale();
     let (cluster, pet, tasks) = fixture(1111, scale);
-    for policy in [1usize, 2] {
-        let name = policy_by_index(policy).name().to_owned();
-        for shards in [2usize, 4] {
-            let err = GatewayBuilder::new(&cluster, &pet)
-                .config(SimConfig::batch(55))
-                .shards(shards)
-                .policy_boxed(policy_by_index(policy))
-                .strategy_with(|_| HeuristicKind::Mm.make())
-                .threads(2)
-                .build_parallel()
-                .expect_err("a stateful policy has no parallel schedule");
-            assert_eq!(
-                err,
-                ConfigError::ParallelNeedsStatelessRoute {
-                    policy: name.clone()
-                },
-                "{name} on {shards} shards"
-            );
-        }
-        let serial =
-            federated_stats(&cluster, &pet, 55, 1, None, policy, false, &tasks);
-        assert_eq!(serial.unreported(), 0);
-        for threads in [1usize, 2] {
-            let parallel = federated_stats(
-                &cluster,
-                &pet,
-                55,
-                1,
-                Some(threads),
-                policy,
-                false,
-                &tasks,
-            );
-            assert_eq!(
-                json(&serial),
-                json(&parallel),
-                "{name} on one shard, threads={threads}: parallel driver \
-                 diverged from FederatedEngine"
-            );
-        }
+    for shards in [2usize, 4] {
+        let err = GatewayBuilder::new(&cluster, &pet)
+            .config(SimConfig::batch(55))
+            .shards(shards)
+            .policy(LeastQueuedRoute::new())
+            .strategy_with(|_| HeuristicKind::Mm.make())
+            .threads(2)
+            .build_parallel()
+            .expect_err("a stateful policy has no parallel schedule");
+        assert_eq!(
+            err,
+            ConfigError::ParallelNeedsStatelessRoute {
+                policy: "least-queued".to_owned()
+            },
+            "least-queued on {shards} shards"
+        );
+    }
+    let serial = federated_stats(&cluster, &pet, 55, 1, None, 1, false, &tasks);
+    assert_eq!(serial.unreported(), 0);
+    for threads in [1usize, 2] {
+        let parallel = federated_stats(
+            &cluster,
+            &pet,
+            55,
+            1,
+            Some(threads),
+            1,
+            false,
+            &tasks,
+        );
+        assert_eq!(
+            json(&serial),
+            json(&parallel),
+            "least-queued on one shard, threads={threads}: parallel driver \
+             diverged from FederatedEngine"
+        );
     }
 }
 

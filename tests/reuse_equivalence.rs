@@ -22,14 +22,21 @@
 //!    absorptions journal and replay like any other arrival. (Supervised
 //!    runs use the serial driver; guarantee 2 carries the bytes to the
 //!    parallel driver.)
+//! 5. **The trace tells the drained story.** A traced shard records
+//!    every decision its caller drains, in order, and one more kind of
+//!    entry only: a parked follower inheriting its primary's failure.
 
 mod common;
 
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashMap};
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
-use taskprune_model::SimTime;
-use taskprune_sim::RecoveryActionKind;
+use taskprune_model::{SimTime, TaskId};
+use taskprune_prob::rng::Xoshiro256PlusPlus;
+use taskprune_sim::{
+    Decision, FedStart, RecoveryActionKind, TraceEvent, TraceLog,
+};
 use taskprune_workload::TaskStream;
 
 fn fixture(seed: u64, scale: f64) -> (Cluster, PetMatrix, Vec<Task>) {
@@ -306,4 +313,153 @@ fn full_budget_storm_heals_a_merging_run_bit_identically() {
             > 0,
         "no fault ever fired — widen the storm span"
     );
+}
+
+// ---------------------------------------------------------------------
+// Guarantee 5: the trace tells the drained story.
+// ---------------------------------------------------------------------
+
+/// The outcome a terminal decision records.
+fn terminal_outcome(d: Decision) -> TaskOutcome {
+    match d {
+        Decision::DropReactive { .. } => TaskOutcome::DroppedReactive,
+        Decision::DropProbabilistic { .. } => TaskOutcome::DroppedProactive,
+        Decision::Reject { .. } => TaskOutcome::Rejected,
+        Decision::CancelRunning { .. } => TaskOutcome::CancelledRunning,
+        live => panic!("{live:?} ends no task"),
+    }
+}
+
+/// A traced 2-shard federation absorbing exact duplicates (30 %),
+/// driven by hand so the caller sees every drained decision. Each
+/// shard's drained decisions are its trace's `Decided` entries, in
+/// order, once the trace's internal ids are relabelled; every other
+/// `Decided` entry is a follower that parked on a primary and
+/// inherited its failure: the primary took the same decision at the
+/// same instant, and the follower's recorded outcome is that
+/// decision's.
+#[test]
+fn undrained_traced_decisions_are_inherited_failures() {
+    let (cluster, pet, _) = fixture(4321, common::test_scale());
+    // Oversubscribed, so primaries with parked followers get dropped
+    // (30 of them here).
+    let base = WorkloadConfig {
+        total_tasks: 600,
+        span_tu: 40.0,
+        ..WorkloadConfig::paper_default(4321)
+    }
+    .generate_trial(&pet, 0)
+    .tasks;
+    let tasks = with_duplicates(&base, 0.3, 0xD0B1);
+    let mut gateway = builder(&cluster, &pet, 2)
+        .reuse(ReusePolicy::ExactOnly)
+        .sink_with(|_| TraceLog::new(1 << 20, 16))
+        .build_gateway()
+        .expect("valid configuration");
+    let mut rng = Xoshiro256PlusPlus::new(55);
+    // In-flight executions by (finish, start order).
+    let mut in_flight: BTreeMap<(SimTime, usize), FedStart> = BTreeMap::new();
+    let mut started = 0;
+    // (shard, follower) → the primary it parked on.
+    let mut followers = HashMap::new();
+    let mut drained = vec![Vec::new(); 2];
+    let mut source = tasks.iter().copied().peekable();
+    loop {
+        let next_finish = in_flight.keys().next().map(|&(t, _)| t);
+        match (next_finish, source.peek().map(|t| t.arrival)) {
+            (None, None) => {
+                let stuck = (0..2)
+                    .filter_map(|s| {
+                        gateway.earliest_pending_deadline(s).map(|d| (d, s))
+                    })
+                    .min();
+                let Some((deadline, shard)) = stuck else {
+                    break;
+                };
+                let now = gateway.now();
+                gateway
+                    .advance_to(SimTime(deadline.ticks().max(now.ticks()) + 1));
+                gateway.wakeup(shard);
+            }
+            (Some(finish), arrival) if arrival.is_none_or(|a| finish <= a) => {
+                let (_, start) = in_flight.pop_first().expect("peeked");
+                gateway.advance_to(finish);
+                gateway.complete_internal(&start);
+            }
+            _ => {
+                let task = source.next().expect("peeked");
+                gateway.advance_to(task.arrival);
+                if let Admission::Piggybacked {
+                    shard,
+                    primary,
+                    internal,
+                } = gateway.push_arrival(task)
+                {
+                    followers.insert((shard, internal), primary);
+                }
+            }
+        }
+        let now = gateway.now();
+        for d in gateway.drain_decisions() {
+            drained[d.shard].push((now, d.decision));
+        }
+        for start in gateway.drain_starts() {
+            let duration = pet.sample_duration(
+                start.machine.type_id,
+                start.task.type_id,
+                &mut rng,
+            );
+            in_flight.insert((now + duration, started), *start);
+            started += 1;
+        }
+    }
+    let stats = gateway.finish();
+    assert_eq!(stats.unreported(), 0);
+
+    let mut inherited = 0;
+    for (shard, record) in stats.per_shard.iter().enumerate() {
+        let external: HashMap<TaskId, TaskId> = stats
+            .arrivals()
+            .iter()
+            .filter(|a| a.shard as usize == shard)
+            .map(|a| (a.internal, a.external))
+            .collect();
+        let trace = record.trace.as_ref().expect("the shard was traced");
+        assert_eq!(trace.dropped_events, 0, "shard {shard}: ring overflowed");
+        let decided: Vec<(SimTime, Decision)> = trace
+            .events()
+            .filter_map(|&(at, e)| match e {
+                TraceEvent::Decided(d) => Some((at, d)),
+                _ => None,
+            })
+            .collect();
+        let mut next = drained[shard].iter().peekable();
+        for (k, &(at, d)) in decided.iter().enumerate() {
+            let relabelled = (at, d.with_task(external[&d.task()]));
+            if next.peek() == Some(&&relabelled) {
+                next.next();
+                continue;
+            }
+            let primary =
+                followers.get(&(shard, d.task())).unwrap_or_else(|| {
+                    panic!("shard {shard}: {d:?} at {at:?} was never drained")
+                });
+            assert!(
+                decided[..k].contains(&(at, d.with_task(*primary))),
+                "shard {shard}: follower {d:?} at {at:?} without its primary"
+            );
+            assert_eq!(
+                record.outcome(d.task()),
+                Some(terminal_outcome(d)),
+                "shard {shard}: follower {d:?}"
+            );
+            inherited += 1;
+        }
+        assert_eq!(
+            next.next(),
+            None,
+            "shard {shard}: a drained decision is missing from the trace"
+        );
+    }
+    assert!(inherited > 0, "the fixture must fan a failure out");
 }
