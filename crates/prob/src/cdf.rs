@@ -93,6 +93,13 @@ impl Cdf {
         self.window_mass
     }
 
+    /// Read-only view of the cumulative window: entry `k` is
+    /// `P(X ≤ min_bin + k)`, exactly as [`Cdf::at`] reads it.
+    #[inline]
+    pub fn dense_cum(&self) -> &[f64] {
+        &self.cum
+    }
+
     /// The chance-of-success dot product (Eq. 2 without materialising the
     /// convolution): probability that `pet + X ≤ deadline` where `X ~ self`.
     ///

@@ -124,13 +124,16 @@ pub struct FedArrival {
 }
 
 /// One decision from the federated decision stream, translated back
-/// into external ids.
+/// into external ids. `(shard, internal)` names the task instance, as
+/// in [`FedStart`]: an external id may label several live instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FedDecision {
     /// The shard that took the decision.
     pub shard: usize,
     /// The decision, with the task's *external* id restored.
     pub decision: Decision,
+    /// The shard-internal id of the task the decision is about.
+    pub internal: TaskId,
 }
 
 /// One execution start surfaced through the gateway. The caller owes a
@@ -621,18 +624,21 @@ impl<'a, S: Sink> Gateway<'a, S> {
     }
 
     /// Drains every shard's decision stream (shard-index order, oldest
-    /// first within a shard) with external ids restored.
+    /// first within a shard) with external ids restored, each beside
+    /// the shard-internal id of its task.
     pub fn drain_decisions(&mut self) -> &[FedDecision] {
         self.decisions.clear();
         for (i, shard) in self.shards.iter_mut().enumerate() {
             for d in shard.drain_decisions() {
+                let internal = d.task();
                 let external = self
                     .compact
-                    .external(i, d.task())
+                    .external(i, internal)
                     .expect("decision about an id the shard was fed");
                 self.decisions.push(FedDecision {
                     shard: i,
                     decision: d.with_task(external),
+                    internal,
                 });
             }
         }
@@ -2617,6 +2623,30 @@ mod tests {
             Some(TaskOutcome::CompletedOnTime)
         );
         assert_eq!(stats.count(TaskOutcome::CompletedOnTime), 1);
+    }
+
+    #[test]
+    fn drained_decisions_name_the_instance() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let mut gw = builder(&pet, &cluster, 1)
+            .build_gateway()
+            .expect("valid configuration");
+        // Reuse is off: one external id, submitted again while its
+        // first instance runs, is a second live instance.
+        let t = Task::new(42, TaskTypeId(0), SimTime(0), SimTime(100_000));
+        gw.push_arrival(t);
+        assert_eq!(gw.drain_starts().len(), 1);
+        gw.push_arrival(t);
+        let decisions = gw.drain_decisions().to_vec();
+        assert_eq!(decisions.len(), 2);
+        for d in &decisions {
+            assert_eq!(d.decision.task(), TaskId(42));
+        }
+        assert_eq!(
+            (decisions[0].internal, decisions[1].internal),
+            (TaskId(0), TaskId(1))
+        );
     }
 
     #[test]

@@ -56,10 +56,39 @@
 //! now-bin but not on the task, and the batch deferral loop prices many
 //! proposals against one unchanged queue. So
 //! [`MachineQueue::chance_if_appended`] keeps the base and a lazily
-//! filled table of G keyed by the now-bin, and sums the PET against it
-//! with [`chance_of_success`]'s own outer loop: every chance is
-//! bit-identical to the direct sum. Below the table G is 0; above it
-//! every term is the chain's window mass, so G reads the top entry.
+//! filled table of G keyed by the now-bin, and sums the PET against it:
+//! every chance is bit-identical to the direct sum. Below the table G is
+//! 0; above it every term is the chain's window mass, so G reads the top
+//! entry.
+//!
+//! # The Eq. 2 kernels
+//!
+//! Three slice kernels evaluate Eq. 2. Each visits only the terms that
+//! can be nonzero, in the plain sum's ascending order:
+//!
+//! * the inner sum G(r) walks the base window in two runs. Bins whose
+//!   chain term lies past the chain CDF's window read its flat top
+//!   (`window_mass`); the next bins index the cumulative window. The
+//!   walk stops at the first bin whose chain term falls below the
+//!   window, so it never reaches a base bin past r either;
+//! * the outer sum of [`chance_of_success`] (the Steps 4–6 drop walk)
+//!   stops at the last PET bin whose inner sum can be nonzero: the
+//!   deadline bin less the first bins of the base and the chain. It
+//!   skips zero PET bins, each of which would cost an inner sum;
+//! * Step 10 pricing sums the PET against the memo's table in one pass.
+//!   It skips the PET bins whose G falls below the table, reads the top
+//!   entry once for the bins at or above it, and indexes the rest
+//!   directly.
+//!
+//! Every skipped term is exactly 0: a CDF below its window is 0, G below
+//! its table is 0, and a zero bin is 0. Probabilities are finite and
+//! non-negative, so such a term is a zero product, and adding a zero to
+//! a sum that starts at +0.0 and never falls leaves its bits unchanged.
+//! Every kept product is added in the same order as before, and the
+//! flat-top run adds `p · window_mass` bin by bin, never
+//! `window_mass · Σp`, which rounds differently. So each chance, and
+//! each decision taken on it, is bit-identical to the per-term sums,
+//! which the tests keep as a reference and compare by `to_bits`.
 //!
 //! # The expected-ready memo
 //!
@@ -81,6 +110,7 @@
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::ops::Range;
 use taskprune_model::{
     BinSpec, Machine, MachineTypeId, PetMatrix, SimTime, Task, TaskId,
 };
@@ -177,18 +207,48 @@ impl ReadyMemo {
         }
     }
 
-    /// G(`rem`), computed on first use.
-    fn g(&mut self, rem: Bin, base: &Pmf, chain_cdf: &Cdf) -> f64 {
-        if rem < self.lo {
+    /// Eq. 2 for `pet` and `deadline_bin` against the table,
+    /// Σₓ pet(x) · G(deadline − x) clamped, filling the entries it
+    /// reads. Walks the PET window in ascending x like the plain sum:
+    /// first the bins whose G is the top entry, read once, then the
+    /// bins that index the table directly. It stops where G falls below
+    /// the table, where every term is 0.
+    fn chance(
+        &mut self,
+        pet: &Pmf,
+        deadline_bin: Bin,
+        base: &Pmf,
+        chain_cdf: &Cdf,
+    ) -> f64 {
+        let Some(last) = slack(deadline_bin, &[self.lo, pet.min_bin()]) else {
             return 0.0;
+        };
+        let top_entry = self.len - 1;
+        let (top, dense, rows) = runs(pet.dense_probs(), last, top_entry);
+        let (stamp, lo, rows_end) = (self.stamp, self.lo, rows.end);
+        let mut total = 0.0;
+        if !top.is_empty() {
+            let row = &mut self.table[top_entry];
+            if row.0 != stamp {
+                let rem = lo + top_entry as Bin;
+                *row = (stamp, ready_mass(base, chain_cdf, rem));
+            }
+            for &px in top {
+                total += px * row.1;
+            }
         }
-        let i = ((rem - self.lo) as usize).min(self.len - 1);
-        let (stamp, g) = &mut self.table[i];
-        if *stamp != self.stamp {
-            *g = ready_mass(base, chain_cdf, self.lo + i as Bin);
-            *stamp = self.stamp;
+        let rows = self.table[rows].iter_mut().rev();
+        for (k, (&px, row)) in dense.iter().zip(rows).enumerate() {
+            if row.0 != stamp {
+                if px == 0.0 {
+                    continue;
+                }
+                let rem = lo + (rows_end - 1 - k) as Bin;
+                *row = (stamp, ready_mass(base, chain_cdf, rem));
+            }
+            total += px * row.1;
         }
-        *g
+        total.clamp(0.0, 1.0)
     }
 }
 
@@ -513,10 +573,8 @@ impl MachineQueue {
             cache.memo.rekey(now_bin, &cache.base, chain_cdf);
         }
         let pet = pet_matrix.pet(self.machine.type_id, task.type_id);
-        let (base, memo) = (&cache.base, &mut cache.memo);
-        eq2(pet, bin_spec.deadline_bin(task.deadline), |rem| {
-            memo.g(rem, base, chain_cdf)
-        })
+        let deadline_bin = bin_spec.deadline_bin(task.deadline);
+        cache.memo.chance(pet, deadline_bin, &cache.base, chain_cdf)
     }
 
     /// Walks the waiting queue head-to-tail computing each task's chance
@@ -721,35 +779,82 @@ pub fn chance_of_success(
     pet: &Pmf,
     deadline_bin: Bin,
 ) -> f64 {
-    eq2(pet, deadline_bin, |rem| ready_mass(base, chain_cdf, rem))
-}
-
-/// Eq. 2's outer sum Σₓ pet(x) · ready(deadline − x), clamped.
-fn eq2(pet: &Pmf, deadline_bin: Bin, mut ready: impl FnMut(Bin) -> f64) -> f64 {
+    // The inner sum is 0 below the base's and the chain's first bins,
+    // so the PET walk stops where the deadline leaves less than that.
+    let firsts = [base.min_bin(), chain_cdf.min_bin(), pet.min_bin()];
+    let Some(last) = slack(deadline_bin, &firsts) else {
+        return 0.0;
+    };
+    let probs = pet.dense_probs();
     let mut total = 0.0;
-    for (x, px) in pet.iter() {
-        if px == 0.0 || x > deadline_bin {
-            continue;
+    for (j, &px) in probs[..probs.len().min(index_end(last))].iter().enumerate()
+    {
+        if px != 0.0 {
+            let rem = deadline_bin - pet.min_bin() - j as Bin;
+            total += px * ready_mass(base, chain_cdf, rem);
         }
-        total += px * ready(deadline_bin - x);
     }
     total.clamp(0.0, 1.0)
 }
 
 /// Eq. 2's inner sum Σₐ base(a) · chain_cdf(rem − a): the chance that
 /// the queue ahead of an appended task is done by bin `rem`.
+///
+/// Walks the base window in two runs, in ascending `a` like the plain
+/// sum: first the bins whose chain term lies past the CDF's window
+/// (its flat top, `window_mass`), then the bins whose term indexes the
+/// cumulative window. It stops where the chain term falls below the
+/// window, where every term is 0.
 fn ready_mass(base: &Pmf, chain_cdf: &Cdf, rem: Bin) -> f64 {
+    let Some(last) = slack(rem, &[chain_cdf.min_bin(), base.min_bin()]) else {
+        return 0.0;
+    };
+    let cum = chain_cdf.dense_cum();
+    let (flat, dense, window) = runs(base.dense_probs(), last, cum.len());
     let mut inner = 0.0;
-    for (a, pa) in base.iter() {
-        if a > rem {
-            break; // base bins ascend; later terms are all zero
-        }
-        if pa == 0.0 {
-            continue;
-        }
-        inner += pa * chain_cdf.at(rem - a);
+    let window_mass = chain_cdf.window_mass();
+    for &pa in flat {
+        inner += pa * window_mass;
+    }
+    for (&pa, &f) in dense.iter().zip(cum[window].iter().rev()) {
+        inner += pa * f;
     }
     inner
+}
+
+/// `bin` less each of `firsts`, or `None` where that falls below 0.
+fn slack(bin: Bin, firsts: &[Bin]) -> Option<Bin> {
+    firsts
+        .iter()
+        .try_fold(bin, |b, &first| b.checked_sub(first))
+}
+
+/// Splits the two runs of a sum whose window bin `j` reads entry
+/// `last − j` of a table, and whose entries from `flat_from` on all
+/// read one value: the bins that read that value, the bins after them
+/// that index the table, and the table entries the second run reads
+/// (it reads them in descending order). Bins past `last` read below
+/// the table and are left out.
+fn runs(
+    probs: &[f64],
+    last: Bin,
+    flat_from: usize,
+) -> (&[f64], &[f64], Range<usize>) {
+    let reach = index_end(last);
+    let end = probs.len().min(reach);
+    let (flat, dense) =
+        probs[..end].split_at(end.min(reach.saturating_sub(flat_from)));
+    if dense.is_empty() {
+        return (flat, dense, 0..0);
+    }
+    // Entries last − flat.len() down to last − (end − 1).
+    let rows_end = reach - flat.len();
+    (flat, dense, rows_end - dense.len()..rows_end)
+}
+
+/// `last + 1` as a slice bound, saturating where `usize` cannot hold it.
+fn index_end(last: Bin) -> usize {
+    usize::try_from(last).map_or(usize::MAX, |l| l.saturating_add(1))
 }
 
 #[cfg(test)]
@@ -1127,6 +1232,274 @@ mod tests {
                 (fast - slow).abs() < 1e-12,
                 "deadline {deadline}: {fast} vs {slow}"
             );
+        }
+    }
+
+    /// The Eq. 2 kernels against the plain per-term sums they replace,
+    /// compared by `to_bits`: the kernels skip only terms that are
+    /// exactly 0 and add every other product in the same order.
+    mod kernel_bits {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The plain Eq. 2 outer sum: every PET bin, zero or late bins
+        /// skipped by a test per term.
+        fn eq2_reference(
+            pet: &Pmf,
+            deadline_bin: Bin,
+            mut ready: impl FnMut(Bin) -> f64,
+        ) -> f64 {
+            let mut total = 0.0;
+            for (x, px) in pet.iter() {
+                if px == 0.0 || x > deadline_bin {
+                    continue;
+                }
+                total += px * ready(deadline_bin - x);
+            }
+            total.clamp(0.0, 1.0)
+        }
+
+        /// The plain Eq. 2 inner sum, reading the chain CDF through
+        /// `Cdf::at` per term.
+        fn ready_mass_reference(base: &Pmf, chain_cdf: &Cdf, rem: Bin) -> f64 {
+            let mut inner = 0.0;
+            for (a, pa) in base.iter() {
+                if a > rem {
+                    break;
+                }
+                if pa == 0.0 {
+                    continue;
+                }
+                inner += pa * chain_cdf.at(rem - a);
+            }
+            inner
+        }
+
+        impl ReadyMemo {
+            /// The per-term table lookup: 0 below the table, the top
+            /// entry above it, each entry filled on first use.
+            fn g_reference(
+                &mut self,
+                rem: Bin,
+                base: &Pmf,
+                chain_cdf: &Cdf,
+            ) -> f64 {
+                if rem < self.lo {
+                    return 0.0;
+                }
+                let i = ((rem - self.lo) as usize).min(self.len - 1);
+                let (stamp, g) = &mut self.table[i];
+                if *stamp != self.stamp {
+                    *g = ready_mass_reference(
+                        base,
+                        chain_cdf,
+                        self.lo + i as Bin,
+                    );
+                    *stamp = self.stamp;
+                }
+                *g
+            }
+        }
+
+        /// A PMF window from its first bin and per-bin weights (a 0
+        /// weight leaves an interior zero bin), with the mass past
+        /// `first + cut` moved to the tail when `tail` is set; all-zero
+        /// weights give a point mass.
+        fn window(first: Bin, weights: &[u32], tail: bool, cut: Bin) -> Pmf {
+            let total: u32 = weights.iter().sum();
+            if total == 0 {
+                return Pmf::point_mass(first);
+            }
+            let points: Vec<(Bin, f64)> = weights
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| {
+                    (first + i as Bin, f64::from(w) / f64::from(total))
+                })
+                .collect();
+            let mut pmf = Pmf::from_points(&points).expect("positive mass");
+            if tail {
+                pmf.truncate_to_horizon(first + cut);
+            }
+            pmf
+        }
+
+        /// Point masses, windows with interior zeros, and windows with
+        /// tail mass (whose CDF's flat top is below 1), starting at bins
+        /// `0..=max_first` and up to `max_len` bins long.
+        fn arb_pmf(
+            max_first: Bin,
+            max_len: usize,
+        ) -> impl Strategy<Value = Pmf> {
+            prop_oneof![
+                (0..=max_first).prop_map(Pmf::point_mass),
+                (0..=max_first, prop::collection::vec(0u32..4, 1..=max_len))
+                    .prop_map(|(first, w)| window(first, &w, false, 0)),
+                (
+                    0..=max_first,
+                    prop::collection::vec(0u32..4, 1..=max_len),
+                    0..max_len as Bin,
+                )
+                    .prop_map(|(first, w, cut)| window(first, &w, true, cut)),
+            ]
+        }
+
+        /// One past the largest bin at which `pmfs` can still matter to
+        /// each other's sums, plus a margin: the deadline and `rem`
+        /// sweeps run from 0 (below every window) to here (above all).
+        fn sweep_end(pmfs: &[&Pmf]) -> Bin {
+            pmfs.iter().map(|p| p.max_bin()).sum::<Bin>() + 4
+        }
+
+        proptest! {
+            /// Base windows starting below, inside and past the chain
+            /// CDF's window, against every `rem` from below both to
+            /// above both.
+            #[test]
+            fn ready_mass_matches_the_plain_sum(
+                base in arb_pmf(24, 10),
+                chain in arb_pmf(8, 10),
+            ) {
+                let cdf = chain.to_cdf();
+                for rem in 0..sweep_end(&[&base, &chain]) {
+                    let fast = ready_mass(&base, &cdf, rem);
+                    let plain = ready_mass_reference(&base, &cdf, rem);
+                    prop_assert_eq!(
+                        fast.to_bits(),
+                        plain.to_bits(),
+                        "rem {}: {} vs {} (base {:?}, chain {:?})",
+                        rem, fast, plain, base, chain
+                    );
+                }
+            }
+
+            /// The drop walk's sum, for deadlines below, inside and
+            /// above every window.
+            #[test]
+            fn chance_of_success_matches_the_plain_sums(
+                base in arb_pmf(24, 10),
+                chain in arb_pmf(8, 10),
+                pet in arb_pmf(6, 8),
+            ) {
+                let cdf = chain.to_cdf();
+                for d in 0..sweep_end(&[&base, &chain, &pet]) {
+                    let fast = chance_of_success(&base, &cdf, &pet, d);
+                    let plain = eq2_reference(&pet, d, |rem| {
+                        ready_mass_reference(&base, &cdf, rem)
+                    });
+                    prop_assert_eq!(
+                        fast.to_bits(),
+                        plain.to_bits(),
+                        "deadline {}: {} vs {} (base {:?}, chain {:?}, \
+                         pet {:?})",
+                        d, fast, plain, base, chain, pet
+                    );
+                }
+            }
+
+            /// Step 10 pricing: consecutive probes on one memo stamp
+            /// (deadlines far past the table read its top entry), then
+            /// the same after a re-key over another queue state, against
+            /// the per-term lookup on a memo of its own and against the
+            /// memo-free plain sum.
+            #[test]
+            fn memo_pricing_matches_the_per_term_lookup(
+                states in prop::collection::vec(
+                    (arb_pmf(24, 10), arb_pmf(8, 10)),
+                    2,
+                ),
+                pets in prop::collection::vec(arb_pmf(6, 8), 1..4),
+                probes in prop::collection::vec((0usize..4, 0u64..64), 1..24),
+            ) {
+                let (mut memo, mut per_term) =
+                    (ReadyMemo::default(), ReadyMemo::default());
+                for (now_bin, (base, chain)) in states.iter().enumerate() {
+                    let cdf = chain.to_cdf();
+                    memo.rekey(now_bin as Bin, base, &cdf);
+                    per_term.rekey(now_bin as Bin, base, &cdf);
+                    for &(k, d) in &probes {
+                        let pet = &pets[k % pets.len()];
+                        let fast = memo.chance(pet, d, base, &cdf);
+                        let looked_up = eq2_reference(pet, d, |rem| {
+                            per_term.g_reference(rem, base, &cdf)
+                        });
+                        let plain = eq2_reference(pet, d, |rem| {
+                            ready_mass_reference(base, &cdf, rem)
+                        });
+                        prop_assert_eq!(
+                            (fast.to_bits(), fast.to_bits()),
+                            (looked_up.to_bits(), plain.to_bits()),
+                            "deadline {}: {} vs {} / {} (base {:?}, \
+                             chain {:?}, pet {:?})",
+                            d, fast, looked_up, plain, base, chain, pet
+                        );
+                    }
+                }
+            }
+
+            /// Every chance `plan_drops` reports, with drops decided
+            /// mid-walk, against the plain sums over a queue rebuilt from
+            /// the running task and the tasks the walk kept ahead.
+            #[test]
+            fn plan_drops_chances_match_the_plain_sums(
+                pets in prop::collection::vec(arb_pmf(3, 8), 3),
+                running in (any::<bool>(), 0u16..3, 0u64..2_000),
+                elapsed in 0u64..600,
+                waiting in prop::collection::vec((0u16..3, 0u64..4_000), 1..=6),
+                drop_mask in any::<u8>(),
+            ) {
+                let pm = PetMatrix::new(BinSpec::new(BIN), 1, 3, pets);
+                let spec = pm.bin_spec();
+                let (busy, run_type, start) = running;
+                let now = SimTime(start + elapsed);
+                let machine = Cluster::one_per_type(1)
+                    .machine(taskprune_model::MachineId(0));
+                let fresh = |ahead: &[Task]| {
+                    let mut q = MachineQueue::new(machine, 8, 256);
+                    if busy {
+                        q.set_running(task(99, run_type, 0), SimTime(start));
+                    }
+                    for t in ahead {
+                        q.admit(*t);
+                    }
+                    q
+                };
+                let tasks: Vec<Task> = waiting
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(ty, slack))| {
+                        task(i as u64, ty, now.ticks() + slack)
+                    })
+                    .collect();
+                let q = fresh(&tasks);
+                let mut seen = Vec::new();
+                let drops = q.plan_drops(spec, &pm, now, |t, chance| {
+                    seen.push(chance);
+                    drop_mask >> t.id.0 & 1 == 1
+                });
+                prop_assert_eq!(seen.len(), tasks.len());
+                let mut kept = Vec::new();
+                for (t, &chance) in tasks.iter().zip(&seen) {
+                    let ahead = fresh(&kept);
+                    let (_, cdfs) = ahead.chain_snapshot(&pm);
+                    let base = ahead.base_pmf(spec, &pm, now);
+                    let pet = pm.pet(machine.type_id, t.type_id);
+                    let plain = eq2_reference(
+                        pet,
+                        spec.deadline_bin(t.deadline),
+                        |rem| ready_mass_reference(&base, &cdfs[kept.len()], rem),
+                    );
+                    prop_assert_eq!(
+                        chance.to_bits(),
+                        plain.to_bits(),
+                        "task {}: {} vs {} (drops {:?})",
+                        t.id.0, chance, plain, drops
+                    );
+                    if !drops.contains(&t.id) {
+                        kept.push(*t);
+                    }
+                }
+            }
         }
     }
 }

@@ -192,12 +192,51 @@ fn traced_decisions_are_the_drained_decisions() {
     }
 }
 
+/// The pruned fixture's decision stream in immediate mode, MCT with the
+/// paper's pruning. Each arrival's mapping event runs the Steps 4–6
+/// drop walk over every queue, so this pins the chances `plan_drops`
+/// reports, which the batch streams above reach only between deferral
+/// rounds. The stream must hold probabilistic drops, or it would not
+/// pin them.
+#[test]
+fn pruned_immediate_decision_stream_is_pinned() {
+    use taskprune_sim::Decision;
+    let (cluster, pet, trial) = fixture();
+    let core = taskprune_sim::SchedulerBuilder::new(&cluster, &pet)
+        .config(SimConfig::immediate(9))
+        .strategy(HeuristicKind::Mct.make())
+        .pruner(PruningMechanism::new(
+            PruningConfig::paper_default(),
+            pet.n_task_types(),
+        ))
+        .build_core()
+        .expect("valid golden configuration");
+    let mut entries = Vec::new();
+    core_loop::drive_core(core, &pet, &trial.tasks, |at, decision| {
+        entries.push((at, decision));
+    });
+    let dropped = entries
+        .iter()
+        .filter(|(_, d)| matches!(d, Decision::DropProbabilistic { .. }))
+        .count();
+    assert!(dropped > 0, "no probabilistic drop to pin");
+    assert_eq!(
+        (decision_stream_hash(&entries), entries.len(), dropped),
+        GOLDEN_STREAM_MCT_IMMEDIATE,
+        "MCT immediate pruned decision stream moved"
+    );
+}
+
 // Hashes of the pruned decision streams, recorded before the deferral
 // loop's mapper, estimator and candidate list were optimised; they must
 // not move with any optimisation that keeps every decision.
 const GOLDEN_STREAM_MM: u64 = 3_355_520_884_256_623_010;
 const GOLDEN_STREAM_MSD: u64 = 8_364_599_220_186_489_687;
 const GOLDEN_STREAM_MMU: u64 = 740_984_753_468_499_731;
+// The immediate-mode stream's (hash, decisions, probabilistic drops),
+// recorded before the Eq. 2 sums became slice kernels.
+const GOLDEN_STREAM_MCT_IMMEDIATE: (u64, usize, usize) =
+    (1_535_153_739_897_202_254, 772, 41);
 
 /// FNV-1a over a string's bytes.
 fn fnv1a(s: &str) -> u64 {

@@ -29,7 +29,7 @@
 mod common;
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
 use taskprune_model::{SimTime, TaskId};
@@ -332,12 +332,12 @@ fn terminal_outcome(d: Decision) -> TaskOutcome {
 
 /// A traced 2-shard federation absorbing exact duplicates (30 %),
 /// driven by hand so the caller sees every drained decision. Each
-/// shard's drained decisions are its trace's `Decided` entries, in
-/// order, once the trace's internal ids are relabelled; every other
-/// `Decided` entry is a follower that parked on a primary and
-/// inherited its failure: the primary took the same decision at the
-/// same instant, and the follower's recorded outcome is that
-/// decision's.
+/// drained decision is a `Decided` entry of its shard's trace about the
+/// same shard-internal id, at the same instant, with that instance's
+/// external id restored; every other `Decided` entry is a follower that
+/// parked on a primary and inherited its failure: the primary took the
+/// same decision at the same instant, and the follower's recorded
+/// outcome is that decision's.
 #[test]
 fn undrained_traced_decisions_are_inherited_failures() {
     let (cluster, pet, _) = fixture(4321, common::test_scale());
@@ -362,7 +362,8 @@ fn undrained_traced_decisions_are_inherited_failures() {
     let mut started = 0;
     // (shard, follower) → the primary it parked on.
     let mut followers = HashMap::new();
-    let mut drained = vec![Vec::new(); 2];
+    // Drained decisions by (shard, internal id), oldest first.
+    let mut drained: HashMap<(usize, TaskId), VecDeque<_>> = HashMap::new();
     let mut source = tasks.iter().copied().peekable();
     loop {
         let next_finish = in_flight.keys().next().map(|&(t, _)| t);
@@ -401,7 +402,10 @@ fn undrained_traced_decisions_are_inherited_failures() {
         }
         let now = gateway.now();
         for d in gateway.drain_decisions() {
-            drained[d.shard].push((now, d.decision));
+            drained
+                .entry((d.shard, d.internal))
+                .or_default()
+                .push_back((now, d.decision));
         }
         for start in gateway.drain_starts() {
             let duration = pet.sample_duration(
@@ -433,12 +437,13 @@ fn undrained_traced_decisions_are_inherited_failures() {
                 _ => None,
             })
             .collect();
-        let mut next = drained[shard].iter().peekable();
         for (k, &(at, d)) in decided.iter().enumerate() {
             let relabelled = (at, d.with_task(external[&d.task()]));
-            if next.peek() == Some(&&relabelled) {
-                next.next();
-                continue;
+            if let Some(instance) = drained.get_mut(&(shard, d.task())) {
+                if instance.front() == Some(&relabelled) {
+                    instance.pop_front();
+                    continue;
+                }
             }
             let primary =
                 followers.get(&(shard, d.task())).unwrap_or_else(|| {
@@ -455,10 +460,12 @@ fn undrained_traced_decisions_are_inherited_failures() {
             );
             inherited += 1;
         }
-        assert_eq!(
-            next.next(),
-            None,
-            "shard {shard}: a drained decision is missing from the trace"
+    }
+    for ((shard, internal), missing) in &drained {
+        assert!(
+            missing.is_empty(),
+            "shard {shard}: drained {missing:?} about {internal:?} is \
+             missing from the trace"
         );
     }
     assert!(inherited > 0, "the fixture must fan a failure out");
