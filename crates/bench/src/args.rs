@@ -1,6 +1,7 @@
 //! A tiny flag parser for the figure binaries — avoids a CLI-framework
 //! dependency for what is three flags.
 
+use crate::report::{BenchEntry, BenchSeries};
 use crate::scale::Scale;
 
 /// Parsed common flags: `--trials N`, `--scale F`, `--pattern P`,
@@ -82,8 +83,10 @@ pub struct BaselineArgs {
     pub smoke: bool,
     /// Fail the process on a tripped regression/scaling gate.
     pub check: bool,
-    /// Series directory (default `results`).
-    pub out_dir: String,
+    /// Series directory given by `--out` (`results` when absent). A
+    /// `--check` run without it compares against the tracked series in
+    /// memory and leaves it untouched.
+    pub out_dir: Option<String>,
     /// Commit stamp for the appended run (default: `git rev-parse
     /// --short HEAD`, falling back to `unknown`).
     pub commit: String,
@@ -107,9 +110,43 @@ impl BaselineArgs {
         Self {
             smoke: args.iter().any(|a| a == "--smoke"),
             check: args.iter().any(|a| a == "--check"),
-            out_dir: value_of("--out").unwrap_or_else(|| "results".into()),
+            out_dir: value_of("--out"),
             commit: value_of("--commit").unwrap_or_else(head_commit),
         }
+    }
+
+    /// Whether a run writes its series back: always, except under
+    /// `--check` without `--out`.
+    pub fn writes(&self) -> bool {
+        !self.check || self.out_dir.is_some()
+    }
+
+    /// Loads the `name` series from the series directory, appends this
+    /// run's `entries` under the commit stamp and, when
+    /// [`BaselineArgs::writes`], writes the series back. Returns the
+    /// series with the new run last, for the regression gate.
+    pub fn append_run(
+        &self,
+        name: &str,
+        description: &str,
+        entries: Vec<BenchEntry>,
+    ) -> BenchSeries {
+        let dir = self.out_dir.as_deref().unwrap_or("results");
+        let mut series = BenchSeries::load_or_new(dir, name, description)
+            .expect(
+                "unreadable bench series — fix or remove it before appending",
+            );
+        series.append(self.commit.clone(), entries);
+        if self.writes() {
+            let path = series.write_file(dir).expect("write bench series");
+            let runs = series.runs.len();
+            println!("wrote {path} ({runs} runs, newest {})", self.commit);
+        } else {
+            println!(
+                "--check without --out: compared in memory, wrote nothing"
+            );
+        }
+        series
     }
 }
 
@@ -141,13 +178,14 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string()),
         );
-        assert!(a.smoke && a.check);
-        assert_eq!(a.out_dir, "/tmp/x");
+        assert!(a.smoke && a.check && a.writes());
+        assert_eq!(a.out_dir.as_deref(), Some("/tmp/x"));
         assert_eq!(a.commit, "abc");
         let d = BaselineArgs::from_iter(std::iter::empty());
-        assert!(!d.smoke && !d.check);
-        assert_eq!(d.out_dir, "results");
+        assert!(!d.smoke && !d.check && d.out_dir.is_none() && d.writes());
         assert!(!d.commit.is_empty());
+        // A check without --out compares in memory and writes nothing.
+        assert!(!BaselineArgs::from_iter(["--check".to_string()]).writes());
     }
 
     #[test]

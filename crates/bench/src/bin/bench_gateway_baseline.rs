@@ -50,7 +50,7 @@
 //! existing columns.
 //!
 //! Entries reuse the [`BenchEntry`] schema so the commit-stamped
-//! [`BenchSeries`] machinery (per-scenario noise-aware regression
+//! `BenchSeries` machinery (per-scenario noise-aware regression
 //! gates) applies unchanged: `queue_depth` = shard count (ingest
 //! family) or thread count (parallel family), `pet_support` = tasks
 //! pushed, `incremental_ns` = ns/arrival, `scratch_ns` = the family's
@@ -67,7 +67,9 @@
 //! Flags: `--smoke` (single repeat for CI — the workload stays the
 //! standard one so the smoke run's (scenario, depth, support) triples
 //! match the tracked series and the regression comparison is never
-//! vacuous), `--out DIR`, `--commit LABEL`, `--check` (exit non-zero
+//! vacuous), `--out DIR` (default `results`; a `--check` run without
+//! it compares against the tracked series in memory and writes
+//! nothing), `--commit LABEL`, `--check` (exit non-zero
 //! on a noise-aware per-scenario regression vs the previous run, when
 //! the 4-shard scaling fails to exceed 1×, **or** — on hosts with ≥ 4
 //! hardware threads, i.e. CI — when the 1→4-thread scaling of the
@@ -80,7 +82,7 @@ use std::time::Instant;
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
 use taskprune_bench::args::BaselineArgs;
-use taskprune_bench::report::{BenchEntry, BenchSeries};
+use taskprune_bench::report::BenchEntry;
 use taskprune_sim::{
     LadderConfig, RateLimit, SlaClass, TenancyPolicy, TenantSpec,
 };
@@ -299,15 +301,10 @@ fn measure_tenancy(
 }
 
 fn main() {
-    let BaselineArgs {
-        smoke,
-        check,
-        out_dir,
-        commit,
-    } = BaselineArgs::parse();
+    let args = BaselineArgs::parse();
 
     let (total_tasks, span_tu) = (10_000, 600.0);
-    let repeats = if smoke { 1 } else { 3 };
+    let repeats = if args.smoke { 1 } else { 3 };
 
     let pet = PetGenConfig::paper_heterogeneous(
         taskprune::experiment::PET_MATRIX_SEED,
@@ -588,8 +585,7 @@ fn main() {
         });
     }
 
-    let mut series = BenchSeries::load_or_new(
-        &out_dir,
+    let series = args.append_run(
         "gateway_baseline",
         "Per-PR federation ingest-throughput trajectory: the standard \
          oversubscribed MM+pruning workload pushed through a round-robin \
@@ -624,12 +620,9 @@ fn main() {
          tenants that submitted (the SLA-isolation signal), shed_pct = \
          front-door drops as a % of submissions. One commit-stamped run \
          appended per invocation.",
-    )
-    .expect("unreadable bench series — fix or remove it before appending");
-    series.append(commit.clone(), entries);
+        entries,
+    );
     let gate = series.check_regression_per_scenario(REGRESSION_THRESHOLD);
-    let path = series.write_file(&out_dir).expect("write bench series");
-    println!("wrote {path} ({} runs, newest {commit})", series.runs.len());
 
     let mut failed = false;
     if scaling_at_4_shards <= 1.0 {
@@ -683,7 +676,7 @@ fn main() {
             failed = true;
         }
     }
-    if failed && check {
+    if failed && args.check {
         std::process::exit(1);
     }
     if failed {

@@ -10,10 +10,13 @@
 //! `results/BENCH_mapping_event.json` (migrating the pre-series
 //! single-report format on first contact), so the file accumulates one
 //! entry per PR and the perf trajectory is diffable across history.
+//! A `--check` run without `--out` compares against that series in
+//! memory and writes nothing.
 //!
 //! Flags:
 //! * `--smoke`        small grid for CI;
-//! * `--out DIR`      series directory (default `results`);
+//! * `--out DIR`      series directory (default `results`), written
+//!   even under `--check`;
 //! * `--commit LABEL` stamp for this run (default: `git rev-parse
 //!   --short HEAD`, falling back to `unknown`);
 //! * `--check`        exit non-zero when any *scenario's* geometric-mean
@@ -27,7 +30,7 @@ use taskprune_bench::args::BaselineArgs;
 use taskprune_bench::chainbench::{
     probe_task, wide_pet_matrix, wide_queue, CHAIN_DEPTHS, CHAIN_SUPPORTS,
 };
-use taskprune_bench::report::{BenchEntry, BenchSeries};
+use taskprune_bench::report::BenchEntry;
 use taskprune_model::{PetMatrix, SimTime};
 use taskprune_sim::queue::MachineQueue;
 
@@ -99,14 +102,9 @@ fn steady_cycle(q: &mut MachineQueue, pet: &PetMatrix, scratch: bool) -> f64 {
 }
 
 fn main() {
-    let BaselineArgs {
-        smoke,
-        check,
-        out_dir,
-        commit,
-    } = BaselineArgs::parse();
+    let args = BaselineArgs::parse();
 
-    let (depths, supports): (&[usize], &[usize]) = if smoke {
+    let (depths, supports): (&[usize], &[usize]) = if args.smoke {
         (&[4, 16], &[64])
     } else {
         (CHAIN_DEPTHS, CHAIN_SUPPORTS)
@@ -158,8 +156,7 @@ fn main() {
         }
     }
 
-    let mut series = BenchSeries::load_or_new(
-        &out_dir,
+    let series = args.append_run(
         "mapping_event",
         "Per-PR perf trajectory of the queue-estimator mutation cycles a \
          mapping event performs (remove/admit/pop + chance query): lazy \
@@ -167,12 +164,9 @@ fn main() {
          rebuilds. ns per cycle, release build; one commit-stamped run \
          appended per invocation. The regression gate compares the \
          machine-relative incremental-vs-scratch speedup, not absolute ns.",
-    )
-    .expect("unreadable bench series — fix or remove it before appending");
-    series.append(commit.clone(), entries);
+        entries,
+    );
     let gate = series.check_regression_per_scenario(REGRESSION_THRESHOLD);
-    let path = series.write_file(&out_dir).expect("write bench series");
-    println!("wrote {path} ({} runs, newest {commit})", series.runs.len());
     match gate {
         Ok(per_scenario) => {
             for (scenario, degradation) in &per_scenario {
@@ -189,7 +183,7 @@ fn main() {
         }
         Err(report) => {
             eprintln!("{report}");
-            if check {
+            if args.check {
                 std::process::exit(1);
             }
             eprintln!("(--check not set: recorded but not failing)");

@@ -126,7 +126,7 @@ pub struct BenchEntry {
     /// series instead of reading as a silent pass.
     pub gate: Option<String>,
     /// Percentage of ingested arrivals the function-reuse gate absorbed
-    /// (dedup hits + merges over total arrivals) in the measured run.
+    /// (dedup hits over total arrivals) in the measured run.
     /// `None` for scenarios without a reuse gate (including every entry
     /// recorded before the gate existed).
     pub reuse_hit_pct: Option<f64>,

@@ -59,9 +59,9 @@ impl<'a> ResourceAllocator<'a> {
     }
 
     /// Sets the gateway's function-reuse policy (exact-duplicate
-    /// piggybacking and deadline-window merging; see
-    /// [`taskprune_sim::ReusePolicy`]). Default: off. Every entry point
-    /// observes it: a single-cluster run has a one-shard gateway too.
+    /// piggybacking; see [`taskprune_sim::ReusePolicy`]). Default: off.
+    /// Every entry point observes it: a single-cluster run has a
+    /// one-shard gateway too.
     pub fn reuse(mut self, policy: ReusePolicy) -> Self {
         self.reuse = policy;
         self

@@ -1,14 +1,13 @@
 //! Cumulative distribution views of PMFs.
 //!
-//! The simulator's hot path is the chance-of-success query of Eq. 2:
-//! `S(i,j) = P(PCT(i,j) ≤ δᵢ)` where `PCT(i,j) = PET(i,j) ∗ PCT_tail(j)`.
-//! Materialising the convolution for every candidate (task, machine) pair
-//! would be quadratic; instead each machine keeps its queue-tail
-//! distribution as a [`Cdf`] and the query becomes one dot product:
-//!
-//! `S = Σ_x PET(x) · CDF_tail(δ − x)`
-//!
-//! which is exact and costs only the PET support length.
+//! Eq. 2's chance of success, `S(i,j) = P(PCT(i,j) ≤ δᵢ)` with
+//! `PCT(i,j) = PET(i,j) ∗ PCT_tail(j)`, need not materialise the
+//! convolution: with the queue tail kept as a [`Cdf`] it is the dot
+//! product `S = Σ_x PET(x) · CDF_tail(δ − x)`, exact and as long as the
+//! PET's support. The simulator's machine queues evaluate that sum in
+//! their own Eq. 2 kernels over a [`Cdf`]'s dense window
+//! ([`Cdf::dense_cum`]); this module only builds and reads the
+//! cumulative view.
 
 use crate::pmf::Pmf;
 use crate::Bin;
@@ -99,26 +98,6 @@ impl Cdf {
     pub fn dense_cum(&self) -> &[f64] {
         &self.cum
     }
-
-    /// The chance-of-success dot product (Eq. 2 without materialising the
-    /// convolution): probability that `pet + X ≤ deadline` where `X ~ self`.
-    ///
-    /// `pet` is a *relative* duration PMF; `self` is the absolute-time
-    /// distribution of when the machine's queue tail finishes.
-    pub fn success_after(&self, pet: &Pmf, deadline: Bin) -> f64 {
-        let mut total = 0.0;
-        for (dur, p) in pet.iter() {
-            if p == 0.0 {
-                continue;
-            }
-            if dur > deadline {
-                // Even starting at time 0 this duration overshoots.
-                continue;
-            }
-            total += p * self.at(deadline - dur);
-        }
-        total.clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -158,31 +137,5 @@ mod tests {
         let cdf = pmf.to_cdf();
         assert!(approx(cdf.window_mass(), 0.5));
         assert!(approx(cdf.at(1_000_000), 0.5));
-    }
-
-    #[test]
-    fn success_after_equals_explicit_convolution() {
-        let tail = Pmf::from_points(&[(4, 0.17), (5, 0.33), (6, 0.5)]).unwrap();
-        let pet =
-            Pmf::from_points(&[(1, 0.125), (2, 0.125), (3, 0.75)]).unwrap();
-        let cdf = tail.to_cdf();
-        let pct = pet.convolve(&tail);
-        for deadline in 0..15 {
-            assert!(
-                approx(
-                    cdf.success_after(&pet, deadline),
-                    pct.success_probability(deadline)
-                ),
-                "deadline {deadline}"
-            );
-        }
-    }
-
-    #[test]
-    fn success_after_zero_when_duration_exceeds_deadline() {
-        let cdf = Cdf::point_mass(0);
-        let pet = Pmf::from_points(&[(10, 1.0)]).unwrap();
-        assert!(approx(cdf.success_after(&pet, 5), 0.0));
-        assert!(approx(cdf.success_after(&pet, 10), 1.0));
     }
 }

@@ -82,20 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn success_query_equals_explicit_convolution(
-        pet in arb_pmf(),
-        tail in arb_pmf(),
-        deadline in 0u64..1400
-    ) {
-        let cdf = Cdf::from_pmf(&tail);
-        let via_dot = cdf.success_after(&pet, deadline);
-        let via_conv = convolve_direct(&pet, &tail)
-            .success_probability(deadline);
-        prop_assert!((via_dot - via_conv).abs() < 1e-9,
-            "dot {} vs conv {}", via_dot, via_conv);
-    }
-
-    #[test]
     fn success_probability_monotone_in_deadline(
         pmf in arb_truncated_pmf(),
         d1 in 0u64..700,

@@ -429,12 +429,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     ///   this point on every replica);
     /// * primary in flight → the follower parks in the ledger until
     ///   the primary's terminal outcome fans out.
-    pub(crate) fn apply_piggyback(
-        &mut self,
-        primary: TaskId,
-        task: Task,
-        merged: bool,
-    ) {
+    pub(crate) fn apply_piggyback(&mut self, primary: TaskId, task: Task) {
         debug_assert!(
             task.arrival <= self.now,
             "piggyback arrival {:?} is in the future; advance first",
@@ -448,7 +443,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
         match self.stats.outcome(primary) {
             Some(TaskOutcome::CompletedOnTime | TaskOutcome::CompletedLate) => {
                 self.stats.record_arrival(&task);
-                self.reuse.note_hit(merged);
+                self.reuse.note_hit();
                 let on_time = self.now <= task.deadline;
                 self.stats.record_outcome(
                     &task,
@@ -477,7 +472,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             }
             None => {
                 self.stats.record_arrival(&task);
-                self.reuse.note_hit(merged);
+                self.reuse.note_hit();
                 self.reuse.add_follower(primary, task);
                 self.sink
                     .record(self.now, TraceEvent::Arrived { task: task.id });
@@ -1381,7 +1376,7 @@ mod tests {
         c.advance_to(SimTime(5_000));
         let snap = c.snapshot();
         let follower = Task::new(1, TaskTypeId(0), SimTime(100), SimTime(600));
-        c.apply_piggyback(TaskId(0), follower, false);
+        c.apply_piggyback(TaskId(0), follower);
         assert_eq!(c.reuse_stats().cycles_saved, 300);
         // A piggybacked arrival moves the watermark like any other.
         assert_eq!(
@@ -1392,7 +1387,7 @@ mod tests {
         let mut back = core(&pet, &cluster);
         back.set_reuse_active(true);
         back.restore(&snap).expect("the capture restores");
-        back.apply_piggyback(TaskId(0), follower, false);
+        back.apply_piggyback(TaskId(0), follower);
         assert_eq!(back.reuse_stats(), c.reuse_stats());
     }
 

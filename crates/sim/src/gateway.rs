@@ -362,11 +362,11 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// the tenant admission table (quotas, SLA classes, ladder — when
     /// tenancy is on), then the reuse gate, then either routes it —
     /// compacting the id into the chosen shard's dense space and
-    /// running that shard's mapping event — or absorbs it onto an
-    /// in-flight primary (exact duplicate or deadline-window merge,
-    /// per the configured [`ReusePolicy`]). The returned [`Admission`]
-    /// says which happened; a shed arrival reports
-    /// [`Admission::Shed`] and touches nothing.
+    /// running that shard's mapping event — or, when the configured
+    /// [`ReusePolicy`] is on and it is an exact duplicate, absorbs it
+    /// onto its in-flight primary. The returned [`Admission`] says
+    /// which happened; a shed arrival reports [`Admission::Shed`] and
+    /// touches nothing.
     ///
     /// # Panics
     /// When the task's type is not one of the PET matrix's task types,
@@ -412,22 +412,11 @@ impl<'a, S: Sink> Gateway<'a, S> {
         let (shard, op) = self.admit_route(task);
         op.apply(&mut self.shards[shard]);
         match op {
-            JournalOp::Piggyback {
-                primary,
-                task,
-                merged: true,
-            } => Admission::Merged {
+            JournalOp::Piggyback { primary, task } => Admission::Piggybacked {
                 shard,
                 primary,
                 internal: task.id,
             },
-            JournalOp::Piggyback { primary, task, .. } => {
-                Admission::Piggybacked {
-                    shard,
-                    primary,
-                    internal: task.id,
-                }
-            }
             JournalOp::Arrival(task) => Admission::Routed {
                 shard,
                 internal: task.id,
@@ -463,10 +452,9 @@ impl<'a, S: Sink> Gateway<'a, S> {
         let mut relabelled = task;
         relabelled.id = internal;
         let op = match absorbed {
-            Some((_, primary, merged)) => JournalOp::Piggyback {
+            Some((_, primary)) => JournalOp::Piggyback {
                 primary,
                 task: relabelled,
-                merged,
             },
             None => {
                 self.reuse.register(&task, shard, internal);
@@ -857,10 +845,10 @@ pub struct FederationStats {
     /// against fault-free ones on serialized stats, and the log
     /// records *how* the outcome was reached, not the outcome itself.
     pub(crate) recovery: RecoveryLog,
-    /// Federation-wide reuse counters (exact hits, window merges,
-    /// machine-ticks saved). Excluded from the wire shape for the same
-    /// reason as the recovery log: serialized stats must stay
-    /// bit-identical across reuse configurations.
+    /// Federation-wide reuse counters (exact hits, machine-ticks
+    /// saved). Excluded from the wire shape for the same reason as the
+    /// recovery log: serialized stats must stay bit-identical across
+    /// reuse configurations.
     pub(crate) reuse: ReuseStats,
     /// Per-tenant admission counters, present when the gateway ran
     /// with a [`TenancyPolicy`]. Off the wire shape like the other
@@ -934,11 +922,11 @@ impl FederationStats {
         &self.recovery
     }
 
-    /// Federation-wide reuse counters: exact-duplicate hits, window
-    /// merges, and the machine-ticks absorbed followers did not
-    /// consume. All zero when [`ReusePolicy::Off`] (or when the stats
-    /// were deserialized — like the recovery log, reuse counters are
-    /// observability and stay off the serialized wire shape).
+    /// Federation-wide reuse counters: exact-duplicate hits and the
+    /// machine-ticks absorbed followers did not consume. All zero when
+    /// [`ReusePolicy::Off`] (or when the stats were deserialized — like
+    /// the recovery log, reuse counters are observability and stay off
+    /// the serialized wire shape).
     pub fn reuse_stats(&self) -> ReuseStats {
         self.reuse
     }
@@ -1999,11 +1987,14 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
     /// [`Gateway::restore`]), a [`SnapshotError::ShapeMismatch`] names
     /// per-shard driver state, journals or fault-injector counters
     /// without one entry per shard, an RNG state that is not four
-    /// words, an event naming a shard this federation does not have or
-    /// due before the restored clock, or a per-shard pending count
-    /// that disagrees with the shard's events. A plug-in hook that
-    /// rejects its state fails later: then the engine's state is
-    /// unspecified and it should be discarded.
+    /// words, an event naming a shard this federation does not have, a
+    /// machine its shard lacks, or due before the restored clock, a
+    /// per-shard pending count that disagrees with the shard's events,
+    /// or a journal a crashed shard could not replay (see
+    /// `ShardJournal::check`: an operation out of time order, or one
+    /// naming a machine, a task type or an id its shard lacks). A
+    /// plug-in hook that rejects its state fails later: then the
+    /// engine's state is unspecified and it should be discarded.
     pub fn restore_coordinator(
         &mut self,
         snap: &Snapshot,
@@ -2052,6 +2043,13 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             if e.time < now {
                 return shape("an event is due before the federation clock");
             }
+            if let EventKind::Completion { machine, .. } = e.kind {
+                if machine.0 as usize
+                    >= self.gateway.shards()[e.shard].n_machines()
+                {
+                    return shape("an event names a machine its shard lacks");
+                }
+            }
             lane.events.push(Event {
                 time: e.time,
                 kind: e.kind,
@@ -2065,6 +2063,13 @@ impl<'a, S: Sink> FederatedEngine<'a, S> {
             return shape(
                 "a shard's pending-event count disagrees with its events",
             );
+        }
+        for (shard, (journal, core)) in
+            state.journals.iter().flatten().zip(&cores).enumerate()
+        {
+            journal.check(&self.gateway.shards()[shard], core.now(), |id| {
+                gateway.compact.external(shard, id).is_some()
+            })?;
         }
         self.gateway.install(gateway, cores)?;
         self.undelivered = state

@@ -21,7 +21,9 @@
 
 use crate::core::SchedulerCore;
 use crate::sink::Sink;
+use crate::snapshot::SnapshotError;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use taskprune_model::{MachineId, SimTime, Task, TaskId};
 
 /// One operation applied to a shard core, as the driver applied it.
@@ -51,9 +53,6 @@ pub enum JournalOp {
         primary: TaskId,
         /// The relabelled follower exactly as it was absorbed.
         task: Task,
-        /// Whether this was a deadline-window merge (vs an exact
-        /// duplicate).
-        merged: bool,
     },
 }
 
@@ -71,11 +70,9 @@ impl JournalOp {
                 return core.complete(machine, task);
             }
             JournalOp::Wakeup => core.wakeup(),
-            JournalOp::Piggyback {
-                primary,
-                task,
-                merged,
-            } => core.apply_piggyback(primary, task, merged),
+            JournalOp::Piggyback { primary, task } => {
+                core.apply_piggyback(primary, task)
+            }
         }
         true
     }
@@ -136,6 +133,63 @@ impl ShardJournal {
     /// logged prefix.
     pub fn clear(&mut self) {
         self.entries.clear();
+    }
+
+    /// Checks, before a restore installs it, that the journal replays
+    /// on `core` without a panic: its entries are in time order and
+    /// none is after `clock`, the shard's restored clock; every
+    /// completion names a machine the shard has; and every arrival or
+    /// piggyback is a task of a type the PET has, arriving by its
+    /// entry's time, under an id `assigned` accepts (one the compactor
+    /// gave this shard) that no other journaled arrival carries.
+    ///
+    /// # Errors
+    /// A [`SnapshotError::ShapeMismatch`] naming the first misfit.
+    pub(crate) fn check<S: Sink>(
+        &self,
+        core: &SchedulerCore<'_, S>,
+        clock: SimTime,
+        assigned: impl Fn(TaskId) -> bool,
+    ) -> Result<(), SnapshotError> {
+        let shape = |what| Err(SnapshotError::ShapeMismatch { what });
+        if self.entries.windows(2).any(|w| w[0].time > w[1].time)
+            || self.entries.last().is_some_and(|e| e.time > clock)
+        {
+            return shape(
+                "journaled operations are out of time order or after \
+                 their shard's clock",
+            );
+        }
+        let mut arrived = HashSet::new();
+        for e in &self.entries {
+            let task = match e.op {
+                JournalOp::Completion { machine, .. }
+                    if machine.0 as usize >= core.n_machines() =>
+                {
+                    return shape(
+                        "a journaled completion names a machine its shard \
+                         lacks",
+                    );
+                }
+                JournalOp::Arrival(task)
+                | JournalOp::Piggyback { task, .. } => task,
+                JournalOp::Completion { .. } | JournalOp::Wakeup => continue,
+            };
+            let what = if task.type_id.0 as usize >= core.pet().n_task_types() {
+                "a journaled arrival has a task type the PET lacks"
+            } else if !assigned(task.id) {
+                "a journaled arrival has an id the compactor did not assign \
+                 to its shard"
+            } else if !arrived.insert(task.id) {
+                "two journaled arrivals share an id"
+            } else if task.arrival > e.time {
+                "a journaled arrival arrives after its entry's time"
+            } else {
+                continue;
+            };
+            return shape(what);
+        }
+        Ok(())
     }
 
     /// Re-applies the logged operations to `core`, advancing its clock

@@ -54,12 +54,11 @@
 //!   Together they give crash-failover (`replay(snapshot, log)`
 //!   reproduces a shard bit-identically) and cold coordinator restarts.
 //! * [`ReusePolicy`] / [`Admission`] — the function-reuse layer: a
-//!   content-keyed gate at the gateway absorbs exact-duplicate and
-//!   deadline-window-mergeable arrivals onto their in-flight primary,
-//!   fanning the single completion out to every follower (each judged
-//!   against its own deadline); it holds only primaries that can still
-//!   finish on time. Off by default and bit-identical to a gateway
-//!   without it.
+//!   content-keyed gate at the gateway absorbs exact duplicates onto
+//!   their in-flight primary, fanning the single completion out to
+//!   every follower (each judged against its own deadline); it holds
+//!   only primaries that can still finish on time. Off by default and
+//!   bit-identical to a gateway without it.
 //! * [`FaultPlan`] / [`Supervisor`] — the robustness layer: seeded,
 //!   replayable fault schedules injected into the serial
 //!   [`FederatedEngine`], and a self-healing supervisor over it that

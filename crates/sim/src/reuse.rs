@@ -1,25 +1,16 @@
-//! Content-keyed function reuse: exact-duplicate piggybacking and
-//! deadline-window task merging at the federation gateway.
+//! Content-keyed function reuse: exact-duplicate piggybacking at the
+//! federation gateway.
 //!
 //! Oversubscribed serverless platforms see the *same* request many
 //! times — the multimedia workloads behind the paper's evaluation are
 //! full of identical Group-Of-Pictures transcodes — and the gateway is
 //! the one place that observes every arrival before any machine-queue
 //! commitment. This module turns that vantage point into a reuse
-//! cache (arXiv:2104.04474):
-//!
-//! * **Exact duplicates** (same *content key*) piggyback on the
-//!   in-flight primary instance: the follower never enters a queue,
-//!   and the primary's single completion fans out to every follower,
-//!   each judged against its *own* deadline.
-//! * **Mergeable tasks** (same task type, deadline within a
-//!   configurable window *at or after* an in-flight primary's) share
-//!   the primary's execution the same way. Because the primary's
-//!   deadline is never later than the follower's, the primary's Eq. 2
-//!   chance-of-success — already priced by the Eq. 1 chain of the
-//!   queue it sits in — is a conservative lower bound for the merged
-//!   pair: a merge can only raise, never lower, a follower's success
-//!   probability.
+//! cache (arXiv:2104.04474): an exact duplicate (same *content key*)
+//! piggybacks on the in-flight primary instance. The follower never
+//! enters a queue, and the primary's single completion fans out to
+//! every follower, each judged against its *own* deadline. Distinct
+//! requests never share an execution.
 //!
 //! The **content key** is `(external task id, task type)`. The model's
 //! [`Task`] carries no payload; the external id names the request
@@ -41,7 +32,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use taskprune_model::{SimTime, Task, TaskId};
 
-/// How aggressively the gateway coalesces arrivals onto in-flight
+/// Whether the gateway absorbs exact duplicates onto their in-flight
 /// primaries. Configured via [`crate::GatewayBuilder::reuse`]; the
 /// default is [`ReusePolicy::Off`], which is bit-identical to a
 /// gateway without the subsystem.
@@ -50,31 +41,15 @@ pub enum ReusePolicy {
     /// No reuse: every arrival routes and executes individually.
     #[default]
     Off,
-    /// Only exact content-key duplicates piggyback on their in-flight
+    /// Exact content-key duplicates piggyback on their in-flight
     /// primary; distinct requests never coalesce.
     ExactOnly,
-    /// Exact duplicates piggyback, and tasks of the same type whose
-    /// deadline falls within `window` *after* an in-flight primary's
-    /// deadline merge onto that primary.
-    Merge {
-        /// Largest allowed deadline gap (follower minus primary) for a
-        /// type-class merge.
-        window: SimTime,
-    },
 }
 
 impl ReusePolicy {
     /// Whether any reuse happens under this policy.
     pub fn is_enabled(self) -> bool {
         self != ReusePolicy::Off
-    }
-
-    /// The merge window, when type-class merging is on.
-    pub fn merge_window(self) -> Option<SimTime> {
-        match self {
-            ReusePolicy::Merge { window } => Some(window),
-            _ => None,
-        }
     }
 }
 
@@ -104,16 +79,6 @@ pub enum Admission {
         /// recorded under this id).
         internal: TaskId,
     },
-    /// The task merged onto a same-type primary within the configured
-    /// deadline window ([`ReusePolicy::Merge`]).
-    Merged {
-        /// Shard holding the primary.
-        shard: usize,
-        /// Shard-internal id of the primary it merged onto.
-        primary: TaskId,
-        /// The follower's own shard-internal id.
-        internal: TaskId,
-    },
     /// The tenant admission layer shed the task before it reached the
     /// reuse gate or routing: it entered no shard, consumed no id, and
     /// left every downstream coordinate untouched. Only produced when
@@ -137,8 +102,7 @@ impl Admission {
     pub fn shard(&self) -> usize {
         match *self {
             Admission::Routed { shard, .. }
-            | Admission::Piggybacked { shard, .. }
-            | Admission::Merged { shard, .. } => shard,
+            | Admission::Piggybacked { shard, .. } => shard,
             Admission::Shed { .. } => {
                 panic!("shed admission has no shard")
             }
@@ -155,8 +119,7 @@ impl Admission {
     pub fn internal(&self) -> TaskId {
         match *self {
             Admission::Routed { internal, .. }
-            | Admission::Piggybacked { internal, .. }
-            | Admission::Merged { internal, .. } => internal,
+            | Admission::Piggybacked { internal, .. } => internal,
             Admission::Shed { .. } => {
                 panic!("shed admission has no internal id")
             }
@@ -165,10 +128,7 @@ impl Admission {
 
     /// Whether the task was absorbed by a primary instead of routing.
     pub fn is_absorbed(&self) -> bool {
-        matches!(
-            self,
-            Admission::Piggybacked { .. } | Admission::Merged { .. }
-        )
+        matches!(self, Admission::Piggybacked { .. })
     }
 
     /// Whether the tenant admission layer shed the task.
@@ -188,8 +148,6 @@ impl Admission {
 pub struct ReuseStats {
     /// Exact content-key duplicates absorbed onto a primary.
     pub hits: u64,
-    /// Same-type deadline-window merges absorbed onto a primary.
-    pub merges: u64,
     /// Machine-ticks of execution the absorbed followers did **not**
     /// consume: the primary's measured execution time, once per
     /// resolved follower.
@@ -197,15 +155,14 @@ pub struct ReuseStats {
 }
 
 impl ReuseStats {
-    /// Total followers absorbed (exact hits plus merges).
+    /// Total followers absorbed: the exact hits.
     pub fn absorbed(&self) -> u64 {
-        self.hits + self.merges
+        self.hits
     }
 
     /// Adds another shard's counters into this one.
     pub(crate) fn accumulate(&mut self, other: &ReuseStats) {
         self.hits = self.hits.saturating_add(other.hits);
-        self.merges = self.merges.saturating_add(other.merges);
         self.cycles_saved =
             self.cycles_saved.saturating_add(other.cycles_saved);
     }
@@ -219,12 +176,6 @@ struct GateEntry {
     deadline: SimTime,
 }
 
-/// Class-index tuple: `(deadline ticks, shard, internal, external id)`.
-/// Ordered by deadline first so a window query is one `BTreeSet` range;
-/// the trailing fields make the tuple unique and name the primary a
-/// query returns.
-type ClassTuple = (u64, u64, u64, u64);
-
 /// The coordinator-side reuse cache: maps live content keys to their
 /// in-flight primary. Owned by [`crate::Gateway`]; consulted once per
 /// arrival in global arrival order, which is what keeps its decisions
@@ -234,17 +185,12 @@ type ClassTuple = (u64, u64, u64, u64);
 /// arrival watermark: every admission sweeps the expired ones off the
 /// front of a deadline-ordered index, so its size follows the live
 /// working set rather than the length of the run. An expired primary
-/// can no longer complete on time, so neither the exact nor the merge
-/// path ever returned one, and the sweep changes no decision.
+/// can no longer complete on time, so the gate never returns one.
 #[derive(Debug)]
 pub(crate) struct ReuseGate {
     policy: ReusePolicy,
     /// Live primaries by content key `(external id, task type)`.
     cache: HashMap<(u64, u16), GateEntry>,
-    /// Per-type deadline index for window merges; exactly mirrors
-    /// `cache` (every cache entry has one tuple here and vice versa)
-    /// when the policy is [`ReusePolicy::Merge`], empty otherwise.
-    classes: HashMap<u16, BTreeSet<ClassTuple>>,
     /// Expiry index `(deadline ticks, external id, task type)`, one
     /// tuple per cache entry.
     expiry: BTreeSet<(u64, u64, u16)>,
@@ -260,7 +206,6 @@ impl ReuseGate {
         Self {
             policy,
             cache: HashMap::new(),
-            classes: HashMap::new(),
             expiry: BTreeSet::new(),
             watermark: SimTime::ZERO,
         }
@@ -270,15 +215,12 @@ impl ReuseGate {
         self.policy
     }
 
-    /// Decides whether `task` (external ids) absorbs onto an in-flight
-    /// primary. Returns `(primary shard, primary internal id, merged)`
-    /// on a hit. Advances the arrival watermark and sweeps the expired
-    /// primaries as a side effect, so callers must consult the gate
-    /// for **every** arrival, in global arrival order.
-    pub(crate) fn admit(
-        &mut self,
-        task: &Task,
-    ) -> Option<(usize, TaskId, bool)> {
+    /// Decides whether `task` (external ids) is an exact duplicate of
+    /// an in-flight primary. Returns `(primary shard, primary internal
+    /// id)` on a hit. Advances the arrival watermark and sweeps the
+    /// expired primaries as a side effect, so callers must consult the
+    /// gate for **every** arrival, in global arrival order.
+    pub(crate) fn admit(&mut self, task: &Task) -> Option<(usize, TaskId)> {
         if !self.policy.is_enabled() {
             return None;
         }
@@ -293,19 +235,9 @@ impl ReuseGate {
             self.expiry.pop_first();
             self.remove_entry((ext, ty));
         }
-        if let Some(entry) = self.cache.get(&(task.id.0, task.type_id.0)) {
-            return Some((entry.shard, TaskId(entry.internal), false));
-        }
-        let window = self.policy.merge_window()?;
-        let class = self.classes.get(&task.type_id.0)?;
-        let lo = task.deadline.saturating_sub(window).ticks();
-        let hi = task.deadline.ticks();
-        // Largest in-window deadline wins: the latest primary still
-        // finishing no later than the follower needs.
-        let &(_, shard, internal, _) = class
-            .range((lo, 0, 0, 0)..=(hi, u64::MAX, u64::MAX, u64::MAX))
-            .next_back()?;
-        Some((shard as usize, TaskId(internal), true))
+        self.cache
+            .get(&(task.id.0, task.type_id.0))
+            .map(|entry| (entry.shard, TaskId(entry.internal)))
     }
 
     /// Registers a freshly routed task as a live primary. `task`
@@ -343,42 +275,25 @@ impl ReuseGate {
         }
     }
 
-    /// Inserts one cache entry plus its expiry and class-index
-    /// mirrors, replacing any entry under the same key.
+    /// Inserts one cache entry plus its expiry mirror, replacing any
+    /// entry under the same key.
     fn insert_entry(&mut self, key: (u64, u16), entry: GateEntry) {
         self.remove_entry(key);
         self.cache.insert(key, entry);
         self.expiry.insert((entry.deadline.ticks(), key.0, key.1));
-        if self.policy.merge_window().is_some() {
-            self.classes.entry(key.1).or_default().insert((
-                entry.deadline.ticks(),
-                entry.shard as u64,
-                entry.internal,
-                key.0,
-            ));
-        }
     }
 
-    /// Removes one cache entry and both of its index mirrors (there is
-    /// no class tuple outside Merge mode).
+    /// Removes one cache entry and its expiry mirror.
     fn remove_entry(&mut self, (ext, ty): (u64, u16)) {
-        let Some(e) = self.cache.remove(&(ext, ty)) else {
-            return;
-        };
-        self.expiry.remove(&(e.deadline.ticks(), ext, ty));
-        if let Some(class) = self.classes.get_mut(&ty) {
-            let shard = e.shard as u64;
-            class.remove(&(e.deadline.ticks(), shard, e.internal, ext));
-            if class.is_empty() {
-                self.classes.remove(&ty);
-            }
+        if let Some(e) = self.cache.remove(&(ext, ty)) {
+            self.expiry.remove(&(e.deadline.ticks(), ext, ty));
         }
     }
 
     /// The gate's durable state (watermark + live cache) in canonical
     /// content-key order, so two replicas that admitted the same
-    /// stream seal the same bytes. The expiry and class indexes are
-    /// derived state and are rebuilt on restore.
+    /// stream seal the same bytes. The expiry index is derived state
+    /// and is rebuilt on restore.
     pub(crate) fn state(&self) -> GateState {
         let mut cache: Vec<WireEntry> = self
             .cache
@@ -399,12 +314,10 @@ impl ReuseGate {
     }
 
     /// Installs state captured by [`ReuseGate::state`], rebuilding the
-    /// expiry and class indexes under the gate's configured policy.
-    /// Entries already behind the watermark restore as captured; the
-    /// next admission sweeps them.
+    /// expiry index. Entries already behind the watermark restore as
+    /// captured; the next admission sweeps them.
     pub(crate) fn restore(&mut self, state: GateState) {
         self.cache.clear();
-        self.classes.clear();
         self.expiry.clear();
         self.watermark = state.watermark;
         for w in state.cache {
@@ -501,13 +414,9 @@ impl ReuseLedger {
         self.active
     }
 
-    /// Counts one absorbed follower (exact hit or window merge).
-    pub(crate) fn note_hit(&mut self, merged: bool) {
-        if merged {
-            self.stats.merges = self.stats.merges.saturating_add(1);
-        } else {
-            self.stats.hits = self.stats.hits.saturating_add(1);
-        }
+    /// Counts one absorbed follower.
+    pub(crate) fn note_hit(&mut self) {
+        self.stats.hits = self.stats.hits.saturating_add(1);
     }
 
     /// Parks a follower on its in-flight primary.
@@ -706,10 +615,7 @@ mod tests {
         assert_eq!(gate.admit(&t), None);
         gate.register(&t, 3, TaskId(41));
         // Same content key → absorbed onto shard 3 / internal 41.
-        assert_eq!(
-            gate.admit(&task(7, 2, 10, 900)),
-            Some((3, TaskId(41), false))
-        );
+        assert_eq!(gate.admit(&task(7, 2, 10, 900)), Some((3, TaskId(41))));
         // Same external id, different type: a different content key.
         assert_eq!(gate.admit(&task(7, 3, 20, 900)), None);
         // Different external id: miss.
@@ -743,7 +649,7 @@ mod tests {
         // The newest primary is live and still absorbs its duplicate.
         assert_eq!(
             gate.admit(&task(9_999, 0, 99_991, 99_999)),
-            Some((0, TaskId(9_999), false))
+            Some((0, TaskId(9_999)))
         );
     }
 
@@ -771,77 +677,23 @@ mod tests {
 
     #[test]
     fn capture_with_expired_entries_restores_then_sweeps() {
-        let policies = [
-            ReusePolicy::ExactOnly,
-            ReusePolicy::Merge {
-                window: SimTime(1_000),
-            },
-        ];
-        for policy in policies {
-            let mut gate = ReuseGate::new(policy);
-            // Two entries already behind the watermark, one live.
-            gate.restore(gate_state(500, &[(1, 100), (2, 400), (3, 900)]));
-            assert_eq!(gate.cache.len(), 3, "{policy:?}");
-            // The next admission sweeps both expired primaries: the
-            // merge path no longer finds the one due at 400 either.
-            assert_eq!(gate.admit(&task(7, 0, 600, 420)), None);
-            assert_eq!(gate.cache.len(), 1, "{policy:?}");
-            assert_eq!(gate.expiry.len(), 1, "{policy:?}");
-            assert_eq!(
-                gate.admit(&task(3, 0, 610, 950)),
-                Some((1, TaskId(13), false))
-            );
-        }
+        let mut gate = ReuseGate::new(ReusePolicy::ExactOnly);
+        // Two entries already behind the watermark, one live.
+        gate.restore(gate_state(500, &[(1, 100), (2, 400), (3, 900)]));
+        assert_eq!(gate.cache.len(), 3);
+        // The next admission sweeps both expired primaries: a
+        // duplicate of the one due at 400 no longer finds it.
+        assert_eq!(gate.admit(&task(2, 0, 600, 420)), None);
+        assert_eq!(gate.cache.len(), 1);
+        assert_eq!(gate.expiry.len(), 1);
+        assert_eq!(gate.admit(&task(3, 0, 610, 950)), Some((1, TaskId(13))));
         assert!(gate_state(0, &[(1, 100)]).fits(2));
         assert!(!gate_state(0, &[(1, 100)]).fits(1));
     }
 
     #[test]
-    fn merge_window_coalesces_same_type_late_deadline() {
-        let mut gate = ReuseGate::new(ReusePolicy::Merge {
-            window: SimTime(200),
-        });
-        let p = task(1, 5, 0, 1_000);
-        gate.admit(&p);
-        gate.register(&p, 2, TaskId(9));
-        // Same type, deadline 150 past the primary's: inside the window.
-        assert_eq!(
-            gate.admit(&task(2, 5, 10, 1_150)),
-            Some((2, TaskId(9), true))
-        );
-        // Deadline *before* the primary's: the primary might finish too
-        // late for this follower — no merge.
-        assert_eq!(gate.admit(&task(3, 5, 20, 900)), None);
-        // Outside the window.
-        assert_eq!(gate.admit(&task(4, 5, 30, 1_500)), None);
-        // Different type never merges.
-        assert_eq!(gate.admit(&task(5, 6, 40, 1_100)), None);
-    }
-
-    #[test]
-    fn merge_prefers_latest_in_window_primary() {
-        let mut gate = ReuseGate::new(ReusePolicy::Merge {
-            window: SimTime(1_000),
-        });
-        let a = task(1, 0, 0, 500);
-        let b = task(2, 0, 0, 800);
-        gate.admit(&a);
-        gate.register(&a, 0, TaskId(0));
-        gate.admit(&b);
-        gate.register(&b, 1, TaskId(0));
-        // Both are in-window for deadline 900; the latest-deadline
-        // primary (b, shard 1) wins.
-        assert_eq!(
-            gate.admit(&task(3, 0, 10, 900)),
-            Some((1, TaskId(0), true))
-        );
-    }
-
-    #[test]
     fn evict_shard_removes_its_primaries_only() {
-        let mut gate = ReuseGate::new(ReusePolicy::Merge {
-            window: SimTime(500),
-        });
+        let mut gate = ReuseGate::new(ReusePolicy::ExactOnly);
         let a = task(1, 0, 0, 1_000);
         let b = task(2, 0, 0, 1_100);
         gate.register(&a, 0, TaskId(0));
@@ -850,39 +702,29 @@ mod tests {
         // a's primary is gone; b still absorbs.
         assert_eq!(gate.admit(&task(1, 0, 5, 1_000)), None);
         // (the miss registered nothing — explicit re-probe of b)
-        assert_eq!(
-            gate.admit(&task(2, 0, 6, 1_100)),
-            Some((1, TaskId(0), false))
-        );
+        assert_eq!(gate.admit(&task(2, 0, 6, 1_100)), Some((1, TaskId(0))));
     }
 
     #[test]
-    fn gate_state_roundtrips_and_rebuilds_class_index() {
-        let mut gate = ReuseGate::new(ReusePolicy::Merge {
-            window: SimTime(300),
-        });
+    fn gate_state_roundtrips_and_rebuilds_its_expiry_index() {
+        let mut gate = ReuseGate::new(ReusePolicy::ExactOnly);
         let a = task(1, 0, 50, 1_000);
         gate.admit(&a);
         gate.register(&a, 0, TaskId(3));
         let wire = gate.state().to_value();
 
-        let mut back = ReuseGate::new(ReusePolicy::Merge {
-            window: SimTime(300),
-        });
+        let mut back = ReuseGate::new(ReusePolicy::ExactOnly);
         back.restore(GateState::from_value(&wire).expect("state decodes"));
         assert_eq!(back.watermark, SimTime(50));
         // Restored state re-serializes to the same canonical bytes
         // (before any admission advances the watermark).
         assert_eq!(back.state().to_value(), wire);
-        assert_eq!(
-            back.admit(&task(1, 0, 60, 1_000)),
-            Some((0, TaskId(3), false))
-        );
-        // The rebuilt class index still serves window merges.
-        assert_eq!(
-            back.admit(&task(9, 0, 70, 1_200)),
-            Some((0, TaskId(3), true))
-        );
+        assert_eq!(back.admit(&task(1, 0, 60, 1_000)), Some((0, TaskId(3))));
+        // The rebuilt expiry index still sweeps the primary once an
+        // arrival passes its deadline.
+        assert_eq!(back.expiry.len(), 1);
+        assert_eq!(back.admit(&task(1, 0, 1_001, 1_200)), None);
+        assert!(back.cache.is_empty() && back.expiry.is_empty());
     }
 
     #[test]
@@ -890,8 +732,8 @@ mod tests {
         let mut ledger = ReuseLedger::new();
         ledger.set_active(true);
         assert!(ledger.is_active());
-        ledger.note_hit(false);
-        ledger.note_hit(true);
+        ledger.note_hit();
+        ledger.note_hit();
         ledger.add_follower(TaskId(5), task(10, 0, 0, 100));
         ledger.add_follower(TaskId(5), task(11, 0, 1, 120));
         assert_eq!(ledger.take_followers(TaskId(4)), None);
@@ -905,8 +747,7 @@ mod tests {
         assert_eq!(
             *ledger.stats(),
             ReuseStats {
-                hits: 1,
-                merges: 1,
+                hits: 2,
                 cycles_saved: 250
             }
         );
@@ -929,7 +770,7 @@ mod tests {
         ledger.add_follower(TaskId(9), task(20, 1, 5, 300));
         ledger.add_follower(TaskId(2), task(21, 1, 6, 310));
         ledger.record_exec(TaskId(1), 77, SimTime(400));
-        ledger.note_hit(false);
+        ledger.note_hit();
         let wire = captured(&ledger, SimTime(6)).canonical().to_value();
         let text = serde_json::to_string(&wire).unwrap();
         assert!(

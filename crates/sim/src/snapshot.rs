@@ -19,8 +19,8 @@
 //!   an unknown version (a newer writer's data still parses), but
 //!   [`Snapshot::verify`] rejects any other version with
 //!   [`SnapshotError::UnsupportedVersion`] before a payload field is
-//!   read. Every capture an earlier build wrote is version 1, 2 or 3,
-//!   so none of them restores here.
+//!   read. Every capture an earlier build wrote is version 1 to 4, so
+//!   none of them restores here.
 //! * **Hash-sealed.** `state_hash` is an FNV-1a digest over a
 //!   canonical walk of the payload tree. Because the whole simulator
 //!   is bit-for-bit deterministic, two replicas that executed the same
@@ -91,7 +91,7 @@ use serde::{Deserialize, Serialize, Value};
 /// [`Snapshot::verify`] turns every other version into
 /// [`SnapshotError::UnsupportedVersion`], so an earlier build's
 /// capture is refused before its payload is read.
-pub const SNAPSHOT_VERSION: u64 = 4;
+pub const SNAPSHOT_VERSION: u64 = 5;
 
 /// Why a snapshot could not be verified or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -376,7 +376,7 @@ mod tests {
     }
 
     /// Only this build's version verifies: every earlier build wrote
-    /// version 1, 2 or 3, and a newer one may write anything above.
+    /// version 1 to 4, and a newer one may write anything above.
     #[test]
     fn only_this_builds_version_verifies() {
         let stamped = |version: u64| {
@@ -387,9 +387,9 @@ mod tests {
             fields[0].1 = Value::UInt(version);
             Snapshot::from_value(&wire).expect("decodes")
         };
-        assert_eq!(SNAPSHOT_VERSION, 4);
-        assert_eq!(stamped(4).verify().expect("version 4 is read"), &payload());
-        for found in [0, 1, 2, 3, 5] {
+        assert_eq!(SNAPSHOT_VERSION, 5);
+        assert_eq!(stamped(5).verify().expect("version 5 is read"), &payload());
+        for found in [0, 1, 2, 3, 4, 6] {
             assert_eq!(
                 stamped(found).verify(),
                 Err(SnapshotError::UnsupportedVersion { found })

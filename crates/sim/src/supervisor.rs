@@ -39,9 +39,9 @@
 //! [`FaultPlan`] means the same thing whether a gate absorbs
 //! duplicates or not), and each absorption is journaled as
 //! [`crate::JournalOp::Piggyback`] before delivery, so checkpoint +
-//! journal replay reproduces a merging shard bit-identically —
-//! `tests/reuse_equivalence.rs` pins a full-budget storm over a
-//! merging run against its fault-free twin.
+//! journal replay reproduces a reusing shard bit-identically —
+//! `tests/reuse_equivalence.rs` pins a full-budget storm over an
+//! exact-reuse run against its fault-free twin.
 
 use crate::config::RunError;
 use crate::core::CoreCapture;

@@ -18,9 +18,13 @@
 //! fraction of arrivals are content-keyed duplicates of an in-flight
 //! segment (arXiv:1901.09312 measures duplicate-heavy request mixes in
 //! serverless multimedia front-ends). We inject realistic duplicate
-//! rates with [`TaskStream::with_duplicate_rate`] and compare reuse
-//! policies (off / exact dedup / deadline-window merging) on a sharded
-//! federation.
+//! rates with [`TaskStream::with_duplicate_rate`] and compare reuse off
+//! with exact dedup on a sharded federation.
+//!
+//! The example asserts what it prints: pruning raises on-air % for MM
+//! and for MSD; without duplicates exact reuse absorbs nothing and
+//! matches reuse off; with duplicates it absorbs followers and keeps at
+//! least as many segments on air.
 //!
 //! Run with: `cargo run --release --example video_transcoding`
 
@@ -74,7 +78,7 @@ fn main() {
     let pet = PetMatrix::new(BinSpec::new(250), 4, 3, entries);
     let cluster = Cluster::one_per_type(4);
 
-    // The stream: 2500 segments over 400 time units — a viewer spike
+    // The stream: ~2500 segments over 400 time units — a viewer spike
     // triples the segment rate periodically (ad breaks, goals, ...).
     let workload = WorkloadConfig {
         total_tasks: 2_500,
@@ -95,6 +99,7 @@ fn main() {
 
     println!("heuristic        on-air %   wasted-compute %   dropped-late");
     for kind in [HeuristicKind::Mm, HeuristicKind::Msd] {
+        let mut on_air = Vec::new();
         for pruning in [None, Some(PruningConfig::paper_default())] {
             let stats =
                 ResourceAllocator::new(&cluster, &pet, SimConfig::batch(3))
@@ -112,7 +117,13 @@ fn main() {
                 100.0 * stats.wasted_fraction(),
                 stats.count(TaskOutcome::DroppedReactive),
             );
+            on_air.push(stats.robustness_pct(50));
         }
+        assert!(
+            on_air[1] > on_air[0],
+            "pruning must raise {}'s on-air %: {on_air:?}",
+            kind.name()
+        );
     }
     println!(
         "\n'on-air %' counts segments transcoded before their presentation \
@@ -124,28 +135,17 @@ fn main() {
     //
     // Re-run the stream through a 3-shard federation, injecting
     // content-keyed duplicate requests at realistic rates, and compare
-    // reuse policies. `Merge` additionally coalesces *distinct* segments
-    // of the same operation whose deadlines land within half a GOP of an
-    // in-flight one — the transcoded output serves both.
+    // reuse off with exact dedup.
     println!(
         "\n=== function reuse across a 3-shard federation \
-         (2500 segments + duplicates) ===\n"
+         ({} segments + duplicates) ===\n",
+        trial.len()
     );
-    let merge_window = SimTime(TICKS_PER_TIME_UNIT / 2);
-    let policies = [
-        ("off", ReusePolicy::Off),
-        ("exact", ReusePolicy::ExactOnly),
-        (
-            "merge",
-            ReusePolicy::Merge {
-                window: merge_window,
-            },
-        ),
-    ];
-    println!(
-        "dup-rate  policy   on-air %   dedup-hits   merges   cycles saved"
-    );
+    let policies =
+        [("off", ReusePolicy::Off), ("exact", ReusePolicy::ExactOnly)];
+    println!("dup-rate  policy   on-air %   dedup-hits   cycles saved");
     for rate in [0.0, 0.1, 0.3] {
+        let mut rows = Vec::new();
         for (name, policy) in policies {
             let tasks: Vec<Task> = workload
                 .stream_trial(&pet, 0)
@@ -164,12 +164,25 @@ fn main() {
                     .expect("valid configuration");
             let reuse = stats.reuse_stats();
             println!(
-                "{:>7.0}%  {name:<7} {:>8.1}   {:>10}   {:>6}   {:>12}",
+                "{:>7.0}%  {name:<7} {:>8.1}   {:>10}   {:>12}",
                 rate * 100.0,
                 stats.robustness_pct(50),
                 reuse.hits,
-                reuse.merges,
                 reuse.cycles_saved,
+            );
+            rows.push((stats.robustness_pct(50), reuse.absorbed()));
+        }
+        let [(off, _), (exact, absorbed)] = rows[..] else {
+            unreachable!("one row per policy");
+        };
+        if rate == 0.0 {
+            assert_eq!(absorbed, 0, "no duplicates, nothing to absorb");
+            assert_eq!(exact, off, "an idle gate must change nothing");
+        } else {
+            assert!(absorbed > 0, "{rate}: exact reuse absorbed nothing");
+            assert!(
+                exact >= off,
+                "{rate}: exact reuse lowered on-air % ({off} -> {exact})"
             );
         }
         println!();

@@ -603,7 +603,7 @@ fn hostile_coordinator_snapshots_are_typed_errors() {
 
 /// The federation the captures that used to restore and then panic
 /// come from: 3 round-robin shards of MM absorbing exact duplicates,
-/// with an empty fault plan armed.
+/// journaling, with an empty fault plan armed.
 fn armed_engine<'a>(
     cluster: &Cluster,
     pet: &'a PetMatrix,
@@ -616,8 +616,31 @@ fn armed_engine<'a>(
         .reuse(ReusePolicy::ExactOnly)
         .build()
         .expect("valid configuration");
+    engine.enable_journal();
     engine.arm_faults(FaultPlan::default());
     engine
+}
+
+/// The body of the first operation of kind `op` in any shard journal
+/// of a coordinator payload.
+fn journaled<'v>(
+    payload: &'v mut serde::Value,
+    op: &str,
+) -> &'v mut serde::Value {
+    let serde::Value::Array(journals) = field(payload, "journals") else {
+        panic!("the engine journals");
+    };
+    for journal in journals {
+        let serde::Value::Array(entries) = field(journal, "entries") else {
+            panic!("a journal holds its entries");
+        };
+        for entry in entries {
+            if let Some(body) = child(field(entry, "op"), op) {
+                return body;
+            }
+        }
+    }
+    panic!("no journaled {op}");
 }
 
 /// Coordinator captures that an earlier build restored and then
@@ -625,9 +648,14 @@ fn armed_engine<'a>(
 /// (at the next completion delivery), an id compactor cut to one
 /// shard of three with the arrival order cut to that shard's entries
 /// (at the next arrival routed past it), an arrival-order entry naming
-/// a shard the federation does not have (in the robustness fold), and
+/// a shard the federation does not have (in the robustness fold),
 /// reuse-gate primaries on such a shard (at the next arrival repeating
-/// one's key). Each is re-sealed, and each is a shape mismatch.
+/// one's key), and a pending completion naming a machine its shard
+/// lacks (when it fires). So did captures whose journal a crashed
+/// shard could not replay: a journaled completion on such a machine,
+/// a journaled arrival of task type 99 or under an id the compactor
+/// never assigned, and a journaled piggyback of task type 99. Each is
+/// re-sealed, and each is a shape mismatch.
 #[test]
 fn coordinator_captures_that_used_to_panic_are_shape_mismatches() {
     let (cluster, pet, base) = coordinator_setup();
@@ -682,6 +710,45 @@ fn coordinator_captures_that_used_to_panic_are_shape_mismatches() {
     });
     assert!(mismatch(restore(p)), "an arrival routed to shard 7 of 3");
 
+    let mut p = genuine.clone();
+    let serde::Value::Array(events) = field(&mut p, "events") else {
+        panic!("events is an array");
+    };
+    let completion = events
+        .iter_mut()
+        .find_map(|e| child(field(e, "kind"), "Completion"))
+        .expect("the pause leaves completions in flight");
+    *field(completion, "machine") = serde::Value::UInt(24_722);
+    assert!(
+        mismatch(restore(p)),
+        "a pending completion on machine 24 722"
+    );
+
+    let mut p = genuine.clone();
+    *field(journaled(&mut p, "Completion"), "machine") =
+        serde::Value::UInt(24_722);
+    assert!(
+        mismatch(restore(p)),
+        "a journaled completion on machine 24 722"
+    );
+
+    let mut p = genuine.clone();
+    *field(journaled(&mut p, "Arrival"), "type_id") = serde::Value::UInt(99);
+    assert!(mismatch(restore(p)), "a journaled arrival of task type 99");
+
+    let mut p = genuine.clone();
+    *field(journaled(&mut p, "Arrival"), "id") =
+        serde::Value::UInt(1_000_000_000);
+    assert!(mismatch(restore(p)), "a journaled arrival under id 10⁹");
+
+    let mut p = genuine.clone();
+    *field(field(journaled(&mut p, "Piggyback"), "task"), "type_id") =
+        serde::Value::UInt(99);
+    assert!(
+        mismatch(restore(p)),
+        "a journaled piggyback of task type 99"
+    );
+
     let mut p = genuine;
     edit_gateway(&mut p, |gateway| {
         let serde::Value::Array(cache) =
@@ -699,7 +766,7 @@ fn coordinator_captures_that_used_to_panic_are_shape_mismatches() {
 
 /// A coordinator snapshot captured by an earlier build is refused by
 /// its version before its payload is read: every earlier build wrote
-/// version 1, 2 or 3. The fixture is a version-1 capture of the setup
+/// version 1 to 4. The fixture is a version-1 capture of the setup
 /// above, supervised under `RecoveryPolicy::default()` and paused at
 /// 60 arrivals.
 #[test]
@@ -995,13 +1062,19 @@ fn reseal_envelopes(mut coordinator: serde::Value) -> Snapshot {
 
 /// A coordinator capture with one node changed anywhere in it — the
 /// coordinator's own fields, the gateway's, or any shard's — and every
-/// envelope re-sealed, never makes a restore or the resumed run panic.
-/// The federation is paused a third of the way into a trial with 30 %
-/// duplicates; each case restores into a fresh engine, finishes the
-/// stream and reads every arrival's outcome back, under
-/// `catch_unwind`, and must end in a typed error or a finished run. At
-/// an earlier build cases whose arrival-order entry named another
-/// shard restored and then panicked.
+/// envelope re-sealed, never makes a restore, a journal replay or the
+/// resumed run panic. The federation is paused a third of the way into
+/// a trial with 30 % duplicates; each case restores into a fresh
+/// engine, rebuilds one shard (cycling by case number) from an
+/// empty-core checkpoint and its restored journal, finishes the stream
+/// and reads every arrival's outcome back, under `catch_unwind`, and
+/// must end in a typed error or a finished run. The engine journals
+/// from construction and never checkpoints, so a journal holds every
+/// operation its shard saw; rebuilt so, the genuine capture finishes
+/// exactly as a plain resume does. At earlier builds cases whose
+/// arrival-order entry named another shard, and cases whose pending
+/// completion named a machine the shard lacks, restored and then
+/// panicked.
 #[test]
 fn resealed_hostile_coordinator_captures_never_panic() {
     let (cluster, pet, base) = fixture(HOSTILE_COORDINATOR_SCALE);
@@ -1014,18 +1087,34 @@ fn resealed_hostile_coordinator_captures_never_panic() {
     engine.run_until(&mut source, third as u64);
     let mut genuine = engine.snapshot_coordinator().payload().clone();
     inline_envelopes(&mut genuine);
-    let resume = |snap: &Snapshot| {
+    let empty: Vec<Snapshot> = (0..3)
+        .map(|shard| {
+            hostile_coordinator_engine(&cluster, &pet).checkpoint(shard)
+        })
+        .collect();
+    // Restores `snap` into a fresh engine, rebuilds shard `crash` (if
+    // any) from its empty checkpoint and the restored journal, and
+    // finishes the run.
+    let resume = |snap: &Snapshot, crash: Option<usize>| {
         let mut engine = hostile_coordinator_engine(&cluster, &pet);
         engine.restore_coordinator(snap)?;
+        if let Some(shard) = crash {
+            engine.recover_shard(shard, &empty[shard])?;
+        }
         let mut rest = tasks[third..].iter().copied().peekable();
         // Every arrival the resumed run records is read back.
         let stats = engine.finish_stream(&mut rest);
         stats.robustness_pct(0);
         stats.merged();
-        Ok::<(), SnapshotError>(())
+        Ok::<String, taskprune_sim::RunError>(json(&stats))
     };
-    resume(&reseal_envelopes(genuine.clone()))
-        .expect("the genuine capture restores");
+    let snap = reseal_envelopes(genuine.clone());
+    let plain = resume(&snap, None).expect("the genuine capture restores");
+    for shard in 0..3 {
+        let rebuilt = resume(&snap, Some(shard))
+            .expect("the genuine journal rebuilds the shard");
+        assert_eq!(plain, rebuilt, "shard {shard} rebuilt differently");
+    }
     let mut cases = SplitMix64::new(0xC0DE);
     let (mut finished, mut rejected) = (0, 0);
     for case in 0..COORDINATOR_CASES {
@@ -1033,11 +1122,13 @@ fn resealed_hostile_coordinator_captures_never_panic() {
         mutate(&mut bad, &mut cases);
         let bad = reseal_envelopes(bad);
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            resume(&bad)
+            resume(&bad, Some(case % 3))
         })) {
-            Ok(Ok(())) => finished += 1,
+            Ok(Ok(_)) => finished += 1,
             Ok(Err(_)) => rejected += 1,
-            Err(_) => panic!("case {case}: the restore or the run panicked"),
+            Err(_) => panic!(
+                "case {case}: the restore, the replay or the run panicked"
+            ),
         }
     }
     assert!(

@@ -8,18 +8,18 @@
 //!    invisible, because a gate that never fires must not perturb the
 //!    simulation or the wire shape.
 //! 2. **Reuse is driver-agnostic.** With duplicates injected and the
-//!    gate absorbing them (exact and merge policies), the parallel
-//!    driver still serializes byte-identically to the serial one at
-//!    every thread count.
+//!    exact gate absorbing them, the parallel driver still serializes
+//!    byte-identically to the serial one at every thread count.
 //! 3. **Reuse never hurts robustness** (property test): on
 //!    duplicate-bearing streams, absorbing duplicates onto in-flight
 //!    primaries yields paper-trim robustness no worse than executing
 //!    every duplicate — the followers ride completions that arrive no
 //!    later than their own queued executions would have.
-//! 4. **Healing composes with merging.** A full-budget supervised run
-//!    of a *merging* federation under a seeded fault storm serializes
-//!    byte-identically to the fault-free merging run: piggybacked
-//!    absorptions journal and replay like any other arrival. (Supervised
+//! 4. **Healing composes with reuse.** A full-budget supervised run
+//!    of an exact-reuse federation under a seeded fault storm
+//!    serializes byte-identically to the fault-free reusing run:
+//!    piggybacked absorptions journal and replay like any other
+//!    arrival. (Supervised
 //!    runs use the serial driver; guarantee 2 carries the bytes to the
 //!    parallel driver.)
 //! 5. **The trace tells the drained story.** A traced shard records
@@ -109,15 +109,6 @@ fn run(
     }
 }
 
-/// A merge window of half a time unit — wide enough to coalesce
-/// same-type neighbours in the paper workload, narrow enough that the
-/// primary's deadline conservatively bounds every follower's.
-fn merge_policy() -> ReusePolicy {
-    ReusePolicy::Merge {
-        window: SimTime(taskprune_model::TICKS_PER_TIME_UNIT / 2),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Guarantee 1: Off is invisible — the pre-reuse gateway, bit for bit.
 // ---------------------------------------------------------------------
@@ -198,29 +189,27 @@ fn idle_enabled_gate_is_invisible() {
 // ---------------------------------------------------------------------
 
 /// With duplicates flowing and the gate absorbing them, the parallel
-/// driver matches the serial one byte for byte at every thread count,
-/// for both the exact and the merging policy.
+/// driver matches the serial one byte for byte at every thread count.
 #[test]
 fn reuse_matches_across_drivers_on_duplicate_streams() {
     let (cluster, pet, base) = fixture(9876, common::test_scale());
     let tasks = with_duplicates(&base, 0.3, 0xD0B1);
-    for policy in [ReusePolicy::ExactOnly, merge_policy()] {
-        let serial = run(&cluster, &pet, 3, None, policy, &tasks);
-        assert_eq!(serial.unreported(), 0);
-        assert!(
-            serial.reuse_stats().absorbed() > 0,
-            "{policy:?}: the fixture must actually exercise the gate"
+    let policy = ReusePolicy::ExactOnly;
+    let serial = run(&cluster, &pet, 3, None, policy, &tasks);
+    assert_eq!(serial.unreported(), 0);
+    assert!(
+        serial.reuse_stats().absorbed() > 0,
+        "the fixture must actually exercise the gate"
+    );
+    let serial_json = json(&serial);
+    for threads in [1usize, 2, 8] {
+        let par = run(&cluster, &pet, 3, Some(threads), policy, &tasks);
+        assert_eq!(
+            serial_json,
+            json(&par),
+            "threads={threads}: parallel reuse diverged"
         );
-        let serial_json = json(&serial);
-        for threads in [1usize, 2, 8] {
-            let par = run(&cluster, &pet, 3, Some(threads), policy, &tasks);
-            assert_eq!(
-                serial_json,
-                json(&par),
-                "{policy:?} threads={threads}: parallel reuse diverged"
-            );
-            assert_eq!(par.reuse_stats(), serial.reuse_stats());
-        }
+        assert_eq!(par.reuse_stats(), serial.reuse_stats());
     }
 }
 
@@ -231,11 +220,11 @@ fn reuse_matches_across_drivers_on_duplicate_streams() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// On duplicate-bearing streams, absorbing duplicates (exact or
-    /// merging) yields robustness no worse than executing every
-    /// duplicate independently: followers ride a completion that
-    /// arrives no later than their own queued execution would have,
-    /// and the shed load speeds everything else up.
+    /// On duplicate-bearing streams, absorbing exact duplicates yields
+    /// robustness no worse than executing every duplicate
+    /// independently: followers ride a completion that arrives no
+    /// later than their own queued execution would have, and the shed
+    /// load speeds everything else up.
     #[test]
     fn reuse_never_lowers_robustness(
         seed in 0u64..1_000,
@@ -249,35 +238,36 @@ proptest! {
             &cluster, &pet, shards, None, ReusePolicy::Off, &tasks,
         );
         let baseline = off.paper_robustness_pct();
-        for policy in [ReusePolicy::ExactOnly, merge_policy()] {
-            let reused = run(&cluster, &pet, shards, None, policy, &tasks);
-            prop_assert!(reused.unreported() == 0);
-            let got = reused.paper_robustness_pct();
-            prop_assert!(
-                got >= baseline - 1e-9,
-                "{policy:?}: robustness fell from {baseline:.3} to \
-                 {got:.3} at rate {rate:.2}, {shards} shard(s)"
-            );
-        }
+        let reused = run(
+            &cluster, &pet, shards, None, ReusePolicy::ExactOnly, &tasks,
+        );
+        prop_assert!(reused.unreported() == 0);
+        let got = reused.paper_robustness_pct();
+        prop_assert!(
+            got >= baseline - 1e-9,
+            "robustness fell from {baseline:.3} to {got:.3} at rate \
+             {rate:.2}, {shards} shard(s)"
+        );
     }
 }
 
 // ---------------------------------------------------------------------
-// Guarantee 4: healing composes with merging.
+// Guarantee 4: healing composes with reuse.
 // ---------------------------------------------------------------------
 
-/// A fault storm with a full retry budget heals a *merging* run back
-/// to byte-identity with the fault-free merging run: journaled
+/// A fault storm with a full retry budget heals an exact-reuse run
+/// back to byte-identity with the fault-free reusing run: journaled
 /// piggybacks replay exactly.
 #[test]
-fn full_budget_storm_heals_a_merging_run_bit_identically() {
+fn full_budget_storm_heals_an_exact_reuse_run_bit_identically() {
     let (cluster, pet, base) = fixture(4321, common::test_scale());
     let tasks = with_duplicates(&base, 0.3, 0xD0B1);
     let shards = 3;
-    let reference = run(&cluster, &pet, shards, None, merge_policy(), &tasks);
+    let policy = ReusePolicy::ExactOnly;
+    let reference = run(&cluster, &pet, shards, None, policy, &tasks);
     assert!(
         reference.reuse_stats().absorbed() > 0,
-        "fixture must actually merge"
+        "fixture must actually absorb followers"
     );
     let reference_json = json(&reference);
     let plan = FaultPlan::generate(
@@ -291,7 +281,7 @@ fn full_budget_storm_heals_a_merging_run_bit_identically() {
     };
 
     let engine = builder(&cluster, &pet, shards)
-        .reuse(merge_policy())
+        .reuse(policy)
         .build()
         .expect("valid configuration");
     let mut sup = Supervisor::new(engine, healing);
@@ -300,11 +290,11 @@ fn full_budget_storm_heals_a_merging_run_bit_identically() {
     assert_eq!(
         reference_json,
         json(&healed),
-        "serial healing diverged on a merging run"
+        "serial healing diverged on an exact-reuse run"
     );
-    // Hits, merges and cycles saved are off the wire: compare them too,
-    // so a checkpoint that swept a completed primary a later follower
-    // still needed would show here.
+    // Hits and cycles saved are off the wire: compare them too, so a
+    // checkpoint that swept a completed primary a later follower still
+    // needed would show here.
     assert_eq!(reference.reuse_stats(), healed.reuse_stats());
     assert!(
         healed
