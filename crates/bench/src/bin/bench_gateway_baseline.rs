@@ -90,7 +90,7 @@ use taskprune_sim::{
 const REGRESSION_THRESHOLD: f64 = 0.15;
 
 /// Fixed seed of the fault storm behind `robustness_under_faults_pct`
-/// (one of the two seeds the CI fault-matrix job pins).
+/// (the first of the two plan seeds the fault-injection suites pin).
 const FAULT_PLAN_SEED: u64 = 0xFA01;
 
 /// Fixed seed of the duplicate-injection stream behind the

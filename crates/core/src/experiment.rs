@@ -178,19 +178,11 @@ impl ExperimentResult {
 /// proactive drops, per-type variance).
 type TrialMetrics = (f64, f64, f64, f64, f64);
 
-/// The shared trial loop and aggregation behind [`run_experiment`] and
-/// [`run_federated_experiment`]: materialises the cluster/PET, runs
-/// every trial in parallel (each trial's allocator pre-configured with
-/// the heuristic, pruning, and a derived independent execution seed),
-/// and folds the per-trial metrics into an [`ExperimentResult`]. One
-/// implementation, so the two entry points cannot drift apart on seed
-/// derivation or metric definitions.
-fn aggregate_trials(
-    cfg: &ExperimentConfig,
-    label: String,
-    run_trial: impl Fn(ResourceAllocator<'_>, &[taskprune_model::Task]) -> TrialMetrics
-        + Sync,
-) -> ExperimentResult {
+/// Runs every trial of an experiment (rayon-parallel) and aggregates:
+/// materialises the cluster and PET matrix, runs each trial with the
+/// heuristic, the pruning and a derived independent execution seed, and
+/// folds the per-trial metrics into an [`ExperimentResult`].
+pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     let (cluster, default_petgen) = cfg.cluster.materialise();
     let pet = cfg.petgen.clone().unwrap_or(default_petgen).generate();
 
@@ -205,10 +197,26 @@ fn aggregate_trials(
                 cfg.workload.seed,
                 0x51D_0000 + u64::from(trial_idx),
             );
-            let allocator = ResourceAllocator::new(&cluster, &pet, sim)
+            // The allocator resolves this trial's configuration through
+            // the validated builders; a bad experiment config fails
+            // every trial identically, so surface the typed error once
+            // with context instead of panicking deep in the driver.
+            let stats = ResourceAllocator::new(&cluster, &pet, sim)
                 .heuristic(cfg.heuristic)
-                .pruning_opt(cfg.pruning);
-            run_trial(allocator, &trial.tasks)
+                .pruning_opt(cfg.pruning)
+                .try_run(&trial.tasks)
+                .unwrap_or_else(|e| {
+                    panic!("experiment {:?} rejected: {e}", cfg.label)
+                });
+            debug_assert_eq!(stats.unreported(), 0);
+            (
+                stats.robustness_pct(PAPER_TRIM),
+                stats.wasted_fraction(),
+                stats.deferrals as f64,
+                stats.count(taskprune_model::TaskOutcome::DroppedProactive)
+                    as f64,
+                stats.per_type_on_time_variance(),
+            )
         })
         .collect();
 
@@ -219,7 +227,7 @@ fn aggregate_trials(
         outcomes.iter().map(f).sum::<f64>() / outcomes.len() as f64
     };
     ExperimentResult {
-        label,
+        label: cfg.label.clone(),
         per_trial_robustness: per_trial,
         robustness,
         mean_wasted_fraction: mean(|o| o.1),
@@ -227,58 +235,6 @@ fn aggregate_trials(
         mean_proactive_drops: mean(|o| o.3),
         mean_type_variance: mean(|o| o.4),
     }
-}
-
-/// Runs every trial of an experiment (rayon-parallel) and aggregates.
-pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
-    aggregate_trials(cfg, cfg.label.clone(), |allocator, tasks| {
-        // The allocator resolves this trial's configuration through
-        // the validated builders; a bad experiment config fails every
-        // trial identically, so surface the typed error once with
-        // context instead of panicking deep in the driver.
-        let stats = allocator.try_run(tasks).unwrap_or_else(|e| {
-            panic!("experiment {:?} rejected: {e}", cfg.label)
-        });
-        debug_assert_eq!(stats.unreported(), 0);
-        (
-            stats.robustness_pct(PAPER_TRIM),
-            stats.wasted_fraction(),
-            stats.deferrals as f64,
-            stats.count(taskprune_model::TaskOutcome::DroppedProactive) as f64,
-            stats.per_type_on_time_variance(),
-        )
-    })
-}
-
-/// Runs every trial of an experiment through a federation of `shards`
-/// independent paper-system instances behind the routing policy
-/// `route` produces (one fresh policy per trial — policies are
-/// stateful), aggregating exactly like [`run_experiment`] but with the
-/// robustness trim applied in *global arrival order* across the
-/// federation.
-pub fn run_federated_experiment(
-    cfg: &ExperimentConfig,
-    shards: usize,
-    route: impl Fn() -> Box<dyn taskprune_sim::RoutePolicy> + Sync,
-) -> ExperimentResult {
-    let label = format!("{} x{shards}", cfg.label);
-    aggregate_trials(cfg, label, |allocator, tasks| {
-        let stats = allocator
-            .try_run_federated(shards, route(), tasks)
-            .unwrap_or_else(|e| {
-                panic!("experiment {:?} rejected: {e}", cfg.label)
-            });
-        debug_assert_eq!(stats.unreported(), 0);
-        (
-            stats.robustness_pct(PAPER_TRIM),
-            stats.wasted_fraction(),
-            stats.deferrals() as f64,
-            stats.count(taskprune_model::TaskOutcome::DroppedProactive) as f64,
-            // Fairness folds through the deterministic merged record
-            // (per-type counters summed across shards).
-            stats.merged().per_type_on_time_variance(),
-        )
-    })
 }
 
 #[cfg(test)]
@@ -355,22 +311,6 @@ mod tests {
         );
         assert!(base.label.starts_with("MM @"));
         assert!(pruned.label.starts_with("MM-P @"));
-    }
-
-    #[test]
-    fn federated_experiment_aggregates_and_reproduces() {
-        let cfg =
-            ExperimentConfig::new(HeuristicKind::Mm, None, small_workload(17))
-                .trials(3);
-        let route = || -> Box<dyn taskprune_sim::RoutePolicy> {
-            Box::new(taskprune_sim::LeastQueuedRoute::new())
-        };
-        let a = run_federated_experiment(&cfg, 2, route);
-        let b = run_federated_experiment(&cfg, 2, route);
-        assert_eq!(a.per_trial_robustness.len(), 3);
-        assert_eq!(a.per_trial_robustness, b.per_trial_robustness);
-        assert!(a.label.ends_with("x2"), "label {:?}", a.label);
-        assert!(a.robustness.mean >= 0.0 && a.robustness.mean <= 100.0);
     }
 
     #[test]

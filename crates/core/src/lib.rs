@@ -61,8 +61,7 @@ pub mod pruner;
 
 pub use allocator::ResourceAllocator;
 pub use experiment::{
-    run_experiment, run_federated_experiment, ClusterKind, ExperimentConfig,
-    ExperimentResult,
+    run_experiment, ClusterKind, ExperimentConfig, ExperimentResult,
 };
 pub use pruner::{FairnessConfig, PruningConfig, PruningMechanism, ToggleMode};
 
@@ -70,8 +69,7 @@ pub use pruner::{FairnessConfig, PruningConfig, PruningMechanism, ToggleMode};
 pub mod prelude {
     pub use crate::allocator::ResourceAllocator;
     pub use crate::experiment::{
-        run_experiment, run_federated_experiment, ClusterKind,
-        ExperimentConfig, ExperimentResult,
+        run_experiment, ClusterKind, ExperimentConfig, ExperimentResult,
     };
     pub use crate::pruner::{
         FairnessConfig, PruningConfig, PruningMechanism, ToggleMode,

@@ -114,16 +114,6 @@ pub enum ConfigError {
     /// A [`crate::Gateway`] was asked for zero shards: there would be
     /// nowhere to route an arrival.
     ZeroShards,
-    /// A single-run facade was asked to trace a federated run. Tracing
-    /// is per-shard; install per-shard sinks through
-    /// [`crate::GatewayBuilder::sink_with`] instead.
-    FederatedTraceUnsupported,
-    /// A federated run of more than one shard was given one
-    /// already-instantiated mapping strategy, but every shard needs its
-    /// own stateful instance — select the heuristic by kind (or use
-    /// [`crate::GatewayBuilder::strategy_with`], the per-shard
-    /// factory).
-    FederatedStrategyNotPerShard,
     /// The parallel driver was asked to route over more than one shard
     /// with a policy that reads shard state (one that does not declare
     /// [`crate::RoutePolicy::is_stateless`]). Each such decision waits
@@ -162,22 +152,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroShards => {
                 write!(f, "a gateway needs at least one shard to route to")
             }
-            ConfigError::FederatedTraceUnsupported => {
-                write!(
-                    f,
-                    "tracing a federated run needs per-shard sinks \
-                     (GatewayBuilder::sink_with), not a single TraceLog"
-                )
-            }
-            ConfigError::FederatedStrategyNotPerShard => {
-                write!(
-                    f,
-                    "a federated run needs one mapping-strategy instance \
-                     per shard: select the heuristic by kind, or use \
-                     GatewayBuilder::strategy_with (a single installed \
-                     strategy cannot be shared across shards)"
-                )
-            }
             ConfigError::ParallelNeedsStatelessRoute { policy } => write!(
                 f,
                 "routing policy {policy:?} reads shard state, so it \
@@ -191,8 +165,9 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Anything that can stop a run driven through the fallible entry
-/// points (the allocator's `try_run*`, shard recovery, the gateway's
-/// admission): a configuration rejected up front, a task of a type the
+/// points (`ResourceAllocator::try_run` in the `taskprune` crate, shard
+/// recovery, the gateway's admission): a configuration rejected up
+/// front, a task of a type the
 /// PET matrix lacks, a checkpoint that fails to verify, recovery
 /// without a journal, or an overloaded federation. Every driver
 /// compacts external ids at the gateway, so ids cannot be too sparse
@@ -208,7 +183,7 @@ pub enum RunError {
     /// was routed.
     Stats(crate::StatsError),
     /// A checkpoint failed verification or decode (shard failover
-    /// replay, coordinator restart).
+    /// replay).
     Snapshot(crate::snapshot::SnapshotError),
     /// `recover_shard` was asked to replay a shard on an engine that
     /// never enabled journaling: there is no operation log to replay,
@@ -323,8 +298,6 @@ mod tests {
             ConfigError::MissingStrategy,
             ConfigError::BeliefTruthMismatch { what: "bin width" },
             ConfigError::ZeroShards,
-            ConfigError::FederatedTraceUnsupported,
-            ConfigError::FederatedStrategyNotPerShard,
             ConfigError::ParallelNeedsStatelessRoute {
                 policy: "least-queued".to_string(),
             },
@@ -338,7 +311,7 @@ mod tests {
             }
         }
         assert!(rendered[3].contains("RR"));
-        assert!(rendered[9].contains("least-queued"));
+        assert!(rendered[7].contains("least-queued"));
     }
 
     #[test]

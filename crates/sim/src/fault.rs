@@ -34,7 +34,7 @@ use taskprune_prob::rng::Xoshiro256PlusPlus;
 /// | [`FaultKind::ShardCrash`] | a shard process dying: its in-memory core state is wiped | checkpoint restore + journal replay |
 /// | [`FaultKind::LostCompletion`] | a completion notification dropped in transit | redelivery from the coordinator's journal record |
 /// | [`FaultKind::DuplicateCompletion`] | a completion notification delivered twice | the staleness dedupe rejects the second copy |
-/// | [`FaultKind::DelayedCompletion`] | a completion notification arriving late | redelivery (the sim-time delay is recorded, never simulated — see the backoff note on [`crate::RecoveryPolicy`]) |
+/// | [`FaultKind::DelayedCompletion`] | a completion notification arriving late | redelivery at the fault instant (the delay is never simulated) |
 /// | [`FaultKind::CheckpointFailure`] | a transient storage error while checkpointing | retry; skipping is safe (the journal keeps growing) |
 /// | [`FaultKind::RecoveryFailure`] | a transient failure of the recovery path itself | retry of `recover_shard` |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -142,7 +142,8 @@ impl FaultSpec {
 
     /// A bit of everything: one crash plus two of each delivery fault
     /// and one transient failure of each infrastructure op — the
-    /// default "storm" the fault-matrix CI job and the benchmark use.
+    /// default "storm" the fault-injection suites, `fault_storm` and
+    /// `bench_gateway_baseline` use.
     pub fn storm(shards: usize, span: u64) -> Self {
         Self {
             crashes: 1,

@@ -668,7 +668,7 @@ impl<'a, S: Sink> Gateway<'a, S> {
             arrival_order: self.arrival_order.clone(),
             policy: self.policy.snapshot_state(),
             quarantined: self.quarantined.clone(),
-            reuse: self.reuse.state(),
+            reuse: self.reuse.policy().is_enabled().then(|| self.reuse.state()),
             tenants: self.tenants.as_ref().map(TenantTable::state),
         };
         Snapshot::seal("gateway", state.to_value())
@@ -687,12 +687,14 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// [`SnapshotError::ShapeMismatch`] names a shard payload that
     /// does not describe one run, an id compactor or quarantine vector
     /// without one entry per shard, an arrival-order entry the
-    /// compactor did not assign, a reuse-gate primary on a shard this
-    /// federation does not have, or a tenant table that does not fit
-    /// this gateway's tenancy (a capture with a table, into a gateway
-    /// without tenancy, or the reverse). A plug-in hook that rejects
-    /// its state fails later: then the gateway's state is unspecified
-    /// and it should be discarded.
+    /// compactor did not assign, a reuse gate that does not fit this
+    /// gateway's reuse policy (a capture with a gate, into a gateway
+    /// with reuse off, or the reverse) or that holds a primary on a
+    /// shard this federation does not have, or a tenant table that
+    /// does not fit this gateway's tenancy (a capture with a table,
+    /// into a gateway without tenancy, or the reverse). A plug-in hook
+    /// that rejects its state fails later: then the gateway's state is
+    /// unspecified and it should be discarded.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let (state, cores) = self.check(snap)?;
         self.install(state, cores)
@@ -733,7 +735,12 @@ impl<'a, S: Sink> Gateway<'a, S> {
                  assign",
             );
         }
-        if !state.reuse.fits(n) {
+        if state.reuse.is_some() != self.reuse.policy().is_enabled() {
+            return shape(
+                "the snapshot's reuse policy differs from this gateway's",
+            );
+        }
+        if state.reuse.as_ref().is_some_and(|gate| !gate.fits(n)) {
             return shape(
                 "a reuse-gate primary lives on a shard this federation \
                  does not have",
@@ -766,7 +773,9 @@ impl<'a, S: Sink> Gateway<'a, S> {
         self.compact = state.compact;
         self.arrival_order = state.arrival_order;
         self.quarantined = state.quarantined;
-        self.reuse.restore(state.reuse);
+        if let Some(gate) = state.reuse {
+            self.reuse.restore(gate);
+        }
         if let (Some(table), Some(tenants)) =
             (self.tenants.as_mut(), state.tenants)
         {
@@ -811,7 +820,8 @@ struct GatewayState {
     arrival_order: Vec<FedArrival>,
     policy: Value,
     quarantined: Vec<bool>,
-    reuse: GateState,
+    /// The reuse gate; `None` exactly when the policy is off.
+    reuse: Option<GateState>,
     tenants: Option<TenantState>,
 }
 
@@ -1195,10 +1205,10 @@ impl<'a, S: Sink> GatewayBuilder<'a, S> {
         self
     }
 
-    /// Sets the gateway's function-reuse policy: whether (and how
-    /// aggressively) arrivals absorb onto in-flight primaries instead
-    /// of executing individually. Default: [`ReusePolicy::Off`], which
-    /// is bit-identical to a gateway without the subsystem.
+    /// Sets the gateway's function-reuse policy: whether exact
+    /// duplicates absorb onto their in-flight primaries instead of
+    /// executing individually. Default: [`ReusePolicy::Off`], which is
+    /// bit-identical to a gateway without the subsystem.
     pub fn reuse(mut self, policy: ReusePolicy) -> Self {
         self.reuse = policy;
         self
@@ -2320,6 +2330,62 @@ mod tests {
         tenanted()
             .restore(&tenanted().snapshot())
             .expect("a tenanted capture restores");
+    }
+
+    /// A capture restores only into a gateway with the same reuse
+    /// policy: one with a reuse gate into a gateway with reuse off, or
+    /// one without into a gateway with exact reuse, is a shape
+    /// mismatch, through [`Gateway::restore`] and through
+    /// [`FederatedEngine::restore_coordinator`] alike. The exact-reuse
+    /// coordinator capture holds journaled piggybacks, which a shard
+    /// with reuse off could not replay.
+    #[test]
+    fn a_capture_restores_only_into_the_same_reuse_policy() {
+        let pet = det_pet();
+        let cluster = Cluster::one_per_type(1);
+        let (off, exact) = (ReusePolicy::Off, ReusePolicy::ExactOnly);
+        let with = |reuse| builder(&pet, &cluster, 3).reuse(reuse);
+        let mismatch =
+            |r| matches!(r, Err(SnapshotError::ShapeMismatch { .. }));
+        let gateway =
+            |reuse| with(reuse).build_gateway().expect("valid configuration");
+        assert!(mismatch(gateway(off).restore(&gateway(exact).snapshot())));
+        assert!(mismatch(gateway(exact).restore(&gateway(off).snapshot())));
+
+        // Every third arrival repeats the one before it.
+        let tasks: Vec<Task> = (0..120u64)
+            .map(|i| {
+                let id = if i % 3 == 2 { i - 1 } else { i };
+                Task::new(
+                    id,
+                    TaskTypeId(0),
+                    SimTime(150 * i),
+                    SimTime(150 * i + 3_000),
+                )
+            })
+            .collect();
+        let engine = |reuse| with(reuse).build().expect("valid configuration");
+        let paused = |reuse| {
+            let mut engine = engine(reuse);
+            engine.enable_journal();
+            engine.run_until(&mut tasks.iter().copied().peekable(), 60);
+            let shards = engine.gateway.shards();
+            let hits: u64 = shards.iter().map(|c| c.reuse_stats().hits).sum();
+            (hits, engine.snapshot_coordinator())
+        };
+        let (hits, exact_capture) = paused(exact);
+        assert!(hits > 0, "the exact-reuse run absorbed nothing");
+        let (_, off_capture) = paused(off);
+        assert!(mismatch(engine(off).restore_coordinator(&exact_capture)));
+        assert!(mismatch(engine(exact).restore_coordinator(&off_capture)));
+        for (reuse, capture) in [(off, &off_capture), (exact, &exact_capture)] {
+            gateway(reuse)
+                .restore(&gateway(reuse).snapshot())
+                .expect("a gateway capture restores into its own policy");
+            engine(reuse)
+                .restore_coordinator(capture)
+                .expect("a coordinator capture restores into its own policy");
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@
 //!   replayable fault schedules injected into the serial
 //!   [`FederatedEngine`], and a self-healing supervisor over it that
 //!   auto-checkpoints, detects faults, retries within a bounded budget
-//!   (deterministic sim-time backoff), and degrades gracefully —
+//!   at the fault instant, and degrades gracefully —
 //!   quarantine, backlog re-route and pruning-based load shedding —
 //!   when the budget runs out. Every action lands in a deterministic
 //!   [`RecoveryLog`].

@@ -19,7 +19,7 @@
 //!   an unknown version (a newer writer's data still parses), but
 //!   [`Snapshot::verify`] rejects any other version with
 //!   [`SnapshotError::UnsupportedVersion`] before a payload field is
-//!   read. Every capture an earlier build wrote is version 1 to 4, so
+//!   read. Every capture an earlier build wrote is version 1 to 5, so
 //!   none of them restores here.
 //! * **Hash-sealed.** `state_hash` is an FNV-1a digest over a
 //!   canonical walk of the payload tree. Because the whole simulator
@@ -51,11 +51,13 @@
 //!   a capture whose clock is ahead of the journal replayed on top of
 //!   it. A gateway checks its shard count, that the id compactor and
 //!   the quarantine vector have one entry per shard, that every
-//!   arrival-order entry names an id the compactor assigned, that
-//!   every reuse-gate primary lives on one of its shards, and that the
-//!   tenant table fits its tenancy (a capture with a table restores
-//!   only into a gateway with tenancy, and one without only into a
-//!   gateway without). A coordinator checks its per-shard lengths,
+//!   arrival-order entry names an id the compactor assigned, that the
+//!   reuse gate fits its reuse policy (a capture with a gate restores
+//!   only into a gateway with reuse on, and one without only into a
+//!   gateway with reuse off) and every gate primary lives on one of
+//!   its shards, and that the tenant table fits its tenancy (a capture
+//!   with a table restores only into a gateway with tenancy, and one
+//!   without only into a gateway without). A coordinator checks its per-shard lengths,
 //!   event shards and times, pending counts and fault-injector
 //!   counters. Each of these, left unchecked, either panicked later in
 //!   the journal replay or the resumed run, or resumed a run on a
@@ -91,7 +93,7 @@ use serde::{Deserialize, Serialize, Value};
 /// [`Snapshot::verify`] turns every other version into
 /// [`SnapshotError::UnsupportedVersion`], so an earlier build's
 /// capture is refused before its payload is read.
-pub const SNAPSHOT_VERSION: u64 = 5;
+pub const SNAPSHOT_VERSION: u64 = 6;
 
 /// Why a snapshot could not be verified or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -376,7 +378,7 @@ mod tests {
     }
 
     /// Only this build's version verifies: every earlier build wrote
-    /// version 1 to 4, and a newer one may write anything above.
+    /// version 1 to 5, and a newer one may write anything above.
     #[test]
     fn only_this_builds_version_verifies() {
         let stamped = |version: u64| {
@@ -387,9 +389,9 @@ mod tests {
             fields[0].1 = Value::UInt(version);
             Snapshot::from_value(&wire).expect("decodes")
         };
-        assert_eq!(SNAPSHOT_VERSION, 5);
-        assert_eq!(stamped(5).verify().expect("version 5 is read"), &payload());
-        for found in [0, 1, 2, 3, 4, 6] {
+        assert_eq!(SNAPSHOT_VERSION, 6);
+        assert_eq!(stamped(6).verify().expect("version 6 is read"), &payload());
+        for found in [0, 1, 2, 3, 4, 5, 7] {
             assert_eq!(
                 stamped(found).verify(),
                 Err(SnapshotError::UnsupportedVersion { found })

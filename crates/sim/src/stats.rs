@@ -33,8 +33,9 @@ pub const PAPER_TRIM: usize = 100;
 /// external trace into a bare core can drop or relabel the task instead
 /// of panicking. The drivers never meet a sparse id (their gateway keys
 /// every shard's record by arrival order); an unknown task type is
-/// rejected by [`crate::Gateway::try_push_arrival`] and the allocator's
-/// `try_run*` entry points before anything is routed.
+/// rejected by [`crate::Gateway::try_push_arrival`] and by
+/// `ResourceAllocator::try_run` in the `taskprune` crate before
+/// anything is routed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsError {
     /// A task id jumped far past the population tracked so far. The

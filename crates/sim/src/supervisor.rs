@@ -5,8 +5,8 @@
 //! event loop in watermark-sized slices. At every watermark it takes
 //! per-shard checkpoints and runs health checks (journal-gap,
 //! watermark-lag); when an injected fault surfaces it applies a typed
-//! [`RecoveryPolicy`]: bounded retries with deterministic sim-time
-//! backoff, checkpoint + journal replay for crashes, and — once a
+//! [`RecoveryPolicy`]: bounded retries at the fault instant,
+//! checkpoint + journal replay for crashes, and — once a
 //! shard's budget is exhausted — quarantine with load shedding: the
 //! shard's still-unmapped backlog re-routes to healthy shards, whose
 //! pruning thresholds tighten to absorb it. That salvage-and-re-route
@@ -20,9 +20,9 @@
 //! Two invariants make the supervisor testable to the bit:
 //!
 //! * **Recovery is exact.** A healed fault leaves zero trace in the
-//!   simulation state: retry backoff is bookkeeping (logged, never
-//!   simulated — the sim clock is the workload's, not the
-//!   supervisor's), checkpoints capture state without perturbing it,
+//!   simulation state: a retry happens at the fault instant (the sim
+//!   clock is the workload's, not the supervisor's, so recovery never
+//!   advances it), checkpoints capture state without perturbing it,
 //!   and replay mirrors the fault-free delivery order exactly. With a
 //!   retry budget covering every injected fault, a supervised run's
 //!   serialized [`FederationStats`] is bit-identical to the fault-free
@@ -59,19 +59,15 @@ pub struct RecoveryPolicy {
     /// Recovery attempts each shard may consume across the whole run
     /// (redeliveries, crash restores, checkpoint retries). Once a
     /// shard exhausts its budget, the next unrecoverable fault
-    /// quarantines it.
+    /// quarantines it. Every attempt happens at the fault instant:
+    /// recovery never advances the simulation clock, which keeps the
+    /// truth-RNG streams aligned with the fault-free run.
     pub retry_budget: u32,
-    /// Base of the exponential retry backoff, in sim-time ticks. The
-    /// backoff for attempt *k* is `base · 2^(k−1)`. **Bookkeeping
-    /// only**: it is recorded in the [`RecoveryLog`] and nothing else
-    /// reads it. It never advances the simulation clock — recovery
-    /// must happen at the fault instant to keep the truth-RNG streams
-    /// aligned with the fault-free run — and it has no say in giving
-    /// up, which [`RecoveryPolicy::retry_budget`] alone decides.
-    pub backoff_base: u64,
     /// Auto-checkpoint every this many ingested arrivals (the
-    /// [`FederatedEngine::run_until`] watermark coordinate). Also the
-    /// cadence of the journal-gap and watermark-lag health checks.
+    /// [`FederatedEngine::run_until`] watermark coordinate), at each
+    /// multiple of it. Also the cadence of the journal-gap and
+    /// watermark-lag health checks and of the overload ladder's load
+    /// sensing.
     pub checkpoint_interval: u64,
     /// Factor applied to healthy shards' pruning thresholds when a
     /// quarantined shard's backlog is re-routed onto them (> 1 prunes
@@ -84,7 +80,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         Self {
             retry_budget: 3,
-            backoff_base: 64,
             checkpoint_interval: 64,
             quarantine_shed_factor: 1.5,
         }
@@ -122,15 +117,11 @@ pub enum RecoveryActionKind {
         /// What kind of fault fired.
         fault: FaultKind,
     },
-    /// A retry was scheduled with deterministic exponential backoff
-    /// (bookkeeping only — see [`RecoveryPolicy::backoff_base`]).
+    /// A retry was charged to the shard's budget and attempted at the
+    /// fault instant.
     RetryScheduled {
         /// 1-based attempt number for this fault.
         attempt: u32,
-        /// The backoff recorded for this attempt, in ticks.
-        backoff: u64,
-        /// The sim-time instant the backoff nominally expires at.
-        at: SimTime,
     },
     /// A lost/delayed completion was redelivered from its journal
     /// record.
@@ -239,13 +230,6 @@ impl RecoveryLog {
     }
 }
 
-/// Deterministic exponential backoff for attempt `k` (1-based):
-/// `base · 2^(k−1)`, exponent capped so it can never overflow.
-pub(crate) fn backoff_at(base: u64, attempt: u32) -> u64 {
-    let exp = attempt.saturating_sub(1).min(16);
-    base.saturating_mul(1u64 << exp)
-}
-
 /// The self-healing wrapper around the serial [`FederatedEngine`]:
 /// auto-checkpoints, detects faults, retries within a budget, and
 /// degrades gracefully (quarantine + backlog re-route + load shed) when
@@ -287,7 +271,11 @@ pub struct Supervisor<'a, S: Sink = NullSink> {
 
 impl<'a, S: Sink> Supervisor<'a, S> {
     /// Wraps `engine`, enabling journaling and taking the initial
-    /// per-shard checkpoints recovery will replay from.
+    /// per-shard checkpoints recovery will replay from. The first
+    /// maintenance falls on the next multiple of
+    /// [`RecoveryPolicy::checkpoint_interval`] past the arrivals the
+    /// engine has already ingested, so a supervisor over a restored
+    /// coordinator keeps an uninterrupted one's cadence.
     pub fn new(
         mut engine: FederatedEngine<'a, S>,
         policy: RecoveryPolicy,
@@ -301,12 +289,12 @@ impl<'a, S: Sink> Supervisor<'a, S> {
                 capture
             })
             .collect();
-        // Relative to the arrivals already ingested, so a supervisor
-        // attached to a restored coordinator resumes its checkpoint
-        // cadence instead of waiting for an absolute count it may
-        // already be past.
+        // On the grid, not relative to the restore point: the ladder
+        // senses load only at maintenance, so a shifted grid would
+        // admit differently.
+        let interval = policy.checkpoint_interval.max(1);
         let next_watermark =
-            engine.arrivals_ingested() + policy.checkpoint_interval.max(1);
+            (engine.arrivals_ingested() / interval + 1) * interval;
         Self {
             engine,
             policy,
@@ -433,20 +421,11 @@ impl<'a, S: Sink> Supervisor<'a, S> {
                         | FaultKind::DelayedCompletion => {
                             if self.retries_left[report.shard] > 0 {
                                 self.retries_left[report.shard] -= 1;
-                                let backoff =
-                                    backoff_at(self.policy.backoff_base, 1);
                                 self.log.push(
                                     report.time,
                                     report.shard,
                                     RecoveryActionKind::RetryScheduled {
                                         attempt: 1,
-                                        backoff,
-                                        at: SimTime(
-                                            report
-                                                .time
-                                                .ticks()
-                                                .saturating_add(backoff),
-                                        ),
                                     },
                                 );
                                 self.engine.resolve_fault(&report, true, more);
@@ -505,15 +484,10 @@ impl<'a, S: Sink> Supervisor<'a, S> {
         while self.retries_left[shard] > 0 {
             attempt += 1;
             self.retries_left[shard] -= 1;
-            let backoff = backoff_at(self.policy.backoff_base, attempt);
             self.log.push(
                 now,
                 shard,
-                RecoveryActionKind::RetryScheduled {
-                    attempt,
-                    backoff,
-                    at: SimTime(now.ticks().saturating_add(backoff)),
-                },
+                RecoveryActionKind::RetryScheduled { attempt },
             );
             if self.engine.recovery_attempt_fails(shard) {
                 self.log.push(
@@ -648,15 +622,6 @@ impl<S: Sink> std::fmt::Debug for Supervisor<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_doubles_and_saturates() {
-        assert_eq!(backoff_at(64, 1), 64);
-        assert_eq!(backoff_at(64, 2), 128);
-        assert_eq!(backoff_at(64, 5), 1024);
-        // Exponent caps; no overflow even at absurd attempt counts.
-        assert_eq!(backoff_at(u64::MAX, 40), u64::MAX);
-    }
 
     #[test]
     fn policy_defaults_and_no_retries() {

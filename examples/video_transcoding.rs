@@ -151,17 +151,21 @@ fn main() {
                 .stream_trial(&pet, 0)
                 .with_duplicate_rate(rate, 0xDEDu64)
                 .collect();
-            let stats =
-                ResourceAllocator::new(&cluster, &pet, SimConfig::batch(3))
-                    .heuristic(HeuristicKind::Mm)
-                    .pruning(PruningConfig::paper_default())
-                    .reuse(policy)
-                    .try_run_federated(
-                        3,
-                        Box::new(LeastQueuedRoute::new()),
-                        &tasks,
-                    )
-                    .expect("valid configuration");
+            let stats = GatewayBuilder::new(&cluster, &pet)
+                .config(SimConfig::batch(3))
+                .shards(3)
+                .policy(LeastQueuedRoute::new())
+                .strategy_with(|_| HeuristicKind::Mm.make())
+                .pruner_with(|_| {
+                    Box::new(PruningMechanism::new(
+                        PruningConfig::paper_default(),
+                        pet.n_task_types(),
+                    ))
+                })
+                .reuse(policy)
+                .build()
+                .expect("valid configuration")
+                .run_stream(tasks);
             let reuse = stats.reuse_stats();
             println!(
                 "{:>7.0}%  {name:<7} {:>8.1}   {:>10}   {:>12}",

@@ -163,17 +163,21 @@ fn parallel_federated_engine_is_deterministic_across_thread_counts() {
     };
     let trial = workload.generate_trial(&pet, 0);
     let run = |threads: usize| -> String {
-        let stats =
-            ResourceAllocator::new(&cluster, &pet, SimConfig::batch(13))
-                .heuristic(HeuristicKind::Mm)
-                .pruning(PruningConfig::paper_default())
-                .try_run_federated_parallel(
-                    4,
-                    Some(threads),
-                    Box::new(taskprune_sim::RoundRobinRoute::new()),
-                    &trial.tasks,
-                )
-                .expect("valid parallel federated configuration");
+        let stats = GatewayBuilder::new(&cluster, &pet)
+            .config(SimConfig::batch(13))
+            .shards(4)
+            .policy(RoundRobinRoute::new())
+            .strategy_with(|_| HeuristicKind::Mm.make())
+            .pruner_with(|_| {
+                Box::new(PruningMechanism::new(
+                    PruningConfig::paper_default(),
+                    pet.n_task_types(),
+                ))
+            })
+            .threads(threads)
+            .build_parallel()
+            .expect("valid parallel federated configuration")
+            .run_stream(trial.tasks.iter().copied());
         serde_json::to_string(&stats).expect("FederationStats serializes")
     };
     let reference = run(1);

@@ -766,7 +766,7 @@ fn coordinator_captures_that_used_to_panic_are_shape_mismatches() {
 
 /// A coordinator snapshot captured by an earlier build is refused by
 /// its version before its payload is read: every earlier build wrote
-/// version 1 to 4. The fixture is a version-1 capture of the setup
+/// version 1 to 5. The fixture is a version-1 capture of the setup
 /// above, supervised under `RecoveryPolicy::default()` and paused at
 /// 60 arrivals.
 #[test]

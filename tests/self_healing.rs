@@ -19,17 +19,21 @@
 //! Plus the supporting contracts: supervision itself never perturbs a
 //! fault-free run, each single fault leaves a pinned sequence of
 //! recovery actions, `recover_shard` without a journal is the typed
-//! `RunError::RecoveryUnavailable`, and the facade's
-//! `try_run_federated_supervised` survives a mid-run coordinator
-//! restart bit-identically.
+//! `RunError::RecoveryUnavailable`, and a supervised federation
+//! survives a mid-run cold coordinator restart bit-identically, on its
+//! checkpoint cadence.
 
 mod common;
 
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
-use taskprune_sim::{FaultEvent, RecoveryActionKind, TraceLog};
+use taskprune_sim::{
+    FaultEvent, FederatedEngine, LadderConfig, RecoveryActionKind, Sink,
+    SlaClass, Snapshot, TenancyPolicy, TenantSpec, TraceLog,
+};
 
-/// Two fixed plan seeds — the same pair the CI fault-matrix job pins.
+/// Two fixed plan seeds — the same pair `tests/failure_injection.rs`
+/// and `tests/steal_faults.rs` pin.
 const PLAN_SEEDS: [u64; 2] = [0xFA01, 0xFA02];
 
 fn fixture(scale: f64) -> (Cluster, PetMatrix, Vec<Task>) {
@@ -424,7 +428,7 @@ struct Row {
 }
 
 /// A recovery action reduced to what the table pins: its kind plus the
-/// attempt, backoff and gap fields. Instants are checked separately;
+/// attempt and gap fields. Instants are checked separately;
 /// counts that depend on the run's length (journal ops, re-routed
 /// tasks) are left out.
 fn pinned(kind: &RecoveryActionKind) -> String {
@@ -432,9 +436,9 @@ fn pinned(kind: &RecoveryActionKind) -> String {
         RecoveryActionKind::FaultDetected { fault } => {
             format!("FaultDetected({fault:?})")
         }
-        RecoveryActionKind::RetryScheduled {
-            attempt, backoff, ..
-        } => format!("RetryScheduled{{{attempt}, {backoff}}}"),
+        RecoveryActionKind::RetryScheduled { attempt } => {
+            format!("RetryScheduled{{{attempt}}}")
+        }
         RecoveryActionKind::CheckpointFailed { attempt } => {
             format!("CheckpointFailed{{{attempt}}}")
         }
@@ -453,7 +457,7 @@ fn pinned(kind: &RecoveryActionKind) -> String {
 }
 
 /// Each single fault on shard 1 leaves exactly the pinned sequence of
-/// recovery actions — attempts and backoffs included — and the pinned
+/// recovery actions — attempts included — and the pinned
 /// outcome.
 #[test]
 fn each_fault_leaves_its_pinned_recovery_log() {
@@ -466,7 +470,7 @@ fn each_fault_leaves_its_pinned_recovery_log() {
             budget: 1,
             actions: &[
                 "FaultDetected(LostCompletion)",
-                "RetryScheduled{1, 64}",
+                "RetryScheduled{1}",
                 "Redelivered",
             ],
             checkpoint_at_fault: None,
@@ -477,7 +481,7 @@ fn each_fault_leaves_its_pinned_recovery_log() {
             budget: 1,
             actions: &[
                 "FaultDetected(DelayedCompletion)",
-                "RetryScheduled{1, 64}",
+                "RetryScheduled{1}",
                 "Redelivered",
             ],
             checkpoint_at_fault: None,
@@ -526,7 +530,7 @@ fn each_fault_leaves_its_pinned_recovery_log() {
             budget: 1,
             actions: &[
                 "FaultDetected(ShardCrash)",
-                "RetryScheduled{1, 64}",
+                "RetryScheduled{1}",
                 "RecoveryReplayed",
             ],
             checkpoint_at_fault: None,
@@ -537,9 +541,9 @@ fn each_fault_leaves_its_pinned_recovery_log() {
             budget: 2,
             actions: &[
                 "FaultDetected(ShardCrash)",
-                "RetryScheduled{1, 64}",
+                "RetryScheduled{1}",
                 "RecoveryFailed{1}",
-                "RetryScheduled{2, 128}",
+                "RetryScheduled{2}",
                 "RecoveryReplayed",
             ],
             checkpoint_at_fault: None,
@@ -673,57 +677,112 @@ fn recovery_without_a_journal_is_a_typed_error() {
 }
 
 // ---------------------------------------------------------------------
-// Facade: supervised runs and cold restarts through the allocator.
+// Cold restarts: the whole coordinator through its wire form.
 // ---------------------------------------------------------------------
 
-fn allocator<'a>(
-    cluster: &'a Cluster,
-    pet: &'a PetMatrix,
-) -> ResourceAllocator<'a> {
-    ResourceAllocator::new(cluster, pet, SimConfig::batch(55))
-        .heuristic(HeuristicKind::Mm)
-        .pruning(PruningConfig::paper_default())
+/// Supervises a federation from `build` over `tasks` and cold-restarts
+/// its coordinator once `restart_at` arrivals are ingested: the
+/// supervisor pauses, the coordinator's capture goes through its wire
+/// form and back (the durable-storage round trip), the federation is
+/// torn down, and a fresh supervisor resumes the stream on a second
+/// federation from `build`, restored from the decoded capture. The
+/// fault-plan cursor travels inside the capture, so the successor
+/// needs no re-arm. The returned record carries the successor's
+/// recovery log only.
+fn run_with_restart<'a, S: Sink>(
+    build: impl Fn() -> FederatedEngine<'a, S>,
+    recovery: RecoveryPolicy,
+    plan: Option<FaultPlan>,
+    restart_at: u64,
+    tasks: &[Task],
+) -> FederationStats {
+    use serde::{Deserialize, Serialize};
+    let mut sup = Supervisor::new(build(), recovery);
+    if let Some(plan) = plan {
+        sup.arm(plan);
+    }
+    let mut source = tasks.iter().copied().peekable();
+    sup.run_until(&mut source, restart_at);
+    let wire = sup.snapshot_coordinator().to_value();
+    drop(sup);
+    let snap = Snapshot::from_value(&wire).expect("the wire form decodes");
+    let mut successor = build();
+    successor
+        .restore_coordinator(&snap)
+        .expect("the capture restores into a twin federation");
+    Supervisor::new(successor, recovery).finish_stream(&mut source)
 }
 
-/// `try_run_federated_supervised` equals the plain federated run when
-/// nothing goes wrong — with and without a mid-run coordinator
-/// restart from a snapshot, and with a fully-healed fault storm.
+/// `multi_tenant`'s act 3: 3 shards of MM with the paper's pruning
+/// behind the overload ladder, which senses load only at the
+/// supervisor's maintenance watermarks.
+fn laddered<'a>(
+    cluster: &Cluster,
+    pet: &'a PetMatrix,
+    reuse: ReusePolicy,
+) -> FederatedEngine<'a> {
+    let n_types = pet.n_task_types();
+    let tenancy = TenancyPolicy::new(3)
+        .tenant(TenantSpec::new(SlaClass::Premium))
+        .tenant(TenantSpec::new(SlaClass::Standard))
+        .tenant(TenantSpec::new(SlaClass::BestEffort))
+        .ladder(LadderConfig {
+            high: 48,
+            low: 4,
+            sustain: 2,
+            retry_after: 64,
+        });
+    GatewayBuilder::new(cluster, pet)
+        .config(SimConfig::batch(55))
+        .shards(3)
+        .policy(RoundRobinRoute::new())
+        .strategy_with(|_| HeuristicKind::Mm.make())
+        .pruner_with(move |_| {
+            Box::new(PruningMechanism::new(
+                PruningConfig::paper_default(),
+                n_types,
+            ))
+        })
+        .tenancy(tenancy)
+        .reuse(reuse)
+        .build()
+        .expect("valid configuration")
+}
+
+/// A supervised run equals the plain federated run when nothing goes
+/// wrong — with and without a mid-run cold coordinator restart, and
+/// with a fully-healed fault storm across the restart. A supervisor
+/// restored off the checkpoint grid stays on it: a laddered federation
+/// restored at arrival 1 000 (the default interval is 64) admits
+/// exactly as the uninterrupted supervised run does, on
+/// `multi_tenant`'s act-3 stream with reuse off and on the same stream
+/// with 30 % duplicates under exact reuse.
 #[test]
-fn facade_supervised_restart_matches_uninterrupted() {
+fn supervised_cold_restart_matches_uninterrupted() {
     let (cluster, pet, tasks) = fixture(common::test_scale());
-    let reference = allocator(&cluster, &pet)
-        .try_run_federated(3, Box::new(RoundRobinRoute::new()), &tasks)
-        .expect("valid configuration");
-    let reference_json = json(&reference);
+    let build = || {
+        builder(&cluster, &pet, 3)
+            .build()
+            .expect("valid configuration")
+    };
+    let reference = json(&build().run_stream(tasks.iter().copied()));
+    let midpoint = (tasks.len() / 2) as u64;
 
     // Supervised, no faults, no restart.
-    let supervised = allocator(&cluster, &pet)
-        .try_run_federated_supervised(
-            3,
-            Box::new(RoundRobinRoute::new()),
-            RecoveryPolicy::default(),
-            None,
-            None,
-            &tasks,
-        )
-        .expect("valid configuration");
-    assert_eq!(reference_json, json(&supervised));
+    let supervised = Supervisor::new(build(), RecoveryPolicy::default())
+        .run_stream(tasks.iter().copied());
+    assert_eq!(reference, json(&supervised));
 
-    // Supervised with a cold restart at the midpoint watermark: the
-    // coordinator is serialized, dropped, and rebuilt from the wire
-    // form before the second half runs.
-    let restarted = allocator(&cluster, &pet)
-        .try_run_federated_supervised(
-            3,
-            Box::new(RoundRobinRoute::new()),
-            RecoveryPolicy::default(),
-            None,
-            Some(((tasks.len() / 2) as u64, Box::new(RoundRobinRoute::new()))),
-            &tasks,
-        )
-        .expect("valid configuration");
+    // Supervised with a cold restart at the midpoint watermark.
+    let restarted = run_with_restart(
+        build,
+        RecoveryPolicy::default(),
+        None,
+        midpoint,
+        &tasks,
+    );
     assert_eq!(
-        reference_json,
+        reference,
         json(&restarted),
         "a cold coordinator restart diverged from the uninterrupted run"
     );
@@ -731,21 +790,68 @@ fn facade_supervised_restart_matches_uninterrupted() {
     // Supervised with an armed storm AND a restart: the fault-plan
     // cursor travels inside the coordinator snapshot, so healing
     // stays exact across the restart boundary.
-    let stormy = allocator(&cluster, &pet)
-        .try_run_federated_supervised(
-            3,
-            Box::new(RoundRobinRoute::new()),
-            healing_policy(),
-            Some(storm_plan(PLAN_SEEDS[0], 3, tasks.len())),
-            Some(((tasks.len() / 2) as u64, Box::new(RoundRobinRoute::new()))),
-            &tasks,
-        )
-        .expect("valid configuration");
+    let stormy = run_with_restart(
+        build,
+        healing_policy(),
+        Some(storm_plan(PLAN_SEEDS[0], 3, tasks.len())),
+        midpoint,
+        &tasks,
+    );
     assert_eq!(
-        reference_json,
+        reference,
         json(&stormy),
         "healing across a restart boundary diverged from fault-free"
     );
+
+    // The ladder steps only at maintenance, so a successor that
+    // maintained on another grid would admit differently.
+    const RESTART_AT: u64 = 1_000;
+    let squeezed = WorkloadConfig {
+        total_tasks: 3_000,
+        span_tu: 80.0,
+        ..WorkloadConfig::paper_default(77)
+    };
+    for (reuse, dup_rate) in
+        [(ReusePolicy::Off, 0.0), (ReusePolicy::ExactOnly, 0.3)]
+    {
+        let crunch: Vec<Task> = squeezed
+            .stream_trial(&pet, 0)
+            .with_duplicate_rate(dup_rate, 0xDED)
+            .collect();
+        let build = || laddered(&cluster, &pet, reuse);
+        let uninterrupted = Supervisor::new(build(), RecoveryPolicy::default())
+            .run_stream(crunch.iter().copied());
+        let restart_time = crunch[RESTART_AT as usize - 1].arrival;
+        let later_steps = uninterrupted
+            .recovery_log()
+            .actions()
+            .iter()
+            .filter(|a| {
+                a.time > restart_time
+                    && matches!(
+                        a.kind,
+                        RecoveryActionKind::OverloadStepUp { .. }
+                            | RecoveryActionKind::OverloadStepDown { .. }
+                    )
+            })
+            .count();
+        assert!(
+            later_steps > 0,
+            "{reuse:?}: no ladder step after the restart"
+        );
+        let restarted = run_with_restart(
+            build,
+            RecoveryPolicy::default(),
+            None,
+            RESTART_AT,
+            &crunch,
+        );
+        assert_eq!(
+            json(&uninterrupted),
+            json(&restarted),
+            "{reuse:?}: a restart off the checkpoint grid admitted differently"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
